@@ -123,9 +123,17 @@ func FixCached(ctx context.Context, filename, source string, opts Options) (*Rep
 // same contract as FixCached: hit reports an avoided computation, and
 // only full-fidelity lint reports are stored.
 func AnalyzeCached(ctx context.Context, filename, source string, opts Options) (*LintReport, bool, error) {
+	return cachedLint(ctx, filename, source, opts, func() (*LintReport, error) {
+		return analyzeReport(ctx, filename, source, opts)
+	})
+}
+
+// cachedLint answers a lint request for source from opts.Cache, running
+// compute on a miss (or on every call when opts.Cache is nil).
+func cachedLint(ctx context.Context, filename, source string, opts Options, compute func() (*LintReport, error)) (*LintReport, bool, error) {
 	c := opts.Cache
 	if c == nil {
-		rep, err := analyzeReport(ctx, filename, source, opts)
+		rep, err := compute()
 		return rep, false, err
 	}
 	var computed *LintReport
@@ -133,7 +141,7 @@ func AnalyzeCached(ctx context.Context, filename, source string, opts Options) (
 	payload, _, err := c.Do(cacheKey("lint", filename, source, opts), func() ([]byte, bool, error) {
 		sp := opts.Tracer.Start(ctx, obs.StageCacheMiss, filename)
 		defer sp.End()
-		rep, err := analyzeReport(ctx, filename, source, opts)
+		rep, err := compute()
 		if err != nil {
 			return nil, false, err
 		}
@@ -152,7 +160,7 @@ func AnalyzeCached(ctx context.Context, filename, source string, opts Options) (
 	}
 	rep := new(LintReport)
 	if err := json.Unmarshal(payload, rep); err != nil {
-		rep, err := analyzeReport(ctx, filename, source, opts)
+		rep, err := compute()
 		return rep, false, err
 	}
 	opts.Tracer.RecordSince(ctx, obs.StageCacheHit, filename, lookup)

@@ -313,13 +313,27 @@ func sortFindings(fs []overflow.Finding) {
 	})
 }
 
-// limits translates Options into solver limits for the analysis layer.
-func (o Options) limits(ctx context.Context) fault.Limits {
-	return fault.Limits{Ctx: ctx, Steps: o.Budget, Contexts: o.Budget}
+// analysisConfig is the snapshot configuration o implies under ctx:
+// solver limits from the budget, the tracer, and the cross-unit call
+// seeds of project mode.
+func (o Options) analysisConfig(ctx context.Context) analysis.Config {
+	conf := analysis.Config{
+		Limits: fault.Limits{Ctx: ctx, Steps: o.Budget, Contexts: o.Budget},
+		Tracer: o.Tracer,
+	}
+	if len(o.ExternSeeds) > 0 {
+		oo := overflow.DefaultOptions()
+		oo.ExternSeeds = o.ExternSeeds
+		conf.Overflow = &oo
+	}
+	return conf
 }
 
-// fileCtx applies the per-file timeout of opts to ctx.
-func fileCtx(ctx context.Context, opts Options) (context.Context, context.CancelFunc) {
+// FileContext applies the per-file timeout of opts to ctx. Every entry
+// point that processes one file calls it once; project mode calls it
+// once per unit and runs the unit's parse, repair and link facts under
+// the one deadline.
+func FileContext(ctx context.Context, opts Options) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -381,26 +395,27 @@ func analyzeReport(ctx context.Context, filename, source string, opts Options) (
 	if _, err := backend.Canonical(opts.Backend); err != nil {
 		return nil, err
 	}
-	ctx, cancel := fileCtx(ctx, opts)
+	ctx, cancel := FileContext(ctx, opts)
 	defer cancel()
 	sp := opts.Tracer.Start(ctx, obs.StageLint, filename)
 	defer sp.End()
-	conf := analysis.Config{Limits: opts.limits(ctx), Tracer: opts.Tracer}
-	if len(opts.ExternSeeds) > 0 {
-		oo := overflow.DefaultOptions()
-		oo.ExternSeeds = opts.ExternSeeds
-		conf.Overflow = &oo
-	}
-	snap, err := analysis.ParseCtx(ctx, filename, source, conf)
+	snap, err := analysis.ParseCtx(ctx, filename, source, opts.analysisConfig(ctx))
 	if err != nil {
 		return nil, fmt.Errorf("core: parse for lint: %w", err)
 	}
+	return lintReport(snap, cs, sp), nil
+}
+
+// lintReport runs the selected oracles over snap and records the result
+// on the lint span sp.
+func lintReport(snap *analysis.Snapshot, cs checkSet, sp *obs.ActiveSpan) *LintReport {
 	fs := lintFindings(snap, cs)
 	sp.Attr("findings", fmt.Sprint(len(fs)))
-	if deg := snap.Degradations(); len(deg) > 0 {
+	deg := snap.Degradations()
+	if len(deg) > 0 {
 		sp.Attr("degraded", deg[0])
 	}
-	return &LintReport{Findings: fs, Degraded: snap.Degradations()}, nil
+	return &LintReport{Findings: fs, Degraded: deg}
 }
 
 // stage runs one pipeline stage, converting a panic inside it into an
@@ -454,7 +469,7 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := fileCtx(ctx, opts)
+	ctx, cancel := FileContext(ctx, opts)
 	defer cancel()
 
 	// The file-level span closes by defer, so even a contained panic or
@@ -464,12 +479,7 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 	defer fileSpan.End()
 
 	rep = &Report{Source: source, Backend: be.Name()}
-	conf := analysis.Config{Limits: opts.limits(ctx), Tracer: opts.Tracer}
-	if len(opts.ExternSeeds) > 0 {
-		oo := overflow.DefaultOptions()
-		oo.ExternSeeds = opts.ExternSeeds
-		conf.Overflow = &oo
-	}
+	conf := opts.analysisConfig(ctx)
 
 	snap, err := analysis.ParseCtx(ctx, filename, source, conf)
 	if err != nil {

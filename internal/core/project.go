@@ -126,36 +126,78 @@ func cppDegradations(res *cpp.Result) []string {
 	return out
 }
 
-// AnalyzePreprocessed preprocesses one translation unit and runs the
-// lint oracles over the result, returning findings located in the
-// ORIGINAL source coordinates (macro-expanded findings point at the
-// invocation site). The preprocessed form is returned alongside so
-// project drivers can reuse its include list and source map. Caching
-// (opts.Cache) keys on the preprocessed text plus Options.IncludeHash,
-// so a header edit invalidates every includer.
-func AnalyzePreprocessed(ctx context.Context, filename, source string, cppOpts cpp.Options, opts Options) (*LintReport, *cpp.Result, error) {
-	pp, err := cpp.Preprocess(filename, source, cppOpts)
+// ParsePreprocessed is the front half of project mode: it preprocesses
+// one unit and parses the result under opts' budget and seeds. ctx
+// should already carry the unit's deadline (FileContext). The error
+// names the step that failed ("preprocess: ..." or "parse: ...").
+func ParsePreprocessed(ctx context.Context, filename, source string, cppOpts cpp.Options, opts Options) (pp *cpp.Result, snap *analysis.Snapshot, err error) {
+	defer fault.Recover(&err)
+	pp, err = cpp.Preprocess(filename, source, cppOpts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: preprocess %s: %w", filename, err)
+		return nil, nil, fmt.Errorf("preprocess: %w", err)
+	}
+	snap, err = analysis.ParseCtx(ctx, filename, pp.Text, opts.analysisConfig(ctx))
+	if err != nil {
+		return pp, nil, fmt.Errorf("parse: %w", err)
+	}
+	return pp, snap, nil
+}
+
+// AnalyzeParsed is the lint body of project mode: it runs the oracles
+// over snap, the parse of pp, and returns findings located in the
+// ORIGINAL source coordinates (macro-expanded findings point at the
+// invocation site). snap must come from ParsePreprocessed under the same
+// opts, and ctx should carry the unit's deadline. Caching (opts.Cache)
+// keys on the preprocessed text plus IncludeHash, so a header edit
+// invalidates every includer.
+func AnalyzeParsed(ctx context.Context, filename string, pp *cpp.Result, snap *analysis.Snapshot, opts Options) (rep *LintReport, err error) {
+	defer fault.Recover(&err)
+	cs, err := parseChecks(opts.Checks)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := backend.Canonical(opts.Backend); err != nil {
+		return nil, err
 	}
 	opts.IncludeHash = IncludeHash(pp)
-	rep, err := AnalyzeReport(ctx, filename, pp.Text, opts)
+	rep, _, err = cachedLint(ctx, filename, pp.Text, opts, func() (*LintReport, error) {
+		sp := opts.Tracer.Start(ctx, obs.StageLint, filename)
+		defer sp.End()
+		return lintReport(snap, cs, sp), nil
+	})
 	if err != nil {
-		return nil, pp, err
+		return nil, err
 	}
 	remapFindings(rep.Findings, pp.Map)
 	rep.Degraded = dedupStrings(append(rep.Degraded, cppDegradations(pp)...))
-	return rep, pp, nil
+	return rep, nil
 }
 
-// FixPreprocessed is Fix in project mode: it preprocesses the unit,
-// runs lint + SLR + STR on the preprocessed text, and applies the
-// surviving repairs to the ORIGINAL source — the text the user wrote.
+// FixPreprocessed is Fix in project mode: it preprocesses and parses the
+// unit (ParsePreprocessed) and runs FixParsed on the result, under one
+// per-file deadline. The returned cpp.Result is the preprocess of the
+// unmodified input.
+func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.Options, opts Options) (*Report, *cpp.Result, error) {
+	ctx, cancel := FileContext(ctx, opts)
+	defer cancel()
+	pp, snap, err := ParsePreprocessed(ctx, filename, source, cppOpts, opts)
+	if err != nil {
+		return nil, pp, fmt.Errorf("core: %w", err)
+	}
+	rep, err := FixParsed(ctx, filename, source, cppOpts, pp, snap, opts)
+	return rep, pp, err
+}
+
+// FixParsed is the fix body of project mode: it runs lint + SLR + STR on
+// snap, the parse of pp, and applies the surviving repairs to source,
+// the ORIGINAL text the user wrote. snap must come from
+// ParsePreprocessed under the same opts and cppOpts, and ctx should
+// carry the unit's deadline.
 //
-// The two transformation rounds mirror fix(): SLR analyzes the first
-// preprocess, its remapped edits are applied to the original, and STR
-// analyzes a second preprocess of that already-SLR-repaired original, so
-// its analysis sees exactly the text its own edits will land in.
+// The two transformation rounds mirror fix(): SLR analyzes snap, its
+// remapped edits are applied to the original, and STR analyzes a second
+// preprocess of that already-SLR-repaired original, so its analysis sees
+// exactly the text its own edits will land in.
 //
 // Differences from Fix, all forced by coordinate remapping:
 //   - Options.SelectOffset is not supported (it addresses original
@@ -163,51 +205,31 @@ func AnalyzePreprocessed(ctx context.Context, filename, source string, cppOpts c
 //     returns an error when >= 0.
 //   - Repairs whose edits land inside macro expansions or included
 //     headers are declined with FailMacroOrHeader instead of applied.
-//   - Options.Cache is not consulted for the fix itself (the two-round
-//     shape does not fit the single-payload result cache); lint-only
-//     project calls go through AnalyzePreprocessed, which does cache.
+//   - Options.Cache is not consulted (the two-round shape does not fit
+//     the single-payload result cache).
 //
 // Report positions (sites, variables, findings) are in original
-// coordinates. The returned cpp.Result is the FIRST round's preprocess
-// of the unmodified input.
-func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.Options, opts Options) (rep *Report, ppOut *cpp.Result, err error) {
+// coordinates, and so is text: SLR.NewSource is source with the SLR
+// repairs applied, STR.NewSource is Report.Source before any support
+// code is prepended.
+func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options, pp *cpp.Result, snap *analysis.Snapshot, opts Options) (rep *Report, err error) {
 	defer fault.Recover(&err)
 	if opts.SelectOffset >= 0 {
-		return nil, nil, fmt.Errorf("core: SelectOffset is not supported in project mode")
+		return nil, fmt.Errorf("core: SelectOffset is not supported in project mode")
 	}
 	cs, err := parseChecks(opts.Checks)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	be, err := backend.Get(opts.Backend)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ctx, cancel := fileCtx(ctx, opts)
-	defer cancel()
 
 	fileSpan := opts.Tracer.Start(ctx, obs.StageFix, filename)
 	defer fileSpan.End()
 
-	pp, err := cpp.Preprocess(filename, source, cppOpts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: preprocess %s: %w", filename, err)
-	}
-	ppOut = pp
-	opts.IncludeHash = IncludeHash(pp)
-
 	rep = &Report{Source: source, Backend: be.Name()}
-	conf := analysis.Config{Limits: opts.limits(ctx), Tracer: opts.Tracer}
-	if len(opts.ExternSeeds) > 0 {
-		oo := overflow.DefaultOptions()
-		oo.ExternSeeds = opts.ExternSeeds
-		conf.Overflow = &oo
-	}
-
-	snap, err := analysis.ParseCtx(ctx, filename, pp.Text, conf)
-	if err != nil {
-		return nil, pp, fmt.Errorf("core: parse for SLR: %w", err)
-	}
 
 	if opts.Lint {
 		if lintErr := stage(func() error {
@@ -218,13 +240,13 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 			return nil
 		}); lintErr != nil {
 			if !opts.KeepGoing {
-				return nil, pp, fmt.Errorf("core: lint: %w", lintErr)
+				return nil, fmt.Errorf("core: lint: %w", lintErr)
 			}
 			rep.Degraded = append(rep.Degraded, "lint skipped: "+firstLine(lintErr))
 		}
 	}
 
-	// Round 1: SLR on the first preprocess; survivors edit the original.
+	// Round 1: SLR on snap; survivors edit the original.
 	current := source
 	if !opts.DisableSLR {
 		slrErr := stage(func() error {
@@ -245,6 +267,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 				return fmt.Errorf("apply remapped SLR edits: %w", err)
 			}
 			remapSites(res, pp.Map)
+			res.NewSource = out
 			rep.SLR = res
 			rep.NeedsGlib = res.NeedsGlib && res.AppliedCount() > 0
 			current = out
@@ -255,7 +278,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 		})
 		if slrErr != nil {
 			if !opts.KeepGoing {
-				return nil, pp, fmt.Errorf("core: SLR: %w", slrErr)
+				return nil, fmt.Errorf("core: SLR: %w", slrErr)
 			}
 			rep.SLR = nil
 			current = source
@@ -278,7 +301,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 				if err != nil {
 					return fmt.Errorf("re-preprocess for STR: %w", err)
 				}
-				strSnap, err = analysis.ParseCtx(ctx, filename, pp2.Text, conf)
+				strSnap, err = analysis.ParseCtx(ctx, filename, pp2.Text, opts.analysisConfig(ctx))
 				if err != nil {
 					return fmt.Errorf("parse for STR: %w", err)
 				}
@@ -297,6 +320,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 				return fmt.Errorf("apply remapped STR edits: %w", err)
 			}
 			remapVars(res, pp2.Map)
+			res.NewSource = out
 			rep.STR = res
 			rep.NeedsStralloc = res.NeedsStralloc && res.AppliedCount() > 0
 			current = out
@@ -308,7 +332,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 		})
 		if strErr != nil {
 			if !opts.KeepGoing {
-				return nil, pp, fmt.Errorf("core: STR: %w", strErr)
+				return nil, fmt.Errorf("core: STR: %w", strErr)
 			}
 			rep.STR = nil
 			rep.Degraded = append(rep.Degraded, "STR skipped: "+firstLine(strErr))
@@ -338,7 +362,7 @@ func FixPreprocessed(ctx context.Context, filename, source string, cppOpts cpp.O
 		}
 	}
 	rw.Attr("changed", fmt.Sprint(rep.Changed())).End()
-	return rep, pp, nil
+	return rep, nil
 }
 
 // applyRemapped splices already-remapped edits into the original text.

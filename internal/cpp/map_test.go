@@ -182,6 +182,9 @@ func FuzzRoundTrip(f *testing.F) {
 		"#ifdef X\n#elif Y\n#else\n#endif\n",
 		"#define V(...) f(__VA_ARGS__)\nV(1,2,3);\n",
 		"'unterminated\n\"also\n#define\n#\n##\n",
+		"int a\\\nb = 1;\n",
+		"int y = p-\\\n>x;\n",
+		"#define G(a, b) a #\\\n# b\nint G(x, y);\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

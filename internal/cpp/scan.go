@@ -161,41 +161,51 @@ func (s *scanner) next() ptok {
 	}
 }
 
-// collect gathers the token's de-spliced text while advancing through
-// splices. advance returns false when the byte at the current offset
-// ends the token.
-func (s *scanner) collect(b *strings.Builder, spliced *bool, more func(c byte) bool) {
+// collect advances over the token's bytes, following splices, while
+// more accepts them, and returns the token's de-spliced text. more sees
+// each byte once, in order. Without a splice the text is the source
+// bytes themselves, so the common token allocates nothing; a spliced
+// token's text is the bytes with its splices cut out. A token holds no
+// backslash of its own, so every backslash in it starts a splice.
+func (s *scanner) collect(more func(c byte) bool) (text string, spliced bool) {
 	src := s.f.src
+	start := s.off
 	for s.off < len(src) {
 		if n, ok := spliceAt(src, s.off); ok {
 			s.off += n
-			*spliced = true
+			spliced = true
 			continue
 		}
-		c := src[s.off]
-		if !more(c) {
-			return
+		if !more(src[s.off]) {
+			break
 		}
-		b.WriteByte(c)
 		s.off++
 	}
+	if !spliced {
+		return src[start:s.off], false
+	}
+	var b strings.Builder
+	for i := start; i < s.off; i++ {
+		if n, ok := spliceAt(src, i); ok {
+			i += n - 1
+			continue
+		}
+		b.WriteByte(src[i])
+	}
+	return b.String(), true
 }
 
 func (s *scanner) scanIdent(start int, ws bool) ptok {
-	var b strings.Builder
-	spliced := false
-	s.collect(&b, &spliced, func(c byte) bool { return isIdentCont(c) })
-	return ptok{kind: tkIdent, text: b.String(), file: s.f, pos: start, end: s.off, ws: ws, spliced: spliced}
+	text, spliced := s.collect(isIdentCont)
+	return ptok{kind: tkIdent, text: text, file: s.f, pos: start, end: s.off, ws: ws, spliced: spliced}
 }
 
 // scanNumber scans a C pp-number: it deliberately over-matches (letters,
 // digits, dots, exponent signs) because the preprocessor never needs the
 // value, only the spelling.
 func (s *scanner) scanNumber(start int, ws bool) ptok {
-	var b strings.Builder
-	spliced := false
 	prevExp := false
-	s.collect(&b, &spliced, func(c byte) bool {
+	text, spliced := s.collect(func(c byte) bool {
 		if isIdentCont(c) || c == '.' {
 			prevExp = c == 'e' || c == 'E' || c == 'p' || c == 'P'
 			return true
@@ -206,7 +216,7 @@ func (s *scanner) scanNumber(start int, ws bool) ptok {
 		}
 		return false
 	})
-	return ptok{kind: tkNum, text: b.String(), file: s.f, pos: start, end: s.off, ws: ws, spliced: spliced}
+	return ptok{kind: tkNum, text: text, file: s.f, pos: start, end: s.off, ws: ws, spliced: spliced}
 }
 
 // scanQuoted scans a string or character literal. An unterminated
@@ -279,37 +289,55 @@ func (s *scanner) scanBlockComment(start int, ws bool) ptok {
 	return ptok{kind: tkComment, text: " ", file: s.f, pos: start, end: s.off, ws: ws}
 }
 
-// Multi-byte punctuators, longest first. The preprocessor set adds '#'
-// and '##' to the C punctuators.
-var _punct3 = []string{"<<=", ">>=", "..."}
-var _punct2 = []string{
-	"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-	"+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "##",
-}
-
+// scanPunct scans the longest punctuator at the offset, or one byte of
+// tkOther when none starts there. The preprocessor set adds '#' and '##'
+// to the C punctuators. A splice inside a multi-byte punctuator is not
+// joined: its halves scan as separate tokens.
 func (s *scanner) scanPunct(start int, ws bool) ptok {
 	src := s.f.src
-	rest := src[s.off:]
-	for _, p := range _punct3 {
-		if strings.HasPrefix(rest, p) {
-			s.off += 3
-			return ptok{kind: tkPunct, text: p, file: s.f, pos: start, end: s.off, ws: ws}
+	var c1, c2 byte
+	if s.off+1 < len(src) {
+		c1 = src[s.off+1]
+	}
+	if s.off+2 < len(src) {
+		c2 = src[s.off+2]
+	}
+	n := 1
+	kind := tkPunct
+	switch c := src[s.off]; c {
+	case '<', '>': // < << <= <<= > >> >= >>=
+		switch {
+		case c1 == c && c2 == '=':
+			n = 3
+		case c1 == c || c1 == '=':
+			n = 2
 		}
-	}
-	// A splice may hide inside a multi-byte punctuator; handle the
-	// common un-spliced case fast and fall back to byte-wise for '#'.
-	for _, p := range _punct2 {
-		if strings.HasPrefix(rest, p) {
-			s.off += 2
-			return ptok{kind: tkPunct, text: p, file: s.f, pos: start, end: s.off, ws: ws}
+	case '.': // . ...
+		if c1 == '.' && c2 == '.' {
+			n = 3
 		}
+	case '-': // - -> -- -=
+		if c1 == '>' || c1 == '-' || c1 == '=' {
+			n = 2
+		}
+	case '+', '&', '|': // + ++ += & && &= | || |=
+		if c1 == c || c1 == '=' {
+			n = 2
+		}
+	case '*', '/', '%', '^', '=', '!': // x x=
+		if c1 == '=' {
+			n = 2
+		}
+	case '#': // # ##
+		if c1 == '#' {
+			n = 2
+		}
+	case '[', ']', '(', ')', '{', '}', '~', '?', ':', ';', ',':
+	default:
+		kind = tkOther
 	}
-	c := src[s.off]
-	s.off++
-	if strings.IndexByte("[](){}.&*+-~!/%<>^|?:;=,#", c) >= 0 {
-		return ptok{kind: tkPunct, text: string(c), file: s.f, pos: start, end: s.off, ws: ws}
-	}
-	return ptok{kind: tkOther, text: string(c), file: s.f, pos: start, end: s.off, ws: ws}
+	s.off += n
+	return ptok{kind: kind, text: src[start:s.off], file: s.f, pos: start, end: s.off, ws: ws}
 }
 
 func isIdentStart(c byte) bool {

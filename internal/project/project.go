@@ -7,13 +7,15 @@
 //
 // The link is a two-round protocol (DESIGN.md Section 16):
 //
-//  1. Scan: each TU is preprocessed and analyzed stand-alone; calls to
-//     functions the TU does not define are evaluated under the caller's
-//     interval state and exported as overflow.CallSeed values.
+//  1. Scan: each TU is preprocessed, parsed and fixed (or linted)
+//     stand-alone; from the same parse, calls to functions the TU does
+//     not define are evaluated under the caller's interval state and
+//     exported as overflow.CallSeed values.
 //  2. Fix: seeds are routed to the TU that defines their callee (by
-//     symbol name — C has one flat namespace for external linkage) and
-//     the per-file pipeline reruns with Options.ExternSeeds, exploring
-//     the transported contexts exactly like local call edges.
+//     symbol name — C has one flat namespace for external linkage).
+//     Only the TUs that receive seeds rerun, with Options.ExternSeeds,
+//     exploring the transported contexts exactly like local call edges;
+//     every other TU keeps its scan result, which seeds could not change.
 //
 // Everything stays deterministic: TUs process in database order, seeds
 // sort before fingerprinting, and a file's cache key absorbs both its
@@ -280,59 +282,6 @@ type Report struct {
 	Edges []CrossEdge `json:"edges,omitempty"`
 }
 
-// scan is round 1: preprocess and analyze every TU stand-alone,
-// exporting external-call seeds, and link them by defined symbol.
-func (p *Project) scan(ctx context.Context, opts core.Options) (*Link, map[string]*cpp.Result, []string) {
-	link := &Link{
-		DefinedBy: make(map[string]string),
-		SeedsFor:  make(map[string][]overflow.CallSeed),
-	}
-	pps := make(map[string]*cpp.Result, len(p.TUs))
-	errs := make([]string, 0)
-	type scanned struct {
-		tu    *TU
-		seeds []overflow.CallSeed
-	}
-	var all []scanned
-	for _, tu := range p.TUs {
-		pp, err := cpp.Preprocess(tu.File, tu.Source, tu.CppOpts)
-		if err != nil {
-			errs = append(errs, fmt.Sprintf("%s: preprocess: %v", tu.File, err))
-			continue
-		}
-		pps[tu.File] = pp
-		snap, err := analysis.ParseCtx(ctx, tu.File, pp.Text, analysis.Config{
-			Limits: fault.Limits{Ctx: ctx, Steps: opts.Budget, Contexts: opts.Budget},
-			Tracer: opts.Tracer,
-		})
-		if err != nil {
-			errs = append(errs, fmt.Sprintf("%s: parse: %v", tu.File, err))
-			continue
-		}
-		for _, fn := range snap.Unit().Funcs {
-			if _, dup := link.DefinedBy[fn.Name]; !dup {
-				link.DefinedBy[fn.Name] = tu.File
-			}
-		}
-		all = append(all, scanned{tu: tu, seeds: snap.ExternalCalls()})
-	}
-	for _, sc := range all {
-		for _, seed := range sc.seeds {
-			target, defined := link.DefinedBy[seed.Callee]
-			if !defined || target == sc.tu.File {
-				// Library calls and (degenerate) self-routing stay local.
-				continue
-			}
-			link.Edges = append(link.Edges, CrossEdge{
-				CallerFile: sc.tu.File, Caller: seed.Caller,
-				CalleeFile: target, Callee: seed.Callee,
-			})
-			link.SeedsFor[target] = append(link.SeedsFor[target], seed)
-		}
-	}
-	return link, pps, errs
-}
-
 // Fix runs the two-round project pipeline and returns per-file fix
 // reports with edits applied to the original (pre-expansion) sources.
 // Per-file failures are recorded in the outcome, not fatal; err is
@@ -351,50 +300,123 @@ func (p *Project) run(ctx context.Context, opts core.Options, lintOnly bool) (*R
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	link, _, scanErrs := p.scan(ctx, opts)
-	rep := &Report{Edges: link.Edges}
-	scanFailed := make(map[string]string)
-	for _, e := range scanErrs {
-		if file, msg, ok := strings.Cut(e, ": "); ok {
-			scanFailed[file] = msg
-		}
+	// Project mode is always batch: the case-by-case offset selector
+	// addresses one file's original coordinates and has no meaning
+	// across a database run.
+	opts.SelectOffset = -1
+	link, files, err := p.scan(ctx, opts, lintOnly)
+	rep := &Report{Files: files, Edges: link.Edges}
+	if err != nil {
+		return rep, err
 	}
-	for _, tu := range p.TUs {
+	// Round 2: seeds change the results of the units that receive them
+	// and of no other, so only those run again, with their seeds.
+	for i, tu := range p.TUs {
+		seeds := link.SeedsFor[tu.File]
+		if len(seeds) == 0 {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		out := FileOutcome{File: tu.File}
 		fopts := opts
-		fopts.ExternSeeds = link.SeedsFor[tu.File]
-		// Project mode is always batch: the case-by-case offset selector
-		// addresses one file's original coordinates and has no meaning
-		// across a database run.
-		fopts.SelectOffset = -1
-		if msg, failed := scanFailed[tu.File]; failed {
-			out.Err = msg
-			rep.Files = append(rep.Files, out)
-			continue
-		}
-		if lintOnly {
-			lint, pp, err := core.AnalyzePreprocessed(ctx, tu.File, tu.Source, tu.CppOpts, fopts)
-			if err != nil {
-				out.Err = err.Error()
-			} else {
-				out.Lint = lint
-				out.Includes = pp.Includes
-			}
-		} else {
-			fix, pp, err := core.FixPreprocessed(ctx, tu.File, tu.Source, tu.CppOpts, fopts)
-			if err != nil {
-				out.Err = err.Error()
-			} else {
-				out.Fix = fix
-				if pp != nil {
-					out.Includes = pp.Includes
-				}
-			}
-		}
-		rep.Files = append(rep.Files, out)
+		fopts.ExternSeeds = seeds
+		rep.Files[i] = process(ctx, tu, fopts, lintOnly, nil)
 	}
 	return rep, nil
+}
+
+// scan is round 1: every unit is processed stand-alone, and the
+// functions each defines and the seeds of its external calls are linked
+// by defined symbol. The outcomes are final for every unit the link
+// routes no seeds to. On cancellation scan returns the outcomes so far.
+func (p *Project) scan(ctx context.Context, opts core.Options, lintOnly bool) (*Link, []FileOutcome, error) {
+	link := &Link{
+		DefinedBy: make(map[string]string),
+		SeedsFor:  make(map[string][]overflow.CallSeed),
+	}
+	files := make([]FileOutcome, 0, len(p.TUs))
+	calls := make([][]overflow.CallSeed, 0, len(p.TUs))
+	for _, tu := range p.TUs {
+		if err := ctx.Err(); err != nil {
+			return link, files, err
+		}
+		var facts linkFacts
+		files = append(files, process(ctx, tu, opts, lintOnly, &facts))
+		calls = append(calls, facts.calls)
+		for _, name := range facts.defines {
+			if _, dup := link.DefinedBy[name]; !dup {
+				link.DefinedBy[name] = tu.File
+			}
+		}
+	}
+	for i, tu := range p.TUs {
+		for _, seed := range calls[i] {
+			target, defined := link.DefinedBy[seed.Callee]
+			if !defined || target == tu.File {
+				// Library calls and (degenerate) self-routing stay local.
+				continue
+			}
+			link.Edges = append(link.Edges, CrossEdge{
+				CallerFile: tu.File, Caller: seed.Caller,
+				CalleeFile: target, Callee: seed.Callee,
+			})
+			link.SeedsFor[target] = append(link.SeedsFor[target], seed)
+		}
+	}
+	return link, files, nil
+}
+
+// linkFacts is what the linker reads off one unit's parse: the functions
+// it defines and the seeds of its calls to functions it does not.
+type linkFacts struct {
+	defines []string
+	calls   []overflow.CallSeed
+}
+
+// process runs one unit under one per-file deadline: preprocess, parse,
+// then the fix (or lint) body on that parse. In the scan round, facts is
+// non-nil and process also reads the unit's link facts off the same
+// snapshot, after the body, so the body sees the snapshot exactly as a
+// fresh run would. Only the outcome and the facts outlive the call; the
+// preprocess and the parse do not. A unit that fails before its body
+// ran, or whose facts cannot be read, takes part in no link.
+func process(ctx context.Context, tu *TU, opts core.Options, lintOnly bool, facts *linkFacts) FileOutcome {
+	out := FileOutcome{File: tu.File}
+	ctx, cancel := core.FileContext(ctx, opts)
+	defer cancel()
+	pp, snap, err := core.ParsePreprocessed(ctx, tu.File, tu.Source, tu.CppOpts, opts)
+	if err != nil {
+		out.Err = err.Error()
+		return out
+	}
+	if lintOnly {
+		out.Lint, err = core.AnalyzeParsed(ctx, tu.File, pp, snap, opts)
+	} else {
+		out.Fix, err = core.FixParsed(ctx, tu.File, tu.Source, tu.CppOpts, pp, snap, opts)
+	}
+	if err != nil {
+		out.Err = err.Error()
+	} else {
+		out.Includes = pp.Includes
+	}
+	if facts == nil {
+		return out
+	}
+	calls, err := externalCalls(snap)
+	if err != nil {
+		return FileOutcome{File: tu.File, Err: "link: " + err.Error()}
+	}
+	for _, fn := range snap.Unit().Funcs {
+		facts.defines = append(facts.defines, fn.Name)
+	}
+	facts.calls = calls
+	return out
+}
+
+// externalCalls is snap.ExternalCalls with a deadline cut or a panic
+// returned as an error.
+func externalCalls(snap *analysis.Snapshot) (calls []overflow.CallSeed, err error) {
+	defer fault.Recover(&err)
+	return snap.ExternalCalls(), nil
 }

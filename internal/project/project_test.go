@@ -4,8 +4,10 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/cparse"
 	"repro/internal/overflow"
 )
 
@@ -179,5 +181,106 @@ func TestCompileCommandsParsing(t *testing.T) {
 	}
 	if _, ok := opts.Defines["F(x)"]; !ok {
 		t.Fatalf("quoted define lost: %+v", opts.Defines)
+	}
+}
+
+// passProject is a three-unit project with one cross-file pair: a.c
+// calls fill in b.c and has one strcpy SLR repairs, c.c is unrelated.
+func passProject() *Project {
+	a := "char *strcpy(char *, const char *);\n" +
+		"void name(void) {\n    char n[16];\n    strcpy(n, \"hi\");\n}\n" + callerC
+	c := "int twice(int x) {\n    return x + x;\n}\n"
+	return InMemory(map[string]string{"a.c": a, "b.c": calleeC, "c.c": c}, nil, nil)
+}
+
+// TestProjectPassCount pins how often project mode parses: once per unit
+// in the scan round, once more per unit that receives seeds, and once
+// more per unit SLR changed (STR's parse of the repaired text). Every
+// parse follows its own preprocess, so this also counts preprocessor
+// passes.
+func TestProjectPassCount(t *testing.T) {
+	p := passProject()
+	var rep *Report
+	fixParses := parseDelta(t, func() (err error) {
+		rep, err = p.Fix(context.Background(), core.Options{Lint: true})
+		return err
+	})
+	seeded, changed := 0, 0
+	for _, out := range rep.Files {
+		if out.Err != "" {
+			t.Fatalf("%s failed: %s", out.File, out.Err)
+		}
+		if out.File == "b.c" {
+			seeded++
+		}
+		if out.Fix.SLR.AppliedCount() > 0 {
+			changed++
+		}
+	}
+	if len(rep.Edges) != 1 || changed != 1 {
+		t.Fatalf("project shape changed: edges %+v, %d units changed by SLR", rep.Edges, changed)
+	}
+	if want := int64(len(p.TUs) + seeded + changed); fixParses != want {
+		t.Fatalf("Fix parsed %d times, want %d (%d units + %d seeded + %d changed by SLR)",
+			fixParses, want, len(p.TUs), seeded, changed)
+	}
+	lintParses := parseDelta(t, func() error {
+		_, err := p.Analyze(context.Background(), lintOpts())
+		return err
+	})
+	if want := int64(len(p.TUs) + seeded); lintParses != want {
+		t.Fatalf("Analyze parsed %d times, want %d (%d units + %d seeded)", lintParses, want, len(p.TUs), seeded)
+	}
+}
+
+// parseDelta runs f and returns how many parses it made.
+func parseDelta(t *testing.T, f func() error) int64 {
+	t.Helper()
+	before := cparse.Parses()
+	if err := f(); err != nil {
+		t.Fatal(err)
+	}
+	return cparse.Parses() - before
+}
+
+// TestScanFailureKeepsFileName: a unit whose name contains ": " and
+// that fails to parse keeps its scan failure and is not processed again.
+func TestScanFailureKeepsFileName(t *testing.T) {
+	p := InMemory(map[string]string{"a: b.c": "int f( {\n", "ok.c": "int g(void) { return 0; }\n"}, nil, nil)
+	var rep *Report
+	parses := parseDelta(t, func() (err error) {
+		rep, err = p.Fix(context.Background(), core.Options{})
+		return err
+	})
+	if parses != 2 {
+		t.Fatalf("parsed %d times, want 2 (one per unit)", parses)
+	}
+	for _, out := range rep.Files {
+		switch out.File {
+		case "a: b.c":
+			if !strings.HasPrefix(out.Err, "parse: ") || out.Fix != nil {
+				t.Fatalf("a: b.c outcome = %+v, want the scan's parse failure", out)
+			}
+		case "ok.c":
+			if out.Err != "" || out.Fix == nil {
+				t.Fatalf("ok.c outcome = %+v", out)
+			}
+		}
+	}
+}
+
+// TestProjectTimeoutPerUnit: Options.Timeout bounds each unit's whole
+// pass, the scan's preprocess and parse included. An expired deadline
+// fails every unit with the context's error and never escapes as a
+// panic.
+func TestProjectTimeoutPerUnit(t *testing.T) {
+	rep, err := passProject().Fix(context.Background(), core.Options{Timeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range rep.Files {
+		if !strings.Contains(out.Err, context.DeadlineExceeded.Error()) {
+			t.Fatalf("%s: outcome %+v, want a deadline failure", out.File, out)
+		}
 	}
 }
