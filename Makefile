@@ -28,11 +28,17 @@ vet:
 
 check: build vet test
 
-# Static-analysis gate: vet everything, run staticcheck when the host
-# has it (CI images without it skip, loudly), and race-test the
-# integer-overflow oracle — the analysis pass most sensitive to shared
-# snapshot state.
+# Static-analysis gate: fail on any file gofmt would change, vet
+# everything, run staticcheck when the host has it (CI images without it
+# skip, loudly), and race-test the integer-overflow oracle — the
+# analysis pass most sensitive to shared snapshot state.
 staticgate:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "staticgate: gofmt -l lists files that need formatting:"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/cast"
 	"repro/internal/clex"
@@ -54,25 +56,67 @@ func (s *Snapshot) FuncHashes() map[string]string {
 	return s.funcHashes
 }
 
-// identSet returns the set of identifier spellings in src.
-func identSet(src string) map[string]bool {
-	toks, err := clex.Tokenize(src)
-	if err != nil {
-		return nil
-	}
-	out := make(map[string]bool)
-	for _, t := range toks {
-		if t.Kind == ctoken.KindIdent {
-			out[t.Text] = true
-		}
-	}
-	return out
+// unitText serves the hash inputs of any extent of a unit from one lex
+// of its whole text. The unit parsed, so the text lexes without error,
+// and every extent a parser node carries starts and ends on token
+// boundaries: the tokens inside an extent are exactly those a lex of the
+// extent's text alone would give.
+type unitText struct {
+	src  string
+	toks []ctoken.Token
 }
 
-// normalize is the hash's text canonicalization: comments masked,
-// whitespace runs collapsed.
-func normalize(src string) string {
-	return clex.CollapseSpace(clex.MaskComments(src))
+func lexUnit(src string) unitText {
+	toks, _ := clex.Tokenize(src)
+	return unitText{src: src, toks: toks}
+}
+
+// text returns the hash's canonical spelling of the extent — comments
+// masked, whitespace runs (strings.Fields' spaces) collapsed to one
+// space, both ends trimmed — and the set of identifier spellings in it.
+func (u unitText) text(e ctoken.Extent) (norm string, idents map[string]bool) {
+	if !e.IsValid() || int(e.End) > len(u.src) {
+		return "", nil
+	}
+	lo := sort.Search(len(u.toks), func(i int) bool { return u.toks[i].Extent.Pos >= e.Pos })
+	var sb strings.Builder
+	sb.Grow(e.Len())
+	space := false
+	write := func(seg string) {
+		for i := 0; i < len(seg); {
+			r, size := rune(seg[i]), 1
+			if r >= utf8.RuneSelf {
+				r, size = utf8.DecodeRuneInString(seg[i:])
+			}
+			if unicode.IsSpace(r) {
+				space = true
+			} else {
+				if space && sb.Len() > 0 {
+					sb.WriteByte(' ')
+				}
+				space = false
+				sb.WriteString(seg[i : i+size])
+			}
+			i += size
+		}
+	}
+	idents = make(map[string]bool)
+	cursor := e.Pos
+	for _, t := range u.toks[lo:] {
+		if t.Kind == ctoken.KindEOF || t.Extent.End > e.End {
+			break
+		}
+		switch t.Kind {
+		case ctoken.KindIdent:
+			idents[t.Text] = true
+		case ctoken.KindComment:
+			write(u.src[cursor:t.Extent.Pos])
+			space = true
+			cursor = t.Extent.End
+		}
+	}
+	write(u.src[cursor:e.End])
+	return sb.String(), idents
 }
 
 type declInfo struct {
@@ -85,7 +129,12 @@ func (s *Snapshot) computeFuncHashes() map[string]string {
 	if file == nil {
 		return map[string]string{}
 	}
+	return s.hashFuncs(lexUnit(file.Src()).text)
+}
 
+// hashFuncs computes every function's dependency hash, taking the
+// normalized text and identifier set of each extent from text.
+func (s *Snapshot) hashFuncs(text func(ctoken.Extent) (string, map[string]bool)) map[string]string {
 	// Index the file-scope declarations (everything but function
 	// definitions) by every identifier occurring in them. Linking is by
 	// name and over-approximate on purpose: a false dependency costs one
@@ -96,8 +145,8 @@ func (s *Snapshot) computeFuncHashes() map[string]string {
 		if _, isFn := d.(*cast.FuncDef); isFn {
 			continue
 		}
-		raw := file.Slice(d.Extent())
-		di := declInfo{norm: normalize(raw), idents: identSet(raw)}
+		var di declInfo
+		di.norm, di.idents = text(d.Extent())
 		idx := len(decls)
 		decls = append(decls, di)
 		for id := range di.idents {
@@ -110,11 +159,11 @@ func (s *Snapshot) computeFuncHashes() map[string]string {
 	// Local hashes first; the closure step below folds callees in.
 	local := make(map[string]string, len(s.unit.Funcs))
 	for _, fn := range s.unit.Funcs {
-		raw := file.Slice(fn.Extent())
+		norm, idents := text(fn.Extent())
 		h := sha256.New()
-		h.Write([]byte(normalize(raw)))
+		h.Write([]byte(norm))
 		h.Write([]byte{0})
-		h.Write([]byte(s.declClosure(identSet(raw), decls, declsByIdent)))
+		h.Write([]byte(s.declClosure(idents, decls, declsByIdent)))
 		h.Write([]byte{0})
 		h.Write([]byte(s.aliasFingerprint(fn, owner)))
 		local[fn.Name] = hex.EncodeToString(h.Sum(nil))

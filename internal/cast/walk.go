@@ -7,9 +7,7 @@ func Inspect(n Node, f func(Node) bool) {
 	if n == nil || !f(n) {
 		return
 	}
-	for _, c := range Children(n) {
-		Inspect(c, f)
-	}
+	EachChild(n, func(c Node) { Inspect(c, f) })
 }
 
 // InspectExprs traverses the AST and calls f for every expression node.
@@ -22,10 +20,10 @@ func InspectExprs(n Node, f func(Expr) bool) {
 	})
 }
 
-// Children returns the direct child nodes of n in source order. The slice
-// is freshly allocated; callers may not mutate the tree through it.
-func Children(n Node) []Node {
-	var out []Node
+// EachChild calls f on each direct child node of n in source order. It
+// allocates nothing, so whole-unit walks cost no more than their
+// visitors.
+func EachChild(n Node, f func(Node)) {
 	add := func(c Node) {
 		// Typed nils arrive when optional fields (e.g. IfStmt.Else) are
 		// absent; filter them so visitors never see nil interfaces with
@@ -33,7 +31,7 @@ func Children(n Node) []Node {
 		if c == nil || isNilNode(c) {
 			return
 		}
-		out = append(out, c)
+		f(c)
 	}
 	switch x := n.(type) {
 	case *Ident, *IntLit, *FloatLit, *CharLit, *StringLit,
@@ -132,7 +130,6 @@ func Children(n Node) []Node {
 			add(d)
 		}
 	}
-	return out
 }
 
 // isNilNode reports whether the interface holds a nil typed pointer.

@@ -58,17 +58,17 @@ func checkExtents(t *testing.T, root cast.Node) {
 			t.Errorf("node %T has invalid extent", n)
 			return false
 		}
-		for _, c := range cast.Children(n) {
+		cast.EachChild(n, func(c cast.Node) {
 			ce := c.Extent()
 			if !ce.IsValid() {
 				t.Errorf("child %T of %T has invalid extent", c, n)
-				continue
+				return
 			}
 			if !pe.Covers(ce) {
 				t.Errorf("%T extent [%d,%d) does not cover child %T [%d,%d)",
 					n, pe.Pos, pe.End, c, ce.Pos, ce.End)
 			}
-		}
+		})
 		return true
 	})
 }

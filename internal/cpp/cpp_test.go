@@ -135,7 +135,7 @@ func TestTorture(t *testing.T) {
 		},
 		{
 			name: "nested conditionals",
-			src: "#define A 1\n#define B 0\n#if A\n#if B\nint ab;\n#else\nint anb;\n#endif\n#else\n#if B\nint nab;\n#endif\nint nb;\n#endif\n",
+			src:  "#define A 1\n#define B 0\n#if A\n#if B\nint ab;\n#else\nint anb;\n#endif\n#else\n#if B\nint nab;\n#endif\nint nb;\n#endif\n",
 			want: "int anb;\n",
 		},
 		{

@@ -62,8 +62,8 @@ type Origin struct {
 type SourceMap struct {
 	main  string
 	segs  []Segment
-	files map[string]string            // file name -> content
-	pos   map[string]*ctoken.File      // lazy line tables
+	files map[string]string       // file name -> content
+	pos   map[string]*ctoken.File // lazy line tables
 }
 
 // MainFile returns the name of the translation unit's root file.

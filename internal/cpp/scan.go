@@ -1,6 +1,10 @@
 package cpp
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/ctoken"
+)
 
 // pkind classifies a preprocessing token. The set is the C standard's
 // pp-token taxonomy collapsed to what expansion needs: identifiers are
@@ -295,45 +299,17 @@ func (s *scanner) scanBlockComment(start int, ws bool) ptok {
 // joined: its halves scan as separate tokens.
 func (s *scanner) scanPunct(start int, ws bool) ptok {
 	src := s.f.src
-	var c1, c2 byte
-	if s.off+1 < len(src) {
-		c1 = src[s.off+1]
-	}
-	if s.off+2 < len(src) {
-		c2 = src[s.off+2]
-	}
-	n := 1
 	kind := tkPunct
-	switch c := src[s.off]; c {
-	case '<', '>': // < << <= <<= > >> >= >>=
-		switch {
-		case c1 == c && c2 == '=':
-			n = 3
-		case c1 == c || c1 == '=':
+	n := ctoken.PunctLen(src, s.off)
+	switch {
+	case n > 0:
+	case src[s.off] == '#': // # ##
+		n = 1
+		if s.peekByte(1) == '#' {
 			n = 2
 		}
-	case '.': // . ...
-		if c1 == '.' && c2 == '.' {
-			n = 3
-		}
-	case '-': // - -> -- -=
-		if c1 == '>' || c1 == '-' || c1 == '=' {
-			n = 2
-		}
-	case '+', '&', '|': // + ++ += & && &= | || |=
-		if c1 == c || c1 == '=' {
-			n = 2
-		}
-	case '*', '/', '%', '^', '=', '!': // x x=
-		if c1 == '=' {
-			n = 2
-		}
-	case '#': // # ##
-		if c1 == '#' {
-			n = 2
-		}
-	case '[', ']', '(', ')', '{', '}', '~', '?', ':', ';', ',':
 	default:
+		n = 1
 		kind = tkOther
 	}
 	s.off += n

@@ -137,6 +137,49 @@ func (t Token) String() string {
 	return fmt.Sprintf("%s %q", t.Kind, t.Text)
 }
 
+// PunctLen returns the length of the longest C punctuator starting at
+// src[off], or 0 when none starts there. It is the one punctuator table
+// of the repository: the C lexer and the preprocessor's scanner (which
+// adds '#' and '##' of its own) both call it.
+func PunctLen(src string, off int) int {
+	var c1, c2 byte
+	if off+1 < len(src) {
+		c1 = src[off+1]
+	}
+	if off+2 < len(src) {
+		c2 = src[off+2]
+	}
+	switch c := src[off]; c {
+	case '<', '>': // < << <= <<= > >> >= >>=
+		switch {
+		case c1 == c && c2 == '=':
+			return 3
+		case c1 == c || c1 == '=':
+			return 2
+		}
+	case '.': // . ...
+		if c1 == '.' && c2 == '.' {
+			return 3
+		}
+	case '-': // - -> -- -=
+		if c1 == '>' || c1 == '-' || c1 == '=' {
+			return 2
+		}
+	case '+', '&', '|': // + ++ += & && &= | || |=
+		if c1 == c || c1 == '=' {
+			return 2
+		}
+	case '*', '/', '%', '^', '=', '!': // x x=
+		if c1 == '=' {
+			return 2
+		}
+	case '[', ']', '(', ')', '{', '}', '~', '?', ':', ';', ',':
+	default:
+		return 0
+	}
+	return 1
+}
+
 // Keywords recognised by the lexer. This is the C89/C99 keyword set that the
 // paper's target programs use, plus a handful of common extensions that
 // appear in preprocessed sources (e.g. __restrict).

@@ -21,8 +21,8 @@ func TestMinimizeDropsNoOps(t *testing.T) {
 	src := "abc"
 	got := Minimize(src, []Delta{
 		Replace(ctoken.Extent{Pos: 0, End: 3}, "abc"), // identity replace
-		Insert(1, ""),                                 // empty insert
-		Delete(ctoken.Extent{Pos: 2, End: 2}),         // empty delete
+		Insert(1, ""),                         // empty insert
+		Delete(ctoken.Extent{Pos: 2, End: 2}), // empty delete
 	})
 	if len(got) != 0 {
 		t.Fatalf("no-op deltas survived: %v", got)
@@ -33,8 +33,8 @@ func TestMinimizePreservesApplyResult(t *testing.T) {
 	src := "void f(void) { char b[8]; strcpy(b, \"x\"); }"
 	cases := [][]Delta{
 		{Replace(ctoken.Extent{Pos: 0, End: ctoken.Pos(len(src))}, src)},
-		{Replace(ctoken.Extent{Pos: 0, End: ctoken.Pos(len(src))}, src[:20] + "X" + src[21:])},
-		{Replace(ctoken.Extent{Pos: 5, End: 30}, src[5:30] + "/*tail*/")},
+		{Replace(ctoken.Extent{Pos: 0, End: ctoken.Pos(len(src))}, src[:20]+"X"+src[21:])},
+		{Replace(ctoken.Extent{Pos: 5, End: 30}, src[5:30]+"/*tail*/")},
 		{Insert(3, "yy"), Delete(ctoken.Extent{Pos: 10, End: 12})},
 		{Replace(ctoken.Extent{Pos: 4, End: 10}, "aaaa")},
 	}

@@ -123,6 +123,21 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
+// Drain returns every span recorded since the previous Drain, in
+// completion order, and forgets them. A long-lived tracer (an editor
+// session's) drained after each operation holds only that operation's
+// spans, and concurrent drains never return a span twice.
+func (t *Tracer) Drain() []Span {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := t.spans
+	t.spans = nil
+	return out
+}
+
 // Len returns the number of recorded spans.
 func (t *Tracer) Len() int {
 	if t == nil {

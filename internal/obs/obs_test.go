@@ -238,3 +238,25 @@ func TestFormatStageStats(t *testing.T) {
 		}
 	}
 }
+
+// TestTracerDrain: Drain hands over the spans recorded since the last
+// drain exactly once and leaves the tracer empty.
+func TestTracerDrain(t *testing.T) {
+	var nilTracer *Tracer
+	if nilTracer.Drain() != nil {
+		t.Fatal("nil tracer drained spans")
+	}
+	tr := NewTracer()
+	tr.record(Span{Name: StageParse})
+	tr.record(Span{Name: StageHashes})
+	if got := tr.Drain(); len(got) != 2 || got[0].Name != StageParse || got[1].Name != StageHashes {
+		t.Fatalf("first drain: %+v", got)
+	}
+	if tr.Len() != 0 || len(tr.Drain()) != 0 {
+		t.Fatal("drained tracer still holds spans")
+	}
+	tr.record(Span{Name: StageIncremental})
+	if got := tr.Drain(); len(got) != 1 || got[0].Name != StageIncremental {
+		t.Fatalf("drain after more spans: %+v", got)
+	}
+}

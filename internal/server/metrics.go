@@ -15,16 +15,16 @@ import (
 type metrics struct {
 	start time.Time
 
-	fixRequests    atomic.Int64
-	lintRequests   atomic.Int64
-	batchRequests  atomic.Int64
-	batchFiles     atomic.Int64
+	fixRequests   atomic.Int64
+	lintRequests  atomic.Int64
+	batchRequests atomic.Int64
+	batchFiles    atomic.Int64
 	// projectRequests/projectFiles count /v1/project batches and the
 	// translation units they carried.
 	projectRequests atomic.Int64
 	projectFiles    atomic.Int64
-	healthRequests atomic.Int64
-	readyRequests  atomic.Int64
+	healthRequests  atomic.Int64
+	readyRequests   atomic.Int64
 
 	// intFindings counts integer-overflow oracle findings
 	// (CWE-190/191/680) across all served lint and fix responses.

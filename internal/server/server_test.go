@@ -135,7 +135,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // cache hit — verified both through /metrics counters and a parse-count
 // assertion (a hit performs zero parses).
 func TestFixEquivalenceAndCacheHit(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Cache: newCache(t)})
+	// Admit every concurrent request: the default MaxInFlight (twice the
+	// CPU count) is below the goroutine count on small hosts, and its
+	// 429s belong to TestAdmissionControl429, not to this test.
+	const goroutines = 8
+	_, ts, _ := newTestServer(t, Config{Cache: newCache(t), MaxInFlight: goroutines})
 
 	oneShot, err := cfix.Fix("equiv.c", overflowing, cfix.Options{SelectAll: true})
 	if err != nil {
@@ -146,7 +150,6 @@ func TestFixEquivalenceAndCacheHit(t *testing.T) {
 	}
 
 	req := cfix.FixRequest{Filename: "equiv.c", Source: overflowing}
-	const goroutines = 8
 	var wg sync.WaitGroup
 	responses := make([]cfix.FixResponse, goroutines)
 	errs := make([]error, goroutines)

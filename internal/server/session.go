@@ -28,26 +28,12 @@ import (
 	"repro/pkg/cfix"
 )
 
-// sessionEntry pairs a live session with its span-observation cursor:
-// the session's tracer accumulates spans for its whole lifetime, so
-// each request folds only the spans recorded since the previous one
-// into the stage metrics.
+// sessionEntry pairs a live session with its tracer. Each request
+// drains the spans it recorded into the stage metrics, so the tracer
+// never holds more than one operation's spans.
 type sessionEntry struct {
 	session *incremental.Session
 	tracer  *obs.Tracer
-
-	mu        sync.Mutex
-	spansSeen int
-}
-
-// drainSpans returns the spans recorded since the last drain.
-func (e *sessionEntry) drainSpans() []obs.Span {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	spans := e.tracer.Spans()
-	out := spans[e.spansSeen:]
-	e.spansSeen = len(spans)
-	return out
 }
 
 // sessionRegistry is the daemon's open-session table.
@@ -206,7 +192,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 // the per-stage metrics, so incremental re-analyses show up under
 // "incremental" next to the batch pipeline's stages.
 func (s *Server) observeSessionSpans(entry *sessionEntry) {
-	for _, sp := range entry.drainSpans() {
+	for _, sp := range entry.tracer.Drain() {
 		s.m.observeStage(sp.Name, sp.Dur, sp.Degraded())
 	}
 }

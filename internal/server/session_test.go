@@ -1,11 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/pkg/cfix"
 )
 
@@ -173,4 +179,71 @@ func mapsKeys(m map[string]StageSnapshot) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestSessionSpansObservedOnce: every span a session records reaches
+// /metrics exactly once, and the daemon keeps none of them once the
+// request that recorded them has answered.
+func TestSessionSpansObservedOnce(t *testing.T) {
+	if !obs.Enabled() {
+		t.Skip("tracing compiled out (cfix_notrace)")
+	}
+	const editors, perEditor = 3, 4
+	srv, ts, _ := newTestServer(t, Config{MaxInFlight: editors})
+	resp := openSession(t, ts.URL, twoFn)
+	entry := srv.sessions.get(resp.SessionID)
+	if n := entry.tracer.Len(); n != 0 {
+		t.Fatalf("tracer holds %d spans after open, want 0", n)
+	}
+
+	// Comment insertions commute, so concurrent editors may land them in
+	// any order.
+	body, err := json.Marshal(cfix.SessionEditRequest{
+		SessionID: resp.SessionID,
+		Deltas:    []cfix.SessionDelta{{Pos: 0, End: 0, Text: "/* e */\n"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, editors*perEditor)
+	for e := 0; e < editors; e++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perEditor; i++ {
+				r, err := http.Post(ts.URL+"/v1/session/edit", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					continue
+				}
+				raw, _ := io.ReadAll(r.Body)
+				r.Body.Close()
+				if r.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("status %d: %s", r.StatusCode, raw)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("edit: %v", err)
+	}
+
+	const edits = editors * perEditor
+	if n := entry.tracer.Len(); n != 0 {
+		t.Fatalf("tracer holds %d spans after %d edits, want 0", n, edits)
+	}
+	var m Snapshot
+	if status := getJSON(t, ts.URL+"/metrics", &m); status != http.StatusOK {
+		t.Fatalf("metrics: %d", status)
+	}
+	if got := m.Stages[obs.StageIncremental].Count; got != edits {
+		t.Fatalf("incremental stage count = %d after %d edits, want exactly %d", got, edits, edits)
+	}
+	// One dependency-hash pass per analysis: the open's and each edit's.
+	if got := m.Stages[obs.StageHashes].Count; got != edits+1 {
+		t.Fatalf("hashes stage count = %d, want %d", got, edits+1)
+	}
 }

@@ -473,27 +473,26 @@ func (t *Transformer) derefTarget(de *cast.UnaryExpr) (name, offset string, ok b
 // splice reassembles a composite node from the original text with each
 // target-containing child re-rendered.
 func (t *Transformer) splice(n cast.Node) string {
-	children := cast.Children(n)
 	// Only children with valid extents inside n participate.
 	type part struct {
 		ext  ctoken.Extent
 		text string
 	}
 	var parts []part
-	for _, c := range children {
+	cast.EachChild(n, func(c cast.Node) {
 		ce := c.Extent()
 		if !ce.IsValid() || !n.Extent().Covers(ce) {
-			continue
+			return
 		}
 		if !t.containsTarget(c) {
-			continue
+			return
 		}
 		expr, ok := c.(cast.Expr)
 		if !ok {
-			continue
+			return
 		}
 		parts = append(parts, part{ext: ce, text: t.renderExpr(expr)})
-	}
+	})
 	if len(parts) == 0 {
 		return t.text(n)
 	}

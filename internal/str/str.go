@@ -59,8 +59,8 @@ func (r FailReason) String() string { return _failNames[r] }
 type VarResult struct {
 	Name string
 	// Func is the function the variable is declared in.
-	Func    string
-	Pos     ctoken.Position
+	Func string
+	Pos  ctoken.Position
 	// Extent is the source range of the variable's declaration (the
 	// anchor project mode remaps positions through).
 	Extent  ctoken.Extent
@@ -209,10 +209,10 @@ func buildParents(unit *cast.TranslationUnit) map[cast.Node]cast.Node {
 	parents := make(map[cast.Node]cast.Node)
 	var walk func(n cast.Node)
 	walk = func(n cast.Node) {
-		for _, c := range cast.Children(n) {
+		cast.EachChild(n, func(c cast.Node) {
 			parents[c] = n
 			walk(c)
-		}
+		})
 	}
 	walk(unit)
 	return parents
