@@ -293,15 +293,11 @@ func benchPointsTo(b *testing.B, opts pointsto.Options) {
 	}
 }
 
-// BenchmarkAblationPointsToSequential vs Parallel vs NoCycleElim compare
-// the solver configurations (DESIGN.md Section 6): the paper uses
-// Hardekopf's algorithm with Galois-style parallel graph rewriting.
+// BenchmarkAblationPointsToSequential vs NoCycleElim compare the solver
+// configurations (DESIGN.md Section 6): Hardekopf's offline cycle
+// elimination on and off, both on the sequential worklist.
 func BenchmarkAblationPointsToSequential(b *testing.B) {
 	benchPointsTo(b, pointsto.Options{})
-}
-
-func BenchmarkAblationPointsToParallel(b *testing.B) {
-	benchPointsTo(b, pointsto.Options{Parallel: true})
 }
 
 func BenchmarkAblationPointsToNoCycleElim(b *testing.B) {

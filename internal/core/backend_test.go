@@ -124,17 +124,17 @@ func TestFixIdempotentPerBackend(t *testing.T) {
 func TestFixCachedBackendSeparation(t *testing.T) {
 	c := newTestCache(t)
 	warm := Options{SelectOffset: -1, Cache: c}
-	if _, hit, err := FixCached(context.Background(), "b.c", overflowing, warm); err != nil || hit {
-		t.Fatalf("seed: hit=%v err=%v", hit, err)
+	if rep, err := Fix(context.Background(), "b.c", overflowing, warm); err != nil || rep.Cached {
+		t.Fatalf("seed: err=%v", err)
 	}
 
 	// "" and "glib" are the same canonical selection: hit.
 	glib := Options{SelectOffset: -1, Cache: c, Backend: "glib"}
-	rep, hit, err := FixCached(context.Background(), "b.c", overflowing, glib)
+	rep, err := Fix(context.Background(), "b.c", overflowing, glib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	if !rep.Cached {
 		t.Fatal("explicit glib missed the entry warmed by the default")
 	}
 	if !strings.Contains(rep.Source, "g_strlcpy") {
@@ -149,21 +149,21 @@ func TestFixCachedBackendSeparation(t *testing.T) {
 		opts := Options{SelectOffset: -1, Cache: c, Backend: want.backend}
 		var cold *Report
 		delta := parseDelta(func() {
-			cold, hit, err = FixCached(context.Background(), "b.c", overflowing, opts)
+			cold, err = Fix(context.Background(), "b.c", overflowing, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
-		if hit || delta == 0 {
-			t.Fatalf("%s request served from the glib cache entry (hit=%v parses=%d)", want.backend, hit, delta)
+		if cold.Cached || delta == 0 {
+			t.Fatalf("%s request served from the glib cache entry (hit=%v parses=%d)", want.backend, cold.Cached, delta)
 		}
 		if !strings.Contains(cold.Source, want.call) {
 			t.Fatalf("%s output missing %q:\n%s", want.backend, want.call, cold.Source)
 		}
 		// And its own repeat is a hit with the dialect's text intact.
-		warmRep, hit2, err := FixCached(context.Background(), "b.c", overflowing, opts)
-		if err != nil || !hit2 {
-			t.Fatalf("%s warm repeat: hit=%v err=%v", want.backend, hit2, err)
+		warmRep, err := Fix(context.Background(), "b.c", overflowing, opts)
+		if err != nil || !warmRep.Cached {
+			t.Fatalf("%s warm repeat: err=%v", want.backend, err)
 		}
 		if warmRep.Source != cold.Source || warmRep.Backend != want.backend {
 			t.Fatalf("%s cached report mutated: backend=%q", want.backend, warmRep.Backend)

@@ -68,27 +68,39 @@ func CacheKey(kind, filename, source string, opts Options) string {
 	return cacheKey(kind, filename, source, opts)
 }
 
-// FixCached is Fix through the content-addressed result cache: a
-// repeated identical request is answered without parsing or solving
-// anything, and concurrent identical requests collapse into a single
-// computation. hit reports whether this call avoided the pipeline. Only
-// full-fidelity reports (empty Degraded) are stored; degraded or failed
-// runs are recomputed every time. With a nil opts.Cache it degenerates
-// to a plain Fix.
-func FixCached(ctx context.Context, filename, source string, opts Options) (*Report, bool, error) {
+// cacheEntry is a result the cache stores: *Report for fix requests,
+// *LintReport for lint ones.
+type cacheEntry[T any] interface {
+	*T
+	degraded() []string
+	markCached()
+}
+
+func (r *Report) degraded() []string     { return r.Degraded }
+func (r *Report) markCached()            { r.Cached = true }
+func (r *LintReport) degraded() []string { return r.Degraded }
+func (r *LintReport) markCached()        { r.Cached = true }
+
+// cached answers a kind ("fix" or "lint") request for source from
+// opts.Cache, running compute on a miss, or on every call when
+// opts.Cache is nil. A repeated identical request is answered without
+// parsing or solving anything, concurrent identical requests collapse
+// into a single computation, and a hit comes back with Cached set. Only
+// full-fidelity results (empty Degraded) are stored; degraded or failed
+// runs are recomputed every time.
+func cached[T any, R cacheEntry[T]](ctx context.Context, kind, filename, source string, opts Options, compute func() (R, error)) (R, error) {
 	c := opts.Cache
 	if c == nil {
-		rep, err := fix(ctx, filename, source, opts)
-		return rep, false, err
+		return compute()
 	}
-	var computed *Report
+	var computed R
 	lookup := time.Now()
-	payload, _, err := c.Do(cacheKey("fix", filename, source, opts), func() ([]byte, bool, error) {
+	payload, _, err := c.Do(cacheKey(kind, filename, source, opts), func() ([]byte, bool, error) {
 		// The miss span wraps the whole recomputation, so the fix span
 		// (and every analysis span) nests inside it in the trace.
 		sp := opts.Tracer.Start(ctx, obs.StageCacheMiss, filename)
 		defer sp.End()
-		rep, err := fix(ctx, filename, source, opts)
+		rep, err := compute()
 		if err != nil {
 			return nil, false, err
 		}
@@ -97,73 +109,23 @@ func FixCached(ctx context.Context, filename, source string, opts Options) (*Rep
 		if err != nil {
 			return nil, false, err
 		}
-		return b, len(rep.Degraded) == 0, nil
+		return b, len(rep.degraded()) == 0, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if computed != nil {
 		// This call ran the pipeline itself; hand back the original
-		// report rather than a decode of it.
-		return computed, false, nil
+		// result rather than a decode of it.
+		return computed, nil
 	}
-	rep := new(Report)
+	rep := R(new(T))
 	if err := json.Unmarshal(payload, rep); err != nil {
 		// A payload that does not decode is treated exactly like a
 		// corrupt disk entry: recompute, never fail the request.
-		rep, err := fix(ctx, filename, source, opts)
-		return rep, false, err
+		return compute()
 	}
 	opts.Tracer.RecordSince(ctx, obs.StageCacheHit, filename, lookup)
-	rep.Cached = true
-	return rep, true, nil
-}
-
-// AnalyzeCached is AnalyzeReport through the result cache, with the
-// same contract as FixCached: hit reports an avoided computation, and
-// only full-fidelity lint reports are stored.
-func AnalyzeCached(ctx context.Context, filename, source string, opts Options) (*LintReport, bool, error) {
-	return cachedLint(ctx, filename, source, opts, func() (*LintReport, error) {
-		return analyzeReport(ctx, filename, source, opts)
-	})
-}
-
-// cachedLint answers a lint request for source from opts.Cache, running
-// compute on a miss (or on every call when opts.Cache is nil).
-func cachedLint(ctx context.Context, filename, source string, opts Options, compute func() (*LintReport, error)) (*LintReport, bool, error) {
-	c := opts.Cache
-	if c == nil {
-		rep, err := compute()
-		return rep, false, err
-	}
-	var computed *LintReport
-	lookup := time.Now()
-	payload, _, err := c.Do(cacheKey("lint", filename, source, opts), func() ([]byte, bool, error) {
-		sp := opts.Tracer.Start(ctx, obs.StageCacheMiss, filename)
-		defer sp.End()
-		rep, err := compute()
-		if err != nil {
-			return nil, false, err
-		}
-		computed = rep
-		b, err := json.Marshal(rep)
-		if err != nil {
-			return nil, false, err
-		}
-		return b, len(rep.Degraded) == 0, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if computed != nil {
-		return computed, false, nil
-	}
-	rep := new(LintReport)
-	if err := json.Unmarshal(payload, rep); err != nil {
-		rep, err := compute()
-		return rep, false, err
-	}
-	opts.Tracer.RecordSince(ctx, obs.StageCacheHit, filename, lookup)
-	rep.Cached = true
-	return rep, true, nil
+	rep.markCached()
+	return rep, nil
 }

@@ -27,22 +27,21 @@ func TestFixCachedHitSkipsParse(t *testing.T) {
 	c := newTestCache(t)
 	opts := Options{SelectOffset: -1, Lint: true, Cache: c}
 
-	cold, hit, err := FixCached(context.Background(), "cached.c", overflowing, opts)
+	cold, err := Fix(context.Background(), "cached.c", overflowing, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit || cold.Cached {
+	if cold.Cached {
 		t.Fatal("first request must be a miss")
 	}
 
 	var warm *Report
 	delta := parseDelta(func() {
-		var hit bool
-		warm, hit, err = FixCached(context.Background(), "cached.c", overflowing, opts)
+		warm, err = Fix(context.Background(), "cached.c", overflowing, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hit || !warm.Cached {
+		if !warm.Cached {
 			t.Fatal("second identical request must be a cache hit")
 		}
 	})
@@ -65,8 +64,7 @@ func TestFixCachedHitSkipsParse(t *testing.T) {
 }
 
 // TestFixViaOptionsCache checks the Options.Cache plumbing used by the
-// batch pipeline and the CLI: plain Fix calls with a cache behave like
-// FixCached.
+// batch pipeline and the CLI: a repeated Fix with a cache is a hit.
 func TestFixViaOptionsCache(t *testing.T) {
 	opts := Options{SelectOffset: -1, Cache: newTestCache(t)}
 	first, err := Fix(context.Background(), "p.c", overflowing, opts)
@@ -94,8 +92,8 @@ func TestFixViaOptionsCache(t *testing.T) {
 func TestFixCacheKeySeparatesRequests(t *testing.T) {
 	c := newTestCache(t)
 	base := Options{SelectOffset: -1, Cache: c}
-	if _, hit, err := FixCached(context.Background(), "a.c", overflowing, base); err != nil || hit {
-		t.Fatalf("seed request: hit=%v err=%v", hit, err)
+	if rep, err := Fix(context.Background(), "a.c", overflowing, base); err != nil || rep.Cached {
+		t.Fatalf("seed request: err=%v", err)
 	}
 	variants := []struct {
 		name     string
@@ -109,11 +107,11 @@ func TestFixCacheKeySeparatesRequests(t *testing.T) {
 		{"different budget", "a.c", overflowing, Options{SelectOffset: -1, Budget: 1 << 20, Cache: c}},
 	}
 	for _, v := range variants {
-		_, hit, err := FixCached(context.Background(), v.filename, v.source, v.opts)
+		rep, err := Fix(context.Background(), v.filename, v.source, v.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
-		if hit {
+		if rep.Cached {
 			t.Errorf("%s: false cache hit", v.name)
 		}
 	}
@@ -126,14 +124,14 @@ func TestDegradedReportsNotCached(t *testing.T) {
 	opts := Options{SelectOffset: -1, Lint: true, DisableSLR: true, DisableSTR: true,
 		Cache: newTestCache(t)}
 	for i := 0; i < 2; i++ {
-		rep, hit, err := FixCached(context.Background(), "deg.c", overflowing, opts)
+		rep, err := Fix(context.Background(), "deg.c", overflowing, opts)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		if len(rep.Degraded) == 0 {
 			t.Fatalf("run %d: expected a degraded report", i)
 		}
-		if hit || rep.Cached {
+		if rep.Cached {
 			t.Fatalf("run %d: degraded report served from cache", i)
 		}
 	}
@@ -156,19 +154,19 @@ func TestAnalyzeReportDegradations(t *testing.T) {
 // batch lint carries the cache marker.
 func TestAnalyzeCachedRoundTrip(t *testing.T) {
 	opts := Options{Cache: newTestCache(t)}
-	cold, hit, err := AnalyzeCached(context.Background(), "l.c", overflowing, opts)
-	if err != nil || hit {
-		t.Fatalf("cold: hit=%v err=%v", hit, err)
+	cold, err := AnalyzeReport(context.Background(), "l.c", overflowing, opts)
+	if err != nil || cold.Cached {
+		t.Fatalf("cold: err=%v", err)
 	}
 	var warm *LintReport
 	delta := parseDelta(func() {
-		warm, hit, err = AnalyzeCached(context.Background(), "l.c", overflowing, opts)
+		warm, err = AnalyzeReport(context.Background(), "l.c", overflowing, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
-	if !hit || !warm.Cached || delta != 0 {
-		t.Fatalf("warm: hit=%v cached=%v parses=%d", hit, warm.Cached, delta)
+	if !warm.Cached || delta != 0 {
+		t.Fatalf("warm: cached=%v parses=%d", warm.Cached, delta)
 	}
 	if !reflect.DeepEqual(warm.Findings, cold.Findings) {
 		t.Fatal("cached lint findings differ")
@@ -225,7 +223,7 @@ func TestFixCachedConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, _, err := FixCached(context.Background(), "conc.c", overflowing, opts)
+			rep, err := Fix(context.Background(), "conc.c", overflowing, opts)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return

@@ -20,6 +20,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/backend"
 	"repro/internal/cache"
+	"repro/internal/cpp"
 	"repro/internal/ctoken"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -376,11 +377,9 @@ func Analyze(ctx context.Context, filename, source string, opts Options) ([]over
 // findings so a budget-cut analysis never reads as a clean file. When
 // opts.Cache is set the whole report is served content-addressed.
 func AnalyzeReport(ctx context.Context, filename, source string, opts Options) (*LintReport, error) {
-	if opts.Cache != nil {
-		rep, _, err := AnalyzeCached(ctx, filename, source, opts)
-		return rep, err
-	}
-	return analyzeReport(ctx, filename, source, opts)
+	return cached(ctx, "lint", filename, source, opts, func() (*LintReport, error) {
+		return analyzeReport(ctx, filename, source, opts)
+	})
 }
 
 // analyzeReport is the uncached lint pipeline.
@@ -451,16 +450,40 @@ func stage(f func() error) (err error) {
 // Options.KeepGoing a failed stage degrades the report instead of
 // failing the file.
 func Fix(ctx context.Context, filename, source string, opts Options) (*Report, error) {
-	if opts.Cache != nil {
-		rep, _, err := FixCached(ctx, filename, source, opts)
-		return rep, err
-	}
-	return fix(ctx, filename, source, opts)
+	return cached(ctx, "fix", filename, source, opts, func() (*Report, error) {
+		ctx, cancel := FileContext(ctx, opts)
+		defer cancel()
+		return FixParsed(ctx, filename, source, cpp.Options{}, nil, nil, opts)
+	})
 }
 
-// fix is the uncached transformation pipeline.
-func fix(ctx context.Context, filename, source string, opts Options) (rep *Report, err error) {
+// FixParsed is the one fix body: it runs lint, SLR, STR and support
+// emission on snap, the parse of the analysed text, and applies the
+// repairs to source, the text the user wrote. pp is the preprocess of
+// source that snap parsed (ParsePreprocessed); nil means the analysed
+// text is source itself, so positions and edits need no remapping. A nil
+// snap is parsed here from source, under the fix span (the direct path:
+// pp must then be nil too). ctx should carry the unit's deadline
+// (FileContext).
+//
+// With a preprocess result, FixParsed differs from Fix in two ways:
+//   - Options.SelectOffset >= 0 is an error: it addresses original
+//     coordinates, and the transformers work in preprocessed ones.
+//   - Options.Cache is not consulted: project mode caches per unit only
+//     its lint report.
+//
+// Edits are remapped through pp's source map into source; a repair
+// whose edits land inside a macro expansion or an included header is
+// declined whole with FailMacroOrHeader. STR analyzes a fresh
+// preprocess of the SLR-repaired source, so its edits remap through a
+// map of the text they land in. Report positions are in original
+// coordinates, SLR.NewSource is source with the SLR repairs applied,
+// and STR.NewSource is Report.Source before support code is prepended.
+func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options, pp *cpp.Result, snap *analysis.Snapshot, opts Options) (rep *Report, err error) {
 	defer fault.Recover(&err)
+	if pp != nil && opts.SelectOffset >= 0 {
+		return nil, fmt.Errorf("core: SelectOffset is not supported in project mode")
+	}
 	cs, err := parseChecks(opts.Checks)
 	if err != nil {
 		return nil, err
@@ -469,8 +492,6 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := FileContext(ctx, opts)
-	defer cancel()
 
 	// The file-level span closes by defer, so even a contained panic or
 	// deadline cut leaves a closed span whose self time is the pipeline
@@ -480,10 +501,10 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 
 	rep = &Report{Source: source, Backend: be.Name()}
 	conf := opts.analysisConfig(ctx)
-
-	snap, err := analysis.ParseCtx(ctx, filename, source, conf)
-	if err != nil {
-		return nil, fmt.Errorf("core: parse for SLR: %w", err)
+	if snap == nil {
+		if snap, err = analysis.ParseCtx(ctx, filename, source, conf); err != nil {
+			return nil, fmt.Errorf("core: parse for SLR: %w", err)
+		}
 	}
 
 	if opts.Lint {
@@ -517,13 +538,25 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 				sp.Attr("error", firstLine(err))
 				return err
 			}
-			sp.Attr("sites", fmt.Sprint(res.Candidates())).
-				Attr("applied", fmt.Sprint(res.AppliedCount()))
+			// Findings and sites are both in analysed coordinates here,
+			// so extent-overlap attachment stays sound.
+			res.AttachFindings(rep.Findings)
+			var declined map[string]string
+			if pp != nil {
+				if res.NewSource, declined, err = remapEdits(source, res.Edits, pp.Map); err != nil {
+					return fmt.Errorf("apply remapped SLR edits: %w", err)
+				}
+				remapSites(res, declined, pp.Map)
+			}
+			res.NeedsGlib = needsLib(res, be)
 			rep.SLR = res
 			rep.Source = res.NewSource
 			rep.NeedsGlib = res.NeedsGlib
-			// SLR analyzed the original text, so extents are comparable.
-			res.AttachFindings(rep.Findings)
+			sp.Attr("sites", fmt.Sprint(res.Candidates())).
+				Attr("applied", fmt.Sprint(res.AppliedCount()))
+			if pp != nil {
+				sp.Attr("declined", fmt.Sprint(len(declined)))
+			}
 			return nil
 		})
 		if slrErr != nil {
@@ -541,13 +574,20 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 		strErr := stage(func() error {
 			sp := opts.Tracer.Start(ctx, obs.StageSTR, filename)
 			defer sp.End()
-			// STR reuses the snapshot when the text is unchanged; otherwise it
-			// must analyze the post-SLR source, which requires a fresh parse.
-			strSnap := snap
+			// STR reuses the snapshot when the text is unchanged; otherwise
+			// it must analyze the post-SLR source, which requires a fresh
+			// parse (and, in project mode, a fresh preprocess).
+			strPP, strSnap := pp, snap
 			if rep.Source != source {
+				text := rep.Source
 				var err error
-				strSnap, err = analysis.ParseCtx(ctx, filename, rep.Source, conf)
-				if err != nil {
+				if pp != nil {
+					if strPP, err = cpp.Preprocess(filename, rep.Source, cppOpts); err != nil {
+						return fmt.Errorf("re-preprocess for STR: %w", err)
+					}
+					text = strPP.Text
+				}
+				if strSnap, err = analysis.ParseCtx(ctx, filename, text, conf); err != nil {
 					return fmt.Errorf("parse for STR: %w", err)
 				}
 				sp.Attr("reparsed", "true")
@@ -557,15 +597,25 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 				sp.Attr("error", firstLine(err))
 				return err
 			}
-			sp.Attr("vars", fmt.Sprint(res.Candidates())).
-				Attr("applied", fmt.Sprint(res.AppliedCount()))
-			rep.STR = res
-			rep.Source = res.NewSource
-			rep.NeedsStralloc = res.NeedsStralloc
 			// STR may have analyzed post-SLR text; AttachFindings matches by
 			// (function, variable) name, which survives the rewrite.
 			res.AttachFindings(rep.Findings)
+			var declined map[string]string
+			if strPP != nil {
+				if res.NewSource, declined, err = remapEdits(rep.Source, res.Edits, strPP.Map); err != nil {
+					return fmt.Errorf("apply remapped STR edits: %w", err)
+				}
+				remapVars(res, declined, strPP.Map)
+			}
+			rep.STR = res
+			rep.Source = res.NewSource
+			rep.NeedsStralloc = res.NeedsStralloc && res.AppliedCount() > 0
 			rep.Degraded = append(rep.Degraded, strSnap.Degradations()...)
+			sp.Attr("vars", fmt.Sprint(res.Candidates())).
+				Attr("applied", fmt.Sprint(res.AppliedCount()))
+			if strPP != nil {
+				sp.Attr("declined", fmt.Sprint(len(declined)))
+			}
 			return nil
 		})
 		if strErr != nil {
@@ -578,6 +628,12 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 		}
 	}
 	rep.Degraded = append(rep.Degraded, snap.Degradations()...)
+	if pp != nil {
+		for i := range rep.Findings {
+			remapLoc(pp.Map, &rep.Findings[i].Pos, &rep.Findings[i].Extent)
+		}
+		rep.Degraded = append(rep.Degraded, cppDegradations(pp)...)
+	}
 	rep.Degraded = dedupStrings(rep.Degraded)
 	if len(rep.Degraded) > 0 {
 		fileSpan.Attr("degraded", rep.Degraded[0])
@@ -598,6 +654,17 @@ func fix(ctx context.Context, filename, source string, opts Options) (rep *Repor
 	}
 	rw.Attr("changed", fmt.Sprint(rep.Changed())).End()
 	return rep, nil
+}
+
+// needsLib reports whether any site SLR still applies calls a safe
+// function outside the hosted C library. Declined sites need nothing.
+func needsLib(res *slr.FileResult, be backend.Backend) bool {
+	for _, s := range res.Sites {
+		if r, ok := be.Lookup(s.Function); ok && s.Applied && r.NeedsLib {
+			return true
+		}
+	}
+	return false
 }
 
 // firstLine truncates an error to its first line: panic errors carry a

@@ -210,8 +210,8 @@ func measureCacheWarm(row *CWEResult, progs []samate.Program, c *cache.Cache, di
 	pass := func() []sample {
 		return analysis.Map(workers, progs, func(_ int, p samate.Program) sample {
 			start := time.Now()
-			_, hit, err := core.FixCached(context.Background(), p.ID, p.Source, fixOpts)
-			return sample{wall: time.Since(start), hit: hit && err == nil}
+			rep, err := core.Fix(context.Background(), p.ID, p.Source, fixOpts)
+			return sample{wall: time.Since(start), hit: err == nil && rep.Cached}
 		})
 	}
 	for _, s := range pass() {

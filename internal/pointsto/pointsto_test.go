@@ -258,41 +258,6 @@ void f(void) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	src := `
-struct holder { char *buf; };
-void f(int c) {
-    char a[10], b[20];
-    char *p, *q, *r;
-    char **pp;
-    struct holder h;
-    p = a;
-    q = b;
-    pp = &p;
-    *pp = b;
-    r = c ? p : q;
-    h.buf = r;
-    p = h.buf;
-}
-`
-	tuSeq, gSeq, _ := analyze(t, src, Options{})
-	tuPar, gPar, _ := analyze(t, src, Options{Parallel: true, Workers: 4})
-	for _, name := range []string{"p", "q", "r", "pp", "h"} {
-		s1 := symNamed(t, tuSeq, name)
-		s2 := symNamed(t, tuPar, name)
-		m1 := pointsToNames(gSeq, s1)
-		m2 := pointsToNames(gPar, s2)
-		if len(m1) != len(m2) {
-			t.Fatalf("%s: sequential %v vs parallel %v", name, m1, m2)
-		}
-		for k := range m1 {
-			if !m2[k] {
-				t.Fatalf("%s: sequential %v vs parallel %v", name, m1, m2)
-			}
-		}
-	}
-}
-
 // TestPropertyChainPropagation checks, for generated copy chains of
 // arbitrary length, that the points-to set of the last pointer includes
 // the root target — an inclusion invariant of Andersen's analysis.
@@ -341,10 +306,10 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-// TestPropertySequentialEqualsParallel generates random pointer programs
-// and asserts the two solver modes (and the no-cycle-elimination
-// configuration) reach identical fixpoints.
-func TestPropertySequentialEqualsParallel(t *testing.T) {
+// TestPropertyCycleEliminationPreservesFixpoint generates random pointer
+// programs and asserts the solver reaches the same fixpoint with and
+// without offline cycle elimination.
+func TestPropertyCycleEliminationPreservesFixpoint(t *testing.T) {
 	gen := func(seed uint32) string {
 		r := seed
 		next := func(n int) int {
@@ -386,23 +351,19 @@ func TestPropertySequentialEqualsParallel(t *testing.T) {
 		typecheck.Check(tu1)
 		tu2, _ := cparse.Parse("t.c", src)
 		typecheck.Check(tu2)
-		tu3, _ := cparse.Parse("t.c", src)
-		typecheck.Check(tu3)
 
 		gSeq := Analyze(tu1, Options{})
-		gPar := Analyze(tu2, Options{Parallel: true, Workers: 3})
-		gNoCE := Analyze(tu3, Options{DisableCycleElimination: true})
+		gNoCE := Analyze(tu2, Options{DisableCycleElimination: true})
 
 		for i, s1 := range tu1.Symbols {
 			m1 := pointsToNames(gSeq, s1)
-			m2 := pointsToNames(gPar, tu2.Symbols[i])
-			m3 := pointsToNames(gNoCE, tu3.Symbols[i])
-			if len(m1) != len(m2) || len(m1) != len(m3) {
+			m2 := pointsToNames(gNoCE, tu2.Symbols[i])
+			if len(m1) != len(m2) {
 				t.Logf("mismatch for %s on:\n%s", s1.Name, src)
 				return false
 			}
 			for k := range m1 {
-				if !m2[k] || !m3[k] {
+				if !m2[k] {
 					t.Logf("mismatch for %s on:\n%s", s1.Name, src)
 					return false
 				}
@@ -463,50 +424,4 @@ void f(void) {
 		t.Fatal("h.other is genuinely aliased with cursor")
 	}
 	_ = gF
-}
-
-// TestParallelDeterministicUnderRace re-solves the same unit many times
-// with the parallel engine and asserts every run reaches the sequential
-// fixpoint. Run under -race, this doubles as the regression test for the
-// unsynchronized path compression the parallel map phase used to do.
-func TestParallelDeterministicUnderRace(t *testing.T) {
-	src := `
-struct holder { char *buf; };
-void f(int c) {
-    char a[10], b[20], d[30];
-    char *p, *q, *r, *s;
-    char **pp, **qq;
-    struct holder h;
-    p = a;
-    q = b;
-    s = d;
-    pp = &p;
-    qq = pp;
-    *qq = b;
-    r = c ? p : q;
-    r = c ? r : s;
-    h.buf = r;
-    p = h.buf;
-}
-`
-	names := []string{"p", "q", "r", "s", "pp", "qq", "h"}
-	tuSeq, gSeq, _ := analyze(t, src, Options{})
-	want := make(map[string]map[string]bool)
-	for _, name := range names {
-		want[name] = pointsToNames(gSeq, symNamed(t, tuSeq, name))
-	}
-	for round := 0; round < 20; round++ {
-		tuPar, gPar, _ := analyze(t, src, Options{Parallel: true, Workers: 8})
-		for _, name := range names {
-			got := pointsToNames(gPar, symNamed(t, tuPar, name))
-			if len(got) != len(want[name]) {
-				t.Fatalf("round %d: %s: parallel %v vs sequential %v", round, name, got, want[name])
-			}
-			for k := range want[name] {
-				if !got[k] {
-					t.Fatalf("round %d: %s: parallel %v vs sequential %v", round, name, got, want[name])
-				}
-			}
-		}
-	}
 }

@@ -1,9 +1,6 @@
 package pointsto
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/cast"
 	"repro/internal/dataflow"
 	"repro/internal/fault"
@@ -11,12 +8,6 @@ import (
 
 // Options configures the solver.
 type Options struct {
-	// Parallel selects the Galois-style parallel rewriting engine instead
-	// of the sequential worklist. Both reach the same fixpoint.
-	Parallel bool
-	// Workers bounds the goroutine pool in parallel mode. Zero means
-	// GOMAXPROCS.
-	Workers int
 	// DisableCycleElimination skips the offline SCC collapse (Hardekopf's
 	// optimization); used by the ablation benchmarks to quantify its
 	// effect. The fixpoint is identical either way.
@@ -84,11 +75,6 @@ func (g *Graph) solve(opts Options) {
 		g.collapseCycles(succs)
 	}
 
-	if opts.Parallel {
-		g.Stats.Parallel = true
-		g.solveParallel(succs, loadsBySrc, storesByDst, opts.Workers, opts.Limits)
-		return
-	}
 	g.solveSequential(succs, loadsBySrc, storesByDst, opts.Limits)
 }
 
@@ -278,102 +264,6 @@ func (g *Graph) solveSequential(succs []map[int]struct{}, loadsBySrc, storesByDs
 			if g.pts[s].UnionWith(g.pts[v]) {
 				push(s)
 			}
-		}
-	}
-	g.solved = true
-}
-
-// solveParallel runs round-based parallel propagation: each round
-// partitions the frontier among workers which compute deltas; deltas are
-// applied under a single lock, following the amorphous-data-parallel
-// pattern of the Galois engine the paper uses for graph rewriting.
-func (g *Graph) solveParallel(succs []map[int]struct{}, loadsBySrc, storesByDst map[int][]int, workers int, lim fault.Limits) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	frontier := make([]int, 0, len(g.Nodes))
-	for i := range g.Nodes {
-		if g.find(i) == i && g.pts[i].Count() > 0 {
-			frontier = append(frontier, i)
-		}
-	}
-	var mu sync.Mutex
-	meter := lim.NewMeter()
-	for len(frontier) > 0 {
-		if !meter.Step() {
-			g.degradeToTop()
-			return
-		}
-		g.Stats.Iterations++
-		next := make(map[int]struct{})
-
-		type delta struct {
-			edges [][2]int
-		}
-		deltas := make([]delta, len(frontier))
-		// Resolve representatives before fanning out: find path-compresses
-		// g.rep, so calling it from the workers would race.
-		reps := make([]int, len(frontier))
-		for idx, vRaw := range frontier {
-			reps[idx] = g.find(vRaw)
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for idx := range frontier {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(idx int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				v := reps[idx]
-				var edges [][2]int
-				mu.Lock()
-				pts := g.pts[v].Clone()
-				mu.Unlock()
-				pts.ForEach(func(pointee int) {
-					for _, d := range loadsBySrc[v] {
-						edges = append(edges, [2]int{pointee, d})
-					}
-					for _, s := range storesByDst[v] {
-						edges = append(edges, [2]int{s, pointee})
-					}
-				})
-				deltas[idx] = delta{edges: edges}
-			}(idx)
-		}
-		wg.Wait()
-
-		// Apply phase (sequential, deterministic).
-		apply := func(from, to int) {
-			from, to = g.find(from), g.find(to)
-			if from == to {
-				return
-			}
-			if _, ok := succs[from][to]; !ok {
-				succs[from][to] = struct{}{}
-				next[from] = struct{}{}
-			}
-		}
-		for _, d := range deltas {
-			for _, e := range d.edges {
-				apply(e[0], e[1])
-			}
-		}
-		for _, vRaw := range frontier {
-			v := g.find(vRaw)
-			for sRaw := range succs[v] {
-				s := g.find(sRaw)
-				if s == v {
-					continue
-				}
-				if g.pts[s].UnionWith(g.pts[v]) {
-					next[s] = struct{}{}
-				}
-			}
-		}
-		frontier = frontier[:0]
-		for v := range next {
-			frontier = append(frontier, v)
 		}
 	}
 	g.solved = true

@@ -168,6 +168,45 @@ func TestProjectFixDeclinesMacroBody(t *testing.T) {
 	}
 }
 
+// TestProjectFixDeclinedSiteNeedsNoLib: the link requirement comes from
+// the sites that stay applied. A strcpy declined inside a macro body
+// needs no glib, so when the only applied repair is the memcpy clamp
+// (plain C), neither report asks for the library and EmitSupport
+// prepends no glib prototypes.
+func TestProjectFixDeclinedSiteNeedsNoLib(t *testing.T) {
+	src := "#define COPY(d, s) strcpy(d, s)\n" +
+		"char *strcpy(char *, const char *);\n" +
+		"void *memcpy(void *, const void *, unsigned long);\n" +
+		"int main(void) {\n" +
+		"    char b[8];\n" +
+		"    char c[8];\n" +
+		"    COPY(b, \"hi\");\n" +
+		"    memcpy(c, \"abcdefghijkl\", 12);\n" +
+		"    return 0;\n" +
+		"}\n"
+	p := InMemory(map[string]string{"c.c": src}, nil, nil)
+	rep, err := p.Fix(context.Background(), core.Options{DisableSTR: true, EmitSupport: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := rep.Files[0]
+	if out.Err != "" {
+		t.Fatalf("fix failed: %s", out.Err)
+	}
+	for _, s := range out.Fix.SLR.Sites {
+		if s.Applied != (s.Function == "memcpy") {
+			t.Fatalf("want only the memcpy clamp applied, got %+v", out.Fix.SLR.Sites)
+		}
+	}
+	if out.Fix.NeedsGlib || out.Fix.SLR.NeedsGlib {
+		t.Fatalf("declined strcpy still requires glib: report %t, SLR %t",
+			out.Fix.NeedsGlib, out.Fix.SLR.NeedsGlib)
+	}
+	if strings.Contains(out.Fix.Source, "g_strlcpy") {
+		t.Fatalf("glib prototypes emitted for a unit that calls no glib function:\n%s", out.Fix.Source)
+	}
+}
+
 // TestCompileCommandsParsing covers the flag translation and shell
 // splitting used by database loading.
 func TestCompileCommandsParsing(t *testing.T) {
