@@ -30,8 +30,10 @@ check: build vet test
 
 # Static-analysis gate: fail on any file gofmt would change, vet
 # everything, run staticcheck when the host has it (CI images without it
-# skip, loudly), and race-test the integer-overflow oracle — the
-# analysis pass most sensitive to shared snapshot state.
+# skip, loudly), and race-test the lint oracles — the interval domain,
+# the interprocedural engine both oracles share (internal/overflow) and
+# the integer oracle, the analysis passes most sensitive to shared
+# snapshot state.
 staticgate:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -45,7 +47,7 @@ staticgate:
 	else \
 		echo "staticgate: staticcheck not installed; skipping (go vet still ran)"; \
 	fi
-	$(GO) test -race ./internal/intflow/...
+	$(GO) test -race ./internal/interval/... ./internal/overflow/... ./internal/intflow/...
 
 # Per-stage benchmark baseline: parse-only, snapshot-warm, SLR-only,
 # STR-only, the no-tracer pipeline, and the traced pipeline. One

@@ -324,7 +324,7 @@ func (s *Snapshot) Findings() []overflow.Finding {
 		}
 		sp := s.span(obs.StageOverflow)
 		defer sp.End()
-		an := overflow.NewWithFacts(s.unit, opts, s)
+		an := overflow.New(s.unit, opts, s)
 		s.findings = an.Analyze()
 		sp.Attr("findings", fmt.Sprint(len(s.findings)))
 		if deg := an.Degradations(); len(deg) > 0 {
@@ -351,7 +351,7 @@ func (s *Snapshot) ExternalCalls() []overflow.CallSeed {
 		}
 		sp := s.span(obs.StageOverflow)
 		defer sp.End()
-		an := overflow.NewWithFacts(s.unit, opts, s)
+		an := overflow.New(s.unit, opts, s)
 		s.externCalls = an.ExternalCalls()
 		sp.Attr("extern_calls", fmt.Sprint(len(s.externCalls)))
 	})
@@ -373,7 +373,7 @@ func (s *Snapshot) IntFindings() []overflow.Finding {
 		}
 		sp := s.span(obs.StageIntflow)
 		defer sp.End()
-		an := intflow.NewWithFacts(s.unit, opts, s)
+		an := intflow.New(s.unit, opts, s)
 		s.intFindings = an.Analyze()
 		sp.Attr("findings", fmt.Sprint(len(s.intFindings)))
 		if deg := an.Degradations(); len(deg) > 0 {

@@ -277,6 +277,15 @@ func (c *CallExpr) Callee() string {
 	return ""
 }
 
+// Arg returns the i-th argument, or nil when the call has no such
+// argument.
+func (c *CallExpr) Arg(i int) Expr {
+	if i >= 0 && i < len(c.Args) {
+		return c.Args[i]
+	}
+	return nil
+}
+
 // IndexExpr is array subscripting a[i].
 type IndexExpr struct {
 	typedExpr

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cast"
 	"repro/internal/cfg"
 	"repro/internal/ctype"
+	"repro/internal/interval"
 	"repro/internal/overflow"
 )
 
@@ -17,6 +18,7 @@ import (
 // functions over the solved in-states with chk set, so findings are
 // produced by exactly the code path that computed the fixpoint.
 type iproblem struct {
+	overflow.Lattice[istate]
 	fn        *cast.FuncDef
 	seed      map[int]ival
 	globalIDs map[int]bool
@@ -30,8 +32,6 @@ type mayModifier interface {
 	MayModifyArg(call *cast.CallExpr, idx int) bool
 }
 
-func (p *iproblem) Bottom() istate { return unreached() }
-
 func (p *iproblem) Entry() istate {
 	st := istate{reach: true, vars: make(map[int]ival, len(p.seed))}
 	for id, v := range p.seed {
@@ -42,48 +42,14 @@ func (p *iproblem) Entry() istate {
 	return st
 }
 
-func (p *iproblem) Join(a, b istate) istate        { return a.join(b) }
-func (p *iproblem) Widen(prev, next istate) istate { return prev.widenFrom(next) }
-func (p *iproblem) Equal(a, b istate) bool         { return a.equal(b) }
-
+// Transfer is the single dispatch shared by the solver (chk == nil) and
+// the finding replay (chk != nil).
 func (p *iproblem) Transfer(n *cfg.Node, in istate) istate {
-	return p.transferNode(n, in)
+	return overflow.Transfer(n, in, p.transferDecl, p.transferExpr)
 }
 
-// FlowEdge refines the state along labeled branch edges using the
-// condition expression.
 func (p *iproblem) FlowEdge(from, to *cfg.Node, st istate) istate {
-	if !st.reach || from.Kind != cfg.KindCond || !from.Branching || from.Expr == nil {
-		return st
-	}
-	return p.refine(st, from.Expr, from.IsTrueSucc(to))
-}
-
-// transferNode is the single dispatch shared by the solver (chk == nil)
-// and the finding replay (chk != nil).
-func (p *iproblem) transferNode(n *cfg.Node, in istate) istate {
-	if !in.reach {
-		return in
-	}
-	switch n.Kind {
-	case cfg.KindDecl:
-		return p.transferDecl(in, n.Decl)
-	case cfg.KindStmt:
-		switch s := n.Stmt.(type) {
-		case *cast.ExprStmt:
-			return p.transferExpr(in, s.X)
-		case *cast.ReturnStmt:
-			if s.Result != nil {
-				return p.transferExpr(in, s.Result)
-			}
-		}
-		return in
-	case cfg.KindCond, cfg.KindPost:
-		if n.Expr != nil {
-			return p.transferExpr(in, n.Expr)
-		}
-	}
-	return in
+	return overflow.RefineEdge(from, to, st, p.evalInt)
 }
 
 // --- declarations -----------------------------------------------------------
@@ -98,7 +64,7 @@ func (p *iproblem) transferDecl(st istate, d *cast.VarDecl) istate {
 	if d.Init != nil {
 		st = p.transferExpr(st, d.Init)
 	}
-	if d.Sym == nil || !isIntVar(d.Sym) {
+	if d.Sym == nil || !overflow.IsIntVar(d.Sym) {
 		return st
 	}
 	if d.Init == nil {
@@ -155,7 +121,7 @@ func (p *iproblem) transferExpr(st istate, e cast.Expr) istate {
 		st = p.transferExpr(st, x.Cond)
 		a := p.transferExpr(st, x.Then)
 		b := p.transferExpr(st, x.Else)
-		return a.join(b)
+		return a.Join(b)
 	case *cast.CastExpr:
 		st = p.transferExpr(st, x.Operand)
 		if p.chk != nil {
@@ -173,7 +139,7 @@ func (p *iproblem) transferExpr(st istate, e cast.Expr) istate {
 
 func (p *iproblem) transferAssign(st istate, x *cast.AssignExpr) istate {
 	id, ok := cast.Unparen(x.LHS).(*cast.Ident)
-	if !ok || id.Sym == nil || !isIntVar(id.Sym) || id.Sym.Kind == cast.SymEnumConst {
+	if !ok || id.Sym == nil || !overflow.IsIntVar(id.Sym) || id.Sym.Kind == cast.SymEnumConst {
 		// Stores through arrays/pointers are not tracked, but the RHS
 		// may still wrap — evaluate it for the replay pass.
 		if p.chk != nil {
@@ -226,7 +192,7 @@ func compoundOp(op cast.AssignOp) cast.BinaryOp {
 
 func (p *iproblem) applyIncDec(st istate, site cast.Expr, operand cast.Expr, delta int64) istate {
 	id, ok := cast.Unparen(operand).(*cast.Ident)
-	if !ok || id.Sym == nil || !isIntVar(id.Sym) {
+	if !ok || id.Sym == nil || !overflow.IsIntVar(id.Sym) {
 		return st
 	}
 	old := st.get(id.Sym.ID)
@@ -261,7 +227,7 @@ func (p *iproblem) transferCall(st istate, call *cast.CallExpr) istate {
 	// size is CWE-680, whatever the call's other effects are.
 	if positions, isSink := p.sinks[name]; isSink {
 		for _, idx := range positions {
-			arg := argAt(call, idx)
+			arg := call.Arg(idx)
 			if arg == nil {
 				continue
 			}
@@ -293,7 +259,7 @@ func (p *iproblem) havocUserCall(st istate, call *cast.CallExpr) istate {
 			continue
 		}
 		id, ok := cast.Unparen(u.Operand).(*cast.Ident)
-		if !ok || id.Sym == nil || !isIntVar(id.Sym) {
+		if !ok || id.Sym == nil || !overflow.IsIntVar(id.Sym) {
 			continue
 		}
 		if p.mm != nil && !p.mm.MayModifyArg(call, i) {
@@ -321,19 +287,19 @@ func (p *iproblem) eval(st istate, e cast.Expr) ival {
 	}
 	switch x := cast.Unparen(e).(type) {
 	case *cast.IntLit:
-		return ival{v: overflow.Const(x.Value)}
+		return ival{v: interval.Const(x.Value)}
 	case *cast.CharLit:
-		return ival{v: overflow.Const(int64(x.Value))}
+		return ival{v: interval.Const(int64(x.Value))}
 	case *cast.Ident:
 		if x.Sym == nil {
 			return topIval()
 		}
 		if x.Sym.Kind == cast.SymEnumConst {
-			if v, ok := constOf(x); ok {
-				return ival{v: overflow.Const(v)}
+			if v, ok := overflow.ConstOf(x); ok {
+				return ival{v: interval.Const(v)}
 			}
 		}
-		if isIntVar(x.Sym) {
+		if overflow.IsIntVar(x.Sym) {
 			return st.get(x.Sym.ID)
 		}
 		return topIval()
@@ -346,7 +312,7 @@ func (p *iproblem) eval(st istate, e cast.Expr) ival {
 		case cast.UnaryPlus:
 			return p.eval(st, x.Operand)
 		case cast.UnaryNot:
-			return ival{v: overflow.Range(0, 1)}
+			return ival{v: interval.Range(0, 1)}
 		case cast.UnaryBitNot:
 			ov := p.eval(st, x.Operand)
 			return inheritTaint(topIval(), ov)
@@ -359,10 +325,10 @@ func (p *iproblem) eval(st istate, e cast.Expr) ival {
 	case *cast.PostfixExpr:
 		return p.eval(st, x.Operand)
 	case *cast.SizeofExpr:
-		if v, ok := constOf(x); ok {
-			return ival{v: overflow.Const(v)}
+		if v, ok := overflow.ConstOf(x); ok {
+			return ival{v: interval.Const(v)}
 		}
-		return ival{v: overflow.Range(0, overflow.PosInf)}
+		return ival{v: interval.Range(0, interval.PosInf)}
 	case *cast.BinaryExpr:
 		a, b := p.eval(st, x.X), p.eval(st, x.Y)
 		return p.evalBinop(x, x.Op, a, b)
@@ -371,7 +337,7 @@ func (p *iproblem) eval(st istate, e cast.Expr) ival {
 	case *cast.AssignExpr:
 		// The value of an assignment is the RHS converted to the LHS
 		// type; the store itself is transferAssign's job.
-		if id, ok := cast.Unparen(x.LHS).(*cast.Ident); ok && id.Sym != nil && isIntVar(id.Sym) {
+		if id, ok := cast.Unparen(x.LHS).(*cast.Ident); ok && id.Sym != nil && overflow.IsIntVar(id.Sym) {
 			return p.convert(x, p.eval(st, x.RHS), id.Sym.Type)
 		}
 		return p.eval(st, x.RHS)
@@ -381,17 +347,22 @@ func (p *iproblem) eval(st istate, e cast.Expr) ival {
 		return p.eval(st, x.Then).join(p.eval(st, x.Else))
 	case *cast.CallExpr:
 		if x.Callee() == "strlen" {
-			return ival{v: overflow.Range(0, overflow.PosInf)}
+			return ival{v: interval.Range(0, interval.PosInf)}
 		}
 		return topIval()
 	}
 	return topIval()
 }
 
+// evalInt is eval's interval, for the branch refiner.
+func (p *iproblem) evalInt(st istate, e cast.Expr) interval.Interval {
+	return p.eval(st, e).v
+}
+
 // evalBinop computes site's value for op over a and b, wrap-checking
 // the arithmetic operators against the site's result type.
 func (p *iproblem) evalBinop(site cast.Expr, op cast.BinaryOp, a, b ival) ival {
-	var raw overflow.Interval
+	var raw interval.Interval
 	checked := true
 	switch op {
 	case cast.BinaryAdd:
@@ -399,38 +370,38 @@ func (p *iproblem) evalBinop(site cast.Expr, op cast.BinaryOp, a, b ival) ival {
 	case cast.BinarySub:
 		raw = a.v.Sub(b.v)
 	case cast.BinaryMul:
-		raw = imul(a.v, b.v)
+		raw = a.v.MulRange(b.v)
 	case cast.BinaryShl:
 		k, ok := b.v.Exact()
 		if !ok || k < 0 || k > 62 {
 			return inheritTaint(topIval(), a)
 		}
-		raw = imul(a.v, overflow.Const(int64(1)<<uint(k)))
+		raw = a.v.MulRange(interval.Const(int64(1) << uint(k)))
 	case cast.BinaryDiv:
-		return inheritTaint(ival{v: idiv(a.v, b.v)}, a)
+		return inheritTaint(ival{v: a.v.Div(b.v)}, a)
 	case cast.BinaryShr:
-		return inheritTaint(ival{v: ishr(a.v, b.v)}, a)
+		return inheritTaint(ival{v: a.v.Shr(b.v)}, a)
 	case cast.BinaryRem:
 		if k, ok := b.v.Exact(); ok && k > 0 && a.v.Lo >= 0 {
-			return inheritTaint(ival{v: overflow.Range(0, k-1)}, a)
+			return inheritTaint(ival{v: interval.Range(0, k-1)}, a)
 		}
 		return inheritTaint(topIval(), a)
 	case cast.BinaryAnd:
 		if m, ok := b.v.Exact(); ok && m >= 0 {
-			return ival{v: overflow.Range(0, m)}
+			return ival{v: interval.Range(0, m)}
 		}
 		if m, ok := a.v.Exact(); ok && m >= 0 {
-			return ival{v: overflow.Range(0, m)}
+			return ival{v: interval.Range(0, m)}
 		}
 		return inheritTaint(inheritTaint(topIval(), a), b)
 	case cast.BinaryXor, cast.BinaryOr:
 		return inheritTaint(inheritTaint(topIval(), a), b)
 	case cast.BinaryLt, cast.BinaryGt, cast.BinaryLe, cast.BinaryGe,
 		cast.BinaryEq, cast.BinaryNe, cast.BinaryLAnd, cast.BinaryLOr:
-		return ival{v: overflow.Range(0, 1)}
+		return ival{v: interval.Range(0, 1)}
 	default:
 		checked = false
-		raw = overflow.Top()
+		raw = interval.Top()
 	}
 	var out ival
 	if checked {
@@ -438,7 +409,7 @@ func (p *iproblem) evalBinop(site cast.Expr, op cast.BinaryOp, a, b ival) ival {
 		if p.chk != nil {
 			guard = p.chk.guardForBinop(site, op)
 		}
-		out = p.wrapCheck(site, raw, siteType(site), opName(op), guard)
+		out = p.wrapCheck(site, raw, site.Type(), opName(op), guard)
 	} else {
 		out = topIval()
 	}
@@ -468,31 +439,31 @@ func (p *iproblem) convert(site cast.Expr, v ival, to ctype.Type) ival {
 // boundary. Sentinel bounds produced by widening are skipped on their
 // own side, so saturating loop counters do not drown the report in
 // false positives.
-func (p *iproblem) wrapCheck(site cast.Expr, raw overflow.Interval, t ctype.Type, opName, guard string) ival {
+func (p *iproblem) wrapCheck(site cast.Expr, raw interval.Interval, t ctype.Type, opName, guard string) ival {
 	lo, hi, ok := typeBounds(t)
 	if !ok || raw.IsEmpty() {
 		return ival{v: raw}
 	}
 	var over, overDef, under, underDef bool
-	if hi < overflow.PosInf {
+	if hi < interval.PosInf {
 		switch {
 		case raw.Lo > hi:
 			over, overDef = true, true
-		case raw.Hi > hi && raw.Hi < overflow.PosInf:
+		case raw.Hi > hi && raw.Hi < interval.PosInf:
 			over = true
 		}
 	}
 	switch {
 	case raw.Hi < lo:
 		under, underDef = true, true
-	case raw.Lo < lo && raw.Lo > overflow.NegInf:
+	case raw.Lo < lo && raw.Lo > interval.NegInf:
 		under = true
 	}
 	if !over && !under {
-		return ival{v: raw.Meet(overflow.Range(lo, hi))}
+		return ival{v: raw.Meet(interval.Range(lo, hi))}
 	}
 	out := ival{
-		v:        overflow.Range(lo, hi),
+		v:        interval.Range(lo, hi),
 		wrapped:  true,
 		definite: overDef || underDef,
 		guard:    guard,
@@ -521,14 +492,6 @@ func inheritTaint(out, in ival) ival {
 	return out
 }
 
-// siteType returns the C type computed for the expression by typecheck.
-func siteType(e cast.Expr) ctype.Type {
-	if e == nil {
-		return nil
-	}
-	return e.Type()
-}
-
 func opName(op cast.BinaryOp) string {
 	switch op {
 	case cast.BinaryAdd:
@@ -541,305 +504,4 @@ func opName(op cast.BinaryOp) string {
 		return "left shift"
 	}
 	return "arithmetic"
-}
-
-// --- interval arithmetic beyond overflow.Interval ---------------------------
-
-// imul is a full interval multiplication (all four corner products with
-// saturation), more precise than overflow.Interval.Mul for non-singleton
-// operands — exactly the n*size case allocation overflows hinge on.
-func imul(a, b overflow.Interval) overflow.Interval {
-	if a.IsEmpty() || b.IsEmpty() {
-		return overflow.Top()
-	}
-	lo, hi := int64(0), int64(0)
-	first := true
-	for _, x := range [2]int64{a.Lo, a.Hi} {
-		for _, y := range [2]int64{b.Lo, b.Hi} {
-			c := cornerMul(x, y)
-			if first {
-				lo, hi = c, c
-				first = false
-				continue
-			}
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
-		}
-	}
-	return overflow.Interval{Lo: lo, Hi: hi}
-}
-
-// cornerMul multiplies two possibly-sentinel bounds with saturation.
-func cornerMul(x, y int64) int64 {
-	if x == 0 || y == 0 {
-		return 0
-	}
-	pos := (x > 0) == (y > 0)
-	if x <= overflow.NegInf || x >= overflow.PosInf ||
-		y <= overflow.NegInf || y >= overflow.PosInf {
-		if pos {
-			return overflow.PosInf
-		}
-		return overflow.NegInf
-	}
-	r := x * y
-	if r/x != y {
-		if pos {
-			return overflow.PosInf
-		}
-		return overflow.NegInf
-	}
-	if r <= overflow.NegInf {
-		return overflow.NegInf
-	}
-	if r >= overflow.PosInf {
-		return overflow.PosInf
-	}
-	return r
-}
-
-// idiv divides a by b, precise for non-negative dividends and strictly
-// positive divisors (the shape of size computations); anything else is
-// unconstrained.
-func idiv(a, b overflow.Interval) overflow.Interval {
-	if a.IsEmpty() || b.IsEmpty() || a.Lo < 0 || b.Lo <= 0 {
-		return overflow.Top()
-	}
-	lo := int64(0)
-	if b.Hi < overflow.PosInf {
-		lo = a.Lo / b.Hi
-	}
-	hi := overflow.PosInf
-	if a.Hi < overflow.PosInf {
-		hi = a.Hi / b.Lo
-	}
-	return overflow.Range(lo, hi)
-}
-
-// ishr shifts a right by an exact non-negative count.
-func ishr(a, b overflow.Interval) overflow.Interval {
-	k, ok := b.Exact()
-	if !ok || k < 0 || k > 62 || a.IsEmpty() || a.Lo < 0 {
-		return overflow.Top()
-	}
-	hi := overflow.PosInf
-	if a.Hi < overflow.PosInf {
-		hi = a.Hi >> uint(k)
-	}
-	return overflow.Range(a.Lo>>uint(k), hi)
-}
-
-// --- branch refinement ------------------------------------------------------
-
-// refine narrows st under the assumption that cond evaluates to truth.
-// Refinement narrows value intervals only; wrap taint survives (a
-// bounds check after the wrap does not un-wrap the value).
-func (p *iproblem) refine(st istate, cond cast.Expr, truth bool) istate {
-	switch x := cast.Unparen(cond).(type) {
-	case *cast.IntLit:
-		if (x.Value != 0) != truth {
-			return unreached()
-		}
-		return st
-	case *cast.CharLit:
-		if (x.Value != 0) != truth {
-			return unreached()
-		}
-		return st
-	case *cast.UnaryExpr:
-		if x.Op == cast.UnaryNot {
-			return p.refine(st, x.Operand, !truth)
-		}
-		return st
-	case *cast.Ident:
-		if x.Sym == nil {
-			return st
-		}
-		if x.Sym.Kind == cast.SymEnumConst {
-			if v, ok := constOf(x); ok && (v != 0) != truth {
-				return unreached()
-			}
-			return st
-		}
-		if !isIntVar(x.Sym) {
-			return st
-		}
-		v := st.get(x.Sym.ID)
-		if truth {
-			if z, ok := v.v.Exact(); ok && z == 0 {
-				return unreached()
-			}
-			if v.v.Lo == 0 {
-				v.v.Lo = 1
-				return st.set(x.Sym.ID, v)
-			}
-			return st
-		}
-		nv := v.v.Meet(overflow.Const(0))
-		if nv.IsEmpty() {
-			return unreached()
-		}
-		v.v = nv
-		return st.set(x.Sym.ID, v)
-	case *cast.BinaryExpr:
-		switch x.Op {
-		case cast.BinaryLAnd:
-			if truth {
-				return p.refine(p.refine(st, x.X, true), x.Y, true)
-			}
-			return st
-		case cast.BinaryLOr:
-			if !truth {
-				return p.refine(p.refine(st, x.X, false), x.Y, false)
-			}
-			return st
-		case cast.BinaryLt, cast.BinaryLe, cast.BinaryGt, cast.BinaryGe,
-			cast.BinaryEq, cast.BinaryNe:
-			return p.refineCompare(st, x, truth)
-		}
-	}
-	return st
-}
-
-func (p *iproblem) refineCompare(st istate, x *cast.BinaryExpr, truth bool) istate {
-	op := x.Op
-	if !truth {
-		op = negateCompare(op)
-	}
-	st = p.refineSide(st, x.X, op, p.eval(st, x.Y).v)
-	if !st.reach {
-		return st
-	}
-	return p.refineSide(st, x.Y, flipCompare(op), p.eval(st, x.X).v)
-}
-
-// refineSide narrows the integer variable e under "e op bound".
-func (p *iproblem) refineSide(st istate, e cast.Expr, op cast.BinaryOp, bound overflow.Interval) istate {
-	id, ok := cast.Unparen(e).(*cast.Ident)
-	if !ok || id.Sym == nil || !isIntVar(id.Sym) || id.Sym.Kind == cast.SymEnumConst {
-		return st
-	}
-	iv := st.get(id.Sym.ID)
-	v := iv.v
-	switch op {
-	case cast.BinaryLt:
-		v = v.Meet(overflow.Range(overflow.NegInf, satDec(bound.Hi)))
-	case cast.BinaryLe:
-		v = v.Meet(overflow.Range(overflow.NegInf, bound.Hi))
-	case cast.BinaryGt:
-		v = v.Meet(overflow.Range(satInc(bound.Lo), overflow.PosInf))
-	case cast.BinaryGe:
-		v = v.Meet(overflow.Range(bound.Lo, overflow.PosInf))
-	case cast.BinaryEq:
-		v = v.Meet(bound)
-	case cast.BinaryNe:
-		if z, exact := bound.Exact(); exact {
-			if cur, curExact := v.Exact(); curExact && cur == z {
-				return unreached()
-			}
-			if v.Lo == z {
-				v.Lo = z + 1
-			} else if v.Hi == z {
-				v.Hi = z - 1
-			}
-		}
-	default:
-		return st
-	}
-	if v.IsEmpty() {
-		return unreached()
-	}
-	iv.v = v
-	return st.set(id.Sym.ID, iv)
-}
-
-func negateCompare(op cast.BinaryOp) cast.BinaryOp {
-	switch op {
-	case cast.BinaryLt:
-		return cast.BinaryGe
-	case cast.BinaryLe:
-		return cast.BinaryGt
-	case cast.BinaryGt:
-		return cast.BinaryLe
-	case cast.BinaryGe:
-		return cast.BinaryLt
-	case cast.BinaryEq:
-		return cast.BinaryNe
-	case cast.BinaryNe:
-		return cast.BinaryEq
-	}
-	return op
-}
-
-func flipCompare(op cast.BinaryOp) cast.BinaryOp {
-	switch op {
-	case cast.BinaryLt:
-		return cast.BinaryGt
-	case cast.BinaryLe:
-		return cast.BinaryGe
-	case cast.BinaryGt:
-		return cast.BinaryLt
-	case cast.BinaryGe:
-		return cast.BinaryLe
-	}
-	return op
-}
-
-// --- helpers ----------------------------------------------------------------
-
-// satInc/satDec step a bound without walking off a sentinel: an
-// infinity stays an infinity, so refined intervals never carry huge
-// finite bounds that would read as genuine values later.
-func satInc(n int64) int64 {
-	if n >= overflow.PosInf || n <= overflow.NegInf {
-		return n
-	}
-	return n + 1
-}
-
-func satDec(n int64) int64 {
-	if n >= overflow.PosInf || n <= overflow.NegInf {
-		return n
-	}
-	return n - 1
-}
-
-func argAt(call *cast.CallExpr, i int) cast.Expr {
-	if i >= 0 && i < len(call.Args) {
-		return call.Args[i]
-	}
-	return nil
-}
-
-// constOf evaluates compile-time integer constants (literals, sizeof,
-// enum constants).
-func constOf(e cast.Expr) (int64, bool) {
-	switch x := cast.Unparen(e).(type) {
-	case *cast.IntLit:
-		return x.Value, true
-	case *cast.CharLit:
-		return int64(x.Value), true
-	case *cast.SizeofExpr:
-		if x.OfType != nil && x.OfType.Size() >= 0 {
-			return int64(x.OfType.Size()), true
-		}
-		if x.Operand != nil && x.Operand.Type() != nil && x.Operand.Type().Size() >= 0 {
-			return int64(x.Operand.Type().Size()), true
-		}
-	case *cast.Ident:
-		if x.Sym != nil && x.Sym.Kind == cast.SymEnumConst {
-			if en, ok := ctype.Unqualify(x.Sym.Type).(*ctype.Enum); ok {
-				for _, c := range en.Consts {
-					if c.Name == x.Name {
-						return c.Value, true
-					}
-				}
-			}
-		}
-	}
-	return 0, false
 }

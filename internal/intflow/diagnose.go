@@ -2,13 +2,12 @@ package intflow
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cast"
 	"repro/internal/clex"
-	"repro/internal/ctoken"
 	"repro/internal/ctype"
+	"repro/internal/interval"
 	"repro/internal/overflow"
 )
 
@@ -23,15 +22,12 @@ type Finding = overflow.Finding
 // functions did the solving, so findings come from exactly the
 // arithmetic the fixpoint evaluated.
 type ichecker struct {
-	a     *Analyzer
-	fn    *cast.FuncDef
-	chain []string
-	out   []Finding
+	overflow.Collector
 }
 
 // reportWrap records a CWE-190 (wraparound past the top of the type) or
 // CWE-191 (underflow below its bottom) finding at site.
-func (c *ichecker) reportWrap(site cast.Expr, cwe int, definite bool, raw overflow.Interval, t ctype.Type, lo, hi int64, opName, guard string) {
+func (c *ichecker) reportWrap(site cast.Expr, cwe int, definite bool, raw interval.Interval, t ctype.Type, lo, hi int64, opName, guard string) {
 	sev := overflow.SevPossible
 	if definite {
 		sev = overflow.SevDefinite
@@ -49,7 +45,7 @@ func (c *ichecker) reportWrap(site cast.Expr, cwe int, definite bool, raw overfl
 		Guard:        guard,
 		SuggestedFix: "compute in a wider type or add the suggested precondition guard",
 	}
-	c.add(f, site)
+	c.Add(f, site)
 }
 
 // report680 records an overflow-to-allocation finding: a possibly
@@ -74,19 +70,7 @@ func (c *ichecker) report680(call *cast.CallExpr, arg cast.Expr, av ival) {
 	if id, ok := cast.Unparen(arg).(*cast.Ident); ok && id.Sym != nil {
 		f.Object = id.Sym.Name
 	}
-	c.add(f, call)
-}
-
-func (c *ichecker) add(f Finding, site cast.Expr) {
-	f.Function = c.fn.Name
-	f.Extent = site.Extent()
-	if c.a.unit.File != nil {
-		f.Pos = c.a.unit.File.Position(f.Extent.Pos)
-	}
-	if len(c.chain) > 1 {
-		f.Contexts = []string{strings.Join(c.chain, " -> ")}
-	}
-	c.out = append(c.out, f)
+	c.Add(f, call)
 }
 
 // --- suggested precondition guards (IntRepair-style) ------------------------
@@ -104,8 +88,8 @@ func (c *ichecker) guardForBinop(site cast.Expr, op cast.BinaryOp) string {
 	} else {
 		return ""
 	}
-	lo, hi, okB := typeBounds(siteType(site))
-	if !okB || hi >= overflow.PosInf {
+	lo, hi, okB := typeBounds(site.Type())
+	if !okB || hi >= interval.PosInf {
 		return ""
 	}
 	a, b := c.srcText(ax), c.srcText(bx)
@@ -128,7 +112,7 @@ func (c *ichecker) guardForBinop(site cast.Expr, op cast.BinaryOp) string {
 
 // guardForConvert renders the range check that would catch a value
 // truncated or sign-flipped by a conversion.
-func (c *ichecker) guardForConvert(site cast.Expr, raw overflow.Interval, to ctype.Type) string {
+func (c *ichecker) guardForConvert(site cast.Expr, raw interval.Interval, to ctype.Type) string {
 	lo, hi, ok := typeBounds(to)
 	if !ok {
 		return ""
@@ -147,7 +131,7 @@ func (c *ichecker) guardForConvert(site cast.Expr, raw overflow.Interval, to cty
 		return ""
 	}
 	switch {
-	case hi < overflow.PosInf && raw.Hi > hi:
+	case hi < interval.PosInf && raw.Hi > hi:
 		return fmt.Sprintf("if (%s > %s) { /* value would be truncated */ }", v, boundLit(hi, lo >= 0))
 	case raw.Lo < lo:
 		return fmt.Sprintf("if (%s < %d) { /* value would wrap below %d */ }", v, lo, lo)
@@ -172,10 +156,10 @@ func (c *ichecker) fallbackSizeGuard(arg cast.Expr) string {
 // comments either, or the memoized Msg/Guard would differ from a fresh
 // run's.
 func (c *ichecker) srcText(e cast.Expr) string {
-	if e == nil || c.a.unit.File == nil {
+	if e == nil || c.File == nil {
 		return ""
 	}
-	masked := clex.MaskComments(c.a.unit.File.Slice(e.Extent()))
+	masked := clex.MaskComments(c.File.Slice(e.Extent()))
 	return strings.Join(strings.Fields(masked), " ")
 }
 
@@ -193,54 +177,4 @@ func typeName(t ctype.Type) string {
 		return "integer"
 	}
 	return ctype.Unqualify(t).String()
-}
-
-// --- dedup ------------------------------------------------------------------
-
-// dedup merges findings that name the same extent and CWE, keeping the
-// maximum severity, the first non-empty guard, and the union of
-// contexts, sorted by position then CWE.
-func dedup(all []Finding) []Finding {
-	type key struct {
-		pos, end ctoken.Pos
-		cwe      int
-	}
-	idx := make(map[key]int)
-	var out []Finding
-	for _, f := range all {
-		k := key{f.Extent.Pos, f.Extent.End, f.CWE}
-		if i, ok := idx[k]; ok {
-			if f.Severity > out[i].Severity {
-				out[i].Severity = f.Severity
-				out[i].Msg = f.Msg
-			}
-			if out[i].Guard == "" {
-				out[i].Guard = f.Guard
-			}
-			for _, ctx := range f.Contexts {
-				if !inChain(out[i].Contexts, ctx) {
-					out[i].Contexts = append(out[i].Contexts, ctx)
-				}
-			}
-			continue
-		}
-		idx[k] = len(out)
-		out = append(out, f)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Extent.Pos != out[j].Extent.Pos {
-			return out[i].Extent.Pos < out[j].Extent.Pos
-		}
-		return out[i].CWE < out[j].CWE
-	})
-	return out
-}
-
-func inChain(chain []string, name string) bool {
-	for _, c := range chain {
-		if c == name {
-			return true
-		}
-	}
-	return false
 }

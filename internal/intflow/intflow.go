@@ -18,8 +18,8 @@ package intflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/callgraph"
@@ -47,7 +47,7 @@ type Options struct {
 	// Memo, when non-nil, retains findings across runs for incremental
 	// sessions. The type is shared with the buffer oracle (Finding is an
 	// alias) but each oracle keeps its own instance; keys are namespaced
-	// by oracle tag regardless. Arming conditions mirror
+	// by oracle name regardless. Arming conditions mirror
 	// overflow.Options.Memo: unbudgeted runs with a facts provider that
 	// exposes FuncHashes.
 	Memo *overflow.Memo
@@ -59,12 +59,10 @@ func DefaultOptions() Options {
 }
 
 // Facts is the subset of shared analysis facts the oracle consumes when
-// an analysis snapshot is threaded in: the unit call graph, per-function
-// CFGs, and the may-modify summaries. Without a provider the oracle
-// derives private copies.
+// an analysis snapshot is threaded in: the engine's unit facts plus the
+// may-modify summaries.
 type Facts interface {
-	CallGraph() *callgraph.Graph
-	CFG(fn *cast.FuncDef) *cfg.Graph
+	overflow.UnitFacts
 	MayModify() *interproc.Result
 }
 
@@ -75,122 +73,71 @@ type Analyzer struct {
 	opts  Options
 	facts Facts
 
-	cg        *callgraph.Graph
+	eng       *overflow.Engine[istate, ival, *iproblem]
 	mm        *interproc.Result
 	globalIDs map[int]bool
 	sinks     map[string][]int
-	cfgs      map[string]*cfg.Graph
-	memo      map[string]*solveEntry
-	ready     bool
-
-	// Cross-run memoization (incremental sessions).
-	hashes  map[string]string
-	useMemo bool
-	optsSig string
-
-	// Fault-containment bookkeeping, mirroring the buffer oracle's.
-	degradedFns  map[string]bool
-	ctxSpent     int
-	interprocCut bool
 }
 
-type solveEntry struct {
-	g   *cfg.Graph
-	sol *dataflow.Solution[istate]
-	p   *iproblem
-}
-
-// New creates an analyzer with default options.
-func New(unit *cast.TranslationUnit) *Analyzer {
-	return NewWithOptions(unit, DefaultOptions())
-}
-
-// NewWithOptions creates an analyzer with explicit options.
-func NewWithOptions(unit *cast.TranslationUnit, opts Options) *Analyzer {
-	return &Analyzer{unit: unit, opts: opts}
-}
-
-// NewWithFacts creates an analyzer that reuses shared analysis facts
-// instead of rebuilding the call graph, CFGs and may-modify summaries.
-func NewWithFacts(unit *cast.TranslationUnit, opts Options, facts Facts) *Analyzer {
+// New creates an analyzer. A nil facts provider makes the oracle derive
+// private copies of the call graph, CFGs and may-modify summaries.
+func New(unit *cast.TranslationUnit, opts Options, facts Facts) *Analyzer {
 	return &Analyzer{unit: unit, opts: opts, facts: facts}
 }
 
 func (a *Analyzer) ensure() {
-	if a.ready {
+	if a.eng != nil {
 		return
 	}
-	a.ready = true
+	a.eng = overflow.NewEngine(a.unit, a.facts, overflow.Oracle[istate, ival, *iproblem]{
+		Name:         "intflow",
+		Solve:        "range",
+		Unverified:   "integer range analysis budget exhausted; arithmetic in this function is unverified",
+		ContextDepth: a.opts.ContextDepth,
+		Limits:       a.opts.Limits,
+		Memo:         a.opts.Memo,
+		OptsSig:      fmt.Sprintf("%d", a.opts.ContextDepth),
+		Solves:       &solves,
+		Problem:      a.problem,
+		Check:        a.check,
+		ArgSeed:      a.argSeed,
+		SeedValue:    seedValue,
+	})
 	if a.facts != nil {
-		a.cg = a.facts.CallGraph()
 		a.mm = a.facts.MayModify()
 	} else {
-		a.cg = callgraph.Build(a.unit)
-		a.mm = interproc.AnalyzeWith(a.unit, a.cg)
+		a.mm = interproc.AnalyzeWith(a.unit, a.eng.CallGraph())
 	}
-	a.cfgs = make(map[string]*cfg.Graph)
-	a.memo = make(map[string]*solveEntry)
-	a.degradedFns = make(map[string]bool)
 	a.globalIDs = make(map[int]bool)
 	for _, sym := range a.unit.Symbols {
-		if sym != nil && sym.Kind == cast.SymVar && sym.IsGlobal && isIntVar(sym) {
+		if sym != nil && sym.Kind == cast.SymVar && sym.IsGlobal && overflow.IsIntVar(sym) {
 			a.globalIDs[sym.ID] = true
 		}
 	}
 	a.discoverSinks()
-	// Same arming conditions as the buffer oracle: unbudgeted runs only,
-	// hash-providing facts snapshot only.
-	if a.opts.Memo != nil && a.opts.Limits.Steps == 0 && a.opts.Limits.Contexts == 0 {
-		if hp, ok := a.facts.(interface{ FuncHashes() map[string]string }); ok {
-			a.hashes = hp.FuncHashes()
-			a.useMemo = a.hashes != nil
-			a.optsSig = fmt.Sprintf("%d", a.opts.ContextDepth)
-			if a.useMemo {
-				a.opts.Memo.BeginRun()
-			}
-		}
-	}
 }
 
 // solves counts range fixpoint solves package-wide; incremental
 // equivalence tests read it to prove untouched functions were not
 // re-derived. See overflow.Solves.
-var solves int64
+var solves atomic.Int64
 
 // Solves returns the number of per-function fixpoint solves this package
 // has run since process start.
-func Solves() int64 { return atomic.LoadInt64(&solves) }
+func Solves() int64 { return solves.Load() }
 
-// subtreeKey builds the cross-run memo key for one propagation subtree,
-// or "" when the context is not memoizable.
-func (a *Analyzer) subtreeKey(fn *cast.FuncDef, seed map[int]ival, chain []string, depth int) string {
-	if !a.useMemo {
-		return ""
-	}
-	h, ok := a.hashes[fn.Name]
-	if !ok {
-		return ""
-	}
-	return overflow.Pass2Key("int", a.optsSig, h, chain, stableIvalSeed(fn, seed), depth)
+func (a *Analyzer) problem(fn *cast.FuncDef, seed map[int]ival) *iproblem {
+	return &iproblem{fn: fn, seed: seed, globalIDs: a.globalIDs, sinks: a.sinks, mm: a.mm}
 }
 
-// stableIvalSeed renders a parameter seed by parameter position so the
-// serialization survives re-parses (symbol IDs do not).
-func stableIvalSeed(fn *cast.FuncDef, seed map[int]ival) string {
-	if len(seed) == 0 {
-		return ""
-	}
-	paramIndex := make(map[int]int, len(fn.Params))
-	for i, p := range fn.Params {
-		if p.Sym != nil {
-			paramIndex[p.Sym.ID] = i
-		}
-	}
-	values := make(map[int]string, len(seed))
-	for id, v := range seed {
-		values[id] = fmt.Sprintf("%d,%d,%t,%t,%s", v.v.Lo, v.v.Hi, v.wrapped, v.definite, v.guard)
-	}
-	return overflow.StableSeedKey(paramIndex, values)
+// seedValue renders one parameter value for the engine's keys. The guard
+// is part of it: two seeds that differ only in their rendered
+// precondition must not share a solution, or the guard that surfaces at
+// a sink would depend on context visit order — and incremental
+// re-analysis (which skips some contexts via the cross-run memo) would
+// then disagree with a fresh run.
+func seedValue(v ival) string {
+	return fmt.Sprintf("%d,%d,%t,%t,%s", v.v.Lo, v.v.Hi, v.wrapped, v.definite, v.guard)
 }
 
 // discoverSinks seeds the allocation-size sinks with the library
@@ -211,7 +158,7 @@ func (a *Analyzer) discoverSinks() {
 		changed := false
 		for _, fn := range a.unit.Funcs {
 			for _, idx := range a.forwardedParams(fn) {
-				if !containsInt(a.sinks[fn.Name], idx) {
+				if !slices.Contains(a.sinks[fn.Name], idx) {
 					a.sinks[fn.Name] = append(a.sinks[fn.Name], idx)
 					changed = true
 				}
@@ -231,7 +178,7 @@ func (a *Analyzer) discoverSinks() {
 func (a *Analyzer) forwardedParams(fn *cast.FuncDef) []int {
 	paramIdx := make(map[int]int) // Symbol.ID -> parameter position
 	for i, p := range fn.Params {
-		if p.Sym != nil && isIntVar(p.Sym) {
+		if p.Sym != nil && overflow.IsIntVar(p.Sym) {
 			paramIdx[p.Sym.ID] = i
 		}
 	}
@@ -249,13 +196,13 @@ func (a *Analyzer) forwardedParams(fn *cast.FuncDef) []int {
 			return true
 		}
 		for _, pos := range positions {
-			arg := argAt(call, pos)
+			arg := call.Arg(pos)
 			if arg == nil {
 				continue
 			}
 			cast.InspectExprs(arg, func(e cast.Expr) bool {
 				if id, isIdent := e.(*cast.Ident); isIdent && id.Sym != nil {
-					if i, isParam := paramIdx[id.Sym.ID]; isParam && !containsInt(out, i) {
+					if i, isParam := paramIdx[id.Sym.ID]; isParam && !slices.Contains(out, i) {
 						out = append(out, i)
 					}
 				}
@@ -267,165 +214,29 @@ func (a *Analyzer) forwardedParams(fn *cast.FuncDef) []int {
 	return out
 }
 
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *Analyzer) cfgFor(fn *cast.FuncDef) *cfg.Graph {
-	if a.facts != nil {
-		return a.facts.CFG(fn)
-	}
-	if g, ok := a.cfgs[fn.Name]; ok {
-		return g
-	}
-	g := cfg.Build(fn)
-	a.cfgs[fn.Name] = g
-	return g
-}
-
-// solve runs (or recalls) the range analysis of fn under the given
-// parameter seed.
-func (a *Analyzer) solve(fn *cast.FuncDef, seed map[int]ival) *solveEntry {
-	key := fn.Name + "|" + seedKey(seed)
-	if ent, ok := a.memo[key]; ok {
-		return ent
-	}
-	g := a.cfgFor(fn)
-	atomic.AddInt64(&solves, 1)
-	p := &iproblem{fn: fn, seed: seed, globalIDs: a.globalIDs, sinks: a.sinks, mm: a.mm}
-	sol := dataflow.SolveForwardLimits[istate](g, p, a.opts.Limits)
-	if sol.Degraded {
-		a.degradedFns[fn.Name] = true
-	}
-	ent := &solveEntry{g: g, sol: sol, p: p}
-	a.memo[key] = ent
-	return ent
-}
-
-func seedKey(seed map[int]ival) string {
-	if len(seed) == 0 {
-		return ""
-	}
-	ids := make([]int, 0, len(seed))
-	for id := range seed {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var sb strings.Builder
-	for _, id := range ids {
-		v := seed[id]
-		// guard is part of the key: two seeds that differ only in their
-		// rendered precondition must not share a solution, or the guard
-		// that surfaces at a sink would depend on context visit order —
-		// and incremental re-analysis (which skips some contexts via the
-		// cross-run memo) would then disagree with a fresh run.
-		fmt.Fprintf(&sb, "%d:%d,%d,%t,%t,%s;", id, v.v.Lo, v.v.Hi, v.wrapped, v.definite, v.guard)
-	}
-	return sb.String()
-}
-
 // Analyze runs the oracle and returns the deduplicated findings in
 // source order. Budget-degraded functions contribute a SevPossible
 // CWEIncomplete finding each, so an exhausted budget can never read as
 // a clean file.
 func (a *Analyzer) Analyze() []Finding {
 	a.ensure()
-	var all []Finding
-	// Pass 1: every function with unknown parameters.
-	for _, fn := range a.unit.Funcs {
-		fault.CheckCtx(a.opts.Limits.Ctx)
-		var key string
-		if a.useMemo {
-			if h, ok := a.hashes[fn.Name]; ok {
-				key = overflow.Pass1Key("int", a.optsSig, fn.Name, h)
-				if fs, ok := a.opts.Memo.Load(key, a.unit.File); ok {
-					all = append(all, fs...)
-					continue
-				}
-			}
-		}
-		ent := a.solve(fn, nil)
-		fs := a.check(fn, ent, nil)
-		if key != "" {
-			a.opts.Memo.Store(key, fs)
-		}
-		all = append(all, fs...)
-	}
-	// Pass 2: propagate argument ranges from the call-graph roots.
-	if a.opts.ContextDepth > 0 {
-		for _, root := range a.cg.Roots() {
-			all = append(all, a.propagate(root, nil, []string{root.Name}, a.opts.ContextDepth)...)
-		}
-	}
-	// Unit.Funcs order keeps degraded findings deterministic.
-	for _, fn := range a.unit.Funcs {
-		if a.degradedFns[fn.Name] {
-			all = append(all, a.degradedFinding(fn))
-		}
-	}
-	return dedup(all)
+	return a.eng.Analyze(nil)
 }
 
 // check replays the solved transfer functions over every reached node
 // with a checker attached, so findings come from exactly the arithmetic
 // the fixpoint evaluated.
-func (a *Analyzer) check(fn *cast.FuncDef, ent *solveEntry, chain []string) []Finding {
-	chk := &ichecker{a: a, fn: fn, chain: chain}
-	rp := *ent.p
+func (a *Analyzer) check(fn *cast.FuncDef, g *cfg.Graph, sol *dataflow.Solution[istate], p *iproblem, chain []string) []Finding {
+	chk := &ichecker{overflow.Collector{File: a.unit.File, Fn: fn, Chain: chain}}
+	rp := *p
 	rp.chk = chk
-	for _, n := range ent.g.Nodes {
-		if !ent.sol.Reached[n.ID] {
+	for _, n := range g.Nodes {
+		if !sol.Reached[n.ID] {
 			continue
 		}
-		rp.transferNode(n, ent.sol.In[n.ID])
+		rp.Transfer(n, sol.In[n.ID])
 	}
-	return chk.out
-}
-
-func (a *Analyzer) propagate(fn *cast.FuncDef, seed map[int]ival, chain []string, depth int) []Finding {
-	fault.CheckCtx(a.opts.Limits.Ctx)
-	if max := a.opts.Limits.Contexts; max > 0 && a.ctxSpent >= max {
-		a.interprocCut = true
-		return nil
-	}
-	// A subtree hit replays this context and everything below it; fn's
-	// dependency hash covers its transitive callees.
-	key := a.subtreeKey(fn, seed, chain, depth)
-	if key != "" {
-		if out, ok := a.opts.Memo.Load(key, a.unit.File); ok {
-			return out
-		}
-	}
-	a.ctxSpent++
-	ent := a.solve(fn, seed)
-	var out []Finding
-	if len(chain) > 1 {
-		// Pass 1 already checked the empty-seed root context.
-		out = a.check(fn, ent, chain)
-	}
-	if depth > 0 {
-		for _, e := range a.cg.CallsFrom(fn.Name) {
-			if e.Callee == nil || inChain(chain, e.CalleeName) {
-				continue
-			}
-			n := ent.g.NodeContaining(e.Call)
-			if n == nil || !ent.sol.Reached[n.ID] {
-				continue
-			}
-			next := a.argSeed(ent.p, ent.sol.In[n.ID], e)
-			sub := append(append([]string(nil), chain...), e.CalleeName)
-			out = append(out, a.propagate(e.Callee, next, sub, depth-1)...)
-		}
-	}
-	if key != "" {
-		a.opts.Memo.Store(key, out)
-	}
-	return out
+	return chk.Out
 }
 
 // argSeed evaluates the call's arguments under the caller's state at
@@ -437,7 +248,7 @@ func (a *Analyzer) argSeed(p *iproblem, st istate, e callgraph.Edge) map[int]iva
 		if prm.Sym == nil || i >= len(e.Call.Args) {
 			break
 		}
-		if !isIntVar(prm.Sym) {
+		if !overflow.IsIntVar(prm.Sym) {
 			continue
 		}
 		v := p.convert(e.Call.Args[i], p.eval(st, e.Call.Args[i]), prm.Sym.Type)
@@ -448,41 +259,13 @@ func (a *Analyzer) argSeed(p *iproblem, st istate, e callgraph.Edge) map[int]iva
 	return seed
 }
 
-// degradedFinding is the never-silent marker for a function whose range
-// solve was cut short by the step budget.
-func (a *Analyzer) degradedFinding(fn *cast.FuncDef) Finding {
-	f := Finding{
-		CWE:          CWEIncomplete,
-		Severity:     overflow.SevPossible,
-		Function:     fn.Name,
-		Degraded:     true,
-		Msg:          "integer range analysis budget exhausted; arithmetic in this function is unverified",
-		SuggestedFix: "raise the solver step budget or audit the function manually",
-		Extent:       fn.Extent(),
-	}
-	if a.unit.File != nil {
-		f.Pos = a.unit.File.Position(f.Extent.Pos)
-	}
-	return f
-}
-
 // Degradations describes every budget cut the oracle took, for the
 // pipeline's Report.Degraded log.
 func (a *Analyzer) Degradations() []string {
-	if !a.ready {
+	if a.eng == nil {
 		return nil
 	}
-	var out []string
-	for _, fn := range a.unit.Funcs {
-		if a.degradedFns[fn.Name] {
-			out = append(out, fmt.Sprintf("intflow: range solve budget exhausted in %s", fn.Name))
-		}
-	}
-	if a.interprocCut {
-		out = append(out, fmt.Sprintf(
-			"intflow: interprocedural context budget exhausted after %d contexts", a.ctxSpent))
-	}
-	return out
+	return a.eng.Degradations()
 }
 
 // CWEIncomplete re-exports the degraded-finding marker for clients that
@@ -492,5 +275,5 @@ const CWEIncomplete = overflow.CWEIncomplete
 // Analyze is the package-level convenience entry point: run the oracle
 // with default options.
 func Analyze(unit *cast.TranslationUnit) []Finding {
-	return New(unit).Analyze()
+	return New(unit, DefaultOptions(), nil).Analyze()
 }

@@ -348,7 +348,7 @@ func TestBudgetDegradesNeverSilent(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	typecheck.Check(tu)
-	a := NewWithOptions(tu, Options{Limits: fault.Limits{Steps: 1}})
+	a := New(tu, Options{Limits: fault.Limits{Steps: 1}}, nil)
 	fs := a.Analyze()
 	found := false
 	for _, f := range fs {

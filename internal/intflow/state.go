@@ -1,9 +1,8 @@
 package intflow
 
 import (
-	"repro/internal/cast"
 	"repro/internal/ctype"
-	"repro/internal/overflow"
+	"repro/internal/interval"
 )
 
 // ival is the abstract value of one integer variable: the value interval
@@ -13,7 +12,7 @@ import (
 // precondition guard rendered at the wrap site (carried along so a later
 // allocation sink can attach it to its CWE-680 finding).
 type ival struct {
-	v overflow.Interval
+	v interval.Interval
 	// wrapped marks a value that may have been reduced modulo its type
 	// width somewhere upstream; definite marks a wrap that happens on
 	// every execution reaching this point.
@@ -25,7 +24,7 @@ type ival struct {
 }
 
 // topIval is the unknown value (the implicit state of absent map keys).
-func topIval() ival { return ival{v: overflow.Top()} }
+func topIval() ival { return ival{v: interval.Top()} }
 
 func (x ival) isTop() bool { return x.v.IsTop() && !x.wrapped }
 
@@ -72,7 +71,21 @@ type istate struct {
 	vars  map[int]ival
 }
 
-func unreached() istate { return istate{} }
+// Reached reports whether any execution reaches the program point; the
+// zero state is the unreached one.
+func (s istate) Reached() bool { return s.reach }
+
+// Int returns the value interval of integer variable id.
+func (s istate) Int(id int) interval.Interval { return s.get(id).v }
+
+// WithInt returns a copy of s with integer variable id narrowed to v.
+// Wrap taint survives: a bounds check after the wrap does not un-wrap
+// the value.
+func (s istate) WithInt(id int, v interval.Interval) istate {
+	x := s.get(id)
+	x.v = v
+	return s.set(id, x)
+}
 
 func (s istate) get(id int) ival {
 	if v, ok := s.vars[id]; ok {
@@ -99,7 +112,7 @@ func (s istate) clone() istate {
 	return out
 }
 
-func (s istate) equal(o istate) bool {
+func (s istate) Equal(o istate) bool {
 	if s.reach != o.reach || len(s.vars) != len(o.vars) {
 		return false
 	}
@@ -112,7 +125,7 @@ func (s istate) equal(o istate) bool {
 	return true
 }
 
-func (s istate) join(o istate) istate {
+func (s istate) Join(o istate) istate {
 	if !s.reach {
 		return o
 	}
@@ -144,7 +157,7 @@ func (s istate) join(o istate) istate {
 	return out
 }
 
-func (s istate) widenFrom(next istate) istate {
+func (s istate) Widen(next istate) istate {
 	if !s.reach {
 		return next
 	}
@@ -173,14 +186,8 @@ func (s istate) widenFrom(next istate) istate {
 	return out
 }
 
-// isIntVar reports whether the symbol holds an integer value the
-// analysis tracks.
-func isIntVar(sym *cast.Symbol) bool {
-	return sym != nil && ctype.IsInteger(sym.Type)
-}
-
 // typeBounds returns the representable range [lo, hi] of an integer
-// type, with hi == overflow.PosInf standing for "no detectable upper
+// type, with hi == interval.PosInf standing for "no detectable upper
 // bound" (64-bit unsigned types: their width exceeds the interval
 // domain's sentinels, so only lower-bound underflow is checkable).
 // ok is false for types the analysis does not wrap-check (floats,
@@ -206,7 +213,7 @@ func typeBounds(t ctype.Type) (lo, hi int64, ok bool) {
 	case ctype.ULong, ctype.ULongLong:
 		// 2^64-1 exceeds the sentinel range: underflow below zero is
 		// still detectable, overflow above is not.
-		return 0, overflow.PosInf, true
+		return 0, interval.PosInf, true
 	default:
 		return 0, 0, false
 	}

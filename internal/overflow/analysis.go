@@ -4,6 +4,7 @@ import (
 	"repro/internal/cast"
 	"repro/internal/cfg"
 	"repro/internal/ctype"
+	"repro/internal/interval"
 )
 
 // funcProblem adapts one function (under one calling context) to the
@@ -12,13 +13,12 @@ import (
 // globalIDs the symbol IDs of every file-scope object (they are havocked
 // at unmodeled calls).
 type funcProblem struct {
+	Lattice[state]
 	fn        *cast.FuncDef
 	seed      map[int]varState
 	globals   map[int]varState
 	globalIDs map[int]bool
 }
-
-func (p *funcProblem) Bottom() state { return unreached() }
 
 func (p *funcProblem) Entry() state {
 	st := state{reach: true, vars: make(map[int]varState, len(p.globals)+len(p.seed))}
@@ -33,42 +33,12 @@ func (p *funcProblem) Entry() state {
 	return st
 }
 
-func (p *funcProblem) Join(a, b state) state        { return a.join(b) }
-func (p *funcProblem) Widen(prev, next state) state { return prev.widenFrom(next) }
-func (p *funcProblem) Equal(a, b state) bool        { return a.equal(b) }
-
 func (p *funcProblem) Transfer(n *cfg.Node, in state) state {
-	if !in.reach {
-		return in
-	}
-	switch n.Kind {
-	case cfg.KindDecl:
-		return p.transferDecl(in, n.Decl)
-	case cfg.KindStmt:
-		switch s := n.Stmt.(type) {
-		case *cast.ExprStmt:
-			return p.transferExpr(in, s.X)
-		case *cast.ReturnStmt:
-			if s.Result != nil {
-				return p.transferExpr(in, s.Result)
-			}
-		}
-		return in
-	case cfg.KindCond, cfg.KindPost:
-		if n.Expr != nil {
-			return p.transferExpr(in, n.Expr)
-		}
-	}
-	return in
+	return Transfer(n, in, p.transferDecl, p.transferExpr)
 }
 
-// FlowEdge refines the state along labeled branch edges using the
-// condition expression.
 func (p *funcProblem) FlowEdge(from, to *cfg.Node, st state) state {
-	if !st.reach || from.Kind != cfg.KindCond || !from.Branching || from.Expr == nil {
-		return st
-	}
-	return refine(st, from.Expr, from.IsTrueSucc(to))
+	return RefineEdge(from, to, st, evalInt)
 }
 
 // --- declarations -----------------------------------------------------------
@@ -82,13 +52,13 @@ func (p *funcProblem) transferDecl(st state, d *cast.VarDecl) state {
 	case ctype.IsArray(t):
 		vs := topVar()
 		if sz := t.Size(); sz >= 0 {
-			vs.size = Const(int64(sz))
+			vs.size = interval.Const(int64(sz))
 		}
-		vs.off = Const(0)
+		vs.off = interval.Const(0)
 		vs.reg = regStack
 		if d.Init != nil {
 			if lit, ok := cast.Unparen(d.Init).(*cast.StringLit); ok {
-				vs.strl = Const(int64(len(lit.Value)))
+				vs.strl = interval.Const(int64(len(lit.Value)))
 			}
 		}
 		return st.set(d.Sym.ID, vs)
@@ -157,7 +127,7 @@ func (p *funcProblem) transferExpr(st state, e cast.Expr) state {
 		st = p.transferExpr(st, x.Cond)
 		a := p.transferExpr(st, x.Then)
 		b := p.transferExpr(st, x.Else)
-		return a.join(b)
+		return a.Join(b)
 	case *cast.CastExpr:
 		return p.transferExpr(st, x.Operand)
 	case *cast.IndexExpr:
@@ -179,7 +149,7 @@ func (p *funcProblem) transferAssign(st state, x *cast.AssignExpr) state {
 		switch {
 		case ctype.IsPointer(l.Sym.Type):
 			return p.assignPtr(st, l.Sym, x)
-		case isIntVar(l.Sym):
+		case IsIntVar(l.Sym):
 			return p.assignInt(st, l.Sym, x)
 		}
 		return st
@@ -187,7 +157,7 @@ func (p *funcProblem) transferAssign(st state, x *cast.AssignExpr) state {
 		return p.storeThrough(st, l.Base, evalInt(st, l.Index), x)
 	case *cast.UnaryExpr:
 		if l.Op == cast.UnaryDeref {
-			return p.storeThrough(st, l.Operand, Const(0), x)
+			return p.storeThrough(st, l.Operand, interval.Const(0), x)
 		}
 	}
 	return st
@@ -224,7 +194,7 @@ func (p *funcProblem) assignInt(st state, sym *cast.Symbol, x *cast.AssignExpr) 
 	case cast.AssignSub:
 		vs.val = old.val.Sub(rhs)
 	default:
-		vs.val = Top()
+		vs.val = interval.Top()
 	}
 	return st.set(sym.ID, vs)
 }
@@ -238,7 +208,7 @@ func (p *funcProblem) applyIncDec(st state, operand cast.Expr, delta int64) stat
 	switch {
 	case ctype.IsPointer(id.Sym.Type):
 		vs.off = vs.off.AddConst(delta * elemSize(id.Sym.Type))
-	case isIntVar(id.Sym):
+	case IsIntVar(id.Sym):
 		vs.val = vs.val.AddConst(delta)
 	default:
 		return st
@@ -248,7 +218,7 @@ func (p *funcProblem) applyIncDec(st state, operand cast.Expr, delta int64) stat
 
 // storeThrough models a store base[idx] = v (or *base = v with idx 0): it
 // updates the first-NUL interval of the stored-through variable.
-func (p *funcProblem) storeThrough(st state, base cast.Expr, idx Interval, x *cast.AssignExpr) state {
+func (p *funcProblem) storeThrough(st state, base cast.Expr, idx interval.Interval, x *cast.AssignExpr) state {
 	sym, extra, ok := resolveVar(st, base)
 	if !ok {
 		return st
@@ -260,11 +230,11 @@ func (p *funcProblem) storeThrough(st state, base cast.Expr, idx Interval, x *ca
 	}
 	if scale != 1 {
 		// Only byte stores move NUL terminators the analysis understands.
-		vs.strl = Range(0, PosInf)
+		vs.strl = interval.Range(0, interval.PosInf)
 		return st.set(sym.ID, vs)
 	}
 	pos := vs.off.Add(extra).Add(idx)
-	v := Top()
+	v := interval.Top()
 	if x.Op == cast.AssignPlain {
 		v = evalInt(st, x.RHS)
 	}
@@ -274,7 +244,7 @@ func (p *funcProblem) storeThrough(st state, base cast.Expr, idx Interval, x *ca
 
 // storeStrl applies the first-NUL transfer for a 1-byte store of value v
 // at object-relative position pos over the old first-NUL interval s.
-func storeStrl(s, pos, v Interval) Interval {
+func storeStrl(s, pos, v interval.Interval) interval.Interval {
 	if pos.IsEmpty() {
 		return s
 	}
@@ -290,42 +260,41 @@ func storeStrl(s, pos, v Interval) Interval {
 	case zero:
 		// A NUL lands somewhere in [pos.Lo, pos.Hi]: the first NUL moves to
 		// min(old, written position).
-		return Interval{min64(s.Lo, pos.Lo), min64(s.Hi, pos.Hi)}.ClampMin(0)
+		return interval.Interval{Lo: min(s.Lo, pos.Lo), Hi: min(s.Hi, pos.Hi)}.ClampMin(0)
 	case nonzero:
 		switch {
 		case pos.Hi < s.Lo:
 			return s // written strictly before the first NUL: unchanged
 		case pos.Lo == pos.Hi && pos.Lo == s.Lo:
 			// Definitely overwrites the earliest possible NUL position.
-			return Range(satAdd(s.Lo, 1), PosInf)
+			return interval.Range(interval.Inc(s.Lo), interval.PosInf)
 		default:
-			return Range(s.Lo, PosInf)
+			return interval.Range(s.Lo, interval.PosInf)
 		}
 	default:
 		// Unknown byte: join of the zero and nonzero outcomes.
-		z := Interval{min64(s.Lo, pos.Lo), min64(s.Hi, pos.Hi)}.ClampMin(0)
-		return z.Join(Range(s.Lo, PosInf))
+		z := interval.Interval{Lo: min(s.Lo, pos.Lo), Hi: min(s.Hi, pos.Hi)}.ClampMin(0)
+		return z.Join(interval.Range(s.Lo, interval.PosInf))
 	}
 }
 
 // --- library call effects ---------------------------------------------------
 
 func (p *funcProblem) transferCall(st state, call *cast.CallExpr) state {
-	arg := func(i int) cast.Expr { return argAt(call, i) }
 	switch call.Callee() {
 	case "memset":
-		return p.memsetEffect(st, arg(0), evalInt(st, arg(1)), evalInt(st, arg(2)))
+		return p.memsetEffect(st, call.Arg(0), evalInt(st, call.Arg(1)), evalInt(st, call.Arg(2)))
 	case "strcpy", "stpcpy":
-		return p.setStrlFromCopy(st, arg(0), strlenOf(st, arg(1)))
+		return p.setStrlFromCopy(st, call.Arg(0), strlenOf(st, call.Arg(1)))
 	case "strcat":
-		return p.strcatEffect(st, arg(0), strlenOf(st, arg(1)), Top())
+		return p.strcatEffect(st, call.Arg(0), strlenOf(st, call.Arg(1)), interval.Top())
 	case "strncat":
-		return p.strcatEffect(st, arg(0), strlenOf(st, arg(1)), evalInt(st, arg(2)))
+		return p.strcatEffect(st, call.Arg(0), strlenOf(st, call.Arg(1)), evalInt(st, call.Arg(2)))
 	case "sprintf":
-		return p.setStrlFromCopy(st, arg(0), formatLength(st, arg(1), call.Args, 2))
+		return p.setStrlFromCopy(st, call.Arg(0), formatLength(st, call.Arg(1), call.Args, 2))
 	case "snprintf", "vsprintf", "vsnprintf",
 		"strncpy", "memcpy", "memmove", "gets", "fgets":
-		return p.havocStrl(st, arg(0))
+		return p.havocStrl(st, call.Arg(0))
 	case "strcmp", "strncmp", "strlen", "printf", "puts", "putchar",
 		"free", "malloc", "calloc", "realloc", "exit", "abort",
 		"getchar", "fopen", "fclose", "strchr", "strrchr", "rand", "srand":
@@ -337,15 +306,15 @@ func (p *funcProblem) transferCall(st state, call *cast.CallExpr) state {
 
 // setStrlFromCopy sets the destination's first NUL to off + len for a
 // terminating copy of len bytes (strcpy/sprintf families).
-func (p *funcProblem) setStrlFromCopy(st state, dst cast.Expr, length Interval) state {
+func (p *funcProblem) setStrlFromCopy(st state, dst cast.Expr, length interval.Interval) state {
 	sym, extra, ok := resolveVar(st, dst)
 	if !ok {
 		return st
 	}
 	vs := st.get(sym.ID)
 	base := vs.off.Add(extra)
-	if length.Hi >= PosInf || base.IsTop() {
-		vs.strl = Range(max64(0, base.Lo), PosInf)
+	if length.Hi >= interval.PosInf || base.IsTop() {
+		vs.strl = interval.Range(max(0, base.Lo), interval.PosInf)
 	} else {
 		vs.strl = base.Add(length.ClampMin(0)).ClampMin(0)
 	}
@@ -354,25 +323,25 @@ func (p *funcProblem) setStrlFromCopy(st state, dst cast.Expr, length Interval) 
 
 // strcatEffect appends: the first NUL moves from strl to strl + len (or at
 // most strl + n for strncat).
-func (p *funcProblem) strcatEffect(st state, dst cast.Expr, srcLen, n Interval) state {
+func (p *funcProblem) strcatEffect(st state, dst cast.Expr, srcLen, n interval.Interval) state {
 	sym, _, ok := resolveVar(st, dst)
 	if !ok {
 		return st
 	}
 	vs := st.get(sym.ID)
 	add := srcLen
-	if n.Hi < PosInf && (add.Hi >= PosInf || add.Hi > n.Hi) {
-		add = Interval{max64(0, min64(add.Lo, n.Lo)), n.Hi}
+	if n.Hi < interval.PosInf && (add.Hi >= interval.PosInf || add.Hi > n.Hi) {
+		add = interval.Interval{Lo: max(0, min(add.Lo, n.Lo)), Hi: n.Hi}
 	}
-	if add.Hi >= PosInf || vs.strl.Hi >= PosInf {
-		vs.strl = Range(vs.strl.Lo, PosInf)
+	if add.Hi >= interval.PosInf || vs.strl.Hi >= interval.PosInf {
+		vs.strl = interval.Range(vs.strl.Lo, interval.PosInf)
 	} else {
 		vs.strl = vs.strl.Add(add.ClampMin(0)).ClampMin(0)
 	}
 	return st.set(sym.ID, vs)
 }
 
-func (p *funcProblem) memsetEffect(st state, dst cast.Expr, c, n Interval) state {
+func (p *funcProblem) memsetEffect(st state, dst cast.Expr, c, n interval.Interval) state {
 	sym, extra, ok := resolveVar(st, dst)
 	if !ok {
 		return st
@@ -380,25 +349,25 @@ func (p *funcProblem) memsetEffect(st state, dst cast.Expr, c, n Interval) state
 	vs := st.get(sym.ID)
 	start := vs.off.Add(extra)
 	cv, cExact := c.Exact()
-	nv, nExact := n.Exact()
+	_, nExact := n.Exact()
 	sv, sExact := start.Exact()
 	switch {
 	case cExact && cv == 0:
 		// The first written byte is a NUL.
-		vs.strl = Interval{min64(vs.strl.Lo, start.Lo), min64(vs.strl.Hi, start.Hi)}.ClampMin(0)
+		vs.strl = interval.Interval{Lo: min(vs.strl.Lo, start.Lo), Hi: min(vs.strl.Hi, start.Hi)}.ClampMin(0)
 	case cExact && cv != 0 && nExact && sExact:
 		// Bytes [sv, sv+nv-1] are all nonzero: no first NUL among them.
-		end := satAdd(sv, nv)
+		end := start.Add(n).Lo
 		switch {
 		case vs.strl.Hi < sv:
 			// NUL definitely before the region: unchanged.
 		case vs.strl.Lo >= sv:
-			vs.strl = Range(max64(vs.strl.Lo, end), PosInf)
+			vs.strl = interval.Range(max(vs.strl.Lo, end), interval.PosInf)
 		default:
-			vs.strl = Range(vs.strl.Lo, PosInf)
+			vs.strl = interval.Range(vs.strl.Lo, interval.PosInf)
 		}
 	default:
-		vs.strl = Range(0, PosInf)
+		vs.strl = interval.Range(0, interval.PosInf)
 	}
 	return st.set(sym.ID, vs)
 }
@@ -409,7 +378,7 @@ func (p *funcProblem) havocStrl(st state, dst cast.Expr) state {
 		return st
 	}
 	vs := st.get(sym.ID)
-	vs.strl = Range(0, PosInf)
+	vs.strl = interval.Range(0, interval.PosInf)
 	return st.set(sym.ID, vs)
 }
 
@@ -424,15 +393,15 @@ func (p *funcProblem) havocUserCall(st state, call *cast.CallExpr) state {
 		if u, ok := ua.(*cast.UnaryExpr); ok && u.Op == cast.UnaryAddrOf {
 			if id, ok := cast.Unparen(u.Operand).(*cast.Ident); ok && id.Sym != nil {
 				vs := st.get(id.Sym.ID)
-				vs.strl = Range(0, PosInf)
-				vs.val = Top()
+				vs.strl = interval.Range(0, interval.PosInf)
+				vs.val = interval.Top()
 				st = st.set(id.Sym.ID, vs)
 			}
 			continue
 		}
 		if sym, _, ok := resolveVar(st, ua); ok {
 			vs := st.get(sym.ID)
-			vs.strl = Range(0, PosInf)
+			vs.strl = interval.Range(0, interval.PosInf)
 			st = st.set(sym.ID, vs)
 		}
 	}
@@ -442,8 +411,8 @@ func (p *funcProblem) havocUserCall(st state, call *cast.CallExpr) state {
 		if !p.globalIDs[id] {
 			continue
 		}
-		vs.strl = Range(0, PosInf)
-		vs.val = Top()
+		vs.strl = interval.Range(0, interval.PosInf)
+		vs.val = interval.Top()
 		if vs.isTop() {
 			delete(out.vars, id)
 		} else {
@@ -458,17 +427,17 @@ func (p *funcProblem) havocUserCall(st state, call *cast.CallExpr) state {
 // resolveVar finds the variable a pointer expression is based on, plus any
 // byte offset accumulated through arithmetic on the way. It looks through
 // parens, casts, and ± of integer amounts.
-func resolveVar(st state, e cast.Expr) (*cast.Symbol, Interval, bool) {
+func resolveVar(st state, e cast.Expr) (*cast.Symbol, interval.Interval, bool) {
 	switch x := cast.Unparen(e).(type) {
 	case *cast.Ident:
 		if x.Sym != nil && isPtrVar(x.Sym) {
-			return x.Sym, Const(0), true
+			return x.Sym, interval.Const(0), true
 		}
 	case *cast.CastExpr:
 		return resolveVar(st, x.Operand)
 	case *cast.BinaryExpr:
 		if x.Op != cast.BinaryAdd && x.Op != cast.BinarySub {
-			return nil, Interval{}, false
+			return nil, interval.Interval{}, false
 		}
 		scale := elemSize(x.Type())
 		if sym, extra, ok := resolveVar(st, x.X); ok {
@@ -484,7 +453,7 @@ func resolveVar(st state, e cast.Expr) (*cast.Symbol, Interval, bool) {
 			}
 		}
 	}
-	return nil, Interval{}, false
+	return nil, interval.Interval{}, false
 }
 
 // evalPtr computes the abstract pointer value of e: the size, offset,
@@ -503,17 +472,17 @@ func evalPtr(st state, e cast.Expr) (varState, bool) {
 			// An array used before its CFG decl node is seen (e.g. via goto):
 			// its size is still known from the type.
 			if sz := x.Sym.Type.Size(); sz >= 0 {
-				vs.size = Const(int64(sz))
-				vs.off = Const(0)
+				vs.size = interval.Const(int64(sz))
+				vs.off = interval.Const(0)
 				vs.reg = regStack
 			}
 		}
 		return vs, true
 	case *cast.StringLit:
 		vs := topVar()
-		vs.size = Const(int64(len(x.Value)) + 1)
-		vs.off = Const(0)
-		vs.strl = Const(int64(len(x.Value)))
+		vs.size = interval.Const(int64(len(x.Value)) + 1)
+		vs.off = interval.Const(0)
+		vs.strl = interval.Const(int64(len(x.Value)))
 		vs.reg = regStack
 		return vs, true
 	case *cast.CastExpr:
@@ -557,11 +526,11 @@ func evalPtr(st state, e cast.Expr) (varState, bool) {
 	case *cast.CallExpr:
 		switch x.Callee() {
 		case "malloc":
-			return heapVar(evalInt(st, argAt(x, 0))), true
+			return heapVar(evalInt(st, x.Arg(0))), true
 		case "calloc":
-			return heapVar(evalInt(st, argAt(x, 0)).Mul(evalInt(st, argAt(x, 1)))), true
+			return heapVar(evalInt(st, x.Arg(0)).Mul(evalInt(st, x.Arg(1)))), true
 		case "realloc":
-			return heapVar(evalInt(st, argAt(x, 1))), true
+			return heapVar(evalInt(st, x.Arg(1))), true
 		}
 	case *cast.CondExpr:
 		a, okA := evalPtr(st, x.Then)
@@ -573,44 +542,37 @@ func evalPtr(st state, e cast.Expr) (varState, bool) {
 	return varState{}, false
 }
 
-func heapVar(size Interval) varState {
+func heapVar(size interval.Interval) varState {
 	vs := topVar()
 	vs.size = size.ClampMin(0)
-	vs.off = Const(0)
+	vs.off = interval.Const(0)
 	vs.reg = regHeap
 	return vs
 }
 
-func argAt(call *cast.CallExpr, i int) cast.Expr {
-	if i < len(call.Args) {
-		return call.Args[i]
-	}
-	return nil
-}
-
 // evalInt computes the integer interval of e under st.
-func evalInt(st state, e cast.Expr) Interval {
+func evalInt(st state, e cast.Expr) interval.Interval {
 	if e == nil {
-		return Top()
+		return interval.Top()
 	}
 	switch x := cast.Unparen(e).(type) {
 	case *cast.IntLit:
-		return Const(x.Value)
+		return interval.Const(x.Value)
 	case *cast.CharLit:
-		return Const(int64(x.Value))
+		return interval.Const(int64(x.Value))
 	case *cast.Ident:
 		if x.Sym == nil {
-			return Top()
+			return interval.Top()
 		}
 		if x.Sym.Kind == cast.SymEnumConst {
-			if v, ok := constOf(x); ok {
-				return Const(v)
+			if v, ok := ConstOf(x); ok {
+				return interval.Const(v)
 			}
 		}
-		if isIntVar(x.Sym) {
+		if IsIntVar(x.Sym) {
 			return st.get(x.Sym.ID).val
 		}
-		return Top()
+		return interval.Top()
 	case *cast.UnaryExpr:
 		switch x.Op {
 		case cast.UnaryMinus:
@@ -618,14 +580,14 @@ func evalInt(st state, e cast.Expr) Interval {
 		case cast.UnaryPlus:
 			return evalInt(st, x.Operand)
 		case cast.UnaryNot:
-			return Range(0, 1)
+			return interval.Range(0, 1)
 		}
-		return Top()
+		return interval.Top()
 	case *cast.SizeofExpr:
-		if v, ok := constOf(x); ok {
-			return Const(v)
+		if v, ok := ConstOf(x); ok {
+			return interval.Const(v)
 		}
-		return Range(0, PosInf)
+		return interval.Range(0, interval.PosInf)
 	case *cast.BinaryExpr:
 		a, b := evalInt(st, x.X), evalInt(st, x.Y)
 		switch x.Op {
@@ -637,13 +599,13 @@ func evalInt(st state, e cast.Expr) Interval {
 			return a.Mul(b)
 		case cast.BinaryLt, cast.BinaryGt, cast.BinaryLe, cast.BinaryGe,
 			cast.BinaryEq, cast.BinaryNe, cast.BinaryLAnd, cast.BinaryLOr:
-			return Range(0, 1)
+			return interval.Range(0, 1)
 		case cast.BinaryRem:
 			if k, ok := b.Exact(); ok && k > 0 && a.Lo >= 0 {
-				return Range(0, k-1)
+				return interval.Range(0, k-1)
 			}
 		}
-		return Top()
+		return interval.Top()
 	case *cast.CastExpr:
 		return evalInt(st, x.Operand)
 	case *cast.AssignExpr:
@@ -654,176 +616,21 @@ func evalInt(st state, e cast.Expr) Interval {
 		return evalInt(st, x.Then).Join(evalInt(st, x.Else))
 	case *cast.CallExpr:
 		if x.Callee() == "strlen" {
-			return strlenOf(st, argAt(x, 0))
+			return strlenOf(st, x.Arg(0))
 		}
-		return Top()
+		return interval.Top()
 	}
-	return Top()
+	return interval.Top()
 }
 
 // strlenOf returns the interval of strlen(p): the first NUL relative to
 // the pointer, i.e. strl - off.
-func strlenOf(st state, p cast.Expr) Interval {
+func strlenOf(st state, p cast.Expr) interval.Interval {
 	vs, ok := evalPtr(st, p)
-	if !ok || vs.strl.Hi >= PosInf || vs.off.IsTop() {
-		return Range(0, PosInf)
+	if !ok || vs.strl.Hi >= interval.PosInf || vs.off.IsTop() {
+		return interval.Range(0, interval.PosInf)
 	}
 	return vs.strl.Sub(vs.off).ClampMin(0)
-}
-
-// --- branch refinement ------------------------------------------------------
-
-// refine narrows st under the assumption that cond evaluates to truth.
-// Contradictory combinations return the unreached state.
-func refine(st state, cond cast.Expr, truth bool) state {
-	switch x := cast.Unparen(cond).(type) {
-	case *cast.IntLit:
-		if (x.Value != 0) != truth {
-			return unreached()
-		}
-		return st
-	case *cast.CharLit:
-		if (x.Value != 0) != truth {
-			return unreached()
-		}
-		return st
-	case *cast.UnaryExpr:
-		if x.Op == cast.UnaryNot {
-			return refine(st, x.Operand, !truth)
-		}
-		return st
-	case *cast.Ident:
-		if x.Sym == nil {
-			return st
-		}
-		if x.Sym.Kind == cast.SymEnumConst {
-			if v, ok := constOf(x); ok && (v != 0) != truth {
-				return unreached()
-			}
-			return st
-		}
-		if !isIntVar(x.Sym) {
-			return st
-		}
-		vs := st.get(x.Sym.ID)
-		if truth {
-			if z, ok := vs.val.Exact(); ok && z == 0 {
-				return unreached()
-			}
-			if vs.val.Lo == 0 {
-				vs.val.Lo = 1 // nonzero, and no negatives were possible
-				return st.set(x.Sym.ID, vs)
-			}
-			return st
-		}
-		nv := vs.val.Meet(Const(0))
-		if nv.IsEmpty() {
-			return unreached()
-		}
-		vs.val = nv
-		return st.set(x.Sym.ID, vs)
-	case *cast.BinaryExpr:
-		switch x.Op {
-		case cast.BinaryLAnd:
-			if truth {
-				return refine(refine(st, x.X, true), x.Y, true)
-			}
-			return st
-		case cast.BinaryLOr:
-			if !truth {
-				return refine(refine(st, x.X, false), x.Y, false)
-			}
-			return st
-		case cast.BinaryLt, cast.BinaryLe, cast.BinaryGt, cast.BinaryGe,
-			cast.BinaryEq, cast.BinaryNe:
-			return refineCompare(st, x, truth)
-		}
-	}
-	return st
-}
-
-func refineCompare(st state, x *cast.BinaryExpr, truth bool) state {
-	op := x.Op
-	if !truth {
-		op = negateCompare(op)
-	}
-	st = refineSide(st, x.X, op, evalInt(st, x.Y))
-	if !st.reach {
-		return st
-	}
-	return refineSide(st, x.Y, flipCompare(op), evalInt(st, x.X))
-}
-
-// refineSide narrows the integer variable e under "e op bound".
-func refineSide(st state, e cast.Expr, op cast.BinaryOp, bound Interval) state {
-	id, ok := cast.Unparen(e).(*cast.Ident)
-	if !ok || id.Sym == nil || !isIntVar(id.Sym) || id.Sym.Kind == cast.SymEnumConst {
-		return st
-	}
-	vs := st.get(id.Sym.ID)
-	v := vs.val
-	switch op {
-	case cast.BinaryLt:
-		v = v.Meet(Range(NegInf, satAdd(bound.Hi, -1)))
-	case cast.BinaryLe:
-		v = v.Meet(Range(NegInf, bound.Hi))
-	case cast.BinaryGt:
-		v = v.Meet(Range(satAdd(bound.Lo, 1), PosInf))
-	case cast.BinaryGe:
-		v = v.Meet(Range(bound.Lo, PosInf))
-	case cast.BinaryEq:
-		v = v.Meet(bound)
-	case cast.BinaryNe:
-		if z, exact := bound.Exact(); exact {
-			if cur, curExact := v.Exact(); curExact && cur == z {
-				return unreached()
-			}
-			if v.Lo == z {
-				v.Lo = z + 1
-			} else if v.Hi == z {
-				v.Hi = z - 1
-			}
-		}
-	default:
-		return st
-	}
-	if v.IsEmpty() {
-		return unreached()
-	}
-	vs.val = v
-	return st.set(id.Sym.ID, vs)
-}
-
-func negateCompare(op cast.BinaryOp) cast.BinaryOp {
-	switch op {
-	case cast.BinaryLt:
-		return cast.BinaryGe
-	case cast.BinaryLe:
-		return cast.BinaryGt
-	case cast.BinaryGt:
-		return cast.BinaryLe
-	case cast.BinaryGe:
-		return cast.BinaryLt
-	case cast.BinaryEq:
-		return cast.BinaryNe
-	case cast.BinaryNe:
-		return cast.BinaryEq
-	}
-	return op
-}
-
-func flipCompare(op cast.BinaryOp) cast.BinaryOp {
-	switch op {
-	case cast.BinaryLt:
-		return cast.BinaryGt
-	case cast.BinaryLe:
-		return cast.BinaryGe
-	case cast.BinaryGt:
-		return cast.BinaryLt
-	case cast.BinaryGe:
-		return cast.BinaryLe
-	}
-	return op
 }
 
 // --- helpers ----------------------------------------------------------------
@@ -842,33 +649,4 @@ func typeOf(e cast.Expr) ctype.Type {
 		return nil
 	}
 	return e.Type()
-}
-
-// constOf evaluates compile-time integer constants (literals, sizeof, enum
-// constants).
-func constOf(e cast.Expr) (int64, bool) {
-	switch x := cast.Unparen(e).(type) {
-	case *cast.IntLit:
-		return x.Value, true
-	case *cast.CharLit:
-		return int64(x.Value), true
-	case *cast.SizeofExpr:
-		if x.OfType != nil && x.OfType.Size() >= 0 {
-			return int64(x.OfType.Size()), true
-		}
-		if x.Operand != nil && x.Operand.Type() != nil && x.Operand.Type().Size() >= 0 {
-			return int64(x.Operand.Type().Size()), true
-		}
-	case *cast.Ident:
-		if x.Sym != nil && x.Sym.Kind == cast.SymEnumConst {
-			if en, ok := ctype.Unqualify(x.Sym.Type).(*ctype.Enum); ok {
-				for _, c := range en.Consts {
-					if c.Name == x.Name {
-						return c.Value, true
-					}
-				}
-			}
-		}
-	}
-	return 0, false
 }

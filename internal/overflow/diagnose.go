@@ -1,9 +1,17 @@
+// Package overflow implements a static buffer-overflow oracle: an
+// interprocedural interval analysis over buffer sizes, pointer offsets and
+// string lengths, plus a diagnostics pass that classifies unsafe accesses
+// into the CWEs of Table III (121/122/124/126/127/242) with a
+// definite/possible severity. It is the second client of the generic
+// internal/dataflow solver (the first being reaching definitions) and
+// complements the checked interpreter (internal/cinterp): the interpreter
+// proves an overflow by executing it, this package predicts one without
+// running the program. Its interprocedural engine (Engine) also drives
+// the integer-overflow oracle, internal/intflow.
 package overflow
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/buflen"
 	"repro/internal/callgraph"
@@ -13,6 +21,7 @@ import (
 	"repro/internal/ctype"
 	"repro/internal/dataflow"
 	"repro/internal/fault"
+	"repro/internal/interval"
 )
 
 // Severity grades a finding.
@@ -180,12 +189,10 @@ func DefaultOptions() Options {
 }
 
 // Facts is the subset of shared analysis facts the oracle consumes when a
-// facts snapshot (internal/analysis) is threaded in: the unit call graph,
-// per-function CFGs, and the symbolic buffer-length analyzer. Without a
-// provider the oracle derives private copies, as it always has.
+// facts snapshot (internal/analysis) is threaded in: the engine's unit
+// facts plus the symbolic buffer-length analyzer.
 type Facts interface {
-	CallGraph() *callgraph.Graph
-	CFG(fn *cast.FuncDef) *cfg.Graph
+	UnitFacts
 	BufLenAnalyzer() *buflen.Analyzer
 }
 
@@ -196,77 +203,47 @@ type Analyzer struct {
 	opts  Options
 	facts Facts
 
-	cg        *callgraph.Graph
+	eng       *Engine[state, varState, *funcProblem]
 	buf       *buflen.Analyzer
 	globals   map[int]varState
 	globalIDs map[int]bool
-	cfgs      map[string]*cfg.Graph
-	memo      map[string]*solveEntry
-	ready     bool
-
-	// Cross-run memoization (incremental sessions).
-	hashes  map[string]string // per-function dependency hashes from the facts provider
-	useMemo bool
-	optsSig string
-
-	// Fault-containment bookkeeping (DESIGN.md Section 9).
-	degradedFns  map[string]bool // functions whose interval solve was cut short
-	ctxSpent     int             // interprocedural contexts explored so far
-	interprocCut bool            // the context budget stopped propagation
 }
 
-type solveEntry struct {
-	g   *cfg.Graph
-	sol *dataflow.Solution[state]
-}
-
-// New creates an analyzer with default options.
-func New(unit *cast.TranslationUnit) *Analyzer {
-	return NewWithOptions(unit, DefaultOptions())
-}
-
-// NewWithOptions creates an analyzer with explicit options.
-func NewWithOptions(unit *cast.TranslationUnit, opts Options) *Analyzer {
-	return &Analyzer{unit: unit, opts: opts}
-}
-
-// NewWithFacts creates an analyzer that reuses shared analysis facts
-// instead of rebuilding the call graph, CFGs and buffer-length analysis.
-func NewWithFacts(unit *cast.TranslationUnit, opts Options, facts Facts) *Analyzer {
+// New creates an analyzer. A nil facts provider makes the oracle derive
+// private copies of the call graph, CFGs and buffer-length analysis.
+func New(unit *cast.TranslationUnit, opts Options, facts Facts) *Analyzer {
 	return &Analyzer{unit: unit, opts: opts, facts: facts}
 }
 
 func (a *Analyzer) ensure() {
-	if a.ready {
+	if a.eng != nil {
 		return
 	}
-	a.ready = true
-	if a.facts != nil {
-		a.cg = a.facts.CallGraph()
-		a.buf = a.facts.BufLenAnalyzer()
-	} else {
-		a.cg = callgraph.Build(a.unit)
-		a.buf = buflen.NewAnalyzer(a.unit)
+	o := Oracle[state, varState, *funcProblem]{
+		Name:         "overflow",
+		Solve:        "interval",
+		Unverified:   "interval analysis budget exhausted; memory accesses in this function are unverified",
+		ContextDepth: a.opts.ContextDepth,
+		Limits:       a.opts.Limits,
+		Memo:         a.opts.Memo,
+		Solves:       &solves,
+		Problem:      a.problem,
+		Check:        a.check,
+		ArgSeed:      a.argSeed,
+		SeedValue:    seedValue,
 	}
-	// Cross-run memoization arms only for unbudgeted runs whose facts
-	// provider exposes dependency hashes: budget degradation depends on
-	// visit order, which a memo hit would skip.
-	if a.opts.Memo != nil && a.opts.Limits.Steps == 0 && a.opts.Limits.Contexts == 0 {
-		if hp, ok := a.facts.(interface{ FuncHashes() map[string]string }); ok {
-			a.hashes = hp.FuncHashes()
-			a.useMemo = a.hashes != nil
-			a.optsSig = fmt.Sprintf("%d|%t", a.opts.ContextDepth, a.opts.SeedFromBuflen)
-			if fp := SeedFingerprint(a.opts.ExternSeeds); fp != "" {
-				a.optsSig += "|xtu=" + fp
-			}
-			if a.useMemo {
-				a.opts.Memo.BeginRun()
-			}
+	if o.Memo != nil {
+		o.OptsSig = fmt.Sprintf("%d|%t", a.opts.ContextDepth, a.opts.SeedFromBuflen)
+		if fp := SeedFingerprint(a.opts.ExternSeeds); fp != "" {
+			o.OptsSig += "|xtu=" + fp
 		}
 	}
-	a.cfgs = make(map[string]*cfg.Graph)
-	a.memo = make(map[string]*solveEntry)
-	a.degradedFns = make(map[string]bool)
+	a.eng = NewEngine(a.unit, a.facts, o)
+	if a.facts != nil {
+		a.buf = a.facts.BufLenAnalyzer()
+	} else {
+		a.buf = buflen.NewAnalyzer(a.unit)
+	}
 	a.globals = make(map[int]varState)
 	a.globalIDs = make(map[int]bool)
 	for _, sym := range a.unit.Symbols {
@@ -279,239 +256,44 @@ func (a *Analyzer) ensure() {
 		}
 		vs := topVar()
 		if sz := sym.Type.Size(); sz >= 0 {
-			vs.size = Const(int64(sz))
+			vs.size = interval.Const(int64(sz))
 		}
-		vs.off = Const(0)
+		vs.off = interval.Const(0)
 		vs.reg = regStack
 		a.globals[sym.ID] = vs
 	}
 }
 
-func (a *Analyzer) cfgFor(fn *cast.FuncDef) *cfg.Graph {
-	if a.facts != nil {
-		return a.facts.CFG(fn)
-	}
-	if g, ok := a.cfgs[fn.Name]; ok {
-		return g
-	}
-	g := cfg.Build(fn)
-	a.cfgs[fn.Name] = g
-	return g
+func (a *Analyzer) problem(fn *cast.FuncDef, seed map[int]varState) *funcProblem {
+	return &funcProblem{fn: fn, seed: seed, globals: a.globals, globalIDs: a.globalIDs}
 }
 
-// solve runs (or recalls) the interval analysis of fn under the given
-// parameter seed.
-func (a *Analyzer) solve(fn *cast.FuncDef, seed map[int]varState) (*cfg.Graph, *dataflow.Solution[state]) {
-	key := fn.Name + "|" + seedKey(seed)
-	if ent, ok := a.memo[key]; ok {
-		return ent.g, ent.sol
-	}
-	g := a.cfgFor(fn)
-	countSolve()
-	p := &funcProblem{fn: fn, seed: seed, globals: a.globals, globalIDs: a.globalIDs}
-	sol := dataflow.SolveForwardLimits[state](g, p, a.opts.Limits)
-	if sol.Degraded {
-		a.degradedFns[fn.Name] = true
-	}
-	a.memo[key] = &solveEntry{g: g, sol: sol}
-	return g, sol
+func seedValue(vs varState) string {
+	return fmt.Sprintf("%d,%d,%d,%d,%d,%d,%d,%d,%d",
+		vs.size.Lo, vs.size.Hi, vs.off.Lo, vs.off.Hi,
+		vs.strl.Lo, vs.strl.Hi, vs.val.Lo, vs.val.Hi, vs.reg)
 }
 
-func seedKey(seed map[int]varState) string {
-	if len(seed) == 0 {
-		return ""
-	}
-	ids := make([]int, 0, len(seed))
-	for id := range seed {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var sb strings.Builder
-	for _, id := range ids {
-		vs := seed[id]
-		fmt.Fprintf(&sb, "%d:%d,%d,%d,%d,%d,%d,%d,%d,%d;", id,
-			vs.size.Lo, vs.size.Hi, vs.off.Lo, vs.off.Hi,
-			vs.strl.Lo, vs.strl.Hi, vs.val.Lo, vs.val.Hi, vs.reg)
-	}
-	return sb.String()
-}
-
-// Analyze runs the oracle and returns the deduplicated findings in source
-// order. Budget-degraded functions contribute a SevPossible CWEIncomplete
-// finding each, so an exhausted budget can never read as a clean file.
+// Analyze runs the oracle — the engine's passes 1 and 2 plus pass 3,
+// the externally seeded contexts — and returns the deduplicated findings
+// in source order.
 func (a *Analyzer) Analyze() []Finding {
 	a.ensure()
-	var all []Finding
-	// Pass 1: every function with unknown parameters. Unknown sizes
-	// suppress reports, so this pass is quiet exactly where only a caller
-	// could make the access concrete.
-	for _, fn := range a.unit.Funcs {
-		fault.CheckCtx(a.opts.Limits.Ctx)
-		var key string
-		if a.useMemo {
-			if h, ok := a.hashes[fn.Name]; ok {
-				key = Pass1Key(a.oracleTag(), a.optsSig, fn.Name, h)
-				if fs, ok := a.opts.Memo.Load(key, a.unit.File); ok {
-					all = append(all, fs...)
-					continue
-				}
-			}
-		}
-		g, sol := a.solve(fn, nil)
-		fs := a.check(fn, g, sol, nil)
-		if key != "" {
-			a.opts.Memo.Store(key, fs)
-		}
-		all = append(all, fs...)
-	}
-	// Pass 2: propagate argument intervals from the call-graph roots.
-	if a.opts.ContextDepth > 0 {
-		for _, root := range a.cg.Roots() {
-			all = append(all, a.propagate(root, nil, []string{root.Name}, a.opts.ContextDepth)...)
-		}
-	}
-	// Pass 3: externally seeded contexts (cross-TU project mode).
-	all = append(all, a.seedFindings()...)
-	// Unit.Funcs order keeps degraded findings deterministic.
-	for _, fn := range a.unit.Funcs {
-		if a.degradedFns[fn.Name] {
-			all = append(all, a.degradedFinding(fn))
-		}
-	}
-	return dedup(all)
-}
-
-// degradedFinding is the never-silent marker for a function whose
-// interval solve was cut short by the step budget.
-func (a *Analyzer) degradedFinding(fn *cast.FuncDef) Finding {
-	f := Finding{
-		CWE:          CWEIncomplete,
-		Severity:     SevPossible,
-		Function:     fn.Name,
-		Degraded:     true,
-		Msg:          "interval analysis budget exhausted; memory accesses in this function are unverified",
-		SuggestedFix: "raise the solver step budget or audit the function manually",
-		Extent:       fn.Extent(),
-	}
-	if a.unit.File != nil {
-		f.Pos = a.unit.File.Position(f.Extent.Pos)
-	}
-	return f
+	return a.eng.Analyze(a.seedFindings)
 }
 
 // Degradations describes every budget cut the oracle took, for the
 // pipeline's Report.Degraded log.
 func (a *Analyzer) Degradations() []string {
-	if !a.ready {
+	if a.eng == nil {
 		return nil
 	}
-	var out []string
-	for _, fn := range a.unit.Funcs {
-		if a.degradedFns[fn.Name] {
-			out = append(out, fmt.Sprintf("overflow: interval solve budget exhausted in %s", fn.Name))
-		}
-	}
-	if a.interprocCut {
-		out = append(out, fmt.Sprintf(
-			"overflow: interprocedural context budget exhausted after %d contexts", a.ctxSpent))
-	}
-	return out
-}
-
-// oracleTag namespaces this oracle's memo keys. The integer-overflow
-// oracle (internal/intflow) shares the Memo type via the Finding alias
-// and tags its keys "int".
-func (a *Analyzer) oracleTag() string { return "ovf" }
-
-// subtreeKey builds the cross-run memo key for one propagation subtree,
-// or "" when the context is not memoizable (memo off, no hash for fn, or
-// a seed on something other than fn's parameters).
-func (a *Analyzer) subtreeKey(fn *cast.FuncDef, seed map[int]varState, chain []string, depth int) string {
-	if !a.useMemo {
-		return ""
-	}
-	h, ok := a.hashes[fn.Name]
-	if !ok {
-		return ""
-	}
-	return Pass2Key(a.oracleTag(), a.optsSig, h, chain, stableVarSeed(fn, seed), depth)
-}
-
-// stableVarSeed renders a parameter seed by parameter position so the
-// serialization survives re-parses (symbol IDs do not).
-func stableVarSeed(fn *cast.FuncDef, seed map[int]varState) string {
-	if len(seed) == 0 {
-		return ""
-	}
-	paramIndex := make(map[int]int, len(fn.Params))
-	for i, p := range fn.Params {
-		if p.Sym != nil {
-			paramIndex[p.Sym.ID] = i
-		}
-	}
-	values := make(map[int]string, len(seed))
-	for id, vs := range seed {
-		values[id] = fmt.Sprintf("%d,%d,%d,%d,%d,%d,%d,%d,%d",
-			vs.size.Lo, vs.size.Hi, vs.off.Lo, vs.off.Hi,
-			vs.strl.Lo, vs.strl.Hi, vs.val.Lo, vs.val.Hi, vs.reg)
-	}
-	return StableSeedKey(paramIndex, values)
-}
-
-func (a *Analyzer) propagate(fn *cast.FuncDef, seed map[int]varState, chain []string, depth int) []Finding {
-	fault.CheckCtx(a.opts.Limits.Ctx)
-	if max := a.opts.Limits.Contexts; max > 0 && a.ctxSpent >= max {
-		a.interprocCut = true
-		return nil
-	}
-	// A subtree hit replays this context and everything the recursion
-	// below it would derive — fn's dependency hash covers its transitive
-	// callees, so a hit proves none of them changed either.
-	key := a.subtreeKey(fn, seed, chain, depth)
-	if key != "" {
-		if out, ok := a.opts.Memo.Load(key, a.unit.File); ok {
-			return out
-		}
-	}
-	a.ctxSpent++
-	g, sol := a.solve(fn, seed)
-	var out []Finding
-	if len(chain) > 1 {
-		// Pass 1 already checked the empty-seed root context.
-		out = a.check(fn, g, sol, chain)
-	}
-	if depth > 0 {
-		for _, e := range a.cg.CallsFrom(fn.Name) {
-			if e.Callee == nil || inChain(chain, e.CalleeName) {
-				continue
-			}
-			n := g.NodeContaining(e.Call)
-			if n == nil || !sol.Reached[n.ID] {
-				continue
-			}
-			next := a.argSeed(sol.In[n.ID], e)
-			sub := append(append([]string(nil), chain...), e.CalleeName)
-			out = append(out, a.propagate(e.Callee, next, sub, depth-1)...)
-		}
-	}
-	if key != "" {
-		a.opts.Memo.Store(key, out)
-	}
-	return out
-}
-
-func inChain(chain []string, name string) bool {
-	for _, c := range chain {
-		if c == name {
-			return true
-		}
-	}
-	return false
+	return a.eng.Degradations()
 }
 
 // argSeed evaluates the call's arguments under the caller's state at the
 // call site and binds the resulting intervals to the callee's parameters.
-func (a *Analyzer) argSeed(st state, e callgraph.Edge) map[int]varState {
+func (a *Analyzer) argSeed(_ *funcProblem, st state, e callgraph.Edge) map[int]varState {
 	seed := make(map[int]varState)
 	for i, p := range e.Callee.Params {
 		if p.Sym == nil || i >= len(e.Call.Args) {
@@ -523,7 +305,7 @@ func (a *Analyzer) argSeed(st state, e callgraph.Edge) map[int]varState {
 			if vs, ok := evalPtr(st, arg); ok && !vs.isTop() {
 				seed[p.Sym.ID] = vs
 			}
-		case isIntVar(p.Sym):
+		case IsIntVar(p.Sym):
 			if iv := evalInt(st, arg); !iv.IsTop() {
 				vs := topVar()
 				vs.val = iv
@@ -537,14 +319,12 @@ func (a *Analyzer) argSeed(st state, e callgraph.Edge) map[int]varState {
 // --- per-function checking --------------------------------------------------
 
 type checker struct {
-	a     *Analyzer
-	fn    *cast.FuncDef
-	chain []string
-	out   []Finding
+	a *Analyzer
+	Collector
 }
 
-func (a *Analyzer) check(fn *cast.FuncDef, g *cfg.Graph, sol *dataflow.Solution[state], chain []string) []Finding {
-	c := &checker{a: a, fn: fn, chain: chain}
+func (a *Analyzer) check(fn *cast.FuncDef, g *cfg.Graph, sol *dataflow.Solution[state], _ *funcProblem, chain []string) []Finding {
+	c := &checker{a: a, Collector: Collector{File: a.unit.File, Fn: fn, Chain: chain}}
 	for _, n := range g.Nodes {
 		if !sol.Reached[n.ID] {
 			continue
@@ -570,7 +350,7 @@ func (a *Analyzer) check(fn *cast.FuncDef, g *cfg.Graph, sol *dataflow.Solution[
 			}
 		}
 	}
-	return c.out
+	return c.Out
 }
 
 // expr walks one expression tree, checking every memory access against the
@@ -677,7 +457,6 @@ func (c *checker) checkDeref(st state, x *cast.UnaryExpr, write bool) {
 // library routines.
 func (c *checker) checkCall(st state, call *cast.CallExpr) {
 	name := call.Callee()
-	arg := func(i int) cast.Expr { return argAt(call, i) }
 	switch name {
 	case "gets":
 		f := Finding{
@@ -686,65 +465,65 @@ func (c *checker) checkCall(st state, call *cast.CallExpr) {
 			Msg:          "gets cannot bound its write",
 			SuggestedFix: fixFor("gets"),
 		}
-		if sym, _, ok := resolveVar(st, arg(0)); ok && sym != nil {
+		if sym, _, ok := resolveVar(st, call.Arg(0)); ok && sym != nil {
 			f.Object = sym.Name
 		}
-		c.add(f, call)
+		c.Add(f, call)
 		return
 	case "strcpy", "stpcpy":
-		if vs, base, ok := ptrArg(st, arg(0)); ok {
-			end := base.Add(strlenOf(st, arg(1))).AddConst(1)
-			c.report(st, call, arg(0), vs, base, end, true, true, fixFor(name))
+		if vs, base, ok := ptrArg(st, call.Arg(0)); ok {
+			end := base.Add(strlenOf(st, call.Arg(1))).AddConst(1)
+			c.report(st, call, call.Arg(0), vs, base, end, true, true, fixFor(name))
 		}
 	case "strcat", "strncat":
-		if vs, _, ok := ptrArg(st, arg(0)); ok {
-			add := strlenOf(st, arg(1))
+		if vs, _, ok := ptrArg(st, call.Arg(0)); ok {
+			add := strlenOf(st, call.Arg(1))
 			if name == "strncat" {
-				n := evalInt(st, arg(2))
-				if n.Hi < PosInf && (add.Hi >= PosInf || add.Hi > n.Hi) {
-					add = Interval{max64(0, min64(add.Lo, n.Lo)), n.Hi}
+				n := evalInt(st, call.Arg(2))
+				if n.Hi < interval.PosInf && (add.Hi >= interval.PosInf || add.Hi > n.Hi) {
+					add = interval.Interval{Lo: max(0, min(add.Lo, n.Lo)), Hi: n.Hi}
 				}
 			}
 			end := vs.strl.Add(add).AddConst(1)
-			c.report(st, call, arg(0), vs, vs.strl, end, true, true, fixFor(name))
+			c.report(st, call, call.Arg(0), vs, vs.strl, end, true, true, fixFor(name))
 		}
 	case "sprintf":
-		if vs, base, ok := ptrArg(st, arg(0)); ok {
-			end := base.Add(formatLength(st, arg(1), call.Args, 2)).AddConst(1)
-			c.report(st, call, arg(0), vs, base, end, true, true, fixFor(name))
+		if vs, base, ok := ptrArg(st, call.Arg(0)); ok {
+			end := base.Add(formatLength(st, call.Arg(1), call.Args, 2)).AddConst(1)
+			c.report(st, call, call.Arg(0), vs, base, end, true, true, fixFor(name))
 		}
 	case "vsprintf":
-		if vs, base, ok := ptrArg(st, arg(0)); ok {
-			end := Range(base.Lo, PosInf)
-			c.report(st, call, arg(0), vs, base, end, true, true, fixFor(name))
+		if vs, base, ok := ptrArg(st, call.Arg(0)); ok {
+			end := interval.Range(base.Lo, interval.PosInf)
+			c.report(st, call, call.Arg(0), vs, base, end, true, true, fixFor(name))
 		}
 	case "strncpy", "memset":
-		if vs, base, ok := ptrArg(st, arg(0)); ok {
-			end := base.Add(evalInt(st, arg(2)).ClampMin(0))
-			c.report(st, call, arg(0), vs, base, end, true, true, fixFor(name))
+		if vs, base, ok := ptrArg(st, call.Arg(0)); ok {
+			end := base.Add(evalInt(st, call.Arg(2)).ClampMin(0))
+			c.report(st, call, call.Arg(0), vs, base, end, true, true, fixFor(name))
 		}
 	case "snprintf", "fgets":
-		if vs, base, ok := ptrArg(st, arg(0)); ok {
-			end := base.Add(evalInt(st, arg(1)).ClampMin(0))
-			c.report(st, call, arg(0), vs, base, end, true, true, fixFor(name))
+		if vs, base, ok := ptrArg(st, call.Arg(0)); ok {
+			end := base.Add(evalInt(st, call.Arg(1)).ClampMin(0))
+			c.report(st, call, call.Arg(0), vs, base, end, true, true, fixFor(name))
 		}
 	case "memcpy", "memmove":
-		n := evalInt(st, arg(2)).ClampMin(0)
-		if vs, base, ok := ptrArg(st, arg(0)); ok {
-			c.report(st, call, arg(0), vs, base, base.Add(n), true, true, fixFor(name))
+		n := evalInt(st, call.Arg(2)).ClampMin(0)
+		if vs, base, ok := ptrArg(st, call.Arg(0)); ok {
+			c.report(st, call, call.Arg(0), vs, base, base.Add(n), true, true, fixFor(name))
 		}
-		if vs, base, ok := ptrArg(st, arg(1)); ok {
-			c.report(st, call, arg(1), vs, base, base.Add(n), false, true, fixFor(name))
+		if vs, base, ok := ptrArg(st, call.Arg(1)); ok {
+			c.report(st, call, call.Arg(1), vs, base, base.Add(n), false, true, fixFor(name))
 		}
 	}
 }
 
 // ptrArg resolves a pointer argument to its variable state and absolute
 // base offset.
-func ptrArg(st state, e cast.Expr) (varState, Interval, bool) {
+func ptrArg(st state, e cast.Expr) (varState, interval.Interval, bool) {
 	sym, extra, ok := resolveVar(st, e)
 	if !ok {
-		return varState{}, Interval{}, false
+		return varState{}, interval.Interval{}, false
 	}
 	vs := st.get(sym.ID)
 	return vs, vs.off.Add(extra), true
@@ -752,12 +531,12 @@ func ptrArg(st state, e cast.Expr) (varState, Interval, bool) {
 
 // report classifies an access of bytes [start, end) against the object's
 // size interval and records a finding when it can violate bounds.
-func (c *checker) report(st state, site cast.Expr, base cast.Expr, vs varState, start, end Interval, write, viaLib bool, fix string) {
+func (c *checker) report(st state, site cast.Expr, base cast.Expr, vs varState, start, end interval.Interval, write, viaLib bool, fix string) {
 	sz, reg := vs.size, vs.reg
-	if sz.Hi >= PosInf && c.a.opts.SeedFromBuflen && base != nil {
-		if bsz, fail := c.a.buf.BufferLength(c.fn, base); fail == nil {
+	if sz.Hi >= interval.PosInf && c.a.opts.SeedFromBuflen && base != nil {
+		if bsz, fail := c.a.buf.BufferLength(c.Fn, base); fail == nil {
 			if n, known := bsz.KnownBytes(); known {
-				sz = Const(n)
+				sz = interval.Const(n)
 			}
 			if bsz.Kind == buflen.SizeHeap {
 				reg = regHeap
@@ -783,21 +562,21 @@ func (c *checker) report(st state, site cast.Expr, base cast.Expr, vs varState, 
 			cwe = 122
 		}
 		msg = fmt.Sprintf("write of bytes [%d,%s) exceeds object size %s",
-			max64(start.Lo, 0), boundStr(end.Hi), sz)
+			max(start.Lo, 0), boundStr(end.Hi), sz)
 	default:
 		cwe = 126
 		msg = fmt.Sprintf("read of bytes [%d,%s) exceeds object size %s",
-			max64(start.Lo, 0), boundStr(end.Hi), sz)
+			max(start.Lo, 0), boundStr(end.Hi), sz)
 	}
 	f := Finding{CWE: cwe, Severity: sev, Msg: msg, SuggestedFix: fix}
 	if sym, _, ok := resolveVar(st, base); ok && sym != nil {
 		f.Object = sym.Name
 	}
-	c.add(f, site)
+	c.Add(f, site)
 }
 
 func boundStr(n int64) string {
-	if n >= PosInf {
+	if n >= interval.PosInf {
 		return "+inf"
 	}
 	return fmt.Sprintf("%d", n)
@@ -813,8 +592,8 @@ func boundStr(n int64) string {
 // Accesses with unbounded start offsets, and accesses to objects of
 // unknown size, are skipped: with top intervals every access would be
 // flagged, drowning real findings.
-func classify(start, end, sz Interval, viaLib bool) (Severity, bool, bool) {
-	if start.Lo <= NegInf {
+func classify(start, end, sz interval.Interval, viaLib bool) (Severity, bool, bool) {
+	if start.Lo <= interval.NegInf {
 		return 0, false, false
 	}
 	if start.Hi < 0 {
@@ -823,13 +602,13 @@ func classify(start, end, sz Interval, viaLib bool) (Severity, bool, bool) {
 	if start.Lo < 0 {
 		return SevPossible, true, true
 	}
-	if sz.Hi >= PosInf || sz.Lo <= NegInf {
+	if sz.Hi >= interval.PosInf || sz.Lo <= interval.NegInf {
 		return 0, false, false
 	}
 	switch {
 	case end.Lo > sz.Hi:
 		return SevDefinite, false, true
-	case end.Hi >= PosInf:
+	case end.Hi >= interval.PosInf:
 		// Unbounded writes through unsafe library calls (strcpy of an
 		// unknown string) are the paper's canonical "possible" overflows;
 		// unbounded raw index accesses are almost always widening noise.
@@ -845,55 +624,8 @@ func classify(start, end, sz Interval, viaLib bool) (Severity, bool, bool) {
 	return 0, false, false
 }
 
-func (c *checker) add(f Finding, site cast.Expr) {
-	f.Function = c.fn.Name
-	f.Extent = site.Extent()
-	if c.a.unit.File != nil {
-		f.Pos = c.a.unit.File.Position(f.Extent.Pos)
-	}
-	if len(c.chain) > 1 {
-		f.Contexts = []string{strings.Join(c.chain, " -> ")}
-	}
-	c.out = append(c.out, f)
-}
-
-// dedup merges findings that name the same extent and CWE, keeping the
-// maximum severity and the union of contexts, and sorts by position.
-func dedup(all []Finding) []Finding {
-	type key struct {
-		pos, end ctoken.Pos
-		cwe      int
-	}
-	idx := make(map[key]int)
-	var out []Finding
-	for _, f := range all {
-		k := key{f.Extent.Pos, f.Extent.End, f.CWE}
-		if i, ok := idx[k]; ok {
-			if f.Severity > out[i].Severity {
-				out[i].Severity = f.Severity
-				out[i].Msg = f.Msg
-			}
-			for _, ctx := range f.Contexts {
-				if !inChain(out[i].Contexts, ctx) {
-					out[i].Contexts = append(out[i].Contexts, ctx)
-				}
-			}
-			continue
-		}
-		idx[k] = len(out)
-		out = append(out, f)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Extent.Pos != out[j].Extent.Pos {
-			return out[i].Extent.Pos < out[j].Extent.Pos
-		}
-		return out[i].CWE < out[j].CWE
-	})
-	return out
-}
-
 // Analyze is the package-level convenience entry point: run the oracle
 // with default options.
 func Analyze(unit *cast.TranslationUnit) []Finding {
-	return New(unit).Analyze()
+	return New(unit, DefaultOptions(), nil).Analyze()
 }

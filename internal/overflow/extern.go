@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cast"
 	"repro/internal/fault"
+	"repro/internal/interval"
 )
 
 // ArgSeed is one call argument's abstract value at an external call
@@ -21,14 +22,14 @@ type ArgSeed struct {
 	// the pointed-to object (allocation size, pointer offset, first-NUL
 	// index) and Reg its storage region (the region enum's numeric
 	// value).
-	HasPtr bool     `json:"has_ptr,omitempty"`
-	Size   Interval `json:"size,omitempty"`
-	Off    Interval `json:"off,omitempty"`
-	Strl   Interval `json:"strl,omitempty"`
-	Reg    uint8    `json:"reg,omitempty"`
+	HasPtr bool              `json:"has_ptr,omitempty"`
+	Size   interval.Interval `json:"size,omitempty"`
+	Off    interval.Interval `json:"off,omitempty"`
+	Strl   interval.Interval `json:"strl,omitempty"`
+	Reg    uint8             `json:"reg,omitempty"`
 	// HasInt marks a non-top integer evaluation of the argument.
-	HasInt bool     `json:"has_int,omitempty"`
-	Val    Interval `json:"val,omitempty"`
+	HasInt bool              `json:"has_int,omitempty"`
+	Val    interval.Interval `json:"val,omitempty"`
 }
 
 // CallSeed describes one call to a function the current TU does not
@@ -53,8 +54,8 @@ func (a *Analyzer) ExternalCalls() []CallSeed {
 	var out []CallSeed
 	for _, fn := range a.unit.Funcs {
 		fault.CheckCtx(a.opts.Limits.Ctx)
-		g, sol := a.solve(fn, nil)
-		for _, e := range a.cg.CallsFrom(fn.Name) {
+		g, sol, _ := a.eng.solve(fn, nil)
+		for _, e := range a.eng.CallGraph().CallsFrom(fn.Name) {
 			if e.Callee != nil {
 				continue
 			}
@@ -102,7 +103,7 @@ func bindSeed(fn *cast.FuncDef, args []ArgSeed) map[int]varState {
 			vs := topVar()
 			vs.size, vs.off, vs.strl, vs.reg = as.Size, as.Off, as.Strl, region(as.Reg)
 			seed[p.Sym.ID] = vs
-		case isIntVar(p.Sym) && as.HasInt:
+		case IsIntVar(p.Sym) && as.HasInt:
 			vs := topVar()
 			vs.val = as.Val
 			seed[p.Sym.ID] = vs
@@ -112,7 +113,7 @@ func bindSeed(fn *cast.FuncDef, args []ArgSeed) map[int]varState {
 }
 
 // externChainLabel tags cross-TU callers in context chains, so reports
-// read "main [extern] -> vuln" and inChain never confuses an external
+// read "main [extern] -> vuln" and propagation never confuses an external
 // caller with a same-named local function.
 func externChainLabel(caller string) string { return caller + " [extern]" }
 
@@ -146,7 +147,7 @@ func (a *Analyzer) seedFindings() []Finding {
 			continue
 		}
 		chain := []string{externChainLabel(cs.Caller), fn.Name}
-		out = append(out, a.propagate(fn, seed, chain, a.opts.ContextDepth-1)...)
+		out = append(out, a.eng.propagate(fn, seed, chain, a.opts.ContextDepth-1)...)
 	}
 	return out
 }

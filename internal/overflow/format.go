@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/cast"
+	"repro/internal/interval"
 )
 
 // formatLength estimates the interval of bytes sprintf produces (excluding
@@ -11,12 +12,12 @@ import (
 // argument list; firstVarArg indexes the argument consumed by the first
 // conversion. A non-literal format or an unrecognized conversion yields
 // [0, +inf).
-func formatLength(st state, fmtExpr cast.Expr, args []cast.Expr, firstVarArg int) Interval {
+func formatLength(st state, fmtExpr cast.Expr, args []cast.Expr, firstVarArg int) interval.Interval {
 	lit, ok := cast.Unparen(fmtExpr).(*cast.StringLit)
 	if !ok {
-		return Range(0, PosInf)
+		return interval.Range(0, interval.PosInf)
 	}
-	total := Const(0)
+	total := interval.Const(0)
 	next := firstVarArg
 	s := lit.Value
 	for i := 0; i < len(s); i++ {
@@ -26,7 +27,7 @@ func formatLength(st state, fmtExpr cast.Expr, args []cast.Expr, firstVarArg int
 		}
 		i++
 		if i >= len(s) {
-			return Range(0, PosInf)
+			return interval.Range(0, interval.PosInf)
 		}
 		if s[i] == '%' {
 			total = total.AddConst(1)
@@ -34,7 +35,7 @@ func formatLength(st state, fmtExpr cast.Expr, args []cast.Expr, firstVarArg int
 		}
 		spec, verb, adv := parseSpec(s[i:])
 		if verb == 0 {
-			return Range(0, PosInf)
+			return interval.Range(0, interval.PosInf)
 		}
 		i += adv
 		var a cast.Expr
@@ -97,8 +98,8 @@ func parseSpec(s string) (spec, byte, int) {
 }
 
 // convLength bounds the output of one conversion.
-func convLength(st state, sp spec, verb byte, arg cast.Expr) Interval {
-	pad := func(iv Interval) Interval {
+func convLength(st state, sp spec, verb byte, arg cast.Expr) interval.Interval {
+	pad := func(iv interval.Interval) interval.Interval {
 		if sp.width > 0 {
 			return iv.ClampMin(int64(sp.width))
 		}
@@ -106,9 +107,9 @@ func convLength(st state, sp spec, verb byte, arg cast.Expr) Interval {
 	}
 	switch verb {
 	case 'c':
-		return pad(Const(1))
+		return pad(interval.Const(1))
 	case 's':
-		l := Range(0, PosInf)
+		l := interval.Range(0, interval.PosInf)
 		if arg != nil {
 			l = strlenOf(st, arg)
 		}
@@ -128,34 +129,34 @@ func convLength(st state, sp spec, verb byte, arg cast.Expr) Interval {
 	case 'o':
 		return pad(octalLength(st, arg, sp))
 	case 'p':
-		return pad(Range(1, 18)) // implementation-defined; glibc ≤ "0x" + 16
+		return pad(interval.Range(1, 18)) // implementation-defined; glibc ≤ "0x" + 16
 	case 'f', 'g', 'e':
-		return Range(1, PosInf) // width/precision of floats not modeled
+		return interval.Range(1, interval.PosInf) // width/precision of floats not modeled
 	}
-	return Range(0, PosInf)
+	return interval.Range(0, interval.PosInf)
 }
 
 // digitLength bounds the decimal/hex digits of an integer argument: exact
 // when the interval is, otherwise up to maxDigits (incl. sign when signed).
-func digitLength(st state, arg cast.Expr, maxDigits int64, signed bool) Interval {
+func digitLength(st state, arg cast.Expr, maxDigits int64, signed bool) interval.Interval {
 	if arg == nil {
-		return Range(1, maxDigits)
+		return interval.Range(1, maxDigits)
 	}
 	iv := evalInt(st, arg)
-	if iv.Lo > NegInf && iv.Hi < PosInf {
-		lo := min64(decLen(iv.Lo), decLen(iv.Hi))
-		hi := max64(decLen(iv.Lo), decLen(iv.Hi))
+	if iv.Lo > interval.NegInf && iv.Hi < interval.PosInf {
+		lo := min(decLen(iv.Lo), decLen(iv.Hi))
+		hi := max(decLen(iv.Lo), decLen(iv.Hi))
 		if iv.Lo <= 0 && iv.Hi >= 0 {
 			lo = 1
 		}
-		return Range(lo, hi)
+		return interval.Range(lo, hi)
 	}
 	lo := int64(1)
 	if !signed && iv.Lo >= 0 {
 		// cannot shrink below one digit anyway
 		lo = 1
 	}
-	return Range(lo, maxDigits)
+	return interval.Range(lo, maxDigits)
 }
 
 func decLen(v int64) int64 {
@@ -173,15 +174,15 @@ func decLen(v int64) int64 {
 
 // octalLength bounds %o output. A char-range argument [0,255] prints 1–3
 // digits; precision gives the minimum.
-func octalLength(st state, arg cast.Expr, sp spec) Interval {
-	iv := Range(1, 11) // up to 0o37777777777 for 32-bit
+func octalLength(st state, arg cast.Expr, sp spec) interval.Interval {
+	iv := interval.Range(1, 11) // up to 0o37777777777 for 32-bit
 	if arg != nil {
 		a := evalInt(st, arg)
-		if a.Lo >= 0 && a.Hi < PosInf {
-			iv = Range(octLen(a.Lo), octLen(a.Hi))
-		} else if a.Lo > NegInf && a.Hi < PosInf {
+		if a.Lo >= 0 && a.Hi < interval.PosInf {
+			iv = interval.Range(octLen(a.Lo), octLen(a.Hi))
+		} else if a.Lo > interval.NegInf && a.Hi < interval.PosInf {
 			// Negative values wrap to large unsigned: up to 11 digits.
-			iv = Range(1, 11)
+			iv = interval.Range(1, 11)
 		}
 	}
 	if sp.prec >= 0 {

@@ -9,17 +9,16 @@ import (
 	"repro/internal/ctoken"
 )
 
-// solves counts interval/range fixpoint solves package-wide, the
-// incremental layer's analogue of cparse.Parses: equivalence tests read
-// it to prove that a memo-backed re-analysis did not re-derive facts for
-// untouched functions.
-var solves int64
+// solves counts the buffer oracle's interval fixpoint solves (the
+// integer oracle keeps its own count, intflow.Solves), the incremental
+// layer's analogue of cparse.Parses: equivalence tests read it to prove
+// that a memo-backed re-analysis did not re-derive facts for untouched
+// functions.
+var solves atomic.Int64
 
 // Solves returns the number of per-function fixpoint solves this package
 // has run since process start.
-func Solves() int64 { return atomic.LoadInt64(&solves) }
-
-func countSolve() { atomic.AddInt64(&solves, 1) }
+func Solves() int64 { return solves.Load() }
 
 // Memo carries oracle results across runs of the same evolving
 // translation unit — the incremental session's per-function fact store.
@@ -29,10 +28,10 @@ func countSolve() { atomic.AddInt64(&solves, 1) }
 // key can only match when every input that could change the function's
 // findings is unchanged.
 //
-// Two levels mirror the oracle's two passes:
+// Two levels mirror the engine's two passes:
 //
 //   - pass 1 (one entry per function, empty seed): the findings of
-//     solve(fn, nil) + check;
+//     solve(fn, nil) plus the oracle's check;
 //   - pass 2 (one entry per interprocedural context subtree): the
 //     findings of propagate(fn, seed, chain, depth) — fn's own findings
 //     under the seed plus everything the recursion below it produced.
@@ -176,22 +175,22 @@ func (m *Memo) Remap(mapExtent func(ctoken.Extent) (ctoken.Extent, bool)) {
 	}
 }
 
-// Pass1Key builds the memo key for a function's empty-seed analysis.
-func Pass1Key(oracle, optsSig, fnName, hash string) string {
+// pass1Key builds the memo key for a function's empty-seed analysis.
+func pass1Key(oracle, optsSig, fnName, hash string) string {
 	return oracle + "\x001\x00" + optsSig + "\x00" + fnName + "\x00" + hash
 }
 
-// Pass2Key builds the memo key for an interprocedural context subtree.
-func Pass2Key(oracle, optsSig, hash string, chain []string, seed string, depth int) string {
+// pass2Key builds the memo key for an interprocedural context subtree.
+func pass2Key(oracle, optsSig, hash string, chain []string, seed string, depth int) string {
 	return oracle + "\x002\x00" + optsSig + "\x00" + hash + "\x00" +
 		strings.Join(chain, "\x01") + "\x00" + seed + "\x00" + fmt.Sprint(depth)
 }
 
-// StableSeedKey serializes a per-parameter seed by parameter position so
+// stableSeedKey serializes a per-parameter seed by parameter position so
 // the key survives re-parses (symbol IDs do not). paramIndex maps the
 // current parse's parameter symbol IDs to their positions; values must
 // already be rendered deterministically by the caller.
-func StableSeedKey(paramIndex map[int]int, values map[int]string) string {
+func stableSeedKey(paramIndex map[int]int, values map[int]string) string {
 	if len(values) == 0 {
 		return ""
 	}

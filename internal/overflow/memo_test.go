@@ -85,37 +85,37 @@ func TestMemoNilSafety(t *testing.T) {
 
 func TestStableSeedKeyOrdersByParamPosition(t *testing.T) {
 	paramIndex := map[int]int{42: 1, 7: 0}
-	a := StableSeedKey(paramIndex, map[int]string{42: "B", 7: "A"})
-	b := StableSeedKey(paramIndex, map[int]string{7: "A", 42: "B"})
+	a := stableSeedKey(paramIndex, map[int]string{42: "B", 7: "A"})
+	b := stableSeedKey(paramIndex, map[int]string{7: "A", 42: "B"})
 	if a != b {
 		t.Fatalf("iteration order leaked into key: %q vs %q", a, b)
 	}
 	if want := "0=A;1=B;"; a != want {
 		t.Fatalf("key = %q, want %q", a, want)
 	}
-	if StableSeedKey(paramIndex, nil) != "" {
+	if stableSeedKey(paramIndex, nil) != "" {
 		t.Fatal("empty seed must serialize empty")
 	}
 }
 
 func TestStableSeedKeyRefusesNonParamSymbols(t *testing.T) {
-	key := StableSeedKey(map[int]int{1: 0}, map[int]string{99: "X"})
+	key := stableSeedKey(map[int]int{1: 0}, map[int]string{99: "X"})
 	if !strings.Contains(key, "unstable") {
 		t.Fatalf("non-parameter seed produced a reusable key: %q", key)
 	}
 }
 
 func TestPassKeysDisjoint(t *testing.T) {
-	p1 := Pass1Key("ovf", "2|t", "f", "h")
-	p2 := Pass2Key("ovf", "2|t", "h", []string{"f"}, "", 0)
+	p1 := pass1Key("ovf", "2|t", "f", "h")
+	p2 := pass2Key("ovf", "2|t", "h", []string{"f"}, "", 0)
 	if p1 == p2 {
 		t.Fatal("pass-1 and pass-2 keys collide")
 	}
-	if Pass1Key("ovf", "s", "f", "h") == Pass1Key("int", "s", "f", "h") {
+	if pass1Key("ovf", "s", "f", "h") == pass1Key("int", "s", "f", "h") {
 		t.Fatal("oracle tags must separate key spaces")
 	}
-	if Pass2Key("ovf", "s", "h", []string{"a", "b"}, "x", 1) ==
-		Pass2Key("ovf", "s", "h", []string{"a"}, "b\x00x", 1) {
+	if pass2Key("ovf", "s", "h", []string{"a", "b"}, "x", 1) ==
+		pass2Key("ovf", "s", "h", []string{"a"}, "b\x00x", 1) {
 		t.Fatal("chain/seed boundary ambiguity")
 	}
 }

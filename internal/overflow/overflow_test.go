@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/cparse"
+	"repro/internal/interval"
 	"repro/internal/typecheck"
 )
 
@@ -235,39 +236,39 @@ func TestLibtiffCVEFlaggedCWE121Definite(t *testing.T) {
 }
 
 func TestStoreStrlTransfer(t *testing.T) {
-	top := Range(0, PosInf)
+	top := interval.Range(0, interval.PosInf)
 	// A NUL store bounds the first NUL from above (one may exist earlier).
-	if got := storeStrl(top, Const(5), Const(0)); got != Range(0, 5) {
+	if got := storeStrl(top, interval.Const(5), interval.Const(0)); got != interval.Range(0, 5) {
 		t.Fatalf("zero store over unknown: got %v", got)
 	}
 	// When the old first NUL was provably later, the store pins it exactly.
-	if got := storeStrl(Range(9, PosInf), Const(5), Const(0)); got != Const(5) {
+	if got := storeStrl(interval.Range(9, interval.PosInf), interval.Const(5), interval.Const(0)); got != interval.Const(5) {
 		t.Fatalf("zero store below known NUL: got %v", got)
 	}
 	// Non-zero store before the first NUL changes nothing.
-	if got := storeStrl(Const(7), Const(3), Const(65)); got != Const(7) {
+	if got := storeStrl(interval.Const(7), interval.Const(3), interval.Const(65)); got != interval.Const(7) {
 		t.Fatalf("store before NUL: got %v", got)
 	}
 	// Non-zero store exactly on the unique first NUL pushes it right.
-	if got := storeStrl(Const(7), Const(7), Const(65)); got != Range(8, PosInf) {
+	if got := storeStrl(interval.Const(7), interval.Const(7), interval.Const(65)); got != interval.Range(8, interval.PosInf) {
 		t.Fatalf("store on NUL: got %v", got)
 	}
 	// Unknown byte joins both outcomes.
-	got := storeStrl(Const(7), Const(2), Top())
-	if got.Lo != 2 || got.Hi != PosInf {
+	got := storeStrl(interval.Const(7), interval.Const(2), interval.Top())
+	if got.Lo != 2 || got.Hi != interval.PosInf {
 		t.Fatalf("unknown store: got %v", got)
 	}
 }
 
 func TestIntervalWiden(t *testing.T) {
-	a := Range(0, 4)
-	if w := a.Widen(Range(0, 9)); w != Range(0, PosInf) {
+	a := interval.Range(0, 4)
+	if w := a.Widen(interval.Range(0, 9)); w != interval.Range(0, interval.PosInf) {
 		t.Fatalf("upper widen: got %v", w)
 	}
-	if w := a.Widen(Range(-3, 4)); w != Range(NegInf, 4) {
+	if w := a.Widen(interval.Range(-3, 4)); w != interval.Range(interval.NegInf, 4) {
 		t.Fatalf("lower widen: got %v", w)
 	}
-	if w := a.Widen(Range(1, 3)); w != a {
+	if w := a.Widen(interval.Range(1, 3)); w != a {
 		t.Fatalf("contained widen should be stable: got %v", w)
 	}
 }

@@ -3,6 +3,7 @@ package overflow
 import (
 	"repro/internal/cast"
 	"repro/internal/ctype"
+	"repro/internal/interval"
 )
 
 // region classifies the storage of the object a pointer refers to; it
@@ -24,10 +25,10 @@ const (
 //	off  — the pointer's offset into the object
 //	strl — index of the first NUL byte (string length from object start)
 type varState struct {
-	size Interval
-	off  Interval
-	strl Interval
-	val  Interval
+	size interval.Interval
+	off  interval.Interval
+	strl interval.Interval
+	val  interval.Interval
 	reg  region
 }
 
@@ -35,10 +36,10 @@ type varState struct {
 // absent from the state map).
 func topVar() varState {
 	return varState{
-		size: Top(),
-		off:  Top(),
-		strl: Range(0, PosInf), // a first-NUL index is never negative
-		val:  Top(),
+		size: interval.Top(),
+		off:  interval.Top(),
+		strl: interval.Range(0, interval.PosInf), // a first-NUL index is never negative
+		val:  interval.Top(),
 		reg:  regUnknown,
 	}
 }
@@ -81,7 +82,19 @@ type state struct {
 	vars  map[int]varState
 }
 
-func unreached() state { return state{} }
+// Reached reports whether any execution reaches the program point; the
+// zero state is the unreached one.
+func (s state) Reached() bool { return s.reach }
+
+// Int returns the value interval of integer variable id.
+func (s state) Int(id int) interval.Interval { return s.get(id).val }
+
+// WithInt returns a copy of s with integer variable id narrowed to v.
+func (s state) WithInt(id int, v interval.Interval) state {
+	vs := s.get(id)
+	vs.val = v
+	return s.set(id, vs)
+}
 
 func (s state) get(id int) varState {
 	if vs, ok := s.vars[id]; ok {
@@ -110,7 +123,7 @@ func (s state) clone() state {
 	return out
 }
 
-func (s state) equal(o state) bool {
+func (s state) Equal(o state) bool {
 	if s.reach != o.reach {
 		return false
 	}
@@ -126,7 +139,7 @@ func (s state) equal(o state) bool {
 	return true
 }
 
-func (s state) join(o state) state {
+func (s state) Join(o state) state {
 	if !s.reach {
 		return o
 	}
@@ -147,7 +160,7 @@ func (s state) join(o state) state {
 	return out
 }
 
-func (s state) widenFrom(next state) state {
+func (s state) Widen(next state) state {
 	if !s.reach {
 		return next
 	}
@@ -166,12 +179,6 @@ func (s state) widenFrom(next state) state {
 		}
 	}
 	return out
-}
-
-// isIntVar reports whether the symbol holds an arithmetic value the
-// analysis tracks through val.
-func isIntVar(sym *cast.Symbol) bool {
-	return sym != nil && ctype.IsInteger(sym.Type)
 }
 
 // isPtrVar reports whether the symbol denotes a buffer (array) or may
