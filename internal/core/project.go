@@ -13,9 +13,9 @@ import (
 	"repro/internal/buflen"
 	"repro/internal/cpp"
 	"repro/internal/ctoken"
+	"repro/internal/edit"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/rewrite"
 	"repro/internal/slr"
 	"repro/internal/str"
 )
@@ -54,18 +54,18 @@ func IncludeHash(res *cpp.Result) string {
 	return hex.EncodeToString(h[:8])
 }
 
-// remapEdits maps each edit's extent from preprocessed coordinates back
-// into the main original file and applies the edits that survive to src,
-// the original text. An edit remaps cleanly when the source map proves
-// byte-exactness and the target is the main file (not a header). Owner
-// groups containing any unclean edit are declined wholesale — a repair
-// is all-or-nothing — and reported in declined as owner -> human-readable
-// reason. Ownerless edits are declined individually.
-func remapEdits(src string, edits []rewrite.Edit, m *cpp.SourceMap) (out string, declined map[string]string, err error) {
+// remapEdits maps each delta's extent from preprocessed coordinates back
+// into the main original file and applies the deltas that survive to
+// src, the original text. A delta remaps cleanly when the source map
+// proves byte-exactness and the target is the main file (not a header).
+// Owner groups containing any unclean delta are declined wholesale — a
+// repair is all-or-nothing — and reported in declined as owner ->
+// human-readable reason. Ownerless deltas are declined individually.
+func remapEdits(src string, deltas []edit.Delta, m *cpp.SourceMap) (out string, declined map[string]string, err error) {
 	declined = make(map[string]string)
-	clean := make([]rewrite.Edit, 0, len(edits))
-	for _, e := range edits {
-		org, exact := m.ToOriginal(e.Extent)
+	clean := make([]edit.Delta, 0, len(deltas))
+	for _, d := range deltas {
+		org, exact := m.ToOriginal(d.Extent)
 		if !exact || org.File != m.MainFile() {
 			reason := "maps into included file " + org.File
 			if org.Macro != "" {
@@ -73,24 +73,24 @@ func remapEdits(src string, edits []rewrite.Edit, m *cpp.SourceMap) (out string,
 			} else if org.File == m.MainFile() {
 				reason = "does not map byte-exactly to the original text"
 			}
-			if _, dup := declined[e.Owner]; !dup {
-				declined[e.Owner] = reason
+			if _, dup := declined[d.Owner]; !dup {
+				declined[d.Owner] = reason
 			}
 			continue
 		}
-		e.Extent = org.Extent
-		clean = append(clean, e)
+		d.Extent = org.Extent
+		clean = append(clean, d)
 	}
-	var set rewrite.Set
-	for _, e := range clean {
-		if _, bad := declined[e.Owner]; !bad || e.Owner == "" {
-			set.Add(e)
+	kept := clean[:0]
+	for _, d := range clean {
+		if _, bad := declined[d.Owner]; !bad || d.Owner == "" {
+			kept = append(kept, d)
 		}
 	}
-	if set.Len() == 0 {
+	if len(kept) == 0 {
 		return src, declined, nil
 	}
-	out, err = set.Apply(src)
+	out, err = edit.Splice(src, edit.Sort(kept))
 	return out, declined, err
 }
 

@@ -124,16 +124,6 @@ func Preprocess(filename, source string, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// PreprocessFile reads path (through opts.Open when set) and
-// preprocesses it.
-func PreprocessFile(path string, opts Options) (*Result, error) {
-	src, ok := readThrough(opts.Open, path)
-	if !ok {
-		return nil, fmt.Errorf("cpp: cannot read %s", path)
-	}
-	return Preprocess(path, src, opts)
-}
-
 func readThrough(open func(string) (string, bool), path string) (string, bool) {
 	if open != nil {
 		return open(path)

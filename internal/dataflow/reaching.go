@@ -100,7 +100,7 @@ func ComputeReaching(g *cfg.Graph, aliases AliasOracle) *ReachingDefs {
 }
 
 // ComputeReachingLimits is ComputeReaching under fault-containment
-// limits (cancellation and a step budget; see ForwardLimits).
+// limits (cancellation and a step budget; see ForwardMetered).
 func ComputeReachingLimits(g *cfg.Graph, aliases AliasOracle, lim fault.Limits) *ReachingDefs {
 	rd := &ReachingDefs{
 		Graph:     g,
@@ -302,11 +302,4 @@ func defsForCall(n *cfg.Node, call *cast.CallExpr, aliases AliasOracle) []*Def {
 	// pointer symbol; pointer-value tracking is what Algorithm 1 needs.
 	_ = aliases
 	return defs
-}
-
-// IsBufferWrite reports whether t is a type whose object could be a buffer
-// destination (char array or pointer), used by callers assembling
-// diagnostics.
-func IsBufferWrite(t ctype.Type) bool {
-	return t != nil && (ctype.IsCharPointer(t) || ctype.IsCharArray(t))
 }

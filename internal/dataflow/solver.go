@@ -5,31 +5,20 @@ import (
 	"repro/internal/fault"
 )
 
-// Forward solves a forward may-dataflow problem (union-meet, gen/kill
-// transfer) over the CFG with the traditional worklist algorithm the
-// paper's Section III-A prescribes. nBits is the fact-universe size;
-// gen/kill give each node's transfer function. It returns the IN set of
-// every node (indexed by node ID).
-func Forward(g *cfg.Graph, nBits int, gen, kill func(nodeID int) BitSet) []BitSet {
-	in, _ := ForwardLimits(g, nBits, gen, kill, fault.Limits{})
-	return in
-}
-
-// ForwardLimits is Forward under fault-containment limits: the context
-// in lim is polled at every worklist iteration (cancellation aborts via
-// the fault sentinel), and when the step budget is exhausted the solver
-// degrades to the conservative top — every fact reaches every node — and
-// reports degraded=true. For a may-analysis, all-ones IN sets are always
-// a sound (if imprecise) answer.
-func ForwardLimits(g *cfg.Graph, nBits int, gen, kill func(nodeID int) BitSet, lim fault.Limits) (in []BitSet, degraded bool) {
-	in, degraded, _ = ForwardMetered(g, nBits, gen, kill, lim)
-	return in, degraded
-}
-
-// ForwardMetered is ForwardLimits exposing the solver effort: steps is
-// the number of worklist iterations consumed (fault.Meter's count),
-// which the observability layer attaches to the reaching-definitions
-// stage span.
+// ForwardMetered solves a forward may-dataflow problem (union-meet,
+// gen/kill transfer) over the CFG with the traditional worklist
+// algorithm the paper's Section III-A prescribes. nBits is the
+// fact-universe size; gen/kill give each node's transfer function. It
+// returns the IN set of every node (indexed by node ID) and steps, the
+// number of worklist iterations consumed (fault.Meter's count), which
+// the observability layer attaches to the reaching-definitions stage
+// span.
+//
+// The context in lim is polled at every worklist iteration
+// (cancellation aborts via the fault sentinel), and when the step budget
+// is exhausted the solver degrades to the conservative top — every fact
+// reaches every node — and reports degraded=true. For a may-analysis,
+// all-ones IN sets are always a sound (if imprecise) answer.
 func ForwardMetered(g *cfg.Graph, nBits int, gen, kill func(nodeID int) BitSet, lim fault.Limits) (in []BitSet, degraded bool, steps int) {
 	n := len(g.Nodes)
 	in = make([]BitSet, n)

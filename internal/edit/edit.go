@@ -5,17 +5,20 @@
 // collected in any order are sorted, validated against the original
 // length, and spliced in one pass.
 //
-// The package is the single home of the splice and offset-remapping
-// arithmetic: internal/rewrite (the transformation rewriter) delegates
-// its extent splicing here, and internal/incremental consumes Script,
-// Compose and Mapper to model editor traffic (LSP didChange batches)
-// against live analysis sessions. It sits at the leaf of the dependency
-// graph and imports only internal/ctoken.
+// Delta is the one edit type in the tree. The transformations (SLR, STR)
+// queue their repairs into a Script, tagging each delta with the repair
+// group that owns it; project mode remaps those deltas through the
+// preprocessor's source map and splices the survivors; and
+// internal/incremental applies editor traffic (LSP didChange batches) as
+// Scripts and carries analysis facts across them with Mapper. The
+// package sits at the leaf of the dependency graph and imports only
+// internal/ctoken.
 package edit
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/ctoken"
@@ -29,6 +32,12 @@ import (
 type Delta struct {
 	Extent ctoken.Extent
 	Text   string
+	// Owner groups deltas that must apply (or be dropped) together — one
+	// SLR call site ("site:<n>"), one STR function ("func:<name>").
+	// Project mode uses it to decline a whole repair when any of its
+	// deltas fails to map back through the preprocessor's source map.
+	// Empty for standalone deltas.
+	Owner string
 }
 
 // Insert builds a pure insertion at pos.
@@ -52,16 +61,22 @@ func (d Delta) IsInsert() bool { return d.Extent.Len() == 0 }
 // Shift returns the length change the delta contributes.
 func (d Delta) Shift() int { return len(d.Text) - d.Extent.Len() }
 
-// String renders the delta compactly for logs and error messages.
+// String renders the delta compactly for logs and error messages,
+// naming its owner when it has one.
 func (d Delta) String() string {
+	var s string
 	switch {
 	case d.IsInsert():
-		return fmt.Sprintf("insert %q at %d", clip(d.Text), d.Extent.Pos)
+		s = fmt.Sprintf("insert %q at %d", clip(d.Text), d.Extent.Pos)
 	case d.Text == "":
-		return fmt.Sprintf("delete [%d,%d)", d.Extent.Pos, d.Extent.End)
+		s = fmt.Sprintf("delete [%d,%d)", d.Extent.Pos, d.Extent.End)
 	default:
-		return fmt.Sprintf("replace [%d,%d) with %q", d.Extent.Pos, d.Extent.End, clip(d.Text))
+		s = fmt.Sprintf("replace [%d,%d) with %q", d.Extent.Pos, d.Extent.End, clip(d.Text))
 	}
+	if d.Owner != "" {
+		s += " of " + d.Owner
+	}
+	return s
 }
 
 func clip(s string) string {
@@ -102,11 +117,11 @@ func (e *OverlapError) Error() string {
 // replaced span's start lands before the replacement. It sorts in place
 // and returns its argument for chaining.
 func Sort(deltas []Delta) []Delta {
-	sort.SliceStable(deltas, func(i, j int) bool {
-		if deltas[i].Extent.Pos != deltas[j].Extent.Pos {
-			return deltas[i].Extent.Pos < deltas[j].Extent.Pos
+	slices.SortStableFunc(deltas, func(a, b Delta) int {
+		if c := cmp.Compare(a.Extent.Pos, b.Extent.Pos); c != 0 {
+			return c
 		}
-		return deltas[i].Extent.End < deltas[j].Extent.End
+		return cmp.Compare(a.Extent.End, b.Extent.End)
 	})
 	return deltas
 }
@@ -116,13 +131,8 @@ func Sort(deltas []Delta) []Delta {
 // byte. Multiple insertions at one position are legal and apply in queue
 // order. The slice is not modified.
 func Validate(srcLen int, deltas []Delta) error {
-	return validateSorted(srcLen, Sort(append([]Delta(nil), deltas...)))
-}
-
-// validateSorted is Validate over already-sorted deltas.
-func validateSorted(srcLen int, deltas []Delta) error {
 	cursor := ctoken.Pos(0)
-	for i, d := range deltas {
+	for i, d := range Sort(append([]Delta(nil), deltas...)) {
 		if !d.Extent.IsValid() || int(d.Extent.End) > srcLen {
 			return &BoundsError{Index: i, Delta: d, SrcLen: srcLen}
 		}
@@ -136,9 +146,9 @@ func validateSorted(srcLen int, deltas []Delta) error {
 	return nil
 }
 
-// Splice applies sorted deltas to src in one pass, re-checking bounds
-// and overlap as it goes. It is the single splice implementation shared
-// by this package and internal/rewrite; callers sort first (Sort).
+// Splice applies sorted deltas to src in one pass, checking bounds and
+// overlap as it goes with the same errors Validate returns. It is
+// the tree's one splice implementation; callers sort first (Sort).
 func Splice(src string, deltas []Delta) (string, error) {
 	var sb strings.Builder
 	grow := len(src)
@@ -165,6 +175,7 @@ func Splice(src string, deltas []Delta) (string, error) {
 // Script is an ordered batch of deltas against one original text.
 type Script struct {
 	deltas []Delta
+	owner  string
 }
 
 // NewScript builds a script from deltas. The deltas are copied and kept
@@ -174,14 +185,19 @@ func NewScript(deltas ...Delta) *Script {
 	return &Script{deltas: append([]Delta(nil), deltas...)}
 }
 
+// SetOwner makes owner the Owner of every delta Add queues from now on
+// that carries none. Transformations set it once per repair unit instead
+// of threading an owner through every queue call.
+func (s *Script) SetOwner(owner string) { s.owner = owner }
+
 // Add appends a delta and returns the script for chaining.
 func (s *Script) Add(d Delta) *Script {
+	if d.Owner == "" {
+		d.Owner = s.owner
+	}
 	s.deltas = append(s.deltas, d)
 	return s
 }
-
-// Len returns the number of deltas.
-func (s *Script) Len() int { return len(s.deltas) }
 
 // Deltas returns a sorted copy of the script's deltas.
 func (s *Script) Deltas() []Delta {
@@ -193,187 +209,18 @@ func (s *Script) Validate(srcLen int) error {
 	return Validate(srcLen, s.deltas)
 }
 
-// Apply validates the script against src and splices the new text.
+// Apply splices the script into src; a delta out of bounds or
+// overlapping an earlier one is a *BoundsError or *OverlapError.
 func (s *Script) Apply(src string) (string, error) {
-	sorted := s.Deltas()
-	if err := validateSorted(len(src), sorted); err != nil {
-		return "", err
-	}
-	return Splice(src, sorted)
-}
-
-// NewLen returns the length of the text the script produces from a
-// source of srcLen bytes.
-func (s *Script) NewLen(srcLen int) int {
-	n := srcLen
-	for _, d := range s.deltas {
-		n += d.Shift()
-	}
-	return n
-}
-
-// piece is one run of the edited text: either a retained span of the
-// original (ins false) or synthetic text introduced by a delta (ins
-// true). A piece table — retained spans always in increasing original
-// order — is how Compose reasons about an applied script.
-type piece struct {
-	orig ctoken.Extent // retained original span (ins false)
-	text string        // synthetic text (ins true)
-	ins  bool
-}
-
-func (p piece) len() int {
-	if p.ins {
-		return len(p.text)
-	}
-	return p.orig.Len()
-}
-
-// pieceTable materializes the output of sorted deltas over a source of
-// srcLen bytes as a piece sequence.
-func pieceTable(srcLen int, deltas []Delta) []piece {
-	var pieces []piece
-	cursor := ctoken.Pos(0)
-	for _, d := range deltas {
-		if d.Extent.Pos > cursor {
-			pieces = append(pieces, piece{orig: ctoken.Extent{Pos: cursor, End: d.Extent.Pos}})
-		}
-		if d.Text != "" {
-			pieces = append(pieces, piece{text: d.Text, ins: true})
-		}
-		if d.Extent.End > cursor {
-			cursor = d.Extent.End
-		}
-	}
-	if int(cursor) < srcLen {
-		pieces = append(pieces, piece{orig: ctoken.Extent{Pos: cursor, End: ctoken.Pos(srcLen)}})
-	}
-	return pieces
-}
-
-// splitAt splits the piece sequence so that output offset p (relative to
-// the concatenation of pieces) is a piece boundary, and returns the new
-// sequence plus the index of the piece starting at p (len(pieces) when p
-// is the total length).
-func splitAt(pieces []piece, p int) ([]piece, int) {
-	off := 0
-	for i := 0; i < len(pieces); i++ {
-		if off == p {
-			return pieces, i
-		}
-		n := pieces[i].len()
-		if off+n <= p {
-			off += n
-			continue
-		}
-		// p falls strictly inside piece i: split it.
-		k := p - off
-		pc := pieces[i]
-		var left, right piece
-		if pc.ins {
-			left = piece{text: pc.text[:k], ins: true}
-			right = piece{text: pc.text[k:], ins: true}
-		} else {
-			mid := pc.orig.Pos + ctoken.Pos(k)
-			left = piece{orig: ctoken.Extent{Pos: pc.orig.Pos, End: mid}}
-			right = piece{orig: ctoken.Extent{Pos: mid, End: pc.orig.End}}
-		}
-		out := make([]piece, 0, len(pieces)+1)
-		out = append(out, pieces[:i]...)
-		out = append(out, left, right)
-		out = append(out, pieces[i+1:]...)
-		return out, i + 1
-	}
-	return pieces, len(pieces)
-}
-
-// Compose folds two sequential scripts into one: first rewrites the
-// original text, second rewrites first's output, and the returned script
-// applied to the original text produces exactly second's output. srcLen
-// is the original text's length. Composition is how a batch of editor
-// changes — each expressed against the document state its predecessor
-// produced, as LSP didChange content changes are — becomes a single
-// original-coordinate script and hence a single re-analysis.
-func Compose(srcLen int, first, second *Script) (*Script, error) {
-	fs := first.Deltas()
-	if err := validateSorted(srcLen, fs); err != nil {
-		return nil, fmt.Errorf("compose: first script: %w", err)
-	}
-	ss := second.Deltas()
-	if err := validateSorted(first.NewLen(srcLen), ss); err != nil {
-		return nil, fmt.Errorf("compose: second script: %w", err)
-	}
-
-	// Build first's output as a piece table, then apply second's deltas
-	// to the table: split at each delta's boundaries, drop the covered
-	// pieces, and put the delta's text in their place. Walking
-	// back-to-front keeps earlier deltas' mid-text offsets stable.
-	pieces := pieceTable(srcLen, fs)
-	for i := len(ss) - 1; i >= 0; i-- {
-		d := ss[i]
-		var lo, hi int
-		pieces, lo = splitAt(pieces, int(d.Extent.Pos))
-		// Find hi by consuming the deleted length from lo, splitting the
-		// final piece if the boundary lands inside it.
-		rem := d.Extent.Len()
-		hi = lo
-		for rem > 0 {
-			n := pieces[hi].len()
-			if n <= rem {
-				rem -= n
-				hi++
-				continue
-			}
-			pieces, _ = splitAt(pieces, int(d.Extent.Pos)+d.Extent.Len())
-			// The split inserted one boundary exactly at the target; the
-			// pieces [lo,hi] now end there after hi advances once more.
-			hi++
-			rem = 0
-		}
-		var repl []piece
-		if d.Text != "" {
-			repl = []piece{{text: d.Text, ins: true}}
-		}
-		tail := make([]piece, 0, len(repl)+len(pieces)-hi)
-		tail = append(tail, repl...)
-		tail = append(tail, pieces[hi:]...)
-		pieces = append(pieces[:lo], tail...)
-	}
-
-	// Read the composed deltas off the final piece table: retained
-	// original spans appear in increasing order; everything between two
-	// consecutive retained spans (dropped original bytes plus synthetic
-	// text) is one replacement.
-	out := NewScript()
-	cursor := ctoken.Pos(0)
-	var pending strings.Builder
-	flush := func(upto ctoken.Pos) {
-		if pending.Len() > 0 || upto > cursor {
-			out.Add(Delta{Extent: ctoken.Extent{Pos: cursor, End: upto}, Text: pending.String()})
-			pending.Reset()
-		}
-		cursor = upto
-	}
-	for _, pc := range pieces {
-		if pc.ins {
-			pending.WriteString(pc.text)
-			continue
-		}
-		flush(pc.orig.Pos)
-		cursor = pc.orig.End
-	}
-	flush(ctoken.Pos(srcLen))
-	return out, nil
+	return Splice(src, s.Deltas())
 }
 
 // Mapper remaps byte offsets across one applied script: OldToNew carries
-// positions of the original text into the edited text, NewToOld inverts.
-// Positions inside a replaced or deleted span collapse to the span's
-// (new) start; positions inside inserted text map back to the insertion
-// point. This is the one offset-remapping implementation in the tree —
-// consumers that need to know whether a range survived an edit intact
-// use MapExtent, which additionally reports whether any delta touched
-// the range.
+// positions of the original text into the edited text. Positions inside
+// a replaced or deleted span collapse to the span's (new) start. This is
+// the one offset-remapping implementation in the tree — consumers that
+// need to know whether a range survived an edit intact use MapExtent,
+// which additionally reports whether any delta touched the range.
 type Mapper struct {
 	deltas []Delta // sorted
 }
@@ -409,25 +256,6 @@ func (m *Mapper) mapPos(p ctoken.Pos, right bool) ctoken.Pos {
 // OldToNew maps a position in the original text to the edited text with
 // right affinity: an insertion exactly at the position lands before it.
 func (m *Mapper) OldToNew(p ctoken.Pos) ctoken.Pos { return m.mapPos(p, true) }
-
-// NewToOld maps a position in the edited text back to the original.
-// Positions inside inserted or replacement text map to the delta's
-// original start.
-func (m *Mapper) NewToOld(p ctoken.Pos) ctoken.Pos {
-	shift := 0 // running new-minus-old offset before the current delta
-	for _, d := range m.deltas {
-		newStart := int(d.Extent.Pos) + shift
-		if ctoken.Pos(newStart) > p {
-			break
-		}
-		newEnd := newStart + len(d.Text)
-		if int(p) < newEnd {
-			return d.Extent.Pos
-		}
-		shift += d.Shift()
-	}
-	return ctoken.Pos(int(p) - shift)
-}
 
 // MapExtent maps an original-coordinate extent into the edited text.
 // The boolean reports exactness: true when no delta landed inside the
@@ -497,6 +325,7 @@ func Minimize(src string, deltas []Delta) []Delta {
 		out = append(out, Delta{
 			Extent: ctoken.Extent{Pos: d.Extent.Pos + ctoken.Pos(p), End: d.Extent.End - ctoken.Pos(sfx)},
 			Text:   rep[p : len(rep)-sfx],
+			Owner:  d.Owner,
 		})
 	}
 	return out

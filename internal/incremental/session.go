@@ -1,8 +1,11 @@
 // Package incremental holds edit-aware analysis sessions: a Session
 // keeps the last parse of one C translation unit plus memoized
-// per-function oracle facts, applies position-stable edit scripts
-// (internal/edit), and re-derives diagnostics for only the functions an
-// edit actually touched.
+// per-function oracle facts, applies each edit batch as one minimized
+// edit.Script in the current text's coordinates, and re-derives
+// diagnostics for only the functions an edit actually touched. A client
+// whose changes arrive in sequence (LSP didChange) folds them into one
+// whole-text replacement first; Minimize shrinks it back to the bytes
+// that changed.
 //
 // The invalidation currency is the per-function dependency hash
 // (analysis.Snapshot.FuncHashes): a function whose hash is unchanged
@@ -18,8 +21,10 @@
 package incremental
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/analysis"
@@ -381,7 +386,14 @@ func discoverSites(snap *analysis.Snapshot, be backend.Backend) ([]Site, error) 
 		}
 		sites = append(sites, site)
 	}
-	sortSites(sites)
+	// Source order, STR after SLR at equal offsets for determinism.
+	slices.SortStableFunc(sites, func(a, b Site) int {
+		return cmp.Or(
+			cmp.Compare(a.Extent.Pos, b.Extent.Pos),
+			cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.Name, b.Name),
+		)
+	})
 	return sites, nil
 }
 
@@ -414,23 +426,4 @@ func varExtent(snap *analysis.Snapshot, v str.VarResult) ctoken.Extent {
 		}
 	}
 	return ctoken.Extent{}
-}
-
-func sortSites(sites []Site) {
-	// Source order, STR after SLR at equal offsets for determinism.
-	for i := 1; i < len(sites); i++ {
-		for j := i; j > 0 && siteLess(sites[j], sites[j-1]); j-- {
-			sites[j], sites[j-1] = sites[j-1], sites[j]
-		}
-	}
-}
-
-func siteLess(a, b Site) bool {
-	if a.Extent.Pos != b.Extent.Pos {
-		return a.Extent.Pos < b.Extent.Pos
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.Name < b.Name
 }

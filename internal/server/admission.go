@@ -26,9 +26,6 @@ func NewGate(n int) *Gate {
 	return &Gate{sem: make(chan struct{}, n)}
 }
 
-// Capacity returns the admission bound.
-func (g *Gate) Capacity() int { return cap(g.sem) }
-
 // Acquire claims one in-flight slot. When it succeeds the caller must
 // defer release; when it fails (the gate is full) the request has been
 // counted as rejected and the caller should answer 429 + Retry-After.
@@ -91,8 +88,11 @@ func (h *LatencyHist) Observe(d time.Duration) {
 // Count reports observed requests.
 func (h *LatencyHist) Count() int64 { return h.count.Load() }
 
+// Total reports the summed observed latency.
+func (h *LatencyHist) Total() time.Duration { return time.Duration(h.total.Load()) }
+
 // TotalMs reports the summed observed latency in milliseconds.
-func (h *LatencyHist) TotalMs() int64 { return h.total.Load() / int64(time.Millisecond) }
+func (h *LatencyHist) TotalMs() int64 { return int64(h.Total() / time.Millisecond) }
 
 // Buckets snapshots the histogram as the /metrics bucket-label map.
 func (h *LatencyHist) Buckets() map[string]int64 {

@@ -82,13 +82,11 @@ func (m *metrics) observeBackend(name string) {
 	c.Add(1)
 }
 
-// stageHist is one per-stage latency histogram plus its summed time and
-// degraded-span count. All fields are atomics: writers and the
-// /metrics reader never contend.
+// stageHist is one per-stage latency histogram plus its degraded-span
+// count. All fields are atomics: writers and the /metrics reader never
+// contend.
 type stageHist struct {
-	buckets  [len(latencyBounds) + 1]atomic.Int64
-	total    atomic.Int64 // summed nanoseconds
-	count    atomic.Int64
+	LatencyHist
 	degraded atomic.Int64
 }
 
@@ -108,13 +106,7 @@ func (m *metrics) observeStage(name string, d time.Duration, degraded bool) {
 		}
 		m.stageMu.Unlock()
 	}
-	i := 0
-	for i < len(latencyBounds) && d > latencyBounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.total.Add(int64(d))
-	h.count.Add(1)
+	h.Observe(d)
 	if degraded {
 		h.degraded.Add(1)
 	}
@@ -256,16 +248,12 @@ func (m *metrics) snapshot(cache *cfix.ResultCache, gate *Gate, sessions *sessio
 	if len(m.stages) > 0 {
 		s.Stages = make(map[string]StageSnapshot, len(m.stages))
 		for name, h := range m.stages {
-			ss := StageSnapshot{
-				Count:    h.count.Load(),
-				TotalUs:  h.total.Load() / int64(time.Microsecond),
+			s.Stages[name] = StageSnapshot{
+				Count:    h.Count(),
+				TotalUs:  int64(h.Total() / time.Microsecond),
 				Degraded: h.degraded.Load(),
-				Buckets:  make(map[string]int64, len(latencyLabels)),
+				Buckets:  h.Buckets(),
 			}
-			for i, label := range latencyLabels {
-				ss.Buckets[label] = h.buckets[i].Load()
-			}
-			s.Stages[name] = ss
 		}
 	}
 	m.stageMu.RUnlock()

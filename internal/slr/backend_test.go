@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/backend"
 	"repro/internal/cparse"
 )
@@ -19,7 +20,7 @@ func runAllBackend(t *testing.T, name, src string) *FileResult {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := NewTransformerBackend(tu, be).ApplyAll()
+	res, err := NewTransformerSnapBackend(analysis.New(tu), be).ApplyAll()
 	if err != nil {
 		t.Fatalf("ApplyAll(%s): %v", name, err)
 	}

@@ -10,9 +10,9 @@ import (
 	"repro/internal/buflen"
 	"repro/internal/cast"
 	"repro/internal/ctoken"
+	"repro/internal/edit"
 	"repro/internal/overflow"
 	"repro/internal/pointsto"
-	"repro/internal/rewrite"
 	"repro/internal/typecheck"
 )
 
@@ -57,7 +57,7 @@ type FileResult struct {
 	// its owning site as "site:<index into Sites>". Project mode remaps
 	// them through the preprocessor's source map instead of using
 	// NewSource. Omitted from serialized reports.
-	Edits []rewrite.Edit `json:"-"`
+	Edits []edit.Delta `json:"-"`
 }
 
 // Candidates returns the number of candidate call sites.
@@ -132,13 +132,6 @@ func NewTransformer(unit *cast.TranslationUnit) *Transformer {
 	return NewTransformerOpts(unit, pointsto.Options{})
 }
 
-// NewTransformerBackend is NewTransformer targeting an explicit repair
-// backend.
-func NewTransformerBackend(unit *cast.TranslationUnit, be backend.Backend) *Transformer {
-	typecheck.Check(unit)
-	return newTransformer(unit, buflen.NewAnalyzerOpts(unit, pointsto.Options{}), be)
-}
-
 // NewTransformerOpts prepares a transformer with an explicit points-to
 // configuration; the precision ablation passes FieldSensitive.
 func NewTransformerOpts(unit *cast.TranslationUnit, ptOpts pointsto.Options) *Transformer {
@@ -146,15 +139,11 @@ func NewTransformerOpts(unit *cast.TranslationUnit, ptOpts pointsto.Options) *Tr
 	return newTransformer(unit, buflen.NewAnalyzerOpts(unit, ptOpts), nil)
 }
 
-// NewTransformerSnap prepares a transformer on a shared analysis-facts
-// snapshot: type analysis, points-to, alias sets, CFGs and reaching
-// definitions are reused rather than re-derived from the bare unit.
-func NewTransformerSnap(s *analysis.Snapshot) *Transformer {
-	return NewTransformerSnapBackend(s, nil)
-}
-
-// NewTransformerSnapBackend is NewTransformerSnap targeting an explicit
-// repair backend; nil selects the default (glib).
+// NewTransformerSnapBackend prepares a transformer on a shared
+// analysis-facts snapshot — type analysis, points-to, alias sets, CFGs
+// and reaching definitions are reused rather than re-derived from the
+// bare unit — targeting an explicit repair backend; nil selects the
+// default (glib).
 func NewTransformerSnapBackend(s *analysis.Snapshot, be backend.Backend) *Transformer {
 	s.Typecheck()
 	return newTransformer(s.Unit(), s.BufLenAnalyzer(), be)
@@ -292,7 +281,7 @@ func (t *Transformer) ApplyAt(offset ctoken.Pos) (*FileResult, error) {
 
 func (t *Transformer) apply(filter func(candidate) bool) (*FileResult, error) {
 	res := &FileResult{}
-	var edits rewrite.Set
+	edits := edit.NewScript()
 	for _, c := range t.findCandidates() {
 		if filter != nil && !filter(c) {
 			continue
@@ -304,7 +293,7 @@ func (t *Transformer) apply(filter func(candidate) bool) (*FileResult, error) {
 			Pos:      t.unit.File.Position(c.call.Extent().Pos),
 			Extent:   c.call.Extent(),
 		}
-		size, fail := t.applyOne(c, &edits)
+		size, fail := t.applyOne(c, edits)
 		if fail != nil {
 			site.Failure = fail
 		} else {
@@ -316,8 +305,8 @@ func (t *Transformer) apply(filter func(candidate) bool) (*FileResult, error) {
 		}
 		res.Sites = append(res.Sites, site)
 	}
-	res.Edits = edits.Edits()
-	out, err := edits.Apply(t.unit.File.Src())
+	res.Edits = edits.Deltas()
+	out, err := edit.Splice(t.unit.File.Src(), res.Edits)
 	if err != nil {
 		return nil, fmt.Errorf("slr: apply edits: %w", err)
 	}
@@ -326,7 +315,7 @@ func (t *Transformer) apply(filter func(candidate) bool) (*FileResult, error) {
 }
 
 // applyOne attempts one site, queueing edits on success.
-func (t *Transformer) applyOne(c candidate, edits *rewrite.Set) (buflen.Size, *buflen.Failure) {
+func (t *Transformer) applyOne(c candidate, edits *edit.Script) (buflen.Size, *buflen.Failure) {
 	if len(c.call.Args) < c.rule.MinArgs {
 		return buflen.Size{}, &buflen.Failure{
 			Reason: buflen.FailUnsupportedForm,
@@ -355,11 +344,10 @@ func (t *Transformer) applyOne(c candidate, edits *rewrite.Set) (buflen.Size, *b
 // dialect wants it: strcpy(dst, src) -> g_strlcpy(dst, src, sizeof(buf))
 // under glib/bsd (size appended after the source), but
 // strcpy_s(dst, sizeof(buf), src) under c11k (size before the source).
-func (t *Transformer) editRename(c candidate, size buflen.Size, edits *rewrite.Set) {
+func (t *Transformer) editRename(c candidate, size buflen.Size, edits *edit.Script) {
 	fun := cast.Unparen(c.call.Fun)
-	edits.Replace(fun.Extent(), c.rule.Safe, "rename "+c.rule.Unsafe+" to "+c.rule.Safe)
-	insertAfter := c.call.Args[c.rule.SizeAfterArg]
-	edits.InsertAfter(insertAfter.Extent(), ", "+size.CText(), "insert size parameter")
+	edits.Add(edit.Replace(fun.Extent(), c.rule.Safe))
+	edits.Add(edit.Insert(c.call.Args[c.rule.SizeAfterArg].Extent().End, ", "+size.CText()))
 }
 
 // editGets rewrites gets(dst) to the dialect's bounded line reader —
@@ -367,15 +355,15 @@ func (t *Transformer) editRename(c candidate, size buflen.Size, edits *rewrite.S
 // and, when the reader keeps the terminating newline gets discards
 // (fgets; Section III-B2), appends the newline-stripping sequence after
 // the enclosing statement.
-func (t *Transformer) editGets(c candidate, size buflen.Size, edits *rewrite.Set) {
+func (t *Transformer) editGets(c candidate, size buflen.Size, edits *edit.Script) {
 	fun := cast.Unparen(c.call.Fun)
-	edits.Replace(fun.Extent(), c.rule.Safe, "replace gets with "+c.rule.Safe)
+	edits.Add(edit.Replace(fun.Extent(), c.rule.Safe))
 	dest := c.call.Args[c.rule.SizeAfterArg]
 	ins := ", " + size.CText()
 	for _, extra := range c.rule.ExtraArgs {
 		ins += ", " + extra
 	}
-	edits.InsertAfter(dest.Extent(), ins, "bounded reader arguments")
+	edits.Add(edit.Insert(dest.Extent().End, ins))
 	if !c.rule.StripNewline {
 		return
 	}
@@ -388,16 +376,16 @@ func (t *Transformer) editGets(c candidate, size buflen.Size, edits *rewrite.Set
 	if !c.inBlock {
 		// Brace-less branch arm: the stripping statements must stay under
 		// the same guard as the call.
-		edits.InsertBefore(c.stmt.Extent(), "{ ", "open brace for gets fix")
+		edits.Add(edit.Insert(c.stmt.Extent().Pos, "{ "))
 		fix += "\n" + indent + "}"
 	}
-	edits.InsertAfter(c.stmt.Extent(), fix, "strip fgets newline")
+	edits.Add(edit.Insert(c.stmt.Extent().End, fix))
 }
 
 // editMemcpy clamps the length parameter (Section III-B3). Option 1
 // (length reused later) assigns the clamped value before the call; option
 // 2 replaces the parameter with a ternary in place.
-func (t *Transformer) editMemcpy(c candidate, size buflen.Size, edits *rewrite.Set) *buflen.Failure {
+func (t *Transformer) editMemcpy(c candidate, size buflen.Size, edits *edit.Script) *buflen.Failure {
 	if len(c.call.Args) < 3 {
 		return &buflen.Failure{Reason: buflen.FailUnsupportedForm, Detail: "memcpy with fewer than 3 arguments"}
 	}
@@ -427,16 +415,16 @@ func (t *Transformer) editMemcpy(c candidate, size buflen.Size, edits *rewrite.S
 		if !c.inBlock {
 			// Brace-less branch arm: keep the clamp and the call under
 			// the same guard.
-			edits.InsertBefore(c.stmt.Extent(), "{ "+assign, "clamp memcpy length (braced)")
-			edits.InsertAfter(c.stmt.Extent(), " }", "close brace for memcpy clamp")
+			edits.Add(edit.Insert(c.stmt.Extent().Pos, "{ "+assign))
+			edits.Add(edit.Insert(c.stmt.Extent().End, " }"))
 			return nil
 		}
-		edits.InsertBefore(c.stmt.Extent(), assign, "clamp memcpy length (reused)")
+		edits.Add(edit.Insert(c.stmt.Extent().Pos, assign))
 		return nil
 	}
 	// Option 2: replace the parameter with the clamping ternary.
 	tern := fmt.Sprintf("%s > %s ? %s : %s", sizeText, lenText, lenText, sizeText)
-	edits.Replace(lenArg.Extent(), tern, "clamp memcpy length (in place)")
+	edits.Add(edit.Replace(lenArg.Extent(), tern))
 	return nil
 }
 

@@ -8,15 +8,15 @@ import (
 	"repro/internal/cast"
 	"repro/internal/ctoken"
 	"repro/internal/ctype"
+	"repro/internal/edit"
 	"repro/internal/pointsto"
-	"repro/internal/rewrite"
 )
 
 // renderFunc queues one edit per statement or clause that touches a
 // target. Each edit's replacement text is produced by the recursive
 // renderer, so nested uses (pattern 13's buf1[0] = buf2[0]) come out as a
 // single spliced rewrite.
-func (t *Transformer) renderFunc(fn *cast.FuncDef, edits *rewrite.Set) {
+func (t *Transformer) renderFunc(fn *cast.FuncDef, edits *edit.Script) {
 	var walkStmt func(s cast.Stmt, inBlock bool)
 	handleExpr := func(e cast.Expr, stmtLevel bool) {
 		if e == nil || !t.containsTarget(e) {
@@ -28,7 +28,7 @@ func (t *Transformer) renderFunc(fn *cast.FuncDef, edits *rewrite.Set) {
 		} else {
 			text = t.renderExpr(e)
 		}
-		edits.Replace(e.Extent(), text, "STR rewrite")
+		edits.Add(edit.Replace(e.Extent(), text))
 	}
 	// handleExprStmt wraps multi-statement rewrites (pattern 3 expands an
 	// allocation into several statements) in braces when the statement is
@@ -39,10 +39,10 @@ func (t *Transformer) renderFunc(fn *cast.FuncDef, edits *rewrite.Set) {
 		}
 		text := t.renderTop(es.X)
 		if !inBlock && strings.Contains(text, ";") {
-			edits.Replace(es.Extent(), "{ "+text+"; }", "STR rewrite (braced)")
+			edits.Add(edit.Replace(es.Extent(), "{ "+text+"; }"))
 			return
 		}
-		edits.Replace(es.X.Extent(), text, "STR rewrite")
+		edits.Add(edit.Replace(es.X.Extent(), text))
 	}
 	walkStmt = func(s cast.Stmt, inBlock bool) {
 		if s == nil {
@@ -94,7 +94,7 @@ func (t *Transformer) renderFunc(fn *cast.FuncDef, edits *rewrite.Set) {
 //	stralloc *buf;  stralloc ssss_buf = {0,0,0};  buf = &ssss_buf;
 //
 // followed by capacity/initializer statements.
-func (t *Transformer) renderDeclStmt(ds *cast.DeclStmt, edits *rewrite.Set) {
+func (t *Transformer) renderDeclStmt(ds *cast.DeclStmt, edits *edit.Script) {
 	anyTarget := false
 	for _, d := range ds.Decls {
 		if d.Sym != nil && t.targets[d.Sym] {
@@ -106,7 +106,7 @@ func (t *Transformer) renderDeclStmt(ds *cast.DeclStmt, edits *rewrite.Set) {
 		// Initializers may still mention targets declared earlier.
 		for _, d := range ds.Decls {
 			if d.Init != nil && t.containsTarget(d.Init) {
-				edits.Replace(d.Init.Extent(), t.renderExpr(d.Init), "STR rewrite in initializer")
+				edits.Add(edit.Replace(d.Init.Extent(), t.renderExpr(d.Init)))
 			}
 		}
 		return
@@ -158,7 +158,7 @@ func (t *Transformer) renderDeclStmt(ds *cast.DeclStmt, edits *rewrite.Set) {
 	lines = append(lines, "stralloc "+strings.Join(backDecls, ", ")+";")
 	lines = append(lines, inits...)
 	lines = append(lines, keepOthers...)
-	edits.Replace(ds.Extent(), strings.Join(lines, "\n"+indent), "STR declaration rewrite")
+	edits.Add(edit.Replace(ds.Extent(), strings.Join(lines, "\n"+indent)))
 }
 
 // renderInit produces the initialization statement for a declared target

@@ -8,10 +8,10 @@ import (
 	"repro/internal/cast"
 	"repro/internal/ctoken"
 	"repro/internal/ctype"
+	"repro/internal/edit"
 	"repro/internal/interproc"
 	"repro/internal/overflow"
 	"repro/internal/pointsto"
-	"repro/internal/rewrite"
 	"repro/internal/typecheck"
 )
 
@@ -86,7 +86,7 @@ type FileResult struct {
 	// all-or-nothing per function: the inserted stralloc calls and
 	// renames within one function depend on each other). Omitted from
 	// serialized reports.
-	Edits []rewrite.Edit `json:"-"`
+	Edits []edit.Delta `json:"-"`
 	// NeedsStralloc reports that the output uses the stralloc library;
 	// callers must make internal/stralloc's C header and implementation
 	// available at build time.
@@ -324,13 +324,13 @@ func (t *Transformer) apply(filter func(*candidate) bool) (*FileResult, error) {
 	res.NeedsStralloc = true
 
 	// Phase 2: rewrite every statement that touches a target.
-	var edits rewrite.Set
+	edits := edit.NewScript()
 	for _, fn := range t.unit.Funcs {
 		edits.SetOwner("func:" + fn.Name)
-		t.renderFunc(fn, &edits)
+		t.renderFunc(fn, edits)
 	}
-	res.Edits = edits.Edits()
-	out, err := edits.Apply(t.unit.File.Src())
+	res.Edits = edits.Deltas()
+	out, err := edit.Splice(t.unit.File.Src(), res.Edits)
 	if err != nil {
 		return nil, fmt.Errorf("str: apply edits: %w", err)
 	}
