@@ -2,10 +2,15 @@ package analysis
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"fmt"
+	"hash"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -13,6 +18,7 @@ import (
 	"repro/internal/clex"
 	"repro/internal/ctoken"
 	"repro/internal/obs"
+	"repro/internal/pointsto"
 )
 
 // FuncHashes returns one dependency hash per function definition, keyed
@@ -42,6 +48,8 @@ import (
 //
 // Equal hash therefore implies byte-identical per-function findings; an
 // edit invalidates exactly the functions whose closures it touches.
+// With Config.Hashes set, the text and declaration inputs of functions
+// an edit did not touch come from the HashMemo; the values are the same.
 func (s *Snapshot) FuncHashes() map[string]string {
 	s.hashOnce.Do(func() {
 		// Aliases (and through it points-to) must be solved before
@@ -119,53 +127,143 @@ func (u unitText) text(e ctoken.Extent) (norm string, idents map[string]bool) {
 	return sb.String(), idents
 }
 
-type declInfo struct {
-	norm   string
-	idents map[string]bool
+// textFunc returns the hash's canonical spelling of an extent and the
+// set of identifier spellings in it (unitText.text's contract).
+type textFunc func(ctoken.Extent) (norm string, idents map[string]bool)
+
+// HashMemo carries the inputs of FuncHashes from one snapshot of an
+// edited unit to the next, so that an edit re-derives the hash inputs of
+// the functions it touched and no others. Values stay exactly those a
+// fresh FuncHashes computes.
+//
+// A function's normalized text and declaration closure are reused when
+// its raw extent text is unchanged and so is the raw text of every
+// file-scope declaration, in order; the memo keeps, per function, the
+// marshalled sha256 state after norm‖0‖declClosure‖0, keyed by the raw
+// text itself (a substring of the source the owner retains anyway). Any
+// change to a file-scope declaration falls back to one whole-unit pass.
+// The alias fingerprint and the call-graph closure are recomputed for
+// every function, since points-to and call edges are whole-unit facts.
+//
+// A memo belongs to one owner (an incremental session) and is threaded
+// through Config.Hashes; batch paths leave it nil. Safe for concurrent
+// use.
+type HashMemo struct {
+	mu sync.Mutex
+	// decls is the raw text of each file-scope declaration of the last
+	// unit, in order; index is built from it.
+	decls []string
+	index *declIndex
+	// funcs maps a function's raw extent text to its hash state after
+	// the text and declaration-closure inputs.
+	funcs map[string][]byte
+	// normalized counts the function extents the last computation had
+	// to normalize (work accounting for tests).
+	normalized int
+}
+
+// NewHashMemo returns an empty memo; the first computation through it
+// takes the whole-unit pass.
+func NewHashMemo() *HashMemo { return &HashMemo{} }
+
+// hash computes s's function hashes, reusing and then replacing the
+// memo's state.
+func (m *HashMemo) hash(s *Snapshot) map[string]string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	src := s.unit.File.Src()
+	decls := s.fileDecls()
+	raws := make([]string, len(decls))
+	for i, d := range decls {
+		raws[i] = rawText(src, d.Extent())
+	}
+	old := m.funcs
+	text := textFunc(func(e ctoken.Extent) (string, map[string]bool) {
+		// Only the extents that miss below are lexed, each on its own.
+		raw := rawText(src, e)
+		return lexUnit(raw).text(ctoken.Extent{End: ctoken.Pos(len(raw))})
+	})
+	if m.index == nil || !slices.Equal(raws, m.decls) {
+		old = nil
+		text = lexUnit(src).text
+		m.index = indexDecls(decls, text)
+	}
+	m.decls = raws
+	m.funcs = make(map[string][]byte, len(s.unit.Funcs))
+	m.normalized = 0
+	return s.hashLocals(func(fn *cast.FuncDef) hash.Hash {
+		raw := rawText(src, fn.Extent())
+		h := sha256.New()
+		if st, ok := old[raw]; ok {
+			if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(st); err == nil {
+				m.funcs[raw] = st
+				return h
+			}
+			h.Reset()
+		}
+		m.normalized++
+		norm, idents := text(fn.Extent())
+		m.index.writePrefix(h, norm, idents)
+		if st, err := h.(encoding.BinaryMarshaler).MarshalBinary(); err == nil {
+			m.funcs[raw] = st
+		}
+		return h
+	})
+}
+
+// rawText is the source text of e, or "" for an extent outside src
+// (which unitText.text normalizes to "" as well).
+func rawText(src string, e ctoken.Extent) string {
+	if !e.IsValid() || int(e.End) > len(src) {
+		return ""
+	}
+	return src[e.Pos:e.End]
 }
 
 func (s *Snapshot) computeFuncHashes() map[string]string {
-	file := s.unit.File
-	if file == nil {
+	if s.unit.File == nil {
 		return map[string]string{}
 	}
-	return s.hashFuncs(lexUnit(file.Src()).text)
+	if m := s.conf.Hashes; m != nil {
+		return m.hash(s)
+	}
+	return s.hashFuncs(lexUnit(s.unit.File.Src()).text)
 }
 
 // hashFuncs computes every function's dependency hash, taking the
 // normalized text and identifier set of each extent from text.
-func (s *Snapshot) hashFuncs(text func(ctoken.Extent) (string, map[string]bool)) map[string]string {
-	// Index the file-scope declarations (everything but function
-	// definitions) by every identifier occurring in them. Linking is by
-	// name and over-approximate on purpose: a false dependency costs one
-	// spurious re-analysis, a missed one costs a stale finding.
-	var decls []declInfo
-	declsByIdent := make(map[string][]int)
+func (s *Snapshot) hashFuncs(text textFunc) map[string]string {
+	idx := indexDecls(s.fileDecls(), text)
+	return s.hashLocals(func(fn *cast.FuncDef) hash.Hash {
+		h := sha256.New()
+		norm, idents := text(fn.Extent())
+		idx.writePrefix(h, norm, idents)
+		return h
+	})
+}
+
+// fileDecls lists the file-scope declarations other than function
+// definitions, in source order.
+func (s *Snapshot) fileDecls() []cast.Decl {
+	out := make([]cast.Decl, 0, len(s.unit.Decls)-len(s.unit.Funcs))
 	for _, d := range s.unit.Decls {
-		if _, isFn := d.(*cast.FuncDef); isFn {
-			continue
-		}
-		var di declInfo
-		di.norm, di.idents = text(d.Extent())
-		idx := len(decls)
-		decls = append(decls, di)
-		for id := range di.idents {
-			declsByIdent[id] = append(declsByIdent[id], idx)
+		if _, isFn := d.(*cast.FuncDef); !isFn {
+			out = append(out, d)
 		}
 	}
+	return out
+}
 
-	owner := s.symbolOwners()
-
-	// Local hashes first; the closure step below folds callees in.
+// hashLocals finishes every function's dependency hash. prefix returns a
+// hash that has consumed the function's text and declaration-closure
+// inputs; the alias fingerprint completes the local hash, and the
+// closure step folds the callees' local hashes in.
+func (s *Snapshot) hashLocals(prefix func(*cast.FuncDef) hash.Hash) map[string]string {
+	tags := newSymTags(s.unit, s.Aliases())
 	local := make(map[string]string, len(s.unit.Funcs))
 	for _, fn := range s.unit.Funcs {
-		norm, idents := text(fn.Extent())
-		h := sha256.New()
-		h.Write([]byte(norm))
-		h.Write([]byte{0})
-		h.Write([]byte(s.declClosure(idents, decls, declsByIdent)))
-		h.Write([]byte{0})
-		h.Write([]byte(s.aliasFingerprint(fn, owner)))
+		h := prefix(fn)
+		h.Write([]byte(tags.aliasFingerprint(fn)))
 		local[fn.Name] = hex.EncodeToString(h.Sum(nil))
 	}
 
@@ -187,16 +285,69 @@ func (s *Snapshot) hashFuncs(text func(ctoken.Extent) (string, map[string]bool))
 	return out
 }
 
-// declClosure resolves the identifiers a function mentions to file-scope
+type declInfo struct {
+	norm string
+	// idents are the identifier spellings in the declaration, sorted.
+	idents []string
+}
+
+// declIndex holds the file-scope declarations (everything but function
+// definitions) with an index by every identifier occurring in them.
+// Linking is by name and over-approximate on purpose: a false dependency
+// costs one spurious re-analysis, a missed one costs a stale finding.
+type declIndex struct {
+	decls   []declInfo
+	byIdent map[string][]int
+}
+
+func indexDecls(decls []cast.Decl, text textFunc) *declIndex {
+	idx := &declIndex{decls: make([]declInfo, len(decls)), byIdent: make(map[string][]int)}
+	// A HashMemo keeps the index across edits, so each identifier is
+	// copied out of the text once: a slice of it would keep the whole
+	// text alive.
+	interned := make(map[string]string)
+	for i, d := range decls {
+		norm, idents := text(d.Extent())
+		names := make([]string, 0, len(idents))
+		for id := range idents {
+			name, ok := interned[id]
+			if !ok {
+				name = strings.Clone(id)
+				interned[id] = name
+			}
+			names = append(names, name)
+			idx.byIdent[name] = append(idx.byIdent[name], i)
+		}
+		sort.Strings(names)
+		idx.decls[i] = declInfo{norm: norm, idents: names}
+	}
+	return idx
+}
+
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// writePrefix writes a function's text and declaration-closure inputs,
+// norm‖0‖declClosure‖0, to h.
+func (idx *declIndex) writePrefix(h hash.Hash, norm string, idents map[string]bool) {
+	h.Write([]byte(norm))
+	h.Write([]byte{0})
+	h.Write([]byte(idx.closure(idents)))
+	h.Write([]byte{0})
+}
+
+// closure resolves the identifiers a function mentions to file-scope
 // declarations, transitively, and concatenates their normalized texts in
 // declaration order.
-func (s *Snapshot) declClosure(idents map[string]bool, decls []declInfo, byIdent map[string][]int) string {
+func (idx *declIndex) closure(idents map[string]bool) string {
 	included := make(map[int]bool)
-	queue := make([]string, 0, len(idents))
-	for id := range idents {
-		queue = append(queue, id)
-	}
-	sort.Strings(queue)
+	queue := sortedKeys(idents)
 	seen := make(map[string]bool, len(idents))
 	for len(queue) > 0 {
 		id := queue[0]
@@ -205,83 +356,104 @@ func (s *Snapshot) declClosure(idents map[string]bool, decls []declInfo, byIdent
 			continue
 		}
 		seen[id] = true
-		for _, idx := range byIdent[id] {
-			if included[idx] {
+		for _, i := range idx.byIdent[id] {
+			if included[i] {
 				continue
 			}
-			included[idx] = true
-			next := make([]string, 0, len(decls[idx].idents))
-			for dep := range decls[idx].idents {
+			included[i] = true
+			for _, dep := range idx.decls[i].idents {
 				if !seen[dep] {
-					next = append(next, dep)
+					queue = append(queue, dep)
 				}
 			}
-			sort.Strings(next)
-			queue = append(queue, next...)
 		}
 	}
 	order := make([]int, 0, len(included))
-	for idx := range included {
-		order = append(order, idx)
+	for i := range included {
+		order = append(order, i)
 	}
 	sort.Ints(order)
 	var sb strings.Builder
-	for _, idx := range order {
-		sb.WriteString(decls[idx].norm)
+	for _, i := range order {
+		sb.WriteString(idx.decls[i].norm)
 		sb.WriteByte(0)
 	}
 	return sb.String()
 }
 
-// symbolOwners maps each symbol ID to a parse-stable owner tag: "g" for
-// globals, the containing function's name for locals and parameters.
-func (s *Snapshot) symbolOwners() map[int]string {
-	owner := make(map[int]string, len(s.unit.Symbols))
-	for _, sym := range s.unit.Symbols {
-		if sym == nil {
-			continue
-		}
-		if sym.IsGlobal {
-			owner[sym.ID] = "g"
-			continue
-		}
-		if sym.Decl != nil {
-			p := sym.Decl.Extent().Pos
-			for _, fn := range s.unit.Funcs {
-				e := fn.Extent()
-				if p >= e.Pos && p < e.End {
-					owner[sym.ID] = fn.Name
-					break
-				}
-			}
-		}
-	}
-	return owner
+// symTags renders symbols parse-stably for the alias fingerprint, each
+// at most once per snapshot: tag[ID] is name@owner#size, and full[ID]
+// adds the symbol's alias-set and points-to-set membership. The owner is
+// "g" for globals and the containing function's name for locals and
+// parameters. Every symbol is in unit.Symbols at index Symbol.ID.
+type symTags struct {
+	unit    *cast.TranslationUnit
+	aliases *pointsto.AliasSets
+	tag     []string
+	full    []string
 }
 
-// symTag renders a symbol parse-stably: name, owner, and declared size.
-func symTag(sym *cast.Symbol, owner map[int]string) string {
+func newSymTags(unit *cast.TranslationUnit, aliases *pointsto.AliasSets) *symTags {
+	return &symTags{
+		unit:    unit,
+		aliases: aliases,
+		tag:     make([]string, len(unit.Symbols)),
+		full:    make([]string, len(unit.Symbols)),
+	}
+}
+
+// symTag renders a symbol: name, owner, and declared size.
+func (t *symTags) symTag(sym *cast.Symbol) string {
+	if tag := t.tag[sym.ID]; tag != "" {
+		return tag
+	}
+	owner := ""
+	if sym.IsGlobal {
+		owner = "g"
+	} else if sym.Decl != nil {
+		if fn := t.unit.FuncAt(sym.Decl.Extent().Pos); fn != nil {
+			owner = fn.Name
+		}
+	}
 	size := -1
 	if sym.Type != nil {
 		size = sym.Type.Size()
 	}
-	return fmt.Sprintf("%s@%s#%d", sym.Name, owner[sym.ID], size)
+	t.tag[sym.ID] = sym.Name + "@" + owner + "#" + strconv.Itoa(size)
+	return t.tag[sym.ID]
+}
+
+// fullTag renders a symbol with its alias-set and points-to-set
+// membership.
+func (t *symTags) fullTag(sym *cast.Symbol) string {
+	if tag := t.full[sym.ID]; tag != "" {
+		return tag
+	}
+	t.full[sym.ID] = t.symTag(sym) + ":a=" + t.setTag(t.aliases.AliasSetOf(sym)) +
+		":p=" + t.setTag(t.aliases.PointeesOf(sym))
+	return t.full[sym.ID]
+}
+
+// setTag renders a symbol set parse-stably, sorted.
+func (t *symTags) setTag(set []*cast.Symbol) string {
+	tags := make([]string, 0, len(set))
+	for _, sym := range set {
+		if sym != nil {
+			tags = append(tags, t.symTag(sym))
+		}
+	}
+	sort.Strings(tags)
+	return strings.Join(tags, ",")
 }
 
 // aliasFingerprint serializes the slice of the whole-unit points-to
 // results that fn's analyses can observe: for every symbol fn
 // references, its alias-set and points-to-set membership, and for every
 // member access, the member-aliasing bit.
-func (s *Snapshot) aliasFingerprint(fn *cast.FuncDef, owner map[int]string) string {
-	aliases := s.Aliases()
-
+func (t *symTags) aliasFingerprint(fn *cast.FuncDef) string {
 	syms := make(map[int]*cast.Symbol)
-	type memberUse struct {
-		sym    *cast.Symbol
-		member string
-	}
-	var members []memberUse
-	collect := func(e cast.Expr) bool {
+	var tags []string
+	collect := func(e cast.Expr) {
 		switch x := e.(type) {
 		case *cast.Ident:
 			if x.Sym != nil {
@@ -289,10 +461,10 @@ func (s *Snapshot) aliasFingerprint(fn *cast.FuncDef, owner map[int]string) stri
 			}
 		case *cast.MemberExpr:
 			if id, ok := cast.Unparen(x.Base).(*cast.Ident); ok && id.Sym != nil {
-				members = append(members, memberUse{id.Sym, x.Member})
+				tags = append(tags, t.symTag(id.Sym)+"."+x.Member+":m="+
+					strconv.FormatBool(t.aliases.IsAliasedMember(id.Sym, x.Member)))
 			}
 		}
-		return true
 	}
 	for _, p := range fn.Params {
 		if p.Sym != nil {
@@ -307,33 +479,9 @@ func (s *Snapshot) aliasFingerprint(fn *cast.FuncDef, owner map[int]string) stri
 			return true
 		})
 	}
-
-	tags := make([]string, 0, len(syms))
 	for _, sym := range syms {
-		var sb strings.Builder
-		sb.WriteString(symTag(sym, owner))
-		sb.WriteString(":a=")
-		sb.WriteString(symSetTag(aliases.AliasSetOf(sym), owner))
-		sb.WriteString(":p=")
-		sb.WriteString(symSetTag(aliases.PointeesOf(sym), owner))
-		tags = append(tags, sb.String())
-	}
-	for _, mu := range members {
-		tags = append(tags, fmt.Sprintf("%s.%s:m=%t",
-			symTag(mu.sym, owner), mu.member, aliases.IsAliasedMember(mu.sym, mu.member)))
+		tags = append(tags, t.fullTag(sym))
 	}
 	sort.Strings(tags)
 	return strings.Join(tags, ";")
-}
-
-// symSetTag renders a symbol set parse-stably, sorted.
-func symSetTag(set []*cast.Symbol, owner map[int]string) string {
-	tags := make([]string, 0, len(set))
-	for _, sym := range set {
-		if sym != nil {
-			tags = append(tags, symTag(sym, owner))
-		}
-	}
-	sort.Strings(tags)
-	return strings.Join(tags, ",")
 }

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"context"
 	"maps"
+	"strings"
 	"testing"
 
 	"repro/internal/clex"
@@ -82,6 +84,59 @@ func TestFuncHashesMatchPerSliceLex(t *testing.T) {
 		})
 		if !maps.Equal(got, want) {
 			t.Fatalf("%s: single-lex hashes differ from per-slice hashes:\n got %v\nwant %v", name, got, want)
+		}
+	}
+}
+
+// TestInBodyEditIsPerFunction pins the work of FuncHashes through a
+// HashMemo across edits: an in-body edit normalizes the edited function
+// alone, an edit between functions none, and a file-scope edit falls
+// back to the whole unit. Every hash equals a fresh computation.
+func TestInBodyEditIsPerFunction(t *testing.T) {
+	const src = `struct pkt { char body[8]; };
+static int limit = 4;
+
+void reader(struct pkt *p) {
+    strcpy(p->body, "0123456789");
+}
+
+int leaf(int n) {
+    return n + 1;
+}
+
+void loner(void) {
+    char c[4];
+    strcpy(c, "xxxxxxxx");
+}
+`
+	m := NewHashMemo()
+	steps := []struct {
+		name, from, to string
+		normalized     int
+	}{
+		{"open", "", "", 3},
+		{"in-body", "n + 1", "n + 2", 1},
+		{"between functions", "\nint leaf", "\n/* c */\nint leaf", 0},
+		{"whitespace inside a function", "return n", "return   n", 1},
+		{"file scope", "limit = 4", "limit = 5", 3},
+	}
+	text := src
+	for _, st := range steps {
+		text = strings.Replace(text, st.from, st.to, 1)
+		s, err := ParseCtx(context.Background(), "h.c", text, Config{Hashes: m})
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		got := s.FuncHashes()
+		fresh, err := Parse("h.c", text)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if !maps.Equal(got, fresh.FuncHashes()) {
+			t.Fatalf("%s: memoized hashes differ from fresh ones", st.name)
+		}
+		if m.normalized != st.normalized {
+			t.Fatalf("%s: normalized %d functions, want %d", st.name, m.normalized, st.normalized)
 		}
 	}
 }

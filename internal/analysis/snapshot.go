@@ -44,6 +44,10 @@ type Config struct {
 	// Intflow configures the integer-overflow oracle; nil means
 	// intflow.DefaultOptions().
 	Intflow *intflow.Options
+	// Hashes, when non-nil, carries FuncHashes' inputs across the
+	// snapshots of one edited unit (see HashMemo); nil computes them
+	// from scratch. Only incremental sessions set it.
+	Hashes *HashMemo
 	// Limits bounds every fixpoint solve derived from this snapshot
 	// (DESIGN.md Section 9): the context is polled at iteration
 	// boundaries and exhausted budgets degrade the affected analysis to

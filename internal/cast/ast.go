@@ -8,6 +8,8 @@
 package cast
 
 import (
+	"sort"
+
 	"repro/internal/ctoken"
 	"repro/internal/ctype"
 )
@@ -585,6 +587,17 @@ type TranslationUnit struct {
 }
 
 func (*TranslationUnit) declNode() {}
+
+// FuncAt returns the function definition whose extent contains offset p,
+// or nil. Funcs are in source order with disjoint extents, so the lookup
+// is a binary search.
+func (tu *TranslationUnit) FuncAt(p ctoken.Pos) *FuncDef {
+	i := sort.Search(len(tu.Funcs), func(i int) bool { return tu.Funcs[i].Extent().End > p })
+	if i < len(tu.Funcs) && tu.Funcs[i].Extent().Pos <= p {
+		return tu.Funcs[i]
+	}
+	return nil
+}
 
 // FuncNamed returns the function definition with the given name, or nil.
 func (tu *TranslationUnit) FuncNamed(name string) *FuncDef {

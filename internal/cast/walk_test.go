@@ -1,10 +1,12 @@
 package cast_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cast"
 	"repro/internal/cparse"
+	"repro/internal/ctoken"
 	"repro/internal/samate"
 )
 
@@ -177,5 +179,36 @@ func TestFuncNamed(t *testing.T) {
 	}
 	if tu.FuncNamed("b") == nil || tu.FuncNamed("missing") != nil {
 		t.Fatal("FuncNamed lookup")
+	}
+}
+
+func TestFuncAt(t *testing.T) {
+	src := "int g; void a(void){} int h; void b(void){ int x; }"
+	tu, err := cparse.Parse("f.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		at   string
+		want string
+	}{
+		{"int g", ""},
+		{"void a", "a"},
+		{"{} int h", "a"},
+		{"int h", ""},
+		{"void b", "b"},
+		{"int x", "b"},
+	} {
+		fn := tu.FuncAt(ctoken.Pos(strings.Index(src, tc.at)))
+		got := ""
+		if fn != nil {
+			got = fn.Name
+		}
+		if got != tc.want {
+			t.Errorf("FuncAt(%q) = %q, want %q", tc.at, got, tc.want)
+		}
+	}
+	if fn := tu.FuncAt(ctoken.Pos(len(src))); fn != nil {
+		t.Errorf("FuncAt(end) = %s, want none", fn.Name)
 	}
 }

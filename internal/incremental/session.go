@@ -9,12 +9,16 @@
 //
 // The invalidation currency is the per-function dependency hash
 // (analysis.Snapshot.FuncHashes): a function whose hash is unchanged
-// after an edit gets its findings replayed from the cross-run memo
-// (overflow.Memo) with extents remapped through the edit's offset
-// mapper, byte-identical to a fresh run. Everything the session returns
-// — findings and repair sites — therefore matches a from-scratch
-// core.Analyze/core.Fix on the same text; the equivalence suite pins
-// that property over randomized edit scripts.
+// after an edit gets its findings replayed from the cross-run memos
+// (overflow.Memo) and its SLR/STR repair sites from the session's site
+// memo, extents remapped through the edit's offset mapper,
+// byte-identical to a fresh run. The hashes themselves are recomputed
+// through an analysis.HashMemo that re-normalizes only the functions
+// whose text changed, and the transformers re-run over only the
+// functions whose sites could not be replayed. Everything the session
+// returns — findings and repair sites — therefore matches a
+// from-scratch core.Analyze/core.Fix on the same text; the equivalence
+// suites pin that property over randomized and per-class edit scripts.
 //
 // Both front ends sit on this package: cmd/cfixlsp (stdio LSP server)
 // and cfixd's /v1/session endpoints.
@@ -25,10 +29,12 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/backend"
+	"repro/internal/cast"
 	"repro/internal/core"
 	"repro/internal/ctoken"
 	"repro/internal/edit"
@@ -79,7 +85,7 @@ type Site struct {
 	// always "stralloc" for STR).
 	SafeName string `json:"safe_name"`
 	// Extent covers the call expression (SLR) or is a zero-width anchor
-	// at the variable's position (STR).
+	// at the start of the variable's own declaration (STR).
 	Extent ctoken.Extent `json:"extent"`
 	// Eligible reports whether the transformation's preconditions hold.
 	Eligible bool `json:"eligible"`
@@ -127,15 +133,33 @@ type Session struct {
 	conf    Config
 	backend backend.Backend
 
-	snap    *analysis.Snapshot
-	hashes  map[string]string
-	ovfMemo *overflow.Memo
-	intMemo *overflow.Memo
+	snap     *analysis.Snapshot
+	hashes   map[string]string
+	ovfMemo  *overflow.Memo
+	intMemo  *overflow.Memo
+	hashMemo *analysis.HashMemo
 
 	findings []overflow.Finding
+	// siteMemo holds each function's repair sites under its dependency
+	// hash, in current-text coordinates; sites is their concatenation in
+	// source order.
+	siteMemo map[string][]trackedSite
 	sites    []Site
+	// discovered counts the functions the last Open or Edit ran site
+	// discovery over (work accounting for tests).
+	discovered int
 
 	counters Counters
+}
+
+// trackedSite is a Site as the site memo keeps it, with the extent the
+// remap tracks: the call (SLR) or the variable's whole declaration (STR),
+// whose start is the site's anchor. Tracking the declaration rather than
+// the zero-width anchor makes an insertion at the anchor (a comment
+// before the declaration) shift the anchor as a fresh run would.
+type trackedSite struct {
+	Site
+	span ctoken.Extent
 }
 
 // Open parses text and derives the initial diagnostics, retaining every
@@ -149,21 +173,51 @@ func Open(ctx context.Context, name, text string, conf Config) (*Session, *Resul
 		return nil, nil, err
 	}
 	s := &Session{
-		name:    name,
-		conf:    conf,
-		backend: be,
-		ovfMemo: overflow.NewMemo(),
-		intMemo: overflow.NewMemo(),
+		name:     name,
+		conf:     conf,
+		backend:  be,
+		ovfMemo:  overflow.NewMemo(),
+		intMemo:  overflow.NewMemo(),
+		hashMemo: analysis.NewHashMemo(),
 	}
-	if err := s.analyze(ctx, text); err != nil {
-		return nil, nil, err
-	}
-	sites, err := discoverSites(s.snap, s.backend)
+	snap, err := analysis.ParseCtx(ctx, s.name, text, s.analysisConfig())
 	if err != nil {
 		return nil, nil, err
 	}
-	s.sites = sites
-	return s, &Result{Text: s.text, Findings: s.findings, Sites: sites}, nil
+	d, err := s.derive(snap, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.commit(text, snap, d)
+	return s, &Result{Text: s.text, Findings: s.findings, Sites: append([]Site(nil), s.sites...)}, nil
+}
+
+// derived is what a session derives from one snapshot.
+type derived struct {
+	findings []overflow.Finding
+	hashes   map[string]string
+	siteMemo map[string][]trackedSite
+	sites    []Site
+}
+
+// derive lints snap and derives its hashes and repair sites, reading
+// the session's retained state but not changing it; mapper carries the
+// retained sites into snap's coordinates (nil at Open).
+func (s *Session) derive(snap *analysis.Snapshot, mapper *edit.Mapper) (derived, error) {
+	var d derived
+	var err error
+	if d.findings, err = core.LintSnapshot(snap, s.conf.Checks); err != nil {
+		return d, err
+	}
+	d.hashes = snap.FuncHashes()
+	d.siteMemo, d.sites, err = s.sitesFor(snap, d.hashes, mapper)
+	return d, err
+}
+
+// commit makes text, its snapshot and what was derived from it current.
+func (s *Session) commit(text string, snap *analysis.Snapshot, d derived) {
+	s.text, s.snap = text, snap
+	s.findings, s.hashes, s.siteMemo, s.sites = d.findings, d.hashes, d.siteMemo, d.sites
 }
 
 // analysisConfig threads the session memos into the oracle options.
@@ -175,34 +229,17 @@ func (s *Session) analysisConfig() analysis.Config {
 	ovf.Memo = s.ovfMemo
 	intf := intflow.DefaultOptions()
 	intf.Memo = s.intMemo
-	return analysis.Config{Overflow: &ovf, Intflow: &intf, Tracer: s.conf.Tracer}
-}
-
-// analyze parses text and re-derives findings and hashes, reusing the
-// memos; sites are left to the caller, which knows whether the dirty
-// set justifies re-discovery. Callers hold s.mu (or are constructing s).
-func (s *Session) analyze(ctx context.Context, text string) error {
-	snap, err := analysis.ParseCtx(ctx, s.name, text, s.analysisConfig())
-	if err != nil {
-		return err
-	}
-	findings, err := core.LintSnapshot(snap, s.conf.Checks)
-	if err != nil {
-		return err
-	}
-	s.text = text
-	s.snap = snap
-	s.hashes = snap.FuncHashes()
-	s.findings = findings
-	return nil
+	return analysis.Config{Overflow: &ovf, Intflow: &intf, Hashes: s.hashMemo, Tracer: s.conf.Tracer}
 }
 
 // Edit applies a position-stable delta script to the session text and
 // re-analyzes. Functions whose dependency hash survives the edit replay
-// their findings from the memo (extents remapped through the script's
-// offset mapper); only the dirty set is re-derived. The returned result
-// is byte-identical to closing the session and re-opening it on the new
-// text.
+// their findings from the oracle memos and their repair sites from the
+// site memo, extents remapped through the script's offset mapper; only
+// the dirty set is re-derived. The returned result is byte-identical to
+// closing the session and re-opening it on the new text. An edit that
+// fails at any step leaves the session on its old text, findings and
+// sites.
 func (s *Session) Edit(ctx context.Context, deltas []edit.Delta) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -231,48 +268,26 @@ func (s *Session) Edit(ctx context.Context, deltas []edit.Delta) (*Result, error
 		return nil, err
 	}
 
-	// Shift every retained extent into the new text's coordinates.
-	// Entries the edit landed inside are dropped by Remap (inexact);
-	// entries the edit invalidated semantically miss on hash and age out.
+	// Shift the oracle memos into the new text's coordinates. Entries the
+	// edit landed inside are dropped by Remap (inexact); entries the edit
+	// invalidated semantically miss on hash and age out. The hash memo is
+	// keyed by content, not position, and needs no remap.
 	mapper := edit.NewMapper(script)
-	oldSites := append([]Site(nil), s.sites...)
 	s.ovfMemo.Remap(mapper.MapExtent)
 	s.intMemo.Remap(mapper.MapExtent)
-	sitesExact := true
-	for i := range s.sites {
-		ne, exact := mapper.MapExtent(s.sites[i].Extent)
-		s.sites[i].Extent = ne
-		sitesExact = sitesExact && exact
-	}
 
-	findings, err := core.LintSnapshot(snap, s.conf.Checks)
+	// Derive everything before the swap: a lint or discovery failure
+	// must leave the session on its old text, findings and sites.
+	d, err := s.derive(snap, mapper)
 	if err != nil {
-		// The memos are now in the coordinates of a text that never became
-		// current; drop them rather than guess, and restore the sites.
+		// The oracle memos are now in the coordinates of a text that
+		// never became current; drop them rather than guess. The site
+		// memo was only read.
 		s.ovfMemo, s.intMemo = overflow.NewMemo(), overflow.NewMemo()
-		s.sites = oldSites
 		return nil, err
 	}
-
-	oldHashes := s.hashes
-	s.text, s.snap, s.findings = newText, snap, findings
-	s.hashes = snap.FuncHashes()
-
-	dirty, reused := diffHashes(oldHashes, s.hashes)
-	if dirty > 0 || !sitesExact {
-		// The transformers are whole-unit, so any dirty function means a
-		// full site re-discovery on the new snapshot; so does an edit that
-		// landed inside a retained site's extent, whose fresh extent the
-		// remap cannot reproduce.
-		sites, err := discoverSites(s.snap, s.backend)
-		if err != nil {
-			return nil, err
-		}
-		s.sites = sites
-	}
-	// else: a clean edit (comments, whitespace outside every site) — the
-	// remapped previous sites are byte-identical to a re-discovery, which
-	// the equivalence suite pins, so the transformers are skipped.
+	dirty, reused := diffHashes(s.hashes, d.hashes)
+	s.commit(newText, snap, d)
 
 	res := &Result{Text: s.text, Findings: s.findings, Sites: append([]Site(nil), s.sites...)}
 	res.FuncsReanalyzed, res.FuncsReused = dirty, reused
@@ -284,6 +299,79 @@ func (s *Session) Edit(ctx context.Context, deltas []edit.Delta) (*Result, error
 		Attr("funcs_reused", fmt.Sprint(reused)).
 		Attr("findings", fmt.Sprint(len(res.Findings)))
 	return res, nil
+}
+
+// sitesFor derives snap's repair sites. A function whose dependency hash
+// has a site-memo entry whose every site remapped exactly through mapper
+// keeps those sites: equal hash means equal site decisions (SLR reads the
+// function's own facts, STR also its callees' may-modify facts, both
+// covered by the hash), and an exact remap means equal extents. Every
+// other function is re-discovered, all of them in one transformer run
+// restricted to them. It returns the new memo and site list without
+// touching the session's.
+func (s *Session) sitesFor(snap *analysis.Snapshot, hashes map[string]string, mapper *edit.Mapper) (map[string][]trackedSite, []Site, error) {
+	funcs := snap.Unit().Funcs
+	// Duplicate function names collide in the by-name hash map: such a
+	// unit is discovered whole and memoizes nothing.
+	unique := len(hashes) == len(funcs)
+	perFunc := make([][]trackedSite, len(funcs))
+	var dirty []*cast.FuncDef
+	var dirtyAt []int
+	for i, fn := range funcs {
+		if old, ok := s.siteMemo[hashes[fn.Name]]; ok && unique {
+			if moved, exact := remapSites(old, mapper); exact {
+				perFunc[i] = moved
+				continue
+			}
+		}
+		dirty = append(dirty, fn)
+		dirtyAt = append(dirtyAt, i)
+	}
+	s.discovered = len(dirty)
+	if len(dirty) > 0 {
+		found, err := discoverSites(snap, s.backend, dirty)
+		if err != nil {
+			return nil, nil, err
+		}
+		for k, i := range dirtyAt {
+			perFunc[i] = found[k]
+		}
+	}
+
+	var memo map[string][]trackedSite
+	if unique {
+		memo = make(map[string][]trackedSite, len(funcs))
+	}
+	var sites []Site
+	for i, fn := range funcs {
+		if memo != nil {
+			memo[hashes[fn.Name]] = perFunc[i]
+		}
+		for _, ts := range perFunc[i] {
+			sites = append(sites, ts.Site)
+		}
+	}
+	return memo, sites, nil
+}
+
+// remapSites carries one function's sites across an edit, reporting
+// whether every extent survived exactly.
+func remapSites(old []trackedSite, mapper *edit.Mapper) ([]trackedSite, bool) {
+	moved := make([]trackedSite, len(old))
+	for i, ts := range old {
+		span, exact := mapper.MapExtent(ts.span)
+		if !exact {
+			return nil, false
+		}
+		ts.span = span
+		if ts.Kind == SiteSTR {
+			ts.Extent = ctoken.Extent{Pos: span.Pos, End: span.Pos}
+		} else {
+			ts.Extent = span
+		}
+		moved[i] = ts
+	}
+	return moved, true
 }
 
 // diffHashes splits the new function set into dirty (hash changed or
@@ -346,84 +434,67 @@ func (s *Session) Position(p ctoken.Pos) ctoken.Position {
 	return s.snap.Unit().File.Position(p)
 }
 
-// discoverSites runs both transformers in discovery mode and projects
-// their results to the session-compact site type.
-func discoverSites(snap *analysis.Snapshot, be backend.Backend) ([]Site, error) {
-	var sites []Site
-	slrRes, err := slr.NewTransformerSnapBackend(snap, be).ApplyAll()
+// discoverSites runs both transformers in discovery mode over fns (unit
+// functions in source order) and projects their results to the
+// session-compact site type, one source-ordered list per function.
+func discoverSites(snap *analysis.Snapshot, be backend.Backend, fns []*cast.FuncDef) ([][]trackedSite, error) {
+	unit := snap.Unit()
+	out := make([][]trackedSite, len(fns))
+	slot := make(map[*cast.FuncDef]int, len(fns))
+	for i, fn := range fns {
+		slot[fn] = i
+	}
+	add := func(ts trackedSite) {
+		// The transformers looked only inside fns, so FuncAt finds one.
+		fn := unit.FuncAt(ts.span.Pos)
+		// The memo outlives this snapshot: names sliced from its source
+		// would keep every past version of the text alive.
+		ts.Function, ts.Name = strings.Clone(fn.Name), strings.Clone(ts.Name)
+		out[slot[fn]] = append(out[slot[fn]], ts)
+	}
+	slrRes, err := slr.NewTransformerSnapBackend(snap, be).ApplyFuncs(fns)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: slr discovery: %w", err)
 	}
 	for _, st := range slrRes.Sites {
-		site := Site{
+		ts := trackedSite{Site: Site{
 			Kind:     SiteSLR,
-			Function: funcAt(snap, st.Extent.Pos),
 			Name:     st.Function,
 			SafeName: st.SafeName,
 			Extent:   st.Extent,
 			Eligible: st.Applied,
-		}
+		}, span: st.Extent}
 		if st.Failure != nil {
-			site.Reason = st.Failure.Reason.String()
+			ts.Reason = st.Failure.Reason.String()
 		}
-		sites = append(sites, site)
+		add(ts)
 	}
-	strRes, err := str.NewTransformerSnap(snap).ApplyAll()
+	strRes, err := str.NewTransformerSnap(snap).ApplyFuncs(fns)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: str discovery: %w", err)
 	}
 	for _, v := range strRes.Vars {
-		site := Site{
+		ts := trackedSite{Site: Site{
 			Kind:     SiteSTR,
-			Function: v.Func,
 			Name:     v.Name,
 			SafeName: "stralloc",
-			Extent:   varExtent(snap, v),
+			Extent:   ctoken.Extent{Pos: v.Extent.Pos, End: v.Extent.Pos},
 			Eligible: v.Applied,
-		}
+		}, span: v.Extent}
 		if !v.Applied {
-			site.Reason = v.Reason.String()
+			ts.Reason = v.Reason.String()
 		}
-		sites = append(sites, site)
+		add(ts)
 	}
 	// Source order, STR after SLR at equal offsets for determinism.
-	slices.SortStableFunc(sites, func(a, b Site) int {
-		return cmp.Or(
-			cmp.Compare(a.Extent.Pos, b.Extent.Pos),
-			cmp.Compare(a.Kind, b.Kind),
-			cmp.Compare(a.Name, b.Name),
-		)
-	})
-	return sites, nil
-}
-
-// funcAt names the function whose extent contains offset p.
-func funcAt(snap *analysis.Snapshot, p ctoken.Pos) string {
-	for _, fn := range snap.Unit().Funcs {
-		e := fn.Extent()
-		if p >= e.Pos && p < e.End {
-			return fn.Name
-		}
+	for _, sites := range out {
+		slices.SortStableFunc(sites, func(a, b trackedSite) int {
+			return cmp.Or(
+				cmp.Compare(a.Extent.Pos, b.Extent.Pos),
+				cmp.Compare(a.Kind, b.Kind),
+				cmp.Compare(a.Name, b.Name),
+			)
+		})
 	}
-	return ""
-}
-
-// varExtent recovers a zero-width anchor for a STR variable from its
-// declaration inside the named function.
-func varExtent(snap *analysis.Snapshot, v str.VarResult) ctoken.Extent {
-	fn := snap.Unit().FuncNamed(v.Func)
-	if fn == nil {
-		return ctoken.Extent{}
-	}
-	for _, sym := range snap.Unit().Symbols {
-		if sym == nil || sym.IsGlobal || sym.Name != v.Name || sym.Decl == nil {
-			continue
-		}
-		p := sym.Decl.Extent().Pos
-		fe := fn.Extent()
-		if p >= fe.Pos && p < fe.End {
-			return ctoken.Extent{Pos: p, End: p}
-		}
-	}
-	return ctoken.Extent{}
+	return out, nil
 }

@@ -281,3 +281,161 @@ func TestDeletedFunctionCountsDirty(t *testing.T) {
 	}
 	requireEquivalent(t, s)
 }
+
+// TestInBodyEditIsPerFunction pins the per-function cost of an edit:
+// site discovery runs over the functions whose dependency hash changed
+// or whose sites the edit landed inside, and no others.
+func TestInBodyEditIsPerFunction(t *testing.T) {
+	s, _ := open(t, structUsers)
+	if s.discovered != 3 {
+		t.Fatalf("Open discovered sites in %d functions, want all 3", s.discovered)
+	}
+	// Each edit replaces from, found inside the first occurrence of at,
+	// with to.
+	edits := []struct {
+		name         string
+		at, from, to string
+		discovered   int
+	}{
+		// In-body edit to a leaf: only loner is re-discovered.
+		{"in-body", "c[4]", "4", "6", 1},
+		// A comment inside reader's strcpy keeps every hash but moves
+		// the call's end: reader alone is re-discovered.
+		{"inside a site", `"0123456789")`, `"0123456789"`, `"0123456789" /*c*/`, 1},
+		// A comment between functions shifts every site exactly.
+		{"between functions", "void writer", "void", "/* c */\nvoid", 0},
+		// A file-scope edit dirties the struct's two users.
+		{"file scope", "body[8]", "8", "4", 2},
+	}
+	for _, e := range edits {
+		at := strings.Index(s.Text(), e.at)
+		if at < 0 {
+			t.Fatalf("%s: %q not in text", e.name, e.at)
+		}
+		at += strings.Index(e.at, e.from)
+		if _, err := s.Edit(context.Background(), []edit.Delta{
+			edit.Replace(ctoken.Extent{Pos: ctoken.Pos(at), End: ctoken.Pos(at + len(e.from))}, e.to),
+		}); err != nil {
+			t.Fatalf("%s: Edit: %v", e.name, err)
+		}
+		if s.discovered != e.discovered {
+			t.Fatalf("%s: site discovery ran over %d functions, want %d", e.name, s.discovered, e.discovered)
+		}
+		requireEquivalent(t, s)
+	}
+}
+
+// TestShadowedLocalsGetDistinctAnchors: two same-named locals in sibling
+// blocks are two STR sites, each anchored at its own declaration.
+func TestShadowedLocalsGetDistinctAnchors(t *testing.T) {
+	const src = `
+void shadow(int c) {
+    if (c) {
+        char *p;
+        p = malloc(8);
+        p[0] = 'a';
+    } else {
+        char *p;
+        p = malloc(16);
+        p[0] = 'b';
+    }
+}
+`
+	s, res := open(t, src)
+	var anchors []ctoken.Pos
+	for _, st := range res.Sites {
+		if st.Kind == SiteSTR && st.Name == "p" {
+			anchors = append(anchors, st.Extent.Pos)
+		}
+	}
+	first := strings.Index(src, "char *p;")
+	second := strings.LastIndex(src, "char *p;")
+	if len(anchors) != 2 {
+		t.Fatalf("STR sites for p: %v, want 2", anchors)
+	}
+	for i, decl := range []int{first, second} {
+		if a := int(anchors[i]); a < decl || a >= decl+len("char *p;") {
+			t.Fatalf("anchor %d at offset %d, outside its declaration at [%d,%d)", i, a, decl, decl+len("char *p;"))
+		}
+	}
+	// A comment right before the second declaration moves its anchor
+	// and leaves the first where it was.
+	if _, err := s.Edit(context.Background(), []edit.Delta{edit.Insert(ctoken.Pos(second), "/*c*/ ")}); err != nil {
+		t.Fatalf("Edit: %v", err)
+	}
+	requireEquivalent(t, s)
+}
+
+// TestFailedDiscoveryLeavesSessionIntact: an edit that parses and lints
+// but makes SLR's splice fail (an unsafe call nested in a clamped memcpy
+// length) is rejected without moving the session to the new text.
+func TestFailedDiscoveryLeavesSessionIntact(t *testing.T) {
+	const src = `
+void f(void) {
+    char a[8];
+    char c[8];
+    char b[16];
+    xmemcpy(a, b, strlen(strcpy(c, "x")));
+}
+
+void g(void) {
+    char d[4];
+    strcpy(d, "toolong");
+}
+`
+	s, _ := open(t, src)
+	text, findings, sites := s.Text(), s.Findings(), s.Sites()
+	at := strings.Index(text, "xmemcpy")
+	if _, err := s.Edit(context.Background(), []edit.Delta{
+		edit.Delete(ctoken.Extent{Pos: ctoken.Pos(at), End: ctoken.Pos(at + 1)}),
+	}); err == nil || !strings.Contains(err.Error(), "slr discovery") {
+		t.Fatalf("Edit error = %v, want an SLR discovery failure", err)
+	}
+	if s.Text() != text {
+		t.Fatal("failed edit moved the session text")
+	}
+	if !reflect.DeepEqual(s.Findings(), findings) {
+		t.Fatal("failed edit changed the session findings")
+	}
+	if !reflect.DeepEqual(s.Sites(), sites) {
+		t.Fatal("failed edit changed the session sites")
+	}
+	// The session still edits correctly afterwards.
+	at = strings.Index(text, "d[4]") + len("d[")
+	if _, err := s.Edit(context.Background(), []edit.Delta{
+		edit.Replace(ctoken.Extent{Pos: ctoken.Pos(at), End: ctoken.Pos(at + 1)}, "2"),
+	}); err != nil {
+		t.Fatalf("edit after failed edit: %v", err)
+	}
+	requireEquivalent(t, s)
+}
+
+// TestDuplicateFunctionNamesStayEquivalent: two definitions of one name
+// share one entry of the by-name hash map, so the session cannot key
+// their sites apart; an edit to either must still match a fresh run.
+func TestDuplicateFunctionNamesStayEquivalent(t *testing.T) {
+	const src = `
+void twice(void) {
+    char a[8];
+    strcpy(a, "0123456789");
+}
+
+void twice(void) {
+    char b[8];
+    strcpy(b, "abc");
+}
+`
+	s, _ := open(t, src)
+	for _, from := range []string{"a[8]", "b[8]"} {
+		at := strings.Index(s.Text(), from) + len("a[")
+		if _, err := s.Edit(context.Background(), []edit.Delta{
+			edit.Replace(ctoken.Extent{Pos: ctoken.Pos(at), End: ctoken.Pos(at + 1)}, "2"),
+		}); err != nil {
+			t.Fatalf("Edit: %v", err)
+		}
+		if s.discovered != 2 {
+			t.Fatalf("site discovery ran over %d functions, want both definitions", s.discovered)
+		}
+		requireEquivalent(t, s)
+	}
+}

@@ -96,7 +96,9 @@ type solved[S any, P any] struct {
 // NewEngine wires an oracle to a unit. The memo arms only for
 // unbudgeted runs whose facts provider exposes dependency hashes:
 // budget degradation depends on visit order, which a memo hit would
-// skip.
+// skip. A unit that defines one name twice has one hash for both
+// definitions, which cannot key their findings apart, so it runs
+// unmemoized.
 func NewEngine[S, V any, P dataflow.Problem[S]](unit *cast.TranslationUnit, facts UnitFacts, o Oracle[S, V, P]) *Engine[S, V, P] {
 	e := &Engine[S, V, P]{
 		unit:        unit,
@@ -113,7 +115,7 @@ func NewEngine[S, V any, P dataflow.Problem[S]](unit *cast.TranslationUnit, fact
 	}
 	if o.Memo != nil && o.Limits.Steps == 0 && o.Limits.Contexts == 0 && facts != nil {
 		e.hashes = facts.FuncHashes()
-		e.useMemo = e.hashes != nil
+		e.useMemo = e.hashes != nil && len(e.hashes) == len(unit.Funcs)
 		if e.useMemo {
 			o.Memo.BeginRun()
 		}

@@ -185,10 +185,10 @@ type candidate struct {
 	inBlock bool
 }
 
-// findCandidates walks the unit for unsafe calls in source order.
-func (t *Transformer) findCandidates() []candidate {
+// findCandidates walks fns for unsafe calls in source order.
+func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 	var out []candidate
-	for _, fn := range t.unit.Funcs {
+	for _, fn := range fns {
 		fn := fn
 		var walkStmt func(s cast.Stmt, inBlock bool)
 		walkExpr := func(e cast.Expr, enclosing cast.Stmt, inBlock bool) {
@@ -266,23 +266,32 @@ func (t *Transformer) findCandidates() []candidate {
 // by the evaluation (Section IV); ApplyAt transforms a single selected
 // site.
 func (t *Transformer) ApplyAll() (*FileResult, error) {
-	return t.apply(nil)
+	return t.apply(t.unit.Funcs, nil)
+}
+
+// ApplyFuncs runs SLR on the candidate call sites inside fns only, which
+// must be function definitions of the unit in source order. SLR decides
+// each site from its own function's facts, so the sites reported are
+// exactly those ApplyAll reports inside fns; incremental sessions use it
+// to re-discover only the functions an edit invalidated.
+func (t *Transformer) ApplyFuncs(fns []*cast.FuncDef) (*FileResult, error) {
+	return t.apply(fns, nil)
 }
 
 // ApplyAt runs SLR only on the call site covering the given source offset
 // (the "developer selects a function call expression" workflow of Section
 // II-A2).
 func (t *Transformer) ApplyAt(offset ctoken.Pos) (*FileResult, error) {
-	return t.apply(func(c candidate) bool {
+	return t.apply(t.unit.Funcs, func(c candidate) bool {
 		e := c.call.Extent()
 		return e.Pos <= offset && offset < e.End
 	})
 }
 
-func (t *Transformer) apply(filter func(candidate) bool) (*FileResult, error) {
+func (t *Transformer) apply(fns []*cast.FuncDef, filter func(candidate) bool) (*FileResult, error) {
 	res := &FileResult{}
 	edits := edit.NewScript()
-	for _, c := range t.findCandidates() {
+	for _, c := range t.findCandidates(fns) {
 		if filter != nil && !filter(c) {
 			continue
 		}

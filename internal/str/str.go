@@ -164,8 +164,10 @@ type candidate struct {
 
 // Transformer applies STR to one translation unit.
 type Transformer struct {
-	unit    *cast.TranslationUnit
-	inter   *interproc.Result
+	unit  *cast.TranslationUnit
+	inter *interproc.Result
+	// parents maps each node inside the functions apply runs over to
+	// its parent.
 	parents map[cast.Node]cast.Node
 	// targets is the final eligible symbol set (phase 1 output).
 	targets map[*cast.Symbol]bool
@@ -193,7 +195,6 @@ func newTransformer(unit *cast.TranslationUnit, inter *interproc.Result) *Transf
 	t := &Transformer{
 		unit:      unit,
 		inter:     inter,
-		parents:   buildParents(unit),
 		targets:   make(map[*cast.Symbol]bool),
 		declOf:    make(map[*cast.Symbol]*candidate),
 		usedNames: make(map[string]struct{}),
@@ -204,8 +205,9 @@ func newTransformer(unit *cast.TranslationUnit, inter *interproc.Result) *Transf
 	return t
 }
 
-// buildParents records each node's parent for context classification.
-func buildParents(unit *cast.TranslationUnit) map[cast.Node]cast.Node {
+// buildParents records each node's parent inside fns for context
+// classification; every query is about a node inside a function body.
+func buildParents(fns []*cast.FuncDef) map[cast.Node]cast.Node {
 	parents := make(map[cast.Node]cast.Node)
 	var walk func(n cast.Node)
 	walk = func(n cast.Node) {
@@ -214,15 +216,17 @@ func buildParents(unit *cast.TranslationUnit) map[cast.Node]cast.Node {
 			walk(c)
 		})
 	}
-	walk(unit)
+	for _, fn := range fns {
+		walk(fn)
+	}
 	return parents
 }
 
-// findCandidates collects local char pointer/array declarations in source
-// order.
-func (t *Transformer) findCandidates() []*candidate {
+// findCandidates collects the local char pointer/array declarations of
+// fns in source order.
+func (t *Transformer) findCandidates(fns []*cast.FuncDef) []*candidate {
 	var out []*candidate
-	for _, fn := range t.unit.Funcs {
+	for _, fn := range fns {
 		fn := fn
 		cast.Inspect(fn.Body, func(n cast.Node) bool {
 			ds, ok := n.(*cast.DeclStmt)
@@ -252,21 +256,32 @@ func (t *Transformer) findCandidates() []*candidate {
 // batch mode of Section IV). Ineligible candidates are reported with their
 // failure reason and left untouched.
 func (t *Transformer) ApplyAll() (*FileResult, error) {
-	return t.apply(nil)
+	return t.apply(t.unit.Funcs, nil)
+}
+
+// ApplyFuncs runs STR on the candidate variables of fns only, which must
+// be function definitions of the unit in source order. A variable's
+// preconditions read only its own function and the may-modify facts of
+// its callees, so the variables reported are exactly those ApplyAll
+// reports inside fns; incremental sessions use it to re-discover only
+// the functions an edit invalidated.
+func (t *Transformer) ApplyFuncs(fns []*cast.FuncDef) (*FileResult, error) {
+	return t.apply(fns, nil)
 }
 
 // ApplyVar runs STR on the single variable with the given name declared in
 // the named function (the "developer selects a char pointer" workflow of
 // Section II-B2).
 func (t *Transformer) ApplyVar(funcName, varName string) (*FileResult, error) {
-	return t.apply(func(c *candidate) bool {
+	return t.apply(t.unit.Funcs, func(c *candidate) bool {
 		return c.fn.Name == funcName && c.decl.Name == varName
 	})
 }
 
-func (t *Transformer) apply(filter func(*candidate) bool) (*FileResult, error) {
+func (t *Transformer) apply(fns []*cast.FuncDef, filter func(*candidate) bool) (*FileResult, error) {
 	res := &FileResult{}
-	cands := t.findCandidates()
+	t.parents = buildParents(fns)
+	cands := t.findCandidates(fns)
 
 	// Phase 1: preconditions decide the target set. Eligibility is a
 	// fixpoint: pointer-to-pointer assignments (pattern 5) are only safe
@@ -325,7 +340,7 @@ func (t *Transformer) apply(filter func(*candidate) bool) (*FileResult, error) {
 
 	// Phase 2: rewrite every statement that touches a target.
 	edits := edit.NewScript()
-	for _, fn := range t.unit.Funcs {
+	for _, fn := range fns {
 		edits.SetOwner("func:" + fn.Name)
 		t.renderFunc(fn, edits)
 	}
