@@ -94,7 +94,6 @@ type Report struct {
 	Routed    int64   `json:"routed_delta,omitempty"`
 	Retried   int64   `json:"retried_delta,omitempty"`
 	Hedged    int64   `json:"hedged_delta,omitempty"`
-	Broken    int64   `json:"broken_delta,omitempty"`
 
 	Steps []Step `json:"steps"`
 }
@@ -297,7 +296,6 @@ func run() int {
 			rep.Routed = delta(before, after, "routed_total")
 			rep.Retried = delta(before, after, "retried_total")
 			rep.Hedged = delta(before, after, "hedged_total")
-			rep.Broken = delta(before, after, "broken_total")
 			rep.RetryRate = float64(rep.Retried) / float64(*requests)
 			rep.HedgeRate = float64(rep.Hedged) / float64(*requests)
 		}

@@ -99,12 +99,9 @@ func TestChaosFleetEndToEnd(t *testing.T) {
 	// window of 500s, then kills the backend for good mid-run.
 	a, b := startCfixd(t), startCfixd(t)
 	chaotic := startCfixd(t)
-	// The 500s window (3 consecutive) deliberately stays under the
-	// breaker threshold (5): an open circuit would stop traffic to the
-	// proxy for a cooldown, and on a fast machine the whole workload
-	// can finish inside it — the kill at serving request 20 must be
-	// reached regardless of run speed. The breaker's own open/recover
-	// path is unit-tested in router_test.go.
+	// Every failed attempt on the proxy is retried on the next replica,
+	// and the proxy stays in rotation until probes eject it, so the kill
+	// at serving request 20 is reached regardless of run speed.
 	proxy := fault.NewChaosProxy(chaotic,
 		fault.ChaosRule{From: 3, To: 8, Action: fault.ChaosLatency, Latency: 150 * time.Millisecond},
 		fault.ChaosRule{From: 10, To: 12, Action: fault.ChaosError},
@@ -116,18 +113,13 @@ func TestChaosFleetEndToEnd(t *testing.T) {
 	t.Cleanup(proxy.Close)
 
 	rt, err := NewRouter(Config{
-		Backends:         []string{a, b, proxy.URL()},
-		MaxInFlight:      64,
-		Retries:          2,
-		RetryBackoff:     time.Millisecond,
-		HedgeAfter:       100 * time.Millisecond,
-		ProbeInterval:    20 * time.Millisecond,
-		ProbeTimeout:     2 * time.Second, // -race + full pipeline saturates CPU; don't eject on jitter
-		ProbeFailLimit:   2,
-		ProbeMaxBackoff:  200 * time.Millisecond,
-		BreakerThreshold: 5,
-		BreakerCooldown:  50 * time.Millisecond,
-		UpstreamTimeout:  30 * time.Second,
+		Backends:        []string{a, b, proxy.URL()},
+		MaxInFlight:     64,
+		Retries:         2,
+		HedgeAfter:      100 * time.Millisecond,
+		ProbeInterval:   20 * time.Millisecond,
+		ProbeTimeout:    2 * time.Second, // -race + full pipeline saturates CPU; don't eject on jitter
+		UpstreamTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
@@ -215,15 +207,7 @@ func TestChaosFleetEndToEnd(t *testing.T) {
 	if m.RoutedTotal == 0 || m.UpstreamFailures == 0 {
 		t.Errorf("want routed_total > 0 and upstream_failures > 0, got %+v", m)
 	}
-	// Breaker state is part of the payload for every backend.
-	for url, bs := range m.Backends {
-		switch bs.BreakerState {
-		case "closed", "open", "half_open":
-		default:
-			t.Errorf("backend %s: unobservable breaker state %q", url, bs.BreakerState)
-		}
-	}
 
-	t.Logf("chaos run: %d requests, routed=%d retried=%d hedged=%d broken=%d collapsed=%d upstream_failures=%d ejections=%d",
-		totalRequests, m.RoutedTotal, m.RetriedTotal, m.HedgedTotal, m.BrokenTotal, m.CollapsedTotal, m.UpstreamFailures, ejections)
+	t.Logf("chaos run: %d requests, routed=%d retried=%d hedged=%d collapsed=%d upstream_failures=%d ejections=%d",
+		totalRequests, m.RoutedTotal, m.RetriedTotal, m.HedgedTotal, m.CollapsedTotal, m.UpstreamFailures, ejections)
 }

@@ -10,25 +10,22 @@ import (
 )
 
 // backendState is one cfixd backend as the router sees it: its base
-// URL, its circuit breaker, its health overlay, and its share of the
-// per-backend /metrics counters. Counter semantics:
+// URL, its health overlay, and its share of the per-backend /metrics
+// counters. Counter semantics:
 //
 //	routed   — upstream attempts sent to this backend (primaries,
 //	           retries and hedges all count; they are also counted in
 //	           their own columns)
 //	retried  — attempts that were retries of a failure elsewhere
 //	hedged   — attempts launched because the previous replica was slow
-//	broken   — times this backend was skipped because its breaker was open
 //	ejected  — health ejection events (cumulative)
 type backendState struct {
-	url     string
-	breaker *Breaker
+	url string
 
 	ejected  atomic.Bool
 	routed   atomic.Int64
 	retried  atomic.Int64
 	hedged   atomic.Int64
-	broken   atomic.Int64
 	ejection atomic.Int64
 	// probeFails counts consecutive failed probes; prober-goroutine-only.
 	probeFails int
@@ -51,13 +48,14 @@ func (rt *Router) probeBackends() {
 }
 
 // probeLoop probes one backend's /readyz forever: a healthy backend is
-// probed every ProbeInterval; ProbeFailLimit consecutive failures eject
+// probed every ProbeInterval; probeFailLimit consecutive failures eject
 // it (the ring is untouched — requests simply skip it); an ejected
 // backend keeps being probed with exponential backoff up to
-// ProbeMaxBackoff, and a single success reinstates it with a reset
-// breaker. /readyz rather than /healthz is deliberate: a draining
-// backend fails readiness while still alive, so the router stops
-// routing to it before its listener closes.
+// probeBackoffIntervals × ProbeInterval, and a single success
+// reinstates it. Ejection is the only way a backend leaves rotation.
+// /readyz rather than /healthz is deliberate: a draining backend fails
+// readiness while still alive, so the router stops routing to it
+// before its listener closes.
 func (rt *Router) probeLoop(be *backendState) {
 	interval := rt.conf.ProbeInterval
 	wait := interval
@@ -72,14 +70,13 @@ func (rt *Router) probeLoop(be *backendState) {
 		if rt.probeOnce(be) {
 			if be.ejected.Load() {
 				rt.conf.Log.Printf("fleet: backend %s ready again, reinstating", be.url)
-				be.breaker.Reset()
 				be.ejected.Store(false)
 			}
 			be.probeFails = 0
 			wait = interval
 		} else {
 			be.probeFails++
-			if be.probeFails >= rt.conf.ProbeFailLimit && !be.ejected.Load() {
+			if be.probeFails >= probeFailLimit && !be.ejected.Load() {
 				rt.conf.Log.Printf("fleet: backend %s failed %d consecutive probes, ejecting",
 					be.url, be.probeFails)
 				be.ejected.Store(true)
@@ -89,7 +86,7 @@ func (rt *Router) probeLoop(be *backendState) {
 				// Exponential backoff while ejected: a dead backend is
 				// probed less and less often, a restarted one is still
 				// noticed within one backoff period.
-				wait = min(2*wait, rt.conf.ProbeMaxBackoff)
+				wait = min(2*wait, probeBackoffIntervals*interval)
 			} else {
 				wait = interval
 			}

@@ -1,37 +1,23 @@
 package fleet
 
-import (
-	"sync/atomic"
-	"time"
+import "sync/atomic"
 
-	"repro/internal/server"
-)
-
-// routerMetrics holds the router's counters; everything atomic, same
-// discipline as the single daemon's metrics.
+// routerMetrics holds the router's own counters; everything atomic,
+// same discipline as the single daemon's metrics. The counters every
+// tier keeps (probes, admission, errors, panics, request latency) live
+// on the server.Tier.
 type routerMetrics struct {
-	start time.Time
-
-	fixRequests    atomic.Int64
-	lintRequests   atomic.Int64
-	batchRequests  atomic.Int64
-	batchFiles     atomic.Int64
-	healthRequests atomic.Int64
-	readyRequests  atomic.Int64
-
-	clientErrors atomic.Int64
-	serverErrors atomic.Int64
-	panics       atomic.Int64
+	fixRequests   atomic.Int64
+	lintRequests  atomic.Int64
+	batchRequests atomic.Int64
+	batchFiles    atomic.Int64
 
 	routedTotal      atomic.Int64
 	retriedTotal     atomic.Int64
 	hedgedTotal      atomic.Int64
-	brokenTotal      atomic.Int64
 	collapsed        atomic.Int64
 	upstreamFailures atomic.Int64
 	unroutable       atomic.Int64
-
-	latency server.LatencyHist
 }
 
 // BackendSnapshot is one backend's slice of the router's /metrics
@@ -39,17 +25,11 @@ type routerMetrics struct {
 type BackendSnapshot struct {
 	// Healthy reports the health overlay: false while ejected.
 	Healthy bool `json:"healthy"`
-	// BreakerState is "closed", "open" or "half_open".
-	BreakerState string `json:"breaker_state"`
-	// BreakerOpens counts cumulative open transitions.
-	BreakerOpens int64 `json:"breaker_opens"`
 	// Routed counts upstream attempts sent to this backend; Retried and
 	// Hedged are the subsets launched as retries and hedges.
 	Routed  int64 `json:"routed"`
 	Retried int64 `json:"retried"`
 	Hedged  int64 `json:"hedged"`
-	// Broken counts times the backend was skipped on an open circuit.
-	Broken int64 `json:"broken"`
 	// EjectedTotal counts health ejection events.
 	EjectedTotal int64 `json:"ejected_total"`
 }
@@ -75,21 +55,20 @@ type RouterSnapshot struct {
 	InFlight        int64 `json:"in_flight"`
 
 	// RoutedTotal counts upstream attempts across all backends;
-	// RetriedTotal/HedgedTotal the retry and hedge subsets. BrokenTotal
-	// counts skips on open circuits, CollapsedTotal requests answered by
-	// piggybacking on an identical in-flight one (fleet singleflight),
-	// UpstreamFailures failed attempts (connect error, retryable status,
-	// torn body), Unroutable requests that found no available backend.
+	// RetriedTotal/HedgedTotal the retry and hedge subsets.
+	// CollapsedTotal counts requests answered by piggybacking on an
+	// identical in-flight one (fleet singleflight), UpstreamFailures
+	// failed attempts (connect error, retryable status, torn body),
+	// Unroutable requests that found no available backend.
 	RoutedTotal      int64 `json:"routed_total"`
 	RetriedTotal     int64 `json:"retried_total"`
 	HedgedTotal      int64 `json:"hedged_total"`
-	BrokenTotal      int64 `json:"broken_total"`
 	CollapsedTotal   int64 `json:"singleflight_collapsed"`
 	UpstreamFailures int64 `json:"upstream_failures"`
 	Unroutable       int64 `json:"unroutable"`
 
-	// Backends maps each backend base URL to its health, breaker state
-	// and per-backend counters.
+	// Backends maps each backend base URL to its health and per-backend
+	// counters.
 	Backends map[string]BackendSnapshot `json:"backends"`
 
 	LatencyBuckets map[string]int64 `json:"latency_buckets"`
@@ -98,25 +77,25 @@ type RouterSnapshot struct {
 
 // snapshot reads every counter.
 func (rt *Router) snapshot() RouterSnapshot {
+	tc := rt.Counts()
 	var s RouterSnapshot
 	s.Router = true
-	s.UptimeSeconds = time.Since(rt.m.start).Seconds()
+	s.UptimeSeconds = tc.UptimeSeconds
 	s.Requests.Fix = rt.m.fixRequests.Load()
 	s.Requests.Lint = rt.m.lintRequests.Load()
 	s.Requests.Batch = rt.m.batchRequests.Load()
-	s.Requests.Healthz = rt.m.healthRequests.Load()
-	s.Requests.Readyz = rt.m.readyRequests.Load()
+	s.Requests.Healthz = tc.Healthz
+	s.Requests.Readyz = tc.Readyz
 	s.BatchFiles = rt.m.batchFiles.Load()
-	s.Draining = rt.draining.Load()
-	s.Rejected429 = rt.gate.Rejected()
-	s.ClientErrors = rt.m.clientErrors.Load()
-	s.ServerErrors = rt.m.serverErrors.Load()
-	s.PanicsRecovered = rt.m.panics.Load()
-	s.InFlight = rt.gate.InFlight()
+	s.Draining = tc.Draining
+	s.Rejected429 = tc.Rejected429
+	s.ClientErrors = tc.ClientErrors
+	s.ServerErrors = tc.ServerErrors
+	s.PanicsRecovered = tc.Panics
+	s.InFlight = tc.InFlight
 	s.RoutedTotal = rt.m.routedTotal.Load()
 	s.RetriedTotal = rt.m.retriedTotal.Load()
 	s.HedgedTotal = rt.m.hedgedTotal.Load()
-	s.BrokenTotal = rt.m.brokenTotal.Load()
 	s.CollapsedTotal = rt.m.collapsed.Load()
 	s.UpstreamFailures = rt.m.upstreamFailures.Load()
 	s.Unroutable = rt.m.unroutable.Load()
@@ -124,16 +103,13 @@ func (rt *Router) snapshot() RouterSnapshot {
 	for _, be := range rt.backendList {
 		s.Backends[be.url] = BackendSnapshot{
 			Healthy:      be.available(),
-			BreakerState: be.breaker.State(),
-			BreakerOpens: be.breaker.Opens(),
 			Routed:       be.routed.Load(),
 			Retried:      be.retried.Load(),
 			Hedged:       be.hedged.Load(),
-			Broken:       be.broken.Load(),
 			EjectedTotal: be.ejection.Load(),
 		}
 	}
-	s.LatencyBuckets = rt.m.latency.Buckets()
-	s.LatencyTotalMs = rt.m.latency.TotalMs()
+	s.LatencyBuckets = tc.LatencyBuckets
+	s.LatencyTotalMs = tc.LatencyTotalMs
 	return s
 }

@@ -13,25 +13,31 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/server"
 	"repro/pkg/cfix"
 )
 
-// readAll reads a whole body; split out so attempt and readBody share
-// the buffer discipline.
-func readAll(r io.Reader) ([]byte, error) { return io.ReadAll(r) }
+// Fixed routing constants: no test or benchmark has needed other values.
+const (
+	// workersPerCPU bounds the batch endpoint's fan-out concurrency.
+	workersPerCPU = 4
+	// retryBackoff is the base delay before a retry, doubled per attempt
+	// and jittered ±50%.
+	retryBackoff = 25 * time.Millisecond
+	// probeFailLimit consecutive failed probes eject a backend.
+	probeFailLimit = 2
+	// probeBackoffIntervals caps an ejected backend's probe period at
+	// this many ProbeIntervals (15s at the default 1s).
+	probeBackoffIntervals = 15
+)
 
 // Config tunes the router; zero values get sane defaults.
 type Config struct {
 	// Backends are the cfixd base URLs the fleet routes over ("host:port"
 	// or "http://host:port"). Required, at least one.
 	Backends []string
-	// Vnodes is the virtual-node count per backend on the hash ring
-	// (<= 0 means 128).
-	Vnodes int
 
 	// MaxInFlight bounds concurrently admitted analysis requests, same
 	// contract as the single daemon (429 + Retry-After beyond).
@@ -46,9 +52,6 @@ type Config struct {
 	// (connect errors and retryable statuses only). < 0 disables
 	// retrying; 0 means the default 2.
 	Retries int
-	// RetryBackoff is the base delay before a retry, doubled per attempt
-	// and jittered ±50% (<= 0 means 25ms).
-	RetryBackoff time.Duration
 	// HedgeAfter launches a duplicate attempt on the next replica when
 	// the current one has not answered within this duration — the
 	// tail-latency insurance. <= 0 disables hedging; a hedge consumes
@@ -63,35 +66,17 @@ type Config struct {
 	// must not imply a deadline so short that scheduling jitter on a
 	// loaded host ejects healthy backends; probes are sequential per
 	// backend, so a timeout above the interval only stretches that
-	// backend's own cadence). ProbeFailLimit consecutive failures eject
-	// (<= 0 means 2); while ejected the probe period backs off
-	// exponentially up to ProbeMaxBackoff (<= 0 means 15s).
-	ProbeInterval   time.Duration
-	ProbeTimeout    time.Duration
-	ProbeFailLimit  int
-	ProbeMaxBackoff time.Duration
+	// backend's own cadence).
+	ProbeInterval time.Duration
+	ProbeTimeout  time.Duration
 
-	// BreakerThreshold consecutive request failures open a backend's
-	// circuit (<= 0 means 5) for BreakerCooldown (<= 0 means 1s),
-	// doubling up to BreakerMaxCooldown (<= 0 means 30s).
-	BreakerThreshold   int
-	BreakerCooldown    time.Duration
-	BreakerMaxCooldown time.Duration
-
-	// Workers bounds the batch endpoint's fan-out concurrency
-	// (<= 0 means 4 per CPU).
-	Workers int
-
-	// Log receives routing events (ejections, reinstatements, forced
-	// drains); nil means the process default logger.
+	// Log receives routing events (ejections, reinstatements) and
+	// recovered panics; nil means the process default logger.
 	Log *log.Logger
 }
 
 // withDefaults fills the zero values.
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = defaultVnodes
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 8 * runtime.NumCPU()
 	}
@@ -104,9 +89,6 @@ func (c Config) withDefaults() Config {
 	case c.Retries == 0:
 		c.Retries = 2
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
-	}
 	if c.UpstreamTimeout <= 0 {
 		c.UpstreamTimeout = 2 * time.Minute
 	}
@@ -116,43 +98,24 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
 	}
-	if c.ProbeFailLimit <= 0 {
-		c.ProbeFailLimit = 2
-	}
-	if c.ProbeMaxBackoff <= 0 {
-		c.ProbeMaxBackoff = 15 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
-	if c.BreakerMaxCooldown <= 0 {
-		c.BreakerMaxCooldown = 30 * time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4 * runtime.NumCPU()
-	}
 	if c.Log == nil {
 		c.Log = log.Default()
 	}
 	return c
 }
 
-// Router fronts the fleet. Create with NewRouter, mount with Handler,
-// drain with BeginDrain + http.Server.Shutdown, stop the probers with
-// Close.
+// Router fronts the fleet: its endpoints run on the daemon's request
+// path (server.Tier). Create with NewRouter, mount with Handler, drain
+// with BeginDrain + http.Server.Shutdown, stop the probers with Close.
 type Router struct {
+	*server.Tier
 	conf        Config
 	ring        *Ring
 	backends    map[string]*backendState
 	backendList []*backendState
 	gate        *server.Gate
 	client      *http.Client
-	mux         *http.ServeMux
 	m           routerMetrics
-	draining    atomic.Bool
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
@@ -187,7 +150,7 @@ func NewRouter(conf Config) (*Router, error) {
 
 	rt := &Router{
 		conf:     conf,
-		ring:     NewRing(urls, conf.Vnodes),
+		ring:     NewRing(urls, defaultVnodes),
 		backends: make(map[string]*backendState, len(urls)),
 		gate:     server.NewGate(conf.MaxInFlight),
 		client: &http.Client{Transport: &http.Transport{
@@ -195,55 +158,33 @@ func NewRouter(conf Config) (*Router, error) {
 			MaxIdleConnsPerHost: 32,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		mux:     http.NewServeMux(),
-		m:       routerMetrics{start: time.Now()},
 		flights: make(map[string]*flight),
 		rand:    rand.New(rand.NewSource(time.Now().UnixNano())),
 		done:    make(chan struct{}),
 	}
 	for _, u := range urls {
-		be := &backendState{
-			url:     u,
-			breaker: NewBreaker(conf.BreakerThreshold, conf.BreakerCooldown, conf.BreakerMaxCooldown),
-		}
+		be := &backendState{url: u}
 		rt.backends[u] = be
 		rt.backendList = append(rt.backendList, be)
 	}
-	rt.mux.HandleFunc("POST /v1/fix", func(w http.ResponseWriter, r *http.Request) {
-		rt.handleSingle(w, r, "fix")
+	rt.Tier = server.NewTier(server.TierConfig{
+		Name:            "fleet",
+		Log:             conf.Log,
+		Gate:            rt.gate,
+		MaxRequestBytes: conf.MaxRequestBytes,
+		Health:          rt.health,
+		Metrics:         func() any { return rt.Metrics() },
 	})
-	rt.mux.HandleFunc("POST /v1/lint", func(w http.ResponseWriter, r *http.Request) {
-		rt.handleSingle(w, r, "lint")
-	})
-	rt.mux.HandleFunc("POST /v1/batch", rt.handleBatch)
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	server.Handle(rt.Tier, "/v1/fix", server.Endpoint[cfix.FixRequest]{
+		Count: &rt.m.fixRequests, Check: server.CheckUnit, Run: rt.single("fix")})
+	// The lint wire shape has the fix request's fields.
+	server.Handle(rt.Tier, "/v1/lint", server.Endpoint[cfix.FixRequest]{
+		Count: &rt.m.lintRequests, Check: server.CheckUnit, Run: rt.single("lint")})
+	server.Handle(rt.Tier, "/v1/batch", server.Endpoint[cfix.BatchRequest]{
+		Count: &rt.m.batchRequests, Check: server.CheckBatch, Run: rt.batch})
 	rt.probeBackends()
 	return rt, nil
 }
-
-// Handler returns the mounted API with last-resort panic containment,
-// mirroring the single daemon's contract.
-func (rt *Router) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rec == http.ErrAbortHandler {
-					panic(rec)
-				}
-				rt.m.panics.Add(1)
-				rt.conf.Log.Printf("fleet: panic escaped router handler %s: %v", r.URL.Path, rec)
-				rt.writeError(w, http.StatusInternalServerError, "internal error (panic recovered)")
-			}
-		}()
-		rt.mux.ServeHTTP(w, r)
-	})
-}
-
-// BeginDrain flips /readyz to 503 (an upstream balancer ejects this
-// router) while in-flight routing finishes. Idempotent.
-func (rt *Router) BeginDrain() { rt.draining.Store(true) }
 
 // Close stops the health probers. Safe to call more than once.
 func (rt *Router) Close() {
@@ -257,102 +198,54 @@ func (rt *Router) Metrics() RouterSnapshot { return rt.snapshot() }
 // Backends returns the normalized, deduplicated backend URLs on the ring.
 func (rt *Router) Backends() []string { return rt.ring.Members() }
 
+// health adds the fleet's shape to the router's /healthz answer.
+func (rt *Router) health() map[string]any {
+	healthy := 0
+	for _, be := range rt.backendList {
+		if be.available() {
+			healthy++
+		}
+	}
+	return map[string]any{
+		"router":           true,
+		"backends_total":   len(rt.backendList),
+		"backends_healthy": healthy,
+	}
+}
+
 // --- single-request routing (fix, lint) ---
 
-// handleSingle terminates one fix or lint request: decode enough to
-// derive the shard key, then route the raw body through the fleet with
-// singleflight collapsing.
-func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request, kind string) {
-	release, ok := rt.admit(w)
-	if !ok {
-		return
+// single routes one checked fix or lint request: its raw body goes
+// through the fleet by its content fingerprint, with singleflight
+// collapsing.
+func (rt *Router) single(kind string) func(context.Context, *server.Call, *cfix.FixRequest) (any, error) {
+	return func(ctx context.Context, c *server.Call, req *cfix.FixRequest) (any, error) {
+		key := cfix.RequestKey(kind, req.Filename, req.Source, req.Options)
+		return rt.routeShared(ctx, "/v1/"+kind, c.Body, key)
 	}
-	defer release()
-	start := time.Now()
-	defer func() { rt.m.latency.Observe(time.Since(start)) }()
-	if kind == "fix" {
-		rt.m.fixRequests.Add(1)
-	} else {
-		rt.m.lintRequests.Add(1)
-	}
-
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	// Both wire shapes share the fields the key needs.
-	var req cfix.FixRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Source == "" {
-		rt.writeError(w, http.StatusBadRequest, "missing source")
-		return
-	}
-	key := cfix.RequestKey(kind, req.Filename, req.Source, req.Options)
-	out := rt.routeShared(r.Context(), "/v1/"+kind, body, key)
-	rt.writeOutcome(w, out)
-}
-
-// readBody reads one JSON request body under the size cap.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.conf.MaxRequestBytes)
-	body, err := readAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			rt.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return nil, false
-		}
-		rt.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return nil, false
-	}
-	return body, true
-}
-
-// admit applies the shared admission gate.
-func (rt *Router) admit(w http.ResponseWriter) (release func(), ok bool) {
-	release, ok = rt.gate.Acquire()
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		rt.writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("over capacity: %d requests in flight", rt.conf.MaxInFlight))
-	}
-	return release, ok
 }
 
 // flight is one in-progress routed computation; concurrent identical
 // requests wait for it instead of multiplying load on the shard.
 type flight struct {
-	done chan struct{}
-	out  *outcome
-}
-
-// outcome is the routed result handed back to the HTTP layer: either an
-// upstream response (any status) or a routing failure.
-type outcome struct {
-	status      int
-	contentType string
-	body        []byte
-	err         error // routing failed entirely (no upstream response)
+	done  chan struct{}
+	reply *server.Reply
 }
 
 // routeShared collapses concurrent identical requests (same content
 // fingerprint) into one upstream call — the fleet-wide singleflight
 // that keeps a thundering herd on a hot file from computing on N
 // shards, or N times on one.
-func (rt *Router) routeShared(ctx context.Context, path string, body []byte, key string) *outcome {
+func (rt *Router) routeShared(ctx context.Context, path string, body []byte, key string) (*server.Reply, error) {
 	rt.flightMu.Lock()
 	if f, ok := rt.flights[key]; ok {
 		rt.m.collapsed.Add(1)
 		rt.flightMu.Unlock()
 		select {
 		case <-f.done:
-			return f.out
+			return f.reply, nil
 		case <-ctx.Done():
-			return &outcome{err: ctx.Err()}
+			return nil, ctx.Err()
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -361,20 +254,22 @@ func (rt *Router) routeShared(ctx context.Context, path string, body []byte, key
 
 	// The upstream call runs on a context detached from this client:
 	// collapsed followers must not lose the result because the leader
-	// hung up first. UpstreamTimeout still bounds it.
-	f.out = rt.route(context.WithoutCancel(ctx), path, body, key)
+	// hung up first. UpstreamTimeout still bounds each attempt.
+	f.reply = rt.route(context.WithoutCancel(ctx), path, body, key)
 
 	rt.flightMu.Lock()
 	delete(rt.flights, key)
 	rt.flightMu.Unlock()
 	close(f.done)
-	return f.out
+	return f.reply, nil
 }
 
-// attemptResult is one upstream attempt's report.
+// attemptResult is one upstream attempt's report: an upstream response
+// (any status) or a transport failure.
 type attemptResult struct {
-	out *outcome
-	be  *backendState
+	reply *server.Reply
+	err   error
+	be    *backendState
 }
 
 // retryableStatus reports whether an upstream HTTP status should be
@@ -393,12 +288,12 @@ func retryableStatus(status int) bool {
 }
 
 // route sends one request through the fleet: consistent-hash replica
-// order, skipping ejected backends and open breakers, bounded retries
-// with jittered exponential backoff on connect/5xx failures, and a
-// hedged duplicate to the next replica when the tail is slow. The
-// returned outcome is an upstream response or a routing error after the
-// attempt budget is spent.
-func (rt *Router) route(ctx context.Context, path string, body []byte, key string) *outcome {
+// order, skipping ejected backends, bounded retries with jittered
+// exponential backoff on connect/5xx failures, and a hedged duplicate
+// to the next replica when the tail is slow. Retries and hedges spend
+// one attempt budget. The answer is an upstream response, or a 502/503
+// once the budget is spent.
+func (rt *Router) route(ctx context.Context, path string, body []byte, key string) *server.Reply {
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
@@ -421,11 +316,6 @@ func (rt *Router) route(ctx context.Context, path string, body []byte, key strin
 			if !be.available() {
 				continue
 			}
-			if !be.breaker.Allow() {
-				be.broken.Add(1)
-				rt.m.brokenTotal.Add(1)
-				continue
-			}
 			switch mode {
 			case "retry":
 				be.retried.Add(1)
@@ -438,7 +328,8 @@ func (rt *Router) route(ctx context.Context, path string, body []byte, key strin
 			rt.m.routedTotal.Add(1)
 			pending++
 			go func() {
-				results <- attemptResult{out: rt.attempt(ctx, be, path, body), be: be}
+				reply, err := rt.attempt(ctx, be, path, body)
+				results <- attemptResult{reply: reply, err: err, be: be}
 			}()
 			return true
 		}
@@ -447,8 +338,7 @@ func (rt *Router) route(ctx context.Context, path string, body []byte, key strin
 
 	if !launch("primary") {
 		rt.m.unroutable.Add(1)
-		return &outcome{status: http.StatusServiceUnavailable, contentType: "application/json",
-			body: []byte(`{"error":"fleet: no backend available (all ejected or circuit-broken)"}`)}
+		return jsonError(http.StatusServiceUnavailable, "fleet: no backend available (all ejected)")
 	}
 
 	var hedgeC <-chan time.Time
@@ -458,91 +348,82 @@ func (rt *Router) route(ctx context.Context, path string, body []byte, key strin
 		hedgeC = t.C
 	}
 	var backoffC <-chan time.Time
-	var lastFail *outcome
+	var lastFail attemptResult
 	retryNo := 0
 
 	for {
 		select {
 		case res := <-results:
 			pending--
-			terminal := res.out.err == nil && !retryableStatus(res.out.status)
-			if terminal {
-				res.be.breaker.Success()
-				return res.out
+			if res.err == nil && !retryableStatus(res.reply.Status) {
+				return res.reply
 			}
-			res.be.breaker.Failure()
 			rt.m.upstreamFailures.Add(1)
-			lastFail = res.out
+			lastFail = res
 			if pending == 0 && backoffC == nil {
 				if next >= len(candidates) {
-					return failOutcome(lastFail)
+					return failReply(lastFail)
 				}
-				d := rt.backoff(retryNo)
+				t := time.NewTimer(rt.backoff(retryNo))
 				retryNo++
-				t := time.NewTimer(d)
 				defer t.Stop()
 				backoffC = t.C
 			}
 		case <-backoffC:
 			backoffC = nil
 			if !launch("retry") && pending == 0 {
-				return failOutcome(lastFail)
+				return failReply(lastFail)
 			}
 		case <-hedgeC:
 			hedgeC = nil
 			launch("hedge")
-		case <-ctx.Done():
-			return &outcome{err: ctx.Err()}
 		}
 	}
 }
 
-// failOutcome renders the final failure once the attempt budget is
+// failReply renders the final failure once the attempt budget is
 // spent: the last upstream HTTP answer if there was one (a 429/503
-// passes its shedding through to the client, Retry-After intact),
-// otherwise a 502 describing the transport failure.
-func failOutcome(last *outcome) *outcome {
-	if last == nil {
-		return &outcome{status: http.StatusServiceUnavailable, contentType: "application/json",
-			body: []byte(`{"error":"fleet: no backend available"}`)}
-	}
+// passes its shedding through to the client), otherwise a 502
+// describing the transport failure.
+func failReply(last attemptResult) *server.Reply {
 	if last.err == nil {
-		return last
+		return last.reply
 	}
-	return &outcome{status: http.StatusBadGateway, contentType: "application/json",
-		body: []byte(fmt.Sprintf(`{"error":"fleet: upstream failed: %s"}`,
-			strings.ReplaceAll(firstLine(last.err.Error()), `"`, `'`)))}
+	return jsonError(http.StatusBadGateway, "fleet: upstream failed: "+firstLine(last.err.Error()))
+}
+
+// jsonError renders the service's error shape as a pre-rendered reply.
+func jsonError(status int, msg string) *server.Reply {
+	body, _ := json.Marshal(map[string]string{"error": msg})
+	return &server.Reply{Status: status, ContentType: "application/json", Body: body}
 }
 
 // attempt issues one upstream request.
-func (rt *Router) attempt(ctx context.Context, be *backendState, path string, body []byte) *outcome {
+func (rt *Router) attempt(ctx context.Context, be *backendState, path string, body []byte) (*server.Reply, error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.conf.UpstreamTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, be.url+path, bytes.NewReader(body))
 	if err != nil {
-		return &outcome{err: err}
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return &outcome{err: err}
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := readAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		// A torn body (chaos truncation) is an attempt failure even
 		// though headers arrived; the retry path recomputes it whole.
-		return &outcome{err: fmt.Errorf("reading upstream response: %w", err)}
+		return nil, fmt.Errorf("reading upstream response: %w", err)
 	}
-	return &outcome{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: data}
+	return &server.Reply{Status: resp.StatusCode, ContentType: resp.Header.Get("Content-Type"), Body: data}, nil
 }
 
 // backoff returns the jittered exponential delay before retry n.
 func (rt *Router) backoff(n int) time.Duration {
-	d := rt.conf.RetryBackoff << n
-	if max := 2 * time.Second; d > max {
-		d = max
-	}
+	d := min(retryBackoff<<n, 2*time.Second)
 	// ±50% jitter so synchronized failures do not retry in lockstep.
 	rt.randMu.Lock()
 	j := rt.rand.Int63n(int64(d) + 1)
@@ -552,169 +433,64 @@ func (rt *Router) backoff(n int) time.Duration {
 
 // --- batch fan-out ---
 
-// handleBatch splits a batch into per-file subrequests, routes each by
+// batch splits a checked batch into per-file subrequests, routes each by
 // its own content fingerprint (so every file lands on its cache shard),
-// and reassembles the responses in input order. One file's total
-// routing failure becomes that file's Error — batch semantics match the
-// single daemon's per-file fault containment.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	release, ok := rt.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	defer func() { rt.m.latency.Observe(time.Since(start)) }()
-	rt.m.batchRequests.Add(1)
-
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req cfix.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(req.Files) == 0 {
-		rt.writeError(w, http.StatusBadRequest, "missing files")
-		return
-	}
+// and reassembles the answers in input order. A member without a source
+// fails with the daemon's error and no upstream call; one member's
+// routing failure is that member's Error, as in the daemon's batch.
+func (rt *Router) batch(ctx context.Context, _ *server.Call, req *cfix.BatchRequest) (any, error) {
 	rt.m.batchFiles.Add(int64(len(req.Files)))
-
 	kind := "fix"
 	if req.Lint {
 		kind = "lint"
 	}
-	results := make([]cfix.BatchResult, len(req.Files))
-	sem := make(chan struct{}, rt.conf.Workers)
+	results, todo := server.SplitBatch(req)
+	sem := make(chan struct{}, workersPerCPU*runtime.NumCPU())
 	var wg sync.WaitGroup
-	for i, f := range req.Files {
+	for _, i := range todo {
 		wg.Add(1)
-		go func(i int, f cfix.BatchFile) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i] = rt.routeBatchFile(r.Context(), kind, f, req.Options)
-		}(i, f)
+			results[i] = rt.routeBatchFile(ctx, kind, req.Files[i], req.Options)
+		}(i)
 	}
 	wg.Wait()
-	rt.writeJSON(w, http.StatusOK, cfix.BatchResponse{Results: results})
+	return cfix.BatchResponse{Results: results}, nil
 }
 
 // routeBatchFile routes one batch member as a single fix/lint request.
 func (rt *Router) routeBatchFile(ctx context.Context, kind string, f cfix.BatchFile, opts cfix.RequestOptions) cfix.BatchResult {
-	filename := f.Filename
-	if filename == "" {
-		filename = "input.c"
-	}
-	res := cfix.BatchResult{Filename: filename}
-	sub, err := json.Marshal(cfix.FixRequest{Filename: filename, Source: f.Source, Options: opts})
+	res := cfix.BatchResult{Filename: f.Filename}
+	sub, err := json.Marshal(cfix.FixRequest{Filename: f.Filename, Source: f.Source, Options: opts})
 	if err != nil {
 		res.Error = "encoding subrequest: " + err.Error()
 		return res
 	}
-	key := cfix.RequestKey(kind, filename, f.Source, opts)
-	out := rt.routeShared(ctx, "/v1/"+kind, sub, key)
+	key := cfix.RequestKey(kind, f.Filename, f.Source, opts)
+	reply, err := rt.routeShared(ctx, "/v1/"+kind, sub, key)
 	switch {
-	case out.err != nil:
-		res.Error = firstLine(out.err.Error())
-	case out.status != http.StatusOK:
-		res.Error = fmt.Sprintf("upstream status %d: %s", out.status, errorBody(out.body))
+	case err != nil:
+		res.Error = firstLine(err.Error())
+	case reply.Status != http.StatusOK:
+		res.Error = fmt.Sprintf("upstream status %d: %s", reply.Status, errorBody(reply.Body))
 	case kind == "lint":
 		var lr cfix.LintResponse
-		if err := json.Unmarshal(out.body, &lr); err != nil {
+		if err := json.Unmarshal(reply.Body, &lr); err != nil {
 			res.Error = "decoding upstream response: " + err.Error()
 		} else {
 			res.Lint = &lr
 		}
 	default:
 		var fr cfix.FixResponse
-		if err := json.Unmarshal(out.body, &fr); err != nil {
+		if err := json.Unmarshal(reply.Body, &fr); err != nil {
 			res.Error = "decoding upstream response: " + err.Error()
 		} else {
 			res.Fix = &fr
 		}
 	}
 	return res
-}
-
-// --- probes and metrics ---
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	rt.m.healthRequests.Add(1)
-	healthy := 0
-	for _, be := range rt.backendList {
-		if be.available() {
-			healthy++
-		}
-	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{
-		"status":           "ok",
-		"router":           true,
-		"uptime_seconds":   time.Since(rt.m.start).Seconds(),
-		"backends_total":   len(rt.backendList),
-		"backends_healthy": healthy,
-	})
-}
-
-func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	rt.m.readyRequests.Add(1)
-	if rt.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		rt.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	rt.writeJSON(w, http.StatusOK, rt.snapshot())
-}
-
-// --- response helpers (same wire shape as internal/server) ---
-
-func (rt *Router) writeOutcome(w http.ResponseWriter, out *outcome) {
-	if out.err != nil {
-		switch {
-		case errors.Is(out.err, context.DeadlineExceeded):
-			rt.writeError(w, http.StatusGatewayTimeout, "upstream deadline exceeded")
-		case errors.Is(out.err, context.Canceled):
-			rt.writeError(w, http.StatusServiceUnavailable, "request cancelled")
-		default:
-			rt.writeError(w, http.StatusBadGateway, "fleet: "+firstLine(out.err.Error()))
-		}
-		return
-	}
-	if out.status >= 500 {
-		rt.m.serverErrors.Add(1)
-	} else if out.status >= 400 && out.status != http.StatusTooManyRequests {
-		rt.m.clientErrors.Add(1)
-	}
-	ct := out.contentType
-	if ct == "" {
-		ct = "application/json"
-	}
-	w.Header().Set("Content-Type", ct)
-	w.WriteHeader(out.status)
-	_, _ = w.Write(out.body)
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(body); err != nil {
-		rt.conf.Log.Printf("fleet: writing response: %v", err)
-	}
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, status int, msg string) {
-	if status >= 500 {
-		rt.m.serverErrors.Add(1)
-	} else if status >= 400 && status != http.StatusTooManyRequests {
-		rt.m.clientErrors.Add(1)
-	}
-	rt.writeJSON(w, status, map[string]string{"error": msg})
 }
 
 // errorBody extracts an upstream JSON error message for batch Error

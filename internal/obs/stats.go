@@ -30,8 +30,11 @@ type StageStat struct {
 // (laminar) family, which the pipeline guarantees: each worker lane
 // executes its files sequentially and every stage closes its span
 // before its caller does.
-func (t *Tracer) StageStats() []StageStat {
-	spans := t.Spans()
+func (t *Tracer) StageStats() []StageStat { return SpanStats(t.Spans()) }
+
+// SpanStats is StageStats over a span list, such as one Drain returned.
+// It sorts spans in place.
+func SpanStats(spans []Span) []StageStat {
 	sortSpansForNesting(spans)
 
 	// Stack-walk each lane to find every span's directly nested

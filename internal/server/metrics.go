@@ -10,11 +10,9 @@ import (
 
 // metrics holds the daemon's expvar-style counters. Everything is an
 // atomic so the hot path never takes a lock; /metrics reads a snapshot.
-// Admission counts (in-flight, rejected) live on the server's Gate; the
-// request latency histogram is the shared LatencyHist.
+// The counters every tier keeps (probes, admission, errors, panics,
+// request latency) live on the Tier.
 type metrics struct {
-	start time.Time
-
 	fixRequests   atomic.Int64
 	lintRequests  atomic.Int64
 	batchRequests atomic.Int64
@@ -23,8 +21,6 @@ type metrics struct {
 	// translation units they carried.
 	projectRequests atomic.Int64
 	projectFiles    atomic.Int64
-	healthRequests  atomic.Int64
-	readyRequests   atomic.Int64
 
 	// intFindings counts integer-overflow oracle findings
 	// (CWE-190/191/680) across all served lint and fix responses.
@@ -39,12 +35,7 @@ type metrics struct {
 	sessionFuncsReanalyzed atomic.Int64
 	sessionFuncsReused     atomic.Int64
 
-	clientErrors atomic.Int64 // 4xx other than 429
-	serverErrors atomic.Int64 // 5xx
-	panics       atomic.Int64 // recovered panics (contained crashes)
-	degraded     atomic.Int64 // responses carrying a degradation note
-
-	latency LatencyHist
+	degraded atomic.Int64 // responses carrying a degradation note
 
 	// stages holds one latency histogram per pipeline stage name, fed
 	// from each request's stage spans. The map is guarded by stageMu
@@ -112,9 +103,12 @@ func (m *metrics) observeStage(name string, d time.Duration, degraded bool) {
 	}
 }
 
-// observeFindings counts the integer-overflow oracle's findings in one
-// response's finding list.
-func (m *metrics) observeFindings(fs []cfix.Finding) {
+// observeReport counts one response's degradation notes and the
+// integer-overflow oracle's findings among its findings.
+func (m *metrics) observeReport(degraded []string, fs []cfix.Finding) {
+	if len(degraded) > 0 {
+		m.degraded.Add(1)
+	}
 	var n int64
 	for _, f := range fs {
 		switch f.CWE {
@@ -204,28 +198,26 @@ type StageSnapshot struct {
 }
 
 // snapshot reads every counter.
-func (m *metrics) snapshot(cache *cfix.ResultCache, gate *Gate, sessions *sessionRegistry, draining bool) Snapshot {
+func (m *metrics) snapshot(tc TierCounts, cache *cfix.ResultCache, sessions *sessionRegistry) Snapshot {
 	var s Snapshot
-	s.UptimeSeconds = time.Since(m.start).Seconds()
+	s.UptimeSeconds = tc.UptimeSeconds
 	s.Requests.Fix = m.fixRequests.Load()
 	s.Requests.Lint = m.lintRequests.Load()
 	s.Requests.Batch = m.batchRequests.Load()
 	s.Requests.Project = m.projectRequests.Load()
-	s.Requests.Healthz = m.healthRequests.Load()
-	s.Requests.Readyz = m.readyRequests.Load()
-	s.Draining = draining
+	s.Requests.Healthz = tc.Healthz
+	s.Requests.Readyz = tc.Readyz
+	s.Draining = tc.Draining
 	s.BatchFiles = m.batchFiles.Load()
 	s.ProjectFiles = m.projectFiles.Load()
-	s.Rejected429 = gate.Rejected()
-	s.ClientErrors = m.clientErrors.Load()
-	s.ServerErrors = m.serverErrors.Load()
-	s.PanicsRecovered = m.panics.Load()
+	s.Rejected429 = tc.Rejected429
+	s.ClientErrors = tc.ClientErrors
+	s.ServerErrors = tc.ServerErrors
+	s.PanicsRecovered = tc.Panics
 	s.DegradedResponses = m.degraded.Load()
 	s.IntflowFindings = m.intFindings.Load()
-	s.InFlight = gate.InFlight()
-	if sessions != nil {
-		s.Sessions.Open = sessions.count()
-	}
+	s.InFlight = tc.InFlight
+	s.Sessions.Open = sessions.count()
 	s.Sessions.Opens = m.sessionOpens.Load()
 	s.Sessions.EditsApplied = m.sessionEdits.Load()
 	s.Sessions.FuncsReanalyzed = m.sessionFuncsReanalyzed.Load()
@@ -234,8 +226,8 @@ func (m *metrics) snapshot(cache *cfix.ResultCache, gate *Gate, sessions *sessio
 		st := cache.Stats()
 		s.Cache = &st
 	}
-	s.LatencyBuckets = m.latency.Buckets()
-	s.LatencyTotalMs = m.latency.TotalMs()
+	s.LatencyBuckets = tc.LatencyBuckets
+	s.LatencyTotalMs = tc.LatencyTotalMs
 	m.backendMu.RLock()
 	if len(m.backends) > 0 {
 		s.BackendRequests = make(map[string]int64, len(m.backends))

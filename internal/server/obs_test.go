@@ -275,4 +275,21 @@ func TestSlowRequestLog(t *testing.T) {
 	if cfix.TracingEnabled() && !strings.Contains(logged, "parse") {
 		t.Fatalf("slow-request log missing stage breakdown: %q", logged)
 	}
+
+	// A session edit is an analysis request like any other.
+	defer analysis.InjectFault("slowsess.c", analysis.Fault{Delay: 60 * time.Millisecond})()
+	var open cfix.SessionResponse
+	if status, raw := postJSON(t, ts.URL+"/v1/session/open",
+		cfix.SessionOpenRequest{Filename: "slowsess.c", Source: overflowing}, &open); status != http.StatusOK {
+		t.Fatalf("slow session open: %d %s", status, raw)
+	}
+	if status, raw := postJSON(t, ts.URL+"/v1/session/edit", cfix.SessionEditRequest{
+		SessionID: open.SessionID,
+		Deltas:    []cfix.SessionDelta{{Pos: 0, End: 0, Text: "/* e */\n"}},
+	}, nil); status != http.StatusOK {
+		t.Fatalf("slow session edit: %d %s", status, raw)
+	}
+	if logged := logbuf.String(); !strings.Contains(logged, "slow request /v1/session/edit slowsess.c") {
+		t.Fatalf("missing slow-request log for the session edit: %q", logged)
+	}
 }

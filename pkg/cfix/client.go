@@ -19,7 +19,7 @@ import (
 // NewClient. All methods are safe for concurrent use.
 //
 // Retry discipline: the service tier answers 429 (admission control)
-// and 503 (drain, breaker, overload) with a Retry-After header; the
+// and 503 (drain, overload) with a Retry-After header; the
 // client honors it — it sleeps the advertised interval (clamped to
 // MaxRetryAfter, jittered when absent) and retries up to MaxRetries
 // times instead of failing a shed request immediately. Every other
