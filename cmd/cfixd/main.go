@@ -4,11 +4,12 @@
 // re-analyzing unchanged translation units costs a cache lookup instead
 // of a parse and a fixpoint solve.
 //
-// With -route it instead runs as the fleet router: the same API surface
-// consistent-hash-routed by content fingerprint over N cfixd backends,
-// with health ejection, bounded retries, tail-latency hedging and
-// per-backend circuit breaking (see internal/fleet and DESIGN.md
-// Section 14).
+// With -route it instead runs as the fleet router over N cfixd
+// backends: /v1/fix, /v1/lint and /v1/batch consistent-hash-routed by
+// content fingerprint, with health ejection, bounded retries and
+// tail-latency hedging, plus the probes and /metrics (see
+// internal/fleet and DESIGN.md Section 14). The router does not serve
+// /v1/project or /v1/session/*: through it they answer 404.
 //
 // Usage:
 //
@@ -61,9 +62,10 @@
 //	-probe-interval d     router: readiness-probe period per backend
 //	                      (default 1s)
 //
-// Endpoints: POST /v1/fix, POST /v1/lint, POST /v1/batch, GET /healthz,
-// GET /readyz, GET /metrics — see internal/server and DESIGN.md
-// Sections 10 and 14.
+// Endpoints: POST /v1/fix, POST /v1/lint, POST /v1/batch, POST
+// /v1/project, POST /v1/session/open, /v1/session/edit and
+// /v1/session/close, GET /healthz, GET /readyz, GET /metrics — see
+// internal/server and DESIGN.md Sections 10 and 14.
 //
 // On SIGTERM or SIGINT the daemon fails /readyz, waits -drain-grace,
 // stops accepting connections, drains in-flight requests up to
@@ -132,7 +134,7 @@ func run() int {
 		return 1
 	}
 
-	// Router mode: the same API surface, routed over a fleet of cfixd
+	// Router mode: fix, lint and batch routed over a fleet of cfixd
 	// backends. The analysis flags stay with the backends.
 	if *route != "" {
 		rt, err := fleet.NewRouter(fleet.Config{

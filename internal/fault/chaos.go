@@ -7,8 +7,8 @@ package fault
 // 500s, truncated response bodies, and whole-backend kills — keyed by
 // request count so a test script is deterministic. The chaos test
 // suites (internal/fleet, CI's fleet smoke) drive it to prove that the
-// routing tier's retries, hedging, circuit breaking and health ejection
-// turn every injected fault into a served request, never a failed one.
+// routing tier's retries, hedging and health ejection turn every
+// injected fault into a served request, never a failed one.
 //
 // The proxy speaks plain HTTP/1.1 and forwards bodies verbatim; it
 // never inspects payloads, so it stays below pkg/cfix and imports

@@ -3,16 +3,17 @@
 // every request by its content fingerprint (the same key the result
 // cache stores the outcome under, so identical requests always land on
 // the shard that already holds or is computing their result), probes
-// backend readiness and ejects the unready, breaks circuits on
-// repeatedly failing backends, retries connect/5xx failures on the next
-// replica with jittered backoff, hedges tail latency, and collapses a
-// thundering herd on one hot key into a single upstream computation.
+// backend readiness and ejects the unready, retries connect/5xx
+// failures on the next replica with jittered backoff, hedges tail
+// latency, and collapses a thundering herd on one hot key into a single
+// upstream computation.
 //
-// The router speaks the same HTTP/JSON API as a single cfixd
-// (internal/server), reuses its admission control and latency
-// histogram, and adds per-backend routed/retried/hedged/broken/ejected
-// counters to /metrics — `cfixd -route b1,b2,...` is a drop-in front
-// for any client that talked to one daemon. See DESIGN.md Section 14.
+// The router serves /v1/fix, /v1/lint and /v1/batch on the daemon's own
+// request path (server.Tier): the same admission control, body cap,
+// strict decoding and validation, response writers, panic containment,
+// probes and latency histogram. It adds per-backend
+// routed/retried/hedged/ejected counters to /metrics. See DESIGN.md
+// Section 14.
 package fleet
 
 import (
