@@ -509,6 +509,58 @@ void work(void) {
 	}
 }
 
+// TestCfixCLIChecksFlag: an invalid -checks selection is a usage error
+// (exit 2) naming the problem, caught at flag validation by the same
+// validator the library and cfixd use, before any file is read.
+func TestCfixCLIChecksFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTool(t, "cmd/cfix")
+	in := filepath.Join(t.TempDir(), "x.c")
+	if err := os.WriteFile(in, []byte("int x;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ checks, want string }{
+		{",", "no checks selected"},
+		{"bogus", "buf, int, all"},
+	} {
+		cmd := exec.Command(bin, "-lint", "-checks", c.checks, in)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if code := exitCode(cmd.Run()); code != 2 {
+			t.Fatalf("-checks %q: exit %d, want 2\n%s", c.checks, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Fatalf("-checks %q stderr missing %q:\n%s", c.checks, c.want, stderr.String())
+		}
+	}
+}
+
+// TestCfixlspCLIFlagValidation: cfixlsp validates -checks and -backend
+// at startup (exit 2) instead of serving every file as clean.
+func TestCfixlspCLIFlagValidation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTool(t, "cmd/cfixlsp")
+	for _, c := range []struct{ flag, value, want string }{
+		{"-checks", "bogus", "buf, int, all"},
+		{"-checks", ",", "no checks selected"},
+		{"-backend", "musl", "glib, bsd, c11k"},
+	} {
+		cmd := exec.Command(bin, c.flag, c.value)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if code := exitCode(cmd.Run()); code != 2 {
+			t.Fatalf("%s %s: exit %d, want 2", c.flag, c.value, code)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Fatalf("%s %s stderr missing %q:\n%s", c.flag, c.value, c.want, stderr.String())
+		}
+	}
+}
+
 // TestCfixdCLIBackendFlag: cfixd validates -backend at startup (exit 2
 // on unknown names, before binding a port).
 func TestCfixdCLIBackendFlag(t *testing.T) {

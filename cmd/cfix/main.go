@@ -163,13 +163,9 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "cfix: -j must be >= 0 (0 = one worker per CPU)")
 		return 2
 	}
-	for _, name := range strings.Split(opts.checks, ",") {
-		switch strings.TrimSpace(name) {
-		case "buf", "int", "all", "":
-		default:
-			fmt.Fprintf(os.Stderr, "cfix: -checks: unknown check %q (valid: buf, int, all)\n", strings.TrimSpace(name))
-			return 2
-		}
+	if _, err := cfix.CanonicalChecks(opts.checks); err != nil {
+		fmt.Fprintf(os.Stderr, "cfix: -checks: %v\n", err)
+		return 2
 	}
 	if _, err := cfix.CanonicalBackend(opts.backend); err != nil {
 		fmt.Fprintf(os.Stderr, "cfix: -backend: %v\n", err)

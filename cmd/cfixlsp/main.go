@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+
+	"repro/pkg/cfix"
 )
 
 func main() {
@@ -29,6 +31,14 @@ func main() {
 	benchOut := flag.String("bench-out", "-", "with -bench: report path (- for stdout)")
 	flag.Parse()
 
+	if _, err := cfix.CanonicalChecks(*checks); err != nil {
+		fmt.Fprintf(os.Stderr, "cfixlsp: -checks: %v\n", err)
+		os.Exit(2)
+	}
+	if _, err := cfix.CanonicalBackend(*backendName); err != nil {
+		fmt.Fprintf(os.Stderr, "cfixlsp: -backend: %v\n", err)
+		os.Exit(2)
+	}
 	if *bench > 0 {
 		if err := runBench(*benchFuncs, *bench, *backendName, *checks, *benchOut); err != nil {
 			fmt.Fprintf(os.Stderr, "cfixlsp: bench: %v\n", err)

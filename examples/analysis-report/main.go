@@ -15,12 +15,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/buflen"
+	"repro/internal/analysis"
 	"repro/internal/cast"
-	"repro/internal/cparse"
-	"repro/internal/pointsto"
 	"repro/internal/slr"
-	"repro/internal/typecheck"
 )
 
 const program = `
@@ -47,16 +44,15 @@ void handle(char *input, int mode) {
 func main() { os.Exit(run()) }
 
 func run() int {
-	unit, err := cparse.Parse("report.c", program)
+	snap, err := analysis.Parse("report.c", program)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	typecheck.Check(unit)
+	unit := snap.Unit()
 
 	fmt.Println("=== points-to sets ===")
-	ptg := pointsto.Analyze(unit, pointsto.Options{})
-	aliases := pointsto.ComputeAliases(ptg)
+	ptg, aliases := snap.PointsTo(), snap.Aliases()
 	for _, sym := range unit.Symbols {
 		if sym.Kind != cast.SymVar || sym.IsGlobal {
 			continue
@@ -76,7 +72,7 @@ func run() int {
 	}
 
 	fmt.Println("\n=== Algorithm 1 verdicts per unsafe call ===")
-	analyzer := buflen.NewAnalyzer(unit)
+	analyzer := snap.BufLenAnalyzer()
 	fn := unit.FuncNamed("handle")
 	cast.Inspect(fn.Body, func(n cast.Node) bool {
 		call, ok := n.(*cast.CallExpr)
@@ -95,7 +91,7 @@ func run() int {
 	})
 
 	fmt.Println("\n=== what SLR would do ===")
-	res, err := slr.NewTransformer(unit).ApplyAll()
+	res, err := slr.NewTransformer(snap, nil).ApplyAll()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

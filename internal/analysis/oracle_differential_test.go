@@ -18,7 +18,6 @@ import (
 	"repro/internal/intflow"
 	"repro/internal/overflow"
 	"repro/internal/samate"
-	"repro/internal/typecheck"
 )
 
 // oracleDigestPath holds one line per (corpus, option set): the number
@@ -92,9 +91,8 @@ func oracleCorpora() map[string][]oracleUnit {
 // oracleOptionSets are the oracle configurations the differential runs:
 // the defaults, a step budget small enough to degrade solves, a context
 // budget small enough to cut the interprocedural pass, and no
-// interprocedural pass at all. "nofacts" runs the package-level Analyze
-// entry points, which build their own call graph and CFGs.
-var oracleOptionSets = []string{"default", "steps20", "contexts3", "depth0", "nofacts"}
+// interprocedural pass at all.
+var oracleOptionSets = []string{"default", "steps20", "contexts3", "depth0"}
 
 func oracleOptions(set string) (overflow.Options, intflow.Options) {
 	o, i := overflow.DefaultOptions(), intflow.DefaultOptions()
@@ -119,19 +117,12 @@ func renderOracles(t *testing.T, w io.Writer, u oracleUnit, set string) {
 	if err != nil {
 		t.Fatalf("%s: parse: %v", u.name, err)
 	}
-	var ovf, ints []overflow.Finding
-	var ovfDeg, intDeg []string
-	if set == "nofacts" {
-		typecheck.Check(tu)
-		ovf, ints = overflow.Analyze(tu), intflow.Analyze(tu)
-	} else {
-		o, i := oracleOptions(set)
-		s := NewWithConfig(tu, Config{Overflow: &o, Intflow: &i})
-		ovf = s.Findings()
-		ovfDeg = s.Degradations()
-		ints = s.IntFindings()
-		intDeg = s.Degradations()[len(ovfDeg):]
-	}
+	o, i := oracleOptions(set)
+	s := NewWithConfig(tu, Config{Overflow: &o, Intflow: &i})
+	ovf := s.Findings()
+	ovfDeg := s.Degradations()
+	ints := s.IntFindings()
+	intDeg := s.Degradations()[len(ovfDeg):]
 	fmt.Fprintf(w, "== %s %s\n", u.name, set)
 	for _, part := range []struct {
 		oracle   string

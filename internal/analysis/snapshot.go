@@ -7,9 +7,9 @@
 //
 // A Snapshot is built once per parsed translation unit. Every fact is
 // computed lazily on first request, memoized, and safe for concurrent
-// access, so SLR, STR, the overflow oracle and the composition root can
-// all consume one snapshot instead of re-deriving the same facts from a
-// bare *cast.TranslationUnit. The package also hosts the bounded worker
+// access. It is the only source of these facts: SLR, STR, both oracles
+// and the composition root all consume one snapshot, and no client
+// derives a private copy from a bare *cast.TranslationUnit. The package also hosts the bounded worker
 // pool (pool.go) behind the batch pipeline (core.FixAll, cfix -j).
 package analysis
 
@@ -117,8 +117,8 @@ func New(unit *cast.TranslationUnit) *Snapshot {
 }
 
 // NewWithConfig wraps a parsed translation unit with an explicit
-// configuration (the precision ablations pass a field-sensitive
-// points-to model).
+// configuration: oracle options and budgets, or, for the alias-precision
+// ablation, a field-sensitive points-to model.
 func NewWithConfig(unit *cast.TranslationUnit, conf Config) *Snapshot {
 	s := &Snapshot{
 		unit: unit,
@@ -295,7 +295,7 @@ func (s *Snapshot) MayModify() *interproc.Result {
 	s.interOnce.Do(func() {
 		cg := s.CallGraph()
 		sp := s.span(obs.StageMayMod)
-		s.inter = interproc.AnalyzeWith(s.unit, cg)
+		s.inter = interproc.Analyze(s.unit, cg)
 		sp.End()
 	})
 	return s.inter
@@ -307,7 +307,7 @@ func (s *Snapshot) BufLenAnalyzer() *buflen.Analyzer {
 	s.bufOnce.Do(func() {
 		s.Typecheck()
 		sp := s.span(obs.StageBufLen)
-		s.buf = buflen.NewAnalyzerFacts(s.unit, s)
+		s.buf = buflen.NewAnalyzer(s.unit, s)
 		sp.End()
 	})
 	return s.buf

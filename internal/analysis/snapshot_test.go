@@ -1,13 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/cparse"
-	"repro/internal/overflow"
-	"repro/internal/typecheck"
 )
 
 const snapSample = `
@@ -90,22 +85,6 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestSnapshotFindingsMatchSeedOracle(t *testing.T) {
-	// The snapshot-backed oracle must reproduce the seed pipeline
-	// (typecheck then overflow.Analyze on a bare unit) exactly.
-	s := mustSnap(t)
-	unit, err := cparse.Parse("snap.c", snapSample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	typecheck.Check(unit)
-	want := overflow.Analyze(unit)
-	got := s.Findings()
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("findings diverge:\nsnapshot: %v\nseed:     %v", got, want)
-	}
 }
 
 func TestSnapshotTypecheckOnce(t *testing.T) {

@@ -158,9 +158,9 @@ func (f *Failure) Error() string {
 }
 
 // Facts is the subset of shared analysis facts the buffer-length
-// computation consumes. *analysis.Snapshot implements it; the default
-// constructors fall back to a private per-analyzer instance so existing
-// callers keep working unchanged.
+// computation consumes. *analysis.Snapshot implements it; the interface
+// exists only so this package need not import internal/analysis, which
+// imports it.
 type Facts interface {
 	CFG(fn *cast.FuncDef) *cfg.Graph
 	Reaching(fn *cast.FuncDef) *dataflow.ReachingDefs
@@ -175,62 +175,12 @@ type Analyzer struct {
 	facts Facts
 }
 
-// NewAnalyzer prepares an analyzer for the unit with the paper's default
-// aggregate points-to model. The unit must already be type-checked
-// (internal/typecheck).
-func NewAnalyzer(unit *cast.TranslationUnit) *Analyzer {
-	return NewAnalyzerOpts(unit, pointsto.Options{})
-}
-
-// NewAnalyzerOpts prepares an analyzer with an explicit points-to
-// configuration (the field-sensitive precision ablation uses this). The
-// facts are private to this analyzer; use NewAnalyzerFacts to share them.
-func NewAnalyzerOpts(unit *cast.TranslationUnit, opts pointsto.Options) *Analyzer {
-	return NewAnalyzerFacts(unit, newLocalFacts(unit, opts))
-}
-
-// NewAnalyzerFacts prepares an analyzer on externally owned facts — the
-// shared snapshot path, where points-to, CFGs and reaching definitions
-// are computed once per translation unit and reused by every client.
-func NewAnalyzerFacts(unit *cast.TranslationUnit, facts Facts) *Analyzer {
+// NewAnalyzer prepares an analyzer on the unit's shared facts, where
+// points-to, CFGs and reaching definitions are computed once per
+// translation unit and reused by every client. The unit must already be
+// type-checked (internal/typecheck).
+func NewAnalyzer(unit *cast.TranslationUnit, facts Facts) *Analyzer {
 	return &Analyzer{unit: unit, facts: facts}
-}
-
-// localFacts is the analyzer-private Facts provider: eager alias sets
-// (matching the historical constructor behavior) and lazily cached
-// per-function CFGs and reaching-definitions solutions.
-type localFacts struct {
-	aliases *pointsto.AliasSets
-	graphs  map[*cast.FuncDef]*cfg.Graph
-	rds     map[*cast.FuncDef]*dataflow.ReachingDefs
-}
-
-func newLocalFacts(unit *cast.TranslationUnit, opts pointsto.Options) *localFacts {
-	return &localFacts{
-		aliases: pointsto.ComputeAliases(pointsto.Analyze(unit, opts)),
-		graphs:  make(map[*cast.FuncDef]*cfg.Graph, len(unit.Funcs)),
-		rds:     make(map[*cast.FuncDef]*dataflow.ReachingDefs, len(unit.Funcs)),
-	}
-}
-
-func (f *localFacts) Aliases() *pointsto.AliasSets { return f.aliases }
-
-func (f *localFacts) CFG(fn *cast.FuncDef) *cfg.Graph {
-	g, ok := f.graphs[fn]
-	if !ok {
-		g = cfg.Build(fn)
-		f.graphs[fn] = g
-	}
-	return g
-}
-
-func (f *localFacts) Reaching(fn *cast.FuncDef) *dataflow.ReachingDefs {
-	rd, ok := f.rds[fn]
-	if !ok {
-		rd = dataflow.ComputeReaching(f.CFG(fn), f.aliases)
-		f.rds[fn] = rd
-	}
-	return rd
 }
 
 // Aliases exposes the alias sets (used by the transformations'

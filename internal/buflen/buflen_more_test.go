@@ -1,11 +1,11 @@
-package buflen
+package buflen_test
 
 import (
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/buflen"
 	"repro/internal/cast"
-	"repro/internal/cparse"
-	"repro/internal/typecheck"
 )
 
 func TestAddrOfWholeArray(t *testing.T) {
@@ -86,7 +86,7 @@ void f(int n) {
     char *p = buf;
     strcpy(p + n, "x");
 }
-`, "strcpy", FailUnsupportedForm)
+`, "strcpy", buflen.FailUnsupportedForm)
 }
 
 func TestFailCompoundAssignNonConst(t *testing.T) {
@@ -97,7 +97,7 @@ void f(int n) {
     p += n;
     strcpy(p, "x");
 }
-`, "strcpy", FailUnsupportedForm)
+`, "strcpy", buflen.FailUnsupportedForm)
 }
 
 func TestFailMulDestination(t *testing.T) {
@@ -106,7 +106,7 @@ void f(int n) {
     char buf[10];
     strcpy(buf * 1, "x");
 }
-`, "strcpy", FailUnsupportedForm)
+`, "strcpy", buflen.FailUnsupportedForm)
 }
 
 func TestFailDerefDestination(t *testing.T) {
@@ -116,7 +116,7 @@ void f(void) {
     char *p = buf;
     strcpy(*p, "x");
 }
-`, "strcpy", FailUnsupportedForm)
+`, "strcpy", buflen.FailUnsupportedForm)
 }
 
 func TestTernaryOnlyOneAllocation(t *testing.T) {
@@ -128,7 +128,7 @@ void f(int c, char *other) {
     p = c ? malloc(10) : other;
     strcpy(p, "x");
 }
-`, "strcpy", FailUnsupportedForm)
+`, "strcpy", buflen.FailUnsupportedForm)
 }
 
 func TestAssignmentExprDestination(t *testing.T) {
@@ -183,7 +183,7 @@ func itoa(i int) string {
 }
 
 func TestAliasesAccessor(t *testing.T) {
-	tu, err := cparse.Parse("t.c", `
+	snap, err := analysis.Parse("t.c", `
 void f(void) {
     char buf[4];
     char *p = buf;
@@ -194,10 +194,9 @@ void f(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	typecheck.Check(tu)
-	a := NewAnalyzer(tu)
+	a := snap.BufLenAnalyzer()
 	var p *cast.Symbol
-	for _, s := range tu.Symbols {
+	for _, s := range snap.Unit().Symbols {
 		if s.Name == "p" {
 			p = s
 		}

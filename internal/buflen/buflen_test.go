@@ -1,25 +1,24 @@
-package buflen
+package buflen_test
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/buflen"
 	"repro/internal/cast"
-	"repro/internal/cparse"
-	"repro/internal/typecheck"
 )
 
 // destOfFirst locates the first call to callee and returns its destination
 // (first) argument together with the enclosing function and analyzer.
-func destOfFirst(t *testing.T, src, callee string) (*Analyzer, *cast.FuncDef, cast.Expr) {
+func destOfFirst(t *testing.T, src, callee string) (*buflen.Analyzer, *cast.FuncDef, cast.Expr) {
 	t.Helper()
-	tu, err := cparse.Parse("t.c", src)
+	snap, err := analysis.Parse("t.c", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	typecheck.Check(tu)
-	a := NewAnalyzer(tu)
-	for _, fn := range tu.Funcs {
+	a := snap.BufLenAnalyzer()
+	for _, fn := range snap.Unit().Funcs {
 		var dest cast.Expr
 		cast.Inspect(fn.Body, func(n cast.Node) bool {
 			if c, ok := n.(*cast.CallExpr); ok && dest == nil && c.Callee() == callee {
@@ -51,7 +50,7 @@ func wantSize(t *testing.T, src, callee, want string) {
 }
 
 // wantFail asserts failure with the given reason.
-func wantFail(t *testing.T, src, callee string, reason FailReason) {
+func wantFail(t *testing.T, src, callee string, reason buflen.FailReason) {
 	t.Helper()
 	a, fn, dest := destOfFirst(t, src, callee)
 	_, fail := a.BufferLength(fn, dest)
@@ -198,7 +197,7 @@ void f(void) {
     char *q = p;
     strcpy(q, "x");
 }
-`, "strcpy", FailAliased)
+`, "strcpy", buflen.FailAliased)
 }
 
 func TestAddrOfIndexDestination(t *testing.T) {
@@ -265,7 +264,7 @@ func TestFailParameterBuffer(t *testing.T) {
 void f(char *dst) {
     strcpy(dst, "x");
 }
-`, "strcpy", FailNoHeapAlloc)
+`, "strcpy", buflen.FailNoHeapAlloc)
 }
 
 func TestFailNoExplicitAllocation(t *testing.T) {
@@ -277,7 +276,7 @@ void f(void) {
     p = get_buffer();
     strcpy(p, "x");
 }
-`, "strcpy", FailNoHeapAlloc)
+`, "strcpy", buflen.FailNoHeapAlloc)
 }
 
 func TestFailAliasedPointer(t *testing.T) {
@@ -290,7 +289,7 @@ void f(void) {
     strcpy(p, "x");
     strcpy(q, "y");
 }
-`, "strcpy", FailAliased)
+`, "strcpy", buflen.FailAliased)
 }
 
 func TestFailAliasedStructMember(t *testing.T) {
@@ -308,7 +307,7 @@ void f(void) {
     alias = b;
     strcpy(r.buf, "x");
 }
-`, "strcpy", FailAliased)
+`, "strcpy", buflen.FailAliased)
 }
 
 func TestFailArrayOfBuffers(t *testing.T) {
@@ -319,7 +318,7 @@ void f(void) {
     bufs[0] = malloc(10);
     strcpy(bufs[0], "x");
 }
-`, "strcpy", FailArrayOfBuffers)
+`, "strcpy", buflen.FailArrayOfBuffers)
 }
 
 func TestFailTernaryAllocation(t *testing.T) {
@@ -330,7 +329,7 @@ void f(int c) {
     p = c ? malloc(10) : malloc(20);
     strcpy(p, "x");
 }
-`, "strcpy", FailTernaryAlloc)
+`, "strcpy", buflen.FailTernaryAlloc)
 }
 
 func TestFailMultipleDefsAtMerge(t *testing.T) {
@@ -341,7 +340,7 @@ void f(int c) {
     if (c) { p = a; } else { p = b; }
     strcpy(p, "x");
 }
-`, "strcpy", FailMultipleDefs)
+`, "strcpy", buflen.FailMultipleDefs)
 }
 
 func TestFailUninitializedPointer(t *testing.T) {
@@ -350,7 +349,7 @@ void f(void) {
     char *p;
     strcpy(p, "x");
 }
-`, "strcpy", FailNoDef)
+`, "strcpy", buflen.FailNoDef)
 }
 
 func TestFailStructRedefinedBetweenDefAndUse(t *testing.T) {
@@ -364,19 +363,19 @@ void f(struct rec other) {
     r = other;
     strcpy(r.buf, "x");
 }
-`, "strcpy", FailStructRedefined)
+`, "strcpy", buflen.FailStructRedefined)
 }
 
 func TestSizeCTextForms(t *testing.T) {
 	tests := []struct {
-		sz   Size
+		sz   buflen.Size
 		want string
 	}{
-		{Size{Kind: SizeStatic, BaseText: "buf"}, "sizeof(buf)"},
-		{Size{Kind: SizeStatic, BaseText: "buf", Adjust: -3}, "sizeof(buf) - 3"},
-		{Size{Kind: SizeStatic, BaseText: "buf", Adjust: 2}, "sizeof(buf) + 2"},
-		{Size{Kind: SizeHeap, BaseText: "p"}, "malloc_usable_size(p)"},
-		{Size{}, ""},
+		{buflen.Size{Kind: buflen.SizeStatic, BaseText: "buf"}, "sizeof(buf)"},
+		{buflen.Size{Kind: buflen.SizeStatic, BaseText: "buf", Adjust: -3}, "sizeof(buf) - 3"},
+		{buflen.Size{Kind: buflen.SizeStatic, BaseText: "buf", Adjust: 2}, "sizeof(buf) + 2"},
+		{buflen.Size{Kind: buflen.SizeHeap, BaseText: "p"}, "malloc_usable_size(p)"},
+		{buflen.Size{}, ""},
 	}
 	for _, tt := range tests {
 		if got := tt.sz.CText(); got != tt.want {
@@ -402,11 +401,11 @@ void f(void) {
 }
 
 func TestFailureErrorStrings(t *testing.T) {
-	f := &Failure{Reason: FailAliased, Detail: "p"}
+	f := &buflen.Failure{Reason: buflen.FailAliased, Detail: "p"}
 	if !strings.Contains(f.Error(), "aliased") {
 		t.Fatalf("error text: %q", f.Error())
 	}
-	f2 := &Failure{Reason: FailNoDef}
+	f2 := &buflen.Failure{Reason: buflen.FailNoDef}
 	if f2.Error() == "" {
 		t.Fatal("empty error text")
 	}

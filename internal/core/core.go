@@ -236,23 +236,32 @@ func parseChecks(s string) (checkSet, error) {
 	return cs, nil
 }
 
-// canonicalChecks renders the selection in canonical form for the cache
-// fingerprint, so "all", "buf,int" and "int,buf" share cache entries.
-func canonicalChecks(s string) string {
+// CanonicalChecks validates a check selection ("buf", "int", "all" or a
+// comma list of them; empty selects "buf") and returns its canonical
+// form, so "all", "buf,int" and "int,buf" all read "buf,int". The error
+// names the valid set.
+func CanonicalChecks(s string) (string, error) {
 	cs, err := parseChecks(s)
-	if err != nil {
-		// Invalid selections never reach the cache (Fix/Analyze fail
-		// first); keep the raw string so the key still differs.
-		return s
-	}
 	switch {
+	case err != nil:
+		return "", err
 	case cs.buf && cs.intf:
-		return "buf,int"
+		return "buf,int", nil
 	case cs.intf:
-		return "int"
+		return "int", nil
 	default:
-		return "buf"
+		return "buf", nil
 	}
+}
+
+// canonicalChecks renders the selection in canonical form for the cache
+// fingerprint. Invalid selections never reach the cache (Fix/Analyze
+// fail first); the raw string is kept so the key still differs.
+func canonicalChecks(s string) string {
+	if c, err := CanonicalChecks(s); err == nil {
+		return c
+	}
+	return s
 }
 
 // canonicalBackend renders Options.Backend in canonical form for the
@@ -526,7 +535,7 @@ func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 		slrErr := stage(func() error {
 			sp := opts.Tracer.Start(ctx, obs.StageSLR, filename)
 			defer sp.End()
-			tr := slr.NewTransformerSnapBackend(snap, be)
+			tr := slr.NewTransformer(snap, be)
 			var res *slr.FileResult
 			var err error
 			if opts.SelectOffset >= 0 {
@@ -592,7 +601,7 @@ func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 				}
 				sp.Attr("reparsed", "true")
 			}
-			res, err := str.NewTransformerSnap(strSnap).ApplyAll()
+			res, err := str.NewTransformer(strSnap).ApplyAll()
 			if err != nil {
 				sp.Attr("error", firstLine(err))
 				return err

@@ -2,15 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/cparse"
 	"repro/internal/samate"
-	"repro/internal/slr"
-	"repro/internal/str"
 )
 
 // equivCorpus returns at least min SAMATE programs as batch inputs,
@@ -65,65 +61,6 @@ func TestFixAllMatchesSequentialFix(t *testing.T) {
 		if len(out.Report.Findings) != len(want.Findings) {
 			t.Fatalf("%s: findings diverge: %d vs %d",
 				in.Filename, len(out.Report.Findings), len(want.Findings))
-		}
-	}
-}
-
-// TestSnapshotPipelineMatchesSeedPipeline: the snapshot-backed SLR and STR
-// must make exactly the decisions of the seed pipeline (fresh transformer
-// per parse) — same sites, same variables, same outcomes, same text.
-func TestSnapshotPipelineMatchesSeedPipeline(t *testing.T) {
-	inputs := equivCorpus(t, 200)
-	for _, in := range inputs {
-		got, err := Fix(context.Background(), in.Filename, in.Source, Options{SelectOffset: -1})
-		if err != nil {
-			t.Fatalf("%s: %v", in.Filename, err)
-		}
-
-		// The seed pipeline: parse, SLR, re-parse, STR.
-		unit, err := cparse.Parse(in.Filename, in.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", in.Filename, err)
-		}
-		slrRes, err := slr.NewTransformer(unit).ApplyAll()
-		if err != nil {
-			t.Fatalf("%s: seed SLR: %v", in.Filename, err)
-		}
-		unit2, err := cparse.Parse(in.Filename, slrRes.NewSource)
-		if err != nil {
-			t.Fatalf("%s: %v", in.Filename, err)
-		}
-		strRes, err := str.NewTransformer(unit2).ApplyAll()
-		if err != nil {
-			t.Fatalf("%s: seed STR: %v", in.Filename, err)
-		}
-
-		if got.Source != strRes.NewSource {
-			t.Fatalf("%s: final source diverges from seed pipeline", in.Filename)
-		}
-		if len(got.SLR.Sites) != len(slrRes.Sites) {
-			t.Fatalf("%s: SLR candidate sets differ: %d vs %d",
-				in.Filename, len(got.SLR.Sites), len(slrRes.Sites))
-		}
-		for i, s := range got.SLR.Sites {
-			want := slrRes.Sites[i]
-			if s.Function != want.Function || s.Pos != want.Pos || s.Applied != want.Applied ||
-				fmt.Sprint(s.Failure) != fmt.Sprint(want.Failure) {
-				t.Fatalf("%s: SLR site %d decision diverges:\n got %+v\nwant %+v",
-					in.Filename, i, s, want)
-			}
-		}
-		if len(got.STR.Vars) != len(strRes.Vars) {
-			t.Fatalf("%s: STR candidate sets differ: %d vs %d",
-				in.Filename, len(got.STR.Vars), len(strRes.Vars))
-		}
-		for i, v := range got.STR.Vars {
-			want := strRes.Vars[i]
-			if v.Name != want.Name || v.Func != want.Func || v.Applied != want.Applied ||
-				v.Reason != want.Reason {
-				t.Fatalf("%s: STR var %d decision diverges:\n got %+v\nwant %+v",
-					in.Filename, i, v, want)
-			}
 		}
 	}
 }

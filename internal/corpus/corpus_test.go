@@ -3,6 +3,7 @@ package corpus
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cparse"
 	"repro/internal/slr"
 	"repro/internal/str"
@@ -32,11 +33,11 @@ func aggregateSLR(t *testing.T, p Project) (candidates, applied int, perFn map[s
 	t.Helper()
 	perFn = make(map[string][2]int)
 	for _, f := range p.Files {
-		unit, err := cparse.Parse(f.Name, f.Source)
+		snap, err := analysis.Parse(f.Name, f.Source)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
-		res, err := slr.NewTransformer(unit).ApplyAll()
+		res, err := slr.NewTransformer(snap, nil).ApplyAll()
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
@@ -112,11 +113,11 @@ func TestTableVIPerProject(t *testing.T) {
 	for _, p := range Generate(0) {
 		cand, fail, applied := 0, 0, 0
 		for _, f := range p.Files {
-			unit, err := cparse.Parse(f.Name, f.Source)
+			snap, err := analysis.Parse(f.Name, f.Source)
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name, err)
 			}
-			res, err := str.NewTransformer(unit).ApplyAll()
+			res, err := str.NewTransformer(snap).ApplyAll()
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name, err)
 			}
@@ -169,11 +170,11 @@ func TestSLRFailureTaxonomy(t *testing.T) {
 	counts := make(map[string]int)
 	for _, p := range Generate(0) {
 		for _, f := range p.Files {
-			unit, err := cparse.Parse(f.Name, f.Source)
+			snap, err := analysis.Parse(f.Name, f.Source)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := slr.NewTransformer(unit).ApplyAll()
+			res, err := slr.NewTransformer(snap, nil).ApplyAll()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/buflen"
 	"repro/internal/corpus"
-	"repro/internal/cparse"
 	"repro/internal/pointsto"
 	"repro/internal/slr"
 )
@@ -31,11 +32,11 @@ func RunAliasPrecisionAblation() (*AliasPrecisionResult, error) {
 	runMode := func(opts pointsto.Options) (transformed, aliasFails, total int, err error) {
 		for _, p := range corpus.Generate(0) {
 			for _, f := range p.Files {
-				unit, err := cparse.Parse(f.Name, f.Source)
+				snap, err := analysis.ParseCtx(context.Background(), f.Name, f.Source, analysis.Config{PointsTo: opts})
 				if err != nil {
 					return 0, 0, 0, fmt.Errorf("experiments: parse %s: %w", f.Name, err)
 				}
-				out, err := slr.NewTransformerOpts(unit, opts).ApplyAll()
+				out, err := slr.NewTransformer(snap, nil).ApplyAll()
 				if err != nil {
 					return 0, 0, 0, fmt.Errorf("experiments: SLR %s: %w", f.Name, err)
 				}

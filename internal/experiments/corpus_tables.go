@@ -5,8 +5,8 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/corpus"
-	"repro/internal/cparse"
 	"repro/internal/slr"
 	"repro/internal/str"
 )
@@ -100,11 +100,11 @@ func RunTableV() (*SLRCorpusResult, error) {
 	for _, p := range corpus.Generate(0) {
 		row := TableVRow{Software: p.Name}
 		for _, f := range p.Files {
-			unit, err := cparse.Parse(f.Name, f.Source)
+			snap, err := analysis.Parse(f.Name, f.Source)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: parse %s: %w", f.Name, err)
 			}
-			out, err := slr.NewTransformer(unit).ApplyAll()
+			out, err := slr.NewTransformer(snap, nil).ApplyAll()
 			if err != nil {
 				return nil, fmt.Errorf("experiments: SLR %s: %w", f.Name, err)
 			}
@@ -206,11 +206,11 @@ func RunTableVI() ([]TableVIRow, error) {
 	for _, p := range corpus.Generate(0) {
 		row := TableVIRow{Software: p.Name}
 		for _, f := range p.Files {
-			unit, err := cparse.Parse(f.Name, f.Source)
+			snap, err := analysis.Parse(f.Name, f.Source)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: parse %s: %w", f.Name, err)
 			}
-			out, err := str.NewTransformer(unit).ApplyAll()
+			out, err := str.NewTransformer(snap).ApplyAll()
 			if err != nil {
 				return nil, fmt.Errorf("experiments: STR %s: %w", f.Name, err)
 			}

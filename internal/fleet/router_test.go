@@ -569,3 +569,34 @@ func TestRouterBatchMatchesDaemon(t *testing.T) {
 		t.Errorf("valid batch: want the fixed source, got %+v", got)
 	}
 }
+
+// TestRouterRejectsInvalidOptions: a lint body with an invalid check
+// selection or an unknown backend gets the daemon's 400 from the router
+// too, and the router answers it itself without routing it upstream.
+func TestRouterRejectsInvalidOptions(t *testing.T) {
+	daemon := startCfixd(t)
+	conf := fastConfig()
+	conf.Backends = []string{daemon}
+	rt, router := startRouter(t, conf)
+
+	for _, opts := range []cfix.RequestOptions{{Checks: "bogus"}, {Checks: ","}, {Backend: "nope"}} {
+		body, err := json.Marshal(cfix.LintRequest{Filename: "a.c", Source: "void f(void) {}", Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routed := rt.Metrics().RoutedTotal
+		for _, base := range []string{daemon, router.URL} {
+			resp, err := http.Post(base+"/v1/lint", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST /v1/lint: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%+v via %s: want 400, got %d", opts, base, resp.StatusCode)
+			}
+		}
+		if n := rt.Metrics().RoutedTotal - routed; n != 0 {
+			t.Errorf("%+v: router sent %d attempts upstream, want 0", opts, n)
+		}
+	}
+}

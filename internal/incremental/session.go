@@ -452,7 +452,7 @@ func discoverSites(snap *analysis.Snapshot, be backend.Backend, fns []*cast.Func
 		ts.Function, ts.Name = strings.Clone(fn.Name), strings.Clone(ts.Name)
 		out[slot[fn]] = append(out[slot[fn]], ts)
 	}
-	slrRes, err := slr.NewTransformerSnapBackend(snap, be).ApplyFuncs(fns)
+	slrRes, err := slr.NewTransformer(snap, be).ApplyFuncs(fns)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: slr discovery: %w", err)
 	}
@@ -469,7 +469,7 @@ func discoverSites(snap *analysis.Snapshot, be backend.Backend, fns []*cast.Func
 		}
 		add(ts)
 	}
-	strRes, err := str.NewTransformerSnap(snap).ApplyFuncs(fns)
+	strRes, err := str.NewTransformer(snap).ApplyFuncs(fns)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: str discovery: %w", err)
 	}

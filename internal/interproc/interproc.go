@@ -77,18 +77,10 @@ type Result struct {
 }
 
 // Analyze computes may-modify facts for every defined function in the
-// unit, iterating over the call graph to a fixpoint.
-func Analyze(unit *cast.TranslationUnit) *Result {
-	return AnalyzeWith(unit, nil)
-}
-
-// AnalyzeWith is Analyze reusing a prebuilt call graph (nil builds one);
-// the shared facts snapshot (internal/analysis) passes its own so the
-// graph is constructed once per translation unit.
-func AnalyzeWith(unit *cast.TranslationUnit, cg *callgraph.Graph) *Result {
-	if cg == nil {
-		cg = callgraph.Build(unit)
-	}
+// unit, iterating over the unit's call graph cg to a fixpoint. The shared
+// facts snapshot (internal/analysis) passes its own graph, so it is built
+// once per translation unit.
+func Analyze(unit *cast.TranslationUnit, cg *callgraph.Graph) *Result {
 	r := &Result{
 		unit: unit,
 		cg:   cg,

@@ -3,6 +3,7 @@ package interproc
 import (
 	"testing"
 
+	"repro/internal/callgraph"
 	"repro/internal/cparse"
 )
 
@@ -12,7 +13,7 @@ func analyze(t *testing.T, src string) *Result {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Analyze(tu)
+	return Analyze(tu, callgraph.Build(tu))
 }
 
 func TestDirectWriteDetected(t *testing.T) {
@@ -138,7 +139,7 @@ void f(void (*cb)(char*), char *buf) { cb(buf); }
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Analyze(tu)
+	r := Analyze(tu, callgraph.Build(tu))
 	if !r.MayModifyParam("f", 1) {
 		t.Fatal("calls through function pointers are conservative")
 	}

@@ -58,8 +58,8 @@ func DefaultOptions() Options {
 	return Options{ContextDepth: 2}
 }
 
-// Facts is the subset of shared analysis facts the oracle consumes when
-// an analysis snapshot is threaded in: the engine's unit facts plus the
+// Facts is the subset of shared analysis facts the oracle consumes from
+// the unit's analysis snapshot: the engine's unit facts plus the
 // may-modify summaries.
 type Facts interface {
 	overflow.UnitFacts
@@ -79,8 +79,7 @@ type Analyzer struct {
 	sinks     map[string][]int
 }
 
-// New creates an analyzer. A nil facts provider makes the oracle derive
-// private copies of the call graph, CFGs and may-modify summaries.
+// New creates an analyzer on the unit's shared facts.
 func New(unit *cast.TranslationUnit, opts Options, facts Facts) *Analyzer {
 	return &Analyzer{unit: unit, opts: opts, facts: facts}
 }
@@ -103,11 +102,7 @@ func (a *Analyzer) ensure() {
 		ArgSeed:      a.argSeed,
 		SeedValue:    seedValue,
 	})
-	if a.facts != nil {
-		a.mm = a.facts.MayModify()
-	} else {
-		a.mm = interproc.AnalyzeWith(a.unit, a.eng.CallGraph())
-	}
+	a.mm = a.facts.MayModify()
 	a.globalIDs = make(map[int]bool)
 	for _, sym := range a.unit.Symbols {
 		if sym != nil && sym.Kind == cast.SymVar && sym.IsGlobal && overflow.IsIntVar(sym) {
@@ -271,9 +266,3 @@ func (a *Analyzer) Degradations() []string {
 // CWEIncomplete re-exports the degraded-finding marker for clients that
 // only import intflow.
 const CWEIncomplete = overflow.CWEIncomplete
-
-// Analyze is the package-level convenience entry point: run the oracle
-// with default options.
-func Analyze(unit *cast.TranslationUnit) []Finding {
-	return New(unit, DefaultOptions(), nil).Analyze()
-}

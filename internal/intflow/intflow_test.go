@@ -1,28 +1,27 @@
-package intflow
+package intflow_test
 
 import (
 	"strings"
 	"testing"
 
-	"repro/internal/cparse"
+	"repro/internal/analysis"
 	"repro/internal/fault"
+	"repro/internal/intflow"
 	"repro/internal/overflow"
-	"repro/internal/typecheck"
 )
 
-func analyzeSrc(t *testing.T, src string) []Finding {
+func analyzeSrc(t *testing.T, src string) []intflow.Finding {
 	t.Helper()
-	tu, err := cparse.Parse("t.c", src)
+	snap, err := analysis.Parse("t.c", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	typecheck.Check(tu)
-	return Analyze(tu)
+	return snap.IntFindings()
 }
 
 // has asserts at least one finding with the given CWE and severity and
 // returns the first.
-func has(t *testing.T, fs []Finding, cwe int, sev overflow.Severity) Finding {
+func has(t *testing.T, fs []intflow.Finding, cwe int, sev overflow.Severity) intflow.Finding {
 	t.Helper()
 	for _, f := range fs {
 		if f.CWE == cwe && f.Severity == sev {
@@ -30,10 +29,10 @@ func has(t *testing.T, fs []Finding, cwe int, sev overflow.Severity) Finding {
 		}
 	}
 	t.Fatalf("no CWE-%d %s finding in %v", cwe, sev, fs)
-	return Finding{}
+	return intflow.Finding{}
 }
 
-func hasCWE(fs []Finding, cwe int) bool {
+func hasCWE(fs []intflow.Finding, cwe int) bool {
 	for _, f := range fs {
 		if f.CWE == cwe {
 			return true
@@ -337,7 +336,7 @@ void f(void) {
 // an exhausted solver budget produces a CWEIncomplete finding and a
 // degradation note, not a clean report.
 func TestBudgetDegradesNeverSilent(t *testing.T) {
-	tu, err := cparse.Parse("t.c", `void f(void) {
+	snap, err := analysis.Parse("t.c", `void f(void) {
     int i;
     int sum = 0;
     for (i = 0; i < 1000; i++) {
@@ -347,12 +346,11 @@ func TestBudgetDegradesNeverSilent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	typecheck.Check(tu)
-	a := New(tu, Options{Limits: fault.Limits{Steps: 1}}, nil)
+	a := intflow.New(snap.Unit(), intflow.Options{Limits: fault.Limits{Steps: 1}}, snap)
 	fs := a.Analyze()
 	found := false
 	for _, f := range fs {
-		if f.CWE == CWEIncomplete && f.Degraded && f.Severity == overflow.SevPossible {
+		if f.CWE == intflow.CWEIncomplete && f.Degraded && f.Severity == overflow.SevPossible {
 			found = true
 		}
 	}

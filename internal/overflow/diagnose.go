@@ -156,10 +156,6 @@ type Options struct {
 	// propagated along from each call-graph root. 0 disables the
 	// interprocedural pass.
 	ContextDepth int
-	// SeedFromBuflen falls back to the symbolic buffer-length analysis
-	// (internal/buflen) when the interval analysis does not know an
-	// object's size at an access site.
-	SeedFromBuflen bool
 	// Limits bounds the oracle (DESIGN.md Section 9): the context is
 	// polled at solver iterations and between interprocedural contexts;
 	// Limits.Steps budgets each per-function interval solve and
@@ -185,12 +181,12 @@ type Options struct {
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options {
-	return Options{ContextDepth: 2, SeedFromBuflen: true}
+	return Options{ContextDepth: 2}
 }
 
-// Facts is the subset of shared analysis facts the oracle consumes when a
-// facts snapshot (internal/analysis) is threaded in: the engine's unit
-// facts plus the symbolic buffer-length analyzer.
+// Facts is the subset of shared analysis facts the oracle consumes from
+// the unit's facts snapshot (internal/analysis): the engine's unit facts
+// plus the symbolic buffer-length analyzer.
 type Facts interface {
 	UnitFacts
 	BufLenAnalyzer() *buflen.Analyzer
@@ -209,8 +205,7 @@ type Analyzer struct {
 	globalIDs map[int]bool
 }
 
-// New creates an analyzer. A nil facts provider makes the oracle derive
-// private copies of the call graph, CFGs and buffer-length analysis.
+// New creates an analyzer on the unit's shared facts.
 func New(unit *cast.TranslationUnit, opts Options, facts Facts) *Analyzer {
 	return &Analyzer{unit: unit, opts: opts, facts: facts}
 }
@@ -233,17 +228,13 @@ func (a *Analyzer) ensure() {
 		SeedValue:    seedValue,
 	}
 	if o.Memo != nil {
-		o.OptsSig = fmt.Sprintf("%d|%t", a.opts.ContextDepth, a.opts.SeedFromBuflen)
+		o.OptsSig = fmt.Sprintf("%d", a.opts.ContextDepth)
 		if fp := SeedFingerprint(a.opts.ExternSeeds); fp != "" {
 			o.OptsSig += "|xtu=" + fp
 		}
 	}
 	a.eng = NewEngine(a.unit, a.facts, o)
-	if a.facts != nil {
-		a.buf = a.facts.BufLenAnalyzer()
-	} else {
-		a.buf = buflen.NewAnalyzer(a.unit)
-	}
+	a.buf = a.facts.BufLenAnalyzer()
 	a.globals = make(map[int]varState)
 	a.globalIDs = make(map[int]bool)
 	for _, sym := range a.unit.Symbols {
@@ -533,7 +524,7 @@ func ptrArg(st state, e cast.Expr) (varState, interval.Interval, bool) {
 // size interval and records a finding when it can violate bounds.
 func (c *checker) report(st state, site cast.Expr, base cast.Expr, vs varState, start, end interval.Interval, write, viaLib bool, fix string) {
 	sz, reg := vs.size, vs.reg
-	if sz.Hi >= interval.PosInf && c.a.opts.SeedFromBuflen && base != nil {
+	if sz.Hi >= interval.PosInf && base != nil {
 		if bsz, fail := c.a.buf.BufferLength(c.Fn, base); fail == nil {
 			if n, known := bsz.KnownBytes(); known {
 				sz = interval.Const(n)
@@ -622,10 +613,4 @@ func classify(start, end, sz interval.Interval, viaLib bool) (Severity, bool, bo
 		return SevPossible, false, true
 	}
 	return 0, false, false
-}
-
-// Analyze is the package-level convenience entry point: run the oracle
-// with default options.
-func Analyze(unit *cast.TranslationUnit) []Finding {
-	return New(unit, DefaultOptions(), nil).Analyze()
 }

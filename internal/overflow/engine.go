@@ -16,10 +16,9 @@ import (
 )
 
 // UnitFacts is the slice of shared analysis facts the engine consumes
-// when a facts snapshot (internal/analysis) is threaded in: the unit
-// call graph, per-function CFGs, and the per-function dependency hashes
-// that key the cross-run memo (nil hashes leave the memo unarmed).
-// Without a provider the engine builds a private call graph and CFGs.
+// from the unit's facts snapshot (internal/analysis): the unit call
+// graph, per-function CFGs, and the per-function dependency hashes that
+// key the cross-run memo (nil hashes leave the memo unarmed).
 type UnitFacts interface {
 	CallGraph() *callgraph.Graph
 	CFG(fn *cast.FuncDef) *cfg.Graph
@@ -73,7 +72,6 @@ type Engine[S, V any, P dataflow.Problem[S]] struct {
 	o     Oracle[S, V, P]
 
 	cg     *callgraph.Graph
-	cfgs   map[string]*cfg.Graph
 	solved map[string]*solved[S, P]
 
 	// Cross-run memoization (incremental sessions).
@@ -104,16 +102,11 @@ func NewEngine[S, V any, P dataflow.Problem[S]](unit *cast.TranslationUnit, fact
 		unit:        unit,
 		facts:       facts,
 		o:           o,
+		cg:          facts.CallGraph(),
 		solved:      make(map[string]*solved[S, P]),
 		degradedFns: make(map[string]bool),
 	}
-	if facts != nil {
-		e.cg = facts.CallGraph()
-	} else {
-		e.cg = callgraph.Build(unit)
-		e.cfgs = make(map[string]*cfg.Graph)
-	}
-	if o.Memo != nil && o.Limits.Steps == 0 && o.Limits.Contexts == 0 && facts != nil {
+	if o.Memo != nil && o.Limits.Steps == 0 && o.Limits.Contexts == 0 {
 		e.hashes = facts.FuncHashes()
 		e.useMemo = e.hashes != nil && len(e.hashes) == len(unit.Funcs)
 		if e.useMemo {
@@ -123,21 +116,6 @@ func NewEngine[S, V any, P dataflow.Problem[S]](unit *cast.TranslationUnit, fact
 	return e
 }
 
-// CallGraph returns the unit call graph the engine propagates along.
-func (e *Engine[S, V, P]) CallGraph() *callgraph.Graph { return e.cg }
-
-func (e *Engine[S, V, P]) cfgFor(fn *cast.FuncDef) *cfg.Graph {
-	if e.facts != nil {
-		return e.facts.CFG(fn)
-	}
-	if g, ok := e.cfgs[fn.Name]; ok {
-		return g
-	}
-	g := cfg.Build(fn)
-	e.cfgs[fn.Name] = g
-	return g
-}
-
 // solve runs (or recalls) the analysis of fn under the given parameter
 // seed.
 func (e *Engine[S, V, P]) solve(fn *cast.FuncDef, seed map[int]V) (*cfg.Graph, *dataflow.Solution[S], P) {
@@ -145,7 +123,7 @@ func (e *Engine[S, V, P]) solve(fn *cast.FuncDef, seed map[int]V) (*cfg.Graph, *
 	if s, ok := e.solved[key]; ok {
 		return s.g, s.sol, s.p
 	}
-	g := e.cfgFor(fn)
+	g := e.facts.CFG(fn)
 	e.o.Solves.Add(1)
 	p := e.o.Problem(fn, seed)
 	sol := dataflow.SolveForwardLimits[S](g, p, e.o.Limits)

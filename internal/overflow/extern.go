@@ -55,7 +55,7 @@ func (a *Analyzer) ExternalCalls() []CallSeed {
 	for _, fn := range a.unit.Funcs {
 		fault.CheckCtx(a.opts.Limits.Ctx)
 		g, sol, _ := a.eng.solve(fn, nil)
-		for _, e := range a.eng.CallGraph().CallsFrom(fn.Name) {
+		for _, e := range a.eng.cg.CallsFrom(fn.Name) {
 			if e.Callee != nil {
 				continue
 			}

@@ -1,27 +1,26 @@
-package overflow
+package overflow_test
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/corpus"
-	"repro/internal/cparse"
 	"repro/internal/interval"
-	"repro/internal/typecheck"
+	"repro/internal/overflow"
 )
 
-func analyzeSrc(t *testing.T, src string) []Finding {
+func analyzeSrc(t *testing.T, src string) []overflow.Finding {
 	t.Helper()
-	tu, err := cparse.Parse("t.c", src)
+	snap, err := analysis.Parse("t.c", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	typecheck.Check(tu)
-	return Analyze(tu)
+	return snap.Findings()
 }
 
 // one asserts exactly one finding with the given CWE and severity.
-func one(t *testing.T, fs []Finding, cwe int, sev Severity) Finding {
+func one(t *testing.T, fs []overflow.Finding, cwe int, sev overflow.Severity) overflow.Finding {
 	t.Helper()
 	if len(fs) != 1 {
 		t.Fatalf("want exactly 1 finding, got %d: %v", len(fs), fs)
@@ -42,7 +41,7 @@ void f(void) {
     src[15] = '\0';
     strcpy(buf, src);
 }`)
-	one(t, fs, 121, SevDefinite)
+	one(t, fs, 121, overflow.SevDefinite)
 }
 
 func TestStackStrcpyBoundedIsQuiet(t *testing.T) {
@@ -65,7 +64,7 @@ void f(char *s) {
     char buf[8];
     strcpy(buf, s);
 }`)
-	one(t, fs, 121, SevPossible)
+	one(t, fs, 121, overflow.SevPossible)
 }
 
 func TestHeapIndexWriteDefinite(t *testing.T) {
@@ -75,7 +74,7 @@ void f(void) {
     b = malloc(10);
     b[14] = 'Z';
 }`)
-	one(t, fs, 122, SevDefinite)
+	one(t, fs, 122, overflow.SevDefinite)
 }
 
 func TestPointerDecrementUnderwrite(t *testing.T) {
@@ -87,7 +86,7 @@ void f(void) {
     p -= 8;
     *p = 'Z';
 }`)
-	one(t, fs, 124, SevDefinite)
+	one(t, fs, 124, overflow.SevDefinite)
 }
 
 func TestIndexOverread(t *testing.T) {
@@ -98,7 +97,7 @@ void f(void) {
     c = buf[14];
     printf("%c", c);
 }`)
-	one(t, fs, 126, SevDefinite)
+	one(t, fs, 126, overflow.SevDefinite)
 }
 
 func TestNegativeIndexUnderread(t *testing.T) {
@@ -111,7 +110,7 @@ void f(void) {
     c = buf[i];
     printf("%c", c);
 }`)
-	one(t, fs, 127, SevDefinite)
+	one(t, fs, 127, overflow.SevDefinite)
 }
 
 func TestGetsDangerous(t *testing.T) {
@@ -120,7 +119,7 @@ void f(void) {
     char buf[8];
     gets(buf);
 }`)
-	f := one(t, fs, 242, SevDefinite)
+	f := one(t, fs, 242, overflow.SevDefinite)
 	if !strings.Contains(f.SuggestedFix, "fgets") {
 		t.Fatalf("fix should suggest fgets: %q", f.SuggestedFix)
 	}
@@ -135,7 +134,7 @@ void f(void) {
         buf[i] = 'F';
     }
 }`)
-	one(t, fs, 121, SevDefinite)
+	one(t, fs, 121, overflow.SevDefinite)
 }
 
 func TestLoopFillInBoundsIsQuiet(t *testing.T) {
@@ -178,7 +177,7 @@ void root(void) {
     big[9] = '\0';
     sink(small, big);
 }`)
-	f := one(t, fs, 121, SevDefinite)
+	f := one(t, fs, 121, overflow.SevDefinite)
 	if f.Function != "sink" {
 		t.Fatalf("finding should be in sink, got %s", f.Function)
 	}
@@ -208,15 +207,14 @@ void root(void) {
 }
 
 func TestLibtiffCVEFlaggedCWE121Definite(t *testing.T) {
-	tu, err := cparse.Parse("tiff2pdf.c", corpus.LibtiffCVESource)
+	snap, err := analysis.Parse("tiff2pdf.c", corpus.LibtiffCVESource)
 	if err != nil {
 		t.Fatalf("parse corpus: %v", err)
 	}
-	typecheck.Check(tu)
-	fs := Analyze(tu)
-	var hit *Finding
+	fs := snap.Findings()
+	var hit *overflow.Finding
 	for i := range fs {
-		src := tu.File.Slice(fs[i].Extent)
+		src := snap.Unit().File.Slice(fs[i].Extent)
 		if strings.Contains(src, "sprintf") {
 			hit = &fs[i]
 			break
@@ -225,38 +223,13 @@ func TestLibtiffCVEFlaggedCWE121Definite(t *testing.T) {
 	if hit == nil {
 		t.Fatalf("sprintf CVE site not flagged; findings: %v", fs)
 	}
-	if hit.CWE != 121 || hit.Severity != SevDefinite {
+	if hit.CWE != 121 || hit.Severity != overflow.SevDefinite {
 		t.Fatalf("CVE site should be CWE-121 definite, got CWE-%d %s", hit.CWE, hit.Severity)
 	}
 	// Noise control: the guarded t2p_emit writes and the param-sized reads
 	// must not be reported — the sprintf is the only finding.
 	if len(fs) != 1 {
 		t.Fatalf("want exactly the CVE finding, got %d: %v", len(fs), fs)
-	}
-}
-
-func TestStoreStrlTransfer(t *testing.T) {
-	top := interval.Range(0, interval.PosInf)
-	// A NUL store bounds the first NUL from above (one may exist earlier).
-	if got := storeStrl(top, interval.Const(5), interval.Const(0)); got != interval.Range(0, 5) {
-		t.Fatalf("zero store over unknown: got %v", got)
-	}
-	// When the old first NUL was provably later, the store pins it exactly.
-	if got := storeStrl(interval.Range(9, interval.PosInf), interval.Const(5), interval.Const(0)); got != interval.Const(5) {
-		t.Fatalf("zero store below known NUL: got %v", got)
-	}
-	// Non-zero store before the first NUL changes nothing.
-	if got := storeStrl(interval.Const(7), interval.Const(3), interval.Const(65)); got != interval.Const(7) {
-		t.Fatalf("store before NUL: got %v", got)
-	}
-	// Non-zero store exactly on the unique first NUL pushes it right.
-	if got := storeStrl(interval.Const(7), interval.Const(7), interval.Const(65)); got != interval.Range(8, interval.PosInf) {
-		t.Fatalf("store on NUL: got %v", got)
-	}
-	// Unknown byte joins both outcomes.
-	got := storeStrl(interval.Const(7), interval.Const(2), interval.Top())
-	if got.Lo != 2 || got.Hi != interval.PosInf {
-		t.Fatalf("unknown store: got %v", got)
 	}
 }
 
@@ -274,7 +247,7 @@ func TestIntervalWiden(t *testing.T) {
 }
 
 func TestFormatLengthEstimates(t *testing.T) {
-	tu, err := cparse.Parse("t.c", `
+	snap, err := analysis.Parse("t.c", `
 void f(void) {
     char out[16];
     sprintf(out, "ab%d", 123);
@@ -282,8 +255,7 @@ void f(void) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	typecheck.Check(tu)
-	if fs := Analyze(tu); len(fs) != 0 {
+	if fs := snap.Findings(); len(fs) != 0 {
 		t.Fatalf("exact short sprintf flagged: %v", fs)
 	}
 }

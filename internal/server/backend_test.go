@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cparse"
 	"repro/pkg/cfix"
 )
 
@@ -93,5 +94,38 @@ func TestFixBackendServerDefault(t *testing.T) {
 	}
 	if glib.Backend != "glib" || !strings.Contains(glib.Source, "g_strlcpy(") {
 		t.Fatalf("explicit glib did not override default: backend=%q", glib.Backend)
+	}
+}
+
+// TestInvalidOptionsRejectedBeforeParse: an invalid check selection or
+// an unknown backend is a 400 naming the valid set, answered before any
+// parse, on every endpoint that takes options — lint and session open
+// included, not only fix.
+func TestInvalidOptionsRejectedBeforeParse(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	cases := []struct {
+		name string
+		opts cfix.RequestOptions
+		want string
+	}{
+		{"unknown check", cfix.RequestOptions{Checks: "bogus"}, "buf, int, all"},
+		{"empty check list", cfix.RequestOptions{Checks: ","}, "no checks selected"},
+		{"unknown backend", cfix.RequestOptions{Backend: "nope"}, "glib, bsd, c11k"},
+	}
+	for _, c := range cases {
+		for _, path := range []string{"/v1/lint", "/v1/session/open"} {
+			before := cparse.Parses()
+			status, raw := postJSON(t, ts.URL+path,
+				cfix.FixRequest{Filename: "vuln.c", Source: overflowing, Options: c.opts}, nil)
+			if status != http.StatusBadRequest {
+				t.Errorf("%s on %s: %d %s, want 400", c.name, path, status, raw)
+			}
+			if !strings.Contains(raw, c.want) {
+				t.Errorf("%s on %s: body %q does not mention %q", c.name, path, raw, c.want)
+			}
+			if got := cparse.Parses() - before; got != 0 {
+				t.Errorf("%s on %s: parsed %d times before rejecting, want 0", c.name, path, got)
+			}
+		}
 	}
 }

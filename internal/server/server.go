@@ -200,13 +200,13 @@ func checkLint(req *cfix.LintRequest) (string, *cfix.RequestOptions, error) {
 	return CheckUnit((*cfix.FixRequest)(req))
 }
 
-// checkProject validates a project request: it needs files and, when it
-// names a backend, a registered one.
+// checkProject validates a project request: it needs files and valid
+// options (see checkOptions).
 func checkProject(req *cfix.ProjectRequest) (string, *cfix.RequestOptions, error) {
 	if len(req.Files) == 0 {
 		return "", nil, statusf(http.StatusBadRequest, "missing files")
 	}
-	if err := checkBackend(req.Options); err != nil {
+	if err := checkOptions(req.Options); err != nil {
 		return "", nil, err
 	}
 	return fmt.Sprintf("%d units", len(req.Files)), &req.Options, nil

@@ -20,7 +20,7 @@ func runAllBackend(t *testing.T, name, src string) *FileResult {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := NewTransformerSnapBackend(analysis.New(tu), be).ApplyAll()
+	res, err := NewTransformer(analysis.New(tu), be).ApplyAll()
 	if err != nil {
 		t.Fatalf("ApplyAll(%s): %v", name, err)
 	}

@@ -3,6 +3,7 @@ package slr
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cparse"
 )
 
@@ -25,7 +26,7 @@ void f(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := NewTransformer(tu).ApplyAll()
+	second, err := NewTransformer(analysis.New(tu), nil).ApplyAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ void f(char *src, unsigned long n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := NewTransformer(tu).ApplyAll()
+	second, err := NewTransformer(analysis.New(tu), nil).ApplyAll()
 	if err != nil {
 		t.Fatal(err)
 	}

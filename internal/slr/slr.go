@@ -12,8 +12,6 @@ import (
 	"repro/internal/ctoken"
 	"repro/internal/edit"
 	"repro/internal/overflow"
-	"repro/internal/pointsto"
-	"repro/internal/typecheck"
 )
 
 // SiteResult records the outcome of attempting SLR on one call site.
@@ -125,37 +123,19 @@ type Transformer struct {
 	usedNames map[string]struct{}
 }
 
-// NewTransformer prepares a transformer for the unit with the default
-// (glib) backend. The unit is type-checked here if callers have not done
-// so already (repeated checking is harmless).
-func NewTransformer(unit *cast.TranslationUnit) *Transformer {
-	return NewTransformerOpts(unit, pointsto.Options{})
-}
-
-// NewTransformerOpts prepares a transformer with an explicit points-to
-// configuration; the precision ablation passes FieldSensitive.
-func NewTransformerOpts(unit *cast.TranslationUnit, ptOpts pointsto.Options) *Transformer {
-	typecheck.Check(unit)
-	return newTransformer(unit, buflen.NewAnalyzerOpts(unit, ptOpts), nil)
-}
-
-// NewTransformerSnapBackend prepares a transformer on a shared
-// analysis-facts snapshot — type analysis, points-to, alias sets, CFGs
-// and reaching definitions are reused rather than re-derived from the
-// bare unit — targeting an explicit repair backend; nil selects the
-// default (glib).
-func NewTransformerSnapBackend(s *analysis.Snapshot, be backend.Backend) *Transformer {
+// NewTransformer prepares a transformer on the unit's analysis-facts
+// snapshot — type analysis, points-to, alias sets, CFGs and reaching
+// definitions are shared with every other client of s — targeting the
+// repair backend be; nil selects the default (glib).
+func NewTransformer(s *analysis.Snapshot, be backend.Backend) *Transformer {
 	s.Typecheck()
-	return newTransformer(s.Unit(), s.BufLenAnalyzer(), be)
-}
-
-func newTransformer(unit *cast.TranslationUnit, analyzer *buflen.Analyzer, be backend.Backend) *Transformer {
 	if be == nil {
 		be = backend.Default()
 	}
+	unit := s.Unit()
 	t := &Transformer{
 		unit:      unit,
-		analyzer:  analyzer,
+		analyzer:  s.BufLenAnalyzer(),
 		be:        be,
 		usedNames: make(map[string]struct{}),
 	}

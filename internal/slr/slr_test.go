@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cparse"
 	"repro/internal/ctoken"
 )
@@ -15,7 +16,7 @@ func runAll(t *testing.T, src string) *FileResult {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := NewTransformer(tu).ApplyAll()
+	res, err := NewTransformer(analysis.New(tu), nil).ApplyAll()
 	if err != nil {
 		t.Fatalf("ApplyAll: %v", err)
 	}
@@ -258,7 +259,7 @@ void f(void) {
 	}
 	// Select the second call by offset.
 	off := ctoken.Pos(strings.Index(src, `strcpy(b`))
-	res, err := NewTransformer(tu).ApplyAt(off)
+	res, err := NewTransformer(analysis.New(tu), nil).ApplyAt(off)
 	if err != nil {
 		t.Fatal(err)
 	}

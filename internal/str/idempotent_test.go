@@ -3,6 +3,7 @@ package str
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cparse"
 	"repro/internal/stralloc"
 )
@@ -27,7 +28,7 @@ void f(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := NewTransformer(tu).ApplyAll()
+	second, err := NewTransformer(analysis.New(tu)).ApplyAll()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/interproc"
 	"repro/internal/overflow"
 	"repro/internal/pointsto"
-	"repro/internal/typecheck"
 )
 
 // FailReason classifies why STR refused a candidate variable.
@@ -177,24 +176,15 @@ type Transformer struct {
 	usedNames map[string]struct{}
 }
 
-// NewTransformer prepares STR for the unit.
-func NewTransformer(unit *cast.TranslationUnit) *Transformer {
-	typecheck.Check(unit)
-	return newTransformer(unit, interproc.Analyze(unit))
-}
-
-// NewTransformerSnap prepares STR on a shared analysis-facts snapshot:
+// NewTransformer prepares STR on the unit's analysis-facts snapshot:
 // type analysis, the call graph and the interprocedural may-modify facts
-// are reused rather than re-derived from the bare unit.
-func NewTransformerSnap(s *analysis.Snapshot) *Transformer {
+// are shared with every other client of s.
+func NewTransformer(s *analysis.Snapshot) *Transformer {
 	s.Typecheck()
-	return newTransformer(s.Unit(), s.MayModify())
-}
-
-func newTransformer(unit *cast.TranslationUnit, inter *interproc.Result) *Transformer {
+	unit := s.Unit()
 	t := &Transformer{
 		unit:      unit,
-		inter:     inter,
+		inter:     s.MayModify(),
 		targets:   make(map[*cast.Symbol]bool),
 		declOf:    make(map[*cast.Symbol]*candidate),
 		usedNames: make(map[string]struct{}),

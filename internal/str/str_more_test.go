@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cparse"
 )
 
@@ -226,7 +227,7 @@ func TestApplyVarUnknownName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewTransformer(tu).ApplyVar("f", "does_not_exist")
+	res, err := NewTransformer(analysis.New(tu)).ApplyVar("f", "does_not_exist")
 	if err != nil {
 		t.Fatal(err)
 	}

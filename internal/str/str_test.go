@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cparse"
 	"repro/internal/stralloc"
 )
@@ -15,7 +16,7 @@ func runAll(t *testing.T, src string) *FileResult {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := NewTransformer(tu).ApplyAll()
+	res, err := NewTransformer(analysis.New(tu)).ApplyAll()
 	if err != nil {
 		t.Fatalf("ApplyAll: %v", err)
 	}
@@ -436,7 +437,7 @@ void f(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewTransformer(tu).ApplyVar("f", "b")
+	res, err := NewTransformer(analysis.New(tu)).ApplyVar("f", "b")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,6 +306,12 @@ func Backends() []string { return backend.Names() }
 // CLIs surface it verbatim at flag-parse time.
 func CanonicalBackend(name string) (string, error) { return backend.Canonical(name) }
 
+// CanonicalChecks validates a lint check selection ("buf", "int", "all"
+// or a comma list; empty selects "buf") and returns its canonical form.
+// It is the one check-name validator: CLIs call it at flag-parse time
+// and cfixd before any parse, and the error names the valid set.
+func CanonicalChecks(checks string) (string, error) { return core.CanonicalChecks(checks) }
+
 // BackendDescription returns a one-line description of a named backend
 // (for -h output and docs); unknown names return an error.
 func BackendDescription(name string) (string, error) {
