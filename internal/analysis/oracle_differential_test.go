@@ -1,12 +1,9 @@
 package analysis
 
 import (
-	"bufio"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,6 +11,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/cparse"
+	"repro/internal/digest"
 	"repro/internal/fault"
 	"repro/internal/intflow"
 	"repro/internal/overflow"
@@ -147,10 +145,7 @@ func renderOracles(t *testing.T, w io.Writer, u oracleUnit, set string) {
 // libtiff fixture under each option set, to the digests committed in
 // testdata. It is the refactoring net under the oracles' shared engine:
 // any change to what either oracle reports, how it degrades, or how it
-// merges duplicate findings changes a digest. On a difference the full
-// rendering of every differing section is saved to a temporary file and
-// the current digests are printed; copy them over the golden only for a
-// change that is meant to alter oracle results.
+// merges duplicate findings changes a digest.
 func TestOracleFindingsDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential")
@@ -161,74 +156,15 @@ func TestOracleFindingsDigest(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
-	type section struct {
-		key   string
-		lines int
-		sum   string
-		dump  string
-	}
-	var got []section
+	var sections []digest.Section
 	for _, corp := range names {
 		for _, set := range oracleOptionSets {
 			var sb strings.Builder
 			for _, u := range corpora[corp] {
 				renderOracles(t, &sb, u, set)
 			}
-			dump := sb.String()
-			got = append(got, section{
-				key:   corp + "/" + set,
-				lines: strings.Count(dump, "\n"),
-				sum:   fmt.Sprintf("%x", sha256.Sum256([]byte(dump))),
-				dump:  dump,
-			})
+			sections = append(sections, digest.Section{Key: corp + "/" + set, Dump: sb.String()})
 		}
 	}
-
-	var cur strings.Builder
-	for _, s := range got {
-		fmt.Fprintf(&cur, "%s %d %s\n", s.key, s.lines, s.sum)
-	}
-	f, err := os.Open(oracleDigestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if key, rest, ok := strings.Cut(sc.Text(), " "); ok {
-			want[key] = rest
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	var bad []string
-	var dump strings.Builder
-	for _, s := range got {
-		if rest := fmt.Sprintf("%d %s", s.lines, s.sum); want[s.key] != rest {
-			bad = append(bad, fmt.Sprintf("%s: got %s, want %s", s.key, rest, want[s.key]))
-			dump.WriteString(s.dump)
-		}
-	}
-	if len(want) != len(got) {
-		bad = append(bad, fmt.Sprintf("%d sections, golden has %d", len(got), len(want)))
-	}
-	if len(bad) == 0 {
-		return
-	}
-	out, err := os.CreateTemp("", "oracle-findings-*.txt")
-	if err == nil {
-		_, err = out.WriteString(dump.String())
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		t.Fatalf("oracle findings differ from %s:\n%s\n(rendering not saved: %v)\ncurrent digests:\n%s",
-			oracleDigestPath, strings.Join(bad, "\n"), err, cur.String())
-	}
-	t.Fatalf("oracle findings differ from %s:\n%s\nrendering of the differing sections: %s\ncurrent digests:\n%s",
-		oracleDigestPath, strings.Join(bad, "\n"), out.Name(), cur.String())
+	digest.Check(t, oracleDigestPath, sections)
 }

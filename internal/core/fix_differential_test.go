@@ -1,19 +1,17 @@
 package core
 
 import (
-	"bufio"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/digest"
 	"repro/internal/samate"
 )
 
@@ -82,10 +80,7 @@ func renderFix(t *testing.T, w io.Writer, in FileInput, be string) {
 // committed in testdata. It is the refactoring net under the edit
 // plumbing from the transformers to the splice: any change to what a
 // transformation emits, how its edits are tagged or how they are applied
-// changes a digest. On a difference the full rendering of every
-// differing section is saved to a temporary file and the current digests
-// are printed; copy them over the golden only for a change that is meant
-// to alter fix output.
+// changes a digest.
 func TestFixOutputDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential")
@@ -96,74 +91,15 @@ func TestFixOutputDigest(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
-	type section struct {
-		key   string
-		lines int
-		sum   string
-		dump  string
-	}
-	var got []section
+	var sections []digest.Section
 	for _, corp := range names {
 		for _, be := range Backends() {
 			var sb strings.Builder
 			for _, in := range corpora[corp] {
 				renderFix(t, &sb, in, be)
 			}
-			dump := sb.String()
-			got = append(got, section{
-				key:   corp + "/" + be,
-				lines: strings.Count(dump, "\n"),
-				sum:   fmt.Sprintf("%x", sha256.Sum256([]byte(dump))),
-				dump:  dump,
-			})
+			sections = append(sections, digest.Section{Key: corp + "/" + be, Dump: sb.String()})
 		}
 	}
-
-	var cur strings.Builder
-	for _, s := range got {
-		fmt.Fprintf(&cur, "%s %d %s\n", s.key, s.lines, s.sum)
-	}
-	f, err := os.Open(fixDigestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if key, rest, ok := strings.Cut(sc.Text(), " "); ok {
-			want[key] = rest
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	var bad []string
-	var dump strings.Builder
-	for _, s := range got {
-		if rest := fmt.Sprintf("%d %s", s.lines, s.sum); want[s.key] != rest {
-			bad = append(bad, fmt.Sprintf("%s: got %s, want %s", s.key, rest, want[s.key]))
-			dump.WriteString(s.dump)
-		}
-	}
-	if len(want) != len(got) {
-		bad = append(bad, fmt.Sprintf("%d sections, golden has %d", len(got), len(want)))
-	}
-	if len(bad) == 0 {
-		return
-	}
-	out, err := os.CreateTemp("", "fix-output-*.txt")
-	if err == nil {
-		_, err = out.WriteString(dump.String())
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		t.Fatalf("fix output differs from %s:\n%s\n(rendering not saved: %v)\ncurrent digests:\n%s",
-			fixDigestPath, strings.Join(bad, "\n"), err, cur.String())
-	}
-	t.Fatalf("fix output differs from %s:\n%s\nrendering of the differing sections: %s\ncurrent digests:\n%s",
-		fixDigestPath, strings.Join(bad, "\n"), out.Name(), cur.String())
+	digest.Check(t, fixDigestPath, sections)
 }
