@@ -16,6 +16,8 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/buflen"
@@ -23,6 +25,7 @@ import (
 	"repro/internal/cast"
 	"repro/internal/cfg"
 	"repro/internal/cparse"
+	"repro/internal/ctoken"
 	"repro/internal/dataflow"
 	"repro/internal/fault"
 	"repro/internal/interproc"
@@ -166,6 +169,74 @@ func ParseCtx(ctx context.Context, filename, source string, conf Config) (*Snaps
 	}
 	sp.Attr("funcs", fmt.Sprint(len(unit.Funcs)))
 	return NewWithConfig(unit, conf), nil
+}
+
+// ParseFuncCtx is ParseCtx for an edit that lies strictly inside the
+// body braces of prev's function fi, source being the unit's whole text
+// after it. It re-parses only that body (cparse.ParseFunc) and builds
+// the new snapshot's unit around the retained one: a new ctoken.File, a
+// Symbols slice with the new body's symbols in the old ones' place and
+// every later symbol renumbered to its index, and the nodes of every
+// later declaration shifted by the edit's length change. Those nodes,
+// and the function node the new body is spliced into, are prev's own:
+// restore puts them back as prev had them, and must be called before
+// prev is used again if the new snapshot is not kept.
+//
+// Its error is cparse.ErrDeclined when the function path cannot tell
+// what a whole parse would give; the caller then uses ParseCtx.
+func ParseFuncCtx(ctx context.Context, prev *Snapshot, fi int, source string, conf Config) (snap *Snapshot, restore func(), err error) {
+	if ctx != nil {
+		conf.Limits.Ctx = ctx
+	}
+	sp := conf.Tracer.Start(ctx, obs.StageParse, prev.file)
+	defer sp.End()
+	applyInjectedFault(ctx, prev.file, &conf)
+	fault.CheckCtx(ctx)
+	old := prev.unit
+	fn := old.Funcs[fi]
+	d := ctoken.Pos(len(source) - old.File.Size())
+	file := ctoken.NewFile(prev.file, source)
+	body, syms, err := cparse.ParseFunc(old, fi, file, ctoken.Extent{Pos: fn.Body.Ext.Pos, End: fn.Body.Ext.End + d})
+	if err != nil {
+		sp.Attr("error", err.Error())
+		return nil, nil, err
+	}
+
+	r := old.Bodies[fi]
+	grow := len(syms) - (r.Hi - r.Lo)
+	symbols := make([]*cast.Symbol, 0, len(old.Symbols)+grow)
+	symbols = append(append(append(symbols, old.Symbols[:r.Lo]...), syms...), old.Symbols[r.Hi:]...)
+	later := symbols[r.Lo+len(syms):]
+	bodies := slices.Clone(old.Bodies)
+	bodies[fi].Hi = r.Lo + len(syms)
+	for j := fi + 1; j < len(bodies); j++ {
+		bodies[j].Lo += grow
+		bodies[j].Hi += grow
+	}
+	// The declarations after fn: Decls are in source order.
+	next := sort.Search(len(old.Decls), func(i int) bool { return old.Decls[i].Extent().Pos > fn.Ext.Pos })
+	laterDecls := old.Decls[next:]
+
+	oldBody, oldExt := fn.Body, fn.Ext
+	fn.Body = body
+	fn.Ext.End += d
+	cast.Shift(d, laterDecls, later)
+	for i, sym := range later {
+		sym.ID = r.Lo + len(syms) + i
+	}
+	restore = func() {
+		fn.Body, fn.Ext = oldBody, oldExt
+		cast.Shift(-d, laterDecls, later)
+		for i, sym := range later {
+			sym.ID = r.Hi + i
+		}
+	}
+
+	unit := &cast.TranslationUnit{File: file, Decls: old.Decls, Funcs: old.Funcs,
+		Symbols: symbols, Bodies: bodies, Tags: old.Tags}
+	unit.SetExtent(ctoken.Extent{Pos: 0, End: ctoken.Pos(len(source))})
+	sp.Attr("func", fn.Name)
+	return NewWithConfig(unit, conf), restore, nil
 }
 
 // noteDegraded records budget degradations for Degradations().

@@ -54,6 +54,8 @@ func (e *extent) Extent() ctoken.Extent { return e.Ext }
 // SetExtent records the source range. Used by the parser.
 func (e *extent) SetExtent(x ctoken.Extent) { e.Ext = x }
 
+func (e *extent) extentField() *ctoken.Extent { return &e.Ext }
+
 // typedExpr is embedded in all expression nodes to carry the checked type.
 type typedExpr struct {
 	extent
@@ -584,16 +586,49 @@ type TranslationUnit struct {
 	Funcs []*FuncDef
 	// Symbols lists all symbols bound in the unit, indexed by Symbol.ID.
 	Symbols []*Symbol
+	// Bodies[i] is the range of Symbol.IDs bound inside Funcs[i]'s body;
+	// the IDs of its parameters come just before it.
+	Bodies []SymRange
+	// Tags logs the struct, union and enum tags bound at file scope, in
+	// the order the parse bound them. With Symbols and Bodies it is
+	// enough to rebuild the file scope as it stood at the start of any
+	// function body.
+	Tags []TagBinding
+}
+
+// SymRange is the half-open range [Lo, Hi) of Symbol.IDs.
+type SymRange struct{ Lo, Hi int }
+
+// TagBinding is one file-scope binding of a tag ("struct S", "union U"
+// or "enum E") to its type.
+type TagBinding struct {
+	Key  string
+	Type ctype.Type
+	// Funcs is the number of function definitions the parse had
+	// finished when it made the binding.
+	Funcs int
+	// Def marks the definition of a record: the binding after which its
+	// members are known.
+	Def bool
 }
 
 func (*TranslationUnit) declNode() {}
 
-// FuncAt returns the function definition whose extent contains offset p,
-// or nil. Funcs are in source order with disjoint extents, so the lookup
-// is a binary search.
-func (tu *TranslationUnit) FuncAt(p ctoken.Pos) *FuncDef {
+// FuncIndexAt returns the index in Funcs of the function definition
+// whose extent contains offset p, or -1. Funcs are in source order with
+// disjoint extents, so the lookup is a binary search.
+func (tu *TranslationUnit) FuncIndexAt(p ctoken.Pos) int {
 	i := sort.Search(len(tu.Funcs), func(i int) bool { return tu.Funcs[i].Extent().End > p })
 	if i < len(tu.Funcs) && tu.Funcs[i].Extent().Pos <= p {
+		return i
+	}
+	return -1
+}
+
+// FuncAt returns the function definition whose extent contains offset p,
+// or nil.
+func (tu *TranslationUnit) FuncAt(p ctoken.Pos) *FuncDef {
+	if i := tu.FuncIndexAt(p); i >= 0 {
 		return tu.Funcs[i]
 	}
 	return nil

@@ -197,10 +197,15 @@ func (p *Parser) parseRecordSpec(isUnion bool) ctype.Type {
 	// Definition.
 	var rec *ctype.Record
 	if tag != "" {
-		if t := p.lookupTag(tagKey(isUnion, tag)); t != nil {
-			if r, ok := t.(*ctype.Record); ok && !r.Complete {
-				rec = r // completing a forward declaration
-			}
+		t, depth := p.lookupTagDepth(tagKey(isUnion, tag))
+		if depth >= 0 && depth < p.seeded {
+			// A whole parse completes the tag's record if it is still a
+			// forward declaration here and defines a new one otherwise;
+			// the retained record shows only its final state.
+			p.decline()
+		}
+		if r, ok := t.(*ctype.Record); ok && !r.Complete {
+			rec = r // completing a forward declaration
 		}
 	}
 	if rec == nil {
@@ -237,6 +242,9 @@ func (p *Parser) parseRecordSpec(isUnion bool) ctype.Type {
 	}
 	p.expect("}")
 	rec.SetFields(fields)
+	if tag != "" {
+		p.logTag(tagKey(isUnion, tag), rec, true)
+	}
 	return rec
 }
 

@@ -115,7 +115,7 @@ func (p *Parser) parseCastExpr() cast.Expr {
 		operand := p.parseCastExpr()
 		c := &cast.CastExpr{
 			ToType:   typ,
-			TypeText: strings.TrimSpace(p.file.Slice(ctoken.Extent{Pos: typeStart, End: typeEnd})),
+			TypeText: strings.TrimSpace(p.text(ctoken.Extent{Pos: typeStart, End: typeEnd})),
 			Operand:  operand,
 		}
 		c.SetExtent(ctoken.Extent{Pos: start, End: operand.Extent().End})
@@ -139,6 +139,7 @@ func (p *Parser) isCompoundLiteralAhead() bool {
 				return i+1 < len(p.toks) && p.toks[i+1].Is("{")
 			}
 		case t.Kind == ctoken.KindEOF:
+			p.peekedEOF = true
 			return false
 		}
 	}
@@ -178,7 +179,7 @@ func (p *Parser) parseUnaryExpr() cast.Expr {
 			end := p.expect(")").Extent.End
 			s := &cast.SizeofExpr{
 				OfType:   typ,
-				TypeText: strings.TrimSpace(p.file.Slice(ctoken.Extent{Pos: typeStart, End: typeEnd})),
+				TypeText: strings.TrimSpace(p.text(ctoken.Extent{Pos: typeStart, End: typeEnd})),
 			}
 			s.SetExtent(ctoken.Extent{Pos: start, End: end})
 			return s
@@ -277,7 +278,7 @@ func (p *Parser) parsePrimaryExpr() cast.Expr {
 			value += decodeStringLit(nt.Text)
 			ext = ext.Union(nt.Extent)
 		}
-		lit := &cast.StringLit{Text: p.file.Slice(ext), Value: value}
+		lit := &cast.StringLit{Text: p.text(ext), Value: value}
 		lit.SetExtent(ext)
 		return lit
 	case ctoken.KindPunct:

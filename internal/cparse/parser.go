@@ -5,6 +5,13 @@
 // knowledge during parsing anyway), producing a cast.TranslationUnit whose
 // identifiers are resolved to cast.Symbol values. Expression types are
 // computed by a later pass (internal/typecheck).
+//
+// Parse is the whole-unit entry. ParseFunc re-parses one function body
+// of an already parsed unit after an edit inside it, starting from the
+// file scope as it stood at that body; the unit keeps what that needs
+// (Symbols in ID order, each body's ID range in Bodies, the file-scope
+// tag log in Tags). ParseFunc declines (ErrDeclined) whenever its result
+// could differ from a whole parse of the same text.
 package cparse
 
 import (
@@ -26,9 +33,10 @@ type Error struct {
 // Error implements the error interface.
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// bail is the internal control-flow panic used to unwind on a parse error.
-// It never escapes the package: Parse recovers it.
-type bail struct{ err *Error }
+// bail is the internal control-flow panic used to unwind on a parse error
+// (an *Error) or on ParseFunc declining (ErrDeclined). It never escapes
+// the package: Parse and ParseFunc recover it.
+type bail struct{ err error }
 
 type scope struct {
 	names map[string]*cast.Symbol
@@ -37,20 +45,34 @@ type scope struct {
 
 // Parser holds the state for parsing one translation unit.
 type Parser struct {
-	file   *ctoken.File
+	file *ctoken.File
+	// src is the text the tokens were lexed from, which starts at offset
+	// base of the file: the whole text, or one function body.
+	src    string
+	base   ctoken.Pos
 	toks   []ctoken.Token
 	pos    int
 	scopes []*scope
 	unit   *cast.TranslationUnit
 	nextID int
+	// seeded is the number of outer scopes ParseFunc rebuilt from a
+	// retained unit (0 for a whole parse).
+	seeded int
+	// peekedEOF records a lookahead that reached the end of the tokens.
+	peekedEOF bool
 }
 
-// parses counts Parse calls process-wide. The batch pipeline's
-// parse-once guarantee is asserted against this counter in tests.
-var parses atomic.Int64
+// parses counts Parse calls and funcParses ParseFunc calls process-wide.
+// The batch pipeline's parse-once guarantee and the session's
+// function-only re-parse are asserted against them in tests.
+var parses, funcParses atomic.Int64
 
 // Parses returns the number of Parse calls made since process start.
 func Parses() int64 { return parses.Load() }
+
+// FuncParses returns the number of ParseFunc calls made since process
+// start.
+func FuncParses() int64 { return funcParses.Load() }
 
 // Parse parses a complete translation unit from src. The name is used for
 // diagnostics only. On error the partially built unit is returned alongside
@@ -63,6 +85,7 @@ func Parse(name, src string) (*cast.TranslationUnit, error) {
 	}
 	p := &Parser{
 		file: ctoken.NewFile(name, src),
+		src:  src,
 		toks: toks,
 	}
 	p.unit = &cast.TranslationUnit{File: p.file}
@@ -110,6 +133,18 @@ func (p *Parser) errorf(pos ctoken.Pos, format string, args ...any) {
 	}})
 }
 
+// decline unwinds a ParseFunc that cannot decide the whole parse's
+// result.
+func (p *Parser) decline() { panic(bail{err: ErrDeclined}) }
+
+// text returns the source text of e, which lies inside p.src.
+func (p *Parser) text(e ctoken.Extent) string {
+	if !e.IsValid() || e.Pos < p.base || int(e.End-p.base) > len(p.src) {
+		return ""
+	}
+	return p.src[e.Pos-p.base : e.End-p.base]
+}
+
 // ---------------------------------------------------------------------------
 // Token stream helpers
 // ---------------------------------------------------------------------------
@@ -118,7 +153,8 @@ func (p *Parser) cur() ctoken.Token { return p.toks[p.pos] }
 
 func (p *Parser) peekN(n int) ctoken.Token {
 	i := p.pos + n
-	if i >= len(p.toks) {
+	if i >= len(p.toks)-1 {
+		p.peekedEOF = true
 		return p.toks[len(p.toks)-1] // EOF
 	}
 	return p.toks[i]
@@ -185,12 +221,19 @@ func (p *Parser) lookup(name string) *cast.Symbol {
 }
 
 func (p *Parser) lookupTag(name string) ctype.Type {
+	t, _ := p.lookupTagDepth(name)
+	return t
+}
+
+// lookupTagDepth is lookupTag that also returns the index of the scope
+// the tag was found in, -1 when it was not.
+func (p *Parser) lookupTagDepth(name string) (ctype.Type, int) {
 	for i := len(p.scopes) - 1; i >= 0; i-- {
 		if t, ok := p.scopes[i].tags[name]; ok {
-			return t
+			return t, i
 		}
 	}
-	return nil
+	return nil, -1
 }
 
 func (p *Parser) declare(sym *cast.Symbol) *cast.Symbol {
@@ -218,6 +261,14 @@ func (p *Parser) declare(sym *cast.Symbol) *cast.Symbol {
 
 func (p *Parser) declareTag(name string, t ctype.Type) {
 	p.scopes[len(p.scopes)-1].tags[name] = t
+	p.logTag(name, t, false)
+}
+
+// logTag records a file-scope tag binding in the unit's Tags.
+func (p *Parser) logTag(name string, t ctype.Type, def bool) {
+	if p.atFileScope() {
+		p.unit.Tags = append(p.unit.Tags, cast.TagBinding{Key: name, Type: t, Funcs: len(p.unit.Funcs), Def: def})
+	}
 }
 
 // isTypeName reports whether the identifier is a typedef name in scope.
@@ -407,7 +458,9 @@ func (p *Parser) parseFuncDefBody(start ctoken.Pos, specs declSpecs, d declarato
 		param.Sym = psym
 		fd.Params = append(fd.Params, param)
 	}
+	lo := p.nextID
 	fd.Body = p.parseCompoundStmt()
+	p.unit.Bodies = append(p.unit.Bodies, cast.SymRange{Lo: lo, Hi: p.nextID})
 	p.popScope()
 	fd.SetExtent(ctoken.Extent{Pos: start, End: fd.Body.Extent().End})
 	return fd

@@ -7,6 +7,13 @@
 // whole-text replacement first; Minimize shrinks it back to the bytes
 // that changed.
 //
+// An edit whose deltas all lie strictly inside one function's body
+// braces re-parses only that body against the retained unit
+// (analysis.ParseFuncCtx) and shifts the later nodes, which the new
+// snapshot shares with the old one; a failure after that puts them
+// back. Any other edit, or one the function path declines, parses the
+// whole unit. An edit that changes nothing parses nothing.
+//
 // The invalidation currency is the per-function dependency hash
 // (analysis.Snapshot.FuncHashes): a function whose hash is unchanged
 // after an edit gets its findings replayed from the cross-run memos
@@ -27,6 +34,7 @@ package incremental
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -36,6 +44,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cast"
 	"repro/internal/core"
+	"repro/internal/cparse"
 	"repro/internal/ctoken"
 	"repro/internal/edit"
 	"repro/internal/intflow"
@@ -251,6 +260,12 @@ func (s *Session) Edit(ctx context.Context, deltas []edit.Delta) (*Result, error
 	if err := script.Validate(len(s.text)); err != nil {
 		return nil, err
 	}
+	if len(script.Deltas()) == 0 {
+		// Nothing changed (an identical whole-file resend): every
+		// function's facts stand as they are.
+		s.discovered = 0
+		return s.result(0, len(s.hashes)), nil
+	}
 	newText, err := script.Apply(s.text)
 	if err != nil {
 		return nil, err
@@ -263,10 +278,18 @@ func (s *Session) Edit(ctx context.Context, deltas []edit.Delta) (*Result, error
 	// must leave the session exactly as it was. The snapshot's derived
 	// facts (and with them the memo lookups) stay lazy until the lint
 	// below forces them, after the remap.
-	snap, err := analysis.ParseCtx(ctx, s.name, newText, s.analysisConfig())
+	snap, restore, err := s.parse(ctx, script, newText)
 	if err != nil {
 		return nil, err
 	}
+	// A function parse moved the retained nodes it shares with the
+	// current snapshot; any failure from here on puts them back.
+	committed := false
+	defer func() {
+		if !committed {
+			restore()
+		}
+	}()
 
 	// Shift the oracle memos into the new text's coordinates. Entries the
 	// edit landed inside are dropped by Remap (inexact); entries the edit
@@ -288,17 +311,62 @@ func (s *Session) Edit(ctx context.Context, deltas []edit.Delta) (*Result, error
 	}
 	dirty, reused := diffHashes(s.hashes, d.hashes)
 	s.commit(newText, snap, d)
+	committed = true
 
-	res := &Result{Text: s.text, Findings: s.findings, Sites: append([]Site(nil), s.sites...)}
-	res.FuncsReanalyzed, res.FuncsReused = dirty, reused
-
-	s.counters.EditsApplied++
-	s.counters.FuncsReanalyzed += int64(dirty)
-	s.counters.FuncsReused += int64(reused)
+	res := s.result(dirty, reused)
 	sp.Attr("funcs_reanalyzed", fmt.Sprint(dirty)).
 		Attr("funcs_reused", fmt.Sprint(reused)).
 		Attr("findings", fmt.Sprint(len(res.Findings)))
 	return res, nil
+}
+
+// result counts one applied edit and returns the session's current
+// result for it.
+func (s *Session) result(dirty, reused int) *Result {
+	s.counters.EditsApplied++
+	s.counters.FuncsReanalyzed += int64(dirty)
+	s.counters.FuncsReused += int64(reused)
+	return &Result{Text: s.text, Findings: s.findings, Sites: append([]Site(nil), s.sites...),
+		FuncsReanalyzed: dirty, FuncsReused: reused}
+}
+
+// parse builds the snapshot of newText, the current text edited by
+// script. When every delta lies strictly inside one function's body
+// braces and the unit's function names are unique, it re-parses that
+// body alone (analysis.ParseFuncCtx), unless the function path declines;
+// every other edit parses the whole unit. restore undoes what a function
+// parse did to the current snapshot's nodes; after a whole parse it does
+// nothing.
+func (s *Session) parse(ctx context.Context, script *edit.Script, newText string) (*analysis.Snapshot, func(), error) {
+	if fi := s.editedBody(script.Deltas()); fi >= 0 {
+		snap, restore, err := analysis.ParseFuncCtx(ctx, s.snap, fi, newText, s.analysisConfig())
+		if !errors.Is(err, cparse.ErrDeclined) {
+			return snap, restore, err
+		}
+	}
+	snap, err := analysis.ParseCtx(ctx, s.name, newText, s.analysisConfig())
+	return snap, func() {}, err
+}
+
+// editedBody returns the index of the function whose body braces hold
+// every delta (at least one) strictly inside them, or -1 when there is
+// none or the unit has duplicate function names.
+func (s *Session) editedBody(deltas []edit.Delta) int {
+	unit := s.snap.Unit()
+	if len(s.hashes) != len(unit.Funcs) {
+		return -1
+	}
+	fi := unit.FuncIndexAt(deltas[0].Extent.Pos)
+	if fi < 0 {
+		return -1
+	}
+	body := unit.Funcs[fi].Body
+	for _, d := range deltas {
+		if d.Extent.Pos < body.LBrace.End || d.Extent.End > body.RBrace.Pos {
+			return -1
+		}
+	}
+	return fi
 }
 
 // sitesFor derives snap's repair sites. A function whose dependency hash

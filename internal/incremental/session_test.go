@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	tiff "repro/internal/corpus"
+	"repro/internal/cparse"
 	"repro/internal/ctoken"
 	"repro/internal/edit"
 	"repro/internal/intflow"
@@ -174,24 +176,36 @@ func TestSharedStructEditInvalidatesUsers(t *testing.T) {
 func TestWholeFileResendIsIncremental(t *testing.T) {
 	s, _ := open(t, twoFuncs)
 
-	// Identical resend: a pure no-op, nothing re-derived.
+	// Identical resend: a pure no-op, nothing parsed or re-derived.
 	ovf0 := overflow.Solves()
 	whole := ctoken.Extent{Pos: 0, End: ctoken.Pos(len(s.Text()))}
+	parses0, funcParses0 := cparse.Parses(), cparse.FuncParses()
 	res, err := s.Edit(context.Background(), []edit.Delta{edit.Replace(whole, s.Text())})
 	if err != nil {
 		t.Fatalf("identity resend: %v", err)
 	}
-	if res.FuncsReanalyzed != 0 || overflow.Solves() != ovf0 {
-		t.Fatalf("identity resend re-derived work: reanalyzed=%d solves=%d",
-			res.FuncsReanalyzed, overflow.Solves()-ovf0)
+	if res.FuncsReanalyzed != 0 || res.FuncsReused != 2 || overflow.Solves() != ovf0 {
+		t.Fatalf("identity resend re-derived work: reanalyzed=%d reused=%d solves=%d",
+			res.FuncsReanalyzed, res.FuncsReused, overflow.Solves()-ovf0)
+	}
+	if n, f := cparse.Parses()-parses0, cparse.FuncParses()-funcParses0; n != 0 || f != 0 {
+		t.Fatalf("identity resend made %d whole-unit and %d function parses, want none", n, f)
+	}
+	if c := s.Counters(); c.EditsApplied != 1 || c.FuncsReused != 2 {
+		t.Fatalf("identity resend counters %+v, want one edit reusing both functions", c)
 	}
 
-	// Whole-file resend with one byte changed inside second.
+	// Whole-file resend with one byte changed inside second: a function
+	// parse of second alone.
 	edited := strings.Replace(s.Text(), "b[8]", "b[6]", 1)
 	ovf0 = overflow.Solves()
+	parses0, funcParses0 = cparse.Parses(), cparse.FuncParses()
 	res, err = s.Edit(context.Background(), []edit.Delta{edit.Replace(whole, edited)})
 	if err != nil {
 		t.Fatalf("one-byte resend: %v", err)
+	}
+	if n, f := cparse.Parses()-parses0, cparse.FuncParses()-funcParses0; n != 0 || f != 1 {
+		t.Fatalf("one-byte resend made %d whole-unit and %d function parses, want 0 and 1", n, f)
 	}
 	if s.Text() != edited {
 		t.Fatal("resend did not apply")
@@ -323,6 +337,31 @@ func TestInBodyEditIsPerFunction(t *testing.T) {
 		}
 		requireEquivalent(t, s)
 	}
+}
+
+// TestBenchShapedEditParsesOneFunction pins the cost of the edit the
+// session benchmark makes, one number in one function of the libtiff
+// session unit: no whole-unit parse, one function parse, and site
+// discovery over that function alone.
+func TestBenchShapedEditParsesOneFunction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens the 100 KB libtiff unit")
+	}
+	p, ok := tiff.ProjectByName("libtiff", 2)
+	if !ok {
+		t.Fatal("corpus has no libtiff project")
+	}
+	const toggle = "\nvoid bench_toggle0(void) {\n    char buf0[16];\n    memset(buf0, 'A', 8);\n}\n"
+	s, _ := open(t, p.ConcatenatedUnit()+toggle)
+	at := ctoken.Pos(strings.Index(s.Text(), "'A', 8") + len("'A', "))
+	path, err := editPath(t, s, edit.Replace(ctoken.Extent{Pos: at, End: at + 1}, "24"))
+	if err != nil || path != funcParse {
+		t.Fatalf("bench-shaped edit: %s, %v; want a function parse", path, err)
+	}
+	if s.discovered != 1 {
+		t.Fatalf("site discovery ran over %d functions, want 1", s.discovered)
+	}
+	requireEquivalent(t, s)
 }
 
 // TestShadowedLocalsGetDistinctAnchors: two same-named locals in sibling
