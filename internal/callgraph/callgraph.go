@@ -53,11 +53,9 @@ func Build(unit *cast.TranslationUnit) *Graph {
 				return true
 			}
 			name := call.Callee()
-			e := Edge{
-				Caller:     f,
-				Call:       call,
-				CalleeName: name,
-				Callee:     defs[name],
+			e := Edge{Caller: f, Call: call, CalleeName: name}
+			if name != "" {
+				e.Callee = defs[name]
 			}
 			idx := len(g.edges)
 			g.edges = append(g.edges, e)

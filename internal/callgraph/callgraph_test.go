@@ -102,7 +102,8 @@ void a(void) { b(); }
 func TestFunctionPointerCallUnresolved(t *testing.T) {
 	// A call through a function-pointer variable keeps the variable's
 	// spelling but resolves to no definition; a call through a computed
-	// expression has no name at all.
+	// expression has no name at all, and resolves to no definition even
+	// when the unit defines a function without a name.
 	g := build(t, `
 void f(void (*cb)(void)) {
     cb();
@@ -110,6 +111,7 @@ void f(void (*cb)(void)) {
 void g(void (**tab)(void)) {
     (*tab)();
 }
+void (void) {}
 `)
 	edges := g.CallsFrom("f")
 	if len(edges) != 1 || edges[0].CalleeName != "cb" || edges[0].Callee != nil {
