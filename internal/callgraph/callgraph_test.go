@@ -3,6 +3,7 @@ package callgraph
 import (
 	"testing"
 
+	"repro/internal/cast"
 	"repro/internal/cparse"
 )
 
@@ -12,7 +13,16 @@ func build(t *testing.T, src string) *Graph {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Build(tu)
+	calls := make([][]*cast.CallExpr, len(tu.Funcs))
+	for i, f := range tu.Funcs {
+		cast.Inspect(f.Body, func(n cast.Node) bool {
+			if call, ok := n.(*cast.CallExpr); ok {
+				calls[i] = append(calls[i], call)
+			}
+			return true
+		})
+	}
+	return Build(tu, calls)
 }
 
 const sample = `

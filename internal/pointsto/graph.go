@@ -18,6 +18,7 @@ package pointsto
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cast"
@@ -225,4 +226,34 @@ func (g *Graph) PointsToIntersect(a, b *cast.Symbol) bool {
 		}
 	}
 	return false
+}
+
+// SameSystem reports whether g and h generated the same constraint
+// system over the same nodes — node for node the same kind, field,
+// aggregate mark and symbol ID — in the same mode, and both solved it
+// without degrading. Their solutions, alias sets and every query by
+// symbol ID then agree, whatever symbol objects the IDs name. IDs are
+// read from the nodes' symbols as they are now: a symbol two units
+// share and one renumbered compares by its current ID in both graphs.
+func (g *Graph) SameSystem(h *Graph) bool {
+	if !g.solved || !h.solved || g.Stats.Degraded || h.Stats.Degraded ||
+		g.fieldSensitive != h.fieldSensitive || len(g.Nodes) != len(h.Nodes) ||
+		!slices.Equal(g.constraints, h.constraints) {
+		return false
+	}
+	for i, n := range g.Nodes {
+		m := h.Nodes[i]
+		if n.Kind != m.Kind || n.Field != m.Field || n.Aggregate != m.Aggregate || symID(n) != symID(m) {
+			return false
+		}
+	}
+	return true
+}
+
+// symID is the ID of n's symbol, or -1 for a node without one.
+func symID(n *Node) int {
+	if n.Sym == nil {
+		return -1
+	}
+	return n.Sym.ID
 }
