@@ -21,8 +21,10 @@
 // memo, extents remapped through the edit's offset mapper,
 // byte-identical to a fresh run. The hashes themselves are recomputed
 // through an analysis.HashMemo that re-normalizes only the functions
-// whose text changed, and the transformers re-run over only the
-// functions whose sites could not be replayed. Everything the session
+// whose text changed; after a function parse the new snapshot also
+// inherits the old one's body walks and, when points-to did not move,
+// its local hashes. The transformers re-run over only the functions
+// whose sites could not be replayed. Everything the session
 // returns — findings and repair sites — therefore matches a
 // from-scratch core.Analyze/core.Fix on the same text; the equivalence
 // suites pin that property over randomized and per-class edit scripts.
