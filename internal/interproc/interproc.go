@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/cast"
+	"repro/internal/ctype"
 )
 
 // _libraryWriters maps C library functions to the argument positions
@@ -161,9 +162,9 @@ func (z *Summarizer) Visit(n cast.Node) {
 		}
 		// A parameter whose address escapes (stored anywhere) is
 		// conservatively modified. A simple over-approximation: any
-		// assignment whose RHS mentions the parameter and whose LHS is a
-		// global or a member/deref/index target marks the parameter.
-		if idx := z.paramOf(x.RHS); idx >= 0 {
+		// assignment that stores the parameter's address into a global or
+		// a member/deref/index target marks the parameter.
+		if idx := z.escapeOf(x.RHS); idx >= 0 {
 			switch lv := cast.Unparen(x.LHS).(type) {
 			case *cast.Ident:
 				if lv.Sym != nil && lv.Sym.IsGlobal {
@@ -230,6 +231,52 @@ func (z *Summarizer) paramOf(e cast.Expr) int {
 	default:
 		return -1
 	}
+}
+
+// escapeOf resolves an expression to a parameter index when its value is
+// the address of the parameter's buffer: p, p + n, &p[n], casts of those,
+// or an element p[n] that is itself an array row. An element read such
+// as p[0] yields a value stored in the buffer, not the buffer, so it
+// resolves to -1.
+func (z *Summarizer) escapeOf(e cast.Expr) int {
+	switch x := cast.Unparen(e).(type) {
+	case *cast.BinaryExpr:
+		if x.Op == cast.BinaryAdd || x.Op == cast.BinarySub {
+			if idx := z.escapeOf(x.X); idx >= 0 {
+				return idx
+			}
+			return z.escapeOf(x.Y)
+		}
+		return -1
+	case *cast.CastExpr:
+		return z.escapeOf(x.Operand)
+	case *cast.IndexExpr:
+		if !isRow(x) {
+			return -1
+		}
+	}
+	return z.paramOf(e)
+}
+
+// isRow reports whether the element ix names is itself an array, judged
+// from the declared type of the variable it indexes. An element whose
+// type is unknown counts as a row, the conservative answer.
+func isRow(ix *cast.IndexExpr) bool {
+	depth := 1
+	base := cast.Unparen(ix.Base)
+	for inner, ok := base.(*cast.IndexExpr); ok; inner, ok = base.(*cast.IndexExpr) {
+		depth++
+		base = cast.Unparen(inner.Base)
+	}
+	id, ok := base.(*cast.Ident)
+	if !ok || id.Sym == nil {
+		return true
+	}
+	t := id.Sym.Type
+	for ; depth > 0 && t != nil; depth-- {
+		t = ctype.Elem(t)
+	}
+	return t == nil || ctype.IsArray(t)
 }
 
 // Analyze computes may-modify facts for every defined function in the

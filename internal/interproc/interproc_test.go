@@ -147,6 +147,40 @@ void keep(char *p) { stash = p; }
 	}
 }
 
+func TestElementReadDoesNotEscape(t *testing.T) {
+	r := analyze(t, `
+char g;
+char *gp;
+struct holder { char *f; };
+void copy(char *p, char *q) { p[1] = q[0]; }
+void load(char *q) { g = q[0]; }
+void load_cast(char *q) { g = (char)q[1] + 1; }
+void row(char q[][4]) { gp = q[1]; }
+void addr(char *q) { gp = &q[1]; }
+void offset(char *q) { gp = (char *)q + 2; }
+void member(struct holder *h, char *q) { h->f = q - 1; }
+`)
+	cases := []struct {
+		fn   string
+		idx  int
+		want bool
+	}{
+		{"copy", 0, true},
+		{"copy", 1, false},
+		{"load", 0, false},
+		{"load_cast", 0, false},
+		{"row", 0, true},
+		{"addr", 0, true},
+		{"offset", 0, true},
+		{"member", 1, true},
+	}
+	for _, c := range cases {
+		if got := r.MayModifyParam(c.fn, c.idx); got != c.want {
+			t.Errorf("%s param %d: may-modify %v, want %v", c.fn, c.idx, got, c.want)
+		}
+	}
+}
+
 func TestMayModifyArgFunctionPointer(t *testing.T) {
 	tu, err := cparse.Parse("t.c", `
 void f(void (*cb)(char*), char *buf) { cb(buf); }
