@@ -18,7 +18,7 @@ import (
 // functions over the solved in-states with chk set, so findings are
 // produced by exactly the code path that computed the fixpoint.
 type iproblem struct {
-	overflow.Lattice[istate]
+	overflow.Lattice[ival]
 	fn        *cast.FuncDef
 	seed      map[int]ival
 	globalIDs map[int]bool
@@ -32,29 +32,25 @@ type mayModifier interface {
 	MayModifyArg(call *cast.CallExpr, idx int) bool
 }
 
-func (p *iproblem) Entry() istate {
-	st := istate{reach: true, vars: make(map[int]ival, len(p.seed))}
-	for id, v := range p.seed {
-		if !v.isTop() {
-			st.vars[id] = v
-		}
-	}
-	return st
-}
+func (p *iproblem) Entry() overflow.Env[ival] { return overflow.NewEnv(p.seed) }
 
 // Transfer is the single dispatch shared by the solver (chk == nil) and
 // the finding replay (chk != nil).
-func (p *iproblem) Transfer(n *cfg.Node, in istate) istate {
+func (p *iproblem) Transfer(n *cfg.Node, in overflow.Env[ival]) overflow.Env[ival] {
 	return overflow.Transfer(n, in, p.transferDecl, p.transferExpr)
 }
 
-func (p *iproblem) FlowEdge(from, to *cfg.Node, st istate) istate {
+func (p *iproblem) transferExpr(st overflow.Env[ival], e cast.Expr) overflow.Env[ival] {
+	return overflow.Effect(p, st, e)
+}
+
+func (p *iproblem) FlowEdge(from, to *cfg.Node, st overflow.Env[ival]) overflow.Env[ival] {
 	return overflow.RefineEdge(from, to, st, p.evalInt)
 }
 
 // --- declarations -----------------------------------------------------------
 
-func (p *iproblem) transferDecl(st istate, d *cast.VarDecl) istate {
+func (p *iproblem) transferDecl(st overflow.Env[ival], d *cast.VarDecl) overflow.Env[ival] {
 	if d == nil {
 		return st
 	}
@@ -68,76 +64,25 @@ func (p *iproblem) transferDecl(st istate, d *cast.VarDecl) istate {
 		return st
 	}
 	if d.Init == nil {
-		return st.set(d.Sym.ID, topIval())
+		return st.Set(d.Sym.ID, topIval())
 	}
 	v := p.eval(st, d.Init)
-	return st.set(d.Sym.ID, p.convert(d.Init, v, d.Sym.Type))
+	return st.Set(d.Sym.ID, p.convert(d.Init, v, d.Sym.Type))
 }
 
 // --- expression effects -----------------------------------------------------
 
-// transferExpr applies the state effects of evaluating e (assignments,
-// increments, calls). Value computation is the separate eval.
-func (p *iproblem) transferExpr(st istate, e cast.Expr) istate {
-	if e == nil {
-		return st
+// Value reports, in the replay pass, the wraps of a binary or cast node
+// whose value no assignment or call consumes.
+func (p *iproblem) Value(st overflow.Env[ival], x cast.Expr) {
+	if p.chk != nil {
+		p.eval(st, x)
 	}
-	switch x := cast.Unparen(e).(type) {
-	case *cast.AssignExpr:
-		st = p.transferExpr(st, x.RHS)
-		return p.transferAssign(st, x)
-	case *cast.UnaryExpr:
-		switch x.Op {
-		case cast.UnaryPreInc:
-			return p.applyIncDec(st, x, x.Operand, +1)
-		case cast.UnaryPreDec:
-			return p.applyIncDec(st, x, x.Operand, -1)
-		}
-		return p.transferExpr(st, x.Operand)
-	case *cast.PostfixExpr:
-		switch x.Op {
-		case cast.PostfixInc:
-			return p.applyIncDec(st, x, x.Operand, +1)
-		case cast.PostfixDec:
-			return p.applyIncDec(st, x, x.Operand, -1)
-		}
-		return st
-	case *cast.CallExpr:
-		for _, a := range x.Args {
-			st = p.transferExpr(st, a)
-		}
-		return p.transferCall(st, x)
-	case *cast.CommaExpr:
-		st = p.transferExpr(st, x.X)
-		return p.transferExpr(st, x.Y)
-	case *cast.BinaryExpr:
-		st = p.transferExpr(st, x.X)
-		st = p.transferExpr(st, x.Y)
-		if p.chk != nil {
-			p.eval(st, x) // report wraps in value-only expressions
-		}
-		return st
-	case *cast.CondExpr:
-		st = p.transferExpr(st, x.Cond)
-		a := p.transferExpr(st, x.Then)
-		b := p.transferExpr(st, x.Else)
-		return a.Join(b)
-	case *cast.CastExpr:
-		st = p.transferExpr(st, x.Operand)
-		if p.chk != nil {
-			p.eval(st, x)
-		}
-		return st
-	case *cast.IndexExpr:
-		st = p.transferExpr(st, x.Base)
-		return p.transferExpr(st, x.Index)
-	case *cast.MemberExpr:
-		return p.transferExpr(st, x.Base)
-	}
-	return st
 }
 
-func (p *iproblem) transferAssign(st istate, x *cast.AssignExpr) istate {
+// Assign applies an assignment's store, after its right side's effects
+// (overflow.Effects).
+func (p *iproblem) Assign(st overflow.Env[ival], x *cast.AssignExpr) overflow.Env[ival] {
 	id, ok := cast.Unparen(x.LHS).(*cast.Ident)
 	if !ok || id.Sym == nil || !overflow.IsIntVar(id.Sym) || id.Sym.Kind == cast.SymEnumConst {
 		// Stores through arrays/pointers are not tracked, but the RHS
@@ -147,7 +92,7 @@ func (p *iproblem) transferAssign(st istate, x *cast.AssignExpr) istate {
 		}
 		return st
 	}
-	old := st.get(id.Sym.ID)
+	old := st.Get(id.Sym.ID)
 	rhs := p.eval(st, x.RHS)
 	var v ival
 	switch x.Op {
@@ -160,7 +105,7 @@ func (p *iproblem) transferAssign(st istate, x *cast.AssignExpr) istate {
 	default:
 		v = topIval()
 	}
-	return st.set(id.Sym.ID, p.convert(x, v, id.Sym.Type))
+	return st.Set(id.Sym.ID, p.convert(x, v, id.Sym.Type))
 }
 
 // compoundOp maps a compound-assignment operator to its binary form.
@@ -190,12 +135,13 @@ func compoundOp(op cast.AssignOp) cast.BinaryOp {
 	return cast.BinaryInvalid
 }
 
-func (p *iproblem) applyIncDec(st istate, site cast.Expr, operand cast.Expr, delta int64) istate {
+// IncDec steps an integer variable by delta, wrap-checked at site.
+func (p *iproblem) IncDec(st overflow.Env[ival], site, operand cast.Expr, delta int64) overflow.Env[ival] {
 	id, ok := cast.Unparen(operand).(*cast.Ident)
 	if !ok || id.Sym == nil || !overflow.IsIntVar(id.Sym) {
 		return st
 	}
-	old := st.get(id.Sym.ID)
+	old := st.Get(id.Sym.ID)
 	raw := old.v.AddConst(delta)
 	opName := "increment"
 	if delta < 0 {
@@ -203,7 +149,7 @@ func (p *iproblem) applyIncDec(st istate, site cast.Expr, operand cast.Expr, del
 	}
 	v := p.wrapCheck(site, raw, id.Sym.Type, opName, "")
 	v = inheritTaint(v, old)
-	return st.set(id.Sym.ID, v)
+	return st.Set(id.Sym.ID, v)
 }
 
 // --- call effects -----------------------------------------------------------
@@ -221,7 +167,9 @@ var noEffectCalls = map[string]bool{
 	"g_malloc": true,
 }
 
-func (p *iproblem) transferCall(st istate, call *cast.CallExpr) istate {
+// Call checks an allocation sink's size arguments and havocs what a
+// user call may change.
+func (p *iproblem) Call(st overflow.Env[ival], call *cast.CallExpr) overflow.Env[ival] {
 	name := call.Callee()
 	// Sink check: a possibly-wrapped value flowing into an allocation
 	// size is CWE-680, whatever the call's other effects are.
@@ -252,7 +200,7 @@ func (p *iproblem) transferCall(st istate, call *cast.CallExpr) istate {
 // integer variables passed by address — unless the may-modify facts
 // prove the callee leaves that argument alone — and every global
 // integer.
-func (p *iproblem) havocUserCall(st istate, call *cast.CallExpr) istate {
+func (p *iproblem) havocUserCall(st overflow.Env[ival], call *cast.CallExpr) overflow.Env[ival] {
 	for i, a := range call.Args {
 		u, ok := cast.Unparen(a).(*cast.UnaryExpr)
 		if !ok || u.Op != cast.UnaryAddrOf {
@@ -265,15 +213,14 @@ func (p *iproblem) havocUserCall(st istate, call *cast.CallExpr) istate {
 		if p.mm != nil && !p.mm.MayModifyArg(call, i) {
 			continue // proven read-only: the value survives the call
 		}
-		st = st.set(id.Sym.ID, topIval())
+		st = st.Set(id.Sym.ID, topIval())
 	}
-	out := st.clone()
-	for id := range out.vars {
+	return st.Map(func(id int, v ival) ival {
 		if p.globalIDs[id] {
-			delete(out.vars, id)
+			return topIval()
 		}
-	}
-	return out
+		return v
+	})
 }
 
 // --- pure evaluation --------------------------------------------------------
@@ -281,7 +228,7 @@ func (p *iproblem) havocUserCall(st istate, call *cast.CallExpr) istate {
 // eval computes the abstract value of e under st, wrap-checking every
 // arithmetic step against the expression's C type and reporting through
 // the attached checker (when one is attached).
-func (p *iproblem) eval(st istate, e cast.Expr) ival {
+func (p *iproblem) eval(st overflow.Env[ival], e cast.Expr) ival {
 	if e == nil {
 		return topIval()
 	}
@@ -300,7 +247,7 @@ func (p *iproblem) eval(st istate, e cast.Expr) ival {
 			}
 		}
 		if overflow.IsIntVar(x.Sym) {
-			return st.get(x.Sym.ID)
+			return st.Get(x.Sym.ID)
 		}
 		return topIval()
 	case *cast.UnaryExpr:
@@ -344,7 +291,7 @@ func (p *iproblem) eval(st istate, e cast.Expr) ival {
 	case *cast.CommaExpr:
 		return p.eval(st, x.Y)
 	case *cast.CondExpr:
-		return p.eval(st, x.Then).join(p.eval(st, x.Else))
+		return p.eval(st, x.Then).Join(p.eval(st, x.Else))
 	case *cast.CallExpr:
 		if x.Callee() == "strlen" {
 			return ival{v: interval.Range(0, interval.PosInf)}
@@ -355,7 +302,7 @@ func (p *iproblem) eval(st istate, e cast.Expr) ival {
 }
 
 // evalInt is eval's interval, for the branch refiner.
-func (p *iproblem) evalInt(st istate, e cast.Expr) interval.Interval {
+func (p *iproblem) evalInt(st overflow.Env[ival], e cast.Expr) interval.Interval {
 	return p.eval(st, e).v
 }
 

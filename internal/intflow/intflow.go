@@ -73,7 +73,7 @@ type Analyzer struct {
 	opts  Options
 	facts Facts
 
-	eng       *overflow.Engine[istate, ival, *iproblem]
+	eng       *overflow.Engine[overflow.Env[ival], ival, *iproblem]
 	mm        *interproc.Result
 	globalIDs map[int]bool
 	sinks     map[string][]int
@@ -88,7 +88,7 @@ func (a *Analyzer) ensure() {
 	if a.eng != nil {
 		return
 	}
-	a.eng = overflow.NewEngine(a.unit, a.facts, overflow.Oracle[istate, ival, *iproblem]{
+	a.eng = overflow.NewEngine(a.unit, a.facts, overflow.Oracle[overflow.Env[ival], ival, *iproblem]{
 		Name:         "intflow",
 		Solve:        "range",
 		Unverified:   "integer range analysis budget exhausted; arithmetic in this function is unverified",
@@ -140,7 +140,8 @@ func seedValue(v ival) string {
 // forwards one of its integer parameters into a known sink's size
 // argument is itself a sink at that parameter position. This is how
 // `static char *wrapper(unsigned n) { return malloc(n); }` makes
-// `wrapper(a * b)` a CWE-680 site.
+// `wrapper(a * b)` a CWE-680 site. Each round reads the call graph's
+// edges, never a body.
 func (a *Analyzer) discoverSinks() {
 	a.sinks = map[string][]int{
 		"malloc":   {0},
@@ -148,65 +149,40 @@ func (a *Analyzer) discoverSinks() {
 		"realloc":  {1},
 		"g_malloc": {0},
 	}
-	// Fixpoint: at most one new function per round can become a sink.
-	for round := 0; round <= len(a.unit.Funcs); round++ {
-		changed := false
-		for _, fn := range a.unit.Funcs {
-			for _, idx := range a.forwardedParams(fn) {
-				if !slices.Contains(a.sinks[fn.Name], idx) {
-					a.sinks[fn.Name] = append(a.sinks[fn.Name], idx)
-					changed = true
-				}
+	paramIdx := make(map[int]int) // Symbol.ID of an integer parameter -> its position
+	for _, fn := range a.unit.Funcs {
+		for i, p := range fn.Params {
+			if p.Sym != nil && overflow.IsIntVar(p.Sym) {
+				paramIdx[p.Sym.ID] = i
 			}
 		}
-		if !changed {
-			break
+	}
+	edges := a.facts.CallGraph().Edges()
+	// Each round that changes something adds a (function, position)
+	// pair, so the least fixpoint is reached in finitely many rounds.
+	for changed := len(paramIdx) > 0; changed; {
+		changed = false
+		for _, e := range edges {
+			for _, pos := range a.sinks[e.CalleeName] {
+				arg := e.Call.Arg(pos)
+				if arg == nil {
+					continue
+				}
+				cast.InspectExprs(arg, func(x cast.Expr) bool {
+					if id, ok := x.(*cast.Ident); ok && id.Sym != nil {
+						if i, ok := paramIdx[id.Sym.ID]; ok && !slices.Contains(a.sinks[e.Caller.Name], i) {
+							a.sinks[e.Caller.Name] = append(a.sinks[e.Caller.Name], i)
+							changed = true
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
 	for _, positions := range a.sinks {
 		sort.Ints(positions)
 	}
-}
-
-// forwardedParams returns the indices of fn's integer parameters that
-// appear inside a size argument of a call to a current sink.
-func (a *Analyzer) forwardedParams(fn *cast.FuncDef) []int {
-	paramIdx := make(map[int]int) // Symbol.ID -> parameter position
-	for i, p := range fn.Params {
-		if p.Sym != nil && overflow.IsIntVar(p.Sym) {
-			paramIdx[p.Sym.ID] = i
-		}
-	}
-	if len(paramIdx) == 0 || fn.Body == nil {
-		return nil
-	}
-	var out []int
-	cast.Inspect(fn.Body, func(n cast.Node) bool {
-		call, ok := n.(*cast.CallExpr)
-		if !ok {
-			return true
-		}
-		positions, isSink := a.sinks[call.Callee()]
-		if !isSink {
-			return true
-		}
-		for _, pos := range positions {
-			arg := call.Arg(pos)
-			if arg == nil {
-				continue
-			}
-			cast.InspectExprs(arg, func(e cast.Expr) bool {
-				if id, isIdent := e.(*cast.Ident); isIdent && id.Sym != nil {
-					if i, isParam := paramIdx[id.Sym.ID]; isParam && !slices.Contains(out, i) {
-						out = append(out, i)
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-	return out
 }
 
 // Analyze runs the oracle and returns the deduplicated findings in
@@ -218,17 +194,14 @@ func (a *Analyzer) Analyze() []Finding {
 	return a.eng.Analyze(nil)
 }
 
-// check replays the solved transfer functions over every reached node
-// with a checker attached, so findings come from exactly the arithmetic
-// the fixpoint evaluated.
-func (a *Analyzer) check(fn *cast.FuncDef, g *cfg.Graph, sol *dataflow.Solution[istate], p *iproblem, chain []string) []Finding {
+// check replays the solved transfer functions over every node with a
+// checker attached, so findings come from exactly the arithmetic the
+// fixpoint evaluated; Transfer passes over an unreached in-state.
+func (a *Analyzer) check(fn *cast.FuncDef, g *cfg.Graph, sol *dataflow.Solution[overflow.Env[ival]], p *iproblem, chain []string) []Finding {
 	chk := &ichecker{overflow.Collector{File: a.unit.File, Fn: fn, Chain: chain}}
 	rp := *p
 	rp.chk = chk
 	for _, n := range g.Nodes {
-		if !sol.Reached[n.ID] {
-			continue
-		}
 		rp.Transfer(n, sol.In[n.ID])
 	}
 	return chk.Out
@@ -237,7 +210,7 @@ func (a *Analyzer) check(fn *cast.FuncDef, g *cfg.Graph, sol *dataflow.Solution[
 // argSeed evaluates the call's arguments under the caller's state at
 // the call site and binds the resulting values — including wrap taint —
 // to the callee's integer parameters.
-func (a *Analyzer) argSeed(p *iproblem, st istate, e callgraph.Edge) map[int]ival {
+func (a *Analyzer) argSeed(p *iproblem, st overflow.Env[ival], e callgraph.Edge) map[int]ival {
 	seed := make(map[int]ival)
 	for i, prm := range e.Callee.Params {
 		if prm.Sym == nil || i >= len(e.Call.Args) {
@@ -247,7 +220,7 @@ func (a *Analyzer) argSeed(p *iproblem, st istate, e callgraph.Edge) map[int]iva
 			continue
 		}
 		v := p.convert(e.Call.Args[i], p.eval(st, e.Call.Args[i]), prm.Sym.Type)
-		if !v.isTop() {
+		if !v.IsTop() {
 			seed[prm.Sym.ID] = v
 		}
 	}

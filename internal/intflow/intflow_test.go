@@ -290,6 +290,30 @@ void f(void) {
 	}
 }
 
+// TestAllocSinkForwardedThroughOwnParams checks that sink discovery
+// reaches its least fixpoint when a wrapper forwards one parameter into
+// another of its own sink positions, one position per round, more rounds
+// than the unit has functions.
+func TestAllocSinkForwardedThroughOwnParams(t *testing.T) {
+	fs := analyzeSrc(t, `static char *mk(unsigned int a, unsigned int b, unsigned int c, unsigned int d) {
+    if (d) return mk(0, 0, d, 0);
+    if (c) return mk(0, c, 0, 0);
+    if (b) return mk(b, 0, 0, 0);
+    return malloc(a);
+}
+void f(void) {
+    unsigned int n = 70000;
+    char *p = mk(0, 0, 0, n * n);
+    p[0] = 0;
+}`)
+	for _, f := range fs {
+		if f.CWE == 680 && f.Function == "f" {
+			return
+		}
+	}
+	t.Fatalf("sink at the fourth parameter not discovered: %v", fs)
+}
+
 // TestCallocBothArgsAreSinks checks the two-argument allocator.
 func TestCallocBothArgsAreSinks(t *testing.T) {
 	fs := analyzeSrc(t, `void f(void) {

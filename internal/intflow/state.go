@@ -23,14 +23,19 @@ type ival struct {
 	guard string
 }
 
-// topIval is the unknown value (the implicit state of absent map keys).
+// topIval is the unknown value, the value an Env reads for an absent key.
 func topIval() ival { return ival{v: interval.Top()} }
 
-func (x ival) isTop() bool { return x.v.IsTop() && !x.wrapped }
+// Top returns topIval(). Join and widen keep wrap taint, so a tainted
+// value that only one side of a join or widen holds survives it.
+func (ival) Top() ival { return topIval() }
 
-// join merges two path states. Wrap taint is may-information (either
+// IsTop reports the unknown, untainted value.
+func (x ival) IsTop() bool { return x.v.IsTop() && !x.wrapped }
+
+// Join merges two path values. Wrap taint is may-information (either
 // path suffices); definiteness is must-information (both paths needed).
-func (x ival) join(o ival) ival {
+func (x ival) Join(o ival) ival {
 	out := ival{
 		v:        x.v.Join(o.v),
 		wrapped:  x.wrapped || o.wrapped,
@@ -43,7 +48,9 @@ func (x ival) join(o ival) ival {
 	return out
 }
 
-func (x ival) widen(next ival) ival {
+// Widen extrapolates x by next at a loop head, keeping taint as Join
+// does.
+func (x ival) Widen(next ival) ival {
 	out := ival{
 		v:        x.v.Widen(next.v),
 		wrapped:  x.wrapped || next.wrapped,
@@ -56,134 +63,21 @@ func (x ival) widen(next ival) ival {
 	return out
 }
 
-// equal ignores the guard text: it is derived deterministically from the
+// Equal ignores the guard text: it is derived deterministically from the
 // same sites that set the wrapped flag, so comparing it would only slow
 // convergence without changing the fixpoint.
-func (x ival) equal(o ival) bool {
+func (x ival) Equal(o ival) bool {
 	return x.v == o.v && x.wrapped == o.wrapped && x.definite == o.definite
 }
 
-// istate is the abstract integer memory at one program point:
-// reachability plus a map from Symbol.ID to ival. Absent keys are top;
-// maps are normalized so equality is map equality.
-type istate struct {
-	reach bool
-	vars  map[int]ival
-}
+// Int returns the value interval.
+func (x ival) Int() interval.Interval { return x.v }
 
-// Reached reports whether any execution reaches the program point; the
-// zero state is the unreached one.
-func (s istate) Reached() bool { return s.reach }
-
-// Int returns the value interval of integer variable id.
-func (s istate) Int(id int) interval.Interval { return s.get(id).v }
-
-// WithInt returns a copy of s with integer variable id narrowed to v.
-// Wrap taint survives: a bounds check after the wrap does not un-wrap
-// the value.
-func (s istate) WithInt(id int, v interval.Interval) istate {
-	x := s.get(id)
-	x.v = v
-	return s.set(id, x)
-}
-
-func (s istate) get(id int) ival {
-	if v, ok := s.vars[id]; ok {
-		return v
-	}
-	return topIval()
-}
-
-func (s istate) set(id int, v ival) istate {
-	out := s.clone()
-	if v.isTop() {
-		delete(out.vars, id)
-	} else {
-		out.vars[id] = v
-	}
-	return out
-}
-
-func (s istate) clone() istate {
-	out := istate{reach: s.reach, vars: make(map[int]ival, len(s.vars))}
-	for k, v := range s.vars {
-		out.vars[k] = v
-	}
-	return out
-}
-
-func (s istate) Equal(o istate) bool {
-	if s.reach != o.reach || len(s.vars) != len(o.vars) {
-		return false
-	}
-	for k, v := range s.vars {
-		ov, ok := o.vars[k]
-		if !ok || !ov.equal(v) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s istate) Join(o istate) istate {
-	if !s.reach {
-		return o
-	}
-	if !o.reach {
-		return s
-	}
-	out := istate{reach: true, vars: make(map[int]ival)}
-	// Absent keys are top; joining anything with top is top unless the
-	// present side carries wrap taint (taint must survive the merge).
-	for k, v := range s.vars {
-		var j ival
-		if ov, ok := o.vars[k]; ok {
-			j = v.join(ov)
-		} else {
-			j = v.join(topIval())
-		}
-		if !j.isTop() {
-			out.vars[k] = j
-		}
-	}
-	for k, ov := range o.vars {
-		if _, ok := s.vars[k]; ok {
-			continue
-		}
-		if j := ov.join(topIval()); !j.isTop() {
-			out.vars[k] = j
-		}
-	}
-	return out
-}
-
-func (s istate) Widen(next istate) istate {
-	if !s.reach {
-		return next
-	}
-	if !next.reach {
-		return s
-	}
-	out := istate{reach: true, vars: make(map[int]ival)}
-	for k, v := range s.vars {
-		nv, ok := next.vars[k]
-		if !ok {
-			nv = topIval()
-		}
-		if w := v.widen(nv); !w.isTop() {
-			out.vars[k] = w
-		}
-	}
-	for k, nv := range next.vars {
-		if _, ok := s.vars[k]; ok {
-			continue
-		}
-		// A variable that just became wrap-tainted must not be dropped.
-		if nv.wrapped {
-			out.vars[k] = topIval().widen(nv)
-		}
-	}
-	return out
+// WithInt returns x with its interval narrowed to iv. Wrap taint
+// survives: a bounds check after the wrap does not un-wrap the value.
+func (x ival) WithInt(iv interval.Interval) ival {
+	x.v = iv
+	return x
 }
 
 // typeBounds returns the representable range [lo, hi] of an integer

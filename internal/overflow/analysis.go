@@ -13,37 +13,30 @@ import (
 // globalIDs the symbol IDs of every file-scope object (they are havocked
 // at unmodeled calls).
 type funcProblem struct {
-	Lattice[state]
+	Lattice[varState]
 	fn        *cast.FuncDef
 	seed      map[int]varState
 	globals   map[int]varState
 	globalIDs map[int]bool
 }
 
-func (p *funcProblem) Entry() state {
-	st := state{reach: true, vars: make(map[int]varState, len(p.globals)+len(p.seed))}
-	for id, vs := range p.globals {
-		st.vars[id] = vs
-	}
-	for id, vs := range p.seed {
-		if !vs.isTop() {
-			st.vars[id] = vs
-		}
-	}
-	return st
-}
+func (p *funcProblem) Entry() Env[varState] { return NewEnv(p.globals, p.seed) }
 
-func (p *funcProblem) Transfer(n *cfg.Node, in state) state {
+func (p *funcProblem) Transfer(n *cfg.Node, in Env[varState]) Env[varState] {
 	return Transfer(n, in, p.transferDecl, p.transferExpr)
 }
 
-func (p *funcProblem) FlowEdge(from, to *cfg.Node, st state) state {
+func (p *funcProblem) transferExpr(st Env[varState], e cast.Expr) Env[varState] {
+	return Effect(p, st, e)
+}
+
+func (p *funcProblem) FlowEdge(from, to *cfg.Node, st Env[varState]) Env[varState] {
 	return RefineEdge(from, to, st, evalInt)
 }
 
 // --- declarations -----------------------------------------------------------
 
-func (p *funcProblem) transferDecl(st state, d *cast.VarDecl) state {
+func (p *funcProblem) transferDecl(st Env[varState], d *cast.VarDecl) Env[varState] {
 	if d == nil || d.Sym == nil {
 		return st
 	}
@@ -61,85 +54,33 @@ func (p *funcProblem) transferDecl(st state, d *cast.VarDecl) state {
 				vs.strl = interval.Const(int64(len(lit.Value)))
 			}
 		}
-		return st.set(d.Sym.ID, vs)
+		return st.Set(d.Sym.ID, vs)
 	case ctype.IsPointer(t):
 		if d.Init == nil {
-			return st.set(d.Sym.ID, topVar())
+			return st.Set(d.Sym.ID, topVar())
 		}
 		st = p.transferExpr(st, d.Init)
 		if vs, ok := evalPtr(st, d.Init); ok {
-			return st.set(d.Sym.ID, vs)
+			return st.Set(d.Sym.ID, vs)
 		}
-		return st.set(d.Sym.ID, topVar())
+		return st.Set(d.Sym.ID, topVar())
 	case ctype.IsInteger(t):
 		if d.Init == nil {
-			return st.set(d.Sym.ID, topVar())
+			return st.Set(d.Sym.ID, topVar())
 		}
 		st = p.transferExpr(st, d.Init)
 		vs := topVar()
 		vs.val = evalInt(st, d.Init)
-		return st.set(d.Sym.ID, vs)
+		return st.Set(d.Sym.ID, vs)
 	}
 	return st
 }
 
 // --- expression effects -----------------------------------------------------
 
-// transferExpr applies the state effects of evaluating e (assignments,
-// increments, library calls, havoc at user calls). Value computation is
-// the separate, pure evalInt/evalPtr pair.
-func (p *funcProblem) transferExpr(st state, e cast.Expr) state {
-	if e == nil {
-		return st
-	}
-	switch x := cast.Unparen(e).(type) {
-	case *cast.AssignExpr:
-		st = p.transferExpr(st, x.RHS)
-		return p.transferAssign(st, x)
-	case *cast.UnaryExpr:
-		switch x.Op {
-		case cast.UnaryPreInc:
-			return p.applyIncDec(st, x.Operand, +1)
-		case cast.UnaryPreDec:
-			return p.applyIncDec(st, x.Operand, -1)
-		}
-		return p.transferExpr(st, x.Operand)
-	case *cast.PostfixExpr:
-		switch x.Op {
-		case cast.PostfixInc:
-			return p.applyIncDec(st, x.Operand, +1)
-		case cast.PostfixDec:
-			return p.applyIncDec(st, x.Operand, -1)
-		}
-		return st
-	case *cast.CallExpr:
-		for _, a := range x.Args {
-			st = p.transferExpr(st, a)
-		}
-		return p.transferCall(st, x)
-	case *cast.CommaExpr:
-		st = p.transferExpr(st, x.X)
-		return p.transferExpr(st, x.Y)
-	case *cast.BinaryExpr:
-		st = p.transferExpr(st, x.X)
-		return p.transferExpr(st, x.Y)
-	case *cast.CondExpr:
-		st = p.transferExpr(st, x.Cond)
-		a := p.transferExpr(st, x.Then)
-		b := p.transferExpr(st, x.Else)
-		return a.Join(b)
-	case *cast.CastExpr:
-		return p.transferExpr(st, x.Operand)
-	case *cast.IndexExpr:
-		st = p.transferExpr(st, x.Base)
-		return p.transferExpr(st, x.Index)
-	case *cast.MemberExpr:
-		return p.transferExpr(st, x.Base)
-	}
-	return st
-}
-
-func (p *funcProblem) transferAssign(st state, x *cast.AssignExpr) state {
+// Assign applies an assignment's store, after its right side's effects
+// (Effects).
+func (p *funcProblem) Assign(st Env[varState], x *cast.AssignExpr) Env[varState] {
 	lhs := cast.Unparen(x.LHS)
 	switch l := lhs.(type) {
 	case *cast.Ident:
@@ -163,27 +104,27 @@ func (p *funcProblem) transferAssign(st state, x *cast.AssignExpr) state {
 	return st
 }
 
-func (p *funcProblem) assignPtr(st state, sym *cast.Symbol, x *cast.AssignExpr) state {
-	old := st.get(sym.ID)
+func (p *funcProblem) assignPtr(st Env[varState], sym *cast.Symbol, x *cast.AssignExpr) Env[varState] {
+	old := st.Get(sym.ID)
 	switch x.Op {
 	case cast.AssignPlain:
 		if vs, ok := evalPtr(st, x.RHS); ok {
-			return st.set(sym.ID, vs)
+			return st.Set(sym.ID, vs)
 		}
-		return st.set(sym.ID, topVar())
+		return st.Set(sym.ID, topVar())
 	case cast.AssignAdd, cast.AssignSub:
 		delta := evalInt(st, x.RHS).MulConst(elemSize(sym.Type))
 		if x.Op == cast.AssignSub {
 			delta = delta.Neg()
 		}
 		old.off = old.off.Add(delta)
-		return st.set(sym.ID, old)
+		return st.Set(sym.ID, old)
 	}
-	return st.set(sym.ID, topVar())
+	return st.Set(sym.ID, topVar())
 }
 
-func (p *funcProblem) assignInt(st state, sym *cast.Symbol, x *cast.AssignExpr) state {
-	old := st.get(sym.ID)
+func (p *funcProblem) assignInt(st Env[varState], sym *cast.Symbol, x *cast.AssignExpr) Env[varState] {
+	old := st.Get(sym.ID)
 	rhs := evalInt(st, x.RHS)
 	vs := topVar()
 	switch x.Op {
@@ -196,15 +137,16 @@ func (p *funcProblem) assignInt(st state, sym *cast.Symbol, x *cast.AssignExpr) 
 	default:
 		vs.val = interval.Top()
 	}
-	return st.set(sym.ID, vs)
+	return st.Set(sym.ID, vs)
 }
 
-func (p *funcProblem) applyIncDec(st state, operand cast.Expr, delta int64) state {
+// IncDec steps a pointer's offset or an integer's value by delta.
+func (p *funcProblem) IncDec(st Env[varState], _, operand cast.Expr, delta int64) Env[varState] {
 	id, ok := cast.Unparen(operand).(*cast.Ident)
 	if !ok || id.Sym == nil {
 		return st
 	}
-	vs := st.get(id.Sym.ID)
+	vs := st.Get(id.Sym.ID)
 	switch {
 	case ctype.IsPointer(id.Sym.Type):
 		vs.off = vs.off.AddConst(delta * elemSize(id.Sym.Type))
@@ -213,17 +155,17 @@ func (p *funcProblem) applyIncDec(st state, operand cast.Expr, delta int64) stat
 	default:
 		return st
 	}
-	return st.set(id.Sym.ID, vs)
+	return st.Set(id.Sym.ID, vs)
 }
 
 // storeThrough models a store base[idx] = v (or *base = v with idx 0): it
 // updates the first-NUL interval of the stored-through variable.
-func (p *funcProblem) storeThrough(st state, base cast.Expr, idx interval.Interval, x *cast.AssignExpr) state {
+func (p *funcProblem) storeThrough(st Env[varState], base cast.Expr, idx interval.Interval, x *cast.AssignExpr) Env[varState] {
 	sym, extra, ok := resolveVar(st, base)
 	if !ok {
 		return st
 	}
-	vs := st.get(sym.ID)
+	vs := st.Get(sym.ID)
 	scale := int64(1)
 	if t := typeOf(cast.Unparen(base)); t != nil {
 		scale = elemSize(ctype.Decay(t))
@@ -231,7 +173,7 @@ func (p *funcProblem) storeThrough(st state, base cast.Expr, idx interval.Interv
 	if scale != 1 {
 		// Only byte stores move NUL terminators the analysis understands.
 		vs.strl = interval.Range(0, interval.PosInf)
-		return st.set(sym.ID, vs)
+		return st.Set(sym.ID, vs)
 	}
 	pos := vs.off.Add(extra).Add(idx)
 	v := interval.Top()
@@ -239,7 +181,7 @@ func (p *funcProblem) storeThrough(st state, base cast.Expr, idx interval.Interv
 		v = evalInt(st, x.RHS)
 	}
 	vs.strl = storeStrl(vs.strl, pos, v)
-	return st.set(sym.ID, vs)
+	return st.Set(sym.ID, vs)
 }
 
 // storeStrl applies the first-NUL transfer for a 1-byte store of value v
@@ -278,9 +220,14 @@ func storeStrl(s, pos, v interval.Interval) interval.Interval {
 	}
 }
 
+// Value is a no-op: the buffer oracle checks accesses on its own walk.
+func (*funcProblem) Value(Env[varState], cast.Expr) {}
+
 // --- library call effects ---------------------------------------------------
 
-func (p *funcProblem) transferCall(st state, call *cast.CallExpr) state {
+// Call applies a library call's modeled effect, or havocs what a user
+// call may change.
+func (p *funcProblem) Call(st Env[varState], call *cast.CallExpr) Env[varState] {
 	switch call.Callee() {
 	case "memset":
 		return p.memsetEffect(st, call.Arg(0), evalInt(st, call.Arg(1)), evalInt(st, call.Arg(2)))
@@ -306,29 +253,29 @@ func (p *funcProblem) transferCall(st state, call *cast.CallExpr) state {
 
 // setStrlFromCopy sets the destination's first NUL to off + len for a
 // terminating copy of len bytes (strcpy/sprintf families).
-func (p *funcProblem) setStrlFromCopy(st state, dst cast.Expr, length interval.Interval) state {
+func (p *funcProblem) setStrlFromCopy(st Env[varState], dst cast.Expr, length interval.Interval) Env[varState] {
 	sym, extra, ok := resolveVar(st, dst)
 	if !ok {
 		return st
 	}
-	vs := st.get(sym.ID)
+	vs := st.Get(sym.ID)
 	base := vs.off.Add(extra)
 	if length.Hi >= interval.PosInf || base.IsTop() {
 		vs.strl = interval.Range(max(0, base.Lo), interval.PosInf)
 	} else {
 		vs.strl = base.Add(length.ClampMin(0)).ClampMin(0)
 	}
-	return st.set(sym.ID, vs)
+	return st.Set(sym.ID, vs)
 }
 
 // strcatEffect appends: the first NUL moves from strl to strl + len (or at
 // most strl + n for strncat).
-func (p *funcProblem) strcatEffect(st state, dst cast.Expr, srcLen, n interval.Interval) state {
+func (p *funcProblem) strcatEffect(st Env[varState], dst cast.Expr, srcLen, n interval.Interval) Env[varState] {
 	sym, _, ok := resolveVar(st, dst)
 	if !ok {
 		return st
 	}
-	vs := st.get(sym.ID)
+	vs := st.Get(sym.ID)
 	add := srcLen
 	if n.Hi < interval.PosInf && (add.Hi >= interval.PosInf || add.Hi > n.Hi) {
 		add = interval.Interval{Lo: max(0, min(add.Lo, n.Lo)), Hi: n.Hi}
@@ -338,15 +285,15 @@ func (p *funcProblem) strcatEffect(st state, dst cast.Expr, srcLen, n interval.I
 	} else {
 		vs.strl = vs.strl.Add(add.ClampMin(0)).ClampMin(0)
 	}
-	return st.set(sym.ID, vs)
+	return st.Set(sym.ID, vs)
 }
 
-func (p *funcProblem) memsetEffect(st state, dst cast.Expr, c, n interval.Interval) state {
+func (p *funcProblem) memsetEffect(st Env[varState], dst cast.Expr, c, n interval.Interval) Env[varState] {
 	sym, extra, ok := resolveVar(st, dst)
 	if !ok {
 		return st
 	}
-	vs := st.get(sym.ID)
+	vs := st.Get(sym.ID)
 	start := vs.off.Add(extra)
 	cv, cExact := c.Exact()
 	_, nExact := n.Exact()
@@ -369,17 +316,17 @@ func (p *funcProblem) memsetEffect(st state, dst cast.Expr, c, n interval.Interv
 	default:
 		vs.strl = interval.Range(0, interval.PosInf)
 	}
-	return st.set(sym.ID, vs)
+	return st.Set(sym.ID, vs)
 }
 
-func (p *funcProblem) havocStrl(st state, dst cast.Expr) state {
+func (p *funcProblem) havocStrl(st Env[varState], dst cast.Expr) Env[varState] {
 	sym, _, ok := resolveVar(st, dst)
 	if !ok {
 		return st
 	}
-	vs := st.get(sym.ID)
+	vs := st.Get(sym.ID)
 	vs.strl = interval.Range(0, interval.PosInf)
-	return st.set(sym.ID, vs)
+	return st.Set(sym.ID, vs)
 }
 
 // havocUserCall conservatively forgets what a call to a user-defined (or
@@ -387,39 +334,32 @@ func (p *funcProblem) havocStrl(st state, dst cast.Expr) state {
 // from a pointer argument, variables passed by address, and all globals'
 // values and string lengths. Sizes, offsets and regions are preserved —
 // the callee cannot re-allocate the caller's objects.
-func (p *funcProblem) havocUserCall(st state, call *cast.CallExpr) state {
+func (p *funcProblem) havocUserCall(st Env[varState], call *cast.CallExpr) Env[varState] {
 	for _, a := range call.Args {
 		ua := cast.Unparen(a)
 		if u, ok := ua.(*cast.UnaryExpr); ok && u.Op == cast.UnaryAddrOf {
 			if id, ok := cast.Unparen(u.Operand).(*cast.Ident); ok && id.Sym != nil {
-				vs := st.get(id.Sym.ID)
+				vs := st.Get(id.Sym.ID)
 				vs.strl = interval.Range(0, interval.PosInf)
 				vs.val = interval.Top()
-				st = st.set(id.Sym.ID, vs)
+				st = st.Set(id.Sym.ID, vs)
 			}
 			continue
 		}
 		if sym, _, ok := resolveVar(st, ua); ok {
-			vs := st.get(sym.ID)
+			vs := st.Get(sym.ID)
 			vs.strl = interval.Range(0, interval.PosInf)
-			st = st.set(sym.ID, vs)
+			st = st.Set(sym.ID, vs)
 		}
 	}
 	// Globals may be rewritten by any call.
-	out := st.clone()
-	for id, vs := range out.vars {
-		if !p.globalIDs[id] {
-			continue
+	return st.Map(func(id int, vs varState) varState {
+		if p.globalIDs[id] {
+			vs.strl = interval.Range(0, interval.PosInf)
+			vs.val = interval.Top()
 		}
-		vs.strl = interval.Range(0, interval.PosInf)
-		vs.val = interval.Top()
-		if vs.isTop() {
-			delete(out.vars, id)
-		} else {
-			out.vars[id] = vs
-		}
-	}
-	return out
+		return vs
+	})
 }
 
 // --- pure evaluation --------------------------------------------------------
@@ -427,7 +367,7 @@ func (p *funcProblem) havocUserCall(st state, call *cast.CallExpr) state {
 // resolveVar finds the variable a pointer expression is based on, plus any
 // byte offset accumulated through arithmetic on the way. It looks through
 // parens, casts, and ± of integer amounts.
-func resolveVar(st state, e cast.Expr) (*cast.Symbol, interval.Interval, bool) {
+func resolveVar(st Env[varState], e cast.Expr) (*cast.Symbol, interval.Interval, bool) {
 	switch x := cast.Unparen(e).(type) {
 	case *cast.Ident:
 		if x.Sym != nil && isPtrVar(x.Sym) {
@@ -458,7 +398,7 @@ func resolveVar(st state, e cast.Expr) (*cast.Symbol, interval.Interval, bool) {
 
 // evalPtr computes the abstract pointer value of e: the size, offset,
 // string length and region of the object it refers to.
-func evalPtr(st state, e cast.Expr) (varState, bool) {
+func evalPtr(st Env[varState], e cast.Expr) (varState, bool) {
 	if e == nil {
 		return varState{}, false
 	}
@@ -467,8 +407,8 @@ func evalPtr(st state, e cast.Expr) (varState, bool) {
 		if x.Sym == nil || !isPtrVar(x.Sym) {
 			return varState{}, false
 		}
-		vs := st.get(x.Sym.ID)
-		if ctype.IsArray(x.Sym.Type) && vs.isTop() {
+		vs := st.Get(x.Sym.ID)
+		if ctype.IsArray(x.Sym.Type) && vs.IsTop() {
 			// An array used before its CFG decl node is seen (e.g. via goto):
 			// its size is still known from the type.
 			if sz := x.Sym.Type.Size(); sz >= 0 {
@@ -536,7 +476,7 @@ func evalPtr(st state, e cast.Expr) (varState, bool) {
 		a, okA := evalPtr(st, x.Then)
 		b, okB := evalPtr(st, x.Else)
 		if okA && okB {
-			return a.join(b), true
+			return a.Join(b), true
 		}
 	}
 	return varState{}, false
@@ -551,7 +491,7 @@ func heapVar(size interval.Interval) varState {
 }
 
 // evalInt computes the integer interval of e under st.
-func evalInt(st state, e cast.Expr) interval.Interval {
+func evalInt(st Env[varState], e cast.Expr) interval.Interval {
 	if e == nil {
 		return interval.Top()
 	}
@@ -570,7 +510,7 @@ func evalInt(st state, e cast.Expr) interval.Interval {
 			}
 		}
 		if IsIntVar(x.Sym) {
-			return st.get(x.Sym.ID).val
+			return st.Get(x.Sym.ID).val
 		}
 		return interval.Top()
 	case *cast.UnaryExpr:
@@ -625,7 +565,7 @@ func evalInt(st state, e cast.Expr) interval.Interval {
 
 // strlenOf returns the interval of strlen(p): the first NUL relative to
 // the pointer, i.e. strl - off.
-func strlenOf(st state, p cast.Expr) interval.Interval {
+func strlenOf(st Env[varState], p cast.Expr) interval.Interval {
 	vs, ok := evalPtr(st, p)
 	if !ok || vs.strl.Hi >= interval.PosInf || vs.off.IsTop() {
 		return interval.Range(0, interval.PosInf)

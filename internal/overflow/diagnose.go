@@ -199,7 +199,7 @@ type Analyzer struct {
 	opts  Options
 	facts Facts
 
-	eng       *Engine[state, varState, *funcProblem]
+	eng       *Engine[Env[varState], varState, *funcProblem]
 	buf       *buflen.Analyzer
 	globals   map[int]varState
 	globalIDs map[int]bool
@@ -214,7 +214,7 @@ func (a *Analyzer) ensure() {
 	if a.eng != nil {
 		return
 	}
-	o := Oracle[state, varState, *funcProblem]{
+	o := Oracle[Env[varState], varState, *funcProblem]{
 		Name:         "overflow",
 		Solve:        "interval",
 		Unverified:   "interval analysis budget exhausted; memory accesses in this function are unverified",
@@ -284,7 +284,7 @@ func (a *Analyzer) Degradations() []string {
 
 // argSeed evaluates the call's arguments under the caller's state at the
 // call site and binds the resulting intervals to the callee's parameters.
-func (a *Analyzer) argSeed(_ *funcProblem, st state, e callgraph.Edge) map[int]varState {
+func (a *Analyzer) argSeed(_ *funcProblem, st Env[varState], e callgraph.Edge) map[int]varState {
 	seed := make(map[int]varState)
 	for i, p := range e.Callee.Params {
 		if p.Sym == nil || i >= len(e.Call.Args) {
@@ -293,7 +293,7 @@ func (a *Analyzer) argSeed(_ *funcProblem, st state, e callgraph.Edge) map[int]v
 		arg := e.Call.Args[i]
 		switch {
 		case isPtrVar(p.Sym):
-			if vs, ok := evalPtr(st, arg); ok && !vs.isTop() {
+			if vs, ok := evalPtr(st, arg); ok && !vs.IsTop() {
 				seed[p.Sym.ID] = vs
 			}
 		case IsIntVar(p.Sym):
@@ -314,39 +314,31 @@ type checker struct {
 	Collector
 }
 
-func (a *Analyzer) check(fn *cast.FuncDef, g *cfg.Graph, sol *dataflow.Solution[state], _ *funcProblem, chain []string) []Finding {
+// check reaches the expressions of every node through Transfer's
+// dispatch and checks each memory access against the node's in-state.
+// Like Transfer it skips a node whose in-state is unreached, including
+// a branch its condition rules out.
+func (a *Analyzer) check(fn *cast.FuncDef, g *cfg.Graph, sol *dataflow.Solution[Env[varState]], _ *funcProblem, chain []string) []Finding {
 	c := &checker{a: a, Collector: Collector{File: a.unit.File, Fn: fn, Chain: chain}}
+	decl := func(st Env[varState], d *cast.VarDecl) Env[varState] {
+		if d != nil {
+			c.expr(st, d.Init)
+		}
+		return st
+	}
+	expr := func(st Env[varState], e cast.Expr) Env[varState] {
+		c.expr(st, e)
+		return st
+	}
 	for _, n := range g.Nodes {
-		if !sol.Reached[n.ID] {
-			continue
-		}
-		st := sol.In[n.ID]
-		switch n.Kind {
-		case cfg.KindDecl:
-			if n.Decl != nil && n.Decl.Init != nil {
-				c.expr(st, n.Decl.Init)
-			}
-		case cfg.KindStmt:
-			switch s := n.Stmt.(type) {
-			case *cast.ExprStmt:
-				c.expr(st, s.X)
-			case *cast.ReturnStmt:
-				if s.Result != nil {
-					c.expr(st, s.Result)
-				}
-			}
-		case cfg.KindCond, cfg.KindPost:
-			if n.Expr != nil {
-				c.expr(st, n.Expr)
-			}
-		}
+		Transfer(n, sol.In[n.ID], decl, expr)
 	}
 	return c.Out
 }
 
 // expr walks one expression tree, checking every memory access against the
 // in-state of its program point.
-func (c *checker) expr(st state, e cast.Expr) {
+func (c *checker) expr(st Env[varState], e cast.Expr) {
 	if e == nil {
 		return
 	}
@@ -419,7 +411,7 @@ func (c *checker) expr(st state, e cast.Expr) {
 	}
 }
 
-func (c *checker) checkIndex(st state, x *cast.IndexExpr, write bool) {
+func (c *checker) checkIndex(st Env[varState], x *cast.IndexExpr, write bool) {
 	if t := x.Type(); t != nil && ctype.IsArray(t) {
 		return // row selection of a multi-dimensional array, not an access
 	}
@@ -427,18 +419,18 @@ func (c *checker) checkIndex(st state, x *cast.IndexExpr, write bool) {
 	if !ok {
 		return
 	}
-	vs := st.get(sym.ID)
+	vs := st.Get(sym.ID)
 	scale := elemSize(ctype.Decay(typeOf(cast.Unparen(x.Base))))
 	start := vs.off.Add(extra).Add(evalInt(st, x.Index).MulConst(scale))
 	c.report(st, x, x.Base, vs, start, start.AddConst(scale), write, false, fixFor(""))
 }
 
-func (c *checker) checkDeref(st state, x *cast.UnaryExpr, write bool) {
+func (c *checker) checkDeref(st Env[varState], x *cast.UnaryExpr, write bool) {
 	sym, extra, ok := resolveVar(st, x.Operand)
 	if !ok {
 		return
 	}
-	vs := st.get(sym.ID)
+	vs := st.Get(sym.ID)
 	scale := elemSize(ctype.Decay(typeOf(cast.Unparen(x.Operand))))
 	start := vs.off.Add(extra)
 	c.report(st, x, x.Operand, vs, start, start.AddConst(scale), write, false, fixFor(""))
@@ -446,7 +438,7 @@ func (c *checker) checkDeref(st state, x *cast.UnaryExpr, write bool) {
 
 // checkCall models the write (and for memcpy, read) extents of unsafe
 // library routines.
-func (c *checker) checkCall(st state, call *cast.CallExpr) {
+func (c *checker) checkCall(st Env[varState], call *cast.CallExpr) {
 	name := call.Callee()
 	switch name {
 	case "gets":
@@ -511,18 +503,18 @@ func (c *checker) checkCall(st state, call *cast.CallExpr) {
 
 // ptrArg resolves a pointer argument to its variable state and absolute
 // base offset.
-func ptrArg(st state, e cast.Expr) (varState, interval.Interval, bool) {
+func ptrArg(st Env[varState], e cast.Expr) (varState, interval.Interval, bool) {
 	sym, extra, ok := resolveVar(st, e)
 	if !ok {
 		return varState{}, interval.Interval{}, false
 	}
-	vs := st.get(sym.ID)
+	vs := st.Get(sym.ID)
 	return vs, vs.off.Add(extra), true
 }
 
 // report classifies an access of bytes [start, end) against the object's
 // size interval and records a finding when it can violate bounds.
-func (c *checker) report(st state, site cast.Expr, base cast.Expr, vs varState, start, end interval.Interval, write, viaLib bool, fix string) {
+func (c *checker) report(st Env[varState], site cast.Expr, base cast.Expr, vs varState, start, end interval.Interval, write, viaLib bool, fix string) {
 	sz, reg := vs.size, vs.reg
 	if sz.Hi >= interval.PosInf && base != nil {
 		if bsz, fail := c.a.buf.BufferLength(c.Fn, base); fail == nil {

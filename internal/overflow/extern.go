@@ -68,7 +68,7 @@ func (a *Analyzer) ExternalCalls() []CallSeed {
 			interesting := false
 			for _, arg := range e.Call.Args {
 				var as ArgSeed
-				if vs, ok := evalPtr(st, arg); ok && !vs.isTop() {
+				if vs, ok := evalPtr(st, arg); ok && !vs.IsTop() {
 					as.HasPtr = true
 					as.Size, as.Off, as.Strl, as.Reg = vs.size, vs.off, vs.strl, uint8(vs.reg)
 					interesting = true

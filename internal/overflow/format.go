@@ -12,7 +12,7 @@ import (
 // argument list; firstVarArg indexes the argument consumed by the first
 // conversion. A non-literal format or an unrecognized conversion yields
 // [0, +inf).
-func formatLength(st state, fmtExpr cast.Expr, args []cast.Expr, firstVarArg int) interval.Interval {
+func formatLength(st Env[varState], fmtExpr cast.Expr, args []cast.Expr, firstVarArg int) interval.Interval {
 	lit, ok := cast.Unparen(fmtExpr).(*cast.StringLit)
 	if !ok {
 		return interval.Range(0, interval.PosInf)
@@ -98,7 +98,7 @@ func parseSpec(s string) (spec, byte, int) {
 }
 
 // convLength bounds the output of one conversion.
-func convLength(st state, sp spec, verb byte, arg cast.Expr) interval.Interval {
+func convLength(st Env[varState], sp spec, verb byte, arg cast.Expr) interval.Interval {
 	pad := func(iv interval.Interval) interval.Interval {
 		if sp.width > 0 {
 			return iv.ClampMin(int64(sp.width))
@@ -138,7 +138,7 @@ func convLength(st state, sp spec, verb byte, arg cast.Expr) interval.Interval {
 
 // digitLength bounds the decimal/hex digits of an integer argument: exact
 // when the interval is, otherwise up to maxDigits (incl. sign when signed).
-func digitLength(st state, arg cast.Expr, maxDigits int64, signed bool) interval.Interval {
+func digitLength(st Env[varState], arg cast.Expr, maxDigits int64, signed bool) interval.Interval {
 	if arg == nil {
 		return interval.Range(1, maxDigits)
 	}
@@ -174,7 +174,7 @@ func decLen(v int64) int64 {
 
 // octalLength bounds %o output. A char-range argument [0,255] prints 1–3
 // digits; precision gives the minimum.
-func octalLength(st state, arg cast.Expr, sp spec) interval.Interval {
+func octalLength(st Env[varState], arg cast.Expr, sp spec) interval.Interval {
 	iv := interval.Range(1, 11) // up to 0o37777777777 for 32-bit
 	if arg != nil {
 		a := evalInt(st, arg)

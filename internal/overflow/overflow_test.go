@@ -233,6 +233,22 @@ func TestLibtiffCVEFlaggedCWE121Definite(t *testing.T) {
 	}
 }
 
+// TestRefutedBranchIsQuiet checks that the checker, like the solver,
+// passes over a branch whose condition the refiner proves false.
+func TestRefutedBranchIsQuiet(t *testing.T) {
+	fs := analyzeSrc(t, `
+void f(void) {
+    char buf[10];
+    int n = 0;
+    buf[0] = 0;
+    if (0) { strcat(buf, "x"); }
+    if (n > 5) { buf[n + 20] = 'a'; strcpy(buf, "0123456789abc"); }
+}`)
+	if len(fs) != 0 {
+		t.Fatalf("want no findings in refuted branches, got %v", fs)
+	}
+}
+
 func TestIntervalWiden(t *testing.T) {
 	a := interval.Range(0, 4)
 	if w := a.Widen(interval.Range(0, 9)); w != interval.Range(0, interval.PosInf) {

@@ -7,43 +7,10 @@ import (
 	"repro/internal/interval"
 )
 
-// State is what the shared transfer dispatch and branch refiner need of
-// an oracle's abstract state: the lattice operations, reachability, and
-// reading and narrowing one integer variable's interval. The zero S is
-// the unreached state.
-type State[S any] interface {
-	Join(S) S
-	Widen(next S) S
-	Equal(S) bool
-	Reached() bool
-	Int(id int) interval.Interval
-	WithInt(id int, v interval.Interval) S
-}
-
-// Lattice supplies the lattice half of a dataflow.Problem over S; an
-// oracle's per-seed problem embeds it and adds Entry, Transfer and
-// FlowEdge.
-type Lattice[S State[S]] struct{}
-
-// Bottom is the unreached state.
-func (Lattice[S]) Bottom() S {
-	var unreached S
-	return unreached
-}
-
-// Join merges two path states.
-func (Lattice[S]) Join(a, b S) S { return a.Join(b) }
-
-// Widen extrapolates prev by next at loop heads.
-func (Lattice[S]) Widen(prev, next S) S { return prev.Widen(next) }
-
-// Equal reports whether two states are the same fixpoint candidate.
-func (Lattice[S]) Equal(a, b S) bool { return a.Equal(b) }
-
 // Transfer is the node dispatch both oracles share: declarations go to
 // decl; expression statements, returned values, conditions and loop
-// post-expressions go to expr.
-func Transfer[S State[S]](n *cfg.Node, in S, decl func(S, *cast.VarDecl) S, expr func(S, cast.Expr) S) S {
+// post-expressions go to expr. An unreached in-state passes through.
+func Transfer[V Value[V]](n *cfg.Node, in Env[V], decl func(Env[V], *cast.VarDecl) Env[V], expr func(Env[V], cast.Expr) Env[V]) Env[V] {
 	if !in.Reached() {
 		return in
 	}
@@ -68,10 +35,69 @@ func Transfer[S State[S]](n *cfg.Node, in S, decl func(S, *cast.VarDecl) S, expr
 	return in
 }
 
+// Effects is what an oracle supplies to the expression-effect walk,
+// Effect: the state effects of an assignment (after its right side's),
+// of an increment or decrement (delta +1 or -1 applied to operand at
+// site), and of a call (after its arguments'), plus Value, which sees
+// each binary and cast node under the state after its operands' effects.
+type Effects[V Value[V]] interface {
+	Assign(st Env[V], x *cast.AssignExpr) Env[V]
+	IncDec(st Env[V], site, operand cast.Expr, delta int64) Env[V]
+	Call(st Env[V], x *cast.CallExpr) Env[V]
+	Value(st Env[V], x cast.Expr)
+}
+
+// Effect applies the state effects of evaluating e, left operand first:
+// assignments, increments, decrements and calls, wherever they nest.
+// The two arms of a conditional run from the same state and join. Value
+// computation is each oracle's own, separate evaluator.
+func Effect[V Value[V]](fx Effects[V], st Env[V], e cast.Expr) Env[V] {
+	switch x := cast.Unparen(e).(type) {
+	case *cast.AssignExpr:
+		return fx.Assign(Effect(fx, st, x.RHS), x)
+	case *cast.UnaryExpr:
+		switch x.Op {
+		case cast.UnaryPreInc:
+			return fx.IncDec(st, x, x.Operand, +1)
+		case cast.UnaryPreDec:
+			return fx.IncDec(st, x, x.Operand, -1)
+		}
+		return Effect(fx, st, x.Operand)
+	case *cast.PostfixExpr:
+		switch x.Op {
+		case cast.PostfixInc:
+			return fx.IncDec(st, x, x.Operand, +1)
+		case cast.PostfixDec:
+			return fx.IncDec(st, x, x.Operand, -1)
+		}
+	case *cast.CallExpr:
+		for _, a := range x.Args {
+			st = Effect(fx, st, a)
+		}
+		return fx.Call(st, x)
+	case *cast.CommaExpr:
+		return Effect(fx, Effect(fx, st, x.X), x.Y)
+	case *cast.BinaryExpr:
+		st = Effect(fx, Effect(fx, st, x.X), x.Y)
+		fx.Value(st, x)
+	case *cast.CondExpr:
+		st = Effect(fx, st, x.Cond)
+		return Effect(fx, st, x.Then).Join(Effect(fx, st, x.Else))
+	case *cast.CastExpr:
+		st = Effect(fx, st, x.Operand)
+		fx.Value(st, x)
+	case *cast.IndexExpr:
+		return Effect(fx, Effect(fx, st, x.Base), x.Index)
+	case *cast.MemberExpr:
+		return Effect(fx, st, x.Base)
+	}
+	return st
+}
+
 // RefineEdge narrows st along a labeled branch edge using the
 // condition expression; eval computes an expression's integer interval
 // under a state. Refinement narrows value intervals only.
-func RefineEdge[S State[S]](from, to *cfg.Node, st S, eval func(S, cast.Expr) interval.Interval) S {
+func RefineEdge[V Value[V]](from, to *cfg.Node, st Env[V], eval func(Env[V], cast.Expr) interval.Interval) Env[V] {
 	if !st.Reached() || from.Kind != cfg.KindCond || !from.Branching || from.Expr == nil {
 		return st
 	}
@@ -80,8 +106,8 @@ func RefineEdge[S State[S]](from, to *cfg.Node, st S, eval func(S, cast.Expr) in
 
 // refine narrows st under the assumption that cond evaluates to truth.
 // Contradictory combinations return the unreached state.
-func refine[S State[S]](st S, cond cast.Expr, truth bool, eval func(S, cast.Expr) interval.Interval) S {
-	var unreached S
+func refine[V Value[V]](st Env[V], cond cast.Expr, truth bool, eval func(Env[V], cast.Expr) interval.Interval) Env[V] {
+	var unreached Env[V]
 	switch x := cast.Unparen(cond).(type) {
 	case *cast.IntLit:
 		if (x.Value != 0) != truth {
@@ -156,7 +182,7 @@ func refine[S State[S]](st S, cond cast.Expr, truth bool, eval func(S, cast.Expr
 }
 
 // refineSide narrows the integer variable e under "e op bound".
-func refineSide[S State[S]](st S, e cast.Expr, op cast.BinaryOp, bound interval.Interval) S {
+func refineSide[V Value[V]](st Env[V], e cast.Expr, op cast.BinaryOp, bound interval.Interval) Env[V] {
 	id, ok := cast.Unparen(e).(*cast.Ident)
 	if !ok || id.Sym == nil || !IsIntVar(id.Sym) || id.Sym.Kind == cast.SymEnumConst {
 		return st
@@ -176,7 +202,7 @@ func refineSide[S State[S]](st S, e cast.Expr, op cast.BinaryOp, bound interval.
 	case cast.BinaryNe:
 		if z, exact := bound.Exact(); exact {
 			if cur, curExact := v.Exact(); curExact && cur == z {
-				var unreached S
+				var unreached Env[V]
 				return unreached
 			}
 			if v.Lo == z {
@@ -189,7 +215,7 @@ func refineSide[S State[S]](st S, e cast.Expr, op cast.BinaryOp, bound interval.
 		return st
 	}
 	if v.IsEmpty() {
-		var unreached S
+		var unreached Env[V]
 		return unreached
 	}
 	return st.WithInt(id.Sym.ID, v)

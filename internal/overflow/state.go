@@ -32,8 +32,8 @@ type varState struct {
 	reg  region
 }
 
-// topVar is the unknown variable state (the implicit value of variables
-// absent from the state map).
+// topVar is the unknown variable state, the value an Env reads for an
+// absent key.
 func topVar() varState {
 	return varState{
 		size: interval.Top(),
@@ -44,9 +44,28 @@ func topVar() varState {
 	}
 }
 
-func (v varState) isTop() bool { return v == topVar() }
+// Top returns topVar(). A varState joined or widened with it is topVar()
+// because every string length is clamped at 0, so an Env drops a key
+// that only one side of a join or widen holds.
+func (varState) Top() varState { return topVar() }
 
-func (v varState) join(o varState) varState {
+// IsTop reports the unknown state.
+func (v varState) IsTop() bool { return v == topVar() }
+
+// Equal is field equality.
+func (v varState) Equal(o varState) bool { return v == o }
+
+// Int returns the value interval of an integer variable.
+func (v varState) Int() interval.Interval { return v.val }
+
+// WithInt returns v with its value interval replaced by iv.
+func (v varState) WithInt(iv interval.Interval) varState {
+	v.val = iv
+	return v
+}
+
+// Join merges two path values.
+func (v varState) Join(o varState) varState {
 	reg := v.reg
 	if o.reg != v.reg {
 		reg = regUnknown
@@ -60,7 +79,8 @@ func (v varState) join(o varState) varState {
 	}
 }
 
-func (v varState) widen(next varState) varState {
+// Widen extrapolates v by next at a loop head.
+func (v varState) Widen(next varState) varState {
 	reg := v.reg
 	if next.reg != v.reg {
 		reg = regUnknown
@@ -72,113 +92,6 @@ func (v varState) widen(next varState) varState {
 		val:  v.val.Widen(next.val),
 		reg:  reg,
 	}
-}
-
-// state is the abstract memory at one program point: reachability plus a
-// map from Symbol.ID to varState. Absent keys are topVar(); maps are
-// normalized so that equality is map equality.
-type state struct {
-	reach bool
-	vars  map[int]varState
-}
-
-// Reached reports whether any execution reaches the program point; the
-// zero state is the unreached one.
-func (s state) Reached() bool { return s.reach }
-
-// Int returns the value interval of integer variable id.
-func (s state) Int(id int) interval.Interval { return s.get(id).val }
-
-// WithInt returns a copy of s with integer variable id narrowed to v.
-func (s state) WithInt(id int, v interval.Interval) state {
-	vs := s.get(id)
-	vs.val = v
-	return s.set(id, vs)
-}
-
-func (s state) get(id int) varState {
-	if vs, ok := s.vars[id]; ok {
-		return vs
-	}
-	return topVar()
-}
-
-// set returns a copy of s with the variable updated (top values are
-// removed to keep the map normalized).
-func (s state) set(id int, vs varState) state {
-	out := s.clone()
-	if vs.isTop() {
-		delete(out.vars, id)
-	} else {
-		out.vars[id] = vs
-	}
-	return out
-}
-
-func (s state) clone() state {
-	out := state{reach: s.reach, vars: make(map[int]varState, len(s.vars))}
-	for k, v := range s.vars {
-		out.vars[k] = v
-	}
-	return out
-}
-
-func (s state) Equal(o state) bool {
-	if s.reach != o.reach {
-		return false
-	}
-	if len(s.vars) != len(o.vars) {
-		return false
-	}
-	for k, v := range s.vars {
-		ov, ok := o.vars[k]
-		if !ok || ov != v {
-			return false
-		}
-	}
-	return true
-}
-
-func (s state) Join(o state) state {
-	if !s.reach {
-		return o
-	}
-	if !o.reach {
-		return s
-	}
-	out := state{reach: true, vars: make(map[int]varState)}
-	// Absent keys are top; joining anything with top is top, so only keys
-	// present in both survive.
-	for k, v := range s.vars {
-		if ov, ok := o.vars[k]; ok {
-			j := v.join(ov)
-			if !j.isTop() {
-				out.vars[k] = j
-			}
-		}
-	}
-	return out
-}
-
-func (s state) Widen(next state) state {
-	if !s.reach {
-		return next
-	}
-	if !next.reach {
-		return s
-	}
-	out := state{reach: true, vars: make(map[int]varState)}
-	for k, v := range s.vars {
-		nv, ok := next.vars[k]
-		if !ok {
-			continue // widened to top
-		}
-		w := v.widen(nv)
-		if !w.isTop() {
-			out.vars[k] = w
-		}
-	}
-	return out
 }
 
 // isPtrVar reports whether the symbol denotes a buffer (array) or may
