@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"repro/internal/analysis"
+	"repro/internal/backend"
 	"repro/internal/cast"
 	"repro/internal/slr"
 )
@@ -76,7 +77,10 @@ func run() int {
 	fn := unit.FuncNamed("handle")
 	cast.Inspect(fn.Body, func(n cast.Node) bool {
 		call, ok := n.(*cast.CallExpr)
-		if !ok || !slr.IsUnsafe(call.Callee()) {
+		if !ok {
+			return true
+		}
+		if _, unsafe := backend.Default().Lookup(call.Callee()); !unsafe {
 			return true
 		}
 		pos := unit.File.Position(call.Extent().Pos)

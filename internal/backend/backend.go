@@ -275,7 +275,7 @@ func SupportUnits(needStralloc, needLib bool, be Backend) []SupportUnit {
 	return units
 }
 
-// glibPrototypes matches the historical slr.GlibPrototypes output
+// glibPrototypes matches the historical glib prototype text
 // byte for byte: the glib dialect's emitted support text is pinned by
 // the differential suite.
 func glibPrototypes() string {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/backend"
 	"repro/internal/slr"
 	"repro/internal/str"
 )
@@ -21,8 +22,9 @@ func FormatTableI() string {
 		sb.WriteByte('\n')
 	}
 	sb.WriteString("SLR's operational choices (glib-style, minimal per-instance change):\n")
-	for _, fn := range slr.UnsafeFunctions() {
-		sb.WriteString(fmt.Sprintf("    %-9s -> %s\n", fn, slr.SafeNameFor(fn)))
+	for _, fn := range backend.Default().UnsafeFunctions() {
+		r, _ := backend.Default().Lookup(fn)
+		sb.WriteString(fmt.Sprintf("    %-9s -> %s\n", fn, r.Safe))
 	}
 	return sb.String()
 }

@@ -6,10 +6,6 @@
 // paper's glib dialect.
 package slr
 
-import (
-	"repro/internal/backend"
-)
-
 // Alternative describes one safe replacement option for an unsafe
 // function, as catalogued in Table I of the paper.
 type Alternative struct {
@@ -102,28 +98,4 @@ var TableI = []CatalogEntry{
 			{Name: "g_snprintf", Library: "glib", Signature: "gint g_snprintf(gchar *string, gulong n, gchar const *format, ...);"},
 		},
 	},
-}
-
-// UnsafeFunctions returns the names of the unsafe functions SLR replaces,
-// in a stable order. The set is dialect-independent; every backend
-// replaces the same six functions.
-func UnsafeFunctions() []string {
-	return backend.Default().UnsafeFunctions()
-}
-
-// IsUnsafe reports whether SLR targets the named function.
-func IsUnsafe(name string) bool {
-	_, ok := backend.Default().Lookup(name)
-	return ok
-}
-
-// SafeNameFor returns the default (glib) dialect's replacement name for
-// an unsafe function ("" when not targeted). Per-site replacement names
-// under a non-default backend are on SiteResult.SafeName.
-func SafeNameFor(name string) string {
-	r, ok := backend.Default().Lookup(name)
-	if !ok {
-		return ""
-	}
-	return r.Safe
 }

@@ -500,11 +500,3 @@ func (t *Transformer) freshName(base string) string {
 		}
 	}
 }
-
-// GlibPrototypes returns the declarations a transformed file needs when
-// glib headers are unavailable; cmd/cfix can prepend them. Kept as a
-// convenience alias for the default backend's prototypes — other
-// dialects' declarations come from backend.Get(name).Prototypes().
-func GlibPrototypes() string {
-	return backend.Glib.Prototypes()
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/backend"
 	"repro/internal/cparse"
 	"repro/internal/ctoken"
 )
@@ -333,19 +334,12 @@ void t2p_write_pdf_string(char *pdfstr) {
 	reparse(t, res.NewSource)
 }
 
+// TestCatalogConsistency checks SLR's Table I against the default
+// backend's targets. The six targets and their replacement names are
+// pinned in internal/backend (TestUnsafeFunctionsStableAcrossDialects,
+// TestDialectTables).
 func TestCatalogConsistency(t *testing.T) {
-	if len(UnsafeFunctions()) != 6 {
-		t.Fatalf("SLR must target exactly 6 functions, got %d", len(UnsafeFunctions()))
-	}
-	for _, name := range UnsafeFunctions() {
-		if !IsUnsafe(name) {
-			t.Errorf("%s not recognised as unsafe", name)
-		}
-		if SafeNameFor(name) == "" {
-			t.Errorf("%s has no safe replacement", name)
-		}
-	}
-	if IsUnsafe("printf") {
+	if _, ok := backend.Default().Lookup("printf"); ok {
 		t.Error("printf is not an SLR target")
 	}
 	// Every operational rule's unsafe function appears in Table I (gets,
@@ -355,15 +349,15 @@ func TestCatalogConsistency(t *testing.T) {
 	for _, e := range TableI {
 		inTable[e.Unsafe] = true
 	}
-	for _, name := range []string{"strcpy", "strcat", "sprintf", "memcpy", "gets"} {
-		if !inTable[name] {
+	for _, name := range backend.Default().UnsafeFunctions() {
+		if !inTable[name] && name != "vsprintf" {
 			t.Errorf("%s missing from Table I", name)
 		}
 	}
 }
 
 func TestGlibPrototypesParse(t *testing.T) {
-	if _, err := cparse.Parse("glib.h", GlibPrototypes()); err != nil {
+	if _, err := cparse.Parse("glib.h", backend.Glib.Prototypes()); err != nil {
 		t.Fatalf("prototypes must parse: %v", err)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"repro/internal/cparse"
 	"repro/internal/harness"
 	"repro/internal/overflow"
-	"repro/internal/slr"
 	"repro/internal/stralloc"
 	"repro/internal/typecheck"
 )
@@ -284,7 +283,7 @@ func Verify(filename, source, goodEntry, badEntry string, stdin []string) (*Verd
 // the stralloc header and implementation plus prototypes for the
 // glib-style safe functions (the default backend).
 func SupportSource() string {
-	return stralloc.FullSource() + "\n" + slr.GlibPrototypes()
+	return stralloc.FullSource() + "\n" + backend.Glib.Prototypes()
 }
 
 // SupportSourceFor is SupportSource for a named repair backend: the
