@@ -24,7 +24,11 @@ import (
 // v4: project mode — per-header content (Options.IncludeHash) and
 // cross-TU call seeds (Options.ExternSeeds) entered the key, so a file
 // re-fixed after another TU changed what it proves about it cannot be
-// answered from a stale single-file entry.
+// answered from a stale single-file entry. IncludeHash left the key
+// again within v4: a project lint entry is keyed on the preprocessed
+// text, which holds every expanded header line, and the source-map
+// remap and the preprocessor's degradations are applied outside the
+// cache, so the entry is what a single-file lint of that text stores.
 const fingerprintVersion = "v4"
 
 // fingerprint renders every result-affecting option into the cache key.
@@ -41,9 +45,6 @@ func (o Options) fingerprint(kind string) string {
 		o.EmitSupport, o.Lint, canonicalChecks(o.Checks), canonicalBackend(o.Backend), o.Budget, o.KeepGoing)
 	// Project-mode inputs append only when present, so single-file keys
 	// are unchanged within a fingerprint version.
-	if o.IncludeHash != "" {
-		fp += "|inc=" + o.IncludeHash
-	}
 	if x := overflow.SeedFingerprint(o.ExternSeeds); x != "" {
 		fp += "|xtu=" + x
 	}

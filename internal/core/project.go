@@ -2,11 +2,7 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/backend"
@@ -30,29 +26,6 @@ import (
 // place; their whole repair group (one SLR call site, one STR function)
 // is declined with an explicit failure reason rather than silently
 // miswriting the user's text.
-
-// IncludeHash fingerprints the content of every file the preprocessor
-// inlined besides the main file. It feeds Options.IncludeHash so cache
-// keys and round fingerprints change when a header changes. Empty when
-// the translation unit is self-contained.
-func IncludeHash(res *cpp.Result) string {
-	main := res.Map.MainFile()
-	var lines []string
-	for _, name := range res.Map.Files() {
-		if name == main {
-			continue
-		}
-		content, _ := res.Map.FileContent(name)
-		sum := sha256.Sum256([]byte(content))
-		lines = append(lines, name+"="+hex.EncodeToString(sum[:8]))
-	}
-	if len(lines) == 0 {
-		return ""
-	}
-	sort.Strings(lines)
-	h := sha256.Sum256([]byte(strings.Join(lines, "\n")))
-	return hex.EncodeToString(h[:8])
-}
 
 // remapEdits maps each delta's extent from preprocessed coordinates back
 // into the main original file and applies the deltas that survive to
@@ -143,8 +116,8 @@ func ParsePreprocessed(ctx context.Context, filename, source string, cppOpts cpp
 // ORIGINAL source coordinates (macro-expanded findings point at the
 // invocation site). snap must come from ParsePreprocessed under the same
 // opts, and ctx should carry the unit's deadline. Caching (opts.Cache)
-// keys on the preprocessed text plus IncludeHash, so a header edit
-// invalidates every includer.
+// keys on the preprocessed text, which holds every header line the unit
+// expands, so a header edit invalidates every includer.
 func AnalyzeParsed(ctx context.Context, filename string, pp *cpp.Result, snap *analysis.Snapshot, opts Options) (rep *LintReport, err error) {
 	defer fault.Recover(&err)
 	cs, err := parseChecks(opts.Checks)
@@ -154,7 +127,6 @@ func AnalyzeParsed(ctx context.Context, filename string, pp *cpp.Result, snap *a
 	if _, err := backend.Canonical(opts.Backend); err != nil {
 		return nil, err
 	}
-	opts.IncludeHash = IncludeHash(pp)
 	rep, err = cached(ctx, "lint", filename, pp.Text, opts, func() (*LintReport, error) {
 		sp := opts.Tracer.Start(ctx, obs.StageLint, filename)
 		defer sp.End()

@@ -19,7 +19,8 @@
 //
 // Everything stays deterministic: TUs process in database order, seeds
 // sort before fingerprinting, and a file's cache key absorbs both its
-// headers (IncludeHash) and its incoming seeds (SeedFingerprint).
+// headers (through the preprocessed text it is keyed on) and its
+// incoming seeds (SeedFingerprint).
 package project
 
 import (
