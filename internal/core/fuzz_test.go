@@ -13,7 +13,8 @@ import (
 )
 
 // FuzzFix asserts the pipeline's two end-to-end robustness contracts on
-// arbitrary input: the full Fix pipeline (lint + SLR + STR) never leaks
+// arbitrary input: the full Fix pipeline (lint with both oracles, SLR
+// and STR) never leaks
 // a panic — the fault boundary converts any crash to an error, and this
 // fuzz target fails if even that boundary is hit — and whenever a
 // transformation succeeds, its output is still parseable C (a rewrite
@@ -31,6 +32,13 @@ func FuzzFix(f *testing.F) {
 	f.Add("int x;")
 	f.Add("void broken( {")
 	f.Add("")
+	// The integer-overflow corpus drives the integer oracle's wrap,
+	// taint and allocation-sink paths.
+	for _, cwe := range samate.IntCWEs {
+		for _, p := range samate.IntGenerate(cwe, 2) {
+			f.Add(p.Source)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		// Bound pathological inputs; the analyses are super-linear on
@@ -42,7 +50,7 @@ func FuzzFix(f *testing.F) {
 		defer cancel()
 		// EmitSupport makes the output self-contained (the stralloc
 		// typedef), so the re-parse below checks real parseability.
-		rep, err := Fix(ctx, "fuzz.c", src, Options{SelectOffset: -1, Lint: true, EmitSupport: true})
+		rep, err := Fix(ctx, "fuzz.c", src, Options{SelectOffset: -1, Lint: true, Checks: "all", EmitSupport: true})
 		if err != nil {
 			// Parse errors and timeouts are legitimate outcomes; a
 			// contained panic is a bug the boundary merely stopped from
