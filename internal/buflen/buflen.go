@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/cast"
 	"repro/internal/cfg"
+	"repro/internal/cparse"
 	"repro/internal/ctype"
 	"repro/internal/dataflow"
 	"repro/internal/pointsto"
@@ -183,23 +184,11 @@ func NewAnalyzer(unit *cast.TranslationUnit, facts Facts) *Analyzer {
 	return &Analyzer{unit: unit, facts: facts}
 }
 
-// Aliases exposes the alias sets (used by the transformations'
-// precondition checks and diagnostics).
-func (a *Analyzer) Aliases() *pointsto.AliasSets { return a.facts.Aliases() }
-
-// CFG returns the cached control-flow graph for fn.
-func (a *Analyzer) CFG(fn *cast.FuncDef) *cfg.Graph { return a.facts.CFG(fn) }
-
-// Reaching returns the cached reaching-definitions solution for fn.
-func (a *Analyzer) Reaching(fn *cast.FuncDef) *dataflow.ReachingDefs {
-	return a.facts.Reaching(fn)
-}
-
 // BufferLength computes the size of the destination-buffer expression b
 // occurring inside fn, implementing Algorithm 1. The evaluation point is
 // located from b's source extent.
 func (a *Analyzer) BufferLength(fn *cast.FuncDef, b cast.Expr) (Size, *Failure) {
-	g := a.CFG(fn)
+	g := a.facts.CFG(fn)
 	at := g.NodeContaining(b)
 	if at == nil {
 		return Size{}, &Failure{Reason: FailUnsupportedForm, Detail: "expression not in control flow"}
@@ -309,7 +298,7 @@ func (a *Analyzer) compoundAssignLength(fn *cast.FuncDef, at *cfg.Node, x *cast.
 	default:
 		return Size{}, &Failure{Reason: FailUnsupportedForm, Detail: "compound assignment " + x.Op.String()}
 	}
-	n, ok := constIntOf(x.RHS)
+	n, ok := cparse.ConstIntValue(x.RHS)
 	if !ok {
 		return Size{}, &Failure{Reason: FailUnsupportedForm, Detail: "non-constant pointer adjustment"}
 	}
@@ -363,7 +352,7 @@ func (a *Analyzer) addrOfLength(fn *cast.FuncDef, at *cfg.Node, x *cast.UnaryExp
 		if fail != nil {
 			return Size{}, fail
 		}
-		if n, ok := constIntOf(inner.Index); ok {
+		if n, ok := cparse.ConstIntValue(inner.Index); ok {
 			sz.Adjust -= n
 			return sz, nil
 		}
@@ -391,9 +380,9 @@ func (a *Analyzer) binaryLength(fn *cast.FuncDef, at *cfg.Node, x *cast.BinaryEx
 		bufPart cast.Expr
 		numVal  int64
 	)
-	if n, ok := constIntOf(x.Y); ok {
+	if n, ok := cparse.ConstIntValue(x.Y); ok {
 		bufPart, numVal = x.X, n
-	} else if n, ok := constIntOf(x.X); ok && x.Op == cast.BinaryAdd {
+	} else if n, ok := cparse.ConstIntValue(x.X); ok && x.Op == cast.BinaryAdd {
 		bufPart, numVal = x.Y, n
 	} else {
 		return Size{}, &Failure{Reason: FailUnsupportedForm, Detail: "non-constant pointer arithmetic"}
@@ -426,7 +415,7 @@ func (a *Analyzer) identLength(fn *cast.FuncDef, at *cfg.Node, x *cast.Ident, de
 	// Lines 26-34: pointer type.
 	case ctype.IsPointer(t):
 		// Line 27: aliased pointers are refused.
-		if a.Aliases().IsAliased(x.Sym) {
+		if a.facts.Aliases().IsAliased(x.Sym) {
 			return Size{}, &Failure{Reason: FailAliased, Detail: x.Name}
 		}
 		// Parameters have no local definition: their storage is owned by
@@ -435,7 +424,7 @@ func (a *Analyzer) identLength(fn *cast.FuncDef, at *cfg.Node, x *cast.Ident, de
 			return Size{}, &Failure{Reason: FailNoHeapAlloc, Detail: "buffer is a parameter"}
 		}
 		// Line 30: the definition reaching B.
-		rd := a.Reaching(fn)
+		rd := a.facts.Reaching(fn)
 		defs := rd.ReachingFor(at, x.Sym)
 		defs = wholeObjectDefs(defs)
 		if len(defs) == 0 {
@@ -528,10 +517,10 @@ func (a *Analyzer) memberLength(fn *cast.FuncDef, at *cfg.Node, x *cast.MemberEx
 		// Line 39: under the paper's aggregate model the struct node
 		// carries the aliasing; the field-sensitive ablation asks about
 		// the member itself.
-		if a.Aliases().IsAliasedMember(baseID.Sym, x.Member) {
+		if a.facts.Aliases().IsAliasedMember(baseID.Sym, x.Member) {
 			return Size{}, &Failure{Reason: FailAliased, Detail: a.text(x)}
 		}
-		rd := a.Reaching(fn)
+		rd := a.facts.Reaching(fn)
 		// Lines 42-46: member definitions are killed by whole-struct
 		// redefinitions in the reaching-definitions transfer function, so
 		// "defstruct on the control-flow path from def to B" manifests as
@@ -636,68 +625,6 @@ func wholeObjectDefs(defs []*dataflow.Def) []*dataflow.Def {
 		}
 	}
 	return out
-}
-
-// constIntOf evaluates constant integer expressions (shared with the
-// parser's logic but usable post-parse).
-func constIntOf(e cast.Expr) (int64, bool) {
-	switch x := cast.Unparen(e).(type) {
-	case *cast.IntLit:
-		return x.Value, true
-	case *cast.CharLit:
-		return int64(x.Value), true
-	case *cast.UnaryExpr:
-		if v, ok := constIntOf(x.Operand); ok {
-			switch x.Op {
-			case cast.UnaryMinus:
-				return -v, true
-			case cast.UnaryPlus:
-				return v, true
-			}
-		}
-		return 0, false
-	case *cast.SizeofExpr:
-		if x.OfType != nil && x.OfType.Size() >= 0 {
-			return int64(x.OfType.Size()), true
-		}
-		if x.Operand != nil && x.Operand.Type() != nil && x.Operand.Type().Size() >= 0 {
-			return int64(x.Operand.Type().Size()), true
-		}
-		return 0, false
-	case *cast.BinaryExpr:
-		a, ok1 := constIntOf(x.X)
-		b, ok2 := constIntOf(x.Y)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		switch x.Op {
-		case cast.BinaryAdd:
-			return a + b, true
-		case cast.BinarySub:
-			return a - b, true
-		case cast.BinaryMul:
-			return a * b, true
-		case cast.BinaryDiv:
-			if b == 0 {
-				return 0, false
-			}
-			return a / b, true
-		}
-		return 0, false
-	case *cast.Ident:
-		if x.Sym != nil && x.Sym.Kind == cast.SymEnumConst {
-			if en, ok := ctype.Unqualify(x.Sym.Type).(*ctype.Enum); ok {
-				for _, c := range en.Consts {
-					if c.Name == x.Name {
-						return c.Value, true
-					}
-				}
-			}
-		}
-		return 0, false
-	default:
-		return 0, false
-	}
 }
 
 func typeText(t ctype.Type) string {

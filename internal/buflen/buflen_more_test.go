@@ -3,9 +3,7 @@ package buflen_test
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/buflen"
-	"repro/internal/cast"
 )
 
 func TestAddrOfWholeArray(t *testing.T) {
@@ -182,32 +180,8 @@ func itoa(i int) string {
 	return string(b[p:])
 }
 
-func TestAliasesAccessor(t *testing.T) {
-	snap, err := analysis.Parse("t.c", `
-void f(void) {
-    char buf[4];
-    char *p = buf;
-    char *q = buf;
-    strcpy(p, "x");
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := snap.BufLenAnalyzer()
-	var p *cast.Symbol
-	for _, s := range snap.Unit().Symbols {
-		if s.Name == "p" {
-			p = s
-		}
-	}
-	if !a.Aliases().IsAliased(p) {
-		t.Fatal("Aliases() must expose the alias oracle")
-	}
-}
-
 func TestSizeofInArraysViaConstInt(t *testing.T) {
-	// constIntOf resolves sizeof of complete types for index folding.
+	// Constant folding resolves sizeof of complete types for index folding.
 	wantSize(t, `
 void f(void) {
     char buf[64];

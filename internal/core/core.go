@@ -162,17 +162,8 @@ func (r *Report) Summary() string {
 		}
 		for _, s := range sites {
 			if s.Applied {
-				safe := s.SafeName
-				if safe == "" {
-					// Reports decoded from a pre-backend cache entry or wire
-					// payload lack the per-site name; fall back to the default
-					// dialect's mapping.
-					if r, ok := backend.Default().Lookup(s.Function); ok {
-						safe = r.Safe
-					}
-				}
 				fmt.Fprintf(&sb, "  %s: %s -> %s (size: %s)%s\n",
-					s.Pos, s.Function, safe, s.Size.CText(), risk(s.Risk))
+					s.Pos, s.Function, s.SafeName, s.Size.CText(), risk(s.Risk))
 			} else {
 				fmt.Fprintf(&sb, "  %s: %s not transformed: %v%s\n", s.Pos, s.Function, s.Failure, risk(s.Risk))
 			}

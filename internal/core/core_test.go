@@ -157,3 +157,23 @@ func TestFixWithoutLintHasNoFindings(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadDefinitionPipeline pins how both transformations treat a
+// definition that reaches a use only through dead code: reaching
+// definitions see only code reachable from the entry, so SLR declines the
+// dead strcpy (no defining value reaches p) and STR then replaces p.
+func TestDeadDefinitionPipeline(t *testing.T) {
+	src := `void f(int n){ char *p; if (n > 0) return; return; p = malloc(10); strcpy(p, "hi"); }`
+	rep, err := Fix(context.Background(), "dead.c", src, Options{SelectOffset: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := rep.SLR.Sites
+	if len(sites) != 1 || sites[0].Applied || sites[0].Failure.Error() != "no defining value reaches the use: p" {
+		t.Fatalf("SLR must decline the dead strcpy: %+v", sites)
+	}
+	vars := rep.STR.Vars
+	if len(vars) != 1 || vars[0].Name != "p" || !vars[0].Applied {
+		t.Fatalf("STR must replace p: %+v", vars)
+	}
+}

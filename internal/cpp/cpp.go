@@ -42,10 +42,6 @@ type Options struct {
 	// content of path and whether it exists. Used by cfixd to serve
 	// in-request virtual file sets.
 	Open func(path string) (string, bool)
-	// Strict makes Preprocess return an error when any diagnostic was
-	// recorded; otherwise diagnostics are collected in Result.Errors
-	// and preprocessing keeps the bytes it has.
-	Strict bool
 	// MaxDepth bounds #include nesting (default 64).
 	MaxDepth int
 	// MaxExpansions bounds the total number of macro replacements
@@ -99,8 +95,8 @@ type preprocessor struct {
 
 // Preprocess runs the preprocessor over source (named filename for
 // include resolution and diagnostics). It never fails on malformed
-// input unless opts.Strict is set: diagnostics land in Result.Errors
-// and the output keeps as much of the original bytes as possible.
+// input: diagnostics land in Result.Errors and the output keeps as much
+// of the original bytes as possible.
 func Preprocess(filename, source string, opts Options) (*Result, error) {
 	pp := newPreprocessor(opts)
 	f := &srcFile{name: filename, src: source}
@@ -117,9 +113,6 @@ func Preprocess(filename, source string, opts Options) (*Result, error) {
 		Includes: pp.includes,
 		Missing:  pp.missing,
 		Errors:   pp.errs,
-	}
-	if opts.Strict && len(pp.errs) > 0 {
-		return res, fmt.Errorf("cpp: %s", pp.errs[0])
 	}
 	return res, nil
 }

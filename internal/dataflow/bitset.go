@@ -32,9 +32,6 @@ func (b BitSet) SetFirstN(n int) {
 	}
 }
 
-// Clear removes i from the set.
-func (b BitSet) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
-
 // Has reports whether i is in the set.
 func (b BitSet) Has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
@@ -51,30 +48,11 @@ func (b BitSet) UnionWith(other BitSet) bool {
 	return changed
 }
 
-// IntersectWith removes from b every element not in other, reporting
-// whether b changed.
-func (b BitSet) IntersectWith(other BitSet) bool {
-	changed := false
-	for i := range b {
-		old := b[i]
-		b[i] &= other[i]
-		if b[i] != old {
-			changed = true
-		}
-	}
-	return changed
-}
-
 // DiffWith removes all elements of other from b.
 func (b BitSet) DiffWith(other BitSet) {
 	for i := range b {
 		b[i] &^= other[i]
 	}
-}
-
-// CopyFrom overwrites b with other.
-func (b BitSet) CopyFrom(other BitSet) {
-	copy(b, other)
 }
 
 // Equal reports set equality.

@@ -6,10 +6,11 @@ import (
 )
 
 // Problem describes a forward dataflow problem over an arbitrary lattice T.
-// It generalizes the bitset gen/kill engine (Forward) so analyses whose
-// facts are not finite sets — the buffer-size interval analysis of
-// internal/overflow is the second client — can share the same worklist
-// solver. The paper's base analyses (Section III-A) all fit this shape.
+// It has three clients, which share the one worklist solver: reaching
+// definitions over bitsets (Algorithm 1's input, this package), the
+// buffer-size interval analysis of internal/overflow, and the integer
+// oracle of internal/intflow. The paper's base analyses (Section III-A)
+// all fit this shape.
 type Problem[T any] interface {
 	// Bottom is the "no information / unreached" element. It is the
 	// initial state of every node except the entry.
@@ -49,16 +50,15 @@ type Solution[T any] struct {
 	// (some nodes may still hold Bottom); clients must not treat the
 	// absence of facts in a degraded solution as proof of absence.
 	Degraded bool
+	// Steps counts the worklist iterations the solve consumed (the
+	// meter's count), the effort figure stage spans report.
+	Steps int
 }
 
-// SolveForward runs the worklist algorithm for p over g, applying Widen at
-// loop heads (back-edge targets). The traversal order is reverse postorder,
-// which reaches the fixpoint in near-minimal passes on reducible graphs.
-func SolveForward[T any](g *cfg.Graph, p Problem[T]) *Solution[T] {
-	return SolveForwardLimits[T](g, p, fault.Limits{})
-}
-
-// SolveForwardLimits is SolveForward under fault-containment limits: the
+// SolveForwardLimits runs the worklist algorithm for p over g, applying
+// Widen at loop heads (back-edge targets). The traversal order is reverse
+// postorder, which reaches the fixpoint in near-minimal passes on
+// reducible graphs. Only nodes reachable from the entry are visited. The
 // context in lim is polled at every worklist iteration (cancellation
 // aborts via the fault sentinel), and an exhausted step budget stops the
 // solve early with Solution.Degraded set.
@@ -162,6 +162,7 @@ func SolveForwardLimits[T any](g *cfg.Graph, p Problem[T], lim fault.Limits) *So
 			}
 		}
 	}
+	sol.Steps = meter.Steps()
 	return sol
 }
 

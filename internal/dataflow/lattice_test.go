@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/cparse"
+	"repro/internal/fault"
 	"repro/internal/typecheck"
 )
 
@@ -113,7 +114,7 @@ void f(void) {
 }
 `)
 	p := &ivProblem{}
-	sol := SolveForward[iv](g, p)
+	sol := SolveForwardLimits[iv](g, p, fault.Limits{})
 
 	if p.widenCalls == 0 {
 		t.Fatal("Widen hook never invoked on a loop")
@@ -156,7 +157,7 @@ void f(void) {
 }
 `)
 	p := &ivProblem{}
-	sol := SolveForward[iv](g, p)
+	sol := SolveForwardLimits[iv](g, p, fault.Limits{})
 
 	if p.widenCalls != 0 {
 		t.Fatalf("Widen fired %d times on acyclic code", p.widenCalls)

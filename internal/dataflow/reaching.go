@@ -7,31 +7,15 @@ import (
 	"repro/internal/fault"
 )
 
-// AliasOracle answers may-alias queries for the reaching-definitions
+// AliasOracle answers the points-to queries of the reaching-definitions
 // transfer functions. internal/pointsto provides the implementation; the
 // interface lives here so the dataflow layer does not depend on the
 // points-to engine (mirroring the paper's layering, where the alias sets
 // feed the reaching-definition analysis).
 type AliasOracle interface {
-	// IsAliased reports whether the symbol's storage may be reachable
-	// through some other name (its alias set has more than one member).
-	IsAliased(sym *cast.Symbol) bool
 	// PointeesOf returns the symbols that a pointer symbol may point to.
 	PointeesOf(sym *cast.Symbol) []*cast.Symbol
 }
-
-// NoAliases is an AliasOracle for contexts with no points-to information:
-// it reports every pointer as potentially aliased, which is the
-// conservative answer.
-type NoAliases struct{}
-
-var _ AliasOracle = NoAliases{}
-
-// IsAliased always reports true.
-func (NoAliases) IsAliased(*cast.Symbol) bool { return true }
-
-// PointeesOf always returns nil.
-func (NoAliases) PointeesOf(*cast.Symbol) []*cast.Symbol { return nil }
 
 // Def is a single definition site of a symbol.
 type Def struct {
@@ -93,14 +77,11 @@ type ReachingDefs struct {
 	Steps int
 }
 
-// ComputeReaching builds and solves reaching definitions for g using the
-// given alias oracle.
-func ComputeReaching(g *cfg.Graph, aliases AliasOracle) *ReachingDefs {
-	return ComputeReachingLimits(g, aliases, fault.Limits{})
-}
-
-// ComputeReachingLimits is ComputeReaching under fault-containment
-// limits (cancellation and a step budget; see ForwardMetered).
+// ComputeReachingLimits builds and solves reaching definitions for g
+// using the given alias oracle, under fault-containment limits: the
+// context in lim is polled at every worklist iteration, and a solve cut
+// by the step budget widens every IN set to all definitions and sets
+// Degraded.
 func ComputeReachingLimits(g *cfg.Graph, aliases AliasOracle, lim fault.Limits) *ReachingDefs {
 	rd := &ReachingDefs{
 		Graph:     g,
@@ -143,11 +124,47 @@ func ComputeReachingLimits(g *cfg.Graph, aliases AliasOracle, lim fault.Limits) 
 		}
 	}
 
-	// Solve with the generic forward may-analysis engine.
-	rd.in, rd.Degraded, rd.Steps = ForwardMetered(g, nDefs,
-		func(id int) BitSet { return genBits[id] },
-		func(id int) BitSet { return killBits[id] }, lim)
+	sol := SolveForwardLimits[BitSet](g, reaching{NewBitSet(nDefs), genBits, killBits}, lim)
+	rd.in, rd.Degraded, rd.Steps = sol.In, sol.Degraded, sol.Steps
+	if rd.Degraded {
+		// All-ones IN sets are always a sound (if imprecise) answer for
+		// a may-analysis.
+		top := NewBitSet(nDefs)
+		top.SetFirstN(nDefs)
+		for i := range rd.in {
+			rd.in[i] = top
+		}
+	}
 	return rd
+}
+
+// reaching is the reaching-definitions Problem: sets of definition IDs
+// joined by union, with each node's gen/kill transfer. No operation
+// mutates a set it is given, so every unreached node shares one empty
+// set.
+type reaching struct {
+	empty     BitSet
+	gen, kill []BitSet
+}
+
+func (r reaching) Bottom() BitSet                 { return r.empty }
+func (r reaching) Entry() BitSet                  { return r.empty }
+func (r reaching) Widen(prev, next BitSet) BitSet { return r.Join(prev, next) }
+func (r reaching) Equal(a, b BitSet) bool         { return a.Equal(b) }
+
+func (r reaching) FlowEdge(_, _ *cfg.Node, s BitSet) BitSet { return s }
+
+func (r reaching) Join(a, b BitSet) BitSet {
+	out := a.Clone()
+	out.UnionWith(b)
+	return out
+}
+
+func (r reaching) Transfer(n *cfg.Node, in BitSet) BitSet {
+	out := in.Clone()
+	out.DiffWith(r.kill[n.ID])
+	out.UnionWith(r.gen[n.ID])
+	return out
 }
 
 // In returns the definitions reaching the entry of node n.
@@ -217,7 +234,7 @@ func collectDefs(n *cfg.Node, aliases AliasOracle) []*Def {
 			case *cast.PostfixExpr:
 				defs = append(defs, defsForIncDec(n, x.Operand, x)...)
 			case *cast.CallExpr:
-				defs = append(defs, defsForCall(n, x, aliases)...)
+				defs = append(defs, defsForCall(n, x)...)
 			}
 			return true
 		})
@@ -284,9 +301,8 @@ func defsForIncDec(n *cfg.Node, operand cast.Expr, expr cast.Expr) []*Def {
 	return nil
 }
 
-// defsForCall produces weak definitions for out-parameters: &x arguments,
-// and for char* arguments to functions known to write their destination.
-func defsForCall(n *cfg.Node, call *cast.CallExpr, aliases AliasOracle) []*Def {
+// defsForCall produces weak definitions for out-parameters: &x arguments.
+func defsForCall(n *cfg.Node, call *cast.CallExpr) []*Def {
 	var defs []*Def
 	for _, a := range call.Args {
 		u, ok := cast.Unparen(a).(*cast.UnaryExpr)
@@ -300,6 +316,5 @@ func defsForCall(n *cfg.Node, call *cast.CallExpr, aliases AliasOracle) []*Def {
 	// Writes into a buffer through a char*/void* argument mutate the
 	// pointed-to object, not the pointer value, so they do not define the
 	// pointer symbol; pointer-value tracking is what Algorithm 1 needs.
-	_ = aliases
 	return defs
 }

@@ -12,14 +12,6 @@ import (
 	"repro/internal/typecheck"
 )
 
-// RQ3Workload is one of the two performance workloads (the paper measured
-// zlib and libpng after applying SLR and STR on all targets).
-type RQ3Workload struct {
-	Name   string
-	Source string
-	Entry  string
-}
-
 // rq3Source builds a workload program with the given iteration count
 // baked in.
 func rq3Source(kind string, iters int) string {

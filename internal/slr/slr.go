@@ -145,12 +145,6 @@ func NewTransformer(s *analysis.Snapshot, be backend.Backend) *Transformer {
 	return t
 }
 
-// Analyzer exposes the underlying buffer-length analyzer.
-func (t *Transformer) Analyzer() *buflen.Analyzer { return t.analyzer }
-
-// Backend exposes the dialect the transformer targets.
-func (t *Transformer) Backend() backend.Backend { return t.be }
-
 // candidate is one unsafe call found in the unit.
 type candidate struct {
 	fn   *cast.FuncDef

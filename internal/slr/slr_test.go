@@ -444,3 +444,21 @@ void f(void) {
 	}
 	reparse(t, out)
 }
+
+// TestDeadDefinitionDoesNotReach pins that reaching definitions, like both
+// lint oracles, see only code reachable from the entry: the malloc after
+// the returns defines p only on dead code, so no defining value reaches
+// the strcpy and SLR declines it.
+func TestDeadDefinitionDoesNotReach(t *testing.T) {
+	src := `void f(int n){ char *p; if (n > 0) return; return; p = malloc(10); strcpy(p, "hi"); }`
+	res := runAll(t, src)
+	if len(res.Sites) != 1 || res.Sites[0].Applied {
+		t.Fatalf("dead strcpy must be declined: %+v", res.Sites)
+	}
+	if got, want := res.Sites[0].Failure.Error(), "no defining value reaches the use: p"; got != want {
+		t.Fatalf("failure: got %q, want %q", got, want)
+	}
+	if res.NewSource != src {
+		t.Fatalf("source changed:\n%s", res.NewSource)
+	}
+}

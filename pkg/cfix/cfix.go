@@ -286,16 +286,6 @@ func SupportSource() string {
 	return stralloc.FullSource() + "\n" + backend.Glib.Prototypes()
 }
 
-// SupportSourceFor is SupportSource for a named repair backend: the
-// stralloc runtime plus that dialect's safe-function prototypes.
-func SupportSourceFor(name string) (string, error) {
-	be, err := backend.Get(name)
-	if err != nil {
-		return "", err
-	}
-	return stralloc.FullSource() + "\n" + be.Prototypes(), nil
-}
-
 // Backends lists the valid Options.Backend names in registry order:
 // glib, bsd, c11k.
 func Backends() []string { return backend.Names() }
@@ -310,13 +300,3 @@ func CanonicalBackend(name string) (string, error) { return backend.Canonical(na
 // It is the one check-name validator: CLIs call it at flag-parse time
 // and cfixd before any parse, and the error names the valid set.
 func CanonicalChecks(checks string) (string, error) { return core.CanonicalChecks(checks) }
-
-// BackendDescription returns a one-line description of a named backend
-// (for -h output and docs); unknown names return an error.
-func BackendDescription(name string) (string, error) {
-	be, err := backend.Get(name)
-	if err != nil {
-		return "", err
-	}
-	return be.Description(), nil
-}

@@ -19,9 +19,6 @@ import (
 // translation unit plus the linked cross-file call edges.
 type ProjectReport = project.Report
 
-// ProjectFileOutcome is one translation unit's result.
-type ProjectFileOutcome = project.FileOutcome
-
 // CrossEdge is one resolved cross-file call.
 type CrossEdge = project.CrossEdge
 
