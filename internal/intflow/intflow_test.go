@@ -418,3 +418,27 @@ func TestFindingsAreSortedAndDeduped(t *testing.T) {
 		t.Fatalf("expected both 190 and 680: %v", fs)
 	}
 }
+
+// TestGlobalAcrossCalls pins the call effects on a global integer: a
+// library call with no effect the oracle tracks keeps its value, and a
+// call to an unknown function forgets it.
+func TestGlobalAcrossCalls(t *testing.T) {
+	for _, tc := range []struct {
+		call     string
+		definite bool
+	}{
+		{`strlen("x")`, true},
+		{`printf("x")`, true},
+		{`v()`, false},
+	} {
+		src := "int g;\nvoid v(void);\nvoid f(void) {\n    g = 2000000000;\n    " + tc.call + ";\n    int b = g + g;\n}\n"
+		fs := analyzeSrc(t, src)
+		found := false
+		for _, f := range fs {
+			found = found || f.CWE == 190 && f.Severity == overflow.SevDefinite
+		}
+		if found != tc.definite {
+			t.Errorf("after %s: definite CWE-190 = %v, want %v (findings %v)", tc.call, found, tc.definite, fs)
+		}
+	}
+}

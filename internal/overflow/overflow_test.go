@@ -275,3 +275,53 @@ void f(void) {
 		t.Fatalf("exact short sprintf flagged: %v", fs)
 	}
 }
+
+// TestLibraryCallEffects pins each library-call effect the oracle
+// models on a destination's first NUL: every body sets up a string,
+// runs one call, and probes the result with a later write whose extent
+// reveals what the oracle believes the call left behind. A call the
+// oracle treated as having no effect (or as havocking) reads as a
+// different verdict.
+func TestLibraryCallEffects(t *testing.T) {
+	cases := []struct {
+		name, body, want string
+	}{
+		{"strcpy_sets_length", `char a[8]; strcpy(a, "abc"); strcat(a, "123456");`,
+			"definite write of bytes [3,10) exceeds object size [8,8]"},
+		{"stpcpy_sets_length", `char a[8]; stpcpy(a, "abc"); strcat(a, "123456");`,
+			"definite write of bytes [3,10) exceeds object size [8,8]"},
+		{"strcat_appends", `char a[8]; strcpy(a, "ab"); strcat(a, "cd"); strcat(a, "12345");`,
+			"definite write of bytes [4,10) exceeds object size [8,8]"},
+		{"strncat_appends_at_most_n", `char a[8]; strcpy(a, "ab"); strncat(a, "cdefgh", 2); strcat(a, "12345");`,
+			"definite write of bytes [4,10) exceeds object size [8,8]"},
+		{"sprintf_sets_format_length", `char a[8]; sprintf(a, "%d", 7); strcat(a, "1234567");`,
+			"definite write of bytes [1,9) exceeds object size [8,8]"},
+		{"memset_zero_truncates", `char a[8]; strcpy(a, "abc"); memset(a, 0, 8); strcat(a, "12345678");`,
+			"definite write of bytes [0,9) exceeds object size [8,8]"},
+		{"memset_nonzero_extends", `char a[8]; char b[16]; strcpy(b, "x"); memset(b, 'A', 10); strcpy(a, b);`,
+			"possible write of bytes [0,+inf) exceeds object size [8,8]"},
+		{"memset_nonzero_control", `char a[8]; char b[16]; strcpy(b, "x"); strcpy(a, b);`, ""},
+		{"memcpy_forgets_length", `char a[8]; char b[4]; strcpy(a, "abc"); memcpy(a, b, 2); strcat(a, "123456");`,
+			"possible write of bytes [0,+inf) exceeds object size [8,8]"},
+		{"strlen_has_no_effect", `char a[8]; strcpy(a, "abc"); strlen(a); strcat(a, "123456");`,
+			"definite write of bytes [3,10) exceeds object size [8,8]"},
+		{"user_call_havocs_argument", `char a[8]; strcpy(a, "abc"); u(a); strcat(a, "123456");`,
+			"possible write of bytes [0,+inf) exceeds object size [8,8]"},
+		{"global_survives_no_effect_call", `strcpy(g, "abc"); strlen(g); strcat(g, "123456");`,
+			"definite write of bytes [3,10) exceeds object size [8,8]"},
+		{"unknown_call_havocs_global", `strcpy(g, "abc"); v(); strcat(g, "123456");`,
+			"possible write of bytes [0,+inf) exceeds object size [8,8]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "char g[8];\nvoid u(char *p);\nvoid v(void);\nvoid f(void) {\n    " + tc.body + "\n}\n"
+			var got []string
+			for _, f := range analyzeSrc(t, src) {
+				got = append(got, f.Severity.String()+" "+f.Msg)
+			}
+			if strings.Join(got, "\n") != tc.want {
+				t.Fatalf("%s\ngot  %q\nwant %q", tc.body, got, tc.want)
+			}
+		})
+	}
+}
