@@ -170,3 +170,38 @@ func TestFixCachedBackendSeparation(t *testing.T) {
 		}
 	}
 }
+
+// TestLintFixTextNamesDialect: the lint fix text suggests the selected
+// dialect's replacement, not the default's.
+func TestLintFixTextNamesDialect(t *testing.T) {
+	src := "void f(void) {\n    char a[8];\n    strcpy(a, \"0123456789\");\n}\n"
+	for be, want := range map[string]string{
+		"glib": "replace strcpy with g_strlcpy (SLR)",
+		"bsd":  "replace strcpy with strlcpy (SLR)",
+		"c11k": "replace strcpy with strcpy_s (SLR)",
+	} {
+		fs, err := Analyze(context.Background(), "f.c", src, Options{Backend: be})
+		if err != nil {
+			t.Fatalf("%s: %v", be, err)
+		}
+		if len(fs) != 1 || fs[0].SuggestedFix != want {
+			t.Fatalf("%s: findings %v, want one with fix %q", be, fs, want)
+		}
+	}
+}
+
+// TestSTRDecidesSafeSourceAlikeAcrossDialects: STR after SLR replaces a
+// variable the dialect's safe call only reads, whatever the dialect.
+func TestSTRDecidesSafeSourceAlikeAcrossDialects(t *testing.T) {
+	src := "char g[32];\nvoid f(void) {\n    char src[16] = \"hello\";\n    strcpy(g, src);\n}\n"
+	for _, be := range Backends() {
+		rep, err := Fix(context.Background(), "f.c", src, Options{SelectOffset: -1, Backend: be})
+		if err != nil {
+			t.Fatalf("%s: %v", be, err)
+		}
+		if rep.SLR.AppliedCount() != 1 || rep.STR.Candidates() != 1 || rep.STR.AppliedCount() != 1 {
+			t.Fatalf("%s: SLR %d applied, STR %d/%d applied; want 1, 1/1: %+v",
+				be, rep.SLR.AppliedCount(), rep.STR.AppliedCount(), rep.STR.Candidates(), rep.STR.Vars)
+		}
+	}
+}

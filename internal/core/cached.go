@@ -29,7 +29,11 @@ import (
 // text, which holds every expanded header line, and the source-map
 // remap and the preprocessor's degradations are applied outside the
 // cache, so the entry is what a single-file lint of that text stores.
-const fingerprintVersion = "v4"
+// v5: one C library catalog (internal/backend) — a lint entry's fix text
+// names the selected dialect, STR after SLR decides bsd and c11k
+// variables by the catalog, and SLR declines a site whose value is used,
+// so v4 entries of both kinds are stale.
+const fingerprintVersion = "v5"
 
 // fingerprint renders every result-affecting option into the cache key.
 // Timeout is deliberately absent: a completed full-fidelity run does not

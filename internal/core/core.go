@@ -310,19 +310,18 @@ func sortFindings(fs []overflow.Finding) {
 }
 
 // analysisConfig is the snapshot configuration o implies under ctx:
-// solver limits from the budget, the tracer, and the cross-unit call
-// seeds of project mode.
+// solver limits from the budget, the tracer, and the oracle options —
+// the repair dialect its fix text names and the cross-unit call seeds
+// of project mode. Callers validate o.Backend first.
 func (o Options) analysisConfig(ctx context.Context) analysis.Config {
-	conf := analysis.Config{
-		Limits: fault.Limits{Ctx: ctx, Steps: o.Budget, Contexts: o.Budget},
-		Tracer: o.Tracer,
+	oo := overflow.DefaultOptions()
+	oo.ExternSeeds = o.ExternSeeds
+	oo.Backend, _ = backend.Get(o.Backend)
+	return analysis.Config{
+		Limits:   fault.Limits{Ctx: ctx, Steps: o.Budget, Contexts: o.Budget},
+		Tracer:   o.Tracer,
+		Overflow: &oo,
 	}
-	if len(o.ExternSeeds) > 0 {
-		oo := overflow.DefaultOptions()
-		oo.ExternSeeds = o.ExternSeeds
-		conf.Overflow = &oo
-	}
-	return conf
 }
 
 // FileContext applies the per-file timeout of opts to ctx. Every entry

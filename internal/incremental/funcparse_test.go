@@ -204,7 +204,7 @@ void f(void) {
     char a[8];
     char c[8];
     char b[16];
-    xmemcpy(a, b, strlen(strcpy(c, "x")));
+    xmemcpy(a, b, strlen(gets(c)));
 }
 
 void g(void) {

@@ -195,13 +195,14 @@ void f(void (*cb)(char*), char *buf) { cb(buf); }
 }
 
 func TestLibraryTables(t *testing.T) {
-	if !LibraryWritesThrough("memcpy", 0) || LibraryWritesThrough("memcpy", 1) {
+	r := Analyze(&cast.TranslationUnit{}, nil)
+	if !r.MayModifyParam("memcpy", 0) || r.MayModifyParam("memcpy", 1) {
 		t.Fatal("memcpy writes arg 0 only")
 	}
-	if !IsKnownLibrary("printf") || !IsKnownLibrary("gets") {
+	if r.MayModifyParam("printf", 0) || r.MayModifyParam("strlcpy", 1) || !r.MayModifyParam("strcpy_s", 0) {
 		t.Fatal("library classification incomplete")
 	}
-	if IsKnownLibrary("no_such_fn") {
+	if !r.MayModifyParam("no_such_fn", 0) {
 		t.Fatal("unknown function misclassified")
 	}
 }

@@ -1,6 +1,7 @@
 package intflow
 
 import (
+	"repro/internal/backend"
 	"repro/internal/cast"
 	"repro/internal/cfg"
 	"repro/internal/ctype"
@@ -154,19 +155,6 @@ func (p *iproblem) IncDec(st overflow.Env[ival], site, operand cast.Expr, delta 
 
 // --- call effects -----------------------------------------------------------
 
-// noEffectCalls lists library routines that neither write through their
-// arguments nor touch globals in a way this analysis tracks.
-var noEffectCalls = map[string]bool{
-	"strcmp": true, "strncmp": true, "strlen": true, "printf": true,
-	"puts": true, "putchar": true, "free": true, "malloc": true,
-	"calloc": true, "realloc": true, "exit": true, "abort": true,
-	"getchar": true, "fopen": true, "fclose": true, "strchr": true,
-	"strrchr": true, "rand": true, "srand": true, "memset": true,
-	"memcpy": true, "memmove": true, "strcpy": true, "strcat": true,
-	"strncpy": true, "strncat": true, "sprintf": true, "snprintf": true,
-	"g_malloc": true,
-}
-
 // Call checks an allocation sink's size arguments and havocs what a
 // user call may change.
 func (p *iproblem) Call(st overflow.Env[ival], call *cast.CallExpr) overflow.Env[ival] {
@@ -190,7 +178,7 @@ func (p *iproblem) Call(st overflow.Env[ival], call *cast.CallExpr) overflow.Env
 			p.eval(st, a)
 		}
 	}
-	if noEffectCalls[name] {
+	if f, isLib := backend.Library(name); isLib && f.NoEffect {
 		return st
 	}
 	return p.havocUserCall(st, call)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/backend"
+	"repro/internal/buflen"
 	"repro/internal/cparse"
 )
 
@@ -212,5 +213,49 @@ void f(void) {
 		if len(res.Sites) != 1 || res.Sites[0].Failure == nil {
 			t.Fatalf("%s: expected one declined site, got %+v", name, res.Sites)
 		}
+	}
+}
+
+// TestValueUsedSiteDeclines pins that SLR keeps the meaning of a call
+// whose value the program reads: under every dialect the strcpy whose
+// value is used declines (its replacement returns a length or an
+// errno_t, not the destination), a statement-level strcpy still applies,
+// and a used call nested in a clamped memcpy length no longer queues
+// overlapping edits.
+func TestValueUsedSiteDeclines(t *testing.T) {
+	shapes := []struct {
+		name, stmt string
+		applied    int // statement-level sites that still apply
+	}{
+		{"assigned", `char *p = strcpy(a, "x");`, 0},
+		{"nested_source", `strcpy(a, strcpy(c, "x"));`, 1},
+		{"condition", `if (strcpy(a, b)) { a[0] = 0; }`, 0},
+		{"clamped_length", `memcpy(a, b, strlen(strcpy(c, "x")));`, 1},
+	}
+	for _, be := range backend.Names() {
+		for _, sh := range shapes {
+			t.Run(be+"/"+sh.name, func(t *testing.T) {
+				src := "void f(void) {\n    char a[8];\n    char b[8];\n    char c[8];\n    b[0] = 0;\n    " + sh.stmt + "\n}\n"
+				res := runAllBackend(t, be, src)
+				declined := 0
+				for _, s := range res.Sites {
+					if s.Failure != nil && s.Failure.Reason == buflen.FailValueUsed {
+						declined++
+						if s.Function != "strcpy" {
+							t.Errorf("%s declined as value-used", s.Function)
+						}
+					}
+				}
+				if declined != 1 || res.AppliedCount() != sh.applied {
+					t.Fatalf("value-used declines = %d, applied = %d; want 1, %d; sites %+v", declined, res.AppliedCount(), sh.applied, res.Sites)
+				}
+				reparse(t, res.NewSource)
+			})
+		}
+	}
+	// A replacement that returns a pointer keeps a used value's meaning.
+	res := runAll(t, "void f(void) {\n    char c[8];\n    if (gets(c)) { c[0] = 0; }\n}\n")
+	if res.AppliedCount() != 1 || !strings.Contains(res.NewSource, "if (fgets(c, sizeof(c), stdin))") {
+		t.Fatalf("gets in a condition: applied %d\n%s", res.AppliedCount(), res.NewSource)
 	}
 }

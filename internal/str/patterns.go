@@ -54,60 +54,3 @@ var TableII = []Pattern{
 	{18, "Conditional or Iteration Statement", "Conditional/Iteration statement",
 		"if(buf[0] == 'a')", "if(stralloc_get_dereferenced_char_at(buf, 0) == 'a')"},
 }
-
-// libCallKind describes how STR treats a C library call whose argument is
-// a target buffer.
-type libCallKind int
-
-const (
-	// libUnknown: not a modeled library function (treated as user-defined).
-	libUnknown libCallKind = iota
-	// libMapped: the call has a stralloc replacement (Table II row 16,
-	// "function dependent").
-	libMapped
-	// libReadOnly: the call never writes the buffer; the argument is
-	// rewritten to buf->s.
-	libReadOnly
-	// libUnsupported: STR's precondition 3 rejects variables used in
-	// these functions (Section II-B2).
-	libUnsupported
-)
-
-// _libCalls classifies the common C library functions for STR. The paper:
-// "most common string functions in C library are supported".
-var _libCalls = map[string]libCallKind{
-	// Mapped to stralloc equivalents when the target is the destination.
-	"strcpy":  libMapped,
-	"strncpy": libMapped,
-	"strcat":  libMapped,
-	"strncat": libMapped,
-	"memcpy":  libMapped,
-	"memset":  libMapped,
-	"strlen":  libMapped,
-
-	// Read-only: pass buf->s.
-	"strcmp":  libReadOnly,
-	"strncmp": libReadOnly,
-	"strchr":  libReadOnly,
-	"strrchr": libReadOnly,
-	"strstr":  libReadOnly,
-	"printf":  libReadOnly,
-	"fprintf": libReadOnly,
-	"puts":    libReadOnly,
-	"atoi":    libReadOnly,
-	"atol":    libReadOnly,
-	"strdup":  libReadOnly,
-	"fwrite":  libReadOnly,
-	"memcmp":  libReadOnly,
-
-	// Unsupported: stralloc has no safe analog of unbounded or
-	// format-driven writers at this layer.
-	"gets":     libUnsupported,
-	"fgets":    libUnsupported,
-	"sprintf":  libUnsupported,
-	"vsprintf": libUnsupported,
-	"scanf":    libUnsupported,
-	"fread":    libUnsupported,
-	"realloc":  libUnsupported,
-	"free":     libUnsupported,
-}

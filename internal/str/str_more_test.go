@@ -3,9 +3,6 @@ package str
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
-	"repro/internal/cparse"
 )
 
 func TestForInitDeclRefused(t *testing.T) {
@@ -220,20 +217,6 @@ void f(void) {
 		t.Fatalf("for post clause:\n%s", out)
 	}
 	reparse(t, res)
-}
-
-func TestApplyVarUnknownName(t *testing.T) {
-	tu, err := cparse.Parse("t.c", `void f(void){ char *p; p = "x"; }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewTransformer(analysis.New(tu)).ApplyVar("f", "does_not_exist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Vars) != 0 || res.NewSource != tu.File.Src() {
-		t.Fatal("unknown selection must be a no-op")
-	}
 }
 
 func TestLogMessagesDetailRefusals(t *testing.T) {

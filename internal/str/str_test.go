@@ -424,35 +424,6 @@ void f(void) {
 	reparse(t, res)
 }
 
-func TestApplyVarSelectsOne(t *testing.T) {
-	src := `
-void f(void) {
-    char *a;
-    char *b;
-    a = "x";
-    b = "y";
-}
-`
-	tu, err := cparse.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewTransformer(analysis.New(tu)).ApplyVar("f", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AppliedCount() != 1 {
-		t.Fatalf("applied: got %d", res.AppliedCount())
-	}
-	out := res.NewSource
-	if !strings.Contains(out, "char *a;") {
-		t.Fatalf("unselected variable must stay:\n%s", out)
-	}
-	if !strings.Contains(out, "stralloc *b;") {
-		t.Fatalf("selected variable must be transformed:\n%s", out)
-	}
-}
-
 func TestDeclWithInitMalloc(t *testing.T) {
 	res := runAll(t, `
 void f(void) {
