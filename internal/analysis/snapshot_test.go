@@ -99,3 +99,39 @@ func TestSnapshotTypecheckOnce(t *testing.T) {
 		t.Fatalf("typecheck diagnostics changed: %d vs %d", len(errs1), len(errs2))
 	}
 }
+
+// aliasQuerySample stores through pointers in three functions, so their
+// reaching definitions ask the alias sets for pointees while the
+// dependency hashes fingerprint the same symbols.
+const aliasQuerySample = `
+char *g;
+void one(void) { char a[4]; char *p = a; char *q = p; *p = 'x'; *q = 'y'; g = q; }
+void two(void) { char b[4]; char *r = b; char *s = r; *r = 'x'; *s = 'y'; g = s; }
+void three(void) { char c[4]; char *t = c; char *u = g; *t = 'x'; *u = 'y'; u = t; }
+`
+
+// TestAliasQueriesConcurrent: the alias sets answer queries from
+// several goroutines at once, as reaching definitions (each under the
+// snapshot's reaching lock) and the dependency hashes (under their own
+// once) reach them; -race is the judge.
+func TestAliasQueriesConcurrent(t *testing.T) {
+	s, err := Parse("alias.c", aliasQuerySample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Aliases()
+	var wg sync.WaitGroup
+	for _, fn := range s.Unit().Funcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Reaching(fn)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.FuncHashes()
+	}()
+	wg.Wait()
+}
