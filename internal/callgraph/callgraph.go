@@ -93,23 +93,6 @@ func (g *Graph) gather(idx []int) []Edge {
 	return out
 }
 
-// Callees returns the unique callee names reachable from caller in one
-// step, sorted.
-func (g *Graph) Callees(caller string) []string {
-	seen := make(map[string]struct{})
-	for _, e := range g.CallsFrom(caller) {
-		if e.CalleeName != "" {
-			seen[e.CalleeName] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Roots returns the functions defined in the unit that no in-unit call
 // targets — the entry points interprocedural propagation starts from. A
 // unit whose every function is called (e.g. mutual recursion) yields all

@@ -75,14 +75,6 @@ func TestCallsToAndExternal(t *testing.T) {
 	}
 }
 
-func TestCallees(t *testing.T) {
-	g := build(t, sample)
-	got := g.Callees("top")
-	if len(got) != 2 || got[0] != "middle" || got[1] != "strlen" {
-		t.Fatalf("callees: %v", got)
-	}
-}
-
 func TestTransitiveCallees(t *testing.T) {
 	g := build(t, sample)
 	got := g.TransitiveCallees("main")

@@ -376,27 +376,6 @@ func TestPropertyCycleEliminationPreservesFixpoint(t *testing.T) {
 	}
 }
 
-func TestPointsToIntersect(t *testing.T) {
-	tu, g, _ := analyze(t, `
-void f(void) {
-    char a[4], b[4];
-    char *p, *q, *r;
-    p = a;
-    q = a;
-    r = b;
-}
-`, Options{})
-	p := symNamed(t, tu, "p")
-	q := symNamed(t, tu, "q")
-	r := symNamed(t, tu, "r")
-	if !g.PointsToIntersect(p, q) {
-		t.Fatal("p and q share target a")
-	}
-	if g.PointsToIntersect(p, r) {
-		t.Fatal("p and r have disjoint targets")
-	}
-}
-
 func TestFieldSensitiveSeparatesMembers(t *testing.T) {
 	src := `
 struct hdr { char *data; char *other; };
