@@ -129,6 +129,10 @@ const (
 	// replacement returns a length or an errno_t, not a pointer.
 	// Appended last to keep serialized values stable.
 	FailValueUsed
+	// FailLengthEffect: the memcpy length assigns, increments or calls
+	// a function other than strlen, and the clamping ternary would
+	// evaluate it twice. Appended last to keep serialized values stable.
+	FailLengthEffect
 )
 
 var _failNames = map[FailReason]string{
@@ -144,6 +148,7 @@ var _failNames = map[FailReason]string{
 	FailUnsupportedForm: "unsupported expression form",
 	FailAlreadyClamped:  "length already clamped by a previous transformation",
 	FailValueUsed:       "call's value is used and the replacement may return a different value",
+	FailLengthEffect:    "length has a side effect the clamp would repeat",
 }
 
 // String returns the reason description.

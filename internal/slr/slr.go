@@ -416,10 +416,34 @@ func (t *Transformer) editMemcpy(c candidate, size buflen.Size, edits *edit.Scri
 		edits.Add(edit.Insert(c.stmt.Extent().Pos, assign))
 		return nil
 	}
-	// Option 2: replace the parameter with the clamping ternary.
+	// Option 2: replace the parameter with the clamping ternary, which
+	// spells the length twice.
+	if hasSideEffect(lenArg) {
+		return &buflen.Failure{Reason: buflen.FailLengthEffect, Detail: lenText}
+	}
 	tern := fmt.Sprintf("%s > %s ? %s : %s", sizeText, lenText, lenText, sizeText)
 	edits.Add(edit.Replace(lenArg.Extent(), tern))
 	return nil
+}
+
+// hasSideEffect reports whether evaluating e may change program state:
+// it assigns, increments or decrements, or calls a function other than
+// strlen. The catalog's no-effect mark is not enough: rand, getchar and
+// printf carry it.
+func hasSideEffect(e cast.Expr) bool {
+	effect := false
+	cast.Inspect(e, func(n cast.Node) bool {
+		switch x := n.(type) {
+		case *cast.AssignExpr, *cast.PostfixExpr:
+			effect = true
+		case *cast.UnaryExpr:
+			effect = effect || x.Op == cast.UnaryPreInc || x.Op == cast.UnaryPreDec
+		case *cast.CallExpr:
+			effect = effect || x.Callee() != "strlen"
+		}
+		return !effect
+	})
+	return effect
 }
 
 // clampedBy reports whether expr is exactly the clamping ternary
