@@ -405,9 +405,11 @@ void shadow(int c) {
 	requireEquivalent(t, s)
 }
 
-// TestFailedDiscoveryLeavesSessionIntact: an edit that parses and lints
-// but makes SLR's splice fail (an unsafe call nested in a clamped memcpy
-// length) is rejected without moving the session to the new text.
+// TestFailedDiscoveryLeavesSessionIntact: an edit that parses but then
+// fails to derive its facts is rejected without moving the session to
+// the new text. SLR now declines every site nested in a clamped memcpy
+// length, the input that made its splice fail, so the test makes the
+// lint fail instead by swapping in a check set it rejects.
 func TestFailedDiscoveryLeavesSessionIntact(t *testing.T) {
 	const src = `
 void f(void) {
@@ -425,10 +427,14 @@ void g(void) {
 	s, _ := open(t, src)
 	text, findings, sites := s.Text(), s.Findings(), s.Sites()
 	at := strings.Index(text, "xmemcpy")
-	if _, err := s.Edit(context.Background(), []edit.Delta{
+	checks := s.conf.Checks
+	s.conf.Checks = "none"
+	_, err := s.Edit(context.Background(), []edit.Delta{
 		edit.Delete(ctoken.Extent{Pos: ctoken.Pos(at), End: ctoken.Pos(at + 1)}),
-	}); err == nil || !strings.Contains(err.Error(), "slr discovery") {
-		t.Fatalf("Edit error = %v, want an SLR discovery failure", err)
+	})
+	s.conf.Checks = checks
+	if err == nil || !strings.Contains(err.Error(), "unknown check") {
+		t.Fatalf("Edit error = %v, want a lint failure", err)
 	}
 	if s.Text() != text {
 		t.Fatal("failed edit moved the session text")
