@@ -79,6 +79,9 @@ type Snapshot struct {
 
 	ptOnce sync.Once
 	pt     *pointsto.Graph
+	// ptCarried is set when pt shares the predecessor's solution
+	// (pointsto.Reanalyze), and the alias sets are rebound.
+	ptCarried bool
 
 	aliasOnce sync.Once
 	aliases   *pointsto.AliasSets
@@ -201,8 +204,9 @@ func ParseCtx(ctx context.Context, filename, source string, conf Config) (*Snaps
 // The new snapshot inherits prev's walk of every retained body (see
 // bodyWalk), so its call graph, may-modify facts and alias fingerprints
 // walk the edited body alone. When prev's FuncHashes has run, it also
-// inherits prev's points-to graph and local hashes, which FuncHashes
-// reuses where they provably still hold (hashCarry) and then drops.
+// inherits prev's points-to graph, alias sets, local and closed hashes,
+// which PointsTo, Aliases and FuncHashes reuse where they provably
+// still hold (hashCarry) and FuncHashes then drops.
 //
 // Its error is cparse.ErrDeclined when the function path cannot tell
 // what a whole parse would give; the caller then uses ParseCtx.
@@ -351,9 +355,14 @@ func (s *Snapshot) PointsTo() *pointsto.Graph {
 		}
 		sp := s.span(obs.StagePointsTo)
 		defer sp.End()
-		s.pt = pointsto.Analyze(s.unit, opts)
+		if c := s.carry; c != nil && c.symbolsHold(s) {
+			s.pt, s.ptCarried = pointsto.Reanalyze(c.pt, s.unit, c.fi, opts)
+		} else {
+			s.pt = pointsto.Analyze(s.unit, opts)
+		}
 		sp.Attr("iterations", fmt.Sprint(s.pt.Stats.Iterations)).
-			Attr("nodes", fmt.Sprint(len(s.pt.Nodes)))
+			Attr("nodes", fmt.Sprint(len(s.pt.Nodes))).
+			Attr("carried", fmt.Sprint(s.ptCarried))
 		if s.pt.Stats.Degraded {
 			reason := "points-to budget exhausted; alias sets degraded to everything-aliases"
 			sp.Attr("degraded", reason)
@@ -363,12 +372,17 @@ func (s *Snapshot) PointsTo() *pointsto.Graph {
 	return s.pt
 }
 
-// Aliases returns the alias sets derived from the points-to graph.
+// Aliases returns the alias sets derived from the points-to graph; a
+// graph carried from the predecessor's rebinds its alias sets.
 func (s *Snapshot) Aliases() *pointsto.AliasSets {
 	s.aliasOnce.Do(func() {
 		pt := s.PointsTo()
-		sp := s.span(obs.StageAliases)
-		s.aliases = pointsto.ComputeAliases(pt)
+		sp := s.span(obs.StageAliases).Attr("carried", fmt.Sprint(s.ptCarried))
+		if s.ptCarried {
+			s.aliases = s.carry.aliases.Rebind(pt)
+		} else {
+			s.aliases = pointsto.ComputeAliases(pt)
+		}
 		sp.End()
 	})
 	return s.aliases

@@ -32,19 +32,30 @@ func (g *Graph) generate(unit *cast.TranslationUnit) {
 			}
 		}
 	}
-	for _, f := range unit.Funcs {
-		cast.Inspect(f.Body, func(n cast.Node) bool {
-			switch x := n.(type) {
-			case *cast.VarDecl:
-				g.genDecl(x)
-			case *cast.AssignExpr:
-				if x.Op == cast.AssignPlain || x.Op == cast.AssignAdd || x.Op == cast.AssignSub {
-					g.genAssign(x.LHS, x.RHS)
-				}
-			}
-			return true
-		})
+	g.bodies = make([]genRange, len(unit.Funcs))
+	for i, f := range unit.Funcs {
+		g.bodies[i] = g.genBody(f)
 	}
+}
+
+// genBody emits f's body's constraints and returns the range of nodes
+// and constraints it generated.
+func (g *Graph) genBody(f *cast.FuncDef) genRange {
+	bodiesGenerated.Add(1)
+	r := genRange{nodeLo: g.base + len(g.Nodes), consLo: len(g.constraints)}
+	cast.Inspect(f.Body, func(n cast.Node) bool {
+		switch x := n.(type) {
+		case *cast.VarDecl:
+			g.genDecl(x)
+		case *cast.AssignExpr:
+			if x.Op == cast.AssignPlain || x.Op == cast.AssignAdd || x.Op == cast.AssignSub {
+				g.genAssign(x.LHS, x.RHS)
+			}
+		}
+		return true
+	})
+	r.nodeHi, r.consHi = g.base+len(g.Nodes), len(g.constraints)
+	return r
 }
 
 func (g *Graph) genDecl(d *cast.VarDecl) {
@@ -53,9 +64,8 @@ func (g *Graph) genDecl(d *cast.VarDecl) {
 	}
 	agg := ctype.IsArray(d.Type) || isRecordType(d.Type)
 	node := g.nodeForSym(d.Sym, agg)
-	_ = node
 	if d.Init != nil {
-		g.genAssignToNode(node.ID, false, d.Init)
+		g.genAssignToNode(node, false, d.Init)
 	}
 }
 
@@ -83,22 +93,22 @@ func (g *Graph) lvalueNode(lv cast.Expr) (nodeID int, indirect bool, ok bool) {
 			return 0, false, false
 		}
 		agg := ctype.IsArray(x.Sym.Type) || isRecordType(x.Sym.Type)
-		return g.nodeForSym(x.Sym, agg).ID, false, true
+		return g.nodeForSym(x.Sym, agg), false, true
 	case *cast.UnaryExpr:
 		if x.Op != cast.UnaryDeref {
 			return 0, false, false
 		}
 		if id, okc := cast.Unparen(x.Operand).(*cast.Ident); okc && id.Sym != nil {
-			return g.nodeForSym(id.Sym, false).ID, true, true
+			return g.nodeForSym(id.Sym, false), true, true
 		}
 		return 0, false, false
 	case *cast.IndexExpr:
 		// a[i] = v: writing into the aggregate a (or through pointer a).
 		if id, okc := cast.Unparen(x.Base).(*cast.Ident); okc && id.Sym != nil {
 			if ctype.IsArray(id.Sym.Type) {
-				return g.nodeForSym(id.Sym, true).ID, false, true
+				return g.nodeForSym(id.Sym, true), false, true
 			}
-			return g.nodeForSym(id.Sym, false).ID, true, true
+			return g.nodeForSym(id.Sym, false), true, true
 		}
 		return 0, false, false
 	case *cast.MemberExpr:
@@ -109,14 +119,14 @@ func (g *Graph) lvalueNode(lv cast.Expr) (nodeID int, indirect bool, ok bool) {
 		}
 		if x.Arrow {
 			// p->f = v stores through p into its (aggregate) pointee.
-			return g.nodeForSym(id.Sym, false).ID, true, true
+			return g.nodeForSym(id.Sym, false), true, true
 		}
 		if g.fieldSensitive && isRecordType(id.Sym.Type) {
 			// s.f = v writes into the member's own node.
-			return g.nodeForField(id.Sym, x.Member).ID, false, true
+			return g.nodeForField(id.Sym, x.Member), false, true
 		}
 		// s.f = v writes into the aggregate s.
-		return g.nodeForSym(id.Sym, true).ID, false, true
+		return g.nodeForSym(id.Sym, true), false, true
 	default:
 		return 0, false, false
 	}
@@ -131,17 +141,15 @@ func (g *Graph) genAssignToNode(target int, indirect bool, rhs cast.Expr) {
 		case v.isAddr && indirect:
 			// *p = &x: every pointee of p gains x. Model via a synthetic
 			// copy through a fresh node holding {x}.
-			tmp := g.newHeapNode(nil) // reuse node machinery as a temp
-			tmp.Kind = NodeVar
-			g.addConstraint(addrOf, tmp.ID, v.node)
-			g.addConstraint(store, target, tmp.ID)
+			tmp := g.newTempNode()
+			g.addConstraint(addrOf, tmp, v.node)
+			g.addConstraint(store, target, tmp)
 		case v.isLoad && !indirect:
 			g.addConstraint(load, target, v.node)
 		case v.isLoad && indirect:
-			tmp := g.newHeapNode(nil)
-			tmp.Kind = NodeVar
-			g.addConstraint(load, tmp.ID, v.node)
-			g.addConstraint(store, target, tmp.ID)
+			tmp := g.newTempNode()
+			g.addConstraint(load, tmp, v.node)
+			g.addConstraint(store, target, tmp)
 		case indirect:
 			g.addConstraint(store, target, v.node)
 		default:
@@ -168,10 +176,10 @@ func (g *Graph) rhsValues(e cast.Expr) []rhsValue {
 		switch {
 		case ctype.IsArray(t):
 			// Array names decay to the address of the aggregate.
-			return []rhsValue{{node: g.nodeForSym(x.Sym, true).ID, isAddr: true}}
+			return []rhsValue{{node: g.nodeForSym(x.Sym, true), isAddr: true}}
 		case ctype.IsPointer(t) || isRecordType(t):
 			agg := isRecordType(t)
-			return []rhsValue{{node: g.nodeForSym(x.Sym, agg).ID}}
+			return []rhsValue{{node: g.nodeForSym(x.Sym, agg)}}
 		default:
 			return nil
 		}
@@ -185,7 +193,7 @@ func (g *Graph) rhsValues(e cast.Expr) []rhsValue {
 					return nil
 				}
 				agg := ctype.IsArray(iv.Sym.Type) || isRecordType(iv.Sym.Type)
-				return []rhsValue{{node: g.nodeForSym(iv.Sym, agg).ID, isAddr: true}}
+				return []rhsValue{{node: g.nodeForSym(iv.Sym, agg), isAddr: true}}
 			case *cast.IndexExpr:
 				// &a[i] ≈ a (+ i)
 				return g.rhsValues(iv.Base)
@@ -193,9 +201,9 @@ func (g *Graph) rhsValues(e cast.Expr) []rhsValue {
 				// &s.f ≈ &s under the aggregate model.
 				if id, ok := cast.Unparen(iv.Base).(*cast.Ident); ok && id.Sym != nil {
 					if iv.Arrow {
-						return []rhsValue{{node: g.nodeForSym(id.Sym, false).ID}}
+						return []rhsValue{{node: g.nodeForSym(id.Sym, false)}}
 					}
-					return []rhsValue{{node: g.nodeForSym(id.Sym, true).ID, isAddr: true}}
+					return []rhsValue{{node: g.nodeForSym(id.Sym, true), isAddr: true}}
 				}
 				return nil
 			default:
@@ -203,17 +211,17 @@ func (g *Graph) rhsValues(e cast.Expr) []rhsValue {
 			}
 		case cast.UnaryDeref:
 			if id, ok := cast.Unparen(x.Operand).(*cast.Ident); ok && id.Sym != nil {
-				return []rhsValue{{node: g.nodeForSym(id.Sym, false).ID, isLoad: true}}
+				return []rhsValue{{node: g.nodeForSym(id.Sym, false), isLoad: true}}
 			}
 			return nil
 		default:
 			return nil
 		}
 	case *cast.StringLit:
-		return []rhsValue{{node: g.newStringNode(x).ID, isAddr: true}}
+		return []rhsValue{{node: g.newStringNode(x), isAddr: true}}
 	case *cast.CallExpr:
 		if IsHeapAllocator(x.Callee()) {
-			return []rhsValue{{node: g.newHeapNode(x).ID, isAddr: true}}
+			return []rhsValue{{node: g.newHeapNode(x), isAddr: true}}
 		}
 		return nil
 	case *cast.BinaryExpr:
@@ -242,20 +250,20 @@ func (g *Graph) rhsValues(e cast.Expr) []rhsValue {
 		// load from the aggregate when elements are pointers.
 		if id, ok := cast.Unparen(x.Base).(*cast.Ident); ok && id.Sym != nil {
 			if ctype.IsArray(id.Sym.Type) {
-				return []rhsValue{{node: g.nodeForSym(id.Sym, true).ID}}
+				return []rhsValue{{node: g.nodeForSym(id.Sym, true)}}
 			}
-			return []rhsValue{{node: g.nodeForSym(id.Sym, false).ID, isLoad: true}}
+			return []rhsValue{{node: g.nodeForSym(id.Sym, false), isLoad: true}}
 		}
 		return nil
 	case *cast.MemberExpr:
 		if id, ok := cast.Unparen(x.Base).(*cast.Ident); ok && id.Sym != nil {
 			if x.Arrow {
-				return []rhsValue{{node: g.nodeForSym(id.Sym, false).ID, isLoad: true}}
+				return []rhsValue{{node: g.nodeForSym(id.Sym, false), isLoad: true}}
 			}
 			if g.fieldSensitive && isRecordType(id.Sym.Type) {
-				return []rhsValue{{node: g.nodeForField(id.Sym, x.Member).ID}}
+				return []rhsValue{{node: g.nodeForField(id.Sym, x.Member)}}
 			}
-			return []rhsValue{{node: g.nodeForSym(id.Sym, true).ID}}
+			return []rhsValue{{node: g.nodeForSym(id.Sym, true)}}
 		}
 		return nil
 	case *cast.PostfixExpr:
