@@ -478,7 +478,7 @@ func BenchmarkPipelineStages(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		snap := analysis.New(unit)
+		snap := analysis.New(unit, analysis.Config{})
 		if len(snap.Findings()) == 0 { // forces the whole analysis stack once
 			b.Fatal("no findings on the overflow program")
 		}

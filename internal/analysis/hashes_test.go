@@ -31,7 +31,7 @@ func refIdentSet(src string) map[string]bool {
 }
 
 func refNormalize(src string) string {
-	return clex.CollapseSpace(clex.MaskComments(src))
+	return strings.Join(strings.Fields(clex.MaskComments(src)), " ")
 }
 
 // hashEdgeCases mixes comments into every position the normalization

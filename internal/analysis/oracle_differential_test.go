@@ -116,7 +116,7 @@ func renderOracles(t *testing.T, w io.Writer, u oracleUnit, set string) {
 		t.Fatalf("%s: parse: %v", u.name, err)
 	}
 	o, i := oracleOptions(set)
-	s := NewWithConfig(tu, Config{Overflow: &o, Intflow: &i})
+	s := New(tu, Config{Overflow: &o, Intflow: &i})
 	ovf := s.Findings()
 	ovfDeg := s.Degradations()
 	ints := s.IntFindings()

@@ -132,16 +132,10 @@ type Snapshot struct {
 	degraded []string
 }
 
-// New wraps an already parsed translation unit in a snapshot with the
-// default analysis configuration.
-func New(unit *cast.TranslationUnit) *Snapshot {
-	return NewWithConfig(unit, Config{})
-}
-
-// NewWithConfig wraps a parsed translation unit with an explicit
-// configuration: oracle options and budgets, or, for the alias-precision
-// ablation, a field-sensitive points-to model.
-func NewWithConfig(unit *cast.TranslationUnit, conf Config) *Snapshot {
+// New wraps an already parsed translation unit in a snapshot under conf:
+// oracle options and budgets, or, for the alias-precision ablation, a
+// field-sensitive points-to model. The zero Config is the default.
+func New(unit *cast.TranslationUnit, conf Config) *Snapshot {
 	s := &Snapshot{
 		unit: unit,
 		conf: conf,
@@ -187,7 +181,7 @@ func ParseCtx(ctx context.Context, filename, source string, conf Config) (*Snaps
 		return nil, err
 	}
 	sp.Attr("funcs", fmt.Sprint(len(unit.Funcs)))
-	return NewWithConfig(unit, conf), nil
+	return New(unit, conf), nil
 }
 
 // ParseFuncCtx is ParseCtx for an edit that lies strictly inside the
@@ -262,7 +256,7 @@ func ParseFuncCtx(ctx context.Context, prev *Snapshot, fi int, source string, co
 		Symbols: symbols, Bodies: bodies, Tags: old.Tags}
 	unit.SetExtent(ctoken.Extent{Pos: 0, End: ctoken.Pos(len(source))})
 	sp.Attr("func", fn.Name)
-	snap = NewWithConfig(unit, conf)
+	snap = New(unit, conf)
 	snap.walks = prev.inheritWalks(fi)
 	snap.carry = prev.carryFor(fi, old.Symbols[r.Lo:r.Hi])
 	return snap, restore, nil

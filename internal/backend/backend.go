@@ -80,9 +80,6 @@ type Replacement struct {
 type Backend interface {
 	// Name is the canonical backend name ("glib", "bsd", "c11k").
 	Name() string
-	// Description is a one-line human-readable summary for -h output
-	// and docs.
-	Description() string
 	// Lookup returns the dialect's rule for an unsafe function.
 	Lookup(unsafe string) (Replacement, bool)
 	// UnsafeFunctions lists the unsafe functions the dialect replaces,
@@ -92,23 +89,18 @@ type Backend interface {
 	// when the dialect's headers are unavailable; emitted by
 	// EmitSupport and `cfix -support`.
 	Prototypes() string
-	// LinkNote names the link-time requirement of the dialect's safe
-	// functions ("" when plain libc suffices).
-	LinkNote() string
 }
 
 // dialect is the table-driven Backend implementation all three shipped
 // backends use.
 type dialect struct {
-	name, desc, protos, linkNote string
-	order                        []string
-	rules                        map[string]Replacement
+	name, protos string
+	order        []string
+	rules        map[string]Replacement
 }
 
-func (d *dialect) Name() string        { return d.name }
-func (d *dialect) Description() string { return d.desc }
-func (d *dialect) Prototypes() string  { return d.protos }
-func (d *dialect) LinkNote() string    { return d.linkNote }
+func (d *dialect) Name() string       { return d.name }
+func (d *dialect) Prototypes() string { return d.protos }
 
 func (d *dialect) Lookup(unsafe string) (Replacement, bool) {
 	r, ok := d.rules[unsafe]
@@ -128,11 +120,9 @@ var _order = []string{"strcpy", "strcat", "sprintf", "vsprintf", "memcpy", "gets
 // changes stay minimal (Section II-A3). Its output is byte-identical
 // to the historical hard-coded transformation.
 var Glib Backend = &dialect{
-	name:     "glib",
-	desc:     "glib-style g_strlcpy/g_strlcat/g_snprintf (the paper's dialect; default)",
-	linkNote: "-lglib-2.0",
-	protos:   glibPrototypes(),
-	order:    _order,
+	name:   "glib",
+	protos: glibPrototypes(),
+	order:  _order,
 	rules: map[string]Replacement{
 		"strcpy":   {Unsafe: "strcpy", Safe: "g_strlcpy", Kind: KindRename, SizeAfterArg: 1, MinArgs: 2, NeedsLib: true},
 		"strcat":   {Unsafe: "strcat", Safe: "g_strlcat", Kind: KindRename, SizeAfterArg: 1, MinArgs: 2, NeedsLib: true},
@@ -148,11 +138,9 @@ var Glib Backend = &dialect{
 // printf family maps to snprintf/vsnprintf, and memcpy keeps the
 // clamped form.
 var BSD Backend = &dialect{
-	name:     "bsd",
-	desc:     "BSD strlcpy/strlcat with C99 snprintf/vsnprintf (libbsd on glibc)",
-	linkNote: "-lbsd",
-	protos:   bsdPrototypes(),
-	order:    _order,
+	name:   "bsd",
+	protos: bsdPrototypes(),
+	order:  _order,
 	rules: map[string]Replacement{
 		"strcpy":   {Unsafe: "strcpy", Safe: "strlcpy", Kind: KindRename, SizeAfterArg: 1, MinArgs: 2, NeedsLib: true},
 		"strcat":   {Unsafe: "strcat", Safe: "strlcat", Kind: KindRename, SizeAfterArg: 1, MinArgs: 2, NeedsLib: true},
@@ -170,11 +158,9 @@ var BSD Backend = &dialect{
 // modelled by the checked interpreter. gets_s discards the trailing
 // newline itself, so no stripping sequence is emitted.
 var C11K Backend = &dialect{
-	name:     "c11k",
-	desc:     "C11 Annex K strcpy_s/strcat_s/sprintf_s/memcpy_s/gets_s (size before source)",
-	linkNote: "a TR 24731-1 implementation (define __STDC_WANT_LIB_EXT1__)",
-	protos:   c11kPrototypes(),
-	order:    _order,
+	name:   "c11k",
+	protos: c11kPrototypes(),
+	order:  _order,
 	rules: map[string]Replacement{
 		"strcpy":   {Unsafe: "strcpy", Safe: "strcpy_s", Kind: KindRename, SizeAfterArg: 0, MinArgs: 2, NeedsLib: true},
 		"strcat":   {Unsafe: "strcat", Safe: "strcat_s", Kind: KindRename, SizeAfterArg: 0, MinArgs: 2, NeedsLib: true},

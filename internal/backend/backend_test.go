@@ -160,12 +160,6 @@ func TestPrototypesParseAndCheck(t *testing.T) {
 			t.Fatalf("%s prototypes do not parse: %v", name, err)
 		}
 		typecheck.Check(unit)
-		if b.LinkNote() == "" {
-			t.Fatalf("%s: empty LinkNote", name)
-		}
-		if b.Description() == "" {
-			t.Fatalf("%s: empty Description", name)
-		}
 	}
 }
 

@@ -234,7 +234,7 @@ int main(void) {
 	if res.Stdout != "0" {
 		t.Fatalf("got %q", res.Stdout)
 	}
-	if res.ViolationsByCWE()[127] == 0 {
+	if byCWE(res)[127] == 0 {
 		t.Fatalf("expected CWE-127: %v", res.Violations)
 	}
 }
@@ -284,7 +284,7 @@ func TestMissingEntryError(t *testing.T) {
 }
 
 func TestCallUndefinedFunctionErrors(t *testing.T) {
-	_, err := LoadAndRun("t.c", `
+	_, err := loadAndRun("t.c", `
 int main(void) {
     totally_undefined();
     return 0;

@@ -7,10 +7,8 @@ import (
 	"strings"
 
 	"repro/internal/cast"
-	"repro/internal/cparse"
 	"repro/internal/ctoken"
 	"repro/internal/ctype"
-	"repro/internal/typecheck"
 )
 
 // ctokenExtent aliases the source-extent type for brevity in the typed
@@ -55,15 +53,6 @@ type Result struct {
 // HasViolations reports whether any memory-safety event occurred.
 func (r *Result) HasViolations() bool { return len(r.Violations) > 0 }
 
-// ViolationsByCWE counts events per CWE.
-func (r *Result) ViolationsByCWE() map[int]int {
-	out := make(map[int]int)
-	for _, v := range r.Violations {
-		out[v.CWE]++
-	}
-	return out
-}
-
 // Interp executes functions of one translation unit.
 type Interp struct {
 	unit    *cast.TranslationUnit
@@ -77,8 +66,8 @@ type Interp struct {
 	ptrTable   []Pointer
 
 	out       strings.Builder
-	stdin     []string // queued input lines for gets/fgets
-	env       map[string]string
+	stdin     []string          // queued input lines for gets/fgets
+	env       map[string]string // visible to getenv; empty outside tests
 	events    []Violation
 	steps     int64
 	heapUsed  int64
@@ -114,34 +103,9 @@ func New(unit *cast.TranslationUnit, limits Limits) (*Interp, error) {
 	return in, nil
 }
 
-// LoadAndRun parses, checks and runs src's entry function with the given
-// stdin lines. It is the one-call convenience used by the evaluation
-// harness.
-func LoadAndRun(name, src, entry string, stdin []string, limits Limits) (*Result, error) {
-	unit, err := cparse.Parse(name, src)
-	if err != nil {
-		return nil, fmt.Errorf("cinterp: parse: %w", err)
-	}
-	typecheck.Check(unit)
-	in, err := New(unit, limits)
-	if err != nil {
-		return nil, err
-	}
-	in.SetStdin(stdin)
-	return in.Run(entry)
-}
-
 // SetStdin queues input lines consumed by gets/fgets.
 func (in *Interp) SetStdin(lines []string) {
 	in.stdin = append([]string(nil), lines...)
-}
-
-// SetEnv provides the environment visible to getenv.
-func (in *Interp) SetEnv(env map[string]string) {
-	in.env = make(map[string]string, len(env))
-	for k, v := range env {
-		in.env[k] = v
-	}
 }
 
 // Run executes the named function with no arguments and collects the

@@ -1,16 +1,44 @@
 package cinterp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/cparse"
 	"repro/internal/stralloc"
+	"repro/internal/typecheck"
 )
+
+// loadAndRun parses, checks and runs src's entry function with the given
+// stdin lines.
+func loadAndRun(name, src, entry string, stdin []string, limits Limits) (*Result, error) {
+	unit, err := cparse.Parse(name, src)
+	if err != nil {
+		return nil, fmt.Errorf("cinterp: parse: %w", err)
+	}
+	typecheck.Check(unit)
+	in, err := New(unit, limits)
+	if err != nil {
+		return nil, err
+	}
+	in.SetStdin(stdin)
+	return in.Run(entry)
+}
+
+// byCWE counts a run's memory-safety events per CWE.
+func byCWE(r *Result) map[int]int {
+	out := make(map[int]int)
+	for _, v := range r.Violations {
+		out[v.CWE]++
+	}
+	return out
+}
 
 // run executes src's entry function, failing the test on hard errors.
 func run(t *testing.T, src, entry string, stdin ...string) *Result {
 	t.Helper()
-	res, err := LoadAndRun("t.c", src, entry, stdin, Limits{})
+	res, err := loadAndRun("t.c", src, entry, stdin, Limits{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -206,7 +234,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if got := res.ViolationsByCWE()[121]; got == 0 {
+	if got := byCWE(res)[121]; got == 0 {
 		t.Fatalf("expected CWE-121, got %v", res.Violations)
 	}
 }
@@ -219,7 +247,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if got := res.ViolationsByCWE()[122]; got == 0 {
+	if got := byCWE(res)[122]; got == 0 {
 		t.Fatalf("expected CWE-122, got %v", res.Violations)
 	}
 }
@@ -234,7 +262,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if got := res.ViolationsByCWE()[124]; got == 0 {
+	if got := byCWE(res)[124]; got == 0 {
 		t.Fatalf("expected CWE-124, got %v", res.Violations)
 	}
 }
@@ -250,7 +278,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if got := res.ViolationsByCWE()[126]; got == 0 {
+	if got := byCWE(res)[126]; got == 0 {
 		t.Fatalf("expected CWE-126, got %v", res.Violations)
 	}
 }
@@ -267,7 +295,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if got := res.ViolationsByCWE()[127]; got == 0 {
+	if got := byCWE(res)[127]; got == 0 {
 		t.Fatalf("expected CWE-127, got %v", res.Violations)
 	}
 }
@@ -281,7 +309,7 @@ int main(void) {
     return 0;
 }
 `, "main", "a very long line that overflows the small buffer")
-	if got := res.ViolationsByCWE()[121]; got == 0 {
+	if got := byCWE(res)[121]; got == 0 {
 		t.Fatalf("expected CWE-121 from gets, got %v", res.Violations)
 	}
 }
@@ -329,7 +357,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if got := res.ViolationsByCWE()[416]; got == 0 {
+	if got := byCWE(res)[416]; got == 0 {
 		t.Fatalf("expected CWE-416, got %v", res.Violations)
 	}
 }
@@ -342,7 +370,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if got := res.ViolationsByCWE()[476]; got == 0 {
+	if got := byCWE(res)[476]; got == 0 {
 		t.Fatalf("expected CWE-476, got %v", res.Violations)
 	}
 }
@@ -358,7 +386,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if got := res.ViolationsByCWE()[121]; got == 0 {
+	if got := byCWE(res)[121]; got == 0 {
 		t.Fatalf("expected CWE-121 from sign-extended %%o, got %v", res.Violations)
 	}
 	// And the SLR fix (g_snprintf with sizeof) removes it.
@@ -489,7 +517,7 @@ int main(void) {
 }
 
 func TestStepLimitEnforced(t *testing.T) {
-	_, err := LoadAndRun("t.c", `
+	_, err := loadAndRun("t.c", `
 int main(void) {
     for (;;) {}
     return 0;

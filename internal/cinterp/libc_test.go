@@ -111,12 +111,12 @@ int main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.SetEnv(map[string]string{"HOME": "/root"})
+	in.env = map[string]string{"HOME": "/home/user"}
 	res, err := in.Run("main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stdout != "/root|1" {
+	if res.Stdout != "/home/user|1" {
 		t.Fatalf("got %q", res.Stdout)
 	}
 }
@@ -149,7 +149,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if res.ViolationsByCWE()[415] == 0 {
+	if byCWE(res)[415] == 0 {
 		t.Fatalf("expected CWE-415 double free, got %v", res.Violations)
 	}
 }
@@ -217,7 +217,7 @@ int main(void) {
     return 0;
 }
 `, "main")
-	if res.ViolationsByCWE()[369] == 0 {
+	if byCWE(res)[369] == 0 {
 		t.Fatalf("expected CWE-369, got %v", res.Violations)
 	}
 	if res.Stdout != "0" {
@@ -244,7 +244,7 @@ int main(void) {
 }
 
 func TestRecursionDepthLimit(t *testing.T) {
-	_, err := LoadAndRun("t.c", `
+	_, err := loadAndRun("t.c", `
 int down(int n) { return down(n + 1); }
 int main(void) { return down(0); }
 `, "main", nil, Limits{MaxFrames: 50})
@@ -254,7 +254,7 @@ int main(void) { return down(0); }
 }
 
 func TestHeapLimit(t *testing.T) {
-	_, err := LoadAndRun("t.c", `
+	_, err := loadAndRun("t.c", `
 int main(void) {
     for (;;) { malloc(1024); }
     return 0;

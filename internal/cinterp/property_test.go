@@ -81,7 +81,7 @@ func TestPropertyExpressionSemantics(t *testing.T) {
 		}
 		sb.WriteString(");\n    return 0;\n}\n")
 
-		res, err := LoadAndRun("prop.c", sb.String(), "main", nil, Limits{})
+		res, err := loadAndRun("prop.c", sb.String(), "main", nil, Limits{})
 		if err != nil {
 			t.Logf("run error: %v\n%s", err, sb.String())
 			return false
@@ -115,7 +115,7 @@ int main(void) {
     return 0;
 }
 `, n, n)
-		res, err := LoadAndRun("p.c", src, "main", nil, Limits{})
+		res, err := loadAndRun("p.c", src, "main", nil, Limits{})
 		if err != nil || res.HasViolations() {
 			return false
 		}
@@ -139,7 +139,7 @@ int main(void) {
     return 0;
 }
 `, capN, strings.Repeat("a", strLen))
-		res, err := LoadAndRun("p.c", src, "main", nil, Limits{})
+		res, err := loadAndRun("p.c", src, "main", nil, Limits{})
 		if err != nil {
 			return false
 		}

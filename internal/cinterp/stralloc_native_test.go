@@ -53,11 +53,11 @@ int main(void) {
 // interpreted C implementation and the native builtins; the observable
 // outputs must be identical.
 func TestNativeMatchesInterpreted(t *testing.T) {
-	interpreted, err := LoadAndRun("interp.c", stralloc.FullSource()+strallocDriver, "main", nil, Limits{})
+	interpreted, err := loadAndRun("interp.c", stralloc.FullSource()+strallocDriver, "main", nil, Limits{})
 	if err != nil {
 		t.Fatalf("interpreted: %v", err)
 	}
-	native, err := LoadAndRun("native.c", stralloc.Header()+strallocDriver, "main", nil, Limits{})
+	native, err := loadAndRun("native.c", stralloc.Header()+strallocDriver, "main", nil, Limits{})
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}

@@ -36,10 +36,3 @@ func MaskComments(src string) string {
 	sb.WriteString(src[cursor:])
 	return sb.String()
 }
-
-// CollapseSpace collapses every whitespace run in s to a single space
-// and trims the ends — the normalization dependency hashing applies so
-// reformatting alone never invalidates a function's facts.
-func CollapseSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
-}

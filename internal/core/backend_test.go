@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/backend"
 )
 
 // TestFixBackendGlibIsDefault: an explicit Backend: "glib" must be
@@ -194,7 +196,7 @@ func TestLintFixTextNamesDialect(t *testing.T) {
 // variable the dialect's safe call only reads, whatever the dialect.
 func TestSTRDecidesSafeSourceAlikeAcrossDialects(t *testing.T) {
 	src := "char g[32];\nvoid f(void) {\n    char src[16] = \"hello\";\n    strcpy(g, src);\n}\n"
-	for _, be := range Backends() {
+	for _, be := range backend.Names() {
 		rep, err := Fix(context.Background(), "f.c", src, Options{SelectOffset: -1, Backend: be})
 		if err != nil {
 			t.Fatalf("%s: %v", be, err)

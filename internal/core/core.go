@@ -262,11 +262,6 @@ func canonicalBackend(s string) string {
 	return name
 }
 
-// Backends lists the valid Options.Backend names in registry order.
-func Backends() []string {
-	return backend.Names()
-}
-
 // lintFindings runs the selected oracles over one snapshot and merges
 // their findings into a single source-ordered report.
 func lintFindings(snap *analysis.Snapshot, cs checkSet) []overflow.Finding {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/corpus"
 	"repro/internal/digest"
 	"repro/internal/samate"
@@ -93,7 +94,7 @@ func TestFixOutputDigest(t *testing.T) {
 	sort.Strings(names)
 	var sections []digest.Section
 	for _, corp := range names {
-		for _, be := range Backends() {
+		for _, be := range backend.Names() {
 			var sb strings.Builder
 			for _, in := range corpora[corp] {
 				renderFix(t, &sb, in, be)

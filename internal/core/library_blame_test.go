@@ -27,7 +27,7 @@ func TestSTRNeverBlamesLibrary(t *testing.T) {
 		}
 	}
 	sort.Strings(names)
-	for _, be := range Backends() {
+	for _, be := range backend.Names() {
 		blamed := 0
 		for _, corp := range names {
 			for _, in := range corpora[corp] {

@@ -320,7 +320,7 @@ func TestIdentityMap(t *testing.T) {
 	if res.Text != src {
 		t.Fatalf("identity violated:\n got: %q\nwant: %q", res.Text, src)
 	}
-	segs := res.Map.Segments()
+	segs := res.Map.segs
 	if len(segs) != 1 {
 		t.Fatalf("want a single Direct segment, got %d: %+v", len(segs), segs)
 	}

@@ -69,28 +69,6 @@ type SourceMap struct {
 // MainFile returns the name of the translation unit's root file.
 func (m *SourceMap) MainFile() string { return m.main }
 
-// Segments returns the mapping segments in output order (for tests and
-// tooling; the slice is shared, do not mutate).
-func (m *SourceMap) Segments() []Segment { return m.segs }
-
-// FileContent returns the content of an original file the preprocessor
-// read (the main file, or any header it inlined).
-func (m *SourceMap) FileContent(name string) (string, bool) {
-	s, ok := m.files[name]
-	return s, ok
-}
-
-// Files lists every original file that contributed to the output,
-// sorted by name.
-func (m *SourceMap) Files() []string {
-	out := make([]string, 0, len(m.files))
-	for name := range m.files {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // segAt returns the segment containing output offset p (nil when p is
 // outside every segment, which only happens for an empty output).
 func (m *SourceMap) segAt(p int) *Segment {

@@ -36,7 +36,7 @@ func checkMapProperty(t *testing.T, res *Result) (exact, inexact int) {
 			continue
 		}
 		exact++
-		content, have := res.Map.FileContent(org.File)
+		content, have := res.Map.files[org.File]
 		if !have {
 			t.Fatalf("exact mapping into unknown file %q for token %q", org.File, tok.Text)
 		}
@@ -197,7 +197,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("non-strict Preprocess returned error: %v", err)
 		}
-		segs := res.Map.Segments()
+		segs := res.Map.segs
 		prev := 0
 		for _, s := range segs {
 			if s.OutPos != prev || s.OutEnd < s.OutPos {
@@ -207,7 +207,7 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("direct segment length mismatch: %+v", s)
 			}
 			if s.Kind == SegDirect {
-				content, ok := res.Map.FileContent(s.File)
+				content, ok := res.Map.files[s.File]
 				if !ok || s.OrigPos < 0 || s.OrigEnd > len(content) {
 					t.Fatalf("direct segment out of range: %+v", s)
 				}

@@ -434,22 +434,6 @@ func IsInteger(t Type) bool {
 	}
 }
 
-// IsArithmetic reports whether t is an arithmetic (integer or floating)
-// type.
-func IsArithmetic(t Type) bool {
-	switch x := Unqualify(t).(type) {
-	case *Basic:
-		return x.IsInteger() || x.IsFloat()
-	case *Enum:
-		return true
-	default:
-		return false
-	}
-}
-
-// IsScalar reports whether t is arithmetic or a pointer.
-func IsScalar(t Type) bool { return IsArithmetic(t) || IsPointer(t) }
-
 // Elem returns the element type of a pointer or array, or nil.
 func Elem(t Type) Type {
 	switch x := Unqualify(t).(type) {

@@ -177,12 +177,6 @@ func TestPredicates(t *testing.T) {
 	if !IsInteger(IntType) || !IsInteger(ULongType) || IsInteger(FloatType) {
 		t.Fatal("IsInteger")
 	}
-	if !IsArithmetic(DoubleType) || IsArithmetic(PointerTo(IntType)) {
-		t.Fatal("IsArithmetic")
-	}
-	if !IsScalar(PointerTo(IntType)) || !IsScalar(IntType) || IsScalar(ArrayOf(IntType, 1)) {
-		t.Fatal("IsScalar")
-	}
 	e := &Enum{Tag: "e"}
 	if !IsInteger(e) || e.Size() != 4 {
 		t.Fatal("enums are int-like")

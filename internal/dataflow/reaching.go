@@ -68,9 +68,9 @@ type ReachingDefs struct {
 	defsBySym map[int][]int
 	// Degraded marks a solve whose step budget was exhausted. The IN
 	// sets were widened to the conservative top (every definition
-	// reaches every node), which is sound for this may-analysis:
-	// UniqueReaching then answers nil, so size reasoning bails rather
-	// than trusting partial facts.
+	// reaches every node), which is sound for this may-analysis: size
+	// reasoning sees every definition and bails rather than trusting
+	// partial facts.
 	Degraded bool
 	// Steps counts the worklist iterations the solve consumed — the
 	// effort figure the observability layer reports per stage span.
@@ -185,17 +185,6 @@ func (rd *ReachingDefs) ReachingFor(n *cfg.Node, sym *cast.Symbol) []*Def {
 		}
 	}
 	return out
-}
-
-// UniqueReaching returns the single definition of sym reaching n, or nil
-// when zero or multiple definitions reach (Algorithm 1 requires a unique
-// "definition reaching B"; merges make the size indeterminate).
-func (rd *ReachingDefs) UniqueReaching(n *cfg.Node, sym *cast.Symbol) *Def {
-	defs := rd.ReachingFor(n, sym)
-	if len(defs) != 1 {
-		return nil
-	}
-	return defs[0]
 }
 
 // collectDefs finds the definitions performed by one CFG node.

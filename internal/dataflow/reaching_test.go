@@ -61,6 +61,15 @@ func callNode(t *testing.T, tu *cast.TranslationUnit, g *cfg.Graph, callee strin
 	return n
 }
 
+// uniqueReaching returns the single definition of sym reaching n, or nil
+// when zero or several reach, the question buflen's Algorithm 1 asks.
+func uniqueReaching(rd *ReachingDefs, n *cfg.Node, sym *cast.Symbol) *Def {
+	if defs := rd.ReachingFor(n, sym); len(defs) == 1 {
+		return defs[0]
+	}
+	return nil
+}
+
 func TestUniqueReachingStraightLine(t *testing.T) {
 	tu, g, rd := prep(t, `
 void f(void) {
@@ -71,7 +80,7 @@ void f(void) {
 `)
 	dst := symNamed(t, tu, "dst")
 	n := callNode(t, tu, g, "strcpy")
-	def := rd.UniqueReaching(n, dst)
+	def := uniqueReaching(rd, n, dst)
 	if def == nil {
 		t.Fatal("expected a unique reaching definition for dst")
 	}
@@ -95,7 +104,7 @@ void f(void) {
 `)
 	p := symNamed(t, tu, "p")
 	n := callNode(t, tu, g, "strcpy")
-	def := rd.UniqueReaching(n, p)
+	def := uniqueReaching(rd, n, p)
 	if def == nil {
 		t.Fatal("expected unique def after kill")
 	}
@@ -129,8 +138,8 @@ void f(int c) {
 	if len(defs) != 2 {
 		t.Fatalf("defs reaching merge: got %d, want 2", len(defs))
 	}
-	if rd.UniqueReaching(n, p) != nil {
-		t.Fatal("UniqueReaching must refuse on merges")
+	if uniqueReaching(rd, n, p) != nil {
+		t.Fatal("a merge must leave no unique reaching definition")
 	}
 }
 
@@ -143,7 +152,7 @@ void f(void) {
 `)
 	p := symNamed(t, tu, "p")
 	n := callNode(t, tu, g, "strcpy")
-	def := rd.UniqueReaching(n, p)
+	def := uniqueReaching(rd, n, p)
 	if def == nil {
 		t.Fatal("uninitialized decl should still be the reaching def")
 	}
@@ -184,7 +193,7 @@ void f(void) {
 `)
 	p := symNamed(t, tu, "p")
 	n := callNode(t, tu, g, "strcpy")
-	def := rd.UniqueReaching(n, p)
+	def := uniqueReaching(rd, n, p)
 	if def == nil {
 		t.Fatal("expected unique reaching def")
 	}

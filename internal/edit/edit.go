@@ -45,11 +45,6 @@ func Insert(pos ctoken.Pos, text string) Delta {
 	return Delta{Extent: ctoken.Extent{Pos: pos, End: pos}, Text: text}
 }
 
-// Delete builds a pure deletion of ext.
-func Delete(ext ctoken.Extent) Delta {
-	return Delta{Extent: ext}
-}
-
 // Replace builds a replacement of ext with text.
 func Replace(ext ctoken.Extent, text string) Delta {
 	return Delta{Extent: ext, Text: text}
@@ -215,7 +210,7 @@ func (s *Script) Apply(src string) (string, error) {
 	return Splice(src, s.Deltas())
 }
 
-// Mapper remaps byte offsets across one applied script: OldToNew carries
+// Mapper remaps byte offsets across one applied script: it carries
 // positions of the original text into the edited text. Positions inside
 // a replaced or deleted span collapse to the span's (new) start. This is
 // the one offset-remapping implementation in the tree — consumers that
@@ -252,10 +247,6 @@ func (m *Mapper) mapPos(p ctoken.Pos, right bool) ctoken.Pos {
 	}
 	return ctoken.Pos(int(p) + shift)
 }
-
-// OldToNew maps a position in the original text to the edited text with
-// right affinity: an insertion exactly at the position lands before it.
-func (m *Mapper) OldToNew(p ctoken.Pos) ctoken.Pos { return m.mapPos(p, true) }
 
 // MapExtent maps an original-coordinate extent into the edited text.
 // The boolean reports exactness: true when no delta landed inside the

@@ -33,9 +33,9 @@ func TestApplyBasics(t *testing.T) {
 		{"empty script", NewScript(), "hello world"},
 		{"insert at start", NewScript(Insert(0, ">> ")), ">> hello world"},
 		{"insert at EOF", NewScript(Insert(ctoken.Pos(len(src)), "!")), "hello world!"},
-		{"delete word", NewScript(Delete(ext(5, 11))), "hello"},
+		{"delete word", NewScript(Delta{Extent: ext(5, 11)}), "hello"},
 		{"replace word", NewScript(Replace(ext(6, 11), "gopher")), "hello gopher"},
-		{"delete everything", NewScript(Delete(ext(0, 11))), ""},
+		{"delete everything", NewScript(Delta{Extent: ext(0, 11)}), ""},
 		{"replace everything", NewScript(Replace(ext(0, 11), "x")), "x"},
 		{
 			"unsorted deltas sort before applying",
@@ -56,12 +56,12 @@ func TestApplyBasics(t *testing.T) {
 // be treated as overlapping, in either queue order.
 func TestApplyAdjacentDeltas(t *testing.T) {
 	src := "abcdef"
-	s := NewScript(Delete(ext(0, 2)), Replace(ext(2, 4), "XY"), Delete(ext(4, 6)))
+	s := NewScript(Delta{Extent: ext(0, 2)}, Replace(ext(2, 4), "XY"), Delta{Extent: ext(4, 6)})
 	if got := mustApply(t, s, src); got != "XY" {
 		t.Fatalf("adjacent deltas: got %q, want %q", got, "XY")
 	}
 	// Insert exactly at a deletion's end boundary.
-	s = NewScript(Delete(ext(0, 3)), Insert(3, "Z"))
+	s = NewScript(Delta{Extent: ext(0, 3)}, Insert(3, "Z"))
 	if got := mustApply(t, s, src); got != "Zdef" {
 		t.Fatalf("insert at deletion end: got %q, want %q", got, "Zdef")
 	}
@@ -93,7 +93,7 @@ func TestApplyAtEOF(t *testing.T) {
 	if got := mustApply(t, NewScript(Insert(eof, ".")), src); got != "end." {
 		t.Fatalf("insert at EOF: got %q", got)
 	}
-	if got := mustApply(t, NewScript(Delete(ext(1, 3))), src); got != "e" {
+	if got := mustApply(t, NewScript(Delta{Extent: ext(1, 3)}), src); got != "e" {
 		t.Fatalf("delete to EOF: got %q", got)
 	}
 	if got := mustApply(t, NewScript(Replace(ext(2, 3), "ough")), src); got != "enough" {
@@ -110,7 +110,7 @@ func TestValidateErrors(t *testing.T) {
 	var be *BoundsError
 	var oe *OverlapError
 
-	_, err := NewScript(Delete(ext(5, 11))).Apply(src)
+	_, err := NewScript(Delta{Extent: ext(5, 11)}).Apply(src)
 	if !errors.As(err, &be) {
 		t.Fatalf("past-EOF delete: got %v, want BoundsError", err)
 	}
@@ -123,7 +123,7 @@ func TestValidateErrors(t *testing.T) {
 		t.Fatalf("inverted extent: got %v, want BoundsError", err)
 	}
 
-	_, err = NewScript(Delete(ext(0, 5)), Replace(ext(4, 8), "x")).Apply(src)
+	_, err = NewScript(Delta{Extent: ext(0, 5)}, Replace(ext(4, 8), "x")).Apply(src)
 	if !errors.As(err, &oe) {
 		t.Fatalf("overlap: got %v, want OverlapError", err)
 	}
@@ -132,16 +132,16 @@ func TestValidateErrors(t *testing.T) {
 	}
 
 	// Insert strictly inside a deleted span is an overlap (ambiguous).
-	_, err = NewScript(Delete(ext(0, 5)), Insert(3, "x")).Apply(src)
+	_, err = NewScript(Delta{Extent: ext(0, 5)}, Insert(3, "x")).Apply(src)
 	if !errors.As(err, &oe) {
 		t.Fatalf("insert inside deletion: got %v, want OverlapError", err)
 	}
 
 	// Validate alone agrees with Apply.
-	if err := Validate(10, []Delta{Delete(ext(0, 5)), Replace(ext(4, 8), "x")}); err == nil {
+	if err := Validate(10, []Delta{{Extent: ext(0, 5)}, Replace(ext(4, 8), "x")}); err == nil {
 		t.Fatal("Validate missed the overlap")
 	}
-	if err := Validate(10, []Delta{Delete(ext(0, 5)), Insert(5, "x"), Delete(ext(5, 7))}); err != nil {
+	if err := Validate(10, []Delta{{Extent: ext(0, 5)}, Insert(5, "x"), {Extent: ext(5, 7)}}); err != nil {
 		t.Fatalf("Validate rejected legal adjacency: %v", err)
 	}
 }
@@ -193,7 +193,7 @@ func randScript(rng *rand.Rand, n int) *Script {
 			if end > n {
 				end = n
 			}
-			s.Add(Delete(ext(pos, end)))
+			s.Add(Delta{Extent: ext(pos, end)})
 			pos = end + 1
 		default: // replace
 			end := pos + rng.Intn(4)
@@ -222,7 +222,7 @@ func randText(rng *rand.Rand) string {
 
 func TestMapperOldToNew(t *testing.T) {
 	src := "0123456789"
-	s := NewScript(Delete(ext(2, 4)), Insert(6, "ab")) // "01" + "45" + "ab" + "6789"
+	s := NewScript(Delta{Extent: ext(2, 4)}, Insert(6, "ab")) // "01" + "45" + "ab" + "6789"
 	out := mustApply(t, s, src)
 	if out != "0145ab6789" {
 		t.Fatalf("setup: %q", out)
@@ -236,15 +236,15 @@ func TestMapperOldToNew(t *testing.T) {
 		{7, 7}, {9, 9}, {10, 10},
 	}
 	for _, c := range cases {
-		if got := m.OldToNew(ctoken.Pos(c.old)); int(got) != c.new {
-			t.Errorf("OldToNew(%d) = %d, want %d", c.old, got, c.new)
+		if got := m.mapPos(ctoken.Pos(c.old), true); int(got) != c.new {
+			t.Errorf("mapPos(%d) = %d, want %d", c.old, got, c.new)
 		}
 	}
 }
 
 func TestMapExtent(t *testing.T) {
 	src := "0123456789abcdef"
-	s := NewScript(Delete(ext(2, 4)), Insert(8, "XY"), Replace(ext(10, 12), "z"))
+	s := NewScript(Delta{Extent: ext(2, 4)}, Insert(8, "XY"), Replace(ext(10, 12), "z"))
 	out := mustApply(t, s, src)
 	m := NewMapper(s)
 

@@ -27,7 +27,7 @@ func decodeDeltas(data []byte, n int) []Delta {
 		case 0:
 			out = append(out, Insert(ctoken.Pos(pos), text))
 		case 1:
-			out = append(out, Delete(e))
+			out = append(out, Delta{Extent: e})
 		default:
 			out = append(out, Replace(e, text))
 		}
@@ -126,9 +126,9 @@ func FuzzApply(f *testing.F) {
 					continue pos
 				}
 			}
-			np := m.OldToNew(ctoken.Pos(p))
+			np := m.mapPos(ctoken.Pos(p), true)
 			if int(np) >= len(out) || out[np] != src[p] {
-				t.Fatalf("OldToNew(%d)=%d maps %q astray in %q\ndeltas=%v", p, np, src[p], out, valid)
+				t.Fatalf("mapPos(%d)=%d maps %q astray in %q\ndeltas=%v", p, np, src[p], out, valid)
 			}
 		}
 	})

@@ -42,9 +42,8 @@ type Limits struct {
 // meter, so budgets are deterministic regardless of how many solves a
 // file needs or in which order they run.
 type Meter struct {
-	lim       Limits
-	steps     int
-	exhausted bool
+	lim   Limits
+	steps int
 }
 
 // NewMeter starts metering one solve.
@@ -56,15 +55,8 @@ func (l Limits) NewMeter() *Meter { return &Meter{lim: l} }
 func (m *Meter) Step() bool {
 	CheckCtx(m.lim.Ctx)
 	m.steps++
-	if m.lim.Steps > 0 && m.steps > m.lim.Steps {
-		m.exhausted = true
-		return false
-	}
-	return true
+	return m.lim.Steps <= 0 || m.steps <= m.lim.Steps
 }
-
-// Exhausted reports whether the step budget ran out.
-func (m *Meter) Exhausted() bool { return m.exhausted }
 
 // Steps reports how many solver iterations the meter has consumed so
 // far — the per-solve effort figure the observability layer attaches to

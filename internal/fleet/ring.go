@@ -80,11 +80,6 @@ func ringHash(s string) uint64 {
 // Members returns the configured member list in input order.
 func (r *Ring) Members() []string { return r.members }
 
-// Owner returns the member owning key (the first replica).
-func (r *Ring) Owner(key string) string {
-	return r.Replicas(key)[0]
-}
-
 // Replicas returns every distinct member in preference order for key:
 // the owner first, then each next distinct member walking the ring
 // clockwise. The router tries them in order for retries and hedges, so

@@ -12,14 +12,14 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 	b := NewRing([]string{"http://c", "http://a", "http://b"}, 0)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if a.Owner(key) != b.Owner(key) {
-			t.Fatalf("key %q: owner differs by member order: %s vs %s", key, a.Owner(key), b.Owner(key))
+		if a.Replicas(key)[0] != b.Replicas(key)[0] {
+			t.Fatalf("key %q: owner differs by member order: %s vs %s", key, a.Replicas(key)[0], b.Replicas(key)[0])
 		}
 	}
 }
 
 // TestRingReplicasDistinctAndComplete: every key's replica list is a
-// permutation of the member set with the owner first.
+// permutation of the member set.
 func TestRingReplicasDistinctAndComplete(t *testing.T) {
 	members := []string{"http://a", "http://b", "http://c", "http://d"}
 	r := NewRing(members, 64)
@@ -36,9 +36,6 @@ func TestRingReplicasDistinctAndComplete(t *testing.T) {
 			}
 			seen[m] = true
 		}
-		if reps[0] != r.Owner(key) {
-			t.Fatalf("key %q: first replica %s is not the owner %s", key, reps[0], r.Owner(key))
-		}
 	}
 }
 
@@ -50,7 +47,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const n = 9000
 	for i := 0; i < n; i++ {
-		counts[r.Owner(fmt.Sprintf("sha-like-key-%d", i))]++
+		counts[r.Replicas(fmt.Sprintf("sha-like-key-%d", i))[0]]++
 	}
 	want := n / len(members)
 	for m, c := range counts {
@@ -69,7 +66,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	moved, movedElsewhere := 0, 0
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		before, after := three.Owner(key), four.Owner(key)
+		before, after := three.Replicas(key)[0], four.Replicas(key)[0]
 		if before != after {
 			moved++
 			if after != "http://d" {

@@ -236,7 +236,7 @@ func TestRouterHedgesSlowPrimary(t *testing.T) {
 	// Slow down only the owner's first serving request so the hedge
 	// lands on the other (fast) replica.
 	src := "void f(void) {}"
-	owner := rt.ring.Owner(cfix.RequestKey("fix", "slow.c", src, cfix.RequestOptions{}))
+	owner := rt.ring.Replicas(cfix.RequestKey("fix", "slow.c", src, cfix.RequestOptions{}))[0]
 	for _, b := range []*stubBackend{b1, b2} {
 		if b.ts.URL == owner {
 			b.delayRange(1, 1, 2*time.Second)

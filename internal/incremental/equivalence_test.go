@@ -79,7 +79,7 @@ func randomDelta(rng *rand.Rand, src string) []edit.Delta {
 		return []edit.Delta{edit.Insert(ctoken.Pos(at), "/*x*/")}
 	case 5: // delete a semicolon-to-newline tail span (often breaks the parse)
 		if at := pick(";\n"); at >= 0 {
-			return []edit.Delta{edit.Delete(ctoken.Extent{Pos: ctoken.Pos(at + 1), End: ctoken.Pos(at + 2)})}
+			return []edit.Delta{{Extent: ctoken.Extent{Pos: ctoken.Pos(at + 1), End: ctoken.Pos(at + 2)}}}
 		}
 	}
 	return []edit.Delta{edit.Insert(0, "/*fallback*/")}
@@ -205,10 +205,10 @@ void g(int n) {
 		}
 		scripts := [][]edit.Delta{
 			{edit.Insert(ctoken.Pos(int(pos)%(len(src)+1)), text)},
-			{edit.Delete(ctoken.Extent{
+			{edit.Delta{Extent: ctoken.Extent{
 				Pos: ctoken.Pos(int(pos2) % (len(src) + 1)),
 				End: ctoken.Pos(minInt(int(pos2)%(len(src)+1)+int(del)%8, len(src))),
-			})},
+			}}},
 		}
 		for _, deltas := range scripts {
 			before := s.Text()

@@ -150,7 +150,7 @@ func TestLocalDeclarationAddAndDelete(t *testing.T) {
 	requireSymbolsMatchFresh(t, s)
 
 	at := ctoken.Pos(strings.Index(s.Text(), decl))
-	del := edit.Delete(ctoken.Extent{Pos: at, End: at + ctoken.Pos(len(decl))})
+	del := edit.Delta{Extent: ctoken.Extent{Pos: at, End: at + ctoken.Pos(len(decl))}}
 	if path, err := editPath(t, s, del); err != nil || path != funcParse {
 		t.Fatalf("deleting the local: %s, %v", path, err)
 	}
@@ -217,7 +217,7 @@ void g(void) {
 	at := ctoken.Pos(strings.Index(s.Text(), "xmemcpy"))
 	checks := s.conf.Checks
 	s.conf.Checks = "none"
-	path, err := editPath(t, s, edit.Delete(ctoken.Extent{Pos: at, End: at + 1}))
+	path, err := editPath(t, s, edit.Delta{Extent: ctoken.Extent{Pos: at, End: at + 1}})
 	s.conf.Checks = checks
 	if path != funcParse || err == nil {
 		t.Fatalf("failing edit: %s, %v; want a function parse and an error", path, err)

@@ -495,16 +495,6 @@ func (s *Session) Counters() Counters {
 	return s.counters
 }
 
-// Position renders a byte offset in the current text as file:line:col.
-func (s *Session) Position(p ctoken.Pos) ctoken.Position {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.snap == nil || s.snap.Unit().File == nil {
-		return ctoken.Position{File: s.name}
-	}
-	return s.snap.Unit().File.Position(p)
-}
-
 // discoverSites runs both transformers in discovery mode over fns (unit
 // functions in source order) and projects their results to the
 // session-compact site type, one source-ordered list per function.

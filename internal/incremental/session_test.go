@@ -285,7 +285,7 @@ func TestDeletedFunctionCountsDirty(t *testing.T) {
 	// Delete second entirely.
 	start := strings.Index(s.Text(), "void second")
 	res, err := s.Edit(context.Background(), []edit.Delta{
-		edit.Delete(ctoken.Extent{Pos: ctoken.Pos(start), End: ctoken.Pos(len(s.Text()))}),
+		{Extent: ctoken.Extent{Pos: ctoken.Pos(start), End: ctoken.Pos(len(s.Text()))}},
 	})
 	if err != nil {
 		t.Fatalf("Edit: %v", err)
@@ -430,7 +430,7 @@ void g(void) {
 	checks := s.conf.Checks
 	s.conf.Checks = "none"
 	_, err := s.Edit(context.Background(), []edit.Delta{
-		edit.Delete(ctoken.Extent{Pos: ctoken.Pos(at), End: ctoken.Pos(at + 1)}),
+		{Extent: ctoken.Extent{Pos: ctoken.Pos(at), End: ctoken.Pos(at + 1)}},
 	})
 	s.conf.Checks = checks
 	if err == nil || !strings.Contains(err.Error(), "unknown check") {

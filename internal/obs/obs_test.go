@@ -176,7 +176,7 @@ func TestStageStatsSelfTime(t *testing.T) {
 	}
 	// Self times must sum to the per-lane traced wall clock: 100ms on
 	// lane 0 plus 10ms on lane 1.
-	if got := SelfTotal(stats); got != 110*time.Millisecond {
+	if got := selfTotal(stats); got != 110*time.Millisecond {
 		t.Fatalf("self total: %v", got)
 	}
 	if got := tr.WallClock(); got != 100*time.Millisecond {
@@ -259,4 +259,14 @@ func TestTracerDrain(t *testing.T) {
 	if got := tr.Drain(); len(got) != 1 || got[0].Name != StageIncremental {
 		t.Fatalf("drain after more spans: %+v", got)
 	}
+}
+
+// selfTotal sums the self time across stats, the traced work total that
+// a lane's wall clock bounds.
+func selfTotal(stats []StageStat) time.Duration {
+	var sum time.Duration
+	for _, st := range stats {
+		sum += st.Self
+	}
+	return sum
 }

@@ -163,16 +163,6 @@ func MergeStageStats(dst, src []StageStat) []StageStat {
 	return out
 }
 
-// SelfTotal sums the self time across stats — the traced work total the
-// acceptance check compares against wall clock.
-func SelfTotal(stats []StageStat) time.Duration {
-	var sum time.Duration
-	for _, st := range stats {
-		sum += st.Self
-	}
-	return sum
-}
-
 // roundDur trims durations for table output.
 func roundDur(d time.Duration) string {
 	switch {

@@ -54,8 +54,6 @@ func Solves() int64 { return solves.Load() }
 type Memo struct {
 	entries map[string]*memoEntry
 	gen     int64 // bumped by BeginRun; entries untouched for two runs are pruned
-	hits    int64
-	misses  int64
 }
 
 type memoEntry struct {
@@ -68,15 +66,13 @@ func NewMemo() *Memo {
 	return &Memo{entries: make(map[string]*memoEntry)}
 }
 
-// BeginRun starts a new analysis run: hit/miss accounting restarts and
-// entries not used for two consecutive runs are pruned, keeping the memo
-// at working-set size.
+// BeginRun starts a new analysis run: entries not used for two
+// consecutive runs are pruned, keeping the memo at working-set size.
 func (m *Memo) BeginRun() {
 	if m == nil {
 		return
 	}
 	m.gen++
-	m.hits, m.misses = 0, 0
 	for k, e := range m.entries {
 		if m.gen-e.gen > 2 {
 			delete(m.entries, k)
@@ -84,39 +80,13 @@ func (m *Memo) BeginRun() {
 	}
 }
 
-// Hits returns the number of memo hits since BeginRun.
-func (m *Memo) Hits() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.hits
-}
-
-// Misses returns the number of memo misses since BeginRun.
-func (m *Memo) Misses() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.misses
-}
-
-// Len returns the number of retained entries.
-func (m *Memo) Len() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.entries)
-}
-
 // Load returns the retained findings for key. The returned slice is a
 // fresh copy with Pos recomputed against file.
 func (m *Memo) Load(key string, file *ctoken.File) ([]Finding, bool) {
 	e, ok := m.entries[key]
 	if !ok {
-		m.misses++
 		return nil, false
 	}
-	m.hits++
 	e.gen = m.gen
 	out := make([]Finding, len(e.findings))
 	copy(out, e.findings)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpp"
+	"repro/internal/ctoken"
 )
 
 // TestCppDifferentialEquivalence is the project-mode safety net: every
@@ -42,8 +43,9 @@ func TestCppDifferentialEquivalence(t *testing.T) {
 			if pp.Text != p.Source {
 				t.Fatalf("%s: preprocessed text differs from source", name)
 			}
-			if segs := pp.Map.Segments(); len(segs) != 1 || segs[0].Kind != cpp.SegDirect {
-				t.Fatalf("%s: expected one direct segment, got %+v", name, segs)
+			whole := ctoken.Extent{Pos: 0, End: ctoken.Pos(len(pp.Text))}
+			if org, exact := pp.Map.ToOriginal(whole); !exact || org.File != name || org.Extent != whole {
+				t.Fatalf("%s: expected one direct segment, got %+v (exact %v)", name, org, exact)
 			}
 
 			for i, opts := range optSets {
@@ -76,9 +78,9 @@ func TestCppDifferentialEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if want := TotalPrograms() * len(optSets); !testing.Short() && checked != want {
+	if want := totalPrograms() * len(optSets); !testing.Short() && checked != want {
 		t.Fatalf("checked %d comparisons, want %d (%d programs x %d option sets)",
-			checked, want, TotalPrograms(), len(optSets))
+			checked, want, totalPrograms(), len(optSets))
 	}
 	t.Logf("differential held over %d comparisons", checked)
 }

@@ -589,12 +589,3 @@ func GenerateAll() map[int][]Program {
 	}
 	return out
 }
-
-// TotalPrograms returns the Table III total (4,505).
-func TotalPrograms() int {
-	total := 0
-	for _, n := range TableIIICounts {
-		total += n
-	}
-	return total
-}

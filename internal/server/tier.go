@@ -144,9 +144,6 @@ func (t *Tier) Handler() http.Handler {
 // Liveness and in-flight work are unaffected; idempotent.
 func (t *Tier) BeginDrain() { t.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (t *Tier) Draining() bool { return t.draining.Load() }
-
 // TierCounts is the part of /metrics every tier reports.
 type TierCounts struct {
 	UptimeSeconds  float64

@@ -26,7 +26,7 @@ void f(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := NewTransformer(analysis.New(tu), nil).ApplyAll()
+	second, err := NewTransformer(analysis.New(tu, analysis.Config{}), nil).ApplyAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ void f(char *src, unsigned long n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := NewTransformer(analysis.New(tu), nil).ApplyAll()
+	second, err := NewTransformer(analysis.New(tu, analysis.Config{}), nil).ApplyAll()
 	if err != nil {
 		t.Fatal(err)
 	}

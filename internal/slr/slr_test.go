@@ -18,7 +18,7 @@ func runAll(t *testing.T, src string) *FileResult {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := NewTransformer(analysis.New(tu), nil).ApplyAll()
+	res, err := NewTransformer(analysis.New(tu, analysis.Config{}), nil).ApplyAll()
 	if err != nil {
 		t.Fatalf("ApplyAll: %v", err)
 	}
@@ -261,7 +261,7 @@ void f(void) {
 	}
 	// Select the second call by offset.
 	off := ctoken.Pos(strings.Index(src, `strcpy(b`))
-	res, err := NewTransformer(analysis.New(tu), nil).ApplyAt(off)
+	res, err := NewTransformer(analysis.New(tu, analysis.Config{}), nil).ApplyAt(off)
 	if err != nil {
 		t.Fatal(err)
 	}

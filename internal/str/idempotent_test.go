@@ -28,7 +28,7 @@ void f(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := NewTransformer(analysis.New(tu)).ApplyAll()
+	second, err := NewTransformer(analysis.New(tu, analysis.Config{})).ApplyAll()
 	if err != nil {
 		t.Fatal(err)
 	}

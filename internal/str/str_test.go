@@ -16,7 +16,7 @@ func runAll(t *testing.T, src string) *FileResult {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := NewTransformer(analysis.New(tu)).ApplyAll()
+	res, err := NewTransformer(analysis.New(tu, analysis.Config{})).ApplyAll()
 	if err != nil {
 		t.Fatalf("ApplyAll: %v", err)
 	}

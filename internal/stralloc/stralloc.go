@@ -16,30 +16,8 @@
 //	} stralloc;
 //
 // The library contains 18 functions (Section III-C: "Our implementation
-// contains 18 functions"), listed in FunctionNames.
+// contains 18 functions").
 package stralloc
-
-// FunctionNames lists the 18 library functions in a stable order.
-var FunctionNames = []string{
-	"stralloc_init",
-	"stralloc_ready",
-	"stralloc_free",
-	"stralloc_copys",
-	"stralloc_copybuf",
-	"stralloc_copy",
-	"stralloc_cats",
-	"stralloc_catbuf",
-	"stralloc_cat",
-	"stralloc_append",
-	"stralloc_memset",
-	"stralloc_get_dereferenced_char_at",
-	"stralloc_dereference_replace_by",
-	"stralloc_increment_by",
-	"stralloc_decrement_by",
-	"stralloc_compare",
-	"stralloc_find_char",
-	"stralloc_substring_at",
-}
 
 // Header returns the C declarations for the stralloc type and library.
 func Header() string {

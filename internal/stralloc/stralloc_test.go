@@ -31,20 +31,42 @@ func TestFullSourceParsesAndChecks(t *testing.T) {
 	for _, f := range tu.Funcs {
 		defined[f.Name] = true
 	}
-	for _, name := range FunctionNames {
+	for _, name := range functionNames {
 		if !defined[name] {
 			t.Errorf("function %s missing from implementation", name)
 		}
 	}
 }
 
+// functionNames lists the paper's 18 library functions.
+var functionNames = []string{
+	"stralloc_init",
+	"stralloc_ready",
+	"stralloc_free",
+	"stralloc_copys",
+	"stralloc_copybuf",
+	"stralloc_copy",
+	"stralloc_cats",
+	"stralloc_catbuf",
+	"stralloc_cat",
+	"stralloc_append",
+	"stralloc_memset",
+	"stralloc_get_dereferenced_char_at",
+	"stralloc_dereference_replace_by",
+	"stralloc_increment_by",
+	"stralloc_decrement_by",
+	"stralloc_compare",
+	"stralloc_find_char",
+	"stralloc_substring_at",
+}
+
 func TestEighteenFunctions(t *testing.T) {
 	// Section III-C: "Our implementation contains 18 functions."
-	if len(FunctionNames) != 18 {
-		t.Fatalf("function count: got %d, want 18", len(FunctionNames))
+	if len(functionNames) != 18 {
+		t.Fatalf("function count: got %d, want 18", len(functionNames))
 	}
-	seen := make(map[string]bool, len(FunctionNames))
-	for _, n := range FunctionNames {
+	seen := make(map[string]bool, len(functionNames))
+	for _, n := range functionNames {
 		if seen[n] {
 			t.Errorf("duplicate function name %s", n)
 		}
