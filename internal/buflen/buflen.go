@@ -126,7 +126,9 @@ const (
 	// of the main file would corrupt the source the user wrote.
 	FailMacroOrHeader
 	// FailValueUsed: the program uses the call's value and the
-	// replacement returns a length or an errno_t, not a pointer.
+	// replacement returns a length or an errno_t, not a pointer, or the
+	// replacement keeps a newline that is stripped only after the
+	// statement that reads the value (fgets in a condition).
 	// Appended last to keep serialized values stable.
 	FailValueUsed
 	// FailLengthEffect: the memcpy length assigns, increments or calls

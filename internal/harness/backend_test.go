@@ -77,6 +77,39 @@ void g_bad(void) {
 	}
 }
 
+// TestVerifyGetsLoopC11K: gets_s drops the newline itself, so c11k
+// still fixes gets in a loop condition, and the loop body sees each
+// line, the empty one included, exactly as gets gave it.
+func TestVerifyGetsLoopC11K(t *testing.T) {
+	src := `
+void l_good(void) {
+    char c[64];
+    while (gets(c)) { printf("[%s]\n", c); }
+}
+void l_bad(void) {
+    char c[8];
+    while (gets(c)) { printf("[%s]\n", c); }
+}
+`
+	v, err := Verify("l", src, "l_good", "l_bad", Options{
+		Backend: "c11k",
+		Stdin:   []string{"", "short", "a very long attacking line"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.VulnDetected || !v.Fixed || !v.Preserved {
+		t.Fatalf("verdict: fixed=%v preserved=%v (postBad=%v)\npre=%q post=%q",
+			v.Fixed, v.Preserved, v.PostBad.Violations, v.PreGood.Stdout, v.PostGood.Stdout)
+	}
+	if v.PreGood.Stdout != "[]\n[short]\n[a very long attacking line]\n" {
+		t.Fatalf("good output: %q", v.PreGood.Stdout)
+	}
+	if strings.Count(v.TransformedSource, "while (gets_s(c, sizeof(c)))") != 2 {
+		t.Fatalf("c11k did not fix both loops:\n%s", v.TransformedSource)
+	}
+}
+
 // TestVerifyBackendSAMATESubset is the per-dialect interpreter
 // equivalence sweep: over a strided SAMATE sample covering every CWE
 // class, each dialect's transformed programs must fix every detected

@@ -258,10 +258,27 @@ func TestValueUsedSiteDeclines(t *testing.T) {
 			})
 		}
 	}
-	// A replacement that returns a pointer keeps a used value's meaning.
-	res := runAll(t, "void f(void) {\n    char c[8];\n    if (gets(c)) { c[0] = 0; }\n}\n")
-	if res.AppliedCount() != 1 || !strings.Contains(res.NewSource, "if (fgets(c, sizeof(c), stdin))") {
-		t.Fatalf("gets in a condition: applied %d\n%s", res.AppliedCount(), res.NewSource)
+	// A replacement that returns a pointer keeps a used value's meaning,
+	// but a reader that keeps the newline would have it stripped only
+	// after the statement whose body reads the line: glib and bsd
+	// decline, and c11k's gets_s drops the newline itself.
+	for _, be := range backend.Names() {
+		for _, kw := range []string{"if", "while"} {
+			res := runAllBackend(t, be, "void f(void) {\n    char c[8];\n    "+kw+" (gets(c)) { c[0] = 0; }\n}\n")
+			if len(res.Sites) != 1 {
+				t.Fatalf("%s: gets in %s: %d sites", be, kw, len(res.Sites))
+			}
+			s := res.Sites[0]
+			if be == "c11k" {
+				if !s.Applied || !strings.Contains(res.NewSource, kw+" (gets_s(c, sizeof(c)))") {
+					t.Fatalf("%s: gets in %s not fixed: %+v\n%s", be, kw, s, res.NewSource)
+				}
+				continue
+			}
+			if s.Applied || s.Failure.Reason != buflen.FailValueUsed {
+				t.Fatalf("%s: gets in %s: want a value-used decline, got %+v\n%s", be, kw, s, res.NewSource)
+			}
+		}
 	}
 }
 

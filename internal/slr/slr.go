@@ -316,6 +316,17 @@ func (t *Transformer) applyOne(c candidate, edits *edit.Script) (buflen.Size, *b
 		// clamped memcpy itself) gives a used value its old meaning.
 		return buflen.Size{}, &buflen.Failure{Reason: buflen.FailValueUsed, Detail: c.rule.Safe}
 	}
+	if c.rule.StripNewline {
+		// The newline strip lands after the enclosing statement. After an
+		// if, a loop or a return, code that reads the line runs first
+		// and sees the newline gets would have dropped.
+		switch c.stmt.(type) {
+		case *cast.ExprStmt, *cast.DeclStmt:
+		default:
+			return buflen.Size{}, &buflen.Failure{Reason: buflen.FailValueUsed,
+				Detail: c.rule.Safe + " keeps the newline until after the statement"}
+		}
+	}
 	dest := c.call.Args[0]
 	size, fail := t.analyzer.BufferLength(c.fn, dest)
 	if fail != nil {
