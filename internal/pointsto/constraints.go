@@ -23,13 +23,9 @@ func IsHeapAllocator(name string) bool {
 func (g *Graph) generate(unit *cast.TranslationUnit) {
 	// Globals first so their nodes exist.
 	for _, d := range unit.Decls {
-		switch x := d.(type) {
-		case *cast.VarDecl:
-			g.genDecl(x)
-		case *cast.MultiDecl:
-			for _, vd := range x.Decls {
-				g.genDecl(vd)
-			}
+		switch d.(type) {
+		case *cast.VarDecl, *cast.MultiDecl:
+			g.genNode(d)
 		}
 	}
 	g.bodies = make([]genRange, len(unit.Funcs))
@@ -43,7 +39,16 @@ func (g *Graph) generate(unit *cast.TranslationUnit) {
 func (g *Graph) genBody(f *cast.FuncDef) genRange {
 	bodiesGenerated.Add(1)
 	r := genRange{nodeLo: g.base + len(g.Nodes), consLo: len(g.constraints)}
-	cast.Inspect(f.Body, func(n cast.Node) bool {
+	g.genNode(f.Body)
+	r.nodeHi, r.consHi = g.base+len(g.Nodes), len(g.constraints)
+	return r
+}
+
+// genNode emits the constraints of every declaration and assignment in
+// n. Each is generated once, where the walk meets it: an assignment
+// nested in a right side contributes only its left side's value there.
+func (g *Graph) genNode(n cast.Node) {
+	cast.Inspect(n, func(n cast.Node) bool {
 		switch x := n.(type) {
 		case *cast.VarDecl:
 			g.genDecl(x)
@@ -54,8 +59,6 @@ func (g *Graph) genBody(f *cast.FuncDef) genRange {
 		}
 		return true
 	})
-	r.nodeHi, r.consHi = g.base+len(g.Nodes), len(g.constraints)
-	return r
 }
 
 func (g *Graph) genDecl(d *cast.VarDecl) {
@@ -241,9 +244,8 @@ func (g *Graph) rhsValues(e cast.Expr) []rhsValue {
 	case *cast.CommaExpr:
 		return g.rhsValues(x.Y)
 	case *cast.AssignExpr:
-		// p = (q = r): the value is q's new value; also generate the inner
-		// assignment.
-		g.genAssign(x.LHS, x.RHS)
+		// p = (q = r): the value is q's new value. genNode generates
+		// q = r itself.
 		return g.rhsValues(x.LHS)
 	case *cast.IndexExpr:
 		// v = a[i] loads an element; under the aggregate model this is a

@@ -404,3 +404,37 @@ void f(void) {
 	}
 	_ = gF
 }
+
+// TestNestedAssignmentGeneratedOnce: an assignment nested in a right
+// side makes its constraints once, in a body and in a file-scope
+// initializer alike: one heap node, q ⊇ {heap} and g2 ⊇ q.
+func TestNestedAssignmentGeneratedOnce(t *testing.T) {
+	for _, src := range []string{
+		"void f(void) {\n    char *q;\n    char *g2;\n    g2 = (q = malloc(4)) + 1;\n}\n",
+		"char *q;\nchar *g2 = (q = malloc(4)) + 1;\n",
+	} {
+		tu, g, _ := analyze(t, src, Options{})
+		heap := -1
+		for _, n := range g.Nodes {
+			if n.Kind == NodeHeap {
+				if heap >= 0 {
+					t.Fatalf("two heap nodes for one malloc in\n%s", src)
+				}
+				heap = n.ID
+			}
+		}
+		q, g2 := g.varNode[symNamed(t, tu, "q").ID], g.varNode[symNamed(t, tu, "g2").ID]
+		want := map[constraint]bool{{addrOf, q, heap}: true, {copyC, g2, q}: true}
+		if len(g.constraints) != len(want) {
+			t.Fatalf("constraints %v, want %v, in\n%s", g.constraints, want, src)
+		}
+		for _, c := range g.constraints {
+			if !want[c] {
+				t.Fatalf("unexpected constraint %v in\n%s", c, src)
+			}
+		}
+		if pts := pointsToNames(g, symNamed(t, tu, "g2")); !pts["<heap>"] || len(pts) != 1 {
+			t.Fatalf("pts(g2) = %v, want the heap node, in\n%s", pts, src)
+		}
+	}
+}
