@@ -37,12 +37,11 @@ var testOnlyAllowed = map[string]string{
 // or an exported method, in internal/ that only test files use. Such code
 // lives for its tests alone: delete it, or move what a test needs into the
 // test. Constants are exempt, because enum names document their values.
-// A top-level name counts as used when a non-test file other than its
-// declaration names it, package-qualified from another package or bare
-// within its own. A method counts as used when a non-test selector or
-// interface method carries its name. The walk covers every non-test Go
-// file under the module root, cmd/bench (a module of its own) and
-// examples/ included.
+// A top-level name counts as used when a non-test file names it outside
+// its declaration, package-qualified from another package or bare within
+// its own. A method counts as used when a non-test selector carries its
+// name. The walk covers every non-test Go file under the module root,
+// cmd/bench (a module of its own) and examples/ included.
 func TestNoTestOnlyExports(t *testing.T) {
 	const module = "repro"
 	fset := token.NewFileSet()
@@ -78,7 +77,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 
 	type key struct{ pkg, name string }
 	used := map[key]bool{}       // top-level names some non-test file uses
-	methods := map[string]bool{} // names after a dot, or of interface methods
+	methods := map[string]bool{} // names some non-test selector uses
 	for _, f := range files {
 		imports := map[string]string{}
 		for _, im := range f.ast.Imports {
