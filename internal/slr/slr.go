@@ -318,11 +318,10 @@ func (t *Transformer) applyOne(c candidate, edits *edit.Script) (buflen.Size, *b
 	}
 	if c.rule.StripNewline {
 		// The newline strip lands after the enclosing statement. After an
-		// if, a loop or a return, code that reads the line runs first
-		// and sees the newline gets would have dropped.
-		switch c.stmt.(type) {
-		case *cast.ExprStmt, *cast.DeclStmt:
-		default:
+		// if, a loop or a return, or in an expression that reads the
+		// call's value, code that reads the line runs first and sees the
+		// newline gets would have dropped. Storing the value is safe.
+		if _, plain := c.stmt.(*cast.ExprStmt); !stores(c.stmt, c.call) && (c.valueUsed || !plain) {
 			return buflen.Size{}, &buflen.Failure{Reason: buflen.FailValueUsed,
 				Detail: c.rule.Safe + " keeps the newline until after the statement"}
 		}
@@ -343,6 +342,21 @@ func (t *Transformer) applyOne(c candidate, edits *edit.Script) (buflen.Size, *b
 		}
 	}
 	return size, nil
+}
+
+// stores reports that stmt only stores call's value: call is the whole
+// right side of an expression statement's plain assignment, or the
+// whole initializer of a declaration's last declarator.
+func stores(stmt cast.Stmt, call *cast.CallExpr) bool {
+	switch x := stmt.(type) {
+	case *cast.ExprStmt:
+		as, ok := cast.Unparen(x.X).(*cast.AssignExpr)
+		return ok && as.Op == cast.AssignPlain && cast.Unparen(as.RHS) == cast.Expr(call)
+	case *cast.DeclStmt:
+		last := x.Decls[len(x.Decls)-1]
+		return last.Init != nil && cast.Unparen(last.Init) == cast.Expr(call)
+	}
+	return false
 }
 
 // editRename renames the callee and inserts the size parameter where the
