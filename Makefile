@@ -6,11 +6,8 @@ GO ?= go
 # Benchmarks settle with one iteration and a few samples; benchguard
 # reduces the samples with min, so more -count buys stability, not time.
 BENCH_COUNT ?= 3
-BENCH_STRIDE ?= 20
 
-TMP := $(shell mktemp -d 2>/dev/null || echo /tmp)
-
-.PHONY: all build test race vet check staticgate bench bench-json bench-guard pipeline-guard incremental-bench incremental-guard trace-smoke clean
+.PHONY: all build test race vet check staticgate bench bench-guard trace-smoke
 
 all: build test
 
@@ -57,48 +54,24 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineStages|BenchmarkObsOverhead|BenchmarkTraceAttached' \
 		-benchtime=1x -count=$(BENCH_COUNT) .
 
-# Machine-readable per-stage pipeline report over the SAMATE corpus
-# (BENCH_pipeline.json; uploaded as a CI artifact).
-bench-json:
-	$(GO) run ./cmd/experiments -bench-json BENCH_pipeline.json -stride $(BENCH_STRIDE)
-
 # Observability overhead gate: the default build's no-tracer path may
 # not cost more than 2% over a build with tracing compiled out
-# (-tags cfix_notrace). benchguard compares per-benchmark minima.
+# (-tags cfix_notrace). benchguard compares per-benchmark minima. The
+# samples go to a temporary directory the recipe removes.
 bench-guard:
-	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime=50x -count=7 . > $(TMP)/bench_default.txt
-	$(GO) test -tags cfix_notrace -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime=50x -count=7 . > $(TMP)/bench_notrace.txt
-	$(GO) run ./cmd/benchguard -max-pct 2 $(TMP)/bench_default.txt $(TMP)/bench_notrace.txt
-
-# Integer-oracle share gate: BENCH_pipeline.json (from bench-json) must
-# carry a supplementary intflow measurement, and the disabled oracle may
-# not cost the default pipeline more than 2% of its self time (it
-# should cost exactly 0: the gate trips if the default fix path ever
-# starts running it).
-pipeline-guard:
-	$(GO) run ./cmd/benchguard -pipeline BENCH_pipeline.json -stage intflow -max-share-pct 2 -require
-
-# Incremental latency report: warm per-edit re-analysis percentiles
-# measured through the real cfixlsp JSON-RPC loop
-# (BENCH_incremental.json; uploaded as a CI artifact).
-incremental-bench:
-	$(GO) run ./cmd/cfixlsp -bench 200 -bench-funcs 24 -bench-out BENCH_incremental.json
-	cat BENCH_incremental.json
-
-# Incremental latency gate: the warm re-analysis median (one didChange
-# to publishDiagnostics round trip) must stay under 10ms.
-incremental-guard:
-	$(GO) run ./cmd/benchguard -incremental BENCH_incremental.json -max-warm-p50-ms 10
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime=50x -count=7 . > "$$tmp/bench_default.txt" && \
+	$(GO) test -tags cfix_notrace -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime=50x -count=7 . > "$$tmp/bench_notrace.txt" && \
+	$(GO) run ./cmd/benchguard -max-pct 2 "$$tmp/bench_default.txt" "$$tmp/bench_notrace.txt"
 
 # Trace smoke: harden a generated SAMATE sample with -trace/-stage-stats
-# and validate the Chrome trace with the CI checker.
+# and validate the Chrome trace with the CI checker, all inside a
+# temporary directory the recipe removes.
 trace-smoke:
-	$(GO) build -o $(TMP)/cfix ./cmd/cfix
-	$(GO) build -o $(TMP)/tracecheck ./cmd/tracecheck
-	$(GO) build -o $(TMP)/samategen ./cmd/samategen
-	$(TMP)/samategen -out $(TMP)/corpus -cwe 121 -n 10
-	$(TMP)/cfix -stage-stats -trace $(TMP)/trace.json -outdir $(TMP)/fixed $(TMP)/corpus/CWE121 2>$(TMP)/cfix.log
-	$(TMP)/tracecheck -min-stages 10 -min-events 100 $(TMP)/trace.json
-
-clean:
-	rm -f BENCH_pipeline.json BENCH_incremental.json
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/cfix" ./cmd/cfix && \
+	$(GO) build -o "$$tmp/tracecheck" ./cmd/tracecheck && \
+	$(GO) build -o "$$tmp/samategen" ./cmd/samategen && \
+	"$$tmp/samategen" -out "$$tmp/corpus" -cwe 121 -n 10 && \
+	"$$tmp/cfix" -stage-stats -trace "$$tmp/trace.json" -outdir "$$tmp/fixed" "$$tmp/corpus/CWE121" 2>"$$tmp/cfix.log" && \
+	"$$tmp/tracecheck" -min-stages 10 -min-events 100 "$$tmp/trace.json"

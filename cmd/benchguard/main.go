@@ -7,39 +7,22 @@
 //
 // Usage:
 //
-//	benchguard [-max-pct p] [-stat min|median] candidate.txt baseline.txt
-//	benchguard -pipeline BENCH_pipeline.json -stage intflow [-max-share-pct p] [-require]
-//	benchguard -incremental BENCH_incremental.json [-max-warm-p50-ms p]
+//	benchguard [-max-pct p] candidate.txt baseline.txt
 //
 // Each file is standard `go test -bench` output; with -count=N every
-// benchmark contributes N samples. Samples are reduced with -stat (min
-// by default: scheduler noise only ever adds time, so the minimum is
-// the most stable estimate of the true cost) and the reduced values are
-// compared per benchmark name. Benchmarks present in only one file are
-// ignored; having no benchmark in common is an error.
-//
-// The second form gates one stage's share of a BENCH_pipeline.json
-// report (cmd/experiments -bench-json): the stage's self time inside
-// the pipeline-measured stages may not exceed -max-share-pct of their
-// total. Supplementary stages — measured outside the fix pipeline, like
-// the integer-overflow oracle the pipeline run keeps disabled — are
-// excluded from both sides of that ratio, so a disabled oracle gates at
-// 0%; the budget trips only if the default pipeline starts paying for
-// it. An absent stage is 0% (pass) unless -require demands that the
-// report carries at least a supplementary measurement of it.
-//
-// The third form gates a BENCH_incremental.json report (cfixlsp
-// -bench): the median end-to-end latency of a warm incremental
-// re-analysis — one didChange to publishDiagnostics round trip through
-// the LSP loop — may not exceed -max-warm-p50-ms milliseconds.
+// benchmark contributes N samples. Samples are reduced to their minimum
+// (scheduler noise only ever adds time, so the minimum is the most
+// stable estimate of the true cost) and the minima are compared per
+// benchmark name. Benchmarks present in only one file are ignored;
+// having no benchmark in common is an error.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,34 +32,9 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	maxPct := flag.Float64("max-pct", 2.0, "maximum allowed regression of candidate over baseline, in percent")
-	stat := flag.String("stat", "min", "sample reduction: min or median")
-	pipeline := flag.String("pipeline", "", "BENCH_pipeline.json report: gate one stage's share of pipeline self time")
-	stage := flag.String("stage", "intflow", "with -pipeline: the stage to budget")
-	maxShare := flag.Float64("max-share-pct", 2.0, "with -pipeline: maximum allowed share of pipeline self time, in percent")
-	require := flag.Bool("require", false, "with -pipeline: fail when the report carries no measurement of the stage at all")
-	incremental := flag.String("incremental", "", "BENCH_incremental.json report: gate the warm re-analysis median")
-	maxWarmP50 := flag.Float64("max-warm-p50-ms", 10.0, "with -incremental: maximum allowed warm p50, in milliseconds")
 	flag.Parse()
-	if *incremental != "" {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: benchguard -incremental BENCH_incremental.json [-max-warm-p50-ms p]")
-			return 2
-		}
-		return runIncremental(*incremental, *maxWarmP50)
-	}
-	if *pipeline != "" {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: benchguard -pipeline BENCH_pipeline.json -stage name [-max-share-pct p] [-require]")
-			return 2
-		}
-		return runPipeline(*pipeline, *stage, *maxShare, *require)
-	}
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchguard [-max-pct p] [-stat min|median] candidate.txt baseline.txt")
-		return 2
-	}
-	if *stat != "min" && *stat != "median" {
-		fmt.Fprintf(os.Stderr, "benchguard: -stat %q: want min or median\n", *stat)
+		fmt.Fprintln(os.Stderr, "usage: benchguard [-max-pct p] candidate.txt baseline.txt")
 		return 2
 	}
 
@@ -102,8 +60,8 @@ func run() int {
 
 	failed := false
 	for _, name := range names {
-		c := reduce(cand[name], *stat)
-		b := reduce(base[name], *stat)
+		c := slices.Min(cand[name])
+		b := slices.Min(base[name])
 		pct := (c - b) / b * 100
 		verdict := "ok"
 		if pct > *maxPct {
@@ -117,107 +75,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "benchguard: candidate regresses past the threshold")
 		return 1
 	}
-	return 0
-}
-
-// pipelineReport is the slice of BENCH_pipeline.json this gate reads
-// (experiments.BenchReport; decoding ignores the rest of the schema).
-type pipelineReport struct {
-	Stages []struct {
-		Name          string `json:"name"`
-		Count         int    `json:"count"`
-		SelfUs        int64  `json:"self_us"`
-		Supplementary bool   `json:"supplementary"`
-	} `json:"stages"`
-}
-
-// runPipeline gates one stage's share of the pipeline self time in a
-// BENCH_pipeline.json report.
-func runPipeline(path, stage string, maxShare float64, require bool) int {
-	f, err := os.Open(path)
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer f.Close()
-	var rep pipelineReport
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		return fail("%s: %v", path, err)
-	}
-	if len(rep.Stages) == 0 {
-		return fail("%s: no stages in report", path)
-	}
-	var total, inPipeline int64
-	var supplementary int64
-	seen := false
-	for _, st := range rep.Stages {
-		if st.Name == stage {
-			seen = true
-			if st.Supplementary {
-				supplementary += st.SelfUs
-				continue
-			}
-			inPipeline += st.SelfUs
-		}
-		if !st.Supplementary {
-			total += st.SelfUs
-		}
-	}
-	if !seen {
-		if require {
-			return fail("%s: stage %q not measured (and -require set)", path, stage)
-		}
-		fmt.Printf("stage %-12s absent from %s: share 0.00%% (<= %.1f%%) ok\n", stage, path, maxShare)
-		return 0
-	}
-	if total == 0 {
-		return fail("%s: pipeline stages carry no self time", path)
-	}
-	share := float64(inPipeline) / float64(total) * 100
-	note := ""
-	if supplementary > 0 {
-		note = fmt.Sprintf("  (supplementary measurement: %d us)", supplementary)
-	}
-	if share > maxShare {
-		fmt.Printf("stage %-12s pipeline share %5.2f%%  FAIL (> %.1f%%)%s\n", stage, share, maxShare, note)
-		fmt.Fprintln(os.Stderr, "benchguard: stage exceeds its pipeline share budget")
-		return 1
-	}
-	fmt.Printf("stage %-12s pipeline share %5.2f%% (<= %.1f%%) ok%s\n", stage, share, maxShare, note)
-	return 0
-}
-
-// incrementalReport is the slice of BENCH_incremental.json this gate
-// reads (cmd/cfixlsp benchReport; decoding ignores the rest).
-type incrementalReport struct {
-	Funcs     int     `json:"funcs"`
-	Edits     int     `json:"edits"`
-	WarmP50Ms float64 `json:"warm_p50_ms"`
-	WarmP99Ms float64 `json:"warm_p99_ms"`
-}
-
-// runIncremental gates the warm re-analysis median of a
-// BENCH_incremental.json report.
-func runIncremental(path string, maxP50 float64) int {
-	f, err := os.Open(path)
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer f.Close()
-	var rep incrementalReport
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		return fail("%s: %v", path, err)
-	}
-	if rep.Edits == 0 || rep.WarmP50Ms <= 0 {
-		return fail("%s: no warm edit samples in report", path)
-	}
-	if rep.WarmP50Ms > maxP50 {
-		fmt.Printf("incremental warm p50 %.2f ms over %d edits / %d funcs  FAIL (> %.1f ms; p99 %.2f ms)\n",
-			rep.WarmP50Ms, rep.Edits, rep.Funcs, maxP50, rep.WarmP99Ms)
-		fmt.Fprintln(os.Stderr, "benchguard: warm incremental re-analysis exceeds its latency budget")
-		return 1
-	}
-	fmt.Printf("incremental warm p50 %.2f ms over %d edits / %d funcs (<= %.1f ms) ok  (p99 %.2f ms)\n",
-		rep.WarmP50Ms, rep.Edits, rep.Funcs, maxP50, rep.WarmP99Ms)
 	return 0
 }
 
@@ -256,19 +113,6 @@ func parseBench(path string) (map[string][]float64, error) {
 		return nil, fmt.Errorf("%s: no benchmark results found", path)
 	}
 	return out, nil
-}
-
-func reduce(samples []float64, stat string) float64 {
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	if stat == "min" {
-		return sorted[0]
-	}
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 func fail(format string, args ...any) int {

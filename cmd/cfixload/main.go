@@ -1,7 +1,6 @@
 // Command cfixload drives a cfixd (or cfixd -route fleet) with a
 // service-shaped workload and writes the measured service-level numbers
-// as BENCH_service.json — the service counterpart of cmd/experiments'
-// BENCH_pipeline.json.
+// as BENCH_service.json, which CI's fleet chaos step gates on.
 //
 // The workload is the synthetic SAMATE corpus with zipf-distributed
 // file popularity (a few hot translation units, a long cold tail — the

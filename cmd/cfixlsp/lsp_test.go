@@ -4,15 +4,19 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
-	"os"
-	"path/filepath"
+	"runtime/debug"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/incremental"
+	"repro/internal/intflow"
+	"repro/internal/overflow"
 )
 
 // sample has two independent overflowing functions, so one-function
@@ -30,14 +34,31 @@ void second(void) {
 
 const sampleURI = "file:///t/sample.c"
 
-// harness runs an lspServer over in-process pipes and exposes the raw
-// client end plus the server for white-box inspection.
+// pipe is an in-process byte stream: everything one end writes to it
+// is read back by the peer. io.Pipe gives the blocking semantics a
+// JSON-RPC connection needs.
+type pipe struct {
+	r *io.PipeReader
+	w *io.PipeWriter
+}
+
+func newPipe() *pipe {
+	r, w := io.Pipe()
+	return &pipe{r: r, w: w}
+}
+
+func (p *pipe) Read(b []byte) (int, error)  { return p.r.Read(b) }
+func (p *pipe) Write(b []byte) (int, error) { return p.w.Write(b) }
+func (p *pipe) Close() error                { p.w.Close(); return p.r.Close() }
+
+// harness runs an lspServer over in-process pipes and speaks framed
+// JSON-RPC to it as the client; the server stays reachable for
+// white-box inspection.
 type harness struct {
-	t      *testing.T
-	srv    *lspServer
-	client *benchClient
-	done   chan error
-	toSrv  *pipe
+	t   *testing.T
+	srv *lspServer
+	out *writer
+	in  *bufio.Reader
 }
 
 func newHarness(t *testing.T, backendName string) *harness {
@@ -46,15 +67,9 @@ func newHarness(t *testing.T, backendName string) *harness {
 	srv := newLSPServer(toClient, backendName, "all", log.New(io.Discard, "", 0))
 	done := make(chan error, 1)
 	go func() { done <- srv.run(toSrv) }()
-	h := &harness{
-		t:      t,
-		srv:    srv,
-		client: &benchClient{out: &writer{out: toSrv}, in: bufio.NewReader(toClient)},
-		done:   done,
-		toSrv:  toSrv,
-	}
+	h := &harness{t: t, srv: srv, out: &writer{out: toSrv}, in: bufio.NewReader(toClient)}
 	t.Cleanup(func() {
-		h.client.notify("exit", nil)
+		h.notify("exit", nil)
 		toSrv.Close()
 		if err := <-done; err != nil {
 			t.Errorf("server loop: %v", err)
@@ -63,11 +78,63 @@ func newHarness(t *testing.T, backendName string) *harness {
 	return h
 }
 
+func (h *harness) request(id int, method string, params any) {
+	h.t.Helper()
+	if err := h.out.write(struct {
+		JSONRPC string `json:"jsonrpc"`
+		ID      int    `json:"id"`
+		Method  string `json:"method"`
+		Params  any    `json:"params"`
+	}{"2.0", id, method, params}); err != nil {
+		h.t.Fatalf("write %s: %v", method, err)
+	}
+}
+
+func (h *harness) notify(method string, params any) {
+	h.t.Helper()
+	if err := h.out.write(struct {
+		JSONRPC string `json:"jsonrpc"`
+		Method  string `json:"method"`
+		Params  any    `json:"params"`
+	}{"2.0", method, params}); err != nil {
+		h.t.Fatalf("write %s: %v", method, err)
+	}
+}
+
+// waitDiagnostics reads messages until the publishDiagnostics for the
+// given document version arrives (any version when version < 0).
+func (h *harness) waitDiagnostics(version int) publishDiagnosticsParams {
+	h.t.Helper()
+	for {
+		body, err := readMessage(h.in)
+		if err != nil {
+			h.t.Fatalf("read: %v", err)
+		}
+		var msg struct {
+			Method string          `json:"method"`
+			Params json.RawMessage `json:"params"`
+		}
+		if err := json.Unmarshal(body, &msg); err != nil {
+			h.t.Fatalf("unmarshal: %v", err)
+		}
+		if msg.Method != "textDocument/publishDiagnostics" {
+			continue
+		}
+		var p publishDiagnosticsParams
+		if err := json.Unmarshal(msg.Params, &p); err != nil {
+			h.t.Fatalf("unmarshal diagnostics: %v", err)
+		}
+		if p.Version == version || version < 0 {
+			return p
+		}
+	}
+}
+
 // response reads messages until the response for id arrives.
 func (h *harness) response(id int) json.RawMessage {
 	h.t.Helper()
 	for {
-		body, err := readMessage(h.client.in)
+		body, err := readMessage(h.in)
 		if err != nil {
 			h.t.Fatalf("read: %v", err)
 		}
@@ -93,18 +160,18 @@ func (h *harness) response(id int) json.RawMessage {
 // returning the first diagnostics.
 func (h *harness) open(text string) publishDiagnosticsParams {
 	h.t.Helper()
-	h.client.request(1, "initialize", map[string]any{})
+	h.request(1, "initialize", map[string]any{})
 	h.response(1)
-	h.client.notify("initialized", map[string]any{})
-	h.client.notify("textDocument/didOpen", didOpenParams{
+	h.notify("initialized", map[string]any{})
+	h.notify("textDocument/didOpen", didOpenParams{
 		TextDocument: textDocumentItem{URI: sampleURI, Version: 1, Text: text},
 	})
-	return h.client.waitDiagnostics(1)
+	return h.waitDiagnostics(1)
 }
 
 func TestInitializeAdvertisesIncrementalSync(t *testing.T) {
 	h := newHarness(t, "")
-	h.client.request(1, "initialize", map[string]any{})
+	h.request(1, "initialize", map[string]any{})
 	var res initializeResult
 	if err := json.Unmarshal(h.response(1), &res); err != nil {
 		t.Fatal(err)
@@ -142,14 +209,18 @@ func TestIncrementalChangeReanalyzesOnlyDirtyFunction(t *testing.T) {
 
 	// Grow first's buffer past the literal: its findings go away.
 	at := strings.Index(sample, "a[8]") + len("a[")
-	h.client.notify("textDocument/didChange", didChangeParams{
+	ovf0, int0 := overflow.Solves(), intflow.Solves()
+	h.notify("textDocument/didChange", didChangeParams{
 		TextDocument: versionedTextDocumentIdentifier{URI: sampleURI, Version: 2},
 		ContentChanges: []contentChange{{
 			Range: &lspRange{Start: lspPos(sample, at), End: lspPos(sample, at+1)},
 			Text:  "99",
 		}},
 	})
-	diags := h.client.waitDiagnostics(2)
+	diags := h.waitDiagnostics(2)
+	if o, i := overflow.Solves()-ovf0, intflow.Solves()-int0; o != 1 || i != 1 {
+		t.Fatalf("one-function edit ran %d overflow and %d intflow solves, want 1 and 1", o, i)
+	}
 
 	newText := sample[:at] + "99" + sample[at+1:]
 	want, err := core.Analyze(context.Background(), "sample.c", newText, core.Options{Checks: "all"})
@@ -160,24 +231,19 @@ func TestIncrementalChangeReanalyzesOnlyDirtyFunction(t *testing.T) {
 		t.Fatalf("published %d diagnostics, full analysis finds %d", len(diags.Diagnostics), len(want))
 	}
 
-	c := h.srv.docs[sampleURI].session.Counters()
-	if c.FuncsReanalyzed != 1 || c.FuncsReused != 1 {
-		t.Fatalf("counters after one-function edit: %+v", c)
-	}
-
 	// A comment-only change must reuse both functions.
 	at2 := strings.Index(newText, "void second")
-	h.client.notify("textDocument/didChange", didChangeParams{
+	ovf0, int0 = overflow.Solves(), intflow.Solves()
+	h.notify("textDocument/didChange", didChangeParams{
 		TextDocument: versionedTextDocumentIdentifier{URI: sampleURI, Version: 3},
 		ContentChanges: []contentChange{{
 			Range: &lspRange{Start: lspPos(newText, at2), End: lspPos(newText, at2)},
 			Text:  "/* note */\n",
 		}},
 	})
-	h.client.waitDiagnostics(3)
-	c2 := h.srv.docs[sampleURI].session.Counters()
-	if c2.FuncsReanalyzed != c.FuncsReanalyzed || c2.FuncsReused != c.FuncsReused+2 {
-		t.Fatalf("counters after comment edit: %+v (before: %+v)", c2, c)
+	h.waitDiagnostics(3)
+	if o, i := overflow.Solves()-ovf0, intflow.Solves()-int0; o != 0 || i != 0 {
+		t.Fatalf("comment edit ran %d overflow and %d intflow solves, want none", o, i)
 	}
 }
 
@@ -186,14 +252,14 @@ func TestParseBreakingChangeKeepsDiagnosticsAndResyncs(t *testing.T) {
 	before := h.open(sample)
 
 	// Break the parse; the server must keep serving the last good set.
-	h.client.notify("textDocument/didChange", didChangeParams{
+	h.notify("textDocument/didChange", didChangeParams{
 		TextDocument: versionedTextDocumentIdentifier{URI: sampleURI, Version: 2},
 		ContentChanges: []contentChange{{
 			Range: &lspRange{Start: lspPos(sample, 0), End: lspPos(sample, 0)},
 			Text:  ")))",
 		}},
 	})
-	broken := h.client.waitDiagnostics(2)
+	broken := h.waitDiagnostics(2)
 	if len(broken.Diagnostics) != len(before.Diagnostics) {
 		t.Fatalf("broken state dropped diagnostics: %d -> %d", len(before.Diagnostics), len(broken.Diagnostics))
 	}
@@ -201,14 +267,14 @@ func TestParseBreakingChangeKeepsDiagnosticsAndResyncs(t *testing.T) {
 	// Undo; the session is behind the editor, so the change falls back
 	// to a whole-file resync, which Minimize keeps incremental.
 	brokenText := ")))" + sample
-	h.client.notify("textDocument/didChange", didChangeParams{
+	h.notify("textDocument/didChange", didChangeParams{
 		TextDocument: versionedTextDocumentIdentifier{URI: sampleURI, Version: 3},
 		ContentChanges: []contentChange{{
 			Range: &lspRange{Start: lspPos(brokenText, 0), End: lspPos(brokenText, 3)},
 			Text:  "",
 		}},
 	})
-	fixed := h.client.waitDiagnostics(3)
+	fixed := h.waitDiagnostics(3)
 	if len(fixed.Diagnostics) != len(before.Diagnostics) {
 		t.Fatalf("resync lost diagnostics: %d -> %d", len(before.Diagnostics), len(fixed.Diagnostics))
 	}
@@ -222,7 +288,7 @@ func TestCodeActionAppliesBackendFix(t *testing.T) {
 	h.open(sample)
 
 	// Ask for actions over the whole document.
-	h.client.request(2, "textDocument/codeAction", codeActionParams{
+	h.request(2, "textDocument/codeAction", codeActionParams{
 		TextDocument: textDocumentIdentifier{URI: sampleURI},
 		Range:        lspRangeOf(sample, 0, len(sample)),
 	})
@@ -292,10 +358,10 @@ func applyTextEdits(text string, edits []textEdit) string {
 func TestDidCloseClearsDiagnostics(t *testing.T) {
 	h := newHarness(t, "")
 	h.open(sample)
-	h.client.notify("textDocument/didClose", didCloseParams{
+	h.notify("textDocument/didClose", didCloseParams{
 		TextDocument: textDocumentIdentifier{URI: sampleURI},
 	})
-	cleared := h.client.waitDiagnostics(-1)
+	cleared := h.waitDiagnostics(-1)
 	if len(cleared.Diagnostics) != 0 {
 		t.Fatalf("didClose published %d diagnostics, want 0", len(cleared.Diagnostics))
 	}
@@ -304,27 +370,83 @@ func TestDidCloseClearsDiagnostics(t *testing.T) {
 	}
 }
 
-func TestBenchSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_incremental.json")
-	if err := runBench(3, 6, "", "all", out); err != nil {
-		t.Fatal(err)
+// TestWarmEditLatency gates warm incremental re-analysis end to end:
+// over a unit of 24 overflowing functions, 200 one-function edits, each
+// timed from didChange to its publishDiagnostics through the JSON-RPC
+// loop, keep a median (nearest rank) of at most 10 ms, and each edit
+// re-solves its one function in each oracle. The race detector slows
+// the loop several times over, so under -race only the bound is skipped.
+func TestWarmEditLatency(t *testing.T) {
+	const funcs, edits, maxP50Ms = 24, 200, 10.0
+	h := newHarness(t, "")
+	var sb strings.Builder
+	for i := 0; i < funcs; i++ {
+		fmt.Fprintf(&sb, "void fn%d(void) {\n    char buf%d[8];\n    strcpy(buf%d, \"0123456789\");\n}\n\n", i, i, i)
 	}
-	body, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	text := sb.String()
+	if d := h.open(text); len(d.Diagnostics) == 0 {
+		t.Fatal("cold open published no diagnostics")
 	}
-	var rep benchReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		t.Fatal(err)
+
+	// Toggle one function's buffer size per edit, rotating over the
+	// functions, so each edit dirties exactly one function.
+	ovf0, int0 := overflow.Solves(), intflow.Solves()
+	warm := make([]float64, 0, edits)
+	for i := 0; i < edits; i++ {
+		marker := fmt.Sprintf("buf%d[", i%funcs)
+		at := strings.Index(text, marker) + len(marker)
+		repl := "9"
+		if text[at] == '9' {
+			repl = "8"
+		}
+		change := contentChange{
+			Range: &lspRange{Start: lspPos(text, at), End: lspPos(text, at+1)},
+			Text:  repl,
+		}
+		text = text[:at] + repl + text[at+1:]
+
+		t0 := time.Now()
+		h.notify("textDocument/didChange", didChangeParams{
+			TextDocument:   versionedTextDocumentIdentifier{URI: sampleURI, Version: i + 2},
+			ContentChanges: []contentChange{change},
+		})
+		h.waitDiagnostics(i + 2)
+		warm = append(warm, float64(time.Since(t0).Microseconds())/1000)
 	}
-	if rep.Funcs != 3 || rep.Edits != 6 {
-		t.Fatalf("report shape: %+v", rep)
+	if o, i := overflow.Solves()-ovf0, intflow.Solves()-int0; o != edits || i != edits {
+		t.Fatalf("%d one-function edits ran %d overflow and %d intflow solves, want %d of each", edits, o, i, edits)
 	}
-	if rep.WarmP50Ms <= 0 || rep.WarmP99Ms < rep.WarmP50Ms {
-		t.Fatalf("percentiles: %+v", rep)
+
+	sort.Float64s(warm)
+	p50 := percentile(warm, 50)
+	t.Logf("warm p50 %.2f ms, p99 %.2f ms, max %.2f ms over %d edits / %d funcs",
+		p50, percentile(warm, 99), warm[len(warm)-1], edits, funcs)
+	if raceEnabled() {
+		return
 	}
-	// Every warm edit dirties exactly one function.
-	if rep.Reanalyzed != 6 || rep.Reused != 6*2 {
-		t.Fatalf("bench counters: %+v", rep)
+	if p50 > maxP50Ms {
+		t.Fatalf("warm p50 %.2f ms, want <= %.0f ms", p50, maxP50Ms)
 	}
+}
+
+// percentile reads the p-th percentile from sorted samples
+// (nearest rank).
+func percentile(sorted []float64, p int) float64 {
+	idx := (p*len(sorted) + 99) / 100
+	if idx < 1 {
+		idx = 1
+	}
+	return sorted[idx-1]
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

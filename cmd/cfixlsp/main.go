@@ -7,11 +7,10 @@
 // Usage:
 //
 //	cfixlsp [-backend glib|bsd|c11k] [-checks all|buf|int]
-//	cfixlsp -bench 200 [-bench-funcs 24] [-bench-out BENCH_incremental.json]
 //
-// The bench mode drives the server's own JSON-RPC loop over an
-// in-process pipe and reports warm per-edit latency percentiles
-// (cold open + p50/p99 of didChange -> publishDiagnostics).
+// TestWarmEditLatency drives the same JSON-RPC loop over an in-process
+// pipe and gates the warm per-edit median (didChange to
+// publishDiagnostics) at 10 ms.
 package main
 
 import (
@@ -26,9 +25,6 @@ import (
 func main() {
 	backendName := flag.String("backend", "", "safe-function dialect for code actions: glib (default), bsd, or c11k")
 	checks := flag.String("checks", "all", "oracles behind diagnostics: buf, int, or all")
-	bench := flag.Int("bench", 0, "run a latency benchmark with this many warm edits instead of serving")
-	benchFuncs := flag.Int("bench-funcs", 24, "with -bench: number of functions in the synthetic program")
-	benchOut := flag.String("bench-out", "-", "with -bench: report path (- for stdout)")
 	flag.Parse()
 
 	if _, err := cfix.CanonicalChecks(*checks); err != nil {
@@ -39,14 +35,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cfixlsp: -backend: %v\n", err)
 		os.Exit(2)
 	}
-	if *bench > 0 {
-		if err := runBench(*benchFuncs, *bench, *backendName, *checks, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "cfixlsp: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	// Protocol traffic owns stdout; everything human goes to stderr.
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	srv := newLSPServer(os.Stdout, *backendName, *checks, logger)

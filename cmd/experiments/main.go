@@ -15,21 +15,15 @@
 //	experiments -iters 500       RQ3 workload iterations
 //	experiments -table 3 -cache  additionally time cold vs cache-warm
 //	                             core.Fix passes over the corpus
-//	experiments -table 3 -stages additionally print the per-stage
-//	                             pipeline time breakdown (traced)
 //	experiments -table 3 -backend bsd
 //	                             run Table III with a different repair
 //	                             dialect (glib, bsd, c11k)
-//	experiments -bench-json f    run the SAMATE pipeline benchmark and
-//	                             write the per-stage report to f
-//	                             (BENCH_pipeline.json in CI; honors -stride)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/pkg/cfix"
@@ -49,8 +43,6 @@ func run() int {
 		cacheRun = flag.Bool("cache", false, "with table 3: time cold vs cache-warm core.Fix passes")
 		iters    = flag.Int("iters", 200, "RQ3 workload iterations")
 		filler   = flag.Int("filler", 2, "filler functions per corpus file (Table IV bulk)")
-		stages   = flag.Bool("stages", false, "with table 3: add the per-stage pipeline time breakdown")
-		benchOut = flag.String("bench-json", "", "run the SAMATE pipeline benchmark and write BENCH_pipeline.json here")
 		dialect  = flag.String("backend", "glib", `repair dialect for the SAMATE runs: "glib", "bsd", or "c11k"`)
 	)
 	flag.Parse()
@@ -59,10 +51,6 @@ func run() int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: -backend: %v\n", err)
 		return 2
-	}
-
-	if *benchOut != "" {
-		return runBenchJSON(*benchOut, *stride, be)
 	}
 
 	specific := *table != 0 || *figure != 0 || *rq != 0 || *cve || *lint || *ablation
@@ -76,7 +64,7 @@ func run() int {
 	}
 	if want(3) {
 		rows, err := experiments.RunTableIII(experiments.TableIIIOptions{
-			Stride: *stride, CacheWarm: *cacheRun, Stages: *stages, Backend: be})
+			Stride: *stride, CacheWarm: *cacheRun, Backend: be})
 		if err != nil {
 			return fail(err)
 		}
@@ -138,45 +126,6 @@ func run() int {
 		}
 		fmt.Println(experiments.FormatAliasPrecision(r))
 	}
-	return 0
-}
-
-// runBenchJSON runs the SAMATE pipeline benchmark (the Table III run
-// with per-stage tracing) and writes the machine-readable report CI
-// uploads as BENCH_pipeline.json. The table goes to stdout alongside.
-func runBenchJSON(path string, stride int, backend string) int {
-	opts := experiments.TableIIIOptions{Stride: stride, Stages: true, Backend: backend}
-	start := time.Now()
-	rows, err := experiments.RunTableIII(opts)
-	if err != nil {
-		return fail(err)
-	}
-	wall := time.Since(start)
-	fmt.Println(experiments.FormatTableIII(rows))
-	f, err := os.Create(path)
-	if err != nil {
-		return fail(err)
-	}
-	rep := experiments.BuildBenchReport(rows, opts, wall)
-	// Supplementary stage: what would `-checks=int` add? The Table III
-	// run keeps lint off, so the integer-overflow oracle is measured
-	// separately and appended; benchguard -pipeline gates its share.
-	ist, ok, err := experiments.MeasureIntflowStage(stride, 0)
-	if err != nil {
-		f.Close()
-		return fail(err)
-	}
-	if ok {
-		rep.Stages = append(rep.Stages, ist)
-	}
-	if err := experiments.WriteBenchJSON(f, rep); err != nil {
-		f.Close()
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-	fmt.Printf("wrote %s (%d programs, %d stages)\n", path, rep.Programs, len(rep.Stages))
 	return 0
 }
 

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/intflow"
+	"repro/internal/samate"
 )
 
 func TestTableIIISampled(t *testing.T) {
@@ -39,6 +44,43 @@ func TestTableIIISampled(t *testing.T) {
 	if !strings.Contains(out, "CWE 121") || !strings.Contains(out, "Total") {
 		t.Fatalf("format output incomplete:\n%s", out)
 	}
+}
+
+// TestTableIIIRunsNoIntegerOracle: the default fix pipeline keeps the
+// integer-overflow oracle off, so a stride-20 Table III run (glib)
+// costs it exactly 0 solves. The positive control runs the oracle with
+// Checks "int" over the stride-20 integer-overflow corpus and must move
+// the same counter, or a 0 above would show nothing.
+func TestTableIIIRunsNoIntegerOracle(t *testing.T) {
+	const stride = 20
+	before := intflow.Solves()
+	rows, err := RunTableIII(TableIIIOptions{Stride: stride})
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := 0
+	for _, r := range rows {
+		programs += r.Programs
+	}
+	if d := intflow.Solves() - before; programs == 0 || d != 0 {
+		t.Fatalf("Table III over %d programs ran %d integer-oracle solves, want 0", programs, d)
+	}
+
+	before = intflow.Solves()
+	for _, cwe := range samate.IntCWEs {
+		progs := samate.IntGenerate(cwe, samate.IntTableCounts[cwe])
+		for i := 0; i < len(progs); i += stride {
+			p := progs[i]
+			if _, err := core.Analyze(context.Background(), p.ID+".c", p.Source, core.Options{Checks: "int"}); err != nil {
+				t.Fatalf("%s: %v", p.ID, err)
+			}
+		}
+	}
+	solves := intflow.Solves() - before
+	if solves == 0 {
+		t.Fatal("the integer oracle over the int corpus ran no solves")
+	}
+	t.Logf("Table III: %d programs, 0 integer-oracle solves; int corpus with Checks \"int\": %d solves", programs, solves)
 }
 
 func TestTableIV(t *testing.T) {

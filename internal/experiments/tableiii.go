@@ -18,7 +18,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/samate"
 	"repro/internal/stralloc"
 )
@@ -65,18 +64,6 @@ type CWEResult struct {
 	ColdFix  time.Duration
 	WarmFix  time.Duration
 	WarmHits int
-	// Stages is the per-stage breakdown of this CWE class's
-	// transformation pipeline time (TableIIIOptions.Stages): every stage
-	// span of every program's core.Fix, aggregated. The four *Time
-	// fields group its self times into the columns FormatTableIII
-	// prints: the front end (parse), the derived analyses plus pipeline
-	// orchestration (typecheck through overflow, and the fix span's own
-	// self time), and the two transformations (slr; str + rewrite).
-	Stages      []obs.StageStat
-	ParseTime   time.Duration
-	AnalyzeTime time.Duration
-	SLRTime     time.Duration
-	STRTime     time.Duration
 }
 
 // TableIIIOptions configures the SAMATE run.
@@ -90,12 +77,6 @@ type TableIIIOptions struct {
 	// maintenance scenario of re-hardening a mostly-unchanged tree (and
 	// cfixd's steady state).
 	CacheWarm bool
-	// Stages additionally traces every program's transformation pipeline
-	// and aggregates a per-stage time breakdown per CWE (one tracer per
-	// program, merged — each program's span family is laminar, so self
-	// times stay exact even with parallel workers). No-op in a
-	// cfix_notrace build.
-	Stages bool
 	// Backend names the repair dialect SLR rewrites into ("" = glib).
 	// Unknown names fail the run up front rather than mid-corpus.
 	Backend string
@@ -131,37 +112,25 @@ func RunTableIII(opts TableIIIOptions) ([]CWEResult, error) {
 		row := CWEResult{CWE: cwe, Name: samate.CWENames[cwe], Backend: dialect}
 
 		type verdictOrErr struct {
-			v     *harness.Verdict
-			err   error
-			loc   int
-			wall  time.Duration
-			stats []obs.StageStat
+			v    *harness.Verdict
+			err  error
+			loc  int
+			wall time.Duration
 		}
 		picked := make([]samate.Program, 0, len(progs)/opts.Stride+1)
 		for i := 0; i < len(progs); i += opts.Stride {
 			picked = append(picked, progs[i])
 		}
 		results := analysis.Map(opts.Workers, picked, func(_ int, p samate.Program) verdictOrErr {
-			var tr *obs.Tracer
-			if opts.Stages {
-				tr = obs.NewTracer()
-			}
 			start := time.Now()
 			v, err := harness.Verify(p.ID, p.Source, p.ID+"_good", p.ID+"_bad",
-				harness.Options{Stdin: stdinFor(p), Backend: dialect, Tracer: tr})
-			out := verdictOrErr{v: v, err: err, loc: p.LOC(), wall: time.Since(start)}
-			if tr != nil {
-				out.stats = tr.StageStats()
-			}
-			return out
+				harness.Options{Stdin: stdinFor(p), Backend: dialect})
+			return verdictOrErr{v: v, err: err, loc: p.LOC(), wall: time.Since(start)}
 		})
 
 		for _, r := range results {
 			row.Programs++
 			row.WallTime += r.wall
-			if len(r.stats) > 0 {
-				row.Stages = obs.MergeStageStats(row.Stages, r.stats)
-			}
 			if r.err != nil {
 				row.Errors++
 				continue
@@ -190,7 +159,6 @@ func RunTableIII(opts TableIIIOptions) ([]CWEResult, error) {
 		if opts.CacheWarm {
 			measureCacheWarm(&row, picked, warmCache, dialect, opts.Workers)
 		}
-		row.ParseTime, row.AnalyzeTime, row.SLRTime, row.STRTime = groupStages(row.Stages)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -223,27 +191,6 @@ func measureCacheWarm(row *CWEResult, progs []samate.Program, c *cache.Cache, di
 			row.WarmHits++
 		}
 	}
-}
-
-// groupStages folds per-stage self times into the four Table III
-// breakdown columns: the C front end, everything the shared snapshot
-// derives from it (plus the fix span's own orchestration time), and
-// the two transformations (rewrite assembly counts as STR, whose
-// output it re-renders).
-func groupStages(stats []obs.StageStat) (parse, analyze, slr, strt time.Duration) {
-	for _, st := range stats {
-		switch st.Name {
-		case obs.StageParse:
-			parse += st.Self
-		case obs.StageSLR:
-			slr += st.Self
-		case obs.StageSTR, obs.StageRewrite:
-			strt += st.Self
-		default:
-			analyze += st.Self
-		}
-	}
-	return parse, analyze, slr, strt
 }
 
 // stdinFor supplies input for gets/fgets programs.
@@ -319,42 +266,9 @@ func FormatTableIII(rows []CWEResult) string {
 			speedup(tot.ColdFix, tot.WarmFix),
 			fmt.Sprintf("%d/%d", sumWarmHits(rows), tot.Programs)))
 	}
-	if stages := totalStages(rows); len(stages) > 0 {
-		sb.WriteString("\nPer-stage pipeline time (self time, summed across each CWE's programs):\n")
-		sb.WriteString(fmt.Sprintf("%-42s %9s %9s %9s %9s %9s\n",
-			"CWE", "Parse", "Analyze", "SLR", "STR", "Total"))
-		var tp, ta, tslr, tstr time.Duration
-		for _, r := range rows {
-			sb.WriteString(fmt.Sprintf("%-42s %9s %9s %9s %9s %9s\n",
-				fmt.Sprintf("CWE %d: %s", r.CWE, r.Name),
-				r.ParseTime.Round(time.Millisecond), r.AnalyzeTime.Round(time.Millisecond),
-				r.SLRTime.Round(time.Millisecond), r.STRTime.Round(time.Millisecond),
-				(r.ParseTime + r.AnalyzeTime + r.SLRTime + r.STRTime).Round(time.Millisecond)))
-			tp += r.ParseTime
-			ta += r.AnalyzeTime
-			tslr += r.SLRTime
-			tstr += r.STRTime
-		}
-		sb.WriteString(fmt.Sprintf("%-42s %9s %9s %9s %9s %9s\n",
-			"Total", tp.Round(time.Millisecond), ta.Round(time.Millisecond),
-			tslr.Round(time.Millisecond), tstr.Round(time.Millisecond),
-			(tp + ta + tslr + tstr).Round(time.Millisecond)))
-		sb.WriteString("\nStage detail (all CWEs):\n")
-		sb.WriteString(obs.FormatStageStats(stages, 0))
-	}
 	sb.WriteString(fmt.Sprintf("\nPaper: 4,505 programs; SLR applicable to 1,758 (1,096/644/18);\n"))
 	sb.WriteString("vulnerability fixed in bad functions of all programs; normal behavior preserved.\n")
 	return sb.String()
-}
-
-// totalStages merges every row's per-stage aggregate; empty when the
-// run did not collect stages.
-func totalStages(rows []CWEResult) []obs.StageStat {
-	var out []obs.StageStat
-	for _, r := range rows {
-		out = obs.MergeStageStats(out, r.Stages)
-	}
-	return out
 }
 
 // speedup renders cold/warm as a ratio ("12.3x"); "-" when the warm

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cinterp"
 	"repro/internal/core"
 	"repro/internal/cparse"
-	"repro/internal/obs"
 	"repro/internal/stralloc"
 	"repro/internal/typecheck"
 )
@@ -61,11 +60,6 @@ type Options struct {
 	// The checked interpreter models every registered dialect's safe
 	// functions, so verification runs the same protocol regardless.
 	Backend string
-	// Tracer, when non-nil, records the transformation pipeline's stage
-	// spans (the experiment harness feeds them into Table III's
-	// per-stage breakdown). The verification executions are not traced;
-	// only Transform's core.Fix is.
-	Tracer *obs.Tracer
 }
 
 // Verify runs the full protocol. goodEntry and badEntry name the two
@@ -119,7 +113,6 @@ func Transform(id, source string, opts Options, v *Verdict) (string, error) {
 		DisableSTR:   opts.SkipSTR,
 		SelectOffset: -1,
 		Backend:      opts.Backend,
-		Tracer:       opts.Tracer,
 	})
 	if err != nil {
 		return "", fmt.Errorf("harness: transform: %w", err)

@@ -105,19 +105,6 @@ type Site struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Counters is the session's incremental-work accounting, cumulative
-// since Open.
-type Counters struct {
-	// EditsApplied counts Edit calls that validated and re-analyzed.
-	EditsApplied int64 `json:"edits_applied"`
-	// FuncsReanalyzed counts functions whose dependency hash changed
-	// (or that were new) at an edit, forcing fresh derivation.
-	FuncsReanalyzed int64 `json:"funcs_reanalyzed"`
-	// FuncsReused counts functions whose hash was unchanged at an edit,
-	// so their facts replayed from the memo.
-	FuncsReused int64 `json:"funcs_reused"`
-}
-
 // Result is the outcome of Open or one Edit: the current text and the
 // diagnostics derived from it.
 type Result struct {
@@ -159,8 +146,6 @@ type Session struct {
 	// discovered counts the functions the last Open or Edit ran site
 	// discovery over (work accounting for tests).
 	discovered int
-
-	counters Counters
 }
 
 // trackedSite is a Site as the site memo keeps it, with the extent the
@@ -323,12 +308,8 @@ func (s *Session) Edit(ctx context.Context, deltas []edit.Delta) (*Result, error
 	return res, nil
 }
 
-// result counts one applied edit and returns the session's current
-// result for it.
+// result returns the session's current result for one applied edit.
 func (s *Session) result(dirty, reused int) *Result {
-	s.counters.EditsApplied++
-	s.counters.FuncsReanalyzed += int64(dirty)
-	s.counters.FuncsReused += int64(reused)
 	return &Result{Text: s.text, Findings: s.findings, Sites: append([]Site(nil), s.sites...),
 		FuncsReanalyzed: dirty, FuncsReused: reused}
 }
@@ -486,13 +467,6 @@ func (s *Session) Sites() []Site {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Site(nil), s.sites...)
-}
-
-// Counters returns the cumulative incremental-work counters.
-func (s *Session) Counters() Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters
 }
 
 // discoverSites runs both transformers in discovery mode over fns (unit

@@ -195,39 +195,6 @@ func TestStageStatsDegradedCount(t *testing.T) {
 	}
 }
 
-func TestMergeStageStats(t *testing.T) {
-	a := []StageStat{
-		{Name: StageParse, Count: 2, Total: 10 * time.Millisecond, Self: 10 * time.Millisecond,
-			Min: 4 * time.Millisecond, Max: 6 * time.Millisecond},
-		{Name: StageSLR, Count: 1, Total: 5 * time.Millisecond, Self: 3 * time.Millisecond,
-			Min: 5 * time.Millisecond, Max: 5 * time.Millisecond, Degraded: 1},
-	}
-	b := []StageStat{
-		{Name: StageParse, Count: 1, Total: 2 * time.Millisecond, Self: 2 * time.Millisecond,
-			Min: 2 * time.Millisecond, Max: 2 * time.Millisecond},
-		{Name: StageSTR, Count: 1, Total: 7 * time.Millisecond, Self: 7 * time.Millisecond,
-			Min: 7 * time.Millisecond, Max: 7 * time.Millisecond},
-	}
-	got := MergeStageStats(nil, a)
-	got = MergeStageStats(got, b)
-	byName := map[string]StageStat{}
-	for _, st := range got {
-		byName[st.Name] = st
-	}
-	p := byName[StageParse]
-	if p.Count != 3 || p.Total != 12*time.Millisecond || p.Self != 12*time.Millisecond ||
-		p.Min != 2*time.Millisecond || p.Max != 6*time.Millisecond {
-		t.Fatalf("merged parse: %+v", p)
-	}
-	if byName[StageSLR].Degraded != 1 || byName[StageSTR].Count != 1 {
-		t.Fatalf("merged: %+v", got)
-	}
-	// Ordered by self descending: parse (12ms) before str (7ms) before slr (3ms).
-	if got[0].Name != StageParse || got[1].Name != StageSTR || got[2].Name != StageSLR {
-		t.Fatalf("order: %+v", got)
-	}
-}
-
 func TestFormatStageStats(t *testing.T) {
 	tr := NewTracer()
 	makeSpan(tr, StageParse, 0, 0, 3*time.Millisecond)

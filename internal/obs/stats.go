@@ -123,46 +123,6 @@ func FormatStageStats(stats []StageStat, wall time.Duration) string {
 	return sb.String()
 }
 
-// MergeStageStats folds src into dst by stage name (summing counts and
-// times, widening min/max) and returns the merged slice ordered by self
-// time descending. It lets callers aggregate per-program tracers —
-// each internally laminar, so each with correct self times — into one
-// corpus-level breakdown without requiring cross-program span nesting.
-func MergeStageStats(dst, src []StageStat) []StageStat {
-	byName := make(map[string]StageStat, len(dst)+len(src))
-	for _, sts := range [2][]StageStat{dst, src} {
-		for _, st := range sts {
-			prev, seen := byName[st.Name]
-			if !seen {
-				byName[st.Name] = st
-				continue
-			}
-			prev.Count += st.Count
-			prev.Total += st.Total
-			prev.Self += st.Self
-			prev.Degraded += st.Degraded
-			if st.Min < prev.Min {
-				prev.Min = st.Min
-			}
-			if st.Max > prev.Max {
-				prev.Max = st.Max
-			}
-			byName[st.Name] = prev
-		}
-	}
-	out := make([]StageStat, 0, len(byName))
-	for _, st := range byName {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Self != out[j].Self {
-			return out[i].Self > out[j].Self
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // roundDur trims durations for table output.
 func roundDur(d time.Duration) string {
 	switch {
