@@ -40,7 +40,7 @@ type SiteResult struct {
 // FileResult is the outcome of running SLR over a translation unit.
 type FileResult struct {
 	// NewSource is the transformed text (equal to the input when nothing
-	// was applied).
+	// was applied). ApplyFuncs leaves it empty.
 	NewSource string
 	// Sites lists every candidate call site in source order.
 	Sites []SiteResult
@@ -119,7 +119,7 @@ type Transformer struct {
 	// be is the safe-function dialect the rewrite targets.
 	be backend.Backend
 	// usedNames tracks identifiers in the unit so generated temporaries
-	// are fresh.
+	// are fresh. The first freshName call fills it.
 	usedNames map[string]struct{}
 }
 
@@ -132,17 +132,7 @@ func NewTransformer(s *analysis.Snapshot, be backend.Backend) *Transformer {
 	if be == nil {
 		be = backend.Default()
 	}
-	unit := s.Unit()
-	t := &Transformer{
-		unit:      unit,
-		analyzer:  s.BufLenAnalyzer(),
-		be:        be,
-		usedNames: make(map[string]struct{}),
-	}
-	for _, s := range unit.Symbols {
-		t.usedNames[s.Name] = struct{}{}
-	}
-	return t
+	return &Transformer{unit: s.Unit(), analyzer: s.BufLenAnalyzer(), be: be}
 }
 
 // candidate is one unsafe call found in the unit.
@@ -246,16 +236,17 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 // by the evaluation (Section IV); ApplyAt transforms a single selected
 // site.
 func (t *Transformer) ApplyAll() (*FileResult, error) {
-	return t.apply(t.unit.Funcs, nil)
+	return t.apply(t.unit.Funcs, nil, true)
 }
 
 // ApplyFuncs runs SLR on the candidate call sites inside fns only, which
 // must be function definitions of the unit in source order. SLR decides
 // each site from its own function's facts, so the sites reported are
 // exactly those ApplyAll reports inside fns; incremental sessions use it
-// to re-discover only the functions an edit invalidated.
+// to re-discover only the functions an edit invalidated. It queues the
+// same edits and fails on the same overlap, but renders no text.
 func (t *Transformer) ApplyFuncs(fns []*cast.FuncDef) (*FileResult, error) {
-	return t.apply(fns, nil)
+	return t.apply(fns, nil, false)
 }
 
 // ApplyAt runs SLR only on the call site covering the given source offset
@@ -265,10 +256,13 @@ func (t *Transformer) ApplyAt(offset ctoken.Pos) (*FileResult, error) {
 	return t.apply(t.unit.Funcs, func(c candidate) bool {
 		e := c.call.Extent()
 		return e.Pos <= offset && offset < e.End
-	})
+	}, true)
 }
 
-func (t *Transformer) apply(fns []*cast.FuncDef, filter func(candidate) bool) (*FileResult, error) {
+// apply decides the candidates of fns that filter keeps and queues
+// their edits. With render it splices them into NewSource; without, it
+// only validates them.
+func (t *Transformer) apply(fns []*cast.FuncDef, filter func(candidate) bool, render bool) (*FileResult, error) {
 	res := &FileResult{}
 	edits := edit.NewScript()
 	for _, c := range t.findCandidates(fns) {
@@ -295,11 +289,15 @@ func (t *Transformer) apply(fns []*cast.FuncDef, filter func(candidate) bool) (*
 		res.Sites = append(res.Sites, site)
 	}
 	res.Edits = edits.Deltas()
-	out, err := edit.Splice(t.unit.File.Src(), res.Edits)
+	var err error
+	if render {
+		res.NewSource, err = edit.Splice(t.unit.File.Src(), res.Edits)
+	} else {
+		err = edits.Validate(len(t.unit.File.Src()))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("slr: apply edits: %w", err)
 	}
-	res.NewSource = out
 	return res, nil
 }
 
@@ -542,6 +540,12 @@ func (t *Transformer) indentOf(e ctoken.Extent) string {
 
 // freshName returns base if unused in the unit, otherwise base_2, base_3…
 func (t *Transformer) freshName(base string) string {
+	if t.usedNames == nil {
+		t.usedNames = make(map[string]struct{}, len(t.unit.Symbols))
+		for _, s := range t.unit.Symbols {
+			t.usedNames[s.Name] = struct{}{}
+		}
+	}
 	if _, taken := t.usedNames[base]; !taken {
 		t.usedNames[base] = struct{}{}
 		return base

@@ -86,6 +86,8 @@ type VarResult struct {
 
 // FileResult is the outcome of running STR over a translation unit.
 type FileResult struct {
+	// NewSource is the transformed text (equal to the input when nothing
+	// was applied). ApplyFuncs leaves it empty.
 	NewSource string
 	Vars      []VarResult
 	// Edits are the raw textual edits behind NewSource, tagged with
@@ -180,7 +182,8 @@ type Transformer struct {
 	targets map[*cast.Symbol]bool
 	// declOf maps a target symbol to its candidate record.
 	declOf map[*cast.Symbol]*candidate
-	// usedNames for fresh temporaries.
+	// usedNames for fresh temporaries; the first freshName call fills
+	// it.
 	usedNames map[string]struct{}
 }
 
@@ -189,18 +192,12 @@ type Transformer struct {
 // are shared with every other client of s.
 func NewTransformer(s *analysis.Snapshot) *Transformer {
 	s.Typecheck()
-	unit := s.Unit()
-	t := &Transformer{
-		unit:      unit,
-		inter:     s.MayModify(),
-		targets:   make(map[*cast.Symbol]bool),
-		declOf:    make(map[*cast.Symbol]*candidate),
-		usedNames: make(map[string]struct{}),
+	return &Transformer{
+		unit:    s.Unit(),
+		inter:   s.MayModify(),
+		targets: make(map[*cast.Symbol]bool),
+		declOf:  make(map[*cast.Symbol]*candidate),
 	}
-	for _, s := range unit.Symbols {
-		t.usedNames[s.Name] = struct{}{}
-	}
-	return t
 }
 
 // buildParents records each node's parent inside fns for context
@@ -254,7 +251,7 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []*candidate {
 // batch mode of Section IV). Ineligible candidates are reported with their
 // failure reason and left untouched.
 func (t *Transformer) ApplyAll() (*FileResult, error) {
-	return t.apply(t.unit.Funcs)
+	return t.apply(t.unit.Funcs, true)
 }
 
 // ApplyFuncs runs STR on the candidate variables of fns only, which must
@@ -262,12 +259,16 @@ func (t *Transformer) ApplyAll() (*FileResult, error) {
 // preconditions read only its own function and the may-modify facts of
 // its callees, so the variables reported are exactly those ApplyAll
 // reports inside fns; incremental sessions use it to re-discover only
-// the functions an edit invalidated.
+// the functions an edit invalidated. It queues the same edits and fails
+// on the same overlap, but renders no text.
 func (t *Transformer) ApplyFuncs(fns []*cast.FuncDef) (*FileResult, error) {
-	return t.apply(fns)
+	return t.apply(fns, false)
 }
 
-func (t *Transformer) apply(fns []*cast.FuncDef) (*FileResult, error) {
+// apply decides the candidates of fns and queues the rewrite of every
+// function. With render it splices the edits into NewSource; without,
+// it only validates them.
+func (t *Transformer) apply(fns []*cast.FuncDef, render bool) (*FileResult, error) {
 	res := &FileResult{}
 	t.parents = buildParents(fns)
 	cands := t.findCandidates(fns)
@@ -317,7 +318,9 @@ func (t *Transformer) apply(fns []*cast.FuncDef) (*FileResult, error) {
 	}
 
 	if len(t.targets) == 0 {
-		res.NewSource = t.unit.File.Src()
+		if render {
+			res.NewSource = t.unit.File.Src()
+		}
 		return res, nil
 	}
 	res.NeedsStralloc = true
@@ -329,11 +332,15 @@ func (t *Transformer) apply(fns []*cast.FuncDef) (*FileResult, error) {
 		t.renderFunc(fn, edits)
 	}
 	res.Edits = edits.Deltas()
-	out, err := edit.Splice(t.unit.File.Src(), res.Edits)
+	var err error
+	if render {
+		res.NewSource, err = edit.Splice(t.unit.File.Src(), res.Edits)
+	} else {
+		err = edits.Validate(len(t.unit.File.Src()))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("str: apply edits: %w", err)
 	}
-	res.NewSource = out
 	return res, nil
 }
 
@@ -594,6 +601,12 @@ func (t *Transformer) containsTarget(n cast.Node) bool {
 
 // freshName returns an unused identifier based on base.
 func (t *Transformer) freshName(base string) string {
+	if t.usedNames == nil {
+		t.usedNames = make(map[string]struct{}, len(t.unit.Symbols))
+		for _, s := range t.unit.Symbols {
+			t.usedNames[s.Name] = struct{}{}
+		}
+	}
 	if _, taken := t.usedNames[base]; !taken {
 		t.usedNames[base] = struct{}{}
 		return base
