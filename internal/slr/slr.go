@@ -177,19 +177,27 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 				return true
 			})
 		}
+		// walkSimple collects the calls of an expression statement or a
+		// declaration as parts of the enclosing statement.
+		walkSimple := func(s, enclosing cast.Stmt, inBlock bool) {
+			switch x := s.(type) {
+			case *cast.ExprStmt:
+				walkExpr(x.X, enclosing, inBlock, true)
+			case *cast.DeclStmt:
+				for _, d := range x.Decls {
+					if d.Init != nil {
+						walkExpr(d.Init, enclosing, inBlock, false)
+					}
+				}
+			}
+		}
 		walkStmt = func(s cast.Stmt, inBlock bool) {
 			if s == nil {
 				return
 			}
 			switch x := s.(type) {
-			case *cast.ExprStmt:
-				walkExpr(x.X, x, inBlock, true)
-			case *cast.DeclStmt:
-				for _, d := range x.Decls {
-					if d.Init != nil {
-						walkExpr(d.Init, x, inBlock, false)
-					}
-				}
+			case *cast.ExprStmt, *cast.DeclStmt:
+				walkSimple(x, x, inBlock)
 			case *cast.ReturnStmt:
 				if x.Result != nil {
 					walkExpr(x.Result, x, inBlock, false)
@@ -205,7 +213,11 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 				walkStmt(x.Body, false)
 				walkExpr(x.Cond, x, inBlock, false)
 			case *cast.ForStmt:
-				walkStmt(x.Init, false)
+				// The init clause is part of the loop header, as the
+				// condition and the post clause are: a statement that
+				// goes before or after the call's statement goes
+				// around the loop, not inside its parentheses.
+				walkSimple(x.Init, x, false)
 				if x.Cond != nil {
 					walkExpr(x.Cond, x, false, false)
 				}
