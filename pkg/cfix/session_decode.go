@@ -211,6 +211,7 @@ func (d *sessionDecoder) object(keys []string, field func(k int) bool) bool {
 	}
 }
 
+// index is key's position in keys, or -1.
 func index(keys []string, key []byte) int {
 	for k, s := range keys {
 		if s == string(key) {

@@ -84,9 +84,9 @@ func (d *daemon) post(path string, req any) []byte {
 	return data
 }
 
-// sessionAnswers opens the session unit and makes edits one-toggle
-// edits, returning the open answer and then each edit answer.
-func (d *daemon) sessionAnswers(edits int) [][]byte {
+// sessionAnswers opens the session unit and makes n one-toggle edits,
+// returning the open answer and then each edit answer.
+func (d *daemon) sessionAnswers(n int) [][]byte {
 	text := sessionUnit(d.tb)
 	open := d.post("/v1/session/open", cfix.SessionOpenRequest{Filename: "tif_all.c", Source: text})
 	var id struct {
@@ -96,7 +96,7 @@ func (d *daemon) sessionAnswers(edits int) [][]byte {
 		d.tb.Fatal(err)
 	}
 	out := [][]byte{open}
-	for i := 0; i < edits; i++ {
+	for i := 0; i < n; i++ {
 		var delta cfix.SessionDelta
 		delta, text = toggle(text, (i*7)%toggles)
 		out = append(out, d.post("/v1/session/edit",
