@@ -3,7 +3,6 @@ package cfix
 import (
 	"encoding/json"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 )
 
@@ -26,15 +25,14 @@ func decodeSessionResponse(data []byte, out *SessionResponse) error {
 	return err
 }
 
-// decodeSessionFast is the one-pass path. It accepts exact keys in any
-// order, skips unknown keys, and reads every escape encoding/json
-// writes. It reports false, and the caller falls back, on anything
-// whose meaning under encoding/json it does not reproduce: a key that
-// repeats, is escaped or non-ASCII, or matches a field only when case
-// is folded; a null or mistyped field value; a number that is not an
-// int; a surrogate escape; invalid UTF-8 or a control byte in a string;
-// nesting deeper than maxSkipDepth in a skipped value; any syntax error;
-// and trailing bytes.
+// decodeSessionFast is the one-pass path. It reads what cfixd's encoder
+// writes for a SessionResponse: each object's known keys, exact and in
+// field order (omitted ones missing), and every escape encoding/json
+// writes in a string. It reports false, and the caller falls back, on
+// anything else: a key out of order, repeated, unknown, escaped or in
+// another case; a null or mistyped field value; a number that is not
+// an int literal; a surrogate escape; invalid UTF-8 or a control byte
+// in a string; any syntax error; and trailing bytes.
 func decodeSessionFast(data []byte) (SessionResponse, bool) {
 	d := sessionDecoder{src: data, seen: make(map[string]string, 256)}
 	var r SessionResponse
@@ -68,9 +66,6 @@ var (
 	siteKeys = []string{"kind", "function", "name", "safe_name", "extent_pos", "extent_end", "eligible", "reason"}
 )
 
-// maxSkipDepth bounds the nesting of a skipped unknown value.
-const maxSkipDepth = 64
-
 type sessionDecoder struct {
 	src []byte
 	i   int
@@ -78,8 +73,6 @@ type sessionDecoder struct {
 	// CWE name, severity, fix text, kind and reason that hundreds of
 	// findings and sites repeat are one allocation each.
 	seen map[string]string
-	// depth is the nesting of the skipped value being read.
-	depth int
 }
 
 func (d *sessionDecoder) finding(f *SessionFindingJSON) bool {
@@ -170,8 +163,9 @@ func (d *sessionDecoder) eat(c byte) bool {
 	return false
 }
 
-// object reads one object whose known keys are keys, calling field
-// with a key's index to decode its value. Unknown keys are skipped.
+// object reads one object whose keys are among keys and in their
+// order, calling field with a key's index to decode its value. Keys
+// only ever move forward, so none can repeat.
 func (d *sessionDecoder) object(keys []string, field func(k int) bool) bool {
 	if !d.eat('{') {
 		return false
@@ -180,8 +174,7 @@ func (d *sessionDecoder) object(keys []string, field func(k int) bool) bool {
 	if d.eat('}') {
 		return true
 	}
-	var seen uint32
-	next := 0 // cfixd writes the keys in order: try the one after the last
+	next := 0
 	for {
 		d.ws()
 		key, ok := d.key()
@@ -191,45 +184,18 @@ func (d *sessionDecoder) object(keys []string, field func(k int) bool) bool {
 		}
 		d.ws()
 		k := next
-		if k >= len(keys) || keys[k] != string(key) {
-			k = index(keys, key)
+		for k < len(keys) && keys[k] != string(key) {
+			k++
 		}
-		switch {
-		case k >= 0:
-			if seen&(1<<k) != 0 || !field(k) {
-				return false
-			}
-			seen |= 1 << k
-			next = k + 1
-		case foldsToAny(keys, key) || !d.skip():
+		if k == len(keys) || !field(k) {
 			return false
 		}
+		next = k + 1
 		d.ws()
 		if !d.eat(',') {
 			return d.eat('}')
 		}
 	}
-}
-
-// index is key's position in keys, or -1.
-func index(keys []string, key []byte) int {
-	for k, s := range keys {
-		if s == string(key) {
-			return k
-		}
-	}
-	return -1
-}
-
-// foldsToAny reports an unknown key that encoding/json would still
-// match to a field, which compares keys with case folded.
-func foldsToAny(keys []string, key []byte) bool {
-	for _, s := range keys {
-		if strings.EqualFold(s, string(key)) {
-			return true
-		}
-	}
-	return false
 }
 
 // plain marks the bytes a string may hold without a closer look: all
@@ -241,8 +207,7 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// key reads an object key: plain bytes only, which is all cfixd writes
-// and all the fold check above needs to consider.
+// key reads an object key: plain bytes only, which is all cfixd writes.
 func (d *sessionDecoder) key() ([]byte, bool) {
 	if !d.eat('"') {
 		return nil, false
@@ -392,52 +357,26 @@ func (d *sessionDecoder) hex4() (rune, bool) {
 	return r, true
 }
 
-// number reads a number in JSON's grammar, reporting whether it has
-// neither a fraction nor an exponent.
-func (d *sessionDecoder) number() (lit []byte, integer, ok bool) {
+// int reads an int literal, -?(0|[1-9][0-9]*), that fits an int. A
+// fraction or exponent after it is left unread, so the caller fails.
+func (d *sessionDecoder) int() (int, bool) {
 	start, i, s := d.i, d.i, d.src
-	digits := func() bool {
-		from := i
-		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
-			i++
-		}
-		return i > from
-	}
 	if i < len(s) && s[i] == '-' {
 		i++
 	}
+	digits := i
 	if i < len(s) && s[i] == '0' {
 		i++
-	} else if !digits() {
-		return nil, false, false
-	}
-	integer = true
-	if i < len(s) && s[i] == '.' {
-		i++
-		if integer = false; !digits() {
-			return nil, false, false
-		}
-	}
-	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
-		i++
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+	} else {
+		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
 			i++
 		}
-		if integer = false; !digits() {
-			return nil, false, false
-		}
 	}
-	d.i = i
-	return s[start:i], integer, true
-}
-
-// int reads an integer that fits an int.
-func (d *sessionDecoder) int() (int, bool) {
-	lit, integer, ok := d.number()
-	if !ok || !integer {
+	if i == digits {
 		return 0, false
 	}
-	n, err := strconv.Atoi(string(lit))
+	d.i = i
+	n, err := strconv.Atoi(string(s[start:i]))
 	return n, err == nil
 }
 
@@ -455,30 +394,4 @@ func (d *sessionDecoder) literal(word string) bool {
 		return true
 	}
 	return false
-}
-
-// skip reads past the value of an unknown key, checking its syntax.
-// Keys inside it are held to what object accepts.
-func (d *sessionDecoder) skip() bool {
-	if d.i >= len(d.src) || d.depth == maxSkipDepth {
-		return false
-	}
-	d.depth++
-	var ok bool
-	switch d.src[d.i] {
-	case '{':
-		ok = d.object(nil, nil)
-	case '[':
-		_, ok = decodeArray(d, func(*struct{}) bool { return d.skip() })
-	case '"':
-		_, ok = d.bytes()
-	case 't', 'f':
-		_, ok = d.bool()
-	case 'n':
-		ok = d.literal("null")
-	default:
-		_, _, ok = d.number()
-	}
-	d.depth--
-	return ok
 }
