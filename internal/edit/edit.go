@@ -112,22 +112,29 @@ func (e *OverlapError) Error() string {
 // replaced span's start lands before the replacement. It sorts in place
 // and returns its argument for chaining.
 func Sort(deltas []Delta) []Delta {
-	slices.SortStableFunc(deltas, func(a, b Delta) int {
-		if c := cmp.Compare(a.Extent.Pos, b.Extent.Pos); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Extent.End, b.Extent.End)
-	})
+	slices.SortStableFunc(deltas, byStart)
 	return deltas
+}
+
+// byStart is Sort's order: start position, then end position.
+func byStart(a, b Delta) int {
+	if c := cmp.Compare(a.Extent.Pos, b.Extent.Pos); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Extent.End, b.Extent.End)
 }
 
 // Validate checks deltas against a source length: every extent must be
 // valid and in bounds, and no two deltas may claim the same original
 // byte. Multiple insertions at one position are legal and apply in queue
-// order. The slice is not modified.
+// order. The slice is not modified; a sorted one (Script.Deltas) is
+// checked as it stands, without a sorted copy.
 func Validate(srcLen int, deltas []Delta) error {
+	if !slices.IsSortedFunc(deltas, byStart) {
+		deltas = Sort(append([]Delta(nil), deltas...))
+	}
 	cursor := ctoken.Pos(0)
-	for i, d := range Sort(append([]Delta(nil), deltas...)) {
+	for i, d := range deltas {
 		if !d.Extent.IsValid() || int(d.Extent.End) > srcLen {
 			return &BoundsError{Index: i, Delta: d, SrcLen: srcLen}
 		}

@@ -144,6 +144,15 @@ func TestValidateErrors(t *testing.T) {
 	if err := Validate(10, []Delta{{Extent: ext(0, 5)}, Insert(5, "x"), {Extent: ext(5, 7)}}); err != nil {
 		t.Fatalf("Validate rejected legal adjacency: %v", err)
 	}
+	// Unsorted input is checked in sorted order and left as it was.
+	unsorted := []Delta{Replace(ext(4, 8), "x"), {Extent: ext(0, 5)}}
+	err = Validate(10, unsorted)
+	if !errors.As(err, &oe) || oe.At != 4 || oe.Index != 1 {
+		t.Fatalf("unsorted overlap: got %v, want OverlapError at 4, index 1", err)
+	}
+	if unsorted[0].Extent != ext(4, 8) {
+		t.Fatal("Validate reordered its argument")
+	}
 }
 
 // SetOwner stamps every later Add that carries no owner of its own, and

@@ -305,7 +305,7 @@ func (t *Transformer) apply(fns []*cast.FuncDef, filter func(candidate) bool, re
 	if render {
 		res.NewSource, err = edit.Splice(t.unit.File.Src(), res.Edits)
 	} else {
-		err = edits.Validate(len(t.unit.File.Src()))
+		err = edit.Validate(len(t.unit.File.Src()), res.Edits)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("slr: apply edits: %w", err)

@@ -336,7 +336,7 @@ func (t *Transformer) apply(fns []*cast.FuncDef, render bool) (*FileResult, erro
 	if render {
 		res.NewSource, err = edit.Splice(t.unit.File.Src(), res.Edits)
 	} else {
-		err = edits.Validate(len(t.unit.File.Src()))
+		err = edit.Validate(len(t.unit.File.Src()), res.Edits)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("str: apply edits: %w", err)
