@@ -56,20 +56,12 @@ bench:
 
 # Observability overhead gate: the default build's no-tracer path may
 # not cost more than 2% over a build with tracing compiled out
-# (-tags cfix_notrace). benchguard compares per-benchmark minima. Both
-# test binaries are built first and their 7 runs alternate, so drift on
-# a shared host lands on both sample sets alike. The binaries and
+# (-tags cfix_notrace). benchguard compares per-benchmark minima. The
 # samples go to a temporary directory the recipe removes.
 bench-guard:
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) test -c -o "$$tmp/default.test" . && \
-	$(GO) test -c -tags cfix_notrace -o "$$tmp/notrace.test" . && \
-	for i in 1 2 3 4 5 6 7; do \
-		for build in default notrace; do \
-			"$$tmp/$$build.test" -test.run '^$$' -test.bench '^BenchmarkObsOverhead$$' \
-				-test.benchtime=50x >> "$$tmp/bench_$$build.txt" || exit 1; \
-		done; \
-	done && \
+	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime=50x -count=7 . > "$$tmp/bench_default.txt" && \
+	$(GO) test -tags cfix_notrace -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime=50x -count=7 . > "$$tmp/bench_notrace.txt" && \
 	$(GO) run ./cmd/benchguard -max-pct 2 "$$tmp/bench_default.txt" "$$tmp/bench_notrace.txt"
 
 # Trace smoke: harden a generated SAMATE sample with -trace/-stage-stats
