@@ -1,13 +1,12 @@
 # Developer entry points. CI runs the same targets (.github/workflows/ci.yml),
-# so a green `make check bench-guard trace-smoke` locally predicts a green CI.
+# so a green `make check trace-smoke` locally predicts a green CI.
 
 GO ?= go
 
-# Benchmarks settle with one iteration and a few samples; benchguard
-# reduces the samples with min, so more -count buys stability, not time.
+# Benchmarks settle with one iteration and a few samples.
 BENCH_COUNT ?= 3
 
-.PHONY: all build test race vet check staticgate bench bench-guard trace-smoke
+.PHONY: all build test race vet check staticgate bench trace-smoke
 
 all: build test
 
@@ -53,16 +52,6 @@ staticgate:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineStages|BenchmarkObsOverhead|BenchmarkTraceAttached' \
 		-benchtime=1x -count=$(BENCH_COUNT) .
-
-# Observability overhead gate: the default build's no-tracer path may
-# not cost more than 2% over a build with tracing compiled out
-# (-tags cfix_notrace). benchguard compares per-benchmark minima. The
-# samples go to a temporary directory the recipe removes.
-bench-guard:
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime=50x -count=7 . > "$$tmp/bench_default.txt" && \
-	$(GO) test -tags cfix_notrace -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime=50x -count=7 . > "$$tmp/bench_notrace.txt" && \
-	$(GO) run ./cmd/benchguard -max-pct 2 "$$tmp/bench_default.txt" "$$tmp/bench_notrace.txt"
 
 # Trace smoke: harden a generated SAMATE sample with -trace/-stage-stats
 # and validate the Chrome trace with the CI checker, all inside a

@@ -511,11 +511,8 @@ func BenchmarkPipelineStages(b *testing.B) {
 	})
 }
 
-// BenchmarkObsOverhead is the observability overhead gate: the full fix
-// pipeline with NO tracer attached. CI runs it twice — default build and
-// `-tags cfix_notrace` (tracing compiled out entirely) — and
-// cmd/benchguard fails the build when the default build is more than 2%
-// slower: the nil-tracer fast path must stay free.
+// BenchmarkObsOverhead is the untraced baseline for BenchmarkTraceAttached:
+// the full fix pipeline with no tracer attached.
 func BenchmarkObsOverhead(b *testing.B) {
 	name, src := stageProgram()
 	opts := cfix.Options{SelectAll: true, Lint: true}
@@ -530,9 +527,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 // (created per iteration, as one CLI run would), quantifying the opt-in
 // cost of -trace/-stage-stats next to BenchmarkObsOverhead's baseline.
 func BenchmarkTraceAttached(b *testing.B) {
-	if !cfix.TracingEnabled() {
-		b.Skip("tracing compiled out (cfix_notrace)")
-	}
 	name, src := stageProgram()
 	for i := 0; i < b.N; i++ {
 		opts := cfix.Options{SelectAll: true, Lint: true, Tracer: cfix.NewTracer()}

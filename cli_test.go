@@ -783,56 +783,6 @@ int main(void) {
 	}
 }
 
-// TestBenchguardCLI pins the observability-gate comparator: within
-// threshold passes, past threshold fails, no common benchmarks fails.
-func TestBenchguardCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	bin := buildTool(t, "cmd/benchguard")
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	base := write("base.txt",
-		"goos: linux\nBenchmarkObsOverhead-8 \t 100\t 1000000 ns/op\nBenchmarkObsOverhead-8 \t 100\t 1040000 ns/op\n")
-	within := write("within.txt",
-		"BenchmarkObsOverhead-8 \t 100\t 1015000 ns/op\nBenchmarkObsOverhead-8 \t 100\t 1300000 ns/op\n")
-	past := write("past.txt",
-		"BenchmarkObsOverhead-8 \t 100\t 1100000 ns/op\n")
-	other := write("other.txt",
-		"BenchmarkSomethingElse-8 \t 100\t 1000000 ns/op\n")
-
-	// min(within)=1.015ms vs min(base)=1.0ms: +1.5%, inside the 2% gate.
-	out, err := exec.Command(bin, within, base).CombinedOutput()
-	if err != nil {
-		t.Fatalf("within-threshold comparison failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "ok") {
-		t.Fatalf("verdict missing:\n%s", out)
-	}
-	// +10% must fail with exit 1 and a FAIL verdict line.
-	out, err = exec.Command(bin, past, base).CombinedOutput()
-	if code := exitCode(err); code != 1 {
-		t.Fatalf("past-threshold comparison: exit %d, want 1\n%s", code, out)
-	}
-	if !strings.Contains(string(out), "FAIL") {
-		t.Fatalf("FAIL verdict missing:\n%s", out)
-	}
-	// A custom threshold admits the same regression.
-	if out, err := exec.Command(bin, "-max-pct", "15", past, base).CombinedOutput(); err != nil {
-		t.Fatalf("-max-pct 15: %v\n%s", err, out)
-	}
-	// Disjoint benchmark sets are an error, not a silent pass.
-	if code := exitCode(exec.Command(bin, other, base).Run()); code != 1 {
-		t.Fatalf("disjoint sets: exit %d, want 1", code)
-	}
-}
-
 // TestCfixdCLIEndToEnd boots the real daemon on an ephemeral port,
 // drives it over HTTP, and checks the SIGTERM drain contract.
 func TestCfixdCLIEndToEnd(t *testing.T) {

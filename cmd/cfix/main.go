@@ -223,9 +223,6 @@ func run() int {
 		return 2
 	}
 	if opts.traceOut != "" || opts.stageStats {
-		if !cfix.TracingEnabled() {
-			fmt.Fprintln(os.Stderr, "cfix: this build was compiled with cfix_notrace; -trace/-stage-stats will observe nothing")
-		}
 		opts.tracer = cfix.NewTracer()
 	}
 

@@ -39,8 +39,9 @@ var testOnlyAllowed = map[string]string{
 // test. Constants are exempt, because enum names document their values.
 // A top-level name counts as used when a non-test file names it outside
 // its declaration, package-qualified from another package or bare within
-// its own. A method counts as used when a non-test selector carries its
-// name. The walk covers every non-test Go file under the module root,
+// its own; a function naming itself in its own body does not count. A
+// method counts as used when a non-test selector carries its name. The
+// walk covers every non-test Go file under the module root,
 // cmd/bench (a module of its own) and examples/ included.
 func TestNoTestOnlyExports(t *testing.T) {
 	const module = "repro"
@@ -108,6 +109,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 			}
 		}
+		self := "" // the top-level function being walked, if any
 		var visit func(ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -134,13 +136,19 @@ func TestNoTestOnlyExports(t *testing.T) {
 					}
 				}
 			case *ast.Ident:
-				if !skip[n] {
+				if !skip[n] && n.Name != self {
 					used[key{f.pkg, n.Name}] = true
 				}
 			}
 			return true
 		}
-		ast.Inspect(f.ast, visit)
+		for _, d := range f.ast.Decls {
+			self = ""
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				self = fd.Name.Name
+			}
+			ast.Inspect(d, visit)
+		}
 	}
 
 	var bad []string

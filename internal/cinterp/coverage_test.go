@@ -86,10 +86,12 @@ int main(void) {
     case 1:
         printf("1");
     }
+    switch (2) case 2: printf("u");
+    switch (3) case 2: printf("x");
     return 0;
 }
 `, "main")
-	if res.Stdout != "d1" {
+	if res.Stdout != "d1u" {
 		t.Fatalf("got %q", res.Stdout)
 	}
 }

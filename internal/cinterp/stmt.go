@@ -258,14 +258,15 @@ func (in *Interp) execSwitch(sw *cast.SwitchStmt) (flow, error) {
 	if err != nil {
 		return _flowNormal, err
 	}
-	body, ok := sw.Body.(*cast.CompoundStmt)
-	if !ok {
-		return _flowNormal, nil
+	// An unbraced body is one statement, which may itself be a case.
+	items := []cast.Stmt{sw.Body}
+	if body, ok := sw.Body.(*cast.CompoundStmt); ok {
+		items = body.Items
 	}
 	// Find the matching case (or default).
 	start := -1
 	defaultIdx := -1
-	for i, item := range body.Items {
+	for i, item := range items {
 		cs, ok := item.(*cast.CaseStmt)
 		if !ok {
 			continue
@@ -289,8 +290,8 @@ func (in *Interp) execSwitch(sw *cast.SwitchStmt) (flow, error) {
 	if start < 0 {
 		return _flowNormal, nil
 	}
-	for i := start; i < len(body.Items); i++ {
-		fl, err := in.execStmt(body.Items[i])
+	for i := start; i < len(items); i++ {
+		fl, err := in.execStmt(items[i])
 		if err != nil {
 			return _flowNormal, err
 		}

@@ -126,9 +126,6 @@ func TestIntflowFixDifferentialOnSAMATE(t *testing.T) {
 // only — traced and untraced runs are byte-identical on every SAMATE
 // program, and the traced run covers the pipeline's stage vocabulary.
 func TestTracingDoesNotChangeOutput(t *testing.T) {
-	if !obs.Enabled() {
-		t.Skip("tracing compiled out (cfix_notrace)")
-	}
 	inputs := equivCorpus(t, 200)
 	plain := Options{SelectOffset: -1, Lint: true}
 	tr := obs.NewTracer()
@@ -167,9 +164,6 @@ func TestTracingDoesNotChangeOutput(t *testing.T) {
 // assignment differs). Run with -race this also pins the tracer's
 // thread safety under the real worker pool.
 func TestTracedBatchJ1vsJN(t *testing.T) {
-	if !obs.Enabled() {
-		t.Skip("tracing compiled out (cfix_notrace)")
-	}
 	inputs := equivCorpus(t, 200)
 
 	seqTr := obs.NewTracer()
@@ -220,9 +214,6 @@ func TestTracedBatchJ1vsJN(t *testing.T) {
 // parse, after its span opened) must not leak open spans — the parse
 // and fix spans close on the unwind path and are visible in the trace.
 func TestSpansClosedOnInjectedPanic(t *testing.T) {
-	if !obs.Enabled() {
-		t.Skip("tracing compiled out (cfix_notrace)")
-	}
 	defer analysis.InjectFault("spanboom.c", analysis.Fault{Panic: true})()
 	tr := obs.NewTracer()
 	_, err := Fix(context.Background(), "spanboom.c", sample, Options{SelectOffset: -1, Tracer: tr})
@@ -250,9 +241,6 @@ func TestSpansClosedOnInjectedPanic(t *testing.T) {
 // carries degraded=<reason> on the affected stage span, and the
 // aggregated stage stats surface it (the -stage-stats degraded column).
 func TestBudgetExhaustionSpanAttr(t *testing.T) {
-	if !obs.Enabled() {
-		t.Skip("tracing compiled out (cfix_notrace)")
-	}
 	defer analysis.InjectFault("spanbudget.c", analysis.Fault{Budget: 1})()
 	tr := obs.NewTracer()
 	rep, err := Fix(context.Background(), "spanbudget.c", overflowing, Options{
@@ -297,9 +285,6 @@ func TestBudgetExhaustionSpanAttr(t *testing.T) {
 // inside parse) still closes the open spans, and the recorded duration
 // reflects the stall.
 func TestSpanClosedOnTimeout(t *testing.T) {
-	if !obs.Enabled() {
-		t.Skip("tracing compiled out (cfix_notrace)")
-	}
 	defer analysis.InjectFault("spanstall.c", analysis.Fault{Delay: 5 * time.Second})()
 	tr := obs.NewTracer()
 	_, err := Fix(context.Background(), "spanstall.c", sample, Options{

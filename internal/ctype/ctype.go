@@ -458,37 +458,3 @@ func Decay(t Type) Type {
 		return t
 	}
 }
-
-// Equal reports structural equality of two types, resolving typedefs.
-// Record types compare by identity (C tag compatibility is per-unit here).
-func Equal(a, b Type) bool {
-	a, b = Unqualify(a), Unqualify(b)
-	switch x := a.(type) {
-	case *Basic:
-		y, ok := b.(*Basic)
-		return ok && x.Kind == y.Kind
-	case *Pointer:
-		y, ok := b.(*Pointer)
-		return ok && Equal(x.Elem, y.Elem)
-	case *Array:
-		y, ok := b.(*Array)
-		return ok && x.Len == y.Len && Equal(x.Elem, y.Elem)
-	case *Func:
-		y, ok := b.(*Func)
-		if !ok || x.Variadic != y.Variadic || len(x.Params) != len(y.Params) || !Equal(x.Result, y.Result) {
-			return false
-		}
-		for i := range x.Params {
-			if !Equal(x.Params[i], y.Params[i]) {
-				return false
-			}
-		}
-		return true
-	case *Record:
-		return a == b
-	case *Enum:
-		return a == b
-	default:
-		return false
-	}
-}

@@ -124,43 +124,6 @@ func TestDecay(t *testing.T) {
 		t.Fatal("scalars pass through")
 	}
 }
-
-func TestEqual(t *testing.T) {
-	if !Equal(PointerTo(CharType), PointerTo(CharType)) {
-		t.Fatal("structurally equal pointers")
-	}
-	if Equal(PointerTo(CharType), PointerTo(IntType)) {
-		t.Fatal("different pointee")
-	}
-	if !Equal(ArrayOf(IntType, 3), ArrayOf(IntType, 3)) {
-		t.Fatal("equal arrays")
-	}
-	if Equal(ArrayOf(IntType, 3), ArrayOf(IntType, 4)) {
-		t.Fatal("different lengths")
-	}
-	named := &Named{Name: "myint", Underlying: IntType}
-	if !Equal(named, IntType) {
-		t.Fatal("typedef resolves for equality")
-	}
-	r1 := &Record{Tag: "a", Complete: true}
-	r2 := &Record{Tag: "a", Complete: true}
-	if Equal(r1, r2) {
-		t.Fatal("records compare by identity")
-	}
-	if !Equal(r1, r1) {
-		t.Fatal("record self-equality")
-	}
-	fa := &Func{Result: IntType, Params: []Type{PointerTo(CharType)}}
-	fb := &Func{Result: IntType, Params: []Type{PointerTo(CharType)}}
-	if !Equal(fa, fb) {
-		t.Fatal("equal function types")
-	}
-	fc := &Func{Result: IntType, Params: []Type{PointerTo(CharType)}, Variadic: true}
-	if Equal(fa, fc) {
-		t.Fatal("variadic differs")
-	}
-}
-
 func TestElem(t *testing.T) {
 	if Elem(PointerTo(IntType)) != IntType {
 		t.Fatal("pointer elem")

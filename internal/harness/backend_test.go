@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/samate"
 )
 
@@ -164,5 +165,91 @@ func TestVerifyBackendSAMATESubset(t *testing.T) {
 			t.Logf("%s: %d programs, %d vulnerable, %d fixed, %d preserved",
 				backend, programs, vulnDetected, fixed, preserved)
 		})
+	}
+}
+
+// TestVerifySLRContextShapes runs SLR alone on calls whose statement
+// runs them zero or more times, or whose body is no block, under every
+// dialect. The output re-parses (the post runs parse it), a run that does
+// not overflow prints the same before and after, and the overflowing run
+// is fixed unless its site declines.
+func TestVerifySLRContextShapes(t *testing.T) {
+	shapes := []struct{ name, src string }{
+		// The clamp must not move before a statement that may skip the
+		// call: s(20, 0) copies nothing and prints 20.
+		{"memcpy_and_operand", `
+void s(int n, int x) {
+    char a[8];
+    char b[32];
+    memset(b, 'A', 32);
+    x && memcpy(a, b, n);
+    printf("%d\n", n);
+}
+void s_good(void) { s(20, 0); s(4, 1); }
+void s_bad(void) { s(20, 1); }
+`},
+		{"memcpy_cond_arm", `
+void s(int n, int x) {
+    char a[8];
+    char b[32];
+    memset(b, 'A', 32);
+    x ? memcpy(a, b, n) : 0;
+    printf("%d\n", n);
+}
+void s_good(void) { s(20, 0); s(4, 1); }
+void s_bad(void) { s(20, 1); }
+`},
+		// Nor before a loop whose body changes the length the post
+		// clause copies.
+		{"memcpy_for_post", `
+void s(int n) {
+    char a[8];
+    char b[32];
+    int i;
+    memset(b, 'A', 32);
+    for (i = 0; i < 3; memcpy(a, b, n)) {
+        n = n - 2;
+        i++;
+    }
+    printf("%d\n", n);
+}
+void s_good(void) { s(10); }
+void s_bad(void) { s(20); }
+`},
+		// The newline strip must stay under the case label.
+		{"gets_unbraced_case", `
+void s(int n) {
+    char buf[16];
+    strcpy(buf, "x\n");
+    switch (n) case 1: gets(buf);
+    printf("[%s]\n", buf);
+}
+void s_good(void) { s(2); s(1); }
+void s_bad(void) { s(1); s(1); }
+`},
+	}
+	for _, be := range backend.Names() {
+		for _, sh := range shapes {
+			t.Run(be+"/"+sh.name, func(t *testing.T) {
+				v, err := Verify("s", sh.src, "s_good", "s_bad", Options{
+					Backend: be,
+					SkipSTR: true,
+					Stdin:   []string{"hello", "a very long attacking line"},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !v.VulnDetected {
+					t.Fatal("bad run must overflow before the fix")
+				}
+				if !v.Preserved {
+					t.Fatalf("good run changed: pre=%q post=%q (%v)\n%s",
+						v.PreGood.Stdout, v.PostGood.Stdout, v.PostGood.Violations, v.TransformedSource)
+				}
+				if !v.Fixed && v.SLRApplied == v.SLRSites {
+					t.Fatalf("applied fix left %v\n%s", v.PostBad.Violations, v.TransformedSource)
+				}
+			})
+		}
 	}
 }

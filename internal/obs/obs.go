@@ -6,10 +6,8 @@
 // snapshot layer, SLR, STR, the rewrite assembly, and the result-cache
 // lookup — opens a Span against the Tracer carried in core.Options.
 // A nil *Tracer is the disabled state: every method is nil-safe and the
-// whole instrumented path collapses to a handful of nil checks, so the
-// no-trace pipeline pays (and is held to, by CI) ≤ 2% overhead. The
-// `cfix_notrace` build tag compiles span creation out entirely; the CI
-// overhead gate benchmarks the default build against it.
+// whole instrumented path collapses to a handful of nil checks that
+// allocate nothing (TestNilTracerAllocatesNothing holds that count at 0).
 //
 // The package sits below internal/analysis and internal/core and must
 // not import anything outside the standard library.
@@ -172,6 +170,45 @@ func (t *Tracer) WallClock() time.Duration {
 		}
 	}
 	return last - first
+}
+
+// Start opens a span against the tracer. A nil tracer returns a nil
+// span on which Attr and End no-op — the disabled path is a single nil
+// check. ctx supplies the worker lane (see WithLane); a nil context is
+// lane 0.
+func (t *Tracer) Start(ctx context.Context, name, file string) *ActiveSpan {
+	if t == nil {
+		return nil
+	}
+	now := time.Now()
+	return &ActiveSpan{
+		t:       t,
+		started: now,
+		span: Span{
+			Name:  name,
+			File:  file,
+			Lane:  LaneFrom(ctx),
+			Start: now.Sub(t.epoch),
+		},
+	}
+}
+
+// RecordSince records a completed span retroactively, covering the
+// window from started to now — used where the span's name is only known
+// at the end of the measured work (a cache lookup is a cache_hit or a
+// cache_miss only once it resolves). Nil-safe. It takes no attributes:
+// a variadic slice would be built, and allocated, even for a nil tracer.
+func (t *Tracer) RecordSince(ctx context.Context, name, file string, started time.Time) {
+	if t == nil {
+		return
+	}
+	t.record(Span{
+		Name:  name,
+		File:  file,
+		Lane:  LaneFrom(ctx),
+		Start: started.Sub(t.epoch),
+		Dur:   time.Since(started),
+	})
 }
 
 // record appends one completed span.

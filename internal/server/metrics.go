@@ -182,8 +182,7 @@ type Snapshot struct {
 	BackendRequests map[string]int64 `json:"backend_requests,omitempty"`
 	// Stages maps each pipeline stage name (parse, typecheck, slr, ...)
 	// to its own latency histogram, aggregated from the stage spans of
-	// every served request. Empty until the first analysis request, and
-	// always empty in a cfix_notrace build.
+	// every served request. Empty until the first analysis request.
 	Stages map[string]StageSnapshot `json:"stages,omitempty"`
 }
 

@@ -57,9 +57,6 @@ func assertMonotonic(t *testing.T, before, after Snapshot) {
 // histogram per pipeline stage in /metrics, scraped over HTTP, and the
 // counts only ever grow.
 func TestStageHistogramsInMetrics(t *testing.T) {
-	if !cfix.TracingEnabled() {
-		t.Skip("tracing compiled out (cfix_notrace)")
-	}
 	_, ts, _ := newTestServer(t, Config{})
 
 	var m0 Snapshot
@@ -111,9 +108,6 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 // TestStageMetricsDegradedCount: a budget-exhausted request marks its
 // stage histogram entries as degraded.
 func TestStageMetricsDegradedCount(t *testing.T) {
-	if !cfix.TracingEnabled() {
-		t.Skip("tracing compiled out (cfix_notrace)")
-	}
 	defer analysis.InjectFault("deg.c", analysis.Fault{Budget: 1})()
 	s, ts, _ := newTestServer(t, Config{})
 
@@ -242,12 +236,10 @@ func TestMetricsDuringPanic500(t *testing.T) {
 	if post.PanicsRecovered != 1 {
 		t.Fatalf("panics_recovered = %d, want 1", post.PanicsRecovered)
 	}
-	if cfix.TracingEnabled() {
-		// The fault fires inside parse, after its span opened: the defer
-		// must have closed it so the histogram still sees the stage.
-		if post.Stages["parse"].Count < 1 {
-			t.Fatalf("parse span lost on the panic path: %+v", post.Stages)
-		}
+	// The fault fires inside parse, after its span opened: the defer
+	// must have closed it so the histogram still sees the stage.
+	if post.Stages["parse"].Count < 1 {
+		t.Fatalf("parse span lost on the panic path: %+v", post.Stages)
 	}
 	var reqTotal int64
 	for _, n := range post.LatencyBuckets {
@@ -272,7 +264,7 @@ func TestSlowRequestLog(t *testing.T) {
 	if !strings.Contains(logged, "slow request /v1/fix slow.c") {
 		t.Fatalf("missing slow-request log: %q", logged)
 	}
-	if cfix.TracingEnabled() && !strings.Contains(logged, "parse") {
+	if !strings.Contains(logged, "parse") {
 		t.Fatalf("slow-request log missing stage breakdown: %q", logged)
 	}
 

@@ -162,13 +162,8 @@ func TestSessionMetricsCounters(t *testing.T) {
 	if m.Sessions.FuncsReanalyzed != 1 || m.Sessions.FuncsReused != 1 {
 		t.Fatalf("funcs counters: %+v", m.Sessions)
 	}
-	// The incremental re-analysis must surface as a stage histogram; a
-	// cfix_notrace build records no stages at all.
-	if !obs.Enabled() {
-		if len(m.Stages) != 0 {
-			t.Fatalf("stages in a cfix_notrace build: %v", mapsKeys(m.Stages))
-		}
-	} else if _, ok := m.Stages["incremental"]; !ok {
+	// The incremental re-analysis must surface as a stage histogram.
+	if _, ok := m.Stages["incremental"]; !ok {
 		t.Fatalf("no incremental stage in metrics: %v", mapsKeys(m.Stages))
 	}
 
@@ -190,9 +185,6 @@ func mapsKeys(m map[string]StageSnapshot) []string {
 // /metrics exactly once, and the daemon keeps none of them once the
 // request that recorded them has answered.
 func TestSessionSpansObservedOnce(t *testing.T) {
-	if !obs.Enabled() {
-		t.Skip("tracing compiled out (cfix_notrace)")
-	}
 	const editors, perEditor = 3, 4
 	srv, ts, _ := newTestServer(t, Config{MaxInFlight: editors})
 	resp := openSession(t, ts.URL, twoFn)

@@ -150,6 +150,10 @@ type candidate struct {
 	// valueUsed reports that the call is not the whole expression of a
 	// statement or a for-post clause, so the program reads its value.
 	valueUsed bool
+	// expr is the statement-level expression holding the call, and
+	// repeated reports that it is a loop condition or a for-post clause.
+	expr     cast.Expr
+	repeated bool
 }
 
 // findCandidates walks fns for unsafe calls in source order.
@@ -159,8 +163,9 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 		fn := fn
 		var walkStmt func(s cast.Stmt, inBlock bool)
 		// walkExpr collects the calls in e; discarded reports that the
-		// program never reads e's value.
-		walkExpr := func(e cast.Expr, enclosing cast.Stmt, inBlock, discarded bool) {
+		// program never reads e's value, and repeated that e is a loop
+		// condition or a for-post clause.
+		walkExpr := func(e cast.Expr, enclosing cast.Stmt, inBlock, discarded, repeated bool) {
 			cast.Inspect(e, func(n cast.Node) bool {
 				call, ok := n.(*cast.CallExpr)
 				if !ok {
@@ -173,6 +178,7 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 				out = append(out, candidate{
 					fn: fn, call: call, rule: rule, stmt: enclosing, inBlock: inBlock,
 					valueUsed: !discarded || cast.Unparen(e) != cast.Expr(call),
+					expr:      e, repeated: repeated,
 				})
 				return true
 			})
@@ -182,11 +188,11 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 		walkSimple := func(s, enclosing cast.Stmt, inBlock bool) {
 			switch x := s.(type) {
 			case *cast.ExprStmt:
-				walkExpr(x.X, enclosing, inBlock, true)
+				walkExpr(x.X, enclosing, inBlock, true, false)
 			case *cast.DeclStmt:
 				for _, d := range x.Decls {
 					if d.Init != nil {
-						walkExpr(d.Init, enclosing, inBlock, false)
+						walkExpr(d.Init, enclosing, inBlock, false, false)
 					}
 				}
 			}
@@ -200,18 +206,18 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 				walkSimple(x, x, inBlock)
 			case *cast.ReturnStmt:
 				if x.Result != nil {
-					walkExpr(x.Result, x, inBlock, false)
+					walkExpr(x.Result, x, inBlock, false, false)
 				}
 			case *cast.IfStmt:
-				walkExpr(x.Cond, x, inBlock, false)
+				walkExpr(x.Cond, x, inBlock, false, false)
 				walkStmt(x.Then, false)
 				walkStmt(x.Else, false)
 			case *cast.WhileStmt:
-				walkExpr(x.Cond, x, inBlock, false)
+				walkExpr(x.Cond, x, inBlock, false, true)
 				walkStmt(x.Body, false)
 			case *cast.DoWhileStmt:
 				walkStmt(x.Body, false)
-				walkExpr(x.Cond, x, inBlock, false)
+				walkExpr(x.Cond, x, inBlock, false, true)
 			case *cast.ForStmt:
 				// The init clause is part of the loop header, as the
 				// condition and the post clause are: a statement that
@@ -219,10 +225,10 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 				// around the loop, not inside its parentheses.
 				walkSimple(x.Init, x, false)
 				if x.Cond != nil {
-					walkExpr(x.Cond, x, false, false)
+					walkExpr(x.Cond, x, false, false, true)
 				}
 				if x.Post != nil {
-					walkExpr(x.Post, x, false, true)
+					walkExpr(x.Post, x, false, true, true)
 				}
 				walkStmt(x.Body, false)
 			case *cast.CompoundStmt:
@@ -232,10 +238,12 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 			case *cast.LabeledStmt:
 				walkStmt(x.Stmt, inBlock)
 			case *cast.SwitchStmt:
-				walkExpr(x.Tag, x, inBlock, false)
+				walkExpr(x.Tag, x, inBlock, false, false)
 				walkStmt(x.Body, false)
 			case *cast.CaseStmt:
-				walkStmt(x.Stmt, true)
+				// A case in a braced body is an item of it; the unbraced
+				// body of a switch is not.
+				walkStmt(x.Stmt, inBlock)
 			}
 		}
 		walkStmt(fn.Body, true)
@@ -412,8 +420,10 @@ func (t *Transformer) editGets(c candidate, size buflen.Size, edits *edit.Script
 }
 
 // editMemcpy clamps the length parameter (Section III-B3). Option 1
-// (length reused later) assigns the clamped value before the call; option
-// 2 replaces the parameter with a ternary in place.
+// (length reused later) assigns the clamped value before the call's
+// statement, so it serves only a call that runs exactly once each time
+// that statement runs; option 2 replaces the parameter with a ternary in
+// place.
 func (t *Transformer) editMemcpy(c candidate, size buflen.Size, edits *edit.Script) *buflen.Failure {
 	if len(c.call.Args) < 3 {
 		return &buflen.Failure{Reason: buflen.FailUnsupportedForm, Detail: "memcpy with fewer than 3 arguments"}
@@ -428,7 +438,7 @@ func (t *Transformer) editMemcpy(c candidate, size buflen.Size, edits *edit.Scri
 		return &buflen.Failure{Reason: buflen.FailAlreadyClamped}
 	}
 
-	if id, ok := cast.Unparen(lenArg).(*cast.Ident); ok && id.Sym != nil && t.usedAfter(c, id) {
+	if id, ok := cast.Unparen(lenArg).(*cast.Ident); ok && id.Sym != nil && c.once() && t.usedAfter(c, id) {
 		// Option 1: length is used by later statements; assign the clamp
 		// so subsequent uses (e.g. null-termination at dst[len]) see the
 		// truncated count.
@@ -459,6 +469,30 @@ func (t *Transformer) editMemcpy(c candidate, size buflen.Size, edits *edit.Scri
 	tern := fmt.Sprintf("%s > %s ? %s : %s", sizeText, lenText, lenText, sizeText)
 	edits.Add(edit.Replace(lenArg.Extent(), tern))
 	return nil
+}
+
+// once reports that c's call runs exactly once each time its statement
+// runs: its expression is no loop condition or for-post clause, and the
+// call is in no right operand of && or || and no arm of ?:.
+func (c candidate) once() bool {
+	if c.repeated {
+		return false
+	}
+	call := c.call.Extent()
+	guarded := func(e cast.Expr) bool {
+		return e != nil && e.Extent().Pos <= call.Pos && call.End <= e.Extent().End
+	}
+	once := true
+	cast.Inspect(c.expr, func(n cast.Node) bool {
+		switch x := n.(type) {
+		case *cast.BinaryExpr:
+			once = !((x.Op == cast.BinaryLAnd || x.Op == cast.BinaryLOr) && guarded(x.Y))
+		case *cast.CondExpr:
+			once = !guarded(x.Then) && !guarded(x.Else)
+		}
+		return once
+	})
+	return once
 }
 
 // hasSideEffect reports whether evaluating e may change program state:

@@ -34,7 +34,3 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 func FormatStageStats(stats []StageStat, wall time.Duration) string {
 	return obs.FormatStageStats(stats, wall)
 }
-
-// TracingEnabled reports whether this build records spans at all
-// (false when compiled with the cfix_notrace tag).
-func TracingEnabled() bool { return obs.Enabled() }
