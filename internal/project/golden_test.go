@@ -60,7 +60,9 @@ func goldenProject(t *testing.T) (files, headers map[string]string) {
 
 // goldenJSON serialises a project report for comparison. The repair
 // results' NewSource is blanked: it is an intermediate text whose
-// meaning project mode defines separately (TestProjectNewSource).
+// meaning project mode defines separately (TestProjectNewSource). So are
+// the link flags and refusal log the transformers derive from their own
+// results: the report holds the report-level flags.
 func goldenJSON(t *testing.T, rep *Report) []byte {
 	t.Helper()
 	for _, out := range rep.Files {
@@ -68,10 +70,10 @@ func goldenJSON(t *testing.T, rep *Report) []byte {
 			continue
 		}
 		if out.Fix.SLR != nil {
-			out.Fix.SLR.NewSource = ""
+			out.Fix.SLR.NewSource, out.Fix.SLR.NeedsGlib = "", false
 		}
 		if out.Fix.STR != nil {
-			out.Fix.STR.NewSource = ""
+			out.Fix.STR.NewSource, out.Fix.STR.NeedsStralloc, out.Fix.STR.Log = "", false, nil
 		}
 	}
 	// One line for the edges and one per unit keeps a difference local.

@@ -41,7 +41,7 @@ type SiteResult struct {
 type FileResult struct {
 	// NewSource is the transformed text (equal to the input when nothing
 	// was applied). ApplyFuncs leaves it empty.
-	NewSource string
+	NewSource string `json:",omitempty"`
 	// Sites lists every candidate call site in source order.
 	Sites []SiteResult
 	// NeedsGlib reports that the output calls safe functions outside the
@@ -50,7 +50,7 @@ type FileResult struct {
 	// strlcpy, a TR 24731-1 implementation for c11k (the paper edits the
 	// Makefile; we surface the requirement to the caller). The field
 	// name predates pluggable backends and is kept for compatibility.
-	NeedsGlib bool
+	NeedsGlib bool `json:",omitempty"`
 	// Edits are the raw textual edits behind NewSource, each tagged with
 	// its owning site as "site:<index into Sites>". Project mode remaps
 	// them through the preprocessor's source map instead of using

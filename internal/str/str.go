@@ -88,7 +88,7 @@ type VarResult struct {
 type FileResult struct {
 	// NewSource is the transformed text (equal to the input when nothing
 	// was applied). ApplyFuncs leaves it empty.
-	NewSource string
+	NewSource string `json:",omitempty"`
 	Vars      []VarResult
 	// Edits are the raw textual edits behind NewSource, tagged with
 	// their owning function as "func:<name>" (STR rewrites are
@@ -99,10 +99,10 @@ type FileResult struct {
 	// NeedsStralloc reports that the output uses the stralloc library;
 	// callers must make internal/stralloc's C header and implementation
 	// available at build time.
-	NeedsStralloc bool
+	NeedsStralloc bool `json:",omitempty"`
 	// Log carries the detailed refusal messages the paper prints for
 	// variables that fail the interprocedural precondition.
-	Log []string
+	Log []string `json:",omitempty"`
 }
 
 // Candidates returns the number of candidate variables.
