@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -60,6 +62,51 @@ func TestFixCachedHitSkipsParse(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+	}
+}
+
+// TestFixCachedV5PayloadWithRemovedFields: a v5 entry stored before the
+// transformers stopped carrying their own text, link flags and refusal
+// log still holds those keys. Decoding ignores them, so the hit is the
+// report a fresh run computes, and the key version can stay v5.
+func TestFixCachedV5PayloadWithRemovedFields(t *testing.T) {
+	opts := Options{SelectOffset: -1, Lint: true}
+	cold, err := Fix(context.Background(), "old.c", overflowing, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored map[string]any
+	if err := json.Unmarshal(want, &stored); err != nil {
+		t.Fatal(err)
+	}
+	slr, str := stored["SLR"].(map[string]any), stored["STR"].(map[string]any)
+	slr["NewSource"], slr["NeedsGlib"] = cold.Source, true
+	str["NewSource"], str["NeedsStralloc"] = cold.Source, true
+	str["Log"] = []string{`t.c:4:5: STR not applied to "p": unsupported use of the variable ()`}
+	old, err := json.Marshal(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Cache = newTestCache(t)
+	opts.Cache.Put(cacheKey("fix", "old.c", overflowing, opts), old)
+	var warm *Report
+	if delta := parseDelta(func() {
+		if warm, err = Fix(context.Background(), "old.c", overflowing, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); delta != 0 || !warm.Cached {
+		t.Fatalf("stored v5 payload not served: cached=%v parses=%d", warm.Cached, delta)
+	}
+	got, err := json.Marshal(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("decoded v5 payload differs from a fresh report:\n%s\n---\n%s", got, want)
 	}
 }
 

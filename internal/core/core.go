@@ -6,8 +6,9 @@
 // of Section III-A (control flow, reaching definitions, points-to, alias
 // sets, interprocedural may-modify), then SAFE LIBRARY REPLACEMENT and
 // SAFE TYPE REPLACEMENT — and returns the rewritten source together with
-// per-site and per-variable reports. pkg/cfix re-exports this API for
-// downstream users; cmd/cfix wraps it as a command-line tool.
+// per-site and per-variable reports. The transformers decide and emit
+// edits; this package alone splices edits into text. pkg/cfix re-exports
+// this API for downstream users; cmd/cfix wraps it as a command-line tool.
 package core
 
 import (
@@ -461,13 +462,14 @@ func Fix(ctx context.Context, filename, source string, opts Options) (*Report, e
 //   - Options.Cache is not consulted: project mode caches per unit only
 //     its lint report.
 //
-// Edits are remapped through pp's source map into source; a repair
-// whose edits land inside a macro expansion or an included header is
-// declined whole with FailMacroOrHeader. STR analyzes a fresh
-// preprocess of the SLR-repaired source, so its edits remap through a
-// map of the text they land in. Report positions are in original
-// coordinates, SLR.NewSource is source with the SLR repairs applied,
-// and STR.NewSource is Report.Source before support code is prepended.
+// SLR and STR return decisions and edits; FixParsed is the only code
+// that turns those edits into text (applyEdits). With a preprocess
+// result the edits are remapped through pp's source map into source
+// first, and a repair whose edits land inside a macro expansion or an
+// included header is declined whole with FailMacroOrHeader. STR analyzes
+// a fresh preprocess of the SLR-repaired source, so its edits remap
+// through a map of the text they land in. Report positions are in
+// original coordinates either way.
 func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options, pp *cpp.Result, snap *analysis.Snapshot, opts Options) (rep *Report, err error) {
 	defer fault.Recover(&err)
 	if pp != nil && opts.SelectOffset >= 0 {
@@ -530,17 +532,16 @@ func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 			// Findings and sites are both in analysed coordinates here,
 			// so extent-overlap attachment stays sound.
 			res.AttachFindings(rep.Findings)
-			var declined map[string]string
+			text, declined, err := applyEdits(source, res.Edits, pp)
+			if err != nil {
+				return fmt.Errorf("apply SLR edits: %w", err)
+			}
 			if pp != nil {
-				if res.NewSource, declined, err = remapEdits(source, res.Edits, pp.Map); err != nil {
-					return fmt.Errorf("apply remapped SLR edits: %w", err)
-				}
 				remapSites(res, declined, pp.Map)
 			}
-			res.NeedsGlib = needsLib(res, be)
 			rep.SLR = res
-			rep.Source = res.NewSource
-			rep.NeedsGlib = res.NeedsGlib
+			rep.Source = text
+			rep.NeedsGlib = needsLib(res, be)
 			sp.Attr("sites", fmt.Sprint(res.Candidates())).
 				Attr("applied", fmt.Sprint(res.AppliedCount()))
 			if pp != nil {
@@ -589,16 +590,16 @@ func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 			// STR may have analyzed post-SLR text; AttachFindings matches by
 			// (function, variable) name, which survives the rewrite.
 			res.AttachFindings(rep.Findings)
-			var declined map[string]string
+			text, declined, err := applyEdits(rep.Source, res.Edits, strPP)
+			if err != nil {
+				return fmt.Errorf("apply STR edits: %w", err)
+			}
 			if strPP != nil {
-				if res.NewSource, declined, err = remapEdits(rep.Source, res.Edits, strPP.Map); err != nil {
-					return fmt.Errorf("apply remapped STR edits: %w", err)
-				}
 				remapVars(res, declined, strPP.Map)
 			}
 			rep.STR = res
-			rep.Source = res.NewSource
-			rep.NeedsStralloc = res.NeedsStralloc && res.AppliedCount() > 0
+			rep.Source = text
+			rep.NeedsStralloc = res.AppliedCount() > 0
 			rep.Degraded = append(rep.Degraded, strSnap.Degradations()...)
 			sp.Attr("vars", fmt.Sprint(res.Candidates())).
 				Attr("applied", fmt.Sprint(res.AppliedCount()))

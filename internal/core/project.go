@@ -27,43 +27,51 @@ import (
 // is declined with an explicit failure reason rather than silently
 // miswriting the user's text.
 
-// remapEdits maps each delta's extent from preprocessed coordinates back
-// into the main original file and applies the deltas that survive to
-// src, the original text. A delta remaps cleanly when the source map
-// proves byte-exactness and the target is the main file (not a header).
-// Owner groups containing any unclean delta are declined wholesale — a
-// repair is all-or-nothing — and reported in declined as owner ->
+// applyEdits turns a transformation's sorted edits into text: it is the
+// one place a repair is spliced. With a nil preprocess result the edits
+// are in src's coordinates and apply as they are. Otherwise each delta's
+// extent is first mapped from preprocessed coordinates back into the
+// main original file, and the deltas that survive apply to src, the
+// original text. A delta remaps cleanly when the source map proves
+// byte-exactness and the target is the main file (not a header). Owner
+// groups containing any unclean delta are declined wholesale — a repair
+// is all-or-nothing — and reported in declined as owner ->
 // human-readable reason. Ownerless deltas are declined individually.
-func remapEdits(src string, deltas []edit.Delta, m *cpp.SourceMap) (out string, declined map[string]string, err error) {
-	declined = make(map[string]string)
-	clean := make([]edit.Delta, 0, len(deltas))
-	for _, d := range deltas {
-		org, exact := m.ToOriginal(d.Extent)
-		if !exact || org.File != m.MainFile() {
-			reason := "maps into included file " + org.File
-			if org.Macro != "" {
-				reason = "maps into expansion of macro " + org.Macro
-			} else if org.File == m.MainFile() {
-				reason = "does not map byte-exactly to the original text"
+// An empty edit list returns src unchanged.
+func applyEdits(src string, deltas []edit.Delta, pp *cpp.Result) (out string, declined map[string]string, err error) {
+	if pp != nil {
+		m := pp.Map
+		declined = make(map[string]string)
+		clean := make([]edit.Delta, 0, len(deltas))
+		for _, d := range deltas {
+			org, exact := m.ToOriginal(d.Extent)
+			if !exact || org.File != m.MainFile() {
+				reason := "maps into included file " + org.File
+				if org.Macro != "" {
+					reason = "maps into expansion of macro " + org.Macro
+				} else if org.File == m.MainFile() {
+					reason = "does not map byte-exactly to the original text"
+				}
+				if _, dup := declined[d.Owner]; !dup {
+					declined[d.Owner] = reason
+				}
+				continue
 			}
-			if _, dup := declined[d.Owner]; !dup {
-				declined[d.Owner] = reason
+			d.Extent = org.Extent
+			clean = append(clean, d)
+		}
+		kept := clean[:0]
+		for _, d := range clean {
+			if _, bad := declined[d.Owner]; !bad || d.Owner == "" {
+				kept = append(kept, d)
 			}
-			continue
 		}
-		d.Extent = org.Extent
-		clean = append(clean, d)
+		deltas = edit.Sort(kept)
 	}
-	kept := clean[:0]
-	for _, d := range clean {
-		if _, bad := declined[d.Owner]; !bad || d.Owner == "" {
-			kept = append(kept, d)
-		}
-	}
-	if len(kept) == 0 {
+	if len(deltas) == 0 {
 		return src, declined, nil
 	}
-	out, err = edit.Splice(src, edit.Sort(kept))
+	out, err = edit.Splice(src, deltas)
 	return out, declined, err
 }
 

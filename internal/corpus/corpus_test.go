@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cparse"
+	"repro/internal/edit"
 	"repro/internal/slr"
 	"repro/internal/str"
 	"repro/internal/stralloc"
@@ -53,7 +54,11 @@ func aggregateSLR(t *testing.T, p Project) (candidates, applied int, perFn map[s
 		}
 		// Transformed output must still parse (the paper: "no cases where
 		// a replacement caused a compilation error").
-		if _, err := cparse.Parse(f.Name+".out", res.NewSource); err != nil {
+		out, err := edit.NewScript(res.Edits...).Apply(f.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if _, err := cparse.Parse(f.Name+".out", out); err != nil {
 			t.Fatalf("%s transformed output does not parse: %v", f.Name, err)
 		}
 	}
@@ -135,8 +140,11 @@ func TestTableVIPerProject(t *testing.T) {
 						p.Name, f.Name, v.Name, v.Reason, v.Detail)
 				}
 			}
-			out := res.NewSource
-			if res.NeedsStralloc {
+			out, err := edit.NewScript(res.Edits...).Apply(f.Source)
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name, err)
+			}
+			if res.AppliedCount() > 0 {
 				out = stralloc.Header() + "\n" + out
 			}
 			if _, err := cparse.Parse(f.Name+".out", out); err != nil {

@@ -7,8 +7,8 @@
 //
 // Delta is the one edit type in the tree. The transformations (SLR, STR)
 // queue their repairs into a Script, tagging each delta with the repair
-// group that owns it; project mode remaps those deltas through the
-// preprocessor's source map and splices the survivors; and
+// group that owns it; internal/core splices them, in project mode after
+// remapping them through the preprocessor's source map; and
 // internal/incremental applies editor traffic (LSP didChange batches) as
 // Scripts and carries analysis facts across them with Mapper. The
 // package sits at the leaf of the dependency graph and imports only

@@ -469,9 +469,10 @@ func (s *Session) Sites() []Site {
 	return append([]Site(nil), s.sites...)
 }
 
-// discoverSites runs both transformers in discovery mode over fns (unit
-// functions in source order) and projects their results to the
-// session-compact site type, one source-ordered list per function.
+// discoverSites runs both transformers over fns only (unit functions in
+// source order) and projects their decisions to the session-compact
+// site type, one source-ordered list per function. Their edits are
+// validated but never spliced.
 func discoverSites(snap *analysis.Snapshot, be backend.Backend, fns []*cast.FuncDef) ([][]trackedSite, error) {
 	unit := snap.Unit()
 	out := make([][]trackedSite, len(fns))

@@ -58,24 +58,9 @@ func goldenProject(t *testing.T) (files, headers map[string]string) {
 	return files, headers
 }
 
-// goldenJSON serialises a project report for comparison. The repair
-// results' NewSource is blanked: it is an intermediate text whose
-// meaning project mode defines separately (TestProjectNewSource). So are
-// the link flags and refusal log the transformers derive from their own
-// results: the report holds the report-level flags.
+// goldenJSON serialises a project report for comparison.
 func goldenJSON(t *testing.T, rep *Report) []byte {
 	t.Helper()
-	for _, out := range rep.Files {
-		if out.Fix == nil {
-			continue
-		}
-		if out.Fix.SLR != nil {
-			out.Fix.SLR.NewSource, out.Fix.SLR.NeedsGlib = "", false
-		}
-		if out.Fix.STR != nil {
-			out.Fix.STR.NewSource, out.Fix.STR.NeedsStralloc, out.Fix.STR.Log = "", false, nil
-		}
-	}
 	// One line for the edges and one per unit keeps a difference local.
 	lines := []any{rep.Edges}
 	for _, out := range rep.Files {

@@ -118,32 +118,3 @@ func TestLibTIFFRealTree(t *testing.T) {
 		t.Fatal("no translation unit analyzed successfully")
 	}
 }
-
-// TestProjectNewSource: the repair results' NewSource is text the user
-// wrote, in original coordinates. SLR's is the original with the SLR
-// repairs applied, STR's is the report's Source (no support code is
-// emitted here), and neither carries the expanded header.
-func TestProjectNewSource(t *testing.T) {
-	p := loadFixture(t)
-	rep, err := p.Fix(context.Background(), core.Options{Lint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range rep.Files {
-		if out.Err != "" {
-			t.Fatalf("%s failed: %s", out.File, out.Err)
-		}
-		slr, str := out.Fix.SLR.NewSource, out.Fix.STR.NewSource
-		if str != out.Fix.Source {
-			t.Fatalf("%s: STR.NewSource differs from Source:\n%s", out.File, str)
-		}
-		for _, text := range []string{slr, str} {
-			if strings.Contains(text, "#define TIFF_TAGBUF") || !strings.Contains(text, "#include \"tiffio.h\"") {
-				t.Fatalf("%s: NewSource is not in original coordinates:\n%s", out.File, text)
-			}
-		}
-		if strings.Contains(out.File, "tif_dirread") && (strings.Contains(slr, "strcpy(tagbuf") || !strings.Contains(slr, "g_strlcpy")) {
-			t.Fatalf("%s: SLR.NewSource lacks the SLR repair:\n%s", out.File, slr)
-		}
-	}
-}

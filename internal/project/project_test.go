@@ -198,9 +198,8 @@ func TestProjectFixDeclinedSiteNeedsNoLib(t *testing.T) {
 			t.Fatalf("want only the memcpy clamp applied, got %+v", out.Fix.SLR.Sites)
 		}
 	}
-	if out.Fix.NeedsGlib || out.Fix.SLR.NeedsGlib {
-		t.Fatalf("declined strcpy still requires glib: report %t, SLR %t",
-			out.Fix.NeedsGlib, out.Fix.SLR.NeedsGlib)
+	if out.Fix.NeedsGlib {
+		t.Fatal("declined strcpy still requires glib")
 	}
 	if strings.Contains(out.Fix.Source, "g_strlcpy") {
 		t.Fatalf("glib prototypes emitted for a unit that calls no glib function:\n%s", out.Fix.Source)

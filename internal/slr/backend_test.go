@@ -4,28 +4,18 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/backend"
 	"repro/internal/buflen"
-	"repro/internal/cparse"
 )
 
 // runAllBackend parses src and applies SLR under the named dialect.
-func runAllBackend(t *testing.T, name, src string) *FileResult {
+func runAllBackend(t *testing.T, name, src string) *result {
 	t.Helper()
 	be, err := backend.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := cparse.Parse("t.c", src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	res, err := NewTransformer(analysis.New(tu, analysis.Config{}), be).ApplyAll()
-	if err != nil {
-		t.Fatalf("ApplyAll(%s): %v", name, err)
-	}
-	return res
+	return run(t, be, src, -1)
 }
 
 const renameInput = `
@@ -68,8 +58,8 @@ func TestBackendRenameShapes(t *testing.T) {
 			t.Fatalf("%s: applied %d/3; sites: %+v", c.backend, res.AppliedCount(), res.Sites)
 		}
 		for _, want := range c.want {
-			if !strings.Contains(res.NewSource, want) {
-				t.Fatalf("%s output missing %q:\n%s", c.backend, want, res.NewSource)
+			if !strings.Contains(res.Out, want) {
+				t.Fatalf("%s output missing %q:\n%s", c.backend, want, res.Out)
 			}
 		}
 		for i, s := range res.Sites {
@@ -78,10 +68,10 @@ func TestBackendRenameShapes(t *testing.T) {
 				t.Fatalf("%s site %d SafeName = %q, want %q", c.backend, i, s.SafeName, safe)
 			}
 		}
-		if !res.NeedsGlib {
+		if !res.NeedsLib {
 			t.Fatalf("%s: library requirement not flagged", c.backend)
 		}
-		reparse(t, res.NewSource)
+		reparse(t, res.Out)
 	}
 }
 
@@ -100,31 +90,31 @@ void read_line(void) {
 		if res.AppliedCount() != 1 {
 			t.Fatalf("%s: applied %d/1", name, res.AppliedCount())
 		}
-		if !strings.Contains(res.NewSource, "fgets(buf, sizeof(buf), stdin)") {
-			t.Fatalf("%s output:\n%s", name, res.NewSource)
+		if !strings.Contains(res.Out, "fgets(buf, sizeof(buf), stdin)") {
+			t.Fatalf("%s output:\n%s", name, res.Out)
 		}
-		if !strings.Contains(res.NewSource, "strchr(buf, '\\n')") {
-			t.Fatalf("%s: newline strip missing:\n%s", name, res.NewSource)
+		if !strings.Contains(res.Out, "strchr(buf, '\\n')") {
+			t.Fatalf("%s: newline strip missing:\n%s", name, res.Out)
 		}
-		if res.NeedsGlib {
+		if res.NeedsLib {
 			t.Fatalf("%s: fgets is libc, must not flag the dialect library", name)
 		}
-		reparse(t, res.NewSource)
+		reparse(t, res.Out)
 	}
 	res := runAllBackend(t, "c11k", src)
 	if res.AppliedCount() != 1 {
 		t.Fatalf("c11k: applied %d/1", res.AppliedCount())
 	}
-	if !strings.Contains(res.NewSource, "gets_s(buf, sizeof(buf))") {
-		t.Fatalf("c11k output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "gets_s(buf, sizeof(buf))") {
+		t.Fatalf("c11k output:\n%s", res.Out)
 	}
-	if strings.Contains(res.NewSource, "strchr") {
-		t.Fatalf("c11k: gets_s discards the newline; no strip expected:\n%s", res.NewSource)
+	if strings.Contains(res.Out, "strchr") {
+		t.Fatalf("c11k: gets_s discards the newline; no strip expected:\n%s", res.Out)
 	}
-	if !res.NeedsGlib {
+	if !res.NeedsLib {
 		t.Fatal("c11k: gets_s needs the Annex K declarations")
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 // TestBackendMemcpyShapes: glib and bsd clamp the length in place;
@@ -143,19 +133,19 @@ void copy(int n) {
 		if res.AppliedCount() != 1 {
 			t.Fatalf("%s: applied %d/1", name, res.AppliedCount())
 		}
-		if !strings.Contains(res.NewSource, "memcpy(buf, data, sizeof(buf) > n ? n : sizeof(buf))") {
-			t.Fatalf("%s output:\n%s", name, res.NewSource)
+		if !strings.Contains(res.Out, "memcpy(buf, data, sizeof(buf) > n ? n : sizeof(buf))") {
+			t.Fatalf("%s output:\n%s", name, res.Out)
 		}
-		reparse(t, res.NewSource)
+		reparse(t, res.Out)
 	}
 	res := runAllBackend(t, "c11k", src)
 	if res.AppliedCount() != 1 {
 		t.Fatalf("c11k: applied %d/1", res.AppliedCount())
 	}
-	if !strings.Contains(res.NewSource, "memcpy_s(buf, sizeof(buf), data, n)") {
-		t.Fatalf("c11k output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "memcpy_s(buf, sizeof(buf), data, n)") {
+		t.Fatalf("c11k output:\n%s", res.Out)
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 // TestBackendIdempotentPerDialect: a second pass over each dialect's
@@ -172,14 +162,14 @@ void more(int n) {
 `
 	for _, name := range []string{"glib", "bsd", "c11k"} {
 		first := runAllBackend(t, name, src)
-		second := runAllBackend(t, name, first.NewSource)
+		second := runAllBackend(t, name, first.Out)
 		if second.AppliedCount() != 0 {
 			t.Fatalf("%s: second pass applied %d sites; sites: %+v",
 				name, second.AppliedCount(), second.Sites)
 		}
-		if second.NewSource != first.NewSource {
+		if second.Out != first.Out {
 			t.Fatalf("%s: second pass changed the text:\n--- first ---\n%s\n--- second ---\n%s",
-				name, first.NewSource, second.NewSource)
+				name, first.Out, second.Out)
 		}
 	}
 }
@@ -190,7 +180,7 @@ func TestBackendGlibMatchesDefault(t *testing.T) {
 	src := renameInput
 	viaDefault := runAll(t, src)
 	viaGlib := runAllBackend(t, "glib", src)
-	if viaDefault.NewSource != viaGlib.NewSource {
+	if viaDefault.Out != viaGlib.Out {
 		t.Fatal("explicit glib backend diverges from the default transformer")
 	}
 }
@@ -254,7 +244,7 @@ func TestValueUsedSiteDeclines(t *testing.T) {
 				if declined != 1 || res.AppliedCount() != sh.applied {
 					t.Fatalf("value-used declines = %d, applied = %d; want 1, %d; sites %+v", declined, res.AppliedCount(), sh.applied, res.Sites)
 				}
-				reparse(t, res.NewSource)
+				reparse(t, res.Out)
 			})
 		}
 	}
@@ -278,16 +268,16 @@ func TestValueUsedSiteDeclines(t *testing.T) {
 			if len(res.Sites) != 1 {
 				t.Fatalf("%s: %s: %d sites", be, stmt, len(res.Sites))
 			}
-			reparse(t, res.NewSource)
+			reparse(t, res.Out)
 			s := res.Sites[0]
 			if be == "c11k" {
-				if want := strings.Replace(stmt, "gets(c)", "gets_s(c, sizeof(c))", 1); !s.Applied || !strings.Contains(res.NewSource, want) {
-					t.Fatalf("%s: %s not fixed: %+v\n%s", be, stmt, s, res.NewSource)
+				if want := strings.Replace(stmt, "gets(c)", "gets_s(c, sizeof(c))", 1); !s.Applied || !strings.Contains(res.Out, want) {
+					t.Fatalf("%s: %s not fixed: %+v\n%s", be, stmt, s, res.Out)
 				}
 				continue
 			}
 			if s.Applied || s.Failure.Reason != buflen.FailValueUsed {
-				t.Fatalf("%s: %s: want a value-used decline, got %+v\n%s", be, stmt, s, res.NewSource)
+				t.Fatalf("%s: %s: want a value-used decline, got %+v\n%s", be, stmt, s, res.Out)
 			}
 		}
 	}
@@ -328,8 +318,8 @@ func TestClampDeclinesLengthEffects(t *testing.T) {
 			t.Run(be+"/"+sh.name, func(t *testing.T) {
 				src := "void f(int n) {\n    char a[8];\n    char b[8];\n    char c[8];\n    b[0] = 0;\n    memcpy(a, b, " + sh.length + ");\n}\n"
 				res := runAllBackend(t, be, src)
-				if got := strings.Count(res.NewSource, sh.once); got != 1 {
-					t.Fatalf("output spells %q %d times:\n%s", sh.once, got, res.NewSource)
+				if got := strings.Count(res.Out, sh.once); got != 1 {
+					t.Fatalf("output spells %q %d times:\n%s", sh.once, got, res.Out)
 				}
 				memcpy := res.Sites[0]
 				if memcpy.Function != "memcpy" {
@@ -342,7 +332,7 @@ func TestClampDeclinesLengthEffects(t *testing.T) {
 				} else if !memcpy.Applied {
 					t.Fatalf("memcpy declined: %v", memcpy.Failure)
 				}
-				reparse(t, res.NewSource)
+				reparse(t, res.Out)
 			})
 		}
 		t.Run(be+"/strlen", func(t *testing.T) {
@@ -350,10 +340,10 @@ func TestClampDeclinesLengthEffects(t *testing.T) {
 			if res.AppliedCount() != 1 {
 				t.Fatalf("applied %d/1: %+v", res.AppliedCount(), res.Sites)
 			}
-			if clamps(t, be) && !strings.Contains(res.NewSource, "memcpy(a, b, sizeof(a) > strlen(b) ? strlen(b) : sizeof(a))") {
-				t.Fatalf("strlen length not clamped:\n%s", res.NewSource)
+			if clamps(t, be) && !strings.Contains(res.Out, "memcpy(a, b, sizeof(a) > strlen(b) ? strlen(b) : sizeof(a))") {
+				t.Fatalf("strlen length not clamped:\n%s", res.Out)
 			}
-			reparse(t, res.NewSource)
+			reparse(t, res.Out)
 		})
 	}
 }

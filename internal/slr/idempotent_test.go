@@ -1,11 +1,6 @@
 package slr
 
-import (
-	"testing"
-
-	"repro/internal/analysis"
-	"repro/internal/cparse"
-)
+import "testing"
 
 // TestIdempotent: running SLR on already-transformed output changes
 // nothing — the safe replacements are not themselves targets.
@@ -22,18 +17,11 @@ void f(void) {
 	if first.AppliedCount() != 3 {
 		t.Fatalf("first pass applied %d", first.AppliedCount())
 	}
-	tu, err := cparse.Parse("t2.c", first.NewSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := NewTransformer(analysis.New(tu, analysis.Config{}), nil).ApplyAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := runAll(t, first.Out)
 	if second.Candidates() != 0 {
 		t.Fatalf("second pass found %d candidates", second.Candidates())
 	}
-	if second.NewSource != first.NewSource {
+	if second.Out != first.Out {
 		t.Fatal("second pass must be a no-op")
 	}
 }
@@ -51,13 +39,6 @@ void f(char *src, unsigned long n) {
     memcpy(dst, src, n);
 }
 `)
-	tu, err := cparse.Parse("t2.c", first.NewSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := NewTransformer(analysis.New(tu, analysis.Config{}), nil).ApplyAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reparse(t, second.NewSource)
+	second := runAll(t, first.Out)
+	reparse(t, second.Out)
 }

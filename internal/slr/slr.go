@@ -37,24 +37,16 @@ type SiteResult struct {
 	Risk *overflow.Finding
 }
 
-// FileResult is the outcome of running SLR over a translation unit.
+// FileResult is the outcome of running SLR over a translation unit: a
+// decision per candidate site and the edits that carry out the applied
+// ones. Turning edits into text is the caller's job (core.FixParsed).
 type FileResult struct {
-	// NewSource is the transformed text (equal to the input when nothing
-	// was applied). ApplyFuncs leaves it empty.
-	NewSource string `json:",omitempty"`
 	// Sites lists every candidate call site in source order.
 	Sites []SiteResult
-	// NeedsGlib reports that the output calls safe functions outside the
-	// hosted C standard library, so the build needs the backend's
-	// library — -lglib-2.0 for the default glib dialect, -lbsd for BSD
-	// strlcpy, a TR 24731-1 implementation for c11k (the paper edits the
-	// Makefile; we surface the requirement to the caller). The field
-	// name predates pluggable backends and is kept for compatibility.
-	NeedsGlib bool `json:",omitempty"`
-	// Edits are the raw textual edits behind NewSource, each tagged with
-	// its owning site as "site:<index into Sites>". Project mode remaps
-	// them through the preprocessor's source map instead of using
-	// NewSource. Omitted from serialized reports.
+	// Edits repair the applied sites, sorted and checked against the
+	// unit's text, each tagged with its owning site as "site:<index into
+	// Sites>" so project mode can decline one site's edits together.
+	// Omitted from serialized reports.
 	Edits []edit.Delta `json:"-"`
 }
 
@@ -252,21 +244,19 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []candidate {
 }
 
 // ApplyAll runs SLR on every candidate call site in the unit and returns
-// the rewritten source plus per-site outcomes. This is the batch mode used
-// by the evaluation (Section IV); ApplyAt transforms a single selected
-// site.
+// the per-site outcomes and their edits. This is the batch mode used by
+// the evaluation (Section IV); ApplyAt transforms a single selected site.
 func (t *Transformer) ApplyAll() (*FileResult, error) {
-	return t.apply(t.unit.Funcs, nil, true)
+	return t.apply(t.unit.Funcs, nil)
 }
 
 // ApplyFuncs runs SLR on the candidate call sites inside fns only, which
 // must be function definitions of the unit in source order. SLR decides
 // each site from its own function's facts, so the sites reported are
 // exactly those ApplyAll reports inside fns; incremental sessions use it
-// to re-discover only the functions an edit invalidated. It queues the
-// same edits and fails on the same overlap, but renders no text.
+// to re-discover only the functions an edit invalidated.
 func (t *Transformer) ApplyFuncs(fns []*cast.FuncDef) (*FileResult, error) {
-	return t.apply(fns, nil, false)
+	return t.apply(fns, nil)
 }
 
 // ApplyAt runs SLR only on the call site covering the given source offset
@@ -276,13 +266,12 @@ func (t *Transformer) ApplyAt(offset ctoken.Pos) (*FileResult, error) {
 	return t.apply(t.unit.Funcs, func(c candidate) bool {
 		e := c.call.Extent()
 		return e.Pos <= offset && offset < e.End
-	}, true)
+	})
 }
 
-// apply decides the candidates of fns that filter keeps and queues
-// their edits. With render it splices them into NewSource; without, it
-// only validates them.
-func (t *Transformer) apply(fns []*cast.FuncDef, filter func(candidate) bool, render bool) (*FileResult, error) {
+// apply decides the candidates of fns that filter keeps, queues their
+// edits and validates them against the unit's text.
+func (t *Transformer) apply(fns []*cast.FuncDef, filter func(candidate) bool) (*FileResult, error) {
 	res := &FileResult{}
 	edits := edit.NewScript()
 	for _, c := range t.findCandidates(fns) {
@@ -302,20 +291,11 @@ func (t *Transformer) apply(fns []*cast.FuncDef, filter func(candidate) bool, re
 		} else {
 			site.Applied = true
 			site.Size = size
-			if c.rule.NeedsLib {
-				res.NeedsGlib = true
-			}
 		}
 		res.Sites = append(res.Sites, site)
 	}
 	res.Edits = edits.Deltas()
-	var err error
-	if render {
-		res.NewSource, err = edit.Splice(t.unit.File.Src(), res.Edits)
-	} else {
-		err = edit.Validate(len(t.unit.File.Src()), res.Edits)
-	}
-	if err != nil {
+	if err := edit.Validate(len(t.unit.File.Src()), res.Edits); err != nil {
 		return nil, fmt.Errorf("slr: apply edits: %w", err)
 	}
 	return res, nil

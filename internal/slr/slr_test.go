@@ -9,20 +9,53 @@ import (
 	"repro/internal/buflen"
 	"repro/internal/cparse"
 	"repro/internal/ctoken"
+	"repro/internal/edit"
 )
 
-// runAll parses src and applies SLR to every candidate.
-func runAll(t *testing.T, src string) *FileResult {
+// result is one SLR run over a unit: the decisions, the text their
+// edits make of the unit, and whether an applied site calls a function
+// of the dialect's library.
+type result struct {
+	*FileResult
+	Out      string
+	NeedsLib bool
+}
+
+// run parses src and applies SLR under be (nil selects the default) to
+// every candidate or, when at >= 0, to the call covering offset at.
+func run(t *testing.T, be backend.Backend, src string, at int) *result {
 	t.Helper()
 	tu, err := cparse.Parse("t.c", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := NewTransformer(analysis.New(tu, analysis.Config{}), nil).ApplyAll()
-	if err != nil {
-		t.Fatalf("ApplyAll: %v", err)
+	tr := NewTransformer(analysis.New(tu, analysis.Config{}), be)
+	var res *FileResult
+	if at >= 0 {
+		res, err = tr.ApplyAt(ctoken.Pos(at))
+	} else {
+		res, err = tr.ApplyAll()
 	}
-	return res
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	out, err := edit.NewScript(res.Edits...).Apply(src)
+	if err != nil {
+		t.Fatalf("splice: %v", err)
+	}
+	r := &result{FileResult: res, Out: out}
+	for _, s := range res.Sites {
+		if rule, ok := tr.be.Lookup(s.Function); ok && s.Applied && rule.NeedsLib {
+			r.NeedsLib = true
+		}
+	}
+	return r
+}
+
+// runAll parses src and applies SLR to every candidate.
+func runAll(t *testing.T, src string) *result {
+	t.Helper()
+	return run(t, nil, src, -1)
 }
 
 // reparse checks that the transformed output is still valid C.
@@ -48,17 +81,17 @@ void example(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d, want 1; sites: %+v", res.AppliedCount(), res.Sites)
 	}
-	if !strings.Contains(res.NewSource, "g_strlcpy(dst, src, sizeof(buf))") {
-		t.Fatalf("output missing expected replacement:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "g_strlcpy(dst, src, sizeof(buf))") {
+		t.Fatalf("output missing expected replacement:\n%s", res.Out)
 	}
-	if strings.Contains(res.NewSource, "strcpy(dst, src)") &&
-		!strings.Contains(res.NewSource, "g_strlcpy(dst, src") {
+	if strings.Contains(res.Out, "strcpy(dst, src)") &&
+		!strings.Contains(res.Out, "g_strlcpy(dst, src") {
 		t.Fatal("unsafe call left in place")
 	}
-	if !res.NeedsGlib {
+	if !res.NeedsLib {
 		t.Fatal("glib requirement not flagged")
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 func TestStrcatLibpngExample(t *testing.T) {
@@ -72,10 +105,10 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d", res.AppliedCount())
 	}
-	if !strings.Contains(res.NewSource, `g_strlcat(outfile, ".gz", sizeof(outfile))`) {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, `g_strlcat(outfile, ".gz", sizeof(outfile))`) {
+		t.Fatalf("output:\n%s", res.Out)
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 func TestSprintfSizeInsertedSecond(t *testing.T) {
@@ -89,10 +122,10 @@ void f(int n) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	if !strings.Contains(res.NewSource, `g_snprintf(buffer, sizeof(buffer), "%d", n)`) {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, `g_snprintf(buffer, sizeof(buffer), "%d", n)`) {
+		t.Fatalf("output:\n%s", res.Out)
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 func TestVsprintf(t *testing.T) {
@@ -105,10 +138,10 @@ void f(const char *fmt, va_list ap) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	if !strings.Contains(res.NewSource, "g_vsnprintf(msg, sizeof(msg), fmt, ap)") {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "g_vsnprintf(msg, sizeof(msg), fmt, ap)") {
+		t.Fatalf("output:\n%s", res.Out)
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 func TestGetsPaperExample(t *testing.T) {
@@ -123,7 +156,7 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "fgets(dest, sizeof(dest), stdin)") {
 		t.Fatalf("fgets rewrite missing:\n%s", out)
 	}
@@ -150,10 +183,10 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d", res.AppliedCount())
 	}
-	if !strings.Contains(res.NewSource, "char *check_2 = strchr(dest") {
-		t.Fatalf("expected fresh name check_2:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "char *check_2 = strchr(dest") {
+		t.Fatalf("expected fresh name check_2:\n%s", res.Out)
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 func TestMemcpyGmpExampleOption1(t *testing.T) {
@@ -172,7 +205,7 @@ void f(char *str) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "numlen = malloc_usable_size(num) > numlen ? numlen : malloc_usable_size(num);") {
 		t.Fatalf("clamp assignment missing:\n%s", out)
 	}
@@ -193,10 +226,10 @@ void f(char *str, unsigned long n) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	if !strings.Contains(res.NewSource, "memcpy(dst, str, sizeof(dst) > n ? n : sizeof(dst))") {
-		t.Fatalf("in-place clamp missing:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "memcpy(dst, str, sizeof(dst) > n ? n : sizeof(dst))") {
+		t.Fatalf("in-place clamp missing:\n%s", res.Out)
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 func TestPreconditionFailureLeavesSourceUntouched(t *testing.T) {
@@ -209,7 +242,7 @@ void f(char *dst, char *src) {
 	if res.AppliedCount() != 0 {
 		t.Fatalf("applied: got %d, want 0", res.AppliedCount())
 	}
-	if res.NewSource != src {
+	if res.Out != src {
 		t.Fatal("source must be unchanged when preconditions fail")
 	}
 	if len(res.Sites) != 1 || res.Sites[0].Failure == nil {
@@ -233,7 +266,7 @@ void f(char *extern_buf) {
 	if res.AppliedCount() != 2 {
 		t.Fatalf("applied: got %d, want 2 (%+v)", res.AppliedCount(), res.Sites)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, `g_strlcpy(a, "one", sizeof(a))`) {
 		t.Fatalf("first site not transformed:\n%s", out)
 	}
@@ -255,23 +288,15 @@ void f(void) {
     strcpy(b, "two");
 }
 `
-	tu, err := cparse.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Select the second call by offset.
-	off := ctoken.Pos(strings.Index(src, `strcpy(b`))
-	res, err := NewTransformer(analysis.New(tu, analysis.Config{}), nil).ApplyAt(off)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, nil, src, strings.Index(src, `strcpy(b`))
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d, want 1", res.AppliedCount())
 	}
-	if !strings.Contains(res.NewSource, `strcpy(a, "one")`) {
+	if !strings.Contains(res.Out, `strcpy(a, "one")`) {
 		t.Fatal("unselected site must stay untouched")
 	}
-	if !strings.Contains(res.NewSource, `g_strlcpy(b, "two", sizeof(b))`) {
+	if !strings.Contains(res.Out, `g_strlcpy(b, "two", sizeof(b))`) {
 		t.Fatal("selected site not transformed")
 	}
 }
@@ -287,10 +312,10 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	if !strings.Contains(res.NewSource, `g_strlcpy(p, "data", malloc_usable_size(p))`) {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, `g_strlcpy(p, "data", malloc_usable_size(p))`) {
+		t.Fatalf("output:\n%s", res.Out)
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 func TestSizePreservedThroughPointerArithmetic(t *testing.T) {
@@ -304,10 +329,10 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	if !strings.Contains(res.NewSource, `g_strlcpy(p + 4, "data", sizeof(buf) - 4)`) {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, `g_strlcpy(p + 4, "data", sizeof(buf) - 4)`) {
+		t.Fatalf("output:\n%s", res.Out)
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 func TestLibtiffCVEFix(t *testing.T) {
@@ -329,10 +354,10 @@ void t2p_write_pdf_string(char *pdfstr) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	if !strings.Contains(res.NewSource, `g_snprintf(buffer, sizeof(buffer), "\\%.3o", pdfstr[i])`) {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, `g_snprintf(buffer, sizeof(buffer), "\\%.3o", pdfstr[i])`) {
+		t.Fatalf("output:\n%s", res.Out)
 	}
-	reparse(t, res.NewSource)
+	reparse(t, res.Out)
 }
 
 // TestCatalogConsistency checks SLR's Table I against the default
@@ -389,7 +414,7 @@ void f(int c) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: %d", res.AppliedCount())
 	}
-	out := res.NewSource
+	out := res.Out
 	// The newline-strip statements must stay under the if guard.
 	if !strings.Contains(out, "{ fgets(buf, sizeof(buf), stdin);") {
 		t.Fatalf("missing opening brace:\n%s", out)
@@ -415,7 +440,7 @@ void f(int c, char *src, unsigned long n) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "{ len = sizeof(dst) > len ? len : sizeof(dst);") {
 		t.Fatalf("clamp not braced:\n%s", out)
 	}
@@ -440,7 +465,7 @@ void f(void) {
 	if res.AppliedCount() != 1 || res.Sites[1].Failure == nil || res.Sites[1].Failure.Reason != buflen.FailValueUsed {
 		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Sites)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, `g_strlcpy(a, strcat(b, "suffix"), sizeof(a))`) {
 		t.Fatalf("nested rewrite:\n%s", out)
 	}
@@ -460,7 +485,7 @@ func TestDeadDefinitionDoesNotReach(t *testing.T) {
 	if got, want := res.Sites[0].Failure.Error(), "no defining value reaches the use: p"; got != want {
 		t.Fatalf("failure: got %q, want %q", got, want)
 	}
-	if res.NewSource != src {
-		t.Fatalf("source changed:\n%s", res.NewSource)
+	if res.Out != src {
+		t.Fatalf("source changed:\n%s", res.Out)
 	}
 }

@@ -3,8 +3,6 @@ package str
 import (
 	"testing"
 
-	"repro/internal/analysis"
-	"repro/internal/cparse"
 	"repro/internal/stralloc"
 )
 
@@ -23,19 +21,12 @@ void f(void) {
 	if first.AppliedCount() != 2 {
 		t.Fatalf("first pass applied %d", first.AppliedCount())
 	}
-	src2 := stralloc.Header() + "\n" + first.NewSource
-	tu, err := cparse.Parse("t2.c", src2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := NewTransformer(analysis.New(tu, analysis.Config{})).ApplyAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	src2 := stralloc.Header() + "\n" + first.Out
+	second := runAll(t, src2)
 	if second.Candidates() != 0 {
 		t.Fatalf("second pass found %d candidates: %+v", second.Candidates(), second.Vars)
 	}
-	if second.NewSource != src2 {
+	if second.Out != src2 {
 		t.Fatal("second pass must be a no-op")
 	}
 }

@@ -84,25 +84,17 @@ type VarResult struct {
 	Risk *overflow.Finding
 }
 
-// FileResult is the outcome of running STR over a translation unit.
+// FileResult is the outcome of running STR over a translation unit: a
+// decision per candidate variable and the edits that replace the applied
+// ones. Turning edits into text is the caller's job (core.FixParsed).
 type FileResult struct {
-	// NewSource is the transformed text (equal to the input when nothing
-	// was applied). ApplyFuncs leaves it empty.
-	NewSource string `json:",omitempty"`
-	Vars      []VarResult
-	// Edits are the raw textual edits behind NewSource, tagged with
-	// their owning function as "func:<name>" (STR rewrites are
-	// all-or-nothing per function: the inserted stralloc calls and
-	// renames within one function depend on each other). Omitted from
-	// serialized reports.
+	Vars []VarResult
+	// Edits rewrite the functions declaring applied variables, sorted and
+	// checked against the unit's text, each tagged with its owning
+	// function as "func:<name>" (STR rewrites are all-or-nothing per
+	// function: the inserted stralloc calls and renames within one
+	// function depend on each other). Omitted from serialized reports.
 	Edits []edit.Delta `json:"-"`
-	// NeedsStralloc reports that the output uses the stralloc library;
-	// callers must make internal/stralloc's C header and implementation
-	// available at build time.
-	NeedsStralloc bool `json:",omitempty"`
-	// Log carries the detailed refusal messages the paper prints for
-	// variables that fail the interprocedural precondition.
-	Log []string `json:",omitempty"`
 }
 
 // Candidates returns the number of candidate variables.
@@ -251,7 +243,7 @@ func (t *Transformer) findCandidates(fns []*cast.FuncDef) []*candidate {
 // batch mode of Section IV). Ineligible candidates are reported with their
 // failure reason and left untouched.
 func (t *Transformer) ApplyAll() (*FileResult, error) {
-	return t.apply(t.unit.Funcs, true)
+	return t.apply(t.unit.Funcs)
 }
 
 // ApplyFuncs runs STR on the candidate variables of fns only, which must
@@ -259,16 +251,14 @@ func (t *Transformer) ApplyAll() (*FileResult, error) {
 // preconditions read only its own function and the may-modify facts of
 // its callees, so the variables reported are exactly those ApplyAll
 // reports inside fns; incremental sessions use it to re-discover only
-// the functions an edit invalidated. It queues the same edits and fails
-// on the same overlap, but renders no text.
+// the functions an edit invalidated.
 func (t *Transformer) ApplyFuncs(fns []*cast.FuncDef) (*FileResult, error) {
-	return t.apply(fns, false)
+	return t.apply(fns)
 }
 
-// apply decides the candidates of fns and queues the rewrite of every
-// function. With render it splices the edits into NewSource; without,
-// it only validates them.
-func (t *Transformer) apply(fns []*cast.FuncDef, render bool) (*FileResult, error) {
+// apply decides the candidates of fns, queues the rewrite of every
+// function and validates it against the unit's text.
+func (t *Transformer) apply(fns []*cast.FuncDef) (*FileResult, error) {
 	res := &FileResult{}
 	t.parents = buildParents(fns)
 	cands := t.findCandidates(fns)
@@ -311,19 +301,13 @@ func (t *Transformer) apply(fns []*cast.FuncDef, render bool) (*FileResult, erro
 		} else {
 			vr.Reason = failReason[c.decl.Sym]
 			vr.Detail = failDetail[c.decl.Sym]
-			res.Log = append(res.Log, fmt.Sprintf("%s: STR not applied to %q: %s (%s)",
-				vr.Pos, vr.Name, vr.Reason, vr.Detail))
 		}
 		res.Vars = append(res.Vars, vr)
 	}
 
 	if len(t.targets) == 0 {
-		if render {
-			res.NewSource = t.unit.File.Src()
-		}
 		return res, nil
 	}
-	res.NeedsStralloc = true
 
 	// Phase 2: rewrite every statement that touches a target.
 	edits := edit.NewScript()
@@ -332,13 +316,7 @@ func (t *Transformer) apply(fns []*cast.FuncDef, render bool) (*FileResult, erro
 		t.renderFunc(fn, edits)
 	}
 	res.Edits = edits.Deltas()
-	var err error
-	if render {
-		res.NewSource, err = edit.Splice(t.unit.File.Src(), res.Edits)
-	} else {
-		err = edit.Validate(len(t.unit.File.Src()), res.Edits)
-	}
-	if err != nil {
+	if err := edit.Validate(len(t.unit.File.Src()), res.Edits); err != nil {
 		return nil, fmt.Errorf("str: apply edits: %w", err)
 	}
 	return res, nil

@@ -98,8 +98,8 @@ void f(char *src) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	if !strings.Contains(res.NewSource, "stralloc_catbuf(buf, src, 5)") {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "stralloc_catbuf(buf, src, 5)") {
+		t.Fatalf("output:\n%s", res.Out)
 	}
 	reparse(t, res)
 }
@@ -117,8 +117,8 @@ void f(char *out) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	if !strings.Contains(res.NewSource, "strcpy(out, name->s)") {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "strcpy(out, name->s)") {
+		t.Fatalf("output:\n%s", res.Out)
 	}
 	reparse(t, res)
 }
@@ -136,7 +136,7 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "p->a + p->len") {
 		t.Fatalf("initializer not rewritten:\n%s", out)
 	}
@@ -154,8 +154,8 @@ char *f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	if !strings.Contains(res.NewSource, "return p->s;") {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "return p->s;") {
+		t.Fatalf("output:\n%s", res.Out)
 	}
 	reparse(t, res)
 }
@@ -170,7 +170,7 @@ void f(void) {
     for (i = 0; i < strlen(p); i++) {}
 }
 `)
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "while (stralloc_get_dereferenced_char_at(p, 0) != '\\0')") {
 		t.Fatalf("while condition:\n%s", out)
 	}
@@ -193,8 +193,8 @@ void f(void) {
     }
 }
 `)
-	if !strings.Contains(res.NewSource, "switch (stralloc_get_dereferenced_char_at(p, 0))") {
-		t.Fatalf("switch tag:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "switch (stralloc_get_dereferenced_char_at(p, 0))") {
+		t.Fatalf("switch tag:\n%s", res.Out)
 	}
 	reparse(t, res)
 }
@@ -209,7 +209,7 @@ void f(void) {
     for (i = 0; i < 3; p++) { i++; }
 }
 `)
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "while (stralloc_get_dereferenced_char_at(p, i))") {
 		t.Fatalf("do-while cond:\n%s", out)
 	}
@@ -219,6 +219,8 @@ void f(void) {
 	reparse(t, res)
 }
 
+// TestLogMessagesDetailRefusals: a refusal carries the variable, the
+// reason and the modifying callee, the detail Report.Summary prints.
 func TestLogMessagesDetailRefusals(t *testing.T) {
 	res := runAll(t, `
 void writes(char *s) { s[0] = 'w'; }
@@ -228,11 +230,11 @@ void f(void) {
     writes(a);
 }
 `)
-	if len(res.Log) != 1 {
-		t.Fatalf("log entries: %d", len(res.Log))
+	if len(res.Vars) != 1 {
+		t.Fatalf("candidates: %+v", res.Vars)
 	}
-	if !strings.Contains(res.Log[0], "writes") || !strings.Contains(res.Log[0], `"a"`) {
-		t.Fatalf("log: %s", res.Log[0])
+	if v := res.Vars[0]; v.Applied || v.Name != "a" || v.Reason != FailUserFnMayModify || v.Detail != "writes" {
+		t.Fatalf("refusal: %+v", v)
 	}
 }
 
@@ -247,7 +249,7 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "p = (char*)0;") || !strings.Contains(out, "p = (void*)0;") {
 		t.Fatalf("null casts must stay (pattern 4):\n%s", out)
 	}
@@ -268,7 +270,7 @@ void f(int c) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "{ buf->s = malloc(16); buf->f = buf->s; buf->a = 16; }") {
 		t.Fatalf("allocation not braced:\n%s", out)
 	}
@@ -309,7 +311,7 @@ void f(int c) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	out := res.NewSource
+	out := res.Out
 	for _, want := range []string{
 		"n = c ? stralloc_get_dereferenced_char_at(p, 0) : stralloc_get_dereferenced_char_at(p, 1);",
 		"n = (g(c), stralloc_get_dereferenced_char_at(p, 2));",
@@ -334,7 +336,7 @@ void f(void) {
     *(p - 1) = 'z';
 }
 `)
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "stralloc_get_dereferenced_char_at(p, -(2))") {
 		t.Fatalf("negative deref read:\n%s", out)
 	}

@@ -6,11 +6,19 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cparse"
+	"repro/internal/edit"
 	"repro/internal/stralloc"
 )
 
+// result is one STR run over a unit: the decisions and the text their
+// edits make of the unit.
+type result struct {
+	*FileResult
+	Out string
+}
+
 // runAll parses src and applies STR to every candidate.
-func runAll(t *testing.T, src string) *FileResult {
+func runAll(t *testing.T, src string) *result {
 	t.Helper()
 	tu, err := cparse.Parse("t.c", src)
 	if err != nil {
@@ -20,15 +28,19 @@ func runAll(t *testing.T, src string) *FileResult {
 	if err != nil {
 		t.Fatalf("ApplyAll: %v", err)
 	}
-	return res
+	out, err := edit.NewScript(res.Edits...).Apply(src)
+	if err != nil {
+		t.Fatalf("splice: %v", err)
+	}
+	return &result{FileResult: res, Out: out}
 }
 
 // reparse verifies the transformed output (with the stralloc header) still
 // parses.
-func reparse(t *testing.T, res *FileResult) {
+func reparse(t *testing.T, res *result) {
 	t.Helper()
-	src := res.NewSource
-	if res.NeedsStralloc {
+	src := res.Out
+	if res.AppliedCount() > 0 {
 		src = stralloc.Header() + "\n" + src
 	}
 	if _, err := cparse.Parse("out.c", src); err != nil {
@@ -46,7 +58,7 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	out := res.NewSource
+	out := res.Out
 	for _, want := range []string{
 		"stralloc *buf;",
 		"stralloc ssss_buf = {0,0,0};",
@@ -73,7 +85,7 @@ void f(void) {
 	if res.AppliedCount() != 2 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	out := res.NewSource
+	out := res.Out
 	for _, want := range []string{
 		"stralloc_ready(buf, 1024);",
 		"infile = buf;", // pattern 5: no change
@@ -99,7 +111,7 @@ void f(void) {
 	if res.AppliedCount() != 2 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	out := res.NewSource
+	out := res.Out
 	for _, want := range []string{
 		"stralloc_memset(dest, 'C', 100)",
 		"stralloc_dereference_replace_by(data, 100, stralloc_get_dereferenced_char_at(dest, 100))",
@@ -240,8 +252,8 @@ void f(void){ char *buf; buf = "x"; foo(buf); }`,
 		t.Run(tt.name, func(t *testing.T) {
 			res := runAll(t, tt.src)
 			for _, want := range tt.want {
-				if !strings.Contains(res.NewSource, want) {
-					t.Fatalf("missing %q in output:\n%s", want, res.NewSource)
+				if !strings.Contains(res.Out, want) {
+					t.Fatalf("missing %q in output:\n%s", want, res.Out)
 				}
 			}
 			reparse(t, res)
@@ -261,8 +273,8 @@ void f(void) {
 	if len(res.Vars) != 0 {
 		t.Fatalf("global must not be a candidate: %+v", res.Vars)
 	}
-	if res.NewSource != "\nchar *global_buf;\nvoid f(void) {\n    global_buf = \"x\";\n}\n" {
-		t.Fatalf("source must be untouched:\n%s", res.NewSource)
+	if res.Out != "\nchar *global_buf;\nvoid f(void) {\n    global_buf = \"x\";\n}\n" {
+		t.Fatalf("source must be untouched:\n%s", res.Out)
 	}
 }
 
@@ -313,8 +325,8 @@ void f(void) {
 	if res.Vars[0].Reason != FailUserFnMayModify {
 		t.Fatalf("reason: got %v (%s)", res.Vars[0].Reason, res.Vars[0].Detail)
 	}
-	if len(res.Log) == 0 {
-		t.Fatal("a detailed log message must explain the refusal (Section IV-B)")
+	if res.Vars[0].Detail != "fill" {
+		t.Fatalf("the refusal must name the modifying function (Section IV-B): %q", res.Vars[0].Detail)
 	}
 }
 
@@ -332,8 +344,8 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	if !strings.Contains(res.NewSource, "reader(buf->s);") {
-		t.Fatalf("output:\n%s", res.NewSource)
+	if !strings.Contains(res.Out, "reader(buf->s);") {
+		t.Fatalf("output:\n%s", res.Out)
 	}
 	reparse(t, res)
 }
@@ -388,7 +400,7 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "gets(bad);") {
 		t.Fatalf("failed variable's use must stay:\n%s", out)
 	}
@@ -414,7 +426,7 @@ void f(void) {
 	if res.AppliedCount() != 2 {
 		t.Fatalf("applied: got %d", res.AppliedCount())
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "stralloc *data, *dest;") {
 		t.Fatalf("combined declaration expected:\n%s", out)
 	}
@@ -434,7 +446,7 @@ void f(void) {
 	if res.AppliedCount() != 1 {
 		t.Fatalf("applied: got %d (%+v)", res.AppliedCount(), res.Vars)
 	}
-	out := res.NewSource
+	out := res.Out
 	if !strings.Contains(out, "buf->s = malloc(256); buf->f = buf->s; buf->a = 256;") {
 		t.Fatalf("allocation init missing:\n%s", out)
 	}

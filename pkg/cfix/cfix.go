@@ -127,7 +127,9 @@ func coreOptions(opts Options) core.Options {
 // Fix applies the transformations to source (a preprocessed C translation
 // unit). filename is used in diagnostics only. The input is parsed exactly
 // once into a shared analysis-facts snapshot that lint, SLR and (when SLR
-// leaves the text unchanged) STR all consume.
+// leaves the text unchanged) STR all consume. SLR and STR decide each
+// site and variable and return edits; Fix splices those edits into
+// Report.Source, the one transformed text a report carries.
 func Fix(filename, source string, opts Options) (*Report, error) {
 	return FixContext(context.Background(), filename, source, opts)
 }
