@@ -9,6 +9,7 @@ package cast
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/ctoken"
 	"repro/internal/ctype"
@@ -594,6 +595,38 @@ type TranslationUnit struct {
 	// enough to rebuild the file scope as it stood at the start of any
 	// function body.
 	Tags []TagBinding
+}
+
+// Names hands out identifiers for code a transformation inserts into a
+// unit: names no symbol of the unit and no earlier Fresh call uses. The
+// unit's symbols are read on the first call.
+type Names struct {
+	unit *TranslationUnit
+	used map[string]struct{}
+}
+
+// NewNames returns the fresh-name set of tu.
+func NewNames(tu *TranslationUnit) Names { return Names{unit: tu} }
+
+// Fresh returns base if it is unused, otherwise base_2, base_3…
+func (n *Names) Fresh(base string) string {
+	if n.used == nil {
+		n.used = make(map[string]struct{}, len(n.unit.Symbols))
+		for _, s := range n.unit.Symbols {
+			n.used[s.Name] = struct{}{}
+		}
+	}
+	if _, taken := n.used[base]; !taken {
+		n.used[base] = struct{}{}
+		return base
+	}
+	for i := 2; ; i++ {
+		name := base + "_" + strconv.Itoa(i)
+		if _, taken := n.used[name]; !taken {
+			n.used[name] = struct{}{}
+			return name
+		}
+	}
 }
 
 // SymRange is the half-open range [Lo, Hi) of Symbol.IDs.

@@ -256,6 +256,19 @@ func (f *File) Slice(e Extent) string {
 	return f.src[e.Pos:e.End]
 }
 
+// Indent returns the whitespace prefix of the line p is on.
+func (f *File) Indent(p Pos) string {
+	lineStart := int(p)
+	for lineStart > 0 && f.src[lineStart-1] != '\n' {
+		lineStart--
+	}
+	end := lineStart
+	for end < len(f.src) && (f.src[end] == ' ' || f.src[end] == '\t') {
+		end++
+	}
+	return f.src[lineStart:end]
+}
+
 // Position is a human-readable source coordinate.
 type Position struct {
 	File string

@@ -110,9 +110,8 @@ type Transformer struct {
 	analyzer *buflen.Analyzer
 	// be is the safe-function dialect the rewrite targets.
 	be backend.Backend
-	// usedNames tracks identifiers in the unit so generated temporaries
-	// are fresh. The first freshName call fills it.
-	usedNames map[string]struct{}
+	// names keeps generated temporaries fresh.
+	names cast.Names
 }
 
 // NewTransformer prepares a transformer on the unit's analysis-facts
@@ -124,7 +123,7 @@ func NewTransformer(s *analysis.Snapshot, be backend.Backend) *Transformer {
 	if be == nil {
 		be = backend.Default()
 	}
-	return &Transformer{unit: s.Unit(), analyzer: s.BufLenAnalyzer(), be: be}
+	return &Transformer{unit: s.Unit(), analyzer: s.BufLenAnalyzer(), be: be, names: cast.NewNames(s.Unit())}
 }
 
 // candidate is one unsafe call found in the unit.
@@ -386,8 +385,8 @@ func (t *Transformer) editGets(c candidate, size buflen.Size, edits *edit.Script
 	}
 
 	destText := t.text(c.call.Args[0])
-	checkVar := t.freshName("check")
-	indent := t.indentOf(c.stmt.Extent())
+	checkVar := t.names.Fresh("check")
+	indent := t.unit.File.Indent(c.stmt.Extent().Pos)
 	fix := fmt.Sprintf("\n%schar *%s = strchr(%s, '\\n');\n%sif (%s) { *%s = '\\0'; }",
 		indent, checkVar, destText, indent, checkVar, checkVar)
 	if !c.inBlock {
@@ -429,7 +428,7 @@ func (t *Transformer) editMemcpy(c candidate, size buflen.Size, edits *edit.Scri
 			// before the call.
 			return &buflen.Failure{Reason: buflen.FailAlreadyClamped}
 		}
-		indent := t.indentOf(c.stmt.Extent())
+		indent := t.unit.File.Indent(c.stmt.Extent().Pos)
 		assign := clamp + "\n" + indent
 		if !c.inBlock {
 			// Brace-less branch arm: keep the clamp and the call under
@@ -548,39 +547,4 @@ func (t *Transformer) usedAfter(c candidate, id *cast.Ident) bool {
 // text returns the source spelling of a node.
 func (t *Transformer) text(n cast.Node) string {
 	return t.unit.File.Slice(n.Extent())
-}
-
-// indentOf returns the whitespace prefix of the line the extent starts on.
-func (t *Transformer) indentOf(e ctoken.Extent) string {
-	src := t.unit.File.Src()
-	lineStart := int(e.Pos)
-	for lineStart > 0 && src[lineStart-1] != '\n' {
-		lineStart--
-	}
-	end := lineStart
-	for end < len(src) && (src[end] == ' ' || src[end] == '\t') {
-		end++
-	}
-	return src[lineStart:end]
-}
-
-// freshName returns base if unused in the unit, otherwise base_2, base_3…
-func (t *Transformer) freshName(base string) string {
-	if t.usedNames == nil {
-		t.usedNames = make(map[string]struct{}, len(t.unit.Symbols))
-		for _, s := range t.unit.Symbols {
-			t.usedNames[s.Name] = struct{}{}
-		}
-	}
-	if _, taken := t.usedNames[base]; !taken {
-		t.usedNames[base] = struct{}{}
-		return base
-	}
-	for i := 2; ; i++ {
-		name := fmt.Sprintf("%s_%d", base, i)
-		if _, taken := t.usedNames[name]; !taken {
-			t.usedNames[name] = struct{}{}
-			return name
-		}
-	}
 }

@@ -112,7 +112,7 @@ func (t *Transformer) renderDeclStmt(ds *cast.DeclStmt, edits *edit.Script) {
 		return
 	}
 
-	indent := t.indentOf(ds.Extent())
+	indent := t.unit.File.Indent(ds.Extent().Pos)
 	var (
 		ptrDecls   []string // stralloc *a
 		backDecls  []string // ssss_a = {0,0,0}
@@ -130,7 +130,7 @@ func (t *Transformer) renderDeclStmt(ds *cast.DeclStmt, edits *edit.Script) {
 			keepOthers = append(keepOthers, keep+";")
 			continue
 		}
-		back := t.freshName("ssss_" + d.Name)
+		back := t.names.Fresh("ssss_" + d.Name)
 		ptrDecls = append(ptrDecls, "*"+d.Name)
 		backDecls = append(backDecls, back+" = {0,0,0}")
 		inits = append(inits, fmt.Sprintf("%s = &%s;", d.Name, back))
@@ -508,18 +508,4 @@ func (t *Transformer) splice(n cast.Node) string {
 	}
 	sb.WriteString(src[cursor:base.End])
 	return sb.String()
-}
-
-// indentOf returns the whitespace prefix of the line the extent starts on.
-func (t *Transformer) indentOf(e ctoken.Extent) string {
-	src := t.unit.File.Src()
-	lineStart := int(e.Pos)
-	for lineStart > 0 && src[lineStart-1] != '\n' {
-		lineStart--
-	}
-	end := lineStart
-	for end < len(src) && (src[end] == ' ' || src[end] == '\t') {
-		end++
-	}
-	return src[lineStart:end]
 }

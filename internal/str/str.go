@@ -174,9 +174,8 @@ type Transformer struct {
 	targets map[*cast.Symbol]bool
 	// declOf maps a target symbol to its candidate record.
 	declOf map[*cast.Symbol]*candidate
-	// usedNames for fresh temporaries; the first freshName call fills
-	// it.
-	usedNames map[string]struct{}
+	// names keeps the backing variables' names fresh.
+	names cast.Names
 }
 
 // NewTransformer prepares STR on the unit's analysis-facts snapshot:
@@ -186,6 +185,7 @@ func NewTransformer(s *analysis.Snapshot) *Transformer {
 	s.Typecheck()
 	return &Transformer{
 		unit:    s.Unit(),
+		names:   cast.NewNames(s.Unit()),
 		inter:   s.MayModify(),
 		targets: make(map[*cast.Symbol]bool),
 		declOf:  make(map[*cast.Symbol]*candidate),
@@ -575,25 +575,4 @@ func (t *Transformer) containsTarget(n cast.Node) bool {
 		return true
 	})
 	return found
-}
-
-// freshName returns an unused identifier based on base.
-func (t *Transformer) freshName(base string) string {
-	if t.usedNames == nil {
-		t.usedNames = make(map[string]struct{}, len(t.unit.Symbols))
-		for _, s := range t.unit.Symbols {
-			t.usedNames[s.Name] = struct{}{}
-		}
-	}
-	if _, taken := t.usedNames[base]; !taken {
-		t.usedNames[base] = struct{}{}
-		return base
-	}
-	for i := 2; ; i++ {
-		name := fmt.Sprintf("%s_%d", base, i)
-		if _, taken := t.usedNames[name]; !taken {
-			t.usedNames[name] = struct{}{}
-			return name
-		}
-	}
 }
