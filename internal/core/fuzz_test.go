@@ -31,6 +31,15 @@ func FuzzFix(f *testing.F) {
 	f.Add("void f(void) { char b[4]; gets(b); }")
 	f.Add("int x;")
 	f.Add("void broken( {")
+	// STR shapes whose rewrite once broke the program: block-scope
+	// storage classes, an element's address or step, and declarators
+	// kept beside a replaced variable.
+	f.Add("void f(void) { static char s[8]; s[0] = 'a'; }")
+	f.Add("void f(void) { extern char g[16]; g[0] = 'b'; }")
+	f.Add("void f(void) { char t[8]; char *b; char *p; b = \"xy\"; t[0] = 'c'; p = &t[0]; p = &*b; }")
+	f.Add("void f(void) { char t[8]; t[0] = 'c'; t[0]++; ++*t; }")
+	f.Add("void f(void) { char a[8], (*pa)[4] = 0, *fp(void); a[0] = 'd'; }")
+	f.Add("void f(void) { char a[8], (*pa)[4] = 0, *arr[2]; a[0] = 'd'; }")
 	f.Add("")
 	// The integer-overflow corpus drives the integer oracle's wrap,
 	// taint and allocation-sink paths.

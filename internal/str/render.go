@@ -171,11 +171,15 @@ func (t *Transformer) renderInit(name string, init cast.Expr) string {
 	return text + ";"
 }
 
-// declText renders a C declarator for the given name and type, covering
-// the forms local char-adjacent declarations take.
+// declText renders a C declarator for the given name and type, which
+// must be plain (plainDeclarator).
 func declText(name string, typ ctype.Type) string {
 	switch x := ctype.Unqualify(typ).(type) {
 	case *ctype.Pointer:
+		if ctype.IsArray(x.Elem) {
+			// A pointer to an array binds looser than the array suffix.
+			return declText("(*"+name+")", x.Elem)
+		}
 		return declText("*"+name, x.Elem)
 	case *ctype.Array:
 		if x.Len >= 0 {
@@ -184,6 +188,23 @@ func declText(name string, typ ctype.Type) string {
 		return declText(name+"[]", x.Elem)
 	default:
 		return typ.String() + " " + name
+	}
+}
+
+// plainDeclarator reports that declText can spell typ: pointers and
+// arrays over a type that is no function.
+func plainDeclarator(typ ctype.Type) bool {
+	for {
+		switch x := ctype.Unqualify(typ).(type) {
+		case *ctype.Pointer:
+			typ = x.Elem
+		case *ctype.Array:
+			typ = x.Elem
+		case *ctype.Func:
+			return false
+		default:
+			return true
+		}
 	}
 }
 

@@ -24,7 +24,8 @@ type FailReason int
 const (
 	FailNone FailReason = iota
 	// FailNotLocal: the variable is a global, a parameter, or a struct
-	// member (precondition 2).
+	// member (precondition 2), or a block-scope static or extern
+	// declaration, whose object outlives the function or is a global.
 	FailNotLocal
 	// FailUnsupportedLib: the variable is used in an unsupported C
 	// library function (precondition 3).
@@ -326,8 +327,20 @@ func (t *Transformer) apply(fns []*cast.FuncDef) (*FileResult, error) {
 // every use of the symbol (Section II-B2 plus the conservative
 // interprocedural rule of Section III-C).
 func (t *Transformer) checkVar(c *candidate) (FailReason, string) {
+	switch c.decl.Storage {
+	case cast.StorageStatic:
+		return FailNotLocal, "static storage"
+	case cast.StorageExtern:
+		return FailNotLocal, "extern declaration"
+	}
 	if c.inFor {
 		return FailUnsupportedUse, "declared in for-initializer"
+	}
+	for _, d := range c.stmt.Decls {
+		// renderDeclStmt spells a kept sibling from its type.
+		if d.Name == "" || !plainDeclarator(d.Type) {
+			return FailUnsupportedUse, "declared beside function declarator " + d.Name
+		}
 	}
 	sym := c.decl.Sym
 	reason := FailNone
@@ -386,16 +399,7 @@ func (t *Transformer) checkPointerRHS(rhs cast.Expr, fail func(FailReason, strin
 
 // checkUse classifies one identifier use by its parent context.
 func (t *Transformer) checkUse(id *cast.Ident, fail func(FailReason, string)) {
-	parent := t.parents[id]
-	// Look through parentheses.
-	for {
-		p, ok := parent.(*cast.ParenExpr)
-		if !ok {
-			break
-		}
-		parent = t.parents[p]
-	}
-	switch p := parent.(type) {
+	switch p := t.parentOf(id).(type) {
 	case *cast.AssignExpr:
 		if cast.Unparen(p.LHS) == cast.Expr(id) {
 			// Writes to the pointer variable itself: patterns 3-7 plus
@@ -436,6 +440,7 @@ func (t *Transformer) checkUse(id *cast.Ident, fail func(FailReason, string)) {
 		case cast.UnaryDeref:
 			// Reads are fine; writes are handled by the assignment case
 			// that owns the deref.
+			t.checkElement(p, fail)
 		}
 	case *cast.PostfixExpr:
 		if !t.isStatementLevel(p) {
@@ -449,12 +454,36 @@ func (t *Transformer) checkUse(id *cast.Ident, fail func(FailReason, string)) {
 				fail(FailUnsupportedUse, "compound assignment to element")
 			}
 		}
+		t.checkElement(p, fail)
+	case *cast.BinaryExpr:
+		// *(buf ± n) reads and writes an element, as buf[n] does.
+		if de, ok := t.parentOf(p).(*cast.UnaryExpr); ok && de.Op == cast.UnaryDeref {
+			t.checkElement(de, fail)
+		}
 	case *cast.CallExpr:
 		t.checkCallUse(p, id, fail)
 	case *cast.SizeofExpr:
 		// Pattern 10.
 	case *cast.VarDecl:
 		// Initializer use of another variable; value context.
+	}
+}
+
+// checkElement refuses an element access (buf[i], *buf, *(buf ± n))
+// whose address is taken or which is incremented or decremented: STR
+// reads an element through stralloc_get_dereferenced_char_at, whose char
+// result is no lvalue.
+func (t *Transformer) checkElement(elem cast.Expr, fail func(FailReason, string)) {
+	switch p := t.parentOf(elem).(type) {
+	case *cast.UnaryExpr:
+		switch p.Op {
+		case cast.UnaryAddrOf:
+			fail(FailUnsupportedUse, "address of element taken")
+		case cast.UnaryPreInc, cast.UnaryPreDec:
+			fail(FailUnsupportedUse, "element incremented or decremented")
+		}
+	case *cast.PostfixExpr:
+		fail(FailUnsupportedUse, "element incremented or decremented")
 	}
 }
 
@@ -510,15 +539,7 @@ func (t *Transformer) checkCallUse(call *cast.CallExpr, id *cast.Ident, fail fun
 // inForPost reports whether the expression is a for statement's post
 // clause.
 func (t *Transformer) inForPost(e cast.Expr) bool {
-	parent := t.parents[e]
-	for {
-		p, ok := parent.(*cast.ParenExpr)
-		if !ok {
-			break
-		}
-		parent = t.parents[p]
-	}
-	fs, ok := parent.(*cast.ForStmt)
+	fs, ok := t.parentOf(e).(*cast.ForStmt)
 	return ok && fs.Post == e
 }
 
@@ -526,21 +547,25 @@ func (t *Transformer) inForPost(e cast.Expr) bool {
 // of an ExprStmt or a for-statement clause (so multi-statement or
 // void-valued rewrites are safe).
 func (t *Transformer) isStatementLevel(e cast.Expr) bool {
-	parent := t.parents[e]
-	for {
-		p, ok := parent.(*cast.ParenExpr)
-		if !ok {
-			break
-		}
-		parent = t.parents[p]
-	}
-	switch p := parent.(type) {
+	switch p := t.parentOf(e).(type) {
 	case *cast.ExprStmt:
 		return true
 	case *cast.ForStmt:
 		return p.Post == e // the post clause may be void-valued; cond may not
 	default:
 		return false
+	}
+}
+
+// parentOf returns n's parent, looking through parentheses.
+func (t *Transformer) parentOf(n cast.Node) cast.Node {
+	parent := t.parents[n]
+	for {
+		p, ok := parent.(*cast.ParenExpr)
+		if !ok {
+			return parent
+		}
+		parent = t.parents[p]
 	}
 }
 

@@ -3,6 +3,10 @@ package str
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cast"
+	"repro/internal/cparse"
+	"repro/internal/stralloc"
 )
 
 func TestForInitDeclRefused(t *testing.T) {
@@ -344,4 +348,114 @@ void f(void) {
 		t.Fatalf("negative deref write:\n%s", out)
 	}
 	reparse(t, res)
+}
+
+// refused runs STR on src and requires its first candidate to be
+// refused for reason with detail, leaving the text as it was.
+func refused(t *testing.T, src string, reason FailReason, detail string) {
+	t.Helper()
+	res := runAll(t, src)
+	if len(res.Vars) == 0 {
+		t.Fatalf("candidates: %+v", res.Vars)
+	}
+	if v := res.Vars[0]; v.Applied || v.Reason != reason || v.Detail != detail {
+		t.Fatalf("want %v (%s), got %+v\n%s", reason, detail, v, res.Out)
+	}
+	if res.Out != src {
+		t.Fatalf("source changed:\n%s", res.Out)
+	}
+}
+
+// TestStaticLocalRefused: a block-scope static keeps its value across
+// calls; a stralloc local would lose it.
+func TestStaticLocalRefused(t *testing.T) {
+	refused(t, `
+void f(void) {
+    static char s[8];
+    s[0] = 'a';
+}
+`, FailNotLocal, "static storage")
+}
+
+// TestBlockExternRefused: a block-scope extern names the global; a
+// stralloc local would take its writes.
+func TestBlockExternRefused(t *testing.T) {
+	refused(t, `
+void f(void) {
+    extern char gbuf[16];
+    gbuf[0] = 'b';
+}
+`, FailNotLocal, "extern declaration")
+}
+
+// TestElementAddressRefused: STR reads an element through a function
+// whose char result has no address.
+func TestElementAddressRefused(t *testing.T) {
+	for _, use := range []string{"p = &t[0];", "p = &(t[1]);", "p = &*t;", "p = &*(t + 1);"} {
+		refused(t, "\nvoid f(void) {\n    char t[8];\n    char *p;\n    t[0] = 'c';\n    "+use+"\n}\n",
+			FailUnsupportedUse, "address of element taken")
+	}
+}
+
+// TestElementStepRefused: the same char result cannot be incremented or
+// decremented.
+func TestElementStepRefused(t *testing.T) {
+	for _, use := range []string{"t[0]++;", "--t[1];", "++*t;", "(*(t + 1))--;"} {
+		refused(t, "\nvoid f(void) {\n    char t[8];\n    t[0] = 'c';\n    "+use+"\n}\n",
+			FailUnsupportedUse, "element incremented or decremented")
+	}
+}
+
+// TestKeptSiblingDeclarators: declarators that share a replaced
+// variable's declaration are rewritten to statements of their own that
+// parse and keep each sibling's type.
+func TestKeptSiblingDeclarators(t *testing.T) {
+	src := `
+void f(void) {
+    char a[8], (*pa)[4] = 0, *arr[2], **pp, c = 'x', m[2][3];
+    a[0] = 'd';
+}
+`
+	res := runAll(t, src)
+	if res.AppliedCount() != 1 || len(res.Vars) != 1 {
+		t.Fatalf("want a replaced: %+v", res.Vars)
+	}
+	reparse(t, res)
+	before, after := localTypes(t, src), localTypes(t, stralloc.Header()+"\n"+res.Out)
+	for _, name := range []string{"pa", "arr", "pp", "c", "m"} {
+		if before[name] == "" || after[name] != before[name] {
+			t.Fatalf("%s: type %q, want %q\n%s", name, after[name], before[name], res.Out)
+		}
+	}
+}
+
+// TestFunctionSiblingRefused: a block-scope function declarator has no
+// object type to spell, so its siblings are left alone.
+func TestFunctionSiblingRefused(t *testing.T) {
+	refused(t, `
+void f(void) {
+    char a[8], *fp(void);
+    a[0] = 'd';
+}
+`, FailUnsupportedUse, "declared beside function declarator fp")
+}
+
+// localTypes parses src and returns the type of each declared variable
+// in a function body by name.
+func localTypes(t *testing.T, src string) map[string]string {
+	t.Helper()
+	tu, err := cparse.Parse("types.c", src)
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, src)
+	}
+	types := make(map[string]string)
+	for _, fn := range tu.Funcs {
+		cast.Inspect(fn.Body, func(n cast.Node) bool {
+			if d, ok := n.(*cast.VarDecl); ok {
+				types[d.Name] = d.Type.String()
+			}
+			return true
+		})
+	}
+	return types
 }
