@@ -120,7 +120,12 @@ type Report struct {
 	// STR per-variable outcomes (nil when STR was disabled).
 	STR *str.FileResult
 	// NeedsGlib / NeedsStralloc describe link-time requirements when
-	// EmitSupport was false.
+	// EmitSupport was false. NeedsGlib: an applied site calls a safe
+	// function outside the hosted C library, so the build needs the
+	// backend's library (-lglib-2.0 for glib, -lbsd for bsd, a TR
+	// 24731-1 implementation for c11k; the name predates pluggable
+	// backends). NeedsStralloc: a variable was replaced, so the build
+	// needs internal/stralloc's header and implementation.
 	NeedsGlib     bool
 	NeedsStralloc bool
 	// Findings holds the static overflow oracle's verdicts on the input

@@ -38,6 +38,7 @@ func FuzzFix(f *testing.F) {
 	f.Add("void f(void) { extern char g[16]; g[0] = 'b'; }")
 	f.Add("void f(void) { char t[8]; char *b; char *p; b = \"xy\"; t[0] = 'c'; p = &t[0]; p = &*b; }")
 	f.Add("void f(void) { char t[8]; t[0] = 'c'; t[0]++; ++*t; }")
+	f.Add("void f(void) { char t[8]; char *p; p = \"ab\"; *p += 1; t[1] = t[0] = 'y'; }")
 	f.Add("void f(void) { char a[8], (*pa)[4] = 0, *fp(void); a[0] = 'd'; }")
 	f.Add("void f(void) { char a[8], (*pa)[4] = 0, *arr[2]; a[0] = 'd'; }")
 	f.Add("")

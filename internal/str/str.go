@@ -338,7 +338,7 @@ func (t *Transformer) checkVar(c *candidate) (FailReason, string) {
 	}
 	for _, d := range c.stmt.Decls {
 		// renderDeclStmt spells a kept sibling from its type.
-		if d.Name == "" || !plainDeclarator(d.Type) {
+		if !plainDeclarator(d.Type) {
 			return FailUnsupportedUse, "declared beside function declarator " + d.Name
 		}
 	}
@@ -438,8 +438,7 @@ func (t *Transformer) checkUse(id *cast.Ident, fail func(FailReason, string)) {
 				fail(FailUnsupportedUse, "increment used as a value")
 			}
 		case cast.UnaryDeref:
-			// Reads are fine; writes are handled by the assignment case
-			// that owns the deref.
+			// *buf reads and writes an element, as buf[0] does.
 			t.checkElement(p, fail)
 		}
 	case *cast.PostfixExpr:
@@ -447,13 +446,7 @@ func (t *Transformer) checkUse(id *cast.Ident, fail func(FailReason, string)) {
 			fail(FailUnsupportedUse, "increment used as a value")
 		}
 	case *cast.IndexExpr:
-		// buf[i] reads/writes: patterns 11-13. Compound assignment onto
-		// elements is outside the patterns.
-		if a, ok := t.parents[p].(*cast.AssignExpr); ok && cast.Unparen(a.LHS) == cast.Expr(p) {
-			if a.Op != cast.AssignPlain {
-				fail(FailUnsupportedUse, "compound assignment to element")
-			}
-		}
+		// buf[i] reads/writes: patterns 11-13.
 		t.checkElement(p, fail)
 	case *cast.BinaryExpr:
 		// *(buf ± n) reads and writes an element, as buf[n] does.
@@ -470,11 +463,22 @@ func (t *Transformer) checkUse(id *cast.Ident, fail func(FailReason, string)) {
 }
 
 // checkElement refuses an element access (buf[i], *buf, *(buf ± n))
-// whose address is taken or which is incremented or decremented: STR
-// reads an element through stralloc_get_dereferenced_char_at, whose char
-// result is no lvalue.
+// used as an lvalue outside patterns 12-15. STR reads an element through
+// stralloc_get_dereferenced_char_at, whose char result is no lvalue, so
+// the element's address cannot be taken, nor can it be incremented,
+// decremented or compound-assigned. It writes one through
+// stralloc_dereference_replace_by, whose value is a status, not the
+// char stored, so the write must stand as a statement.
 func (t *Transformer) checkElement(elem cast.Expr, fail func(FailReason, string)) {
 	switch p := t.parentOf(elem).(type) {
+	case *cast.AssignExpr:
+		switch {
+		case cast.Unparen(p.LHS) != elem:
+		case p.Op != cast.AssignPlain:
+			fail(FailUnsupportedUse, "compound assignment to element")
+		case !t.isStatementLevel(p):
+			fail(FailUnsupportedUse, "element assignment used as a value")
+		}
 	case *cast.UnaryExpr:
 		switch p.Op {
 		case cast.UnaryAddrOf:

@@ -40,15 +40,11 @@ void f(void) {
 }
 
 func TestCompoundElementAssignRefused(t *testing.T) {
-	res := runAll(t, `
-void f(void) {
-    char *p;
-    p = "abc";
-    p[0] += 1;
-}
-`)
-	if res.Vars[0].Applied {
-		t.Fatal("compound assignment to an element is outside the patterns")
+	for _, use := range []string{"p[0] += 1;", "*p += 1;", "*(p + 1) -= 1;"} {
+		res := runAll(t, "\nvoid f(void) {\n    char *p;\n    p = \"abc\";\n    "+use+"\n}\n")
+		if res.Vars[0].Applied {
+			t.Fatalf("compound assignment to an element is outside the patterns: %s\n%s", use, res.Out)
+		}
 	}
 }
 
@@ -403,6 +399,15 @@ func TestElementStepRefused(t *testing.T) {
 	for _, use := range []string{"t[0]++;", "--t[1];", "++*t;", "(*(t + 1))--;"} {
 		refused(t, "\nvoid f(void) {\n    char t[8];\n    t[0] = 'c';\n    "+use+"\n}\n",
 			FailUnsupportedUse, "element incremented or decremented")
+	}
+}
+
+// TestElementAssignAsValueRefused: STR writes an element through a
+// call whose value is a status, not the char stored.
+func TestElementAssignAsValueRefused(t *testing.T) {
+	for _, use := range []string{"t[1] = t[0] = 'y';", "if ((*t = 'y')) {}", "c = (t[2] = 'y');"} {
+		refused(t, "\nvoid f(void) {\n    char t[8];\n    char c;\n    t[0] = 'x';\n    "+use+"\n}\n",
+			FailUnsupportedUse, "element assignment used as a value")
 	}
 }
 
