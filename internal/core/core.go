@@ -23,6 +23,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpp"
 	"repro/internal/ctoken"
+	"repro/internal/edit"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/overflow"
@@ -120,12 +121,8 @@ type Report struct {
 	// STR per-variable outcomes (nil when STR was disabled).
 	STR *str.FileResult
 	// NeedsGlib / NeedsStralloc describe link-time requirements when
-	// EmitSupport was false. NeedsGlib: an applied site calls a safe
-	// function outside the hosted C library, so the build needs the
-	// backend's library (-lglib-2.0 for glib, -lbsd for bsd, a TR
-	// 24731-1 implementation for c11k; the name predates pluggable
-	// backends). NeedsStralloc: a variable was replaced, so the build
-	// needs internal/stralloc's header and implementation.
+	// EmitSupport was false: the backend's library for an applied site
+	// (-lglib-2.0, -lbsd or Annex K), stralloc for a replaced variable.
 	NeedsGlib     bool
 	NeedsStralloc bool
 	// Findings holds the static overflow oracle's verdicts on the input
@@ -660,6 +657,54 @@ func needsLib(res *slr.FileResult, be backend.Backend) bool {
 		}
 	}
 	return false
+}
+
+// applyEdits turns a transformation's sorted edits into text: it is the
+// one place a repair is spliced. With a nil preprocess result the edits
+// are in src's coordinates and apply as they are. Otherwise each delta's
+// extent is first mapped from preprocessed coordinates back into the
+// main original file, and the deltas that survive apply to src, the
+// original text. A delta remaps cleanly when the source map proves
+// byte-exactness and the target is the main file (not a header). Owner
+// groups containing any unclean delta are declined wholesale — a repair
+// is all-or-nothing — and reported in declined as owner ->
+// human-readable reason. Ownerless deltas are declined individually.
+// An empty edit list returns src unchanged.
+func applyEdits(src string, deltas []edit.Delta, pp *cpp.Result) (out string, declined map[string]string, err error) {
+	if pp != nil {
+		m := pp.Map
+		declined = make(map[string]string)
+		clean := make([]edit.Delta, 0, len(deltas))
+		for _, d := range deltas {
+			org, exact := m.ToOriginal(d.Extent)
+			if !exact || org.File != m.MainFile() {
+				reason := "maps into included file " + org.File
+				if org.Macro != "" {
+					reason = "maps into expansion of macro " + org.Macro
+				} else if org.File == m.MainFile() {
+					reason = "does not map byte-exactly to the original text"
+				}
+				if _, dup := declined[d.Owner]; !dup {
+					declined[d.Owner] = reason
+				}
+				continue
+			}
+			d.Extent = org.Extent
+			clean = append(clean, d)
+		}
+		kept := clean[:0]
+		for _, d := range clean {
+			if _, bad := declined[d.Owner]; !bad || d.Owner == "" {
+				kept = append(kept, d)
+			}
+		}
+		deltas = edit.Sort(kept)
+	}
+	if len(deltas) == 0 {
+		return src, declined, nil
+	}
+	out, err = edit.Splice(src, deltas)
+	return out, declined, err
 }
 
 // firstLine truncates an error to its first line: panic errors carry a

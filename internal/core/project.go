@@ -9,7 +9,6 @@ import (
 	"repro/internal/buflen"
 	"repro/internal/cpp"
 	"repro/internal/ctoken"
-	"repro/internal/edit"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/slr"
@@ -21,59 +20,12 @@ import (
 // (internal/cpp) while editing the text the user wrote. The analyses see
 // what the compiler sees — headers inlined, macros expanded, conditionals
 // resolved — and every resulting edit is remapped through the
-// preprocessor's source map back into the original file. Edits that land
+// preprocessor's source map back into the original file (applyEdits,
+// the one splice of both paths, lives in core.go). Edits that land
 // inside a macro expansion or an included header cannot be applied in
 // place; their whole repair group (one SLR call site, one STR function)
 // is declined with an explicit failure reason rather than silently
 // miswriting the user's text.
-
-// applyEdits turns a transformation's sorted edits into text: it is the
-// one place a repair is spliced. With a nil preprocess result the edits
-// are in src's coordinates and apply as they are. Otherwise each delta's
-// extent is first mapped from preprocessed coordinates back into the
-// main original file, and the deltas that survive apply to src, the
-// original text. A delta remaps cleanly when the source map proves
-// byte-exactness and the target is the main file (not a header). Owner
-// groups containing any unclean delta are declined wholesale — a repair
-// is all-or-nothing — and reported in declined as owner ->
-// human-readable reason. Ownerless deltas are declined individually.
-// An empty edit list returns src unchanged.
-func applyEdits(src string, deltas []edit.Delta, pp *cpp.Result) (out string, declined map[string]string, err error) {
-	if pp != nil {
-		m := pp.Map
-		declined = make(map[string]string)
-		clean := make([]edit.Delta, 0, len(deltas))
-		for _, d := range deltas {
-			org, exact := m.ToOriginal(d.Extent)
-			if !exact || org.File != m.MainFile() {
-				reason := "maps into included file " + org.File
-				if org.Macro != "" {
-					reason = "maps into expansion of macro " + org.Macro
-				} else if org.File == m.MainFile() {
-					reason = "does not map byte-exactly to the original text"
-				}
-				if _, dup := declined[d.Owner]; !dup {
-					declined[d.Owner] = reason
-				}
-				continue
-			}
-			d.Extent = org.Extent
-			clean = append(clean, d)
-		}
-		kept := clean[:0]
-		for _, d := range clean {
-			if _, bad := declined[d.Owner]; !bad || d.Owner == "" {
-				kept = append(kept, d)
-			}
-		}
-		deltas = edit.Sort(kept)
-	}
-	if len(deltas) == 0 {
-		return src, declined, nil
-	}
-	out, err = edit.Splice(src, deltas)
-	return out, declined, err
-}
 
 // remapLoc rewrites one location from preprocessed coordinates to
 // original ones: pos becomes the original position (for macro

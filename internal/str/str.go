@@ -173,8 +173,6 @@ type Transformer struct {
 	parents map[cast.Node]cast.Node
 	// targets is the final eligible symbol set (phase 1 output).
 	targets map[*cast.Symbol]bool
-	// declOf maps a target symbol to its candidate record.
-	declOf map[*cast.Symbol]*candidate
 	// names keeps the backing variables' names fresh.
 	names cast.Names
 }
@@ -189,7 +187,6 @@ func NewTransformer(s *analysis.Snapshot) *Transformer {
 		names:   cast.NewNames(s.Unit()),
 		inter:   s.MayModify(),
 		targets: make(map[*cast.Symbol]bool),
-		declOf:  make(map[*cast.Symbol]*candidate),
 	}
 }
 
@@ -272,7 +269,6 @@ func (t *Transformer) apply(fns []*cast.FuncDef) (*FileResult, error) {
 	failDetail := make(map[*cast.Symbol]string)
 	for _, c := range cands {
 		t.targets[c.decl.Sym] = true
-		t.declOf[c.decl.Sym] = c
 	}
 	for changed := true; changed; {
 		changed = false
@@ -413,7 +409,7 @@ func (t *Transformer) checkUse(id *cast.Ident, fail func(FailReason, string)) {
 			case cast.AssignPlain:
 				// Pattern 3 expands allocations into several statements,
 				// which a for-post clause cannot hold.
-				if t.inForPost(p) {
+				if fs, ok := t.parentOf(p).(*cast.ForStmt); ok && fs.Post == cast.Expr(p) {
 					if c, ok := cast.Unparen(p.RHS).(*cast.CallExpr); ok && pointsto.IsHeapAllocator(c.Callee()) {
 						fail(FailUnsupportedUse, "allocation in for-post clause")
 						return
@@ -463,12 +459,9 @@ func (t *Transformer) checkUse(id *cast.Ident, fail func(FailReason, string)) {
 }
 
 // checkElement refuses an element access (buf[i], *buf, *(buf ± n))
-// used as an lvalue outside patterns 12-15. STR reads an element through
-// stralloc_get_dereferenced_char_at, whose char result is no lvalue, so
-// the element's address cannot be taken, nor can it be incremented,
-// decremented or compound-assigned. It writes one through
-// stralloc_dereference_replace_by, whose value is a status, not the
-// char stored, so the write must stand as a statement.
+// used as an lvalue outside patterns 12-15: an element reads as a call
+// returning char, which is no lvalue, and a plain write is a call
+// returning a status, which must stand as a statement.
 func (t *Transformer) checkElement(elem cast.Expr, fail func(FailReason, string)) {
 	switch p := t.parentOf(elem).(type) {
 	case *cast.AssignExpr:
@@ -538,13 +531,6 @@ func (t *Transformer) checkCallUse(call *cast.CallExpr, id *cast.Ident, fail fun
 		// position is rewritten to buf->s.
 		fail(FailUnsupportedLib, name)
 	}
-}
-
-// inForPost reports whether the expression is a for statement's post
-// clause.
-func (t *Transformer) inForPost(e cast.Expr) bool {
-	fs, ok := t.parentOf(e).(*cast.ForStmt)
-	return ok && fs.Post == e
 }
 
 // isStatementLevel reports whether the expression is the full expression
