@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/backend"
 	"repro/internal/cast"
+	"repro/internal/clex"
 	"repro/internal/ctoken"
 	"repro/internal/ctype"
 	"repro/internal/edit"
@@ -319,6 +320,20 @@ func (t *Transformer) apply(fns []*cast.FuncDef) (*FileResult, error) {
 	return res, nil
 }
 
+// qualifier returns the first type qualifier ds spells, or "".
+func (t *Transformer) qualifier(ds *cast.DeclStmt) string {
+	// The parser lexed these bytes, so they lex without error.
+	ext := ds.Extent()
+	toks, _ := clex.Tokenize(t.unit.File.Src()[ext.Pos:ext.End])
+	for _, tok := range toks {
+		switch {
+		case tok.IsKeyword("const"), tok.IsKeyword("volatile"), tok.IsKeyword("restrict"), tok.IsKeyword("__restrict"):
+			return tok.Text
+		}
+	}
+	return ""
+}
+
 // checkVar evaluates the preconditions for one candidate by classifying
 // every use of the symbol (Section II-B2 plus the conservative
 // interprocedural rule of Section III-C).
@@ -336,6 +351,12 @@ func (t *Transformer) checkVar(c *candidate) (FailReason, string) {
 		// renderDeclStmt spells a kept sibling from its type.
 		if !plainDeclarator(d.Type) {
 			return FailUnsupportedUse, "declared beside function declarator " + d.Name
+		}
+	}
+	if len(c.stmt.Decls) > 1 {
+		// ctype has no qualifiers, so that spelling would drop them.
+		if q := t.qualifier(c.stmt); q != "" {
+			return FailUnsupportedUse, "declared beside siblings under " + q
 		}
 	}
 	sym := c.decl.Sym

@@ -445,6 +445,20 @@ void f(void) {
 `, FailUnsupportedUse, "declared beside function declarator fp")
 }
 
+// TestQualifiedSiblingsRefused: a kept sibling is spelled from its
+// type, which carries no qualifiers, so a declaration that spells one
+// keeps all of its variables.
+func TestQualifiedSiblingsRefused(t *testing.T) {
+	for _, c := range []struct{ decl, use, qual string }{
+		{"volatile char v[4], w = 0;", "v[0] = 'd';", "volatile"},
+		{"const char a[8] = \"abc\", *const q = 0;", "q = malloc(8);", "const"},
+		{"char *restrict r, s = 0;", "r = malloc(8);", "restrict"},
+	} {
+		refused(t, "\nvoid f(void) {\n    "+c.decl+"\n    "+c.use+"\n}\n",
+			FailUnsupportedUse, "declared beside siblings under "+c.qual)
+	}
+}
+
 // localTypes parses src and returns the type of each declared variable
 // in a function body by name.
 func localTypes(t *testing.T, src string) map[string]string {

@@ -123,6 +123,8 @@ func FuzzFix(f *testing.F) {
 	f.Add("void f(void){ char b[4]; gets(b); }")
 	f.Add("char *p = \"x\"; int g(")
 	f.Add("")
+	f.Add("void f(void){ volatile char v[4], w = 0; v[0] = 'd'; }")
+	f.Add("void f(void){ const char a[8] = \"abc\", *const q = 0; q = malloc(8); }")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 2048 || strings.Count(src, "(") > 100 {
 			t.Skip()

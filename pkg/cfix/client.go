@@ -45,6 +45,11 @@ type Client struct {
 
 	randMu sync.Mutex
 	rand   *rand.Rand
+
+	// sessMu guards sessions, the state held for each session this
+	// client opened (session.go).
+	sessMu   sync.Mutex
+	sessions map[string]*clientSession
 }
 
 // NewClient builds a client for the service at baseURL with the default
@@ -179,7 +184,7 @@ func (c *Client) call(ctx context.Context, path string, in, out any) error {
 		case err != nil:
 			return fmt.Errorf("cfix client: %w", err)
 		case status == http.StatusOK:
-			if err := decode(respBody, out); err != nil {
+			if err := json.Unmarshal(respBody, out); err != nil {
 				return fmt.Errorf("cfix client: decoding response: %w", err)
 			}
 			return nil
@@ -192,15 +197,6 @@ func (c *Client) call(ctx context.Context, path string, in, out any) error {
 			return &StatusError{Status: status, Msg: errorMessage(respBody)}
 		}
 	}
-}
-
-// decode reads a 200 answer into out: a session answer through its
-// one-pass decoder, anything else through encoding/json.
-func decode(body []byte, out any) error {
-	if r, ok := out.(*SessionResponse); ok {
-		return decodeSessionResponse(body, r)
-	}
-	return json.Unmarshal(body, out)
 }
 
 // post issues one POST attempt, returning the status, the Retry-After
