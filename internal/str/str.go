@@ -326,8 +326,7 @@ func (t *Transformer) qualifier(ds *cast.DeclStmt) string {
 	ext := ds.Extent()
 	toks, _ := clex.Tokenize(t.unit.File.Src()[ext.Pos:ext.End])
 	for _, tok := range toks {
-		switch {
-		case tok.IsKeyword("const"), tok.IsKeyword("volatile"), tok.IsKeyword("restrict"), tok.IsKeyword("__restrict"):
+		if tok.IsKeyword("const") || tok.IsKeyword("volatile") || tok.IsKeyword("restrict") || tok.IsKeyword("__restrict") {
 			return tok.Text
 		}
 	}
