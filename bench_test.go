@@ -10,6 +10,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -405,7 +406,7 @@ func BenchmarkFixSingleVsSnapshot(b *testing.B) {
 	p := samate.Generate(122, 1)[0]
 	b.Run("separate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cfix.Analyze(p.ID+".c", p.Source); err != nil {
+			if _, err := cfix.Analyze(context.Background(), p.ID+".c", p.Source, cfix.Options{}); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := cfix.Fix(p.ID+".c", p.Source, cfix.Options{SelectAll: true}); err != nil {

@@ -686,6 +686,59 @@ void work(void) {
 	}
 }
 
+// TestCfixCLIProjectLintJSONDegradations: project-mode lint prints
+// through the single-file lint printer, so -json carries one
+// degradations trailer for each unit the text mode reports degraded.
+func TestCfixCLIProjectLintJSONDegradations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTool(t, "cmd/cfix")
+	lint := func(args ...string) (stdout, stderr string) {
+		t.Helper()
+		cmd := exec.Command(bin, append([]string{"-p", "compile_commands.json", "-lint", "-budget", "1"}, args...)...)
+		cmd.Dir = filepath.Join("examples", "project")
+		var out, errOut strings.Builder
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		if code := exitCode(cmd.Run()); code != 0 && code != 3 {
+			t.Fatalf("cfix -p -lint %v: exit %d\n%s", args, code, errOut.String())
+		}
+		return out.String(), errOut.String()
+	}
+	degraded := map[string]bool{}
+	_, notes := lint()
+	for _, line := range strings.Split(notes, "\n") {
+		if file, _, ok := strings.Cut(line, ": analysis degraded: "); ok {
+			degraded[file] = true
+		}
+	}
+	if len(degraded) == 0 {
+		t.Fatalf("budget-starved project lint reported no degraded unit:\n%s", notes)
+	}
+	out, _ := lint("-json")
+	trailers := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		var trailer struct {
+			File         string   `json:"file"`
+			Degradations []string `json:"degradations"`
+		}
+		if err := json.Unmarshal([]byte(line), &trailer); err != nil {
+			t.Fatalf("non-JSON line in -json output: %q (%v)", line, err)
+		}
+		if len(trailer.Degradations) > 0 {
+			trailers[trailer.File]++
+		}
+	}
+	for file := range degraded {
+		if trailers[file] != 1 {
+			t.Errorf("%s: %d degradations lines, want 1", file, trailers[file])
+		}
+	}
+	if len(trailers) != len(degraded) {
+		t.Errorf("degradations lines for %v, want for %v", trailers, degraded)
+	}
+}
+
 // TestCfixCLITraceAndStageStats: `cfix -trace out.json -stage-stats`
 // writes a valid Chrome trace-event file covering at least 10 distinct
 // pipeline stages (the observability acceptance bar) and prints the

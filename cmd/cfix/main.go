@@ -322,12 +322,64 @@ type lintDegradations struct {
 	Degradations []string `json:"degradations"`
 }
 
+// lintPrinter prints lint reports in the formats of -lint and -lint
+// -json, for single files and project units alike, and remembers
+// whether any finding was definite.
+type lintPrinter struct {
+	json     bool
+	enc      *json.Encoder
+	definite bool
+}
+
+func newLintPrinter(opts options) *lintPrinter {
+	return &lintPrinter{json: opts.json, enc: json.NewEncoder(os.Stdout)}
+}
+
+// print writes one unit's findings, then its degradations (a JSON
+// trailer line, or a note on stderr), then, in text mode, a note when
+// the unit has no finding.
+func (p *lintPrinter) print(file string, rep *cfix.Report) error {
+	for _, f := range rep.Findings {
+		if f.Severity == cfix.SevDefinite {
+			p.definite = true
+		}
+		if !p.json {
+			fmt.Println(f)
+		} else if err := p.enc.Encode(cfix.NewFindingJSON(f)); err != nil {
+			return err
+		}
+	}
+	if len(rep.Degraded) > 0 {
+		if !p.json {
+			fmt.Fprintf(os.Stderr, "%s: analysis degraded: %s\n", file, strings.Join(rep.Degraded, "; "))
+		} else if err := p.enc.Encode(lintDegradations{File: file, Degradations: rep.Degraded}); err != nil {
+			return err
+		}
+	}
+	if !p.json && len(rep.Findings) == 0 {
+		fmt.Fprintf(os.Stderr, "%s: no overflows found\n", file)
+	}
+	return nil
+}
+
+// exitCode is the lint gate: 3 when any finding was definite, else 1
+// when a unit failed, else 0. The definite-overflow signal dominates
+// per-file errors so CI reads the security signal first.
+func (p *lintPrinter) exitCode(failed bool) int {
+	switch {
+	case p.definite:
+		return 3
+	case failed:
+		return 1
+	}
+	return 0
+}
+
 // lintFiles runs the static overflow oracle over every input — through
 // the parallel batch pipeline — and prints the findings in input order.
 // It returns 3 when any finding is definite, 0 when all files are clean
 // or merely possible, 1 on processing errors. With -keep-going a
-// per-file error no longer stops the run; the definite-overflow gate (3)
-// dominates per-file errors (1) so CI reads the security signal first.
+// per-file error no longer stops the run.
 func lintFiles(ctx context.Context, paths []string, opts options) int {
 	inputs := make([]cfix.FileInput, len(paths))
 	for i, path := range paths {
@@ -338,12 +390,9 @@ func lintFiles(ctx context.Context, paths []string, opts options) int {
 		}
 		inputs[i] = cfix.FileInput{Filename: path, Source: string(data)}
 	}
-	results := cfix.AnalyzeAllContext(ctx, inputs, opts.fixOptions(), opts.jobs)
-
-	enc := json.NewEncoder(os.Stdout)
-	definite, failed := false, false
-	for _, res := range results {
-		path, findings := res.Filename, res.Findings
+	pr := newLintPrinter(opts)
+	failed := false
+	for _, res := range cfix.AnalyzeAllContext(ctx, inputs, opts.fixOptions(), opts.jobs) {
 		if res.Err != nil {
 			// Parse errors already carry file:line:col.
 			fmt.Fprintf(os.Stderr, "%v\n", res.Err)
@@ -353,40 +402,12 @@ func lintFiles(ctx context.Context, paths []string, opts options) int {
 			failed = true
 			continue
 		}
-		for _, f := range findings {
-			if f.Severity == cfix.SevDefinite {
-				definite = true
-			}
-			if opts.json {
-				if err := enc.Encode(cfix.NewFindingJSON(f)); err != nil {
-					fmt.Fprintf(os.Stderr, "cfix: %v\n", err)
-					return 1
-				}
-			} else {
-				fmt.Println(f)
-			}
-		}
-		if len(res.Degraded) > 0 {
-			if opts.json {
-				if err := enc.Encode(lintDegradations{File: path, Degradations: res.Degraded}); err != nil {
-					fmt.Fprintf(os.Stderr, "cfix: %v\n", err)
-					return 1
-				}
-			} else {
-				fmt.Fprintf(os.Stderr, "%s: analysis degraded: %s\n", path, strings.Join(res.Degraded, "; "))
-			}
-		}
-		if !opts.json && len(findings) == 0 {
-			fmt.Fprintf(os.Stderr, "%s: no overflows found\n", path)
+		if err := pr.print(res.Filename, res.Report); err != nil {
+			fmt.Fprintf(os.Stderr, "cfix: %v\n", err)
+			return 1
 		}
 	}
-	switch {
-	case definite:
-		return 3
-	case failed:
-		return 1
-	}
-	return 0
+	return pr.exitCode(failed)
 }
 
 // expandArgs resolves directory arguments to the .c files inside them.
@@ -522,7 +543,7 @@ func writeFileAtomic(path string, data []byte, mode os.FileMode) error {
 // projectRun is `cfix -p compile_commands.json`: the whole-project
 // pipeline with the built-in preprocessor and cross-file seeding. Fix
 // results print a unified diff per changed file to stdout (or write to
-// -outdir); -lint prints findings in the usual single-file formats.
+// -outdir); -lint prints each unit through the single-file lint printer.
 func projectRun(ctx context.Context, opts options) int {
 	fopts := opts.fixOptions()
 	var rep *cfix.ProjectReport
@@ -542,67 +563,45 @@ func projectRun(ctx context.Context, opts options) int {
 			fmt.Fprintf(os.Stderr, "  %s:%s -> %s:%s\n", e.CallerFile, e.Caller, e.CalleeFile, e.Callee)
 		}
 	}
-	enc := json.NewEncoder(os.Stdout)
-	definite, failed := false, false
+	pr := newLintPrinter(opts)
+	failed := false
 	for _, out := range rep.Files {
 		if out.Err != "" {
 			fmt.Fprintf(os.Stderr, "%s: %s\n", out.File, out.Err)
 			failed = true
 			continue
 		}
-		switch {
-		case opts.lint:
-			for _, f := range out.Lint.Findings {
-				if f.Severity == cfix.SevDefinite {
-					definite = true
-				}
-				if opts.json {
-					if err := enc.Encode(cfix.NewFindingJSON(f)); err != nil {
-						fmt.Fprintf(os.Stderr, "cfix: %v\n", err)
-						return 1
-					}
-				} else {
-					fmt.Println(f)
-				}
+		if opts.lint {
+			if err := pr.print(out.File, out.Fix); err != nil {
+				fmt.Fprintf(os.Stderr, "cfix: %v\n", err)
+				return 1
 			}
-			if len(out.Lint.Degraded) > 0 && !opts.json {
-				fmt.Fprintf(os.Stderr, "%s: analysis degraded: %s\n", out.File, strings.Join(out.Lint.Degraded, "; "))
+			continue
+		}
+		if opts.summary {
+			fmt.Fprintf(os.Stderr, "== %s ==\n", out.File)
+			fmt.Fprint(os.Stderr, out.Fix.Summary())
+		}
+		orig := readOriginal(out.File)
+		if opts.outdir != "" {
+			if err := os.MkdirAll(opts.outdir, 0o755); err != nil {
+				fmt.Fprintf(os.Stderr, "cfix: %v\n", err)
+				return 1
 			}
-			if !opts.json && len(out.Lint.Findings) == 0 {
-				fmt.Fprintf(os.Stderr, "%s: no overflows found\n", out.File)
+			dst := filepath.Join(opts.outdir, filepath.Base(out.File))
+			if err := writeFileAtomic(dst, []byte(out.Fix.Source), 0o644); err != nil {
+				fmt.Fprintf(os.Stderr, "cfix: %v\n", err)
+				return 1
 			}
-		default:
-			if opts.summary {
-				fmt.Fprintf(os.Stderr, "== %s ==\n", out.File)
-				fmt.Fprint(os.Stderr, out.Fix.Summary())
+		} else if orig != "" || out.Fix.Changed() {
+			d := textdiff.Unified(out.File, out.File+" (fixed)", orig, out.Fix.Source)
+			if d == "" {
+				fmt.Fprintf(os.Stderr, "%s: no changes\n", out.File)
 			}
-			orig := readOriginal(out.File)
-			if opts.outdir != "" {
-				if err := os.MkdirAll(opts.outdir, 0o755); err != nil {
-					fmt.Fprintf(os.Stderr, "cfix: %v\n", err)
-					return 1
-				}
-				dst := filepath.Join(opts.outdir, filepath.Base(out.File))
-				if err := writeFileAtomic(dst, []byte(out.Fix.Source), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "cfix: %v\n", err)
-					return 1
-				}
-			} else if orig != "" || out.Fix.Changed() {
-				d := textdiff.Unified(out.File, out.File+" (fixed)", orig, out.Fix.Source)
-				if d == "" {
-					fmt.Fprintf(os.Stderr, "%s: no changes\n", out.File)
-				}
-				os.Stdout.WriteString(d)
-			}
+			os.Stdout.WriteString(d)
 		}
 	}
-	switch {
-	case definite:
-		return 3
-	case failed:
-		return 1
-	}
-	return 0
+	return pr.exitCode(failed)
 }
 
 // readOriginal re-reads a project file for diffing; an empty string on

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -20,11 +21,12 @@ import (
 )
 
 func main() {
-	findings, err := cfix.Analyze("tiff2pdf.c", corpus.LibtiffCVESource)
+	rep, err := cfix.Analyze(context.Background(), "tiff2pdf.c", corpus.LibtiffCVESource, cfix.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lint-gate: %v\n", err)
 		os.Exit(1)
 	}
+	findings := rep.Findings
 
 	fmt.Printf("static oracle: %d finding(s)\n", len(findings))
 	for _, f := range findings {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/analysis"
-	"repro/internal/overflow"
 )
 
 // FileInput names one preprocessed C translation unit for batch
@@ -27,22 +26,6 @@ type FileOutput struct {
 	Err      error
 }
 
-// FileFindings pairs one batch input with its lint outcome.
-type FileFindings struct {
-	Filename string
-	Findings []overflow.Finding
-	// Degraded lists the analyses that had to degrade to conservative
-	// results for this file (budget exhaustion); empty for a
-	// full-fidelity run. It rides alongside the findings so batch
-	// consumers (cfix -lint -json, cfixd /v1/batch) can stream the
-	// qualification with the verdicts.
-	Degraded []string
-	// Cached reports that this file's result came from the result cache
-	// (Options.Cache).
-	Cached bool
-	Err    error
-}
-
 // FixAll applies Fix to every input through a bounded worker pool — the
 // parse-once, analyze-once, fix-many pipeline. Each file is processed
 // independently (its own snapshot and its own fault boundary), so
@@ -55,19 +38,5 @@ func FixAll(ctx context.Context, files []FileInput, opts Options, workers int) [
 	return analysis.MapCtx(ctx, workers, files, func(ctx context.Context, _ int, in FileInput) FileOutput {
 		rep, err := Fix(ctx, in.Filename, in.Source, opts)
 		return FileOutput{Filename: in.Filename, Report: rep, Err: err}
-	})
-}
-
-// AnalyzeAll runs the static overflow oracle over every input through the
-// same bounded worker pool and fault boundary. workers <= 0 means one
-// worker per CPU. Results come back in input order.
-func AnalyzeAll(ctx context.Context, files []FileInput, opts Options, workers int) []FileFindings {
-	return analysis.MapCtx(ctx, workers, files, func(ctx context.Context, _ int, in FileInput) FileFindings {
-		rep, err := AnalyzeReport(ctx, in.Filename, in.Source, opts)
-		if err != nil {
-			return FileFindings{Filename: in.Filename, Err: err}
-		}
-		return FileFindings{Filename: in.Filename, Findings: rep.Findings,
-			Degraded: rep.Degraded, Cached: rep.Cached}
 	})
 }

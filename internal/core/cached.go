@@ -33,7 +33,11 @@ import (
 // names the selected dialect, STR after SLR decides bsd and c11k
 // variables by the catalog, and SLR declines a site whose value is used,
 // so v4 entries of both kinds are stale.
-const fingerprintVersion = "v5"
+// v6: one kind — a lint run is a fix run with both repairs off, so its
+// entry is a whole Report keyed like any other, and a report whose text
+// is the request's own stores none (entry). An older binary would read
+// such an entry's text as empty.
+const fingerprintVersion = "v6"
 
 // fingerprint renders every result-affecting option into the cache key.
 // Timeout is deliberately absent: a completed full-fidelity run does not
@@ -43,9 +47,9 @@ const fingerprintVersion = "v5"
 // shape results (degradation points) and are part of the key — though
 // degraded results are never stored anyway, an in-budget clean run under
 // budget B proves nothing about budget B' < B.
-func (o Options) fingerprint(kind string) string {
-	fp := fmt.Sprintf("%s|%s|slr=%t|str=%t|at=%d|support=%t|lint=%t|checks=%s|backend=%s|budget=%d|keep=%t",
-		fingerprintVersion, kind, o.DisableSLR, o.DisableSTR, o.SelectOffset,
+func (o Options) fingerprint() string {
+	fp := fmt.Sprintf("%s|slr=%t|str=%t|at=%d|support=%t|lint=%t|checks=%s|backend=%s|budget=%d|keep=%t",
+		fingerprintVersion, o.DisableSLR, o.DisableSTR, o.SelectOffset,
 		o.EmitSupport, o.Lint, canonicalChecks(o.Checks), canonicalBackend(o.Backend), o.Budget, o.KeepGoing)
 	// Project-mode inputs append only when present, so single-file keys
 	// are unchanged within a fingerprint version.
@@ -55,52 +59,45 @@ func (o Options) fingerprint(kind string) string {
 	return fp
 }
 
-// cacheKey derives the content-addressed key for one request: the
+// CacheKey derives the content-addressed key for one request: the
 // source text dominates (sha256 of content), the options fingerprint
 // separates semantically different runs over the same text, and the
 // diagnostic filename is included because reports embed it in every
 // position — two identical sources under different names must not trade
-// diagnostics.
-func cacheKey(kind, filename, source string, opts Options) string {
-	return cache.Key(source, opts.fingerprint(kind), filename)
+// diagnostics. The fleet router consistent-hashes requests by exactly
+// this key, so all identical requests land on (and warm) the same shard;
+// a lint request's key is the key of its LintOptions.
+func CacheKey(filename, source string, opts Options) string {
+	return cache.Key(source, opts.fingerprint(), filename)
 }
 
-// CacheKey exposes the content-addressed request key (cacheKey) to the
-// routing tier: the fleet router consistent-hashes requests by exactly
-// the fingerprint the result cache stores them under, so all identical
-// requests land on (and warm) the same shard. kind is "fix" or "lint".
-func CacheKey(kind, filename, source string, opts Options) string {
-	return cacheKey(kind, filename, source, opts)
+// entry is the stored form of a report. A report whose text is the
+// request's source — every lint report, and a fix that changed nothing —
+// is stored without it, so an entry never repeats the unit it answers.
+type entry struct {
+	*Report
+	// Source shadows Report.Source: nil when the report's text is the
+	// request's source.
+	Source *string `json:",omitempty"`
 }
 
-// cacheEntry is a result the cache stores: *Report for fix requests,
-// *LintReport for lint ones.
-type cacheEntry[T any] interface {
-	*T
-	degraded() []string
-	markCached()
-}
-
-func (r *Report) degraded() []string     { return r.Degraded }
-func (r *Report) markCached()            { r.Cached = true }
-func (r *LintReport) degraded() []string { return r.Degraded }
-func (r *LintReport) markCached()        { r.Cached = true }
-
-// cached answers a kind ("fix" or "lint") request for source from
-// opts.Cache, running compute on a miss, or on every call when
-// opts.Cache is nil. A repeated identical request is answered without
-// parsing or solving anything, concurrent identical requests collapse
-// into a single computation, and a hit comes back with Cached set. Only
-// full-fidelity results (empty Degraded) are stored; degraded or failed
-// runs are recomputed every time.
-func cached[T any, R cacheEntry[T]](ctx context.Context, kind, filename, source string, opts Options, compute func() (R, error)) (R, error) {
+// cached answers a request for the report on text from opts.Cache,
+// running compute on a miss, or on every call when opts.Cache is nil.
+// source is the text the request carries (text itself, except in project
+// mode, where text is its preprocess); a hit's report gets it back as
+// its Source when the stored entry left that out. A repeated identical
+// request is answered without parsing or solving anything, concurrent
+// identical requests collapse into a single computation, and a hit comes
+// back with Cached set. Only full-fidelity reports (empty Degraded) are
+// stored; degraded or failed runs are recomputed every time.
+func cached(ctx context.Context, filename, text, source string, opts Options, compute func() (*Report, error)) (*Report, error) {
 	c := opts.Cache
 	if c == nil {
 		return compute()
 	}
-	var computed R
+	var computed *Report
 	lookup := time.Now()
-	payload, _, err := c.Do(cacheKey(kind, filename, source, opts), func() ([]byte, bool, error) {
+	payload, _, err := c.Do(CacheKey(filename, text, opts), func() ([]byte, bool, error) {
 		// The miss span wraps the whole recomputation, so the fix span
 		// (and every analysis span) nests inside it in the trace.
 		sp := opts.Tracer.Start(ctx, obs.StageCacheMiss, filename)
@@ -110,11 +107,15 @@ func cached[T any, R cacheEntry[T]](ctx context.Context, kind, filename, source 
 			return nil, false, err
 		}
 		computed = rep
-		b, err := json.Marshal(rep)
+		e := entry{Report: rep}
+		if rep.Source != source {
+			e.Source = &rep.Source
+		}
+		b, err := json.Marshal(e)
 		if err != nil {
 			return nil, false, err
 		}
-		return b, len(rep.degraded()) == 0, nil
+		return b, len(rep.Degraded) == 0, nil
 	})
 	if err != nil {
 		return nil, err
@@ -124,13 +125,17 @@ func cached[T any, R cacheEntry[T]](ctx context.Context, kind, filename, source 
 		// result rather than a decode of it.
 		return computed, nil
 	}
-	rep := R(new(T))
-	if err := json.Unmarshal(payload, rep); err != nil {
+	e := entry{Report: new(Report)}
+	if err := json.Unmarshal(payload, &e); err != nil {
 		// A payload that does not decode is treated exactly like a
 		// corrupt disk entry: recompute, never fail the request.
 		return compute()
 	}
+	e.Report.Source = source
+	if e.Source != nil {
+		e.Report.Source = *e.Source
+	}
 	opts.Tracer.RecordSince(ctx, obs.StageCacheHit, filename, lookup)
-	rep.markCached()
-	return rep, nil
+	e.Report.Cached = true
+	return e.Report, nil
 }

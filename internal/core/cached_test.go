@@ -68,7 +68,7 @@ func TestFixCachedHitSkipsParse(t *testing.T) {
 // TestFixCachedV5PayloadWithRemovedFields: a v5 entry stored before the
 // transformers stopped carrying their own text, link flags and refusal
 // log still holds those keys. Decoding ignores them, so the hit is the
-// report a fresh run computes, and the key version can stay v5.
+// report a fresh run computes.
 func TestFixCachedV5PayloadWithRemovedFields(t *testing.T) {
 	opts := Options{SelectOffset: -1, Lint: true}
 	cold, err := Fix(context.Background(), "old.c", overflowing, opts)
@@ -92,7 +92,7 @@ func TestFixCachedV5PayloadWithRemovedFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Cache = newTestCache(t)
-	opts.Cache.Put(cacheKey("fix", "old.c", overflowing, opts), old)
+	opts.Cache.Put(CacheKey("old.c", overflowing, opts), old)
 	var warm *Report
 	if delta := parseDelta(func() {
 		if warm, err = Fix(context.Background(), "old.c", overflowing, opts); err != nil {
@@ -188,26 +188,26 @@ func TestDegradedReportsNotCached(t *testing.T) {
 // degradations alongside the findings (they were previously dropped).
 func TestAnalyzeReportDegradations(t *testing.T) {
 	defer analysis.InjectFault("lintdeg.c", analysis.Fault{Budget: 1})()
-	rep, err := AnalyzeReport(context.Background(), "lintdeg.c", overflowing, Options{})
+	rep, err := Fix(context.Background(), "lintdeg.c", overflowing, LintOptions(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Degraded) == 0 {
-		t.Fatal("AnalyzeReport dropped the degradation notes")
+		t.Fatal("the lint run dropped the degradation notes")
 	}
 }
 
 // TestAnalyzeCachedRoundTrip: lint results cache like fix results, and
 // batch lint carries the cache marker.
 func TestAnalyzeCachedRoundTrip(t *testing.T) {
-	opts := Options{Cache: newTestCache(t)}
-	cold, err := AnalyzeReport(context.Background(), "l.c", overflowing, opts)
+	opts := LintOptions(Options{Cache: newTestCache(t)})
+	cold, err := Fix(context.Background(), "l.c", overflowing, opts)
 	if err != nil || cold.Cached {
 		t.Fatalf("cold: err=%v", err)
 	}
-	var warm *LintReport
+	var warm *Report
 	delta := parseDelta(func() {
-		warm, err = AnalyzeReport(context.Background(), "l.c", overflowing, opts)
+		warm, err = Fix(context.Background(), "l.c", overflowing, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,12 +219,50 @@ func TestAnalyzeCachedRoundTrip(t *testing.T) {
 		t.Fatal("cached lint findings differ")
 	}
 
-	outs := AnalyzeAll(context.Background(), []FileInput{{Filename: "l.c", Source: overflowing}}, opts, 1)
-	if !outs[0].Cached || outs[0].Err != nil {
-		t.Fatalf("batch lint after warmup: cached=%v err=%v", outs[0].Cached, outs[0].Err)
+	outs := FixAll(context.Background(), []FileInput{{Filename: "l.c", Source: overflowing}}, opts, 1)
+	if outs[0].Err != nil || !outs[0].Report.Cached {
+		t.Fatalf("batch lint after warmup: err=%v", outs[0].Err)
 	}
-	if !reflect.DeepEqual(outs[0].Findings, cold.Findings) {
+	if !reflect.DeepEqual(outs[0].Report.Findings, cold.Findings) {
 		t.Fatal("batch lint findings differ from direct analysis")
+	}
+}
+
+// TestCachedEntryOmitsRequestSource: a report whose text is the
+// request's own, as every lint report's is, is stored without that text
+// and gets it back on a hit; a fix that changed the text stores it.
+func TestCachedEntryOmitsRequestSource(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		changed bool
+	}{
+		{"lint", LintOptions(Options{}), false},
+		{"fix", Options{SelectOffset: -1}, true},
+	} {
+		opts := tc.opts
+		opts.Cache = newTestCache(t)
+		cold, err := Fix(context.Background(), "e.c", overflowing, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Changed() != tc.changed {
+			t.Fatalf("%s: changed = %v, want %v", tc.name, cold.Changed(), tc.changed)
+		}
+		payload, ok := opts.Cache.Get(CacheKey("e.c", overflowing, opts))
+		if !ok {
+			t.Fatalf("%s: report not stored", tc.name)
+		}
+		if stored := bytes.Contains(payload, []byte(`"Source"`)); stored != tc.changed {
+			t.Fatalf("%s: stored entry carries Source = %v, want %v:\n%s", tc.name, stored, tc.changed, payload)
+		}
+		warm, err := Fix(context.Background(), "e.c", overflowing, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Cached || warm.Source != cold.Source {
+			t.Fatalf("%s: hit cached=%v, Source restored=%v", tc.name, warm.Cached, warm.Source == cold.Source)
+		}
 	}
 }
 

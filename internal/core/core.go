@@ -336,77 +336,33 @@ func FileContext(ctx context.Context, opts Options) (context.Context, context.Ca
 	return ctx, func() {}
 }
 
-// LintReport is the full outcome of a lint-only analysis: the findings
-// plus the degradations that qualify them. It is the unit the result
-// cache stores for /v1/lint and `cfix -lint -cache-dir`.
-type LintReport struct {
-	// Findings holds the static overflow oracle's CWE-classified
-	// verdicts in source order.
-	Findings []overflow.Finding `json:"findings"`
-	// Degraded lists the analyses that had to degrade to conservative
-	// results (budget exhaustion); empty for a full-fidelity run.
-	Degraded []string `json:"degraded,omitempty"`
-	// Cached reports that this result came from the result cache.
-	Cached bool `json:"-"`
+// LintOptions returns opts as a lint run uses them: the oracles on, both
+// repairs off, batch mode and no support code. A lint run is a fix run
+// under these options, so every lint entry point, from Analyze to the
+// service's, answers and caches exactly what Fix does under them.
+func LintOptions(opts Options) Options {
+	opts.Lint = true
+	opts.DisableSLR, opts.DisableSTR = true, true
+	opts.SelectOffset = -1
+	opts.EmitSupport = false
+	return opts
 }
 
+// lintOnly reports whether o runs neither repair. Such a run reports
+// the oracles' verdicts on the text it was given and nothing else: its
+// report is keyed by that text alone, and a failed lint stage fails the
+// file, because there is no repair left to degrade to.
+func (o Options) lintOnly() bool { return o.DisableSLR && o.DisableSTR }
+
 // Analyze runs the static overflow oracle on one preprocessed C
-// translation unit without transforming it, returning the CWE-classified
-// findings in source order. Only opts.Timeout and opts.Budget are
-// consulted; ctx cancellation aborts the analysis at the next solver
-// iteration with the context's error. A panic anywhere in the analysis
-// is contained and returned as a *fault.PanicError carrying the stack.
+// translation unit without transforming it: Fix under LintOptions(opts),
+// returning the CWE-classified findings in source order.
 func Analyze(ctx context.Context, filename, source string, opts Options) ([]overflow.Finding, error) {
-	rep, err := AnalyzeReport(ctx, filename, source, opts)
+	rep, err := Fix(ctx, filename, source, LintOptions(opts))
 	if err != nil {
 		return nil, err
 	}
 	return rep.Findings, nil
-}
-
-// AnalyzeReport is Analyze with the degradation notes that Analyze
-// drops: the batch pipeline and the service stream them alongside the
-// findings so a budget-cut analysis never reads as a clean file. When
-// opts.Cache is set the whole report is served content-addressed.
-func AnalyzeReport(ctx context.Context, filename, source string, opts Options) (*LintReport, error) {
-	return cached(ctx, "lint", filename, source, opts, func() (*LintReport, error) {
-		return analyzeReport(ctx, filename, source, opts)
-	})
-}
-
-// analyzeReport is the uncached lint pipeline.
-func analyzeReport(ctx context.Context, filename, source string, opts Options) (rep *LintReport, err error) {
-	defer fault.Recover(&err)
-	cs, err := parseChecks(opts.Checks)
-	if err != nil {
-		return nil, err
-	}
-	// Lint does not rewrite, but an invalid backend selection is still a
-	// caller error — catch it here rather than only on the Fix path.
-	if _, err := backend.Canonical(opts.Backend); err != nil {
-		return nil, err
-	}
-	ctx, cancel := FileContext(ctx, opts)
-	defer cancel()
-	sp := opts.Tracer.Start(ctx, obs.StageLint, filename)
-	defer sp.End()
-	snap, err := analysis.ParseCtx(ctx, filename, source, opts.analysisConfig(ctx))
-	if err != nil {
-		return nil, fmt.Errorf("core: parse for lint: %w", err)
-	}
-	return lintReport(snap, cs, sp), nil
-}
-
-// lintReport runs the selected oracles over snap and records the result
-// on the lint span sp.
-func lintReport(snap *analysis.Snapshot, cs checkSet, sp *obs.ActiveSpan) *LintReport {
-	fs := lintFindings(snap, cs)
-	sp.Attr("findings", fmt.Sprint(len(fs)))
-	deg := snap.Degradations()
-	if len(deg) > 0 {
-		sp.Attr("degraded", deg[0])
-	}
-	return &LintReport{Findings: fs, Degraded: deg}
 }
 
 // stage runs one pipeline stage, converting a panic inside it into an
@@ -442,36 +398,30 @@ func stage(f func() error) (err error) {
 // Options.KeepGoing a failed stage degrades the report instead of
 // failing the file.
 func Fix(ctx context.Context, filename, source string, opts Options) (*Report, error) {
-	return cached(ctx, "fix", filename, source, opts, func() (*Report, error) {
-		ctx, cancel := FileContext(ctx, opts)
-		defer cancel()
-		return FixParsed(ctx, filename, source, cpp.Options{}, nil, nil, opts)
-	})
+	ctx, cancel := FileContext(ctx, opts)
+	defer cancel()
+	return FixParsed(ctx, filename, source, cpp.Options{}, nil, nil, opts)
 }
 
-// FixParsed is the one fix body: it runs lint, SLR, STR and support
-// emission on snap, the parse of the analysed text, and applies the
-// repairs to source, the text the user wrote. pp is the preprocess of
-// source that snap parsed (ParsePreprocessed); nil means the analysed
+// FixParsed is the one fix and lint entry: it runs lint, SLR, STR and
+// support emission on snap, the parse of the analysed text, and applies
+// the repairs to source, the text the user wrote. pp is the preprocess
+// of source that snap parsed (ParsePreprocessed); nil means the analysed
 // text is source itself, so positions and edits need no remapping. A nil
 // snap is parsed here from source, under the fix span (the direct path:
 // pp must then be nil too). ctx should carry the unit's deadline
 // (FileContext).
 //
-// With a preprocess result, FixParsed differs from Fix in two ways:
-//   - Options.SelectOffset >= 0 is an error: it addresses original
-//     coordinates, and the transformers work in preprocessed ones.
-//   - Options.Cache is not consulted: project mode caches per unit only
-//     its lint report.
-//
-// SLR and STR return decisions and edits; FixParsed is the only code
-// that turns those edits into text (applyEdits). With a preprocess
-// result the edits are remapped through pp's source map into source
-// first, and a repair whose edits land inside a macro expansion or an
-// included header is declined whole with FailMacroOrHeader. STR analyzes
-// a fresh preprocess of the SLR-repaired source, so its edits remap
-// through a map of the text they land in. Report positions are in
-// original coordinates either way.
+// Options.Cache is consulted whenever the report depends on the analysed
+// text alone: on the direct path, and in project mode when both repairs
+// are off. Project mode keys the report on the preprocessed text, which
+// holds every header line the unit expands, and applies the source-map
+// remap and the preprocessor's degradations outside the cache, so the
+// entry is what a direct run over that text stores. A project unit
+// whose repairs run is never cached: its edits land in source through
+// pp's map, which the key does not cover. Options.SelectOffset >= 0 is
+// an error in project mode: it addresses original coordinates, and the
+// transformers work in preprocessed ones.
 func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options, pp *cpp.Result, snap *analysis.Snapshot, opts Options) (rep *Report, err error) {
 	defer fault.Recover(&err)
 	if pp != nil && opts.SelectOffset >= 0 {
@@ -485,7 +435,37 @@ func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 	if err != nil {
 		return nil, err
 	}
+	text := source
+	if pp != nil {
+		text = pp.Text
+		if !opts.lintOnly() {
+			opts.Cache = nil
+		}
+	}
+	rep, err = cached(ctx, filename, text, source, opts, func() (*Report, error) {
+		return fixParsed(ctx, filename, source, cppOpts, pp, snap, opts, cs, be)
+	})
+	if err != nil || pp == nil {
+		return rep, err
+	}
+	for i := range rep.Findings {
+		remapLoc(pp.Map, &rep.Findings[i].Pos, &rep.Findings[i].Extent)
+	}
+	rep.Degraded = dedupStrings(append(rep.Degraded, cppDegradations(pp)...))
+	return rep, nil
+}
 
+// fixParsed is the one fix and lint body (FixParsed without the cache
+// and the project-mode remap of findings). SLR and STR return decisions
+// and edits; fixParsed is the only code that turns those edits into text
+// (applyEdits). With a preprocess result the edits are remapped through
+// pp's source map into source first, and a repair whose edits land
+// inside a macro expansion or an included header is declined whole with
+// FailMacroOrHeader. STR analyzes a fresh preprocess of the SLR-repaired
+// source, so its edits remap through a map of the text they land in.
+// Site and variable positions are in original coordinates either way.
+func fixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options, pp *cpp.Result, snap *analysis.Snapshot, opts Options, cs checkSet, be backend.Backend) (rep *Report, err error) {
+	defer fault.Recover(&err)
 	// The file-level span closes by defer, so even a contained panic or
 	// deadline cut leaves a closed span whose self time is the pipeline
 	// overhead outside the traced stages.
@@ -496,7 +476,11 @@ func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 	conf := opts.analysisConfig(ctx)
 	if snap == nil {
 		if snap, err = analysis.ParseCtx(ctx, filename, source, conf); err != nil {
-			return nil, fmt.Errorf("core: parse for SLR: %w", err)
+			first := "SLR"
+			if opts.lintOnly() {
+				first = "lint"
+			}
+			return nil, fmt.Errorf("core: parse for %s: %w", first, err)
 		}
 	}
 
@@ -508,13 +492,15 @@ func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 			sp.Attr("findings", fmt.Sprint(len(rep.Findings)))
 			return nil
 		}); lintErr != nil {
-			if !opts.KeepGoing {
+			switch {
+			case opts.lintOnly():
+				return nil, lintErr
+			case !opts.KeepGoing:
 				return nil, fmt.Errorf("core: lint: %w", lintErr)
 			}
 			rep.Degraded = append(rep.Degraded, "lint skipped: "+firstLine(lintErr))
 		}
 	}
-
 	if !opts.DisableSLR {
 		slrErr := stage(func() error {
 			sp := opts.Tracer.Start(ctx, obs.StageSLR, filename)
@@ -619,14 +605,7 @@ func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 			rep.Degraded = append(rep.Degraded, "STR skipped: "+firstLine(strErr))
 		}
 	}
-	rep.Degraded = append(rep.Degraded, snap.Degradations()...)
-	if pp != nil {
-		for i := range rep.Findings {
-			remapLoc(pp.Map, &rep.Findings[i].Pos, &rep.Findings[i].Extent)
-		}
-		rep.Degraded = append(rep.Degraded, cppDegradations(pp)...)
-	}
-	rep.Degraded = dedupStrings(rep.Degraded)
+	rep.Degraded = dedupStrings(append(rep.Degraded, snap.Degradations()...))
 	if len(rep.Degraded) > 0 {
 		fileSpan.Attr("degraded", rep.Degraded[0])
 	}

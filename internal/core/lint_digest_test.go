@@ -57,7 +57,7 @@ func renderLint(t *testing.T, w io.Writer, name string, fs []overflow.Finding, d
 
 // lintDirect lints one unit as `cfix -lint` and /v1/lint do.
 func lintDirect(t *testing.T, w io.Writer, in core.FileInput, opts core.Options) {
-	rep, err := core.AnalyzeReport(context.Background(), in.Filename, in.Source, opts)
+	rep, err := core.Fix(context.Background(), in.Filename, in.Source, core.LintOptions(opts))
 	if err != nil {
 		renderLint(t, w, in.Filename, nil, nil, err.Error())
 		return
@@ -77,7 +77,7 @@ func lintProject(t *testing.T, w io.Writer, p *project.Project, opts core.Option
 			renderLint(t, w, out.File, nil, nil, out.Err)
 			continue
 		}
-		renderLint(t, w, out.File, out.Lint.Findings, out.Lint.Degraded, "")
+		renderLint(t, w, out.File, out.Fix.Findings, out.Fix.Degraded, "")
 	}
 }
 

@@ -5,23 +5,21 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/backend"
 	"repro/internal/buflen"
 	"repro/internal/cpp"
 	"repro/internal/ctoken"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/slr"
 	"repro/internal/str"
 )
 
-// This file holds what project mode adds to the fix body (FixParsed) and
-// the lint body: the transformations run on preprocessed text
+// This file holds what project mode adds to the one fix and lint body
+// (FixParsed): the transformations run on preprocessed text
 // (internal/cpp) while editing the text the user wrote. The analyses see
 // what the compiler sees — headers inlined, macros expanded, conditionals
-// resolved — and every resulting edit is remapped through the
-// preprocessor's source map back into the original file (applyEdits,
-// the one splice of both paths, lives in core.go). Edits that land
+// resolved — and every resulting edit and finding is remapped through
+// the preprocessor's source map back into the original file (applyEdits,
+// the one splice, lives in core.go). Edits that land
 // inside a macro expansion or an included header cannot be applied in
 // place; their whole repair group (one SLR call site, one STR function)
 // is declined with an explicit failure reason rather than silently
@@ -69,37 +67,6 @@ func ParsePreprocessed(ctx context.Context, filename, source string, cppOpts cpp
 		return pp, nil, fmt.Errorf("parse: %w", err)
 	}
 	return pp, snap, nil
-}
-
-// AnalyzeParsed is the lint body of project mode: it runs the oracles
-// over snap, the parse of pp, and returns findings located in the
-// ORIGINAL source coordinates (macro-expanded findings point at the
-// invocation site). snap must come from ParsePreprocessed under the same
-// opts, and ctx should carry the unit's deadline. Caching (opts.Cache)
-// keys on the preprocessed text, which holds every header line the unit
-// expands, so a header edit invalidates every includer.
-func AnalyzeParsed(ctx context.Context, filename string, pp *cpp.Result, snap *analysis.Snapshot, opts Options) (rep *LintReport, err error) {
-	defer fault.Recover(&err)
-	cs, err := parseChecks(opts.Checks)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := backend.Canonical(opts.Backend); err != nil {
-		return nil, err
-	}
-	rep, err = cached(ctx, "lint", filename, pp.Text, opts, func() (*LintReport, error) {
-		sp := opts.Tracer.Start(ctx, obs.StageLint, filename)
-		defer sp.End()
-		return lintReport(snap, cs, sp), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range rep.Findings {
-		remapLoc(pp.Map, &rep.Findings[i].Pos, &rep.Findings[i].Extent)
-	}
-	rep.Degraded = dedupStrings(append(rep.Degraded, cppDegradations(pp)...))
-	return rep, nil
 }
 
 // remapSites moves every SLR site into original coordinates and

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/samate"
 )
 
@@ -100,14 +102,15 @@ type intLintOutcome struct {
 	badFlag, cweOK, guarded, goodFlag bool
 }
 
-// intLintOne runs the integer-overflow oracle on one program.
+// intLintOne runs the integer-overflow oracle on one program, as `cfix
+// -lint -checks int` does.
 func intLintOne(p samate.Program) (o intLintOutcome) {
-	snap, err := analysis.Parse(p.ID+".c", p.Source)
+	fs, err := core.Analyze(context.Background(), p.ID+".c", p.Source, core.Options{Checks: "int"})
 	if err != nil {
 		o.err = err
 		return o
 	}
-	for _, f := range snap.IntFindings() {
+	for _, f := range fs {
 		if attributed(f, p.ID+"_bad") {
 			o.badFlag = true
 			if f.CWE == p.CWE {

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/cinterp"
+	"repro/internal/core"
 	"repro/internal/cparse"
 	"repro/internal/overflow"
 	"repro/internal/samate"
@@ -117,14 +119,15 @@ type lintOutcome struct {
 	dynBad                   bool
 }
 
-// lintOne runs both oracles on one program.
+// lintOne runs both oracles on one program: the static one as `cfix
+// -lint` does, the dynamic one under the checked interpreter.
 func lintOne(p samate.Program) (o lintOutcome) {
-	snap, err := analysis.Parse(p.ID+".c", p.Source)
+	fs, err := core.Analyze(context.Background(), p.ID+".c", p.Source, core.Options{})
 	if err != nil {
 		o.err = err
 		return o
 	}
-	for _, f := range snap.Findings() {
+	for _, f := range fs {
 		if attributed(f, p.ID+"_bad") {
 			o.badFlag = true
 			if f.CWE == p.CWE {

@@ -7,8 +7,8 @@
 //
 // The link is a two-round protocol (DESIGN.md Section 16):
 //
-//  1. Scan: each TU is preprocessed, parsed and fixed (or linted)
-//     stand-alone; from the same parse, calls to functions the TU does
+//  1. Scan: each TU is preprocessed, parsed and fixed stand-alone (a
+//     lint run is a fix run with both repairs off, core.LintOptions); from the same parse, calls to functions the TU does
 //     not define are evaluated under the caller's interval state and
 //     exported as overflow.CallSeed values.
 //  2. Fix: seeds are routed to the TU that defines their callee (by
@@ -265,9 +265,8 @@ type Link struct {
 // FileOutcome is one TU's result in a project run.
 type FileOutcome struct {
 	File string `json:"file"`
-	// Fix is set for Fix runs, Lint for Analyze runs.
-	Fix  *core.Report     `json:"fix,omitempty"`
-	Lint *core.LintReport `json:"lint,omitempty"`
+	// Fix is the unit's report; nil when the unit failed.
+	Fix *core.Report `json:"fix,omitempty"`
 	// Includes lists the headers the preprocessor inlined, in first-use
 	// order.
 	Includes []string `json:"includes,omitempty"`
@@ -288,16 +287,6 @@ type Report struct {
 // Per-file failures are recorded in the outcome, not fatal; err is
 // non-nil only for whole-project failures (context cancellation).
 func (p *Project) Fix(ctx context.Context, opts core.Options) (*Report, error) {
-	return p.run(ctx, opts, false)
-}
-
-// Analyze is the lint-only project run: same scan and seed routing,
-// findings instead of fixes.
-func (p *Project) Analyze(ctx context.Context, opts core.Options) (*Report, error) {
-	return p.run(ctx, opts, true)
-}
-
-func (p *Project) run(ctx context.Context, opts core.Options, lintOnly bool) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -305,7 +294,7 @@ func (p *Project) run(ctx context.Context, opts core.Options, lintOnly bool) (*R
 	// addresses one file's original coordinates and has no meaning
 	// across a database run.
 	opts.SelectOffset = -1
-	link, files, err := p.scan(ctx, opts, lintOnly)
+	link, files, err := p.scan(ctx, opts)
 	rep := &Report{Files: files, Edges: link.Edges}
 	if err != nil {
 		return rep, err
@@ -322,16 +311,22 @@ func (p *Project) run(ctx context.Context, opts core.Options, lintOnly bool) (*R
 		}
 		fopts := opts
 		fopts.ExternSeeds = seeds
-		rep.Files[i] = process(ctx, tu, fopts, lintOnly, nil)
+		rep.Files[i] = process(ctx, tu, fopts, nil)
 	}
 	return rep, nil
+}
+
+// Analyze is the lint-only project run: Fix under core.LintOptions, the
+// same scan and seed routing with both repairs off.
+func (p *Project) Analyze(ctx context.Context, opts core.Options) (*Report, error) {
+	return p.Fix(ctx, core.LintOptions(opts))
 }
 
 // scan is round 1: every unit is processed stand-alone, and the
 // functions each defines and the seeds of its external calls are linked
 // by defined symbol. The outcomes are final for every unit the link
 // routes no seeds to. On cancellation scan returns the outcomes so far.
-func (p *Project) scan(ctx context.Context, opts core.Options, lintOnly bool) (*Link, []FileOutcome, error) {
+func (p *Project) scan(ctx context.Context, opts core.Options) (*Link, []FileOutcome, error) {
 	link := &Link{
 		DefinedBy: make(map[string]string),
 		SeedsFor:  make(map[string][]overflow.CallSeed),
@@ -343,7 +338,7 @@ func (p *Project) scan(ctx context.Context, opts core.Options, lintOnly bool) (*
 			return link, files, err
 		}
 		var facts linkFacts
-		files = append(files, process(ctx, tu, opts, lintOnly, &facts))
+		files = append(files, process(ctx, tu, opts, &facts))
 		calls = append(calls, facts.calls)
 		for _, name := range facts.defines {
 			if _, dup := link.DefinedBy[name]; !dup {
@@ -376,13 +371,13 @@ type linkFacts struct {
 }
 
 // process runs one unit under one per-file deadline: preprocess, parse,
-// then the fix (or lint) body on that parse. In the scan round, facts is
+// then the fix body on that parse. In the scan round, facts is
 // non-nil and process also reads the unit's link facts off the same
 // snapshot, after the body, so the body sees the snapshot exactly as a
 // fresh run would. Only the outcome and the facts outlive the call; the
 // preprocess and the parse do not. A unit that fails before its body
 // ran, or whose facts cannot be read, takes part in no link.
-func process(ctx context.Context, tu *TU, opts core.Options, lintOnly bool, facts *linkFacts) FileOutcome {
+func process(ctx context.Context, tu *TU, opts core.Options, facts *linkFacts) FileOutcome {
 	out := FileOutcome{File: tu.File}
 	ctx, cancel := core.FileContext(ctx, opts)
 	defer cancel()
@@ -391,11 +386,7 @@ func process(ctx context.Context, tu *TU, opts core.Options, lintOnly bool, fact
 		out.Err = err.Error()
 		return out
 	}
-	if lintOnly {
-		out.Lint, err = core.AnalyzeParsed(ctx, tu.File, pp, snap, opts)
-	} else {
-		out.Fix, err = core.FixParsed(ctx, tu.File, tu.Source, tu.CppOpts, pp, snap, opts)
-	}
+	out.Fix, err = core.FixParsed(ctx, tu.File, tu.Source, tu.CppOpts, pp, snap, opts)
 	if err != nil {
 		out.Err = err.Error()
 	} else {

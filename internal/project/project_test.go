@@ -2,10 +2,12 @@ package project
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cparse"
 	"repro/internal/overflow"
@@ -72,8 +74,8 @@ func TestCrossTUFinding(t *testing.T) {
 		if out.File != "b.c" {
 			continue
 		}
-		for j := range out.Lint.Findings {
-			f := &out.Lint.Findings[j]
+		for j := range out.Fix.Findings {
+			f := &out.Fix.Findings[j]
 			if f.Function == "fill" && !f.Degraded {
 				hit = f
 			}
@@ -319,6 +321,42 @@ func TestProjectTimeoutPerUnit(t *testing.T) {
 	for _, out := range rep.Files {
 		if !strings.Contains(out.Err, context.DeadlineExceeded.Error()) {
 			t.Fatalf("%s: outcome %+v, want a deadline failure", out.File, out)
+		}
+	}
+}
+
+// TestProjectLintCacheHit: a repeated project lint answers every unit
+// from the cache, the seeded unit included, with the findings of the
+// first run remapped as before and the unit's own text as its Source.
+func TestProjectLintCacheHit(t *testing.T) {
+	c, err := cache.New(16<<20, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := lintOpts()
+	opts.Cache = c
+	p := passProject()
+	cold, err := p.Analyze(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := p.Analyze(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, out := range warm.Files {
+		was := cold.Files[i]
+		if out.Err != "" || was.Err != "" {
+			t.Fatalf("%s failed: %q / %q", out.File, was.Err, out.Err)
+		}
+		if was.Fix.Cached || !out.Fix.Cached {
+			t.Fatalf("%s: cached %v then %v, want a miss then a hit", out.File, was.Fix.Cached, out.Fix.Cached)
+		}
+		if !reflect.DeepEqual(out.Fix.Findings, was.Fix.Findings) || !reflect.DeepEqual(out.Fix.Degraded, was.Fix.Degraded) {
+			t.Fatalf("%s: the hit's findings or degradations differ from the computed ones", out.File)
+		}
+		if out.Fix.Source != p.TUs[i].Source {
+			t.Fatalf("%s: the hit's Source is not the unit's text", out.File)
 		}
 	}
 }

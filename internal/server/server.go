@@ -1,6 +1,7 @@
 // Package server implements cfixd's HTTP/JSON API: the long-running
 // fix/lint service layered directly on the ctx-first pipeline
-// (core.Fix / core.Analyze via pkg/cfix) and the bounded worker pool,
+// (core.Fix via pkg/cfix; a lint run is a fix run with both repairs
+// off) and the bounded worker pool,
 // with content-addressed result caching, admission control, per-request
 // deadlines and solver budgets, and expvar-style metrics.
 //
@@ -223,7 +224,7 @@ func (s *Server) fix(ctx context.Context, c *Call, req *cfix.FixRequest) (any, e
 }
 
 func (s *Server) lint(ctx context.Context, c *Call, req *cfix.LintRequest) (any, error) {
-	rep, err := cfix.AnalyzeReport(ctx, req.Filename, req.Source, c.Options)
+	rep, err := cfix.Analyze(ctx, req.Filename, req.Source, c.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -244,24 +245,24 @@ func (s *Server) batch(ctx context.Context, c *Call, req *cfix.BatchRequest) (an
 	for j, i := range todo {
 		inputs[j] = cfix.FileInput{Filename: req.Files[i].Filename, Source: req.Files[i].Source}
 	}
+	run := cfix.FixAllContext
 	if req.Lint {
-		for j, out := range cfix.AnalyzeAllContext(ctx, inputs, c.Options, s.conf.Workers) {
-			results[todo[j]] = s.batchResult(out.Filename, out.Err, func() cfix.BatchResult {
-				lr := cfix.NewLintResponse(out.Filename,
-					&cfix.LintReport{Findings: out.Findings, Degraded: out.Degraded, Cached: out.Cached})
-				return cfix.BatchResult{Filename: out.Filename, Lint: &lr}
-			})
-			s.m.observeReport(out.Degraded, out.Findings)
-		}
-	} else {
-		for j, out := range cfix.FixAllContext(ctx, inputs, c.Options, s.conf.Workers) {
-			results[todo[j]] = s.batchResult(out.Filename, out.Err, func() cfix.BatchResult {
+		run = cfix.AnalyzeAllContext
+	}
+	for j, out := range run(ctx, inputs, c.Options, s.conf.Workers) {
+		results[todo[j]] = s.batchResult(out.Filename, out.Err, func() cfix.BatchResult {
+			res := cfix.BatchResult{Filename: out.Filename}
+			if req.Lint {
+				lr := cfix.NewLintResponse(out.Filename, out.Report)
+				res.Lint = &lr
+			} else {
 				fr := cfix.NewFixResponse(out.Filename, out.Report)
-				return cfix.BatchResult{Filename: out.Filename, Fix: &fr}
-			})
-			if out.Report != nil {
-				s.m.observeReport(out.Report.Degraded, nil)
+				res.Fix = &fr
 			}
+			return res
+		})
+		if out.Report != nil {
+			s.m.observeReport(out.Report.Degraded, out.Report.Findings)
 		}
 	}
 	return cfix.BatchResponse{Results: results}, nil
@@ -286,14 +287,11 @@ func (s *Server) project(ctx context.Context, c *Call, req *cfix.ProjectRequest)
 		return nil, err
 	}
 	for _, out := range rep.Files {
-		switch {
-		case out.Lint != nil:
-			s.m.observeReport(out.Lint.Degraded, out.Lint.Findings)
-		case out.Fix != nil:
+		if out.Fix != nil {
 			s.m.observeReport(out.Fix.Degraded, out.Fix.Findings)
 		}
 	}
-	return cfix.NewProjectResponse(rep), nil
+	return cfix.NewProjectResponse(rep, req.LintOnly), nil
 }
 
 // observeRequest folds one finished request into the daemon's metrics:

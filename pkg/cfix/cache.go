@@ -1,11 +1,6 @@
 package cfix
 
-import (
-	"context"
-
-	"repro/internal/cache"
-	"repro/internal/core"
-)
+import "repro/internal/cache"
 
 // ResultCache is a content-addressed cache of fix and lint results: a
 // byte-bounded in-memory LRU keyed by sha256 over (source text, options
@@ -14,7 +9,7 @@ import (
 // one to Options.Cache and repeated identical requests skip parsing and
 // solving entirely; only full-fidelity results are stored, so a cache
 // can never weaken a report. One ResultCache is safe to share across
-// every Fix/Analyze call in a process — that sharing is the point.
+// every Fix and Analyze call in a process — that sharing is the point.
 type ResultCache struct {
 	c *cache.Cache
 }
@@ -48,16 +43,4 @@ func (rc *ResultCache) internal() *cache.Cache {
 		return nil
 	}
 	return rc.c
-}
-
-// LintReport is the full outcome of a lint-only analysis: the findings
-// plus the degradation notes that qualify them, and whether the result
-// came from the cache.
-type LintReport = core.LintReport
-
-// AnalyzeReport is Analyze with the degradation notes Analyze drops and
-// with cache awareness: when opts.Cache is set, a repeated identical
-// request is served content-addressed (LintReport.Cached reports it).
-func AnalyzeReport(ctx context.Context, filename, source string, opts Options) (*LintReport, error) {
-	return core.AnalyzeReport(ctx, filename, source, coreOptions(opts))
 }

@@ -16,7 +16,8 @@
 //
 //   - Analyze runs the static overflow oracle — an interprocedural
 //     interval analysis — and returns CWE-classified findings without
-//     executing or transforming the program.
+//     executing or transforming the program: it is Fix with both
+//     repairs off.
 //
 // A typical quickstart:
 //
@@ -124,6 +125,10 @@ func coreOptions(opts Options) core.Options {
 	}
 }
 
+// lintOptions translates the public options of a lint run: the
+// composition root's LintOptions decides what a lint run is.
+func lintOptions(opts Options) core.Options { return core.LintOptions(coreOptions(opts)) }
+
 // Fix applies the transformations to source (a preprocessed C translation
 // unit). filename is used in diagnostics only. The input is parsed exactly
 // once into a shared analysis-facts snapshot that lint, SLR and (when SLR
@@ -148,9 +153,6 @@ type FileInput = core.FileInput
 // FileOutput pairs one batch input with its fix outcome.
 type FileOutput = core.FileOutput
 
-// FileFindings pairs one batch input with its lint outcome.
-type FileFindings = core.FileFindings
-
 // FixAll applies Fix to every input through a bounded worker pool and
 // returns per-file outcomes in input order — the whole-project batch mode
 // behind `cfix -j N file1.c file2.c ...`. Each file gets its own analysis
@@ -169,18 +171,11 @@ func FixAllContext(ctx context.Context, files []FileInput, opts Options, workers
 	return core.FixAll(ctx, files, coreOptions(opts), workers)
 }
 
-// AnalyzeAll runs the static overflow oracle over every input through the
-// same bounded worker pool, returning per-file findings in input order.
-// workers <= 0 means one worker per CPU.
-func AnalyzeAll(files []FileInput, workers int) []FileFindings {
-	return AnalyzeAllContext(context.Background(), files, Options{}, workers)
-}
-
-// AnalyzeAllContext is AnalyzeAll with cooperative cancellation and
-// per-file fault containment; Options.Timeout and Options.Budget apply
-// per file.
-func AnalyzeAllContext(ctx context.Context, files []FileInput, opts Options, workers int) []FileFindings {
-	return core.AnalyzeAll(ctx, files, coreOptions(opts), workers)
+// AnalyzeAllContext is Analyze over every input through FixAll's
+// bounded worker pool and per-file fault containment, returning per-file
+// reports in input order. workers <= 0 means one worker per CPU.
+func AnalyzeAllContext(ctx context.Context, files []FileInput, opts Options, workers int) []FileOutput {
+	return core.FixAll(ctx, files, lintOptions(opts), workers)
 }
 
 // Finding is one statically diagnosed buffer overflow: a CWE class
@@ -203,21 +198,15 @@ const (
 func CWEName(cwe int) string { return overflow.CWEName(cwe) }
 
 // Analyze statically diagnoses buffer overflows in source (a preprocessed
-// C translation unit) without transforming or executing it. Findings come
-// back deduplicated, in source order. filename is used in diagnostics
-// only.
-func Analyze(filename, source string) ([]Finding, error) {
-	return AnalyzeContext(context.Background(), filename, source, Options{})
-}
-
-// AnalyzeContext is Analyze with cooperative cancellation;
-// Options.Timeout and Options.Budget bound the analysis.
-func AnalyzeContext(ctx context.Context, filename, source string, opts Options) ([]Finding, error) {
-	fs, err := core.Analyze(ctx, filename, source, coreOptions(opts))
-	if err != nil {
-		return nil, fmt.Errorf("cfix: %w", err)
-	}
-	return fs, nil
+// C translation unit) without transforming or executing it: it is
+// FixContext with both repairs off, batch mode and no support code, so
+// Report.Source is source itself. Report.Findings come back deduplicated,
+// in source order; Report.Degraded qualifies them, and Report.Cached
+// marks a cache hit. Options.Checks selects the oracles, and
+// Options.Timeout and Options.Budget bound the analysis. filename is used
+// in diagnostics only.
+func Analyze(ctx context.Context, filename, source string, opts Options) (*Report, error) {
+	return core.Fix(ctx, filename, source, lintOptions(opts))
 }
 
 // RunResult is the outcome of executing a program under the checked

@@ -1,6 +1,7 @@
 package cfix
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -174,10 +175,11 @@ func TestSupportSourceParses(t *testing.T) {
 }
 
 func TestAnalyzeStaticOracle(t *testing.T) {
-	findings, err := Analyze("v.c", vulnerable)
+	rep, err := Analyze(context.Background(), "v.c", vulnerable, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings := rep.Findings
 	var hit *Finding
 	for i := range findings {
 		if findings[i].CWE == 121 && findings[i].Severity == SevDefinite {

@@ -36,15 +36,14 @@ func FixProject(ctx context.Context, compileCommands string, opts Options) (*Pro
 }
 
 // AnalyzeProject is the lint-only FixProject: the same preprocessing,
-// linking, and cross-file seeding, reporting findings instead of
-// rewriting.
+// linking, and cross-file seeding with both repairs off, so every
+// outcome's report carries findings and the unit's own text.
 func AnalyzeProject(ctx context.Context, compileCommands string, opts Options) (*ProjectReport, error) {
 	p, err := project.Load(compileCommands)
 	if err != nil {
 		return nil, err
 	}
-	opts.Lint = true
-	return p.Analyze(ctx, coreOptions(opts))
+	return p.Fix(ctx, lintOptions(opts))
 }
 
 // FixProjectInMemory fixes a project supplied as in-memory sources:
@@ -57,8 +56,7 @@ func FixProjectInMemory(ctx context.Context, files, headers map[string]string, o
 
 // AnalyzeProjectInMemory is the lint-only FixProjectInMemory.
 func AnalyzeProjectInMemory(ctx context.Context, files, headers map[string]string, opts Options) (*ProjectReport, error) {
-	opts.Lint = true
-	return project.InMemory(files, headers, nil).Analyze(ctx, coreOptions(opts))
+	return project.InMemory(files, headers, nil).Fix(ctx, lintOptions(opts))
 }
 
 // ProjectRequest asks the daemon to process a whole project in one
@@ -98,18 +96,21 @@ type ProjectResponse struct {
 	Edges []CrossEdge `json:"edges,omitempty"`
 }
 
-// NewProjectResponse renders a project report in the wire shape.
-func NewProjectResponse(rep *ProjectReport) ProjectResponse {
+// NewProjectResponse renders a project report in the wire shape: a
+// lint-only run's outcomes as findings and degradations, any other's as
+// fix responses.
+func NewProjectResponse(rep *ProjectReport, lintOnly bool) ProjectResponse {
 	resp := ProjectResponse{Edges: rep.Edges}
 	for _, out := range rep.Files {
 		fj := ProjectFileJSON{File: out.File, Includes: out.Includes, Err: out.Err}
-		if out.Fix != nil {
+		switch {
+		case out.Fix == nil:
+		case lintOnly:
+			fj.Findings = NewFindingsJSON(out.Fix.Findings)
+			fj.Degraded = out.Fix.Degraded
+		default:
 			fr := NewFixResponse(out.File, out.Fix)
 			fj.Fix = &fr
-		}
-		if out.Lint != nil {
-			fj.Findings = NewFindingsJSON(out.Lint.Findings)
-			fj.Degraded = out.Lint.Degraded
 		}
 		resp.Files = append(resp.Files, fj)
 	}

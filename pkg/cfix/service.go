@@ -74,11 +74,16 @@ func (o RequestOptions) ToOptions() Options {
 // RequestKey derives the content-addressed fingerprint of one service
 // request — the same key the result cache stores its outcome under
 // (sha256 over source text, options fingerprint, diagnostic filename).
-// kind is "fix" or "lint". The fleet router consistent-hashes by this
-// key, so identical requests always land on the shard whose cache
-// already holds (or is computing) their result.
+// kind is "fix" or "lint"; a lint request's key is that of its lint
+// options, which Analyze caches under. The fleet router
+// consistent-hashes by this key, so identical requests always land on
+// the shard whose cache already holds (or is computing) their result.
 func RequestKey(kind, filename, source string, o RequestOptions) string {
-	return core.CacheKey(kind, filename, source, coreOptions(o.ToOptions()))
+	opts := coreOptions(o.ToOptions())
+	if kind == "lint" {
+		opts = core.LintOptions(opts)
+	}
+	return core.CacheKey(filename, source, opts)
 }
 
 // FixRequest asks the service to transform one preprocessed C
@@ -170,8 +175,9 @@ type LintResponse struct {
 	Cached   bool     `json:"cached"`
 }
 
-// NewLintResponse renders a lint report in the service's wire shape.
-func NewLintResponse(filename string, rep *LintReport) LintResponse {
+// NewLintResponse renders a lint run's report (Analyze) in the
+// service's wire shape.
+func NewLintResponse(filename string, rep *Report) LintResponse {
 	resp := LintResponse{
 		Filename: filename,
 		// A clean file answers with an explicit empty list, not null:
