@@ -310,6 +310,8 @@ func TestRequestValidation(t *testing.T) {
 		{"missing source", `{"filename":"x.c"}`, http.StatusBadRequest},
 		{"unknown field", `{"source":"int x;","bogus":1}`, http.StatusBadRequest},
 		{"unparseable C", `{"source":"int main( {"}`, http.StatusUnprocessableEntity},
+		// A raw Latin-1 byte: decoding would replace it with U+FFFD.
+		{"invalid UTF-8", "{\"source\":\"char c = '\xe9';\"}", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

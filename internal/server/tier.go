@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -288,8 +289,8 @@ func serve[Req any](t *Tier, w http.ResponseWriter, r *http.Request, path string
 }
 
 // decode reads one request body under the size cap and decodes it
-// strictly: an unknown field is the client's mistake, not something to
-// drop silently.
+// strictly: an unknown field or a body that is not UTF-8 is the client's
+// mistake, not something to drop or coerce silently.
 func (t *Tier) decode(w http.ResponseWriter, r *http.Request, into any) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, t.maxBytes))
 	if err != nil {
@@ -298,6 +299,12 @@ func (t *Tier) decode(w http.ResponseWriter, r *http.Request, into any) ([]byte,
 			return nil, statusf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 		}
 		return nil, statusf(http.StatusBadRequest, "reading request body: %v", err)
+	}
+	// encoding/json would turn each invalid byte into U+FFFD, so the
+	// pipeline would analyse, and answer offsets into, a text other than
+	// the client's.
+	if !utf8.Valid(body) {
+		return nil, statusf(http.StatusBadRequest, "request body is not valid UTF-8")
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Client talks to a cfixd daemon or fleet router over the service's
@@ -165,8 +166,12 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 }
 
 // call POSTs one JSON request and decodes the JSON answer, retrying
-// shed responses (429/503) per the Retry-After contract.
+// shed responses (429/503) per the Retry-After contract. A request whose
+// text is not valid UTF-8 is refused before anything is sent.
 func (c *Client) call(ctx context.Context, path string, in, out any) error {
+	if !validUTF8(in) {
+		return fmt.Errorf("cfix client: %s request text is not valid UTF-8", path)
+	}
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("cfix client: encoding request: %w", err)
@@ -326,4 +331,42 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTPClient
 	}
 	return defaultHTTPClient
+}
+
+// validUTF8 reports whether every text a request carries — file and
+// header names, sources, header texts and delta texts — is valid UTF-8.
+// encoding/json would replace each invalid byte with U+FFFD, so the
+// service would analyse, and answer offsets into, a text other than the
+// caller's.
+func validUTF8(in any) bool {
+	ok := utf8.ValidString
+	switch r := in.(type) {
+	case FixRequest:
+		return ok(r.Filename) && ok(r.Source)
+	case LintRequest:
+		return ok(r.Filename) && ok(r.Source)
+	case SessionOpenRequest:
+		return ok(r.Filename) && ok(r.Source)
+	case BatchRequest:
+		for _, f := range r.Files {
+			if !ok(f.Filename) || !ok(f.Source) {
+				return false
+			}
+		}
+	case ProjectRequest:
+		for _, m := range []map[string]string{r.Files, r.Headers} {
+			for name, text := range m {
+				if !ok(name) || !ok(text) {
+					return false
+				}
+			}
+		}
+	case SessionEditRequest:
+		for _, d := range r.Deltas {
+			if !ok(d.Text) {
+				return false
+			}
+		}
+	}
+	return true
 }

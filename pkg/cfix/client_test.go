@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,5 +163,45 @@ func TestClientParseRetryAfter(t *testing.T) {
 	future := time.Now().Add(10 * time.Second).UTC().Format(http.TimeFormat)
 	if d := parseRetryAfter(future); d <= 0 || d > 10*time.Second {
 		t.Errorf("http-date: want (0s, 10s], got %s", d)
+	}
+}
+
+// TestClientRefusesNonUTF8: encoding/json would replace each byte of a
+// Latin-1 text with U+FFFD, so the Client refuses a request carrying one
+// in any of its texts before anything reaches the server.
+func TestClientRefusesNonUTF8(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	latin1 := "char c = '\xe9';\n"
+	calls1 := []struct {
+		name string
+		call func() error
+	}{
+		{"fix source", func() error { _, err := c.Fix(ctx, FixRequest{Filename: "l.c", Source: latin1}); return err }},
+		{"lint filename", func() error {
+			_, err := c.Lint(ctx, LintRequest{Filename: "caf\xe9.c", Source: clientTestSource})
+			return err
+		}},
+		{"batch source", func() error {
+			_, err := c.Batch(ctx, BatchRequest{Files: []BatchFile{{Filename: "a.c", Source: clientTestSource}, {Filename: "l.c", Source: latin1}}})
+			return err
+		}},
+		{"project header", func() error {
+			_, err := c.Project(ctx, ProjectRequest{Files: map[string]string{"a.c": clientTestSource}, Headers: map[string]string{"l.h": latin1}})
+			return err
+		}},
+	}
+	for _, tc := range calls1 {
+		if err := tc.call(); err == nil || !strings.Contains(err.Error(), "UTF-8") {
+			t.Errorf("%s: err = %v, want a UTF-8 refusal", tc.name, err)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d requests reached the server", n)
 	}
 }

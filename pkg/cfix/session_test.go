@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/corpus"
 	"repro/internal/edit"
@@ -185,7 +186,18 @@ func (d *daemon) open(text string) *pair {
 // applied. It is an error for one session to refuse what the other
 // applied, or for the Client's answer to differ from the twin's full one.
 func (p *pair) edit(deltas []cfix.SessionDelta) (bool, error) {
+	held, _ := cfix.HeldVersion(p.d.client, p.id)
 	got, err := p.d.client.SessionEdit(context.Background(), cfix.SessionEditRequest{SessionID: p.id, Deltas: deltas})
+	for _, dl := range deltas {
+		if !utf8.ValidString(dl.Text) {
+			// The Client refuses text the wire would coerce before
+			// sending it, so neither session is edited.
+			if v, _ := cfix.HeldVersion(p.d.client, p.id); err == nil || v != held {
+				return false, fmt.Errorf("edit %v: text not UTF-8, yet client error %v and held version %d -> %d", deltas, err, held, v)
+			}
+			return false, nil
+		}
+	}
 	status, data, perr := p.d.post("/v1/session/edit", cfix.SessionEditRequest{SessionID: p.twin, Deltas: deltas})
 	if perr != nil {
 		return false, perr
@@ -363,10 +375,34 @@ func TestSessionCloseDropsClientState(t *testing.T) {
 	}
 }
 
+// TestSessionEditRefusesNonUTF8: the Client refuses an edit whose delta
+// text is not UTF-8 before sending it, so neither its held state nor the
+// server's session moves, and the next edit changes version 1 into 2.
+func TestSessionEditRefusesNonUTF8(t *testing.T) {
+	d := newDaemon(t)
+	p := d.open(smallUnit)
+	ctx := context.Background()
+	bad := cfix.SessionEditRequest{SessionID: p.id, Deltas: []cfix.SessionDelta{{Text: "/* caf\xe9 */\n"}}}
+	if _, err := d.client.SessionEdit(ctx, bad); err == nil {
+		t.Fatal("an edit with Latin-1 text was accepted")
+	}
+	if v, held := cfix.HeldVersion(d.client, p.id); !held || v != 1 {
+		t.Fatalf("after the refused edit the client holds version %d (held %v), want 1", v, held)
+	}
+	got, err := d.client.SessionEdit(ctx, cfix.SessionEditRequest{SessionID: p.id, Deltas: []cfix.SessionDelta{{Text: "/* cafe */\n"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != 2 {
+		t.Fatalf("the next edit answered version %d, want 2: the server applied the refused edit", got.Version)
+	}
+}
+
 // FuzzSessionAnswers drives fuzzer-chosen edit scripts through a Client
 // on an in-process cfixd and, after each edit, requires the Client's
 // state to be the full answer a twin session gets. Each four bytes of
-// script make one request: a kind, a position and a length.
+// script make one request: a kind, a position and a length. An edit
+// whose text is not UTF-8 must be refused by the Client, unsent.
 func FuzzSessionAnswers(f *testing.F) {
 	digit := strings.Index(smallUnit, "b[16]") + len("b[1")
 	fn := strings.Index(smallUnit, "void second")
