@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/backend"
 	"repro/internal/ctoken"
 )
 
@@ -42,97 +43,35 @@ func (in *Interp) formatC(format string, args []Value, at ctoken.Extent) string 
 			i++
 			continue
 		}
-		spec := parseSpec(format, &i)
-		if spec.conv == 0 {
+		spec, n := backend.ParseSpec(format[i:])
+		if spec.Conv == 0 {
 			break
 		}
+		i += n
 		sb.WriteString(in.renderSpec(spec, next, at))
 	}
 	return sb.String()
 }
 
-// spec is one parsed conversion specification.
-type spec struct {
-	minus, zero, plus, space, hash bool
-	width                          int // -1 when absent
-	prec                           int // -1 when absent
-	length                         string
-	conv                           byte
-}
-
-// parseSpec parses flags/width/precision/length/conversion starting at
-// *i (just past the '%'), advancing *i past the conversion.
-func parseSpec(format string, i *int) spec {
-	s := spec{width: -1, prec: -1}
-	// Flags.
-	for *i < len(format) {
-		switch format[*i] {
-		case '-':
-			s.minus = true
-		case '0':
-			s.zero = true
-		case '+':
-			s.plus = true
-		case ' ':
-			s.space = true
-		case '#':
-			s.hash = true
-		default:
-			goto width
-		}
-		*i++
-	}
-width:
-	for *i < len(format) && format[*i] >= '0' && format[*i] <= '9' {
-		if s.width < 0 {
-			s.width = 0
-		}
-		s.width = s.width*10 + int(format[*i]-'0')
-		*i++
-	}
-	if *i < len(format) && format[*i] == '.' {
-		*i++
-		s.prec = 0
-		for *i < len(format) && format[*i] >= '0' && format[*i] <= '9' {
-			s.prec = s.prec*10 + int(format[*i]-'0')
-			*i++
-		}
-	}
-	for *i < len(format) {
-		switch format[*i] {
-		case 'l', 'h', 'z', 'j', 't':
-			s.length += string(format[*i])
-			*i++
-			continue
-		}
-		break
-	}
-	if *i < len(format) {
-		s.conv = format[*i]
-		*i++
-	}
-	return s
-}
-
 // renderSpec renders one conversion.
-func (in *Interp) renderSpec(s spec, next func() Value, at ctoken.Extent) string {
+func (in *Interp) renderSpec(s backend.Spec, next func() Value, at ctoken.Extent) string {
 	pad := func(body string, negative bool) string {
-		if s.prec >= 0 && isIntConv(s.conv) {
+		if s.Prec >= 0 && isIntConv(s.Conv) {
 			// Precision = minimum digits for integer conversions.
-			for len(body) < s.prec {
+			for len(body) < s.Prec {
 				body = "0" + body
 			}
 		}
 		if negative {
 			body = "-" + body
-		} else if s.plus && isIntConv(s.conv) && s.conv != 'u' {
+		} else if s.Plus && isIntConv(s.Conv) && s.Conv != 'u' {
 			body = "+" + body
 		}
-		if s.width > 0 {
-			for len(body) < s.width {
-				if s.minus {
+		if s.Width > 0 {
+			for len(body) < s.Width {
+				if s.Minus {
 					body += " "
-				} else if s.zero && s.prec < 0 {
+				} else if s.Zero && s.Prec < 0 {
 					if negative {
 						// Keep the sign ahead of zero padding.
 						body = "-0" + body[1:]
@@ -147,34 +86,34 @@ func (in *Interp) renderSpec(s spec, next func() Value, at ctoken.Extent) string
 		return body
 	}
 
-	switch s.conv {
+	switch s.Conv {
 	case 'd', 'i':
 		v := next().AsInt()
-		v = promoteForLength(v, s.length, true)
+		v = promoteForLength(v, s.Length, true)
 		neg := v < 0
 		body := strconv.FormatInt(abs64(v), 10)
 		return pad(body, neg)
 	case 'u':
 		v := next().AsInt()
-		return pad(strconv.FormatUint(toUnsigned(v, s.length), 10), false)
+		return pad(strconv.FormatUint(toUnsigned(v, s.Length), 10), false)
 	case 'o':
 		v := next().AsInt()
-		body := strconv.FormatUint(toUnsigned(v, s.length), 8)
-		if s.hash && !strings.HasPrefix(body, "0") {
+		body := strconv.FormatUint(toUnsigned(v, s.Length), 8)
+		if s.Hash && !strings.HasPrefix(body, "0") {
 			body = "0" + body
 		}
 		return pad(body, false)
 	case 'x':
 		v := next().AsInt()
-		body := strconv.FormatUint(toUnsigned(v, s.length), 16)
-		if s.hash {
+		body := strconv.FormatUint(toUnsigned(v, s.Length), 16)
+		if s.Hash {
 			body = "0x" + body
 		}
 		return pad(body, false)
 	case 'X':
 		v := next().AsInt()
-		body := strings.ToUpper(strconv.FormatUint(toUnsigned(v, s.length), 16))
-		if s.hash {
+		body := strings.ToUpper(strconv.FormatUint(toUnsigned(v, s.Length), 16))
+		if s.Hash {
 			body = "0X" + body
 		}
 		return pad(body, false)
@@ -186,12 +125,12 @@ func (in *Interp) renderSpec(s spec, next func() Value, at ctoken.Extent) string
 		if v.K == VPtr {
 			str = in.readCString(v.P, at)
 		}
-		if s.prec >= 0 && len(str) > s.prec {
-			str = str[:s.prec]
+		if s.Prec >= 0 && len(str) > s.Prec {
+			str = str[:s.Prec]
 		}
-		if s.width > 0 {
-			for len(str) < s.width {
-				if s.minus {
+		if s.Width > 0 {
+			for len(str) < s.Width {
+				if s.Minus {
 					str += " "
 				} else {
 					str = " " + str
@@ -207,12 +146,12 @@ func (in *Interp) renderSpec(s spec, next func() Value, at ctoken.Extent) string
 		return "(nil)"
 	case 'f', 'g', 'e':
 		v := next().AsFloat()
-		prec := s.prec
+		prec := s.Prec
 		if prec < 0 {
 			prec = 6
 		}
 		var body string
-		switch s.conv {
+		switch s.Conv {
 		case 'f':
 			body = strconv.FormatFloat(v, 'f', prec, 64)
 		case 'e':
@@ -224,7 +163,7 @@ func (in *Interp) renderSpec(s spec, next func() Value, at ctoken.Extent) string
 	default:
 		// Unknown conversion: emit it literally (matches glibc's lenient
 		// behavior closely enough for the corpora).
-		return "%" + string(s.conv)
+		return "%" + string(s.Conv)
 	}
 }
 

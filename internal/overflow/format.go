@@ -1,8 +1,9 @@
 package overflow
 
 import (
-	"strconv"
+	"strings"
 
+	"repro/internal/backend"
 	"repro/internal/cast"
 	"repro/internal/interval"
 )
@@ -33,79 +34,45 @@ func formatLength(st Env[varState], fmtExpr cast.Expr, args []cast.Expr, firstVa
 			total = total.AddConst(1)
 			continue
 		}
-		spec, verb, adv := parseSpec(s[i:])
-		if verb == 0 {
+		spec, n := backend.ParseSpec(s[i:])
+		if !bounded(spec) {
 			return interval.Range(0, interval.PosInf)
 		}
-		i += adv
+		i += n - 1
 		var a cast.Expr
 		if next < len(args) {
 			a = args[next]
 		}
 		next++
-		total = total.Add(convLength(st, spec, verb, a))
+		total = total.Add(convLength(st, spec, a))
 	}
 	return total.ClampMin(0)
 }
 
-// spec carries the parsed width/precision of one conversion (-1 = absent).
-type spec struct {
-	width, prec int
-}
-
-// parseSpec parses flags, width, precision and the verb of a conversion,
-// starting just past the '%'. It returns the consumed byte count minus one
-// (the caller's loop increments past the verb). verb 0 means unsupported
-// ('*' widths, length modifiers with unknown verbs, malformed specs).
-func parseSpec(s string) (spec, byte, int) {
-	sp := spec{width: -1, prec: -1}
-	i := 0
-	for i < len(s) && (s[i] == '-' || s[i] == '+' || s[i] == ' ' || s[i] == '#' || s[i] == '0') {
-		i++
+// bounded is the oracle's acceptance rule for a conversion spec: length
+// modifiers h, l and z only, and a conversion convLength bounds. A '*'
+// width or precision, or any other conversion, leaves the output
+// unbounded.
+func bounded(sp backend.Spec) bool {
+	if strings.ContainsAny(sp.Length, "jt") {
+		return false
 	}
-	start := i
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		i++
-	}
-	if i > start {
-		if w, err := strconv.Atoi(s[start:i]); err == nil {
-			sp.width = w
-		}
-	}
-	if i < len(s) && s[i] == '.' {
-		i++
-		start = i
-		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-			i++
-		}
-		pv := 0
-		if i > start {
-			pv, _ = strconv.Atoi(s[start:i])
-		}
-		sp.prec = pv
-	}
-	for i < len(s) && (s[i] == 'l' || s[i] == 'h' || s[i] == 'z') {
-		i++
-	}
-	if i >= len(s) {
-		return sp, 0, i
-	}
-	switch s[i] {
+	switch sp.Conv {
 	case 's', 'c', 'd', 'i', 'u', 'x', 'X', 'o', 'p', 'f', 'g', 'e':
-		return sp, s[i], i
+		return true
 	}
-	return sp, 0, i
+	return false
 }
 
 // convLength bounds the output of one conversion.
-func convLength(st Env[varState], sp spec, verb byte, arg cast.Expr) interval.Interval {
+func convLength(st Env[varState], sp backend.Spec, arg cast.Expr) interval.Interval {
 	pad := func(iv interval.Interval) interval.Interval {
-		if sp.width > 0 {
-			return iv.ClampMin(int64(sp.width))
+		if sp.Width > 0 {
+			return iv.ClampMin(int64(sp.Width))
 		}
 		return iv
 	}
-	switch verb {
+	switch sp.Conv {
 	case 'c':
 		return pad(interval.Const(1))
 	case 's':
@@ -113,8 +80,8 @@ func convLength(st Env[varState], sp spec, verb byte, arg cast.Expr) interval.In
 		if arg != nil {
 			l = strlenOf(st, arg)
 		}
-		if sp.prec >= 0 && int64(sp.prec) < l.Hi {
-			l.Hi = int64(sp.prec)
+		if sp.Prec >= 0 && int64(sp.Prec) < l.Hi {
+			l.Hi = int64(sp.Prec)
 			if l.Lo > l.Hi {
 				l.Lo = l.Hi
 			}
@@ -174,7 +141,7 @@ func decLen(v int64) int64 {
 
 // octalLength bounds %o output. A char-range argument [0,255] prints 1–3
 // digits; precision gives the minimum.
-func octalLength(st Env[varState], arg cast.Expr, sp spec) interval.Interval {
+func octalLength(st Env[varState], arg cast.Expr, sp backend.Spec) interval.Interval {
 	iv := interval.Range(1, 11) // up to 0o37777777777 for 32-bit
 	if arg != nil {
 		a := evalInt(st, arg)
@@ -185,8 +152,8 @@ func octalLength(st Env[varState], arg cast.Expr, sp spec) interval.Interval {
 			iv = interval.Range(1, 11)
 		}
 	}
-	if sp.prec >= 0 {
-		iv = iv.ClampMin(int64(sp.prec))
+	if sp.Prec >= 0 {
+		iv = iv.ClampMin(int64(sp.Prec))
 	}
 	return iv
 }
