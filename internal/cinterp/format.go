@@ -89,7 +89,7 @@ func (in *Interp) renderSpec(s backend.Spec, next func() Value, at ctoken.Extent
 	switch s.Conv {
 	case 'd', 'i':
 		v := next().AsInt()
-		v = promoteForLength(v, s.Length, true)
+		v = promoteForLength(v, s.Length)
 		neg := v < 0
 		body := strconv.FormatInt(abs64(v), 10)
 		return pad(body, neg)
@@ -185,7 +185,7 @@ func abs64(v int64) int64 {
 
 // promoteForLength truncates per the length modifier (h, hh) or keeps the
 // promoted int/long value.
-func promoteForLength(v int64, length string, _ bool) int64 {
+func promoteForLength(v int64, length string) int64 {
 	switch length {
 	case "hh":
 		return int64(int8(v))
@@ -202,9 +202,7 @@ func promoteForLength(v int64, length string, _ bool) int64 {
 // sign-extension trap: (char)0x80 → int -128 → unsigned 0xFFFFFF80.
 func toUnsigned(v int64, length string) uint64 {
 	switch {
-	case strings.Contains(length, "ll"):
-		return uint64(v)
-	case strings.Contains(length, "l"), strings.Contains(length, "z"), strings.Contains(length, "j"):
+	case strings.ContainsAny(length, "lzj"):
 		return uint64(v)
 	case length == "h":
 		return uint64(uint16(v))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/overflow"
@@ -48,9 +49,14 @@ const fingerprintVersion = "v6"
 // degraded results are never stored anyway, an in-budget clean run under
 // budget B proves nothing about budget B' < B.
 func (o Options) fingerprint() string {
+	// Checks and Backend enter in canonical form, so "" and "buf", or ""
+	// and "glib", share entries. Invalid selections reach no key: the
+	// pipeline and the service tier refuse them first.
+	checks, _ := CanonicalChecks(o.Checks)
+	be, _ := backend.Canonical(o.Backend)
 	fp := fmt.Sprintf("%s|slr=%t|str=%t|at=%d|support=%t|lint=%t|checks=%s|backend=%s|budget=%d|keep=%t",
 		fingerprintVersion, o.DisableSLR, o.DisableSTR, o.SelectOffset,
-		o.EmitSupport, o.Lint, canonicalChecks(o.Checks), canonicalBackend(o.Backend), o.Budget, o.KeepGoing)
+		o.EmitSupport, o.Lint, checks, be, o.Budget, o.KeepGoing)
 	// Project-mode inputs append only when present, so single-file keys
 	// are unchanged within a fingerprint version.
 	if x := overflow.SeedFingerprint(o.ExternSeeds); x != "" {

@@ -243,28 +243,6 @@ func CanonicalChecks(s string) (string, error) {
 	}
 }
 
-// canonicalChecks renders the selection in canonical form for the cache
-// fingerprint. Invalid selections never reach the cache (Fix/Analyze
-// fail first); the raw string is kept so the key still differs.
-func canonicalChecks(s string) string {
-	if c, err := CanonicalChecks(s); err == nil {
-		return c
-	}
-	return s
-}
-
-// canonicalBackend renders Options.Backend in canonical form for the
-// cache fingerprint, so "" and "glib" (and whitespace variants) share
-// cache entries. Invalid names never reach the cache — Fix and Analyze
-// fail first — so the raw string is kept to keep the key distinct.
-func canonicalBackend(s string) string {
-	name, err := backend.Canonical(s)
-	if err != nil {
-		return s
-	}
-	return name
-}
-
 // lintFindings runs the selected oracles over one snapshot and merges
 // their findings into a single source-ordered report.
 func lintFindings(snap *analysis.Snapshot, cs checkSet) []overflow.Finding {

@@ -88,11 +88,11 @@ func convLength(st Env[varState], sp backend.Spec, arg cast.Expr) interval.Inter
 		}
 		return pad(l)
 	case 'd', 'i':
-		return pad(digitLength(st, arg, 11, true)) // -2147483648
+		return pad(digitLength(st, arg, 11)) // -2147483648
 	case 'u':
-		return pad(digitLength(st, arg, 10, false))
+		return pad(digitLength(st, arg, 10))
 	case 'x', 'X':
-		return pad(digitLength(st, arg, 8, false))
+		return pad(digitLength(st, arg, 8))
 	case 'o':
 		return pad(octalLength(st, arg, sp))
 	case 'p':
@@ -104,8 +104,8 @@ func convLength(st Env[varState], sp backend.Spec, arg cast.Expr) interval.Inter
 }
 
 // digitLength bounds the decimal/hex digits of an integer argument: exact
-// when the interval is, otherwise up to maxDigits (incl. sign when signed).
-func digitLength(st Env[varState], arg cast.Expr, maxDigits int64, signed bool) interval.Interval {
+// when the interval is, otherwise up to maxDigits (a sign included).
+func digitLength(st Env[varState], arg cast.Expr, maxDigits int64) interval.Interval {
 	if arg == nil {
 		return interval.Range(1, maxDigits)
 	}
@@ -118,12 +118,7 @@ func digitLength(st Env[varState], arg cast.Expr, maxDigits int64, signed bool) 
 		}
 		return interval.Range(lo, hi)
 	}
-	lo := int64(1)
-	if !signed && iv.Lo >= 0 {
-		// cannot shrink below one digit anyway
-		lo = 1
-	}
-	return interval.Range(lo, maxDigits)
+	return interval.Range(1, maxDigits)
 }
 
 func decLen(v int64) int64 {
