@@ -1,9 +1,9 @@
 // Package server implements cfixd's HTTP/JSON API: the long-running
-// fix/lint service layered directly on the ctx-first pipeline
-// (core.Fix via pkg/cfix; a lint run is a fix run with both repairs
-// off) and the bounded worker pool,
-// with content-addressed result caching, admission control, per-request
-// deadlines and solver budgets, and expvar-style metrics.
+// fix/lint service layered directly on the ctx-first pipeline (core.Fix
+// via pkg/cfix; a lint run is a fix run with both repairs off) and the
+// bounded worker pool, with content-addressed result caching, admission
+// control, per-request deadlines and solver budgets, and expvar-style
+// metrics.
 //
 // Endpoints:
 //
