@@ -326,11 +326,11 @@ func LintOptions(opts Options) Options {
 	return opts
 }
 
-// lintOnly reports whether o runs neither repair. Such a run reports
+// repairsOff reports whether o runs neither repair. Such a run reports
 // the oracles' verdicts on the text it was given and nothing else: its
 // report is keyed by that text alone, and a failed lint stage fails the
 // file, because there is no repair left to degrade to.
-func (o Options) lintOnly() bool { return o.DisableSLR && o.DisableSTR }
+func (o Options) repairsOff() bool { return o.DisableSLR && o.DisableSTR }
 
 // Analyze runs the static overflow oracle on one preprocessed C
 // translation unit without transforming it: Fix under LintOptions(opts),
@@ -416,7 +416,7 @@ func FixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 	text := source
 	if pp != nil {
 		text = pp.Text
-		if !opts.lintOnly() {
+		if !opts.repairsOff() {
 			opts.Cache = nil
 		}
 	}
@@ -455,7 +455,7 @@ func fixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 	if snap == nil {
 		if snap, err = analysis.ParseCtx(ctx, filename, source, conf); err != nil {
 			first := "SLR"
-			if opts.lintOnly() {
+			if opts.repairsOff() {
 				first = "lint"
 			}
 			return nil, fmt.Errorf("core: parse for %s: %w", first, err)
@@ -471,7 +471,7 @@ func fixParsed(ctx context.Context, filename, source string, cppOpts cpp.Options
 			return nil
 		}); lintErr != nil {
 			switch {
-			case opts.lintOnly():
+			case opts.repairsOff():
 				return nil, lintErr
 			case !opts.KeepGoing:
 				return nil, fmt.Errorf("core: lint: %w", lintErr)

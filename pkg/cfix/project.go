@@ -96,16 +96,16 @@ type ProjectResponse struct {
 	Edges []CrossEdge `json:"edges,omitempty"`
 }
 
-// NewProjectResponse renders a project report in the wire shape: a
-// lint-only run's outcomes as findings and degradations, any other's as
-// fix responses.
-func NewProjectResponse(rep *ProjectReport, lintOnly bool) ProjectResponse {
+// NewProjectResponse renders a project report in the wire shape: with
+// lint set (a lint_only request) each outcome as findings and
+// degradations, otherwise as a fix response.
+func NewProjectResponse(rep *ProjectReport, lint bool) ProjectResponse {
 	resp := ProjectResponse{Edges: rep.Edges}
 	for _, out := range rep.Files {
 		fj := ProjectFileJSON{File: out.File, Includes: out.Includes, Err: out.Err}
 		switch {
 		case out.Fix == nil:
-		case lintOnly:
+		case lint:
 			fj.Findings = NewFindingsJSON(out.Fix.Findings)
 			fj.Degraded = out.Fix.Degraded
 		default:
