@@ -212,3 +212,29 @@ func TestFixLintOptionRanksSummary(t *testing.T) {
 		t.Fatalf("summary should carry the verdict:\n%s", rep.Summary())
 	}
 }
+
+// TestRequestKeyIsLintCacheKey: a lint request's routing key is the key
+// Analyze caches its report under, whatever repair options the request
+// carries, since a lint run ignores them.
+func TestRequestKeyIsLintCacheKey(t *testing.T) {
+	rc, err := NewResultCache(1<<20, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Checks: "all", Cache: rc}
+	if _, err := Analyze(context.Background(), "k.c", vulnerable, opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, ro := range []RequestOptions{
+		{Checks: "all"},
+		{Checks: "all", DisableSLR: true, EmitSupport: true},
+		{Checks: "buf,int", Backend: "glib", Lint: true},
+	} {
+		if _, ok := rc.c.Get(RequestKey("lint", "k.c", vulnerable, ro)); !ok {
+			t.Errorf("RequestKey(lint, %+v) is not the key Analyze cached under", ro)
+		}
+	}
+	if _, ok := rc.c.Get(RequestKey("fix", "k.c", vulnerable, RequestOptions{Checks: "all"})); ok {
+		t.Error("a fix request's key finds the lint report")
+	}
+}
