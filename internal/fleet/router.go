@@ -232,13 +232,17 @@ type flight struct {
 	reply *server.Reply
 }
 
-// routeShared collapses concurrent identical requests (same content
-// fingerprint) into one upstream call — the fleet-wide singleflight
-// that keeps a thundering herd on a hot file from computing on N
-// shards, or N times on one.
+// routeShared collapses concurrent identical requests (same path and
+// content fingerprint) into one upstream call — the fleet-wide
+// singleflight that keeps a thundering herd on a hot file from
+// computing on N shards, or N times on one. The fingerprint places the
+// request on the ring; the flight is keyed by path as well, because a
+// fix request with both repairs off and lint on has a lint request's
+// fingerprint but a different response shape.
 func (rt *Router) routeShared(ctx context.Context, path string, body []byte, key string) (*server.Reply, error) {
+	fkey := path + "\x00" + key
 	rt.flightMu.Lock()
-	if f, ok := rt.flights[key]; ok {
+	if f, ok := rt.flights[fkey]; ok {
 		rt.m.collapsed.Add(1)
 		rt.flightMu.Unlock()
 		select {
@@ -249,7 +253,7 @@ func (rt *Router) routeShared(ctx context.Context, path string, body []byte, key
 		}
 	}
 	f := &flight{done: make(chan struct{})}
-	rt.flights[key] = f
+	rt.flights[fkey] = f
 	rt.flightMu.Unlock()
 
 	// The upstream call runs on a context detached from this client:
@@ -258,7 +262,7 @@ func (rt *Router) routeShared(ctx context.Context, path string, body []byte, key
 	f.reply = rt.route(context.WithoutCancel(ctx), path, body, key)
 
 	rt.flightMu.Lock()
-	delete(rt.flights, key)
+	delete(rt.flights, fkey)
 	rt.flightMu.Unlock()
 	close(f.done)
 	return f.reply, nil

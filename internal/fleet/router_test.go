@@ -17,8 +17,9 @@ import (
 )
 
 // stubBackend simulates one cfixd: it answers /readyz (drainable via
-// the flag), counts /v1/fix hits, and responds with a payload naming
-// itself so tests can see where a request landed. Behavior is scripted
+// the flag), counts /v1/fix and /v1/lint hits, and responds with a
+// payload of the endpoint's shape naming itself so tests can see where
+// a request landed. Behavior is scripted
 // per request number via fail and delay callbacks.
 type stubBackend struct {
 	id string
@@ -67,6 +68,11 @@ func newStubBackend(t *testing.T, id string) *stubBackend {
 		body, _ := io.ReadAll(r.Body)
 		_ = json.Unmarshal(body, &req)
 		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/v1/lint" {
+			fmt.Fprintf(w, `{"filename":%q,"findings":[],"definite":false,"degraded":["served-by-%s"],"cached":false}`,
+				req.Filename, b.id)
+			return
+		}
 		fmt.Fprintf(w, `{"filename":%q,"source":"served-by-%s","changed":true,"slr_applied":0,"slr_candidates":0,"str_applied":0,"str_candidates":0,"cached":false}`,
 			req.Filename, b.id)
 	}))
@@ -332,6 +338,61 @@ func TestRouterSingleflightCollapsesHerd(t *testing.T) {
 	}
 	if hits := b1.hits.Load() + b2.hits.Load(); hits != 1 {
 		t.Fatalf("fleet singleflight: want exactly 1 upstream computation, got %d", hits)
+	}
+}
+
+// TestRouterSingleflightKeepsEndpointsApart: a fix request with both
+// repairs off and lint on has a lint request's fingerprint, so both
+// land on one shard; sent together, each still gets its own
+// endpoint's answer rather than sharing the other's flight.
+func TestRouterSingleflightKeepsEndpointsApart(t *testing.T) {
+	b := newStubBackend(t, "b1")
+	_, ts := startRouter(t, fastConfig(b))
+	b.delayRange(1, 2, 300*time.Millisecond)
+
+	const src = "void f(void) {}"
+	fixOpts := cfix.RequestOptions{DisableSLR: true, DisableSTR: true, Lint: true}
+	if cfix.RequestKey("fix", "hot.c", src, fixOpts) != cfix.RequestKey("lint", "hot.c", src, cfix.RequestOptions{}) {
+		t.Fatal("precondition: the lint-shaped fix request should share the lint request's fingerprint")
+	}
+	fixReq, _ := json.Marshal(cfix.FixRequest{Filename: "hot.c", Source: src, Options: fixOpts})
+	lintReq, _ := json.Marshal(cfix.LintRequest{Filename: "hot.c", Source: src})
+
+	answers := map[string]map[string]any{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for path, body := range map[string][]byte{"/v1/fix": fixReq, "/v1/lint": lintReq} {
+		wg.Add(1)
+		go func(path string, body []byte) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("POST %s: %v", path, err)
+				return
+			}
+			defer resp.Body.Close()
+			var m map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&m); err != nil || resp.StatusCode != 200 {
+				t.Errorf("%s: status %d, decode error %v", path, resp.StatusCode, err)
+				return
+			}
+			mu.Lock()
+			answers[path] = m
+			mu.Unlock()
+		}(path, body)
+	}
+	wg.Wait()
+	if _, ok := answers["/v1/fix"]["source"]; !ok {
+		t.Errorf("/v1/fix answered without a source: %v", answers["/v1/fix"])
+	}
+	if _, ok := answers["/v1/lint"]["findings"]; !ok {
+		t.Errorf("/v1/lint answered without findings: %v", answers["/v1/lint"])
+	}
+	if _, ok := answers["/v1/lint"]["source"]; ok {
+		t.Errorf("/v1/lint answered a fix response: %v", answers["/v1/lint"])
+	}
+	if hits := b.hits.Load(); hits != 2 {
+		t.Errorf("want one upstream computation per endpoint (2), got %d", hits)
 	}
 }
 
