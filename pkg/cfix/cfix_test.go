@@ -229,6 +229,7 @@ func TestRequestKeyIsLintCacheKey(t *testing.T) {
 		{Checks: "all"},
 		{Checks: "all", DisableSLR: true, EmitSupport: true},
 		{Checks: "buf,int", Backend: "glib", Lint: true},
+		{Checks: "all", KeepGoing: true},
 	} {
 		if _, ok := rc.c.Get(RequestKey("lint", "k.c", vulnerable, ro)); !ok {
 			t.Errorf("RequestKey(lint, %+v) is not the key Analyze cached under", ro)
