@@ -43,7 +43,7 @@ func AnalyzeProject(ctx context.Context, compileCommands string, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	return p.Fix(ctx, lintOptions(opts))
+	return p.Analyze(ctx, coreOptions(opts))
 }
 
 // FixProjectInMemory fixes a project supplied as in-memory sources:
@@ -56,7 +56,7 @@ func FixProjectInMemory(ctx context.Context, files, headers map[string]string, o
 
 // AnalyzeProjectInMemory is the lint-only FixProjectInMemory.
 func AnalyzeProjectInMemory(ctx context.Context, files, headers map[string]string, opts Options) (*ProjectReport, error) {
-	return project.InMemory(files, headers, nil).Fix(ctx, lintOptions(opts))
+	return project.InMemory(files, headers, nil).Analyze(ctx, coreOptions(opts))
 }
 
 // ProjectRequest asks the daemon to process a whole project in one
