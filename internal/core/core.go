@@ -315,12 +315,9 @@ func FileContext(ctx context.Context, opts Options) (context.Context, context.Ca
 }
 
 // LintOptions returns opts as a lint run uses them: the oracles on, both
-// repairs off, batch mode, no support code and no KeepGoing (with both
-// repairs off a failed lint stage fails the file, so KeepGoing is never
-// read). A lint run is a fix run under these options, so every lint
-// entry point, from Analyze to the service's, answers and caches
-// exactly what Fix does under them, and lint requests that differ only
-// in options a lint run ignores share one cache key.
+// repairs off, batch mode, no support code and no KeepGoing, which a run
+// without repairs never reads. A lint run is a fix run under these
+// options, so every lint entry point answers and caches what Fix does.
 func LintOptions(opts Options) Options {
 	opts.Lint = true
 	opts.DisableSLR, opts.DisableSTR = true, true

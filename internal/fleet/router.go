@@ -235,11 +235,10 @@ type flight struct {
 // routeShared collapses concurrent identical requests (same path and
 // content fingerprint) into one upstream call — the fleet-wide
 // singleflight that keeps a thundering herd on a hot file from
-// computing on N shards, or N times on one. The fingerprint places the
-// request on the ring; the flight is keyed by path as well, because a
-// fix request with both repairs off and lint on has a lint request's
-// fingerprint but a different response shape.
+// computing on N shards, or N times on one.
 func (rt *Router) routeShared(ctx context.Context, path string, body []byte, key string) (*server.Reply, error) {
+	// A lint-shaped fix request has a lint request's fingerprint, not
+	// its response shape.
 	fkey := path + "\x00" + key
 	rt.flightMu.Lock()
 	if f, ok := rt.flights[fkey]; ok {
@@ -393,7 +392,7 @@ func failReply(last attemptResult) *server.Reply {
 	if last.err == nil {
 		return last.reply
 	}
-	return jsonError(http.StatusBadGateway, "fleet: upstream failed: "+firstLine(last.err.Error()))
+	return jsonError(http.StatusBadGateway, "fleet: upstream failed: "+server.FirstLine(last.err.Error()))
 }
 
 // jsonError renders the service's error shape as a pre-rendered reply.
@@ -476,7 +475,7 @@ func (rt *Router) routeBatchFile(ctx context.Context, kind string, f cfix.BatchF
 	reply, err := rt.routeShared(ctx, "/v1/"+kind, sub, key)
 	switch {
 	case err != nil:
-		res.Error = firstLine(err.Error())
+		res.Error = server.FirstLine(err.Error())
 	case reply.Status != http.StatusOK:
 		res.Error = fmt.Sprintf("upstream status %d: %s", reply.Status, errorBody(reply.Body))
 	case kind == "lint":
@@ -506,12 +505,5 @@ func errorBody(body []byte) string {
 	if err := json.Unmarshal(body, &e); err == nil && e.Error != "" {
 		return e.Error
 	}
-	return firstLine(strings.TrimSpace(string(body)))
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
+	return server.FirstLine(strings.TrimSpace(string(body)))
 }

@@ -8,9 +8,10 @@
 // The link is a two-round protocol (DESIGN.md Section 16):
 //
 //  1. Scan: each TU is preprocessed, parsed and fixed stand-alone (a
-//     lint run is a fix run with both repairs off, core.LintOptions); from the same parse, calls to functions the TU does
-//     not define are evaluated under the caller's interval state and
-//     exported as overflow.CallSeed values.
+//     lint run is a fix run with both repairs off, core.LintOptions);
+//     from the same parse, calls to functions the TU does not define
+//     are evaluated under the caller's interval state and exported as
+//     overflow.CallSeed values.
 //  2. Fix: seeds are routed to the TU that defines their callee (by
 //     symbol name — C has one flat namespace for external linkage).
 //     Only the TUs that receive seeds rerun, with Options.ExternSeeds,

@@ -339,7 +339,7 @@ func (s *Server) batchResult(filename string, err error, render func() cfix.Batc
 	if errors.As(err, &pe) {
 		s.panics.Add(1)
 		s.conf.Log.Printf("cfixd: panic contained in batch file %s: %v", filename, pe)
-		return cfix.BatchResult{Filename: filename, Error: "panic contained: " + firstLine(pe.Error())}
+		return cfix.BatchResult{Filename: filename, Error: "panic contained: " + FirstLine(pe.Error())}
 	}
 	return cfix.BatchResult{Filename: filename, Error: err.Error()}
 }

@@ -408,7 +408,7 @@ func (t *Tier) fail(w http.ResponseWriter, label string, err error) {
 	case errors.Is(err, context.Canceled):
 		t.writeError(w, http.StatusServiceUnavailable, "request cancelled")
 	default:
-		t.writeError(w, http.StatusUnprocessableEntity, firstLine(err.Error()))
+		t.writeError(w, http.StatusUnprocessableEntity, FirstLine(err.Error()))
 	}
 }
 
@@ -450,11 +450,10 @@ func (t *Tier) writeReply(w http.ResponseWriter, rp *Reply) {
 	_, _ = w.Write(rp.Body)
 }
 
-// firstLine truncates multi-line error text (panic stacks) for clients;
-// the full text goes to the log.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
+// FirstLine truncates multi-line error text (panic stacks) for clients;
+// the full text goes to the log. The fleet router uses it for upstream
+// errors too.
+func FirstLine(s string) string {
+	line, _, _ := strings.Cut(s, "\n")
+	return line
 }
