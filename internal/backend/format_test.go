@@ -9,8 +9,8 @@ func TestParseSpec(t *testing.T) {
 		n    int
 	}{
 		{"d", Spec{Width: -1, Prec: -1, Conv: 'd'}, 1},
-		{"-08.3lx!", Spec{Minus: true, Zero: true, Width: 8, Prec: 3, Length: "l", Conv: 'x'}, 7},
-		{"+ #o", Spec{Plus: true, Space: true, Hash: true, Width: -1, Prec: -1, Conv: 'o'}, 4},
+		{"-08.3lx!", Spec{Flags: "-0", Width: 8, Prec: 3, Length: "l", Conv: 'x'}, 7},
+		{"+ #o", Spec{Flags: "+ #", Width: -1, Prec: -1, Conv: 'o'}, 4},
 		{".s", Spec{Width: -1, Prec: 0, Conv: 's'}, 2},
 		{"hhjzu", Spec{Width: -1, Prec: -1, Length: "hhjz", Conv: 'u'}, 5},
 		{"*d", Spec{Width: -1, Prec: -1, Conv: '*'}, 1},

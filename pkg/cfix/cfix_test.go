@@ -2,6 +2,7 @@ package cfix
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -238,4 +239,51 @@ func TestRequestKeyIsLintCacheKey(t *testing.T) {
 	if _, ok := rc.c.Get(RequestKey("fix", "k.c", vulnerable, RequestOptions{Checks: "all"})); ok {
 		t.Error("a fix request's key finds the lint report")
 	}
+}
+
+// TestPrintfAgreesWithGlibc runs sprintf(b, SPEC, V) into char b[N] through
+// the checked interpreter and the buffer oracle. glibc decides whether the
+// call fits: the interpreter must record a violation exactly when it does
+// not, and the oracle must report a definite overflow then and nothing
+// otherwise.
+func TestPrintfAgreesWithGlibc(t *testing.T) {
+	cases := []struct {
+		name, spec, value string
+		size              int
+		fits              bool
+	}{
+		{"x of 255 fits b[3]", "%x", "255", 3, true},
+		{"hd of 65535 fits b[3]", "%hd", "65535", 3, true},
+		{".3d of 0 overflows b[2]", "%.3d", "0", 2, false},
+		{"+x of 65535 fits b[5]", "%+x", "65535", 5, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := "int main(void) {\n    char b[" + fmt.Sprint(c.size) + "];\n    sprintf(b, \"" + c.spec + "\", " + c.value + ");\n    return 0;\n}\n"
+			res, err := Run("p.c", src, "main", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Safe() != c.fits {
+				t.Errorf("interpreter violations %v; glibc fits: %v", res.Violations, c.fits)
+			}
+			rep, err := Analyze(context.Background(), "p.c", src, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			definite := len(rep.Findings) == 1 && rep.Findings[0].Severity == SevDefinite
+			if c.fits && len(rep.Findings) != 0 || !c.fits && !definite {
+				t.Errorf("oracle findings %v; glibc fits: %v", rep.Findings, c.fits)
+			}
+		})
+	}
+	t.Run("g of 1234567.0 prints 1.23457e+06", func(t *testing.T) {
+		res, err := Run("g.c", `int main(void) { printf("%g", 1234567.0); return 0; }`, "main", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stdout != "1.23457e+06" {
+			t.Errorf("printed %q; glibc prints %q", res.Stdout, "1.23457e+06")
+		}
+	})
 }
