@@ -253,3 +253,67 @@ void s_bad(void) { s(1); s(1); }
 		}
 	}
 }
+
+// TestVerifySTRNullShapes runs STR alone on programs that assign a char
+// pointer a null pointer constant. A stralloc has no null state, so STR
+// must leave such a variable alone: replacing it turned "s = 0" into a
+// NULL stralloc * that every later use dereferenced, and "s = 0; s = "x""
+// into a copy into nothing.
+func TestVerifySTRNullShapes(t *testing.T) {
+	shapes := []struct{ name, src string }{
+		{"null_init_tested", `
+void s(void) {
+    char *s = 0;
+    if (!s) { puts("none"); } else { puts(s); }
+}`},
+		{"null_init_overwritten", `
+void s(void) {
+    char *s = (char *)0;
+    s = malloc(8);
+    strcpy(s, "hi");
+    if (s) puts(s);
+}`},
+		{"conditional_null", `
+void t(int n) {
+    char *s = "set";
+    if (n) s = (void *)0;
+    if (s) puts(s); else puts("null");
+}
+void s(void) { t(0); t(1); }`},
+		{"late_null", `
+void s(void) {
+    char *p = "abc";
+    puts(p);
+    p = 0;
+    if (p == 0) puts("cleared");
+}`},
+		{"null_in_conditional_value", `
+void s(void) {
+    char *p = ((void *)0);
+    printf("%s\n", p ? p : "(nil)");
+}`},
+		{"null_then_literal", `
+void s(void) {
+    char *s = 0;
+    s = "x";
+    puts(s);
+}`},
+	}
+	for _, be := range backend.Names() {
+		for _, sh := range shapes {
+			t.Run(be+"/"+sh.name, func(t *testing.T) {
+				v, err := Verify("s", sh.src, "s", "s", Options{Backend: be, SkipSLR: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.PreGood.HasViolations() || v.PreGood.Stdout == "" {
+					t.Fatalf("the program must run clean and print: %+v", v.PreGood)
+				}
+				if !v.Preserved {
+					t.Fatalf("run changed: pre=%q post=%q (%v)\n%s",
+						v.PreGood.Stdout, v.PostGood.Stdout, v.PostGood.Violations, v.TransformedSource)
+				}
+			})
+		}
+	}
+}

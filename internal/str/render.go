@@ -271,23 +271,15 @@ func (t *Transformer) renderAssignTop(a *cast.AssignExpr) string {
 }
 
 // renderAssignParts renders "name = rhs" for a target pointer (patterns
-// 3-7). The result omits the trailing semicolon except for the
+// 3, 5-7; checkPointerRHS refuses a null pointer). The result omits the trailing semicolon except for the
 // multi-statement allocation pattern, which embeds its own.
 func (t *Transformer) renderAssignParts(name string, _ cast.AssignOp, rhs cast.Expr) string {
 	r := cast.Unparen(rhs)
 	switch x := r.(type) {
-	case *cast.IntLit:
-		if x.Value == 0 {
-			// Pattern 4: assignment to null — no change necessary.
-			return name + " = " + t.text(rhs)
-		}
 	case *cast.Ident:
 		if x.Sym != nil && t.targets[x.Sym] {
 			// Pattern 5: assignment to other buffer — no change.
 			return name + " = " + x.Name
-		}
-		if x.Name == "NULL" {
-			return name + " = NULL"
 		}
 		// Plain char* source: copy the string contents.
 		return fmt.Sprintf("stralloc_copys(%s, %s)", name, x.Name)
@@ -305,11 +297,7 @@ func (t *Transformer) renderAssignParts(name string, _ cast.AssignOp, rhs cast.E
 		}
 		return fmt.Sprintf("stralloc_copys(%s, %s)", name, t.renderExpr(rhs))
 	case *cast.CastExpr:
-		// Pattern 7: analyze rhs, replace with library function. Null
-		// casts ((void*)0, (char*)0) stay per pattern 4.
-		if castOfZero(x) {
-			return name + " = " + t.text(x)
-		}
+		// Pattern 7: analyze rhs, replace with library function.
 		castText := t.renderExpr(x)
 		return fmt.Sprintf("stralloc_copybuf(%s, %s, sizeof(%s))", name, castText, castText)
 	}
@@ -333,12 +321,6 @@ func (t *Transformer) allocSizeText(call *cast.CallExpr) string {
 		}
 	}
 	return "0"
-}
-
-// castOfZero matches (void*)0 / (char*)0 spellings of null.
-func castOfZero(c *cast.CastExpr) bool {
-	lit, ok := cast.Unparen(c.Operand).(*cast.IntLit)
-	return ok && lit.Value == 0
 }
 
 // renderExpr renders an expression in value position, rewriting target

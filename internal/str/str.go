@@ -384,33 +384,48 @@ func (t *Transformer) checkVar(c *candidate) (FailReason, string) {
 }
 
 // checkPointerRHS validates the value assigned to a target pointer
-// variable (patterns 3-7). Values outside the patterns — notably interior
-// pointers returned by library calls or foreign char pointers — would turn
-// aliasing into copying, so the variable is refused.
+// variable (patterns 3, 5-7). Values outside the patterns — notably
+// interior pointers returned by library calls or foreign char pointers —
+// would turn aliasing into copying, so the variable is refused. So is a
+// null pointer (pattern 4): a stralloc has no null state, so "s = 0" on
+// the stralloc * makes every later s->s dereference NULL.
 func (t *Transformer) checkPointerRHS(rhs cast.Expr, fail func(FailReason, string)) {
+	if nullPointer(rhs) {
+		fail(FailUnsupportedUse, "assigned null pointer "+t.text(rhs))
+		return
+	}
 	switch x := cast.Unparen(rhs).(type) {
 	case *cast.IntLit:
-		if x.Value != 0 {
-			fail(FailUnsupportedUse, "pointer assigned integer value")
-		}
+		fail(FailUnsupportedUse, "pointer assigned integer value")
 	case *cast.StringLit:
 		// Pattern 6.
 	case *cast.CastExpr:
-		// Pattern 7 (including null casts).
+		// Pattern 7.
 	case *cast.CallExpr:
 		if !pointsto.IsHeapAllocator(x.Callee()) {
 			fail(FailUnsupportedUse, "assigned result of "+x.Callee())
 		}
 	case *cast.Ident:
-		if x.Name == "NULL" {
-			return
-		}
 		if x.Sym == nil || !t.targets[x.Sym] {
 			fail(FailUnsupportedUse, "assigned from foreign char pointer "+x.Name)
 		}
 	default:
 		fail(FailUnsupportedUse, "unsupported pointer value")
 	}
+}
+
+// nullPointer reports whether e is a null pointer constant: 0, NULL, or
+// a cast of one, as the preprocessed ((void *)0).
+func nullPointer(e cast.Expr) bool {
+	switch x := cast.Unparen(e).(type) {
+	case *cast.IntLit:
+		return x.Value == 0
+	case *cast.Ident:
+		return x.Name == "NULL"
+	case *cast.CastExpr:
+		return nullPointer(x.Operand)
+	}
+	return false
 }
 
 // checkUse classifies one identifier use by its parent context.

@@ -246,14 +246,15 @@ void f(void) {
     p = (void*)0;
 }
 `)
-	if res.AppliedCount() != 1 {
-		t.Fatalf("applied: %d (%+v)", res.AppliedCount(), res.Vars)
+	// A stralloc has no null state, so a null assignment declines the
+	// variable and the assignments stay as written.
+	if v := res.Vars[0]; v.Applied || v.Reason != FailUnsupportedUse || v.Detail != "assigned null pointer (char*)0" {
+		t.Fatalf("refusal: %+v", v)
 	}
 	out := res.Out
 	if !strings.Contains(out, "p = (char*)0;") || !strings.Contains(out, "p = (void*)0;") {
 		t.Fatalf("null casts must stay (pattern 4):\n%s", out)
 	}
-	reparse(t, res)
 }
 
 func TestBracelessAllocationBraced(t *testing.T) {
@@ -263,7 +264,7 @@ void f(int c) {
     if (c)
         buf = malloc(16);
     else
-        buf = 0;
+        buf = "none";
     buf[0] = 'x';
 }
 `)
@@ -274,8 +275,8 @@ void f(int c) {
 	if !strings.Contains(out, "{ buf->s = malloc(16); buf->f = buf->s; buf->a = 16; }") {
 		t.Fatalf("allocation not braced:\n%s", out)
 	}
-	if !strings.Contains(out, "buf = 0;") {
-		t.Fatalf("null arm must stay:\n%s", out)
+	if !strings.Contains(out, `stralloc_copybuf(buf, "none", strlen("none"));`) {
+		t.Fatalf("literal arm not rewritten:\n%s", out)
 	}
 	reparse(t, res)
 }
