@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
@@ -79,6 +80,58 @@ int main(void) {
 	if !strings.Contains(string(diffOut), "-    strcpy(buf") ||
 		!strings.Contains(string(diffOut), "+    g_strlcpy(buf") {
 		t.Fatalf("diff output unexpected:\n%s", diffOut)
+	}
+}
+
+// TestCfixCLIVerifySTROutput runs -verify on STR output with and
+// without -support. Without it the printed text names stralloc without
+// defining it, so the post-run needs the library prepended; with it the
+// library is already there and must not be prepended again. Either way
+// the post-run's violation names the line of the printed text that holds
+// the out-of-bounds write.
+func TestCfixCLIVerifySTROutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTool(t, "cmd/cfix")
+	in := filepath.Join(t.TempDir(), "str.c")
+	src := `int main(void) {
+    char *s = "hi";
+    int a[2];
+    int i = 2;
+    puts(s);
+    a[i] = 1;
+    return 0;
+}
+`
+	if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, support := range []bool{false, true} {
+		args := []string{"-slr=false", "-summary=false", "-verify", "main", in}
+		if support {
+			args = append([]string{"-support"}, args...)
+		}
+		cmd := exec.Command(bin, args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("cfix %v: %v\n%s", args, err, stderr.String())
+		}
+		if !strings.Contains(string(out), "stralloc") {
+			t.Fatalf("STR did not apply:\n%s", out)
+		}
+		line := 0
+		for i, l := range strings.Split(string(out), "\n") {
+			if strings.Contains(l, "a[i] = 1;") {
+				line = i + 1
+			}
+		}
+		_, after, _ := strings.Cut(stderr.String(), "after:")
+		if want := fmt.Sprintf("%s:%d:", in, line); !strings.Contains(after, "1 violation(s)") || !strings.Contains(after, want) {
+			t.Errorf("-support=%v: post-run should report one violation at %s:\n%s", support, want, stderr.String())
+		}
 	}
 }
 

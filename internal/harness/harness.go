@@ -8,6 +8,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/cinterp"
 	"repro/internal/core"
@@ -84,15 +85,11 @@ func Verify(id, source, goodEntry, badEntry string, opts Options) (*Verdict, err
 	}
 	v.TransformedSource = transformed
 
-	runSource := transformed
-	if needsStralloc(transformed) {
-		runSource = stralloc.FullSource() + "\n" + transformed
-	}
-	v.PostGood, err = runOne(id+" (post,good)", runSource, goodEntry, opts)
+	v.PostGood, err = runOne(id+" (post,good)", transformed, goodEntry, opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: post-transform good run: %w", err)
 	}
-	v.PostBad, err = runOne(id+" (post,bad)", runSource, badEntry, opts)
+	v.PostBad, err = runOne(id+" (post,bad)", transformed, badEntry, opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: post-transform bad run: %w", err)
 	}
@@ -131,35 +128,48 @@ func Transform(id, source string, opts Options, v *Verdict) (string, error) {
 	return rep.Source, nil
 }
 
-// needsStralloc detects STR output (the emitted type name).
+// needsStralloc reports STR output that names the stralloc type without
+// defining it: what Transform returns, which carries no support code.
 func needsStralloc(src string) bool {
-	return containsWord(src, "stralloc")
+	return strings.Contains(src, "stralloc") && !strings.Contains(src, "typedef struct stralloc")
 }
 
-func containsWord(s, w string) bool {
-	for i := 0; i+len(w) <= len(s); i++ {
-		if s[i:i+len(w)] == w {
-			return true
-		}
+// Run parses, checks and runs entry in source under the checked
+// interpreter, returning the result and the steps it took. Text that
+// needs the stralloc library (needsStralloc) runs with it prepended, and
+// its violations still name lines of source; one inside the library
+// names line 0.
+func Run(filename, source, entry string, stdin []string, limits cinterp.Limits) (*cinterp.Result, int64, error) {
+	prefix := ""
+	if needsStralloc(source) {
+		prefix = stralloc.FullSource() + "\n"
 	}
-	return false
-}
-
-// runOne parses, checks and executes one entry point.
-func runOne(label, source, entry string, opts Options) (*cinterp.Result, error) {
-	unit, err := cparse.Parse(label+".c", source)
+	unit, err := cparse.Parse(filename, prefix+source)
 	if err != nil {
-		return nil, fmt.Errorf("harness: parse %s: %w", label, err)
+		return nil, 0, fmt.Errorf("parse: %w", err)
 	}
 	typecheck.Check(unit)
-	in, err := cinterp.New(unit, opts.Limits)
+	in, err := cinterp.New(unit, limits)
 	if err != nil {
-		return nil, fmt.Errorf("harness: init %s: %w", label, err)
+		return nil, 0, err
 	}
-	in.SetStdin(opts.Stdin)
+	in.SetStdin(stdin)
 	res, err := in.Run(entry)
 	if err != nil {
-		return nil, fmt.Errorf("harness: run %s: %w", label, err)
+		return nil, 0, fmt.Errorf("run: %w", err)
+	}
+	shift := strings.Count(prefix, "\n")
+	for i := range res.Violations {
+		res.Violations[i].Pos.Line = max(res.Violations[i].Pos.Line-shift, 0)
+	}
+	return res, in.Steps(), nil
+}
+
+// runOne runs one entry point for Verify.
+func runOne(label, source, entry string, opts Options) (*cinterp.Result, error) {
+	res, _, err := Run(label+".c", source, entry, opts.Stdin, opts.Limits)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", label, err)
 	}
 	return res, nil
 }

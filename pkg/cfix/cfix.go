@@ -35,11 +35,9 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cinterp"
 	"repro/internal/core"
-	"repro/internal/cparse"
 	"repro/internal/harness"
 	"repro/internal/overflow"
 	"repro/internal/stralloc"
-	"repro/internal/typecheck"
 )
 
 // Options configures Fix. The zero value runs both transformations in
@@ -229,28 +227,15 @@ type RunResult struct {
 func (r *RunResult) Safe() bool { return len(r.Violations) == 0 }
 
 // Run executes entry() in source under the checked interpreter. stdin
-// lines feed gets/fgets.
+// lines feed gets/fgets. STR output printed without its support code
+// runs with the stralloc library prepended, and violations name lines of
+// source.
 func Run(filename, source, entry string, stdin []string) (*RunResult, error) {
-	unit, err := cparse.Parse(filename, source)
-	if err != nil {
-		return nil, fmt.Errorf("cfix: parse: %w", err)
-	}
-	typecheck.Check(unit)
-	in, err := cinterp.New(unit, cinterp.Limits{})
+	res, steps, err := harness.Run(filename, source, entry, stdin, cinterp.Limits{})
 	if err != nil {
 		return nil, fmt.Errorf("cfix: %w", err)
 	}
-	in.SetStdin(stdin)
-	res, err := in.Run(entry)
-	if err != nil {
-		return nil, fmt.Errorf("cfix: run: %w", err)
-	}
-	return &RunResult{
-		Stdout:     res.Stdout,
-		Return:     res.Return,
-		Violations: res.Violations,
-		Steps:      in.Steps(),
-	}, nil
+	return &RunResult{Stdout: res.Stdout, Return: res.Return, Violations: res.Violations, Steps: steps}, nil
 }
 
 // Violation re-exports the checked interpreter's event type.
