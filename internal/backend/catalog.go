@@ -94,8 +94,8 @@ var _catalog, _allocators = func() (map[string]Func, []string) {
 		// Readers, allocators and calls without a buffer effect.
 		{Func{NoEffect: true, STR: StrMapped, Result: ResultLength}, "strlen"},
 		{Func{NoEffect: true, Result: ResultLength}, "fwrite"},
-		{Func{NoEffect: true, Result: ResultPointer}, "strchr strrchr strstr strdup fopen"},
-		{Func{NoEffect: true, Result: ResultPointer, Sizes: []int{0}}, "malloc g_malloc"},
+		{Func{NoEffect: true, Result: ResultPointer}, "strchr strrchr strstr strdup fopen getenv"},
+		{Func{NoEffect: true, Result: ResultPointer, Sizes: []int{0}}, "malloc g_malloc alloca"},
 		{Func{NoEffect: true, Result: ResultPointer, Sizes: []int{0, 1}}, "calloc"},
 		{Func{NoEffect: true}, "strcmp strncmp memcmp atoi atol printf fprintf puts putchar getchar fclose rand srand exit abort"},
 		// The bounded functions the dialects emit (fgets and memcpy above).
@@ -122,6 +122,16 @@ func AllocSizes() map[string][]int {
 		out[name] = slices.Clone(_catalog[name].Sizes)
 	}
 	return out
+}
+
+// LibraryNames lists the functions the catalog models, sorted.
+func LibraryNames() []string {
+	names := make([]string, 0, len(_catalog))
+	for name := range _catalog {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // Library returns the catalog's model of the named C library function;

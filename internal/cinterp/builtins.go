@@ -62,6 +62,7 @@ func baseBuiltins() map[string]builtin {
 		"memmove":            biMemcpy,
 		"memcmp":             biMemcmp,
 		"strcpy":             biStrcpy,
+		"stpcpy":             biStpcpy,
 		"strncpy":            biStrncpy,
 		"strcat":             biStrcat,
 		"strncat":            biStrncat,
@@ -80,9 +81,11 @@ func baseBuiltins() map[string]builtin {
 		"fprintf":            biFprintf,
 		"puts":               biPuts,
 		"putchar":            biPutchar,
+		"getchar":            biGetchar,
 		"gets":               biGets,
 		"fgets":              biFgets,
 		"malloc":             biMalloc,
+		"g_malloc":           biMalloc,
 		"calloc":             biCalloc,
 		"realloc":            biRealloc,
 		"free":               biFree,
@@ -240,6 +243,15 @@ func biStrcpy(in *Interp, args []Value, call *cast.CallExpr) (Value, error) {
 	return args[0], nil
 }
 
+// biStpcpy copies as strcpy does and returns a pointer to the copied NUL.
+func biStpcpy(in *Interp, args []Value, call *cast.CallExpr) (Value, error) {
+	s := in.readCString(argPtr(args, 1), call.Extent())
+	in.writeCBytes(argPtr(args, 0), append([]byte(s), 0), call.Extent())
+	p := argPtr(args, 0)
+	p.Off += int64(len(s))
+	return PtrV(p), nil
+}
+
 func biStrncpy(in *Interp, args []Value, call *cast.CallExpr) (Value, error) {
 	s := in.readCString(argPtr(args, 1), call.Extent())
 	n := argInt(args, 2)
@@ -384,6 +396,21 @@ func biPuts(in *Interp, args []Value, call *cast.CallExpr) (Value, error) {
 	in.out.WriteString(s)
 	in.out.WriteByte('\n')
 	return IntV(int64(len(s) + 1)), nil
+}
+
+// biGetchar reads the next byte of the queued input, whose lines end in
+// '\n', or -1 (EOF) once it is used up.
+func biGetchar(in *Interp, _ []Value, _ *cast.CallExpr) (Value, error) {
+	if len(in.stdin) == 0 {
+		return IntV(-1), nil
+	}
+	line := in.stdin[0]
+	if line == "" {
+		in.stdin = in.stdin[1:]
+		return IntV('\n'), nil
+	}
+	in.stdin[0] = line[1:]
+	return IntV(int64(line[0])), nil
 }
 
 func biPutchar(in *Interp, args []Value, _ *cast.CallExpr) (Value, error) {
