@@ -19,13 +19,13 @@ type Spec struct {
 	Conv        byte
 }
 
-// ParseSpec parses the conversion specification at the start of s, the
+// parseSpec parses the conversion specification at the start of s, the
 // text just past a '%', and returns it with the number of bytes it
 // spans, the conversion included. Width and precision are decimal digit
 // runs: a width too large for an int is absent, a precision too large
 // is the largest int, and a '.' with no digits is precision 0. Length
 // collects any run of h, l, z, j and t.
-func ParseSpec(s string) (Spec, int) {
+func parseSpec(s string) (Spec, int) {
 	sp := Spec{Width: -1, Prec: -1}
 	i := 0
 	run := func(set string) string {
@@ -60,23 +60,23 @@ func (s Spec) flag(c byte) bool { return strings.IndexByte(s.Flags, c) >= 0 }
 // inside, or when conv returns false.
 func WalkFormat(format string, lit func(string), conv func(Spec) bool) {
 	for format != "" {
-		i := strings.IndexByte(format+"%", '%')
-		if i > 0 {
-			lit(format[:i])
+		text, rest, found := strings.Cut(format, "%")
+		if text != "" {
+			lit(text)
 		}
-		if format = format[min(i+1, len(format)):]; format == "" {
+		if !found || rest == "" {
 			return
 		}
-		if format[0] == '%' {
+		if rest[0] == '%' {
 			lit("%")
-			format = format[1:]
+			format = rest[1:]
 			continue
 		}
-		sp, n := ParseSpec(format)
+		sp, n := parseSpec(rest)
 		if sp.Conv == 0 || !conv(sp) {
 			return
 		}
-		format = format[n:]
+		format = rest[n:]
 	}
 }
 
@@ -216,7 +216,7 @@ func (s Spec) integer(v int64) (prefix string, zeros int, body string) {
 			u = -u
 		}
 	}
-	body = strconv.FormatUint(u, []int{10, 8, 16, 16}[strings.IndexByte("oxX", s.Conv)+1])
+	body = strconv.FormatUint(u, []int{10, 8, 16, 16}[strings.IndexByte("oxX", s.Conv)+1]) // base
 	if s.Prec == 0 && u == 0 {
 		body = ""
 	}

@@ -18,9 +18,9 @@ func TestParseSpec(t *testing.T) {
 		{"99999999999999999999d", Spec{Width: -1, Prec: -1, Conv: 'd'}, 21},
 	}
 	for _, c := range cases {
-		got, n := ParseSpec(c.in)
+		got, n := parseSpec(c.in)
 		if got != c.want || n != c.n {
-			t.Errorf("ParseSpec(%q) = %+v, %d; want %+v, %d", c.in, got, n, c.want, c.n)
+			t.Errorf("parseSpec(%q) = %+v, %d; want %+v, %d", c.in, got, n, c.want, c.n)
 		}
 	}
 }

@@ -58,6 +58,20 @@ func glibcTable(t *testing.T) []glibcRow {
 	return rows
 }
 
+// spec returns the one conversion of the format "%"+text.
+func spec(t *testing.T, text string) backend.Spec {
+	t.Helper()
+	var specs []backend.Spec
+	backend.WalkFormat("%"+text, func(s string) { t.Fatalf("%%%s: literal %q", text, s) }, func(sp backend.Spec) bool {
+		specs = append(specs, sp)
+		return true
+	})
+	if len(specs) != 1 {
+		t.Fatalf("%%%s: %d conversions", text, len(specs))
+	}
+	return specs[0]
+}
+
 func (r glibcRow) arg(t *testing.T) backend.Arg {
 	var a backend.Arg
 	var err error
@@ -82,11 +96,7 @@ func (r glibcRow) arg(t *testing.T) backend.Arg {
 func TestRenderMatchesGlibc(t *testing.T) {
 	bad := 0
 	for _, r := range glibcTable(t) {
-		sp, n := backend.ParseSpec(r.spec)
-		if n != len(r.spec) {
-			t.Fatalf("ParseSpec(%q) spans %d bytes", r.spec, n)
-		}
-		if got := string(sp.Append(nil, r.arg(t))); got != r.out {
+		if got := string(spec(t, r.spec).Append(nil, r.arg(t))); got != r.out {
 			if bad++; bad <= 20 {
 				t.Errorf("%%%s of %s: got %q, glibc %q", r.spec, r.value, got, r.out)
 			}
@@ -169,12 +179,12 @@ func TestLenRangeBruteForce(t *testing.T) {
 	for _, conv := range "diuxXoc" {
 		for _, length := range []string{"", "hh", "h", "l"} {
 			for _, c := range centers {
-				spec := flags[rng.Intn(len(flags))] + widths[rng.Intn(len(widths))]
+				text := flags[rng.Intn(len(flags))] + widths[rng.Intn(len(widths))]
 				if conv != 'c' {
-					spec += precs[rng.Intn(len(precs))]
+					text += precs[rng.Intn(len(precs))]
 				}
-				spec += length + string(conv)
-				sp, _ := backend.ParseSpec(spec)
+				text += length + string(conv)
+				sp := spec(t, text)
 				w := rng.Int63n(1 << 17)
 				lo := c - rng.Int63n(w+1)
 				hi := lo + w
@@ -185,7 +195,7 @@ func TestLenRangeBruteForce(t *testing.T) {
 				}
 				gl, gm, ok := sp.LenRange(lo, hi)
 				if !ok || gl != least || gm != most {
-					t.Errorf("%%%s over [%d, %d]: LenRange = [%d, %d] %v, brute force [%d, %d]", spec, lo, hi, gl, gm, ok, least, most)
+					t.Errorf("%%%s over [%d, %d]: LenRange = [%d, %d] %v, brute force [%d, %d]", text, lo, hi, gl, gm, ok, least, most)
 				}
 			}
 		}

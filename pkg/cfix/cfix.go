@@ -235,7 +235,12 @@ func Run(filename, source, entry string, stdin []string) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cfix: %w", err)
 	}
-	return &RunResult{Stdout: res.Stdout, Return: res.Return, Violations: res.Violations, Steps: steps}, nil
+	return &RunResult{
+		Stdout:     res.Stdout,
+		Return:     res.Return,
+		Violations: res.Violations,
+		Steps:      steps,
+	}, nil
 }
 
 // Violation re-exports the checked interpreter's event type.
