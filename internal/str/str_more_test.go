@@ -479,3 +479,17 @@ func localTypes(t *testing.T, src string) map[string]string {
 	}
 	return types
 }
+
+// TestNullPointerRefused declines a char pointer initialised or assigned
+// any spelling of a null pointer constant, naming it: a stralloc has no
+// null state to carry it.
+func TestNullPointerRefused(t *testing.T) {
+	for _, null := range []string{"0", "NULL", "(void *)0", "(char *)0", "((void *)0)"} {
+		for _, body := range []string{"char *p = " + null + "; p = \"x\";", "char *p = \"x\"; if (p[0]) p = " + null + ";"} {
+			res := runAll(t, "void f(void) { "+body+" }")
+			if v := res.Vars[0]; v.Applied || v.Reason != FailUnsupportedUse || v.Detail != "assigned null pointer "+null {
+				t.Errorf("%s: %+v", body, v)
+			}
+		}
+	}
+}
